@@ -1,5 +1,6 @@
-"""Balls-into-bins kernel: arrivals, gap accounting, and the five flexing
-policies (no-flex, always-flex, static, dynamic, flex-sqrt-T).
+"""Balls-into-bins model: parameters, the five flexing policies (no-flex,
+always-flex, static, dynamic, flex-sqrt-T) with their constants, and the
+arrival streams.  The policy loop itself is :mod:`endgame.bins_engine`.
 
 Loads are integer counts; the imbalance metric is the gap
 ``max_i loads[i] - t/N`` where ``t`` is the number of balls already placed.
@@ -11,10 +12,9 @@ proportional to the expected number of flex balls remaining.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator
 
 from .streams import stream
 
@@ -37,12 +37,11 @@ NUMERICS_A_D = 0.7
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Horizon length T, bin count N, flex probability q, flex-set size r."""
+    """Horizon length T, bin count N, flex probability q."""
 
     T: int
     N: int
     q: float
-    r: int = 2
 
     def __post_init__(self):
         if self.T < 1:
@@ -51,39 +50,6 @@ class ModelParams:
             raise ValueError(f"N must be >= 2, got {self.N}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
-        if not 2 <= self.r <= self.N:
-            raise ValueError(f"r must be in [2, N], got r={self.r}, N={self.N}")
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """One period's demand event."""
-
-    is_flex: bool
-    preferred: int
-    flex_set: frozenset = frozenset()
-
-    def __post_init__(self):
-        if not self.is_flex and self.flex_set:
-            raise ValueError("non-flex arrival must have an empty flex set")
-        if self.is_flex and len(self.flex_set) < 2:
-            raise ValueError("flex arrival needs a flex set of size >= 2")
-
-
-@dataclass
-class LoadState:
-    """Per-bin loads plus the count of balls already placed."""
-
-    loads: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def empty(cls, N: int) -> "LoadState":
-        return cls(loads=np.zeros(N, dtype=np.int64), t=0)
-
-    def place(self, bin_index: int) -> None:
-        self.loads[bin_index] += 1
-        self.t += 1
 
 
 @dataclass(frozen=True)
@@ -128,124 +94,49 @@ def resolve_policy(spec: PolicySpec, params: ModelParams,
     return replace(spec, a_s=a_s, a_d=a_d)
 
 
-@dataclass
-class RunRecord:
-    """Outcome of one simulated horizon."""
-
-    final_gap: float
-    flex_count: int
-    gap_trajectory: np.ndarray | None = None
-    first_trigger: int | None = None
-    loads: np.ndarray | None = None
-
-
-# ---------------------------------------------------------------------------
-# Elementary operations
-
-
-def draw_arrival(rng: Generator, params: ModelParams) -> Arrival:
-    """Draw one arrival: Bernoulli(q) flex flag, uniform preferred bin, and
-    (for flex arrivals) a uniform r-subset flex set independent of preferred."""
-    is_flex = rng.random() < params.q
-    preferred = int(rng.integers(params.N))
-    if is_flex:
-        flex_set = frozenset(
-            int(i) for i in rng.choice(params.N, size=params.r, replace=False))
-    else:
-        flex_set = frozenset()
-    return Arrival(is_flex=is_flex, preferred=preferred, flex_set=flex_set)
-
-
-def gap(state: LoadState, params: ModelParams) -> float:
-    """Maximum load minus the average load t/N."""
-    return float(state.loads.max()) - state.t / params.N
-
-
-def choose_flex_pair(flex_set, rng: Generator) -> tuple[int, int]:
-    """Uniformly random unordered pair from a flex set of size >= 2."""
-    members = sorted(flex_set)
-    if len(members) < 2:
-        raise ValueError(f"flex set must have >= 2 members, got {members}")
-    if len(members) == 2:
-        return members[0], members[1]
-    i, j = rng.choice(len(members), size=2, replace=False)
-    a, b = members[int(i)], members[int(j)]
-    return (a, b) if a < b else (b, a)
-
-
-def allocate(state: LoadState, arrival: Arrival, exert: bool,
-             rng: Generator) -> int:
-    """Destination bin for one arrival.  An exerted flex goes to the
-    lesser-loaded member of a uniformly drawn pair from the flex set, ties
-    to the smaller index; everything else goes to the preferred bin.
-    The caller is responsible for incrementing the load."""
-    if not (exert and arrival.is_flex):
-        return arrival.preferred
-    a, b = choose_flex_pair(arrival.flex_set, rng)
-    la, lb = state.loads[a], state.loads[b]
-    chosen = a if la <= lb else b
-    assert state.loads[chosen] <= state.loads[a if chosen == b else b]
-    return chosen
-
-
-def static_start(params: ModelParams, a_s: float) -> int:
+def static_start(T: int, a_s: float) -> int:
     """First period index (in balls already placed) from which the static
-    policy flexes: round(T - a_s*sqrt(T ln T)), clamped to [0, T]."""
-    T = params.T
+    policy flexes on a horizon of T periods: round(T - a_s*sqrt(T ln T)),
+    clamped to [0, T]."""
     raw = T - a_s * math.sqrt(T * math.log(T)) if T >= 2 else 0.0
     return int(min(max(round(raw), 0), T))
 
 
-def dynamic_should_flex(state: LoadState, params: ModelParams,
-                        a_d: float) -> bool:
-    """Dynamic flexing condition: gap >= a_d*(T - t)*q/N (weak)."""
-    threshold = a_d * (params.T - state.t) * params.q / params.N
-    return gap(state, params) >= threshold
-
-
-def flex_sqrt_t_should_flex(rng: Generator, params: ModelParams,
-                            a_s: float) -> bool:
-    """Bernoulli((T - T_hat)/T) per-period flexing decision."""
-    t_hat = static_start(params, a_s)
-    return rng.random() < (params.T - t_hat) / params.T
-
-
 # ---------------------------------------------------------------------------
-# Arrival streams
-
-ARRIVAL_CATEGORIES = ("flex", "preferred", "flexset", "exert")
+# Per-period random draws
 
 
 @dataclass
 class ArrivalArrays:
-    """Pre-drawn per-period arrival randomness for one replication.
+    """Pre-drawn per-period arrival randomness, one row per replication
+    (1-D for a single replication, (rows, T) when stacked for the engine).
 
-    The flex set is already reduced to its uniformly random pair
-    (lo < hi); for any r, a uniform r-subset followed by a uniform
-    2-subset of it is a uniform 2-subset of all bins, so the pair is
-    drawn directly.  ``exert_u`` is a separate uniform stream consumed
-    only by the flex-sqrt-T policy, so policies stay coupled on the
-    arrival streams regardless of their own randomness.
+    The flex set is drawn directly as a uniformly random pair (lo < hi)
+    of distinct bins: a uniform pair from a uniform subset of any size is
+    a uniform pair of all bins, so the flex-set size has no effect.
+    ``exert_u`` is a separate uniform stream consumed only by the
+    flex-sqrt-T policy, so policies stay coupled on the arrival streams
+    regardless of their own randomness; it is None when it was not drawn.
     """
 
     is_flex: np.ndarray   # (T,) bool
     preferred: np.ndarray  # (T,) int
     pair_lo: np.ndarray   # (T,) int
     pair_hi: np.ndarray   # (T,) int
-    exert_u: np.ndarray   # (T,) float
+    exert_u: np.ndarray | None = None  # (T,) float
 
     def __len__(self) -> int:
         return len(self.is_flex)
 
 
-def draw_raw_arrays(root_seed: int, N: int, q: float, T: int,
-                    *path) -> ArrivalArrays:
+def draw_raw_arrays(root_seed: int, N: int, q: float, T: int, *path,
+                    exert: bool = True) -> ArrivalArrays:
     """Draw one replication's arrival randomness, one sub-stream per draw
-    category, addressed by (root_seed, *path, category)."""
+    category, addressed by (root_seed, *path, category).  ``exert=False``
+    skips the flex-sqrt-T stream; the other categories are unchanged."""
     g_flex = stream(root_seed, *path, "flex")
     g_pref = stream(root_seed, *path, "preferred")
     g_set = stream(root_seed, *path, "flexset")
-    g_exert = stream(root_seed, *path, "exert")
     dtype = np.int16 if N > 127 else np.int8
     is_flex = g_flex.random(T) < q
     if N == 1:  # degenerate test mode used by the inventory model
@@ -262,76 +153,12 @@ def draw_raw_arrays(root_seed: int, N: int, q: float, T: int,
         preferred=preferred,
         pair_lo=np.minimum(i, j),
         pair_hi=np.maximum(i, j),
-        exert_u=g_exert.random(T),
+        exert_u=(stream(root_seed, *path, "exert").random(T) if exert
+                 else None),
     )
 
 
 def draw_arrival_arrays(root_seed: int, params: ModelParams, *path,
-                        T: int | None = None) -> ArrivalArrays:
-    T = params.T if T is None else T
-    return draw_raw_arrays(root_seed, params.N, params.q, T, *path)
-
-
-# ---------------------------------------------------------------------------
-# Sequential simulation
-
-
-def run(policy: PolicySpec, params: ModelParams, seed: int, *,
-        arrivals: ArrivalArrays | None = None,
-        record_trajectory: bool = False,
-        stream_path: tuple = ()) -> RunRecord:
-    """Simulate one horizon.  Deterministic in (policy, params, seed).
-
-    ``arrivals`` may be injected (e.g. by the exhaustive-enumeration
-    oracle); otherwise they are drawn from the seed.  Constants on the
-    policy must already be resolved (see :func:`resolve_policy`).
-    """
-    if policy.kind in (STATIC, FLEX_SQRT_T) and policy.a_s is None:
-        raise ValueError(f"{policy.kind} policy needs a_s resolved")
-    if policy.kind == DYNAMIC and policy.a_d is None:
-        raise ValueError("dynamic policy needs a_d resolved")
-    if arrivals is None:
-        arrivals = draw_arrival_arrays(seed, params, *stream_path)
-    T, N = params.T, params.N
-    loads = np.zeros(N, dtype=np.int64)
-    flex_count = 0
-    first_trigger = None
-    trajectory = np.empty(T) if record_trajectory else None
-    t_hat = (static_start(params, policy.a_s)
-             if policy.kind in (STATIC, FLEX_SQRT_T) else 0)
-    sqrt_prob = (T - t_hat) / T if policy.kind == FLEX_SQRT_T else 0.0
-    triggered = False
-
-    for t in range(T):
-        if policy.kind == NO_FLEX:
-            exert = False
-        elif policy.kind == ALWAYS_FLEX:
-            exert = True
-        elif policy.kind == STATIC:
-            exert = t >= t_hat
-        elif policy.kind == FLEX_SQRT_T:
-            exert = arrivals.exert_u[t] < sqrt_prob
-        else:  # dynamic
-            threshold = policy.a_d * (T - t) * params.q / N
-            cond = loads.max() - t / N >= threshold
-            if policy.latched:
-                triggered = triggered or cond
-                exert = triggered
-            else:
-                exert = cond
-        if exert and first_trigger is None:
-            first_trigger = t
-        if exert and arrivals.is_flex[t]:
-            a, b = int(arrivals.pair_lo[t]), int(arrivals.pair_hi[t])
-            chosen = a if loads[a] <= loads[b] else b
-            flex_count += 1
-        else:
-            chosen = int(arrivals.preferred[t])
-        loads[chosen] += 1
-        if record_trajectory:
-            trajectory[t] = loads.max() - (t + 1) / N
-
-    final_gap = float(loads.max()) - T / N
-    return RunRecord(final_gap=final_gap, flex_count=flex_count,
-                     gap_trajectory=trajectory, first_trigger=first_trigger,
-                     loads=loads)
+                        exert: bool = True) -> ArrivalArrays:
+    return draw_raw_arrays(root_seed, params.N, params.q, params.T, *path,
+                           exert=exert)

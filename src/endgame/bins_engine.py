@@ -1,23 +1,26 @@
-"""Vectorized multi-replication engine for the balls-into-bins kernel.
+"""The policy loop: one lockstep kernel for the balls-into-bins model and
+the opaque-selling cycle.
 
-Replications are stepped in lockstep across the period axis, in blocks
-sized to bound memory.  Each replication consumes exactly the same
-per-category streams as :func:`endgame.balls_bins.run` with path
-``(*path, rep)``, so results are bit-identical to running replications
-one at a time, independent of block size and execution order.
+Rows (replications or cycles) are stepped in lockstep across the period
+axis, in equal-sized blocks sized to bound memory.  A row either runs the
+whole horizon or, given a stop level S, stops at the first period in
+which a load reaches S (an opaque cycle is a ball run on depletion
+counts, stopped at the first stock-out).  Each row consumes its own
+per-category streams, so results are independent of block size and
+execution order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX, STATIC,
-                         ModelParams, PolicySpec, draw_arrival_arrays,
-                         static_start)
+from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, STATIC,
+                         ArrivalArrays, ModelParams, PolicySpec,
+                         draw_arrival_arrays, static_start)
 
-# Target upper bound on (block reps) * T draws held in memory at once.
+# Target upper bound on (block rows) * T draws held in memory at once.
 _BLOCK_ELEMENTS = 32_000_000
 
 
@@ -30,79 +33,123 @@ class BatchResult:
     first_trigger: np.ndarray  # (reps,) int, -1 when the policy never exerted
 
 
+@dataclass
+class LockstepResult:
+    """Per-row outcomes of the kernel."""
+
+    loads: np.ndarray          # (rows, N) loads when the row stopped
+    flex_count: np.ndarray     # (rows,) exerted flex arrivals
+    first_trigger: np.ndarray  # (rows,) first exerting period, -1 if none
+    stop_time: np.ndarray      # (rows,) periods run
+
+
 def run_many(policy: PolicySpec, params: ModelParams, reps: int,
              root_seed: int, *path) -> BatchResult:
-    """Simulate ``reps`` independent horizons of one policy."""
-    T = params.T
-    block = max(1, min(reps, _BLOCK_ELEMENTS // max(T, 1)))
-    gaps = np.empty(reps)
-    flexes = np.empty(reps, dtype=np.int64)
-    triggers = np.empty(reps, dtype=np.int64)
-    for start in range(0, reps, block):
-        stop = min(start + block, reps)
-        g, f, ft = _run_block(policy, params, range(start, stop),
-                              root_seed, path)
-        gaps[start:stop] = g
-        flexes[start:stop] = f
-        triggers[start:stop] = ft
-    return BatchResult(final_gap=gaps, flex_count=flexes,
-                       first_trigger=triggers)
+    """Simulate ``reps`` independent horizons of one policy; replication
+    ``rep`` consumes the streams addressed by ``(*path, rep)``."""
+    out = run_blocks(
+        policy, params.N, params.q, params.T, reps,
+        lambda rep, exert: draw_arrival_arrays(root_seed, params, *path, rep,
+                                               exert=exert))
+    return BatchResult(final_gap=out.loads.max(axis=1) - params.T / params.N,
+                       flex_count=out.flex_count,
+                       first_trigger=out.first_trigger)
 
 
-def _run_block(policy: PolicySpec, params: ModelParams, rep_range,
-               root_seed: int, path):
-    T, N, q = params.T, params.N, params.q
-    reps = len(rep_range)
-    arr = [draw_arrival_arrays(root_seed, params, *path, rep)
-           for rep in rep_range]
-    is_flex = np.stack([a.is_flex for a in arr])
-    preferred = np.stack([a.preferred for a in arr]).astype(np.int64)
-    pair_lo = np.stack([a.pair_lo for a in arr]).astype(np.int64)
-    pair_hi = np.stack([a.pair_hi for a in arr]).astype(np.int64)
-    if policy.kind == FLEX_SQRT_T:
-        exert_u = np.stack([a.exert_u for a in arr])
+def run_blocks(policy: PolicySpec, N: int, q: float, T: int, n_rows: int,
+               draw, stop: int | None = None) -> LockstepResult:
+    """Run ``n_rows`` rows of the kernel in blocks of equal size (within
+    one row) holding at most about ``_BLOCK_ELEMENTS`` draws.
 
-    loads = np.zeros((reps, N), dtype=np.int64)
-    flex_count = np.zeros(reps, dtype=np.int64)
-    first_trigger = np.full(reps, -1, dtype=np.int64)
-    triggered = np.zeros(reps, dtype=bool)
-    rows = np.arange(reps)
+    ``draw(row, exert)`` returns the row's T-period :class:`ArrivalArrays`;
+    ``exert`` says whether the policy reads the ``exert_u`` stream.
+    """
+    if n_rows < 1:
+        raise ValueError(f"need at least one row, got {n_rows}")
+    exert = policy.kind == FLEX_SQRT_T
+    n_blocks = -(-n_rows // max(1, _BLOCK_ELEMENTS // max(T, 1)))
+    bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
+    parts = [lockstep(policy, N, q,
+                      stack_arrivals([draw(row, exert)
+                                      for row in range(lo, hi)]), stop)
+             for lo, hi in zip(bounds, bounds[1:])]
+    return LockstepResult(*(np.concatenate([getattr(p, f.name) for p in parts])
+                            for f in fields(LockstepResult)))
 
-    t_hat = (static_start(params, policy.a_s)
-             if policy.kind in (STATIC, FLEX_SQRT_T) else 0)
-    sqrt_prob = (T - t_hat) / T if policy.kind == FLEX_SQRT_T else 0.0
+
+def stack_arrivals(rows: list) -> ArrivalArrays:
+    """Stack per-row arrival arrays into (rows, T) arrays."""
+    def stacked(name):
+        if getattr(rows[0], name) is None:
+            return None
+        return np.stack([getattr(a, name) for a in rows])
+    return ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)))
+
+
+def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
+             stop: int | None = None) -> LockstepResult:
+    """Step every row of stacked (rows, T) arrivals through one policy.
+
+    Each period the policy decides whether to exert flexibility; an
+    exerted flex arrival goes to the lesser-loaded bin of its pair, ties
+    to the smaller index, and every other arrival to its preferred bin.
+    With ``stop`` set, a row stops after the period in which a load first
+    reaches ``stop``.  Constants on the policy must already be resolved.
+    """
+    kind = policy.kind
+    if kind in (STATIC, FLEX_SQRT_T) and policy.a_s is None:
+        raise ValueError(f"{kind} policy needs a_s resolved")
+    if kind == DYNAMIC and policy.a_d is None:
+        raise ValueError("dynamic policy needs a_d resolved")
+    rows, T = arrivals.is_flex.shape
+    loads = np.zeros((rows, N), dtype=np.int64)
+    flat = loads.reshape(-1)
+    base = np.arange(rows, dtype=np.intp) * N  # flat index of each bin 0
+    flex_count = np.zeros(rows, dtype=np.int64)
+    first_trigger = np.full(rows, -1, dtype=np.int64)
+    stop_time = np.full(rows, T, dtype=np.int64)
+    active = np.ones(rows, dtype=bool)  # rows still running
+    triggered = np.zeros(rows, dtype=bool)
+    t_hat = static_start(T, policy.a_s) if kind in (STATIC, FLEX_SQRT_T) else 0
+    sqrt_prob = (T - t_hat) / T
 
     for t in range(T):
-        if policy.kind == NO_FLEX:
-            exert = None
-        elif policy.kind == ALWAYS_FLEX:
-            exert = np.ones(reps, dtype=bool)
-        elif policy.kind == STATIC:
-            exert = (np.ones(reps, dtype=bool) if t >= t_hat
-                     else np.zeros(reps, dtype=bool))
-        elif policy.kind == FLEX_SQRT_T:
-            exert = exert_u[:, t] < sqrt_prob
-        else:  # dynamic
+        if kind == ALWAYS_FLEX or (kind == STATIC and t >= t_hat):
+            exert = active
+        elif kind == FLEX_SQRT_T:
+            exert = arrivals.exert_u[:, t] < sqrt_prob
+        elif kind == DYNAMIC:
             threshold = policy.a_d * (T - t) * q / N
-            cond = loads.max(axis=1) - t / N >= threshold
+            exert = loads.max(axis=1) - t / N >= threshold
             if policy.latched:
-                triggered |= cond
-                exert = triggered.copy()
-            else:
-                exert = cond
+                triggered |= exert
+                exert = triggered
+        else:  # no flex, or static before its start period
+            exert = None
+        if stop is not None and exert is not None and exert is not active:
+            exert = exert & active  # stopped rows neither flex nor trigger
 
-        if exert is None:
-            chosen = preferred[:, t]
-        else:
+        # cast the current column to flat indices
+        chosen = base + arrivals.preferred[:, t]
+        if exert is not None:
             np.putmask(first_trigger, exert & (first_trigger < 0), t)
-            flexed = exert & is_flex[:, t]
-            a = pair_lo[:, t]
-            b = pair_hi[:, t]
-            lesser = np.where(loads[rows, a] <= loads[rows, b], a, b)
-            chosen = np.where(flexed, lesser, preferred[:, t])
+            flexed = exert & arrivals.is_flex[:, t]
+            a = base + arrivals.pair_lo[:, t]
+            b = base + arrivals.pair_hi[:, t]
+            lesser = np.where(flat[a] <= flat[b], a, b)
+            chosen = np.where(flexed, lesser, chosen)
             flex_count += flexed
         # one increment per row, so plain fancy indexing is safe
-        loads[rows, chosen] += 1
+        if stop is None:
+            flat[chosen] += 1
+        else:
+            placed = flat[chosen] + active  # stopped rows place nothing
+            flat[chosen] = placed
+            stopped = active & (placed >= stop)
+            stop_time[stopped] = t + 1
+            active &= ~stopped
+            if not active.any():
+                break
 
-    final_gap = loads.max(axis=1) - T / N
-    return final_gap, flex_count, first_trigger
+    return LockstepResult(loads=loads, flex_count=flex_count,
+                          first_trigger=first_trigger, stop_time=stop_time)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .. import balls_bins, opaque
+from .. import balls_bins, bins_engine, opaque
 from ..streams import resolve_root_seed
 from .config import ConfigError, ExperimentConfig, load_config
 from .plots import emit_plot_data
@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     brun.add_argument("--T", type=int, required=True)
     brun.add_argument("--N", type=int, default=2)
     brun.add_argument("--q", type=float, default=1.0)
-    brun.add_argument("--r", type=int, default=2)
     brun.add_argument("--a-s", type=float, default=None, dest="a_s")
     brun.add_argument("--a-d", type=float, default=None, dest="a_d")
     _common_flags(brun)
@@ -155,15 +154,22 @@ def _print_row(pairs) -> None:
 
 
 def cmd_bins_run(args) -> int:
-    params = balls_bins.ModelParams(T=args.T, N=args.N, q=args.q, r=args.r)
+    params = balls_bins.ModelParams(T=args.T, N=args.N, q=args.q)
     spec = balls_bins.resolve_policy(
         balls_bins.PolicySpec(kind=args.policy, a_s=args.a_s, a_d=args.a_d),
         params, args.preset)
-    rec = balls_bins.run(spec, params, resolve_root_seed(args.seed))
+    seed = resolve_root_seed(args.seed)
+    # one row on the stream path ()
+    out = bins_engine.run_blocks(
+        spec, args.N, args.q, args.T, 1,
+        lambda _, exert: bins_engine.draw_arrival_arrays(seed, params,
+                                                         exert=exert))
+    trigger = int(out.first_trigger[0])
     _print_row([("policy", args.policy), ("T", args.T), ("N", args.N),
-                ("q", args.q), ("final_gap", rec.final_gap),
-                ("flex_count", rec.flex_count),
-                ("first_trigger", rec.first_trigger)])
+                ("q", args.q),
+                ("final_gap", float(out.loads[0].max()) - args.T / args.N),
+                ("flex_count", int(out.flex_count[0])),
+                ("first_trigger", trigger if trigger >= 0 else None)])
     return 0
 
 
@@ -191,7 +197,7 @@ def cmd_bins_sweep(args) -> int:
 
 
 def cmd_opaque_run(args) -> int:
-    params = opaque.eoq_params(args.N, args.S, args.q, 2, args.regime)
+    params = opaque.eoq_params(args.N, args.S, args.q, args.regime)
     spec = opaque.resolve_opaque_policy(
         balls_bins.PolicySpec(kind=args.policy), params, args.preset)
     R, D = opaque.simulate_cycles(spec, params, args.cycles,

@@ -11,10 +11,10 @@ MODELS = ("bins", "opaque", "parcel")
 
 # parameters accepted under "params:"/"sweep:" for each model
 MODEL_PARAMS = {
-    "bins": {"T", "N", "q", "r"},
-    "opaque": {"N", "S", "q", "r", "regime", "instances",
-               "cycles_per_instance"},
-    "parcel": {"c_r", "c_o", "h_max", "N", "T", "speed", "flex_km",
+    "bins": {"T", "N", "q"},
+    "opaque": {"N", "S", "q", "regime", "cycles_per_instance"},
+    # N is the corpus's zone count
+    "parcel": {"c_r", "c_o", "h_max", "T", "speed", "flex_km",
                "oblivious_radius_km", "M1", "M2", "a_d",
                "corpus", "tables"},
 }

@@ -6,10 +6,6 @@ from __future__ import annotations
 import os
 import pathlib
 
-import numpy as np
-
-HIST_BIN_HOURS = 0.25  # route-time histogram granularity
-
 _PLOT_SCRIPT = """\
 #!/usr/bin/env python3
 \"\"\"Render every .dat curve file in this directory to plot.png.
@@ -71,8 +67,6 @@ def emit_plot_data(rows, figure_spec: dict, out_dir) -> list:
 
     * ``{"kind": "loss_vs_S"}``: ``rows`` from an opaque regime sweep
       (dicts with policy, S, loss, se); one curve per policy.
-    * ``{"kind": "time_hist", "values": {label: [hours...]}}``:
-      route-time histograms binned at ``bin_hours`` (default 0.25).
     """
     os.makedirs(out_dir, exist_ok=True)
     kind = figure_spec.get("kind")
@@ -87,20 +81,6 @@ def emit_plot_data(rows, figure_spec: dict, out_dir) -> list:
                    for r in rows if r["policy"] == policy]
             path = pathlib.Path(out_dir) / f"loss-vs-S_{policy}.dat"
             _write_curve(path, ("S", "loss", "se"), sorted(pts))
-            written.append(path)
-    elif kind == "time_hist":
-        width = float(figure_spec.get("bin_hours", HIST_BIN_HOURS))
-        for label, values in figure_spec["values"].items():
-            v = np.asarray(values, dtype=float)
-            path = pathlib.Path(out_dir) / f"hours-hist_{label}.dat"
-            if v.size == 0:
-                _write_curve(path, ("hours", "count"), [])
-            else:
-                hi = float(np.ceil(v.max() / width) * width) + width
-                edges = np.arange(0.0, hi + width / 2, width)
-                counts, _ = np.histogram(v, bins=edges)
-                _write_curve(path, ("hours", "count"),
-                             list(zip(edges[:-1], counts)))
             written.append(path)
     else:
         raise ValueError(f"unknown figure spec kind {kind!r}")

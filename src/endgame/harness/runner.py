@@ -78,7 +78,7 @@ def run_cell(model: str, policy: dict, params: dict, reps: int,
 def _run_bins_cell(policy, params, reps, root_seed, preset):
     model = balls_bins.ModelParams(
         T=int(params["T"]), N=int(params.get("N", 2)),
-        q=float(params.get("q", 1.0)), r=int(params.get("r", 2)))
+        q=float(params.get("q", 1.0)))
     spec = balls_bins.PolicySpec(
         kind=policy["kind"], a_s=policy.get("a_s"), a_d=policy.get("a_d"),
         latched=bool(policy.get("latched", False)))
@@ -97,8 +97,7 @@ def _run_opaque_cell(policy, params, reps, root_seed, preset):
     S = int(params["S"])
     regime = params.get("regime", "delta_zero")
     cycles = int(params.get("cycles_per_instance", 10))
-    inv = opaque.eoq_params(N, S, float(params.get("q", 0.1)),
-                            int(params.get("r", 2)), regime)
+    inv = opaque.eoq_params(N, S, float(params.get("q", 0.1)), regime)
     spec = opaque.resolve_opaque_policy(
         balls_bins.PolicySpec(kind=policy["kind"], a_s=policy.get("a_s"),
                               a_d=policy.get("a_d")), inv, preset)

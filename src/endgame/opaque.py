@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX,
-                         PRESET_NUMERICS, PRESET_THEORY, STATIC, ModelParams,
-                         PolicySpec, draw_raw_arrays, static_start,
-                         theory_a_s)
+                         PRESET_NUMERICS, STATIC, ModelParams, PolicySpec,
+                         draw_raw_arrays, static_start, theory_a_s)
+from .bins_engine import run_blocks
 
 NUMERICS_C_S = 10.0
 NUMERICS_C_D = 0.7
@@ -36,7 +36,6 @@ class InventoryParams:
     N: int
     S: int
     q: float
-    r: int = 2
     K: float = 0.0
     h: float = 0.0
     delta: float = 0.0
@@ -50,8 +49,6 @@ class InventoryParams:
             raise ValueError(f"S must be >= 1, got {self.S}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
-        if self.N > 1 and not 2 <= self.r <= self.N:
-            raise ValueError(f"r must be in [2, N], got r={self.r}")
         if self.K < 0 or self.h < 0 or self.delta < 0:
             raise ValueError("costs must be nonnegative")
 
@@ -59,22 +56,6 @@ class InventoryParams:
     def horizon(self) -> int:
         """Loose upper bound N(S-1)+1 on any cycle length."""
         return self.N * (self.S - 1) + 1
-
-
-@dataclass
-class InventoryState:
-    """Remaining stock per product and periods elapsed in the cycle."""
-
-    stock: np.ndarray
-    t: int = 0
-
-
-@dataclass(frozen=True)
-class CycleStats:
-    """One replenishment cycle: length R, exercised discount count D."""
-
-    R: int
-    D: int
 
 
 @dataclass
@@ -111,129 +92,28 @@ def resolve_opaque_policy(spec: PolicySpec, params: InventoryParams,
     return PolicySpec(kind=spec.kind, a_s=a_s, a_d=a_d, latched=latched)
 
 
-def inventory_gap(state: InventoryState, params: InventoryParams) -> float:
-    """S - min_i z_i(t) - t/N; equals the balls-into-bins gap of x = S - z."""
-    return params.S - float(state.stock.min()) - state.t / params.N
-
-
 def static_cycle_start(params: InventoryParams, c_s: float) -> int:
     """Period from which the static opaque policy offers the option."""
-    model = ModelParams(T=params.horizon, N=max(params.N, 2), q=params.q)
-    return static_start(model, c_s)
+    return static_start(params.horizon, c_s)
 
 
 def simulate_cycles(policy: PolicySpec, params: InventoryParams,
                     n_cycles: int, root_seed: int, *path):
-    """Simulate independent replenishment cycles, vectorized in lockstep.
+    """Simulate independent replenishment cycles, vectorized in lockstep:
+    each is a ball run on the depletion counts x = S - z, stopped at its
+    first stock-out.
 
     Returns (R, D) int arrays of shape (n_cycles,).  Cycle c consumes the
     streams addressed by (*path, c), so results are independent of
     n_cycles batching.
     """
-    N, S, q = params.N, params.S, params.q
-    T = params.horizon
-    arr = [draw_raw_arrays(root_seed, N, q, T, *path, c)
-           for c in range(n_cycles)]
-    is_flex = np.stack([a.is_flex for a in arr])
-    preferred = np.stack([a.preferred for a in arr]).astype(np.int64)
-    pair_lo = np.stack([a.pair_lo for a in arr]).astype(np.int64)
-    pair_hi = np.stack([a.pair_hi for a in arr]).astype(np.int64)
-    exert_u = (np.stack([a.exert_u for a in arr])
-               if policy.kind == FLEX_SQRT_T else None)
-
-    loads = np.zeros((n_cycles, N), dtype=np.int64)  # depletion x = S - z
-    R = np.zeros(n_cycles, dtype=np.int64)
-    D = np.zeros(n_cycles, dtype=np.int64)
-    active = np.ones(n_cycles, dtype=bool)
-    triggered = np.zeros(n_cycles, dtype=bool)
-    rows = np.arange(n_cycles)
-
-    t_hat = (static_cycle_start(params, policy.a_s)
-             if policy.kind in (STATIC, FLEX_SQRT_T) else 0)
-    sqrt_prob = (T - t_hat) / T if policy.kind == FLEX_SQRT_T else 0.0
-
-    for t in range(T):
-        if not active.any():
-            break
-        if policy.kind == NO_FLEX:
-            exert = np.zeros(n_cycles, dtype=bool)
-        elif policy.kind == ALWAYS_FLEX:
-            exert = active.copy()
-        elif policy.kind == STATIC:
-            exert = active if t >= t_hat else np.zeros(n_cycles, dtype=bool)
-        elif policy.kind == FLEX_SQRT_T:
-            exert = active & (exert_u[:, t] < sqrt_prob)
-        else:  # dynamic, latched per the opaque-selling formulation
-            threshold = policy.a_d * (T - t) * q / N
-            cond = active & (loads.max(axis=1) - t / N >= threshold)
-            if policy.latched:
-                triggered |= cond
-                exert = active & triggered
-            else:
-                exert = cond
-
-        flexed = exert & is_flex[:, t]
-        a = pair_lo[:, t]
-        b = pair_hi[:, t]
-        # sell the most-stocked (least-depleted) product, ties to index a
-        lesser = np.where(loads[rows, a] <= loads[rows, b], a, b)
-        chosen = np.where(flexed, lesser, preferred[:, t])
-        D += flexed & active
-        loads[rows[active], chosen[active]] += 1
-        depleted = active & (loads[rows, chosen] >= S)
-        R[depleted] = t + 1
-        active &= ~depleted
-
-    return R, D
-
-
-def run_cycle(policy: PolicySpec, params: InventoryParams, root_seed: int,
-              *path, record_loads: bool = False):
-    """Simulate a single cycle; optionally return the depletion trajectory
-    (one loads row per period, post-placement) for coupling checks."""
-    R, D = simulate_cycles(policy, params, 1, root_seed, *path)
-    stats = CycleStats(R=int(R[0]), D=int(D[0]))
-    if not record_loads:
-        return stats
-    # re-run sequentially to expose the trajectory
-    arr = draw_raw_arrays(root_seed, params.N, params.q, params.horizon,
-                          *path, 0)
-    trajectory = _sequential_trajectory(policy, params, arr)
-    return stats, trajectory
-
-
-def _sequential_trajectory(policy: PolicySpec, params: InventoryParams, arr):
-    N, S, q = params.N, params.S, params.q
-    T = params.horizon
-    loads = np.zeros(N, dtype=np.int64)
-    out = []
-    triggered = False
-    t_hat = (static_cycle_start(params, policy.a_s)
-             if policy.kind in (STATIC, FLEX_SQRT_T) else 0)
-    sqrt_prob = (T - t_hat) / T if policy.kind == FLEX_SQRT_T else 0.0
-    for t in range(T):
-        if policy.kind == NO_FLEX:
-            exert = False
-        elif policy.kind == ALWAYS_FLEX:
-            exert = True
-        elif policy.kind == STATIC:
-            exert = t >= t_hat
-        elif policy.kind == FLEX_SQRT_T:
-            exert = arr.exert_u[t] < sqrt_prob
-        else:
-            cond = loads.max() - t / N >= policy.a_d * (T - t) * q / N
-            triggered = triggered or cond
-            exert = triggered if policy.latched else cond
-        if exert and arr.is_flex[t]:
-            a, b = int(arr.pair_lo[t]), int(arr.pair_hi[t])
-            chosen = a if loads[a] <= loads[b] else b
-        else:
-            chosen = int(arr.preferred[t])
-        loads[chosen] += 1
-        out.append(loads.copy())
-        if loads[chosen] >= S:
-            break
-    return np.array(out)
+    N, q, T = params.N, params.q, params.horizon
+    out = run_blocks(
+        policy, N, q, T, n_cycles,
+        lambda c, exert: draw_raw_arrays(root_seed, N, q, T, *path, c,
+                                         exert=exert),
+        stop=params.S)
+    return out.stop_time, out.flex_count
 
 
 def long_run_cost(R, D, params: InventoryParams,
@@ -299,18 +179,18 @@ def regime_delta(regime: str, N: int, S: int) -> float:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def eoq_params(N: int, S: int, q: float, r: int, regime: str,
+def eoq_params(N: int, S: int, q: float, regime: str,
                allow_single_product: bool = False) -> InventoryParams:
     """EOQ-consistent cost constants K = NS/2, h = 1/(NS) plus the
     regime's delta."""
-    return InventoryParams(N=N, S=S, q=q, r=r,
+    return InventoryParams(N=N, S=S, q=q,
                            K=N * S / 2.0, h=1.0 / (N * S),
                            delta=regime_delta(regime, N, S),
                            allow_single_product=allow_single_product)
 
 
 def regime_sweep(regime: str, S_grid, *, N: int = 5, q: float = 0.1,
-                 r: int = 2, instances: int = 10,
+                 instances: int = 10,
                  cycles_per_instance: int = 10, root_seed: int = 0,
                  preset: str = PRESET_NUMERICS, policies=OPAQUE_POLICIES,
                  cycle_cache: dict | None = None):
@@ -324,7 +204,7 @@ def regime_sweep(regime: str, S_grid, *, N: int = 5, q: float = 0.1,
         raise ValueError("S_grid must be ascending")
     rows = []
     for S in S_grid:
-        params = eoq_params(N, S, q, r, regime)
+        params = eoq_params(N, S, q, regime)
         c_star = lower_bound(params)
         for kind in policies:
             key = (kind, S)

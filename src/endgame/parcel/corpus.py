@@ -132,28 +132,40 @@ def load_corpus(path) -> Corpus:
     centers = {}
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split(None, 1)
-                if not parts:
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split(None, 1)
+                    if not parts:
+                        continue
+                    key = parts[0]
+                    rest = parts[1] if len(parts) > 1 else ""
+                    if key == "center":
+                        j, cx, cy = rest.split()
+                        centers[int(j)] = (float(cx), float(cy))
+                    else:
+                        header[key] = rest
                     continue
-                key = parts[0]
-                rest = parts[1] if len(parts) > 1 else ""
-                if key == "center":
-                    j, cx, cy = rest.split()
-                    centers[int(j)] = (float(cx), float(cy))
-                else:
-                    header[key] = rest
-                continue
-            x, y, u, z = line.split()
-            rows.append((float(x), float(y), float(u), int(z)))
+                x, y, u, z = line.split()
+                rows.append((float(x), float(y), float(u), int(z)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: malformed line {lineno}: {line!r}") from None
     if header.get("format") != CORPUS_FORMAT:
         raise ValueError(
             f"unrecognized corpus format tag {header.get('format')!r}")
+    for key in ("seed", "depot", "zones", "spec"):
+        if key not in header:
+            raise ValueError(f"{path}: missing '# {key}' header")
     n = int(header["zones"])
+    for j in range(n):
+        if j not in centers:
+            raise ValueError(f"{path}: missing '# center {j}' line")
+    if not rows:
+        raise ValueError(f"{path}: no package lines")
     spec = GeometrySpec(**json.loads(header["spec"]))
     depot = np.array([float(v) for v in header["depot"].split()])
     center_arr = np.array([centers[j] for j in range(n)])

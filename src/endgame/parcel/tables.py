@@ -118,21 +118,28 @@ def load_tables(path) -> FlexTables:
     current = None
     fmt = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[0] == "format":
-                    fmt = parts[1]
-                elif parts[0] in ("matrix", "vector"):
-                    current = parts[1]
-                    blocks[current] = []
-                continue
-            blocks[current].append([float(v) for v in line.split()])
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if parts[0] == "format":
+                        fmt = parts[1]
+                    elif parts[0] in ("matrix", "vector"):
+                        current = parts[1]
+                        blocks[current] = []
+                    continue
+                blocks[current].append([float(v) for v in line.split()])
+            except (IndexError, KeyError, ValueError):
+                raise ValueError(
+                    f"{path}: malformed line {lineno}: {line!r}") from None
     if fmt != TABLES_FORMAT:
         raise ValueError(f"unrecognized tables format tag {fmt!r}")
+    for name in ("inc", "ser", "arrival_prob"):
+        if not blocks.get(name):
+            raise ValueError(f"{path}: missing block {name!r}")
     n_obs = (np.array(blocks["n_obs"], dtype=np.int64)
              if "n_obs" in blocks else None)
     return FlexTables(inc=np.array(blocks["inc"]),

@@ -123,7 +123,7 @@ def test_criterion_3_static_constant_gap_and_budget(bins_t1e5):
     budget_ok = True
     details = []
     for batch, params in ((b1, p1), (b2, bb.ModelParams(T=10**5, N=2, q=1.0))):
-        t_hat = bb.static_start(params, bb.theory_a_s(params))
+        t_hat = bb.static_start(params.T, bb.theory_a_s(params))
         target = params.q * (params.T - t_hat)
         got = batch.flex_count.mean()
         budget_ok &= abs(got - target) <= 0.10 * target

@@ -126,3 +126,63 @@ def test_report_roundtrip(capsys, tmp_path):
     text = report_path.read_text()
     assert text.startswith("schema_version")
     assert "final_gap" in text
+
+
+# opaque has no sweep command that reads a config; the model named in the
+# file decides what `bins sweep --config` runs
+@pytest.mark.parametrize("command,model,params,field", [
+    ("bins", "bins", "{T: 50, N: 3, q: 0.5, r: 2}", "params.r"),
+    ("bins", "opaque", "{S: 10, N: 3, q: 0.2, instances: 4}",
+     "params.instances"),
+    ("parcel", "parcel", "{corpus: c.txt, N: 6}", "params.N"),
+])
+def test_config_field_without_effect_exits_2(capsys, tmp_path, command, model,
+                                             params, field):
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"model: {model}\npolicies: [no_flex]\n"
+                      f"params: {params}\n")
+    code, _, err = run_cli(capsys, command, "sweep", "--config", str(config),
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert field in err
+
+
+@pytest.fixture
+def small_corpus(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    code, _, _ = run_cli(capsys, "parcel", "gen-corpus", "--out", str(path),
+                         "--zones", "2", "--pool-size", "100",
+                         "--epsilon", "10", "--seed", "0")
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("named,dropped", [
+    ("depot", lambda line: line.startswith("# depot")),
+    ("package", lambda line: not line.startswith("#")),
+], ids=["no-depot-header", "no-package-lines"])
+def test_corpus_missing_part_exits_2(capsys, tmp_path, small_corpus, named,
+                                     dropped):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(line for line in
+                           small_corpus.read_text().splitlines(True)
+                           if not dropped(line)))
+    code, _, err = run_cli(capsys, "parcel", "run", "--corpus", str(bad),
+                           "--policy", "no_flex")
+    assert code == 2
+    assert str(bad) in err and named in err
+
+
+def test_tables_with_bare_hash_line_exits_2(capsys, tmp_path, small_corpus):
+    tables = tmp_path / "tables.txt"
+    code, _, _ = run_cli(capsys, "parcel", "estimate-tables", "--corpus",
+                         str(small_corpus), "--out", str(tables), "--reps",
+                         "1", "--seed", "0")
+    assert code == 0
+    lines = tables.read_text().splitlines(True)
+    tables.write_text("".join(lines[:2] + ["#\n"] + lines[2:]))
+    code, _, err = run_cli(capsys, "parcel", "run", "--corpus",
+                           str(small_corpus), "--tables", str(tables),
+                           "--policy", "patient_dynamic")
+    assert code == 2
+    assert str(tables) in err and "line 3" in err

@@ -143,11 +143,5 @@ def test_emit_plot_data(tmp_path):
     files = plots.emit_plot_data(rows, {"kind": "loss_vs_S"}, tmp_path)
     assert len([f for f in files if "loss-vs-S" in str(f)]) == 5
     assert (tmp_path / "plot.py").exists()
-    files = plots.emit_plot_data(
-        [], {"kind": "time_hist", "values": {"no_flex": [1.0, 1.1, 3.0]}},
-        tmp_path)
-    data = [l for l in files[0].read_text().splitlines()
-            if not l.startswith("#")]
-    assert sum(float(l.split()[1]) for l in data) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         plots.emit_plot_data([], {"kind": "pie"}, tmp_path)

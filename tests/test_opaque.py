@@ -4,26 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from endgame import balls_bins as bb
 from endgame import opaque
-
-
-def test_inventory_gap_examples():
-    p = opaque.InventoryParams(N=2, S=10, q=0.5)
-    state = opaque.InventoryState(stock=np.array([10, 10]), t=0)
-    assert opaque.inventory_gap(state, p) == 0
-    state = opaque.InventoryState(stock=np.array([8, 5]), t=7)
-    assert opaque.inventory_gap(state, p) == 1.5
-
-
-def test_inventory_gap_equals_depletion_gap():
-    p = opaque.InventoryParams(N=3, S=6, q=0.5)
-    stock = np.array([4, 6, 1])
-    t = int((p.S - stock).sum())
-    state = opaque.InventoryState(stock=stock, t=t)
-    loads = bb.LoadState(loads=p.S - stock, t=t)
-    model = bb.ModelParams(T=p.horizon, N=p.N, q=p.q)
-    assert opaque.inventory_gap(state, p) == bb.gap(loads, model)
 
 
 def test_params_validation():
@@ -39,9 +22,9 @@ def test_single_product_cycle_is_deterministic():
     p = opaque.InventoryParams(N=1, S=7, q=0.5, allow_single_product=True)
     spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.NO_FLEX), p)
     for seed in range(3):
-        stats = opaque.run_cycle(spec, p, seed, "single")
-        assert stats.R == 7
-        assert stats.D == 0
+        R, D = opaque.simulate_cycles(spec, p, 2, seed, "single")
+        assert (R == 7).all()
+        assert (D == 0).all()
 
 
 def _never_flex_expected_R(N, S):
@@ -144,31 +127,42 @@ def test_regime_deltas():
 
 
 def test_eoq_params_satisfy_eoq_identity():
-    p = opaque.eoq_params(5, 40, 0.1, 2, "delta_const")
+    p = opaque.eoq_params(5, 40, 0.1, "delta_const")
     assert math.sqrt(2 * p.K / p.h) == pytest.approx(p.N * p.S)
 
 
 def test_depletion_matches_coupled_ball_run():
     # the cycle is a ball run on depletion counts, stopped at first depletion
     p = opaque.InventoryParams(N=3, S=8, q=0.6)
-    model = bb.ModelParams(T=p.horizon, N=p.N, q=p.q)
-    for kind in (bb.NO_FLEX, bb.ALWAYS_FLEX, bb.STATIC):
+    for kind in opaque.OPAQUE_POLICIES:
         spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
-        stats, traj = opaque.run_cycle(spec, p, 5, "couple", kind,
-                                       record_loads=True)
         arr = bb.draw_raw_arrays(5, p.N, p.q, p.horizon, "couple", kind, 0)
-        ball_spec = bb.PolicySpec(kind=kind, a_s=spec.a_s, a_d=spec.a_d,
-                                  latched=spec.latched)
-        rec = bb.run(ball_spec, model, 5, arrivals=arr,
-                     record_trajectory=True)
-        assert len(traj) == stats.R
-        gaps = traj.max(axis=1) - (np.arange(1, stats.R + 1)) / p.N
-        assert np.allclose(gaps, rec.gap_trajectory[:stats.R])
-        assert traj[-1].max() == p.S
+        cycle = oracle.run(spec, p.N, p.q, arr, stop=p.S)
+        balls = oracle.run(spec, p.N, p.q, arr)
+        assert np.array_equal(cycle.trajectory,
+                              balls.trajectory[:cycle.stop_time])
+        assert cycle.trajectory[-1].max() == p.S
+        assert cycle.trajectory[-2].max() < p.S
+        R, D = opaque.simulate_cycles(spec, p, 1, 5, "couple", kind)
+        assert (R[0], D[0]) == (cycle.stop_time, cycle.flex_count)
+
+
+@pytest.mark.parametrize("N,S,q", [(3, 10, 0.4), (5, 40, 0.1), (2, 6, 1.0),
+                                   (1, 7, 0.5)])
+def test_simulate_cycles_matches_oracle(N, S, q):
+    p = opaque.InventoryParams(N=N, S=S, q=q, allow_single_product=True)
+    for kind in opaque.OPAQUE_POLICIES:
+        spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
+        assert spec.latched == (kind == bb.DYNAMIC)
+        R, D = opaque.simulate_cycles(spec, p, 8, 11, "oracle", kind)
+        for c in range(8):
+            arr = bb.draw_raw_arrays(11, N, q, p.horizon, "oracle", kind, c)
+            rec = oracle.run(spec, N, q, arr, stop=S)
+            assert (R[c], D[c]) == (rec.stop_time, rec.flex_count)
 
 
 def test_renewal_consistency_pooled_moments():
-    p = opaque.eoq_params(5, 20, 0.1, 2, "delta_const")
+    p = opaque.eoq_params(5, 20, 0.1, "delta_const")
     spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p)
     R, D = opaque.simulate_cycles(spec, p, 60, 0, "renewal")
     est = opaque.long_run_cost(R, D, p)
