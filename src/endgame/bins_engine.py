@@ -69,21 +69,24 @@ def run_blocks(policy: PolicySpec, N: int, q: float, T: int, n_rows: int,
     exert = policy.kind == FLEX_SQRT_T
     n_blocks = -(-n_rows // max(1, _BLOCK_ELEMENTS // max(T, 1)))
     bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
-    parts = [lockstep(policy, N, q,
-                      stack_arrivals([draw(row, exert)
-                                      for row in range(lo, hi)]), stop)
+    parts = [lockstep(policy, N, q, _fill_block(draw, lo, hi, exert), stop)
              for lo, hi in zip(bounds, bounds[1:])]
     return LockstepResult(*(np.concatenate([getattr(p, f.name) for p in parts])
                             for f in fields(LockstepResult)))
 
 
-def stack_arrivals(rows: list) -> ArrivalArrays:
-    """Stack per-row arrival arrays into (rows, T) arrays."""
-    def stacked(name):
-        if getattr(rows[0], name) is None:
-            return None
-        return np.stack([getattr(a, name) for a in rows])
-    return ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)))
+def _fill_block(draw, lo: int, hi: int, exert: bool) -> ArrivalArrays:
+    """Rows ``lo..hi-1`` of arrivals, each drawn straight into its row of
+    (rows, T) arrays allocated once per block."""
+    block = None
+    for i, row in enumerate(range(lo, hi)):
+        arrivals = vars(draw(row, exert))
+        if block is None:
+            block = {name: np.empty((hi - lo,) + a.shape, a.dtype)
+                     for name, a in arrivals.items() if a is not None}
+        for name, dst in block.items():
+            dst[i] = arrivals[name]
+    return ArrivalArrays(**block)
 
 
 def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,

@@ -276,14 +276,7 @@ def cmd_parcel(args) -> int:
     if args.subcommand == "run":
         corpus = pcorpus.load_corpus(args.corpus)
         params = psim.ParcelParams(N=corpus.n_zones)
-        tables = None
-        if args.tables:
-            tables = ptables.load_tables(args.tables)
-        elif args.policy in (psim.PATIENT_DYNAMIC, psim.COST_MIN):
-            print(f"policy {args.policy} needs flex tables; build them "
-                  "with `endgame parcel estimate-tables` and pass --tables",
-                  file=sys.stderr)
-            return 2
+        tables = ptables.load_tables(args.tables) if args.tables else None
         rec = psim.run_day(psim.ParcelPolicy(kind=args.policy), corpus,
                            params, tables,
                            root_seed=resolve_root_seed(args.seed))
@@ -310,11 +303,11 @@ def cmd_parcel(args) -> int:
                 model="parcel", policies=args.policy, params=params,
                 replications=args.reps, seed=args.seed,
                 out_dir=args.out or "results")
-        needs = {psim.PATIENT_DYNAMIC, psim.COST_MIN}
         kinds = {p if isinstance(p, str) else p["kind"]
                  for p in cfg.policies}
-        if kinds & needs and "tables" not in cfg.params:
-            print(f"policies {sorted(kinds & needs)} need flex tables; "
+        needs = sorted(kinds & psim.TABLE_POLICIES)
+        if needs and "tables" not in {**cfg.params, **cfg.sweep}:
+            print(f"policies {needs} need flex tables; "
                   "build them with `endgame parcel estimate-tables`",
                   file=sys.stderr)
             return 2

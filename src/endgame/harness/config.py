@@ -3,20 +3,32 @@ sweep axes, and run settings.  CLI flags may override file values."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import yaml
 
 MODELS = ("bins", "opaque", "parcel")
 
-# parameters accepted under "params:"/"sweep:" for each model
+# parameters accepted under "params:"/"sweep:" for each model, with the
+# type each value is brought to, so that one cell has one spelling
 MODEL_PARAMS = {
-    "bins": {"T", "N", "q"},
-    "opaque": {"N", "S", "q", "regime", "cycles_per_instance"},
+    "bins": {"T": int, "N": int, "q": float},
+    "opaque": {"N": int, "S": int, "q": float, "regime": str,
+               "cycles_per_instance": int},
     # N is the corpus's zone count
-    "parcel": {"c_r", "c_o", "h_max", "T", "speed", "flex_km",
-               "oblivious_radius_km", "M1", "M2", "a_d",
-               "corpus", "tables"},
+    "parcel": {"c_r": float, "c_o": float, "h_max": float, "T": int,
+               "speed": float, "flex_km": float,
+               "oblivious_radius_km": float, "M1": int, "M2": int,
+               "a_d": float, "corpus": str, "tables": str},
+}
+
+# fields a policy entry may set; the opaque dynamic policy is always
+# latched, and parcel policies take their constants from params
+POLICY_FIELDS = {
+    "bins": {"kind", "a_s", "a_d", "latched"},
+    "opaque": {"kind", "a_s", "a_d"},
+    "parcel": {"kind"},
 }
 
 
@@ -58,17 +70,55 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.preset not in ("theory", "numerics"):
         raise ConfigError(f"preset: expected theory or numerics, "
                           f"got {cfg.preset!r}")
-    allowed = MODEL_PARAMS[cfg.model]
-    for name in cfg.params:
-        if name not in allowed:
+    if not isinstance(cfg.policies, (list, tuple)):
+        raise ConfigError("policies: expected a list")
+    kinds = set()
+    for i, policy in enumerate(cfg.policies):
+        entry = {"kind": policy} if isinstance(policy, str) else policy
+        if not isinstance(entry, dict) or not isinstance(entry.get("kind"),
+                                                         str):
+            raise ConfigError(f"policies[{i}]: needs a kind")
+        for name in entry:
+            if name not in POLICY_FIELDS[cfg.model]:
+                raise ConfigError(f"policies[{i}].{name}: not a policy "
+                                  f"field of model {cfg.model!r}")
+        if entry["kind"] in kinds:
+            raise ConfigError(f"policies[{i}]: a second {entry['kind']!r} "
+                              "policy; each kind may appear once")
+        kinds.add(entry["kind"])
+    for where in ("params", "sweep"):
+        if not isinstance(getattr(cfg, where), dict):
+            raise ConfigError(f"{where}: expected a mapping")
+    types = MODEL_PARAMS[cfg.model]
+    for name in {**cfg.params, **cfg.sweep}:
+        if name not in types:
+            where = "params" if name in cfg.params else "sweep"
             raise ConfigError(
-                f"params.{name}: not a parameter of model {cfg.model!r}")
+                f"{where}.{name}: not a parameter of model {cfg.model!r}")
     for name, values in cfg.sweep.items():
-        if name not in allowed:
-            raise ConfigError(
-                f"sweep.{name}: not a parameter of model {cfg.model!r}")
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep.{name}: needs a nonempty value list")
+    cfg.params = {name: _coerce(f"params.{name}", types[name], value)
+                  for name, value in cfg.params.items()}
+    cfg.sweep = {name: [_coerce(f"sweep.{name}", types[name], v)
+                        for v in values]
+                 for name, values in cfg.sweep.items()}
+
+
+def _coerce(where: str, kind: type, value):
+    """``value`` as a ``kind``; an int parameter takes only integral
+    numbers, so that 200 and 200.0 name the same cell."""
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where}: expected a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if kind is int:
+        if not float(value).is_integer():
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

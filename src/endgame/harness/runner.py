@@ -76,9 +76,8 @@ def run_cell(model: str, policy: dict, params: dict, reps: int,
 
 
 def _run_bins_cell(policy, params, reps, root_seed, preset):
-    model = balls_bins.ModelParams(
-        T=int(params["T"]), N=int(params.get("N", 2)),
-        q=float(params.get("q", 1.0)))
+    model = balls_bins.ModelParams(T=params["T"], N=params.get("N", 2),
+                                   q=params.get("q", 1.0))
     spec = balls_bins.PolicySpec(
         kind=policy["kind"], a_s=policy.get("a_s"), a_d=policy.get("a_d"),
         latched=bool(policy.get("latched", False)))
@@ -93,11 +92,10 @@ def _run_bins_cell(policy, params, reps, root_seed, preset):
 
 
 def _run_opaque_cell(policy, params, reps, root_seed, preset):
-    N = int(params.get("N", 5))
-    S = int(params["S"])
-    regime = params.get("regime", "delta_zero")
-    cycles = int(params.get("cycles_per_instance", 10))
-    inv = opaque.eoq_params(N, S, float(params.get("q", 0.1)), regime)
+    cycles = params.get("cycles_per_instance", 10)
+    inv = opaque.eoq_params(params.get("N", 5), params["S"],
+                            params.get("q", 0.1),
+                            params.get("regime", "delta_zero"))
     spec = opaque.resolve_opaque_policy(
         balls_bins.PolicySpec(kind=policy["kind"], a_s=policy.get("a_s"),
                               a_d=policy.get("a_d")), inv, preset)
@@ -133,9 +131,7 @@ def _run_parcel_cell(policy, params, reps, root_seed):
     fields = {k: v for k, v in params.items()
               if k not in ("corpus", "tables")}
     pp = psim.ParcelParams(N=corpus.n_zones, **fields)
-    spec = psim.ParcelPolicy(kind=policy["kind"],
-                             a_d=policy.get("a_d"),
-                             radius_km=policy.get("radius_km"))
+    spec = psim.ParcelPolicy(kind=policy["kind"])
     tokens = _cell_tokens(policy, fields)
     rows = []
     for rep in range(reps):

@@ -116,22 +116,6 @@ def _repair_counts(cost, assignment, lo: int, hi: int):
             counts[dst] += 1
 
 
-def greedy_repair_assign(points, centers, epsilon: float):
-    """Oracle baseline: nearest-center assignment projected to feasibility
-    by greedy swaps.  Returns (assignment, objective)."""
-    points = np.asarray(points, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    L, N = len(points), len(centers)
-    diff = points[:, None, :] - centers[None, :, :]
-    cost = np.hypot(diff[..., 0], diff[..., 1])
-    assignment = cost.argmin(axis=1)
-    lo = math.ceil(L / N - epsilon)
-    hi = math.floor(L / N + epsilon)
-    assignment = _repair_counts(cost, assignment, lo, hi)
-    objective = float(cost[np.arange(L), assignment].sum())
-    return assignment, objective
-
-
 def cluster_default(points, N: int, epsilon: float, seed: int):
     """K-means centers plus balanced min-cost reassignment.
 

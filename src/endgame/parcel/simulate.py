@@ -4,15 +4,16 @@ approximate routing and five flexing policies.
 Packages are bootstrap-resampled from the corpus pool.  Truck travel
 time is tracked approximately between full TSP re-solves (every M1
 arrivals) by adding, per assignment, twice the distance to the nearest
-already-assigned stop (or the depot for an empty truck).  The day ends
-with an exact re-solve for every truck.
+already-assigned stop (or the depot for an empty truck).  Only the
+policies that read travel time re-solve mid-day; every day ends with a
+re-solve for every truck.
 
 Policies:
 
 * ``no_flex``: always the default zone's truck.
 * ``unloading_only``: dynamic threshold on unloading hours only; the
-  flex set is every zone whose center lies within ``radius_km`` of the
-  package.
+  flex set is every zone whose center lies within
+  ``oblivious_radius_km`` of the package.
 * ``routing_dynamic``: the same threshold rule on unloading plus
   approximate travel hours; flex set from the 1 km closeness rule.
 * ``patient_dynamic``: flexes only when the default truck's one-step
@@ -30,7 +31,7 @@ scaled by the pool's mean unloading time per package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +47,10 @@ COST_MIN = "cost_min"
 
 PARCEL_POLICIES = (NO_FLEX, UNLOADING_ONLY, ROUTING_DYNAMIC,
                    PATIENT_DYNAMIC, COST_MIN)
+# policies that project onto estimated flex tables
+TABLE_POLICIES = frozenset({PATIENT_DYNAMIC, COST_MIN})
+# policies whose decisions read travel hours between end-of-day solves
+TRAVEL_POLICIES = frozenset({ROUTING_DYNAMIC, PATIENT_DYNAMIC, COST_MIN})
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -76,8 +81,6 @@ class ParcelParams:
 @dataclass(frozen=True)
 class ParcelPolicy:
     kind: str
-    a_d: float | None = None       # None: take ParcelParams.a_d
-    radius_km: float | None = None  # unloading_only flex radius override
 
     def __post_init__(self):
         if self.kind not in PARCEL_POLICIES:
@@ -85,36 +88,23 @@ class ParcelPolicy:
 
 
 @dataclass
-class TruckState:
-    """One truck's assigned stops and running load components."""
-
-    pts: list = field(default_factory=list)       # stop coords, assignment order
-    unloads: list = field(default_factory=list)
-    y_u: float = 0.0
-    y_r_approx: float = 0.0
-    y_r_exact: float = 0.0
-    tour: np.ndarray | None = None  # order over pts from the last re-solve
-
-    @property
-    def load(self) -> float:
-        return self.y_u + self.y_r_approx
-
-
-@dataclass
 class DayRecord:
-    """Final per-truck times for one simulated day.
+    """Final per-truck times and the assignment of one simulated day.
 
-    ``y_r`` holds exact post-re-solve travel hours; recosting with other
-    (c_r, c_o, h_max) values needs only ``y_u`` and ``y_r``.
+    ``y_r`` holds travel hours from the end-of-day re-solve; recosting
+    with other (c_r, c_o, h_max) values needs only ``y_u`` and ``y_r``.
+    Package t is corpus package ``sample_idx[t]`` and rides truck
+    ``truck[t]``; a truck's stops are its packages in arrival order, and
+    ``tours[k]`` is the visiting order over truck k's stops.
     """
 
     policy: str
-    y_u: np.ndarray
-    y_r: np.ndarray
-    n_assigned: np.ndarray
+    y_u: np.ndarray         # (N,) unloading hours
+    y_r: np.ndarray         # (N,) travel hours
     flex_count: int
-    tours: list | None = None        # per truck: (stop coords, unloads, order)
-    sample_idx: np.ndarray | None = None
+    sample_idx: np.ndarray  # (T,) corpus index of each package
+    truck: np.ndarray       # (T,) truck of each package
+    tours: list             # (N,) of index arrays over each truck's stops
 
     @property
     def totals(self) -> np.ndarray:
@@ -141,26 +131,15 @@ def radius_flex_set(pkg_xy, centers, default_zone: int,
     return np.flatnonzero(mask)
 
 
-def inc_approx(truck: TruckState, pkg_xy, depot, speed: float) -> float:
-    """Approximate incremental travel hours of assigning one package:
-    twice the distance to the nearest assigned stop, or to the depot for
-    an empty truck."""
-    if truck.pts:
-        pts = np.asarray(truck.pts)
-        d = np.hypot(pts[:, 0] - pkg_xy[0], pts[:, 1] - pkg_xy[1]).min()
-        d = min(d, float(np.hypot(*(np.asarray(depot) - pkg_xy))))
-    else:
-        d = float(np.hypot(*(np.asarray(depot) - pkg_xy)))
+def inc_approx(stops: np.ndarray, pkg_xy, depot, speed: float) -> float:
+    """Approximate incremental travel hours of adding one package to a
+    truck with (n, 2) ``stops``: twice the distance to the nearest stop
+    or the depot."""
+    d = float(np.hypot(*(np.asarray(depot) - pkg_xy)))
+    if len(stops):
+        d = min(np.hypot(stops[:, 0] - pkg_xy[0],
+                         stops[:, 1] - pkg_xy[1]).min(), d)
     return 2.0 * d / speed
-
-
-def _resolve_all(trucks, depot, speed):
-    for tr in trucks:
-        order, hours = tsp_route(np.asarray(tr.pts).reshape(-1, 2),
-                                 depot, speed)
-        tr.tour = order
-        tr.y_r_exact = hours
-        tr.y_r_approx = hours
 
 
 def _normal_overtime(mean: float, sd: float, h: float) -> float:
@@ -174,22 +153,23 @@ def _normal_overtime(mean: float, sd: float, h: float) -> float:
 
 
 def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
-            tables=None, *, root_seed: int = 0, stream_path: tuple = (),
-            keep_tours: bool = False) -> DayRecord:
+            tables=None, *, root_seed: int = 0,
+            stream_path: tuple = ()) -> DayRecord:
     """Simulate one day.  Deterministic in (policy, corpus, params,
     root_seed, stream_path); the bootstrap arrival sequence depends only
     on the seed and path, so policies are coupled on common arrivals.
 
     ``tables`` (a :class:`~endgame.parcel.tables.FlexTables`) is
-    required for ``patient_dynamic`` and ``cost_min``.
+    required for the policies in ``TABLE_POLICIES``.
     """
     N, T, speed = params.N, params.T, params.speed
+    kind = policy.kind
     if N != corpus.n_zones:
         raise ValueError(
             f"params.N={N} does not match corpus zones={corpus.n_zones}")
-    needs_tables = policy.kind in (PATIENT_DYNAMIC, COST_MIN)
-    if needs_tables and tables is None:
-        raise ValueError(f"{policy.kind} requires estimated flex tables")
+    if kind in TABLE_POLICIES and tables is None:
+        raise ValueError(f"policy {kind} needs flex tables; build them with "
+                         "`endgame parcel estimate-tables`")
 
     rng = stream(root_seed, "parcel", *stream_path, "arrivals")
     sample_idx = rng.integers(0, len(corpus), size=T)
@@ -198,123 +178,107 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
     defaults = corpus.default_zone[sample_idx]
     centers = corpus.centers
     depot = corpus.depot
-
-    a_d = params.a_d if policy.a_d is None else policy.a_d
-    radius = (params.oblivious_radius_km if policy.radius_km is None
-              else policy.radius_km)
     # hour scale for the dimensionless dynamic threshold
     u_bar = float(corpus.unload.mean())
-
-    if needs_tables:
-        inc_t = tables.inc
-        ser_t = tables.ser
+    if kind in TABLE_POLICIES:
+        pair = tables.inc + tables.ser  # NaN: no observations
+        pair_diag = (np.nan_to_num(np.diagonal(tables.inc), nan=0.0)
+                     + np.nan_to_num(np.diagonal(tables.ser), nan=0.0))
         p_zone = tables.arrival_prob
-        inc_diag = np.nan_to_num(np.diagonal(inc_t), nan=0.0)
-        ser_diag = np.nan_to_num(np.diagonal(ser_t), nan=0.0)
+    reads_travel = kind in TRAVEL_POLICIES
 
-    trucks = [TruckState() for _ in range(N)]
+    y_u = np.zeros(N)
+    y_r = np.zeros(N)
+    stops = [np.empty((16, 2)) for _ in range(N)]  # grown by doubling
+    n_stops = [0] * N
+    truck = np.empty(T, dtype=np.int64)
+    tours = [None] * N
     flex_count = 0
 
+    def stops_of(k):
+        return stops[k][:n_stops[k]]
+
     for t in range(T):
-        if t > 0 and t % params.M1 == 0:
-            _resolve_all(trucks, depot, speed)
+        if reads_travel and t > 0 and t % params.M1 == 0:
+            for k in range(N):
+                tours[k], y_r[k] = tsp_route(stops_of(k), depot, speed)
 
         pkg = pts[t]
         u = unloads[t]
         dz = int(defaults[t])
         dest = dz
 
-        if policy.kind == UNLOADING_ONLY or policy.kind == ROUTING_DYNAMIC:
-            if policy.kind == UNLOADING_ONLY:
-                x = np.array([tr.y_u for tr in trucks])
-                fset = radius_flex_set(pkg, centers, dz, radius)
+        if kind == UNLOADING_ONLY or kind == ROUTING_DYNAMIC:
+            if kind == UNLOADING_ONLY:
+                x = y_u
+                fset = radius_flex_set(pkg, centers, dz,
+                                       params.oblivious_radius_km)
             else:
-                x = np.array([tr.load for tr in trucks])
+                x = y_u + y_r
                 fset = flex_set_of(pkg, centers, dz, params.flex_km)
-            threshold = a_d * (T - t) * u_bar / N
+            threshold = params.a_d * (T - t) * u_bar / N
             if x.max() - x.mean() >= threshold and len(fset) > 1:
                 dest = int(fset[np.argmin(x[fset])])
-                if dest != dz:
-                    flex_count += 1
-        elif policy.kind == PATIENT_DYNAMIC:
+        elif kind in TABLE_POLICIES:
             fset = flex_set_of(pkg, centers, dz, params.flex_km)
             cands = fset[fset != dz]
             if len(cands) > 0:
-                one_step = (trucks[dz].load
-                            + inc_approx(trucks[dz], pkg, depot, speed) + u)
-                horizon = (T - t) / params.M2
-                best, best_bar = -1, math.inf
-                for j in cands:
-                    pair = inc_t[dz, j] + ser_t[dz, j]
-                    if not np.isfinite(pair):
-                        continue  # no observations: never project onto it
-                    bar = (trucks[j].load
-                           + inc_approx(trucks[j], pkg, depot, speed) + u
-                           + horizon * pair)
-                    if bar < best_bar:
-                        best, best_bar = int(j), bar
-                if best >= 0 and one_step >= best_bar:
-                    dest = best
-                    flex_count += 1
-        elif policy.kind == COST_MIN:
-            fset = flex_set_of(pkg, centers, dz, params.flex_km)
-            cands = fset[fset != dz]
-            if len(cands) > 0:
-                n_fut = T - 1 - t
-                inc_d = inc_approx(trucks[dz], pkg, depot, speed)
-                h = params.h_max
+                load = y_u + y_r
+                inc_d = inc_approx(stops_of(dz), pkg, depot, speed)
+                inc_c = np.array([inc_approx(stops_of(j), pkg, depot, speed)
+                                  for j in cands])
+                if kind == PATIENT_DYNAMIC:
+                    one_step = load[dz] + inc_d + u
+                    horizon = (T - t) / params.M2
+                    bar = load[cands] + inc_c + u + horizon * pair[dz, cands]
+                    # a pair with no observations is never projected onto
+                    bar[~np.isfinite(pair[dz, cands])] = np.inf
+                    i = int(np.argmin(bar))
+                    if bar[i] < math.inf and one_step >= bar[i]:
+                        dest = int(cands[i])
+                else:
+                    n_fut = T - 1 - t
 
-                def _ot(zone, extra):
-                    w = inc_diag[zone] + ser_diag[zone]
-                    p = p_zone[zone]
-                    mean = trucks[zone].load + extra + w * n_fut * p
-                    sd = w * math.sqrt(max(n_fut, 0) * p * (1.0 - p))
-                    return _normal_overtime(mean, sd, h)
+                    def _ot(zone, extra):
+                        w = pair_diag[zone]
+                        p = p_zone[zone]
+                        mean = load[zone] + extra + w * n_fut * p
+                        sd = w * math.sqrt(max(n_fut, 0) * p * (1.0 - p))
+                        return _normal_overtime(mean, sd, params.h_max)
 
-                base_d = _ot(dz, inc_d + u)       # default keeps the package
-                hat_d = _ot(dz, 0.0)              # default after flexing away
-                best, best_diff = -1, -math.inf
-                for j in cands:
-                    inc_j = inc_approx(trucks[j], pkg, depot, speed)
-                    diff = (params.c_o * (base_d + _ot(j, 0.0)
-                                          - hat_d - _ot(j, inc_j + u))
-                            + params.c_r * (inc_d - inc_j))
-                    if diff > best_diff:
-                        best, best_diff = int(j), diff
-                if best >= 0 and best_diff >= (T - t) / params.M2:
-                    dest = best
-                    flex_count += 1
+                    base_d = _ot(dz, inc_d + u)  # default keeps the package
+                    hat_d = _ot(dz, 0.0)         # default after flexing away
+                    best, best_diff = -1, -math.inf
+                    for j, inc_j in zip(cands, inc_c):
+                        diff = (params.c_o * (base_d + _ot(j, 0.0)
+                                              - hat_d - _ot(j, inc_j + u))
+                                + params.c_r * (inc_d - inc_j))
+                        if diff > best_diff:
+                            best, best_diff = int(j), diff
+                    if best >= 0 and best_diff >= (T - t) / params.M2:
+                        dest = best
 
-        tr = trucks[dest]
-        tr.y_r_approx += inc_approx(tr, pkg, depot, speed)
-        tr.pts.append((float(pkg[0]), float(pkg[1])))
-        tr.unloads.append(float(u))
-        tr.y_u += float(u)
+        flex_count += dest != dz
+        truck[t] = dest
+        if reads_travel:
+            y_r[dest] += inc_approx(stops_of(dest), pkg, depot, speed)
+        if n_stops[dest] == len(stops[dest]):
+            stops[dest] = np.concatenate([stops[dest],
+                                          np.empty_like(stops[dest])])
+        stops[dest][n_stops[dest]] = pkg
+        n_stops[dest] += 1
+        y_u[dest] += u
 
-    _resolve_all(trucks, depot, speed)
-    tours = None
-    if keep_tours:
-        tours = [(np.asarray(tr.pts).reshape(-1, 2),
-                  np.asarray(tr.unloads), tr.tour) for tr in trucks]
-    return DayRecord(
-        policy=policy.kind,
-        y_u=np.array([tr.y_u for tr in trucks]),
-        y_r=np.array([tr.y_r_exact for tr in trucks]),
-        n_assigned=np.array([len(tr.pts) for tr in trucks]),
-        flex_count=flex_count,
-        tours=tours,
-        sample_idx=sample_idx,
-    )
+    for k in range(N):
+        tours[k], y_r[k] = tsp_route(stops_of(k), depot, speed)
+    return DayRecord(policy=kind, y_u=y_u, y_r=y_r, flex_count=flex_count,
+                     sample_idx=sample_idx, truck=truck, tours=tours)
 
 
-def day_cost(record: DayRecord, params: ParcelParams, *,
-             c_r: float | None = None, c_o: float | None = None,
-             h_max: float | None = None):
-    """Dollar cost of a day: travel plus overtime, with optional cost
-    overrides for sensitivity sweeps.  Returns (total, travel, overtime)."""
-    c_r = params.c_r if c_r is None else c_r
-    c_o = params.c_o if c_o is None else c_o
-    h_max = params.h_max if h_max is None else h_max
-    travel = c_r * record.y_r.sum()
-    overtime = c_o * np.clip(record.totals - h_max, 0.0, None).sum()
+def day_cost(record: DayRecord, params: ParcelParams):
+    """Dollar cost of a day: travel plus overtime.  Returns (total,
+    travel, overtime)."""
+    travel = params.c_r * record.y_r.sum()
+    overtime = params.c_o * np.clip(record.totals - params.h_max, 0.0,
+                                    None).sum()
     return float(travel + overtime), float(travel), float(overtime)

@@ -57,19 +57,20 @@ def estimate_flex_tables(corpus: Corpus, params: ParcelParams,
 
     for rep in range(reps):
         rec = run_day(ParcelPolicy(NO_FLEX), corpus, params,
-                      root_seed=root_seed, stream_path=("tables", rep),
-                      keep_tours=True)
-        # per truck: stop position in the final tour, by assignment order
-        tour_pos = []
-        for pts, _, order in rec.tours:
-            pos = np.empty(len(pts), dtype=np.int64)
-            pos[order] = np.arange(len(pts))
-            tour_pos.append(pos)
-        tour_pts = [pts[order] for pts, _, order in rec.tours]
-
+                      root_seed=root_seed, stream_path=("tables", rep))
         pkg_pts = corpus.points[rec.sample_idx]
         pkg_unload = corpus.unload[rec.sample_idx]
         pkg_zone = corpus.default_zone[rec.sample_idx]
+        # per truck: stops in final tour order, and each stop's position in
+        # that tour by assignment order
+        tour_pts, tour_pos = [], []
+        for k, order in enumerate(rec.tours):
+            pos = np.empty(len(order), dtype=np.int64)
+            pos[order] = np.arange(len(order))
+            tour_pos.append(pos)
+            tour_pts.append(pkg_pts[rec.truck == k][order])
+
+        # on a no-flex day every package rides its default zone's truck
         assigned_rank = {z: 0 for z in range(N)}
         for pkg, u, i in zip(pkg_pts, pkg_unload, pkg_zone):
             i = int(i)

@@ -1,6 +1,5 @@
 """Tour construction for truck routes: nearest-neighbor + 2-opt heuristic,
-plus an exact Held-Karp solver used as a small-instance oracle and cheap
-single-point insertion/removal deltas for table estimation."""
+plus cheap single-point insertion/removal deltas for table estimation."""
 
 from __future__ import annotations
 
@@ -47,6 +46,7 @@ def two_opt(D, order):
         return np.asarray(order, dtype=np.int64)
     arr = np.concatenate(([0], np.asarray(order, dtype=np.int64) + 1, [0]))
     idx = np.arange(1, n + 1)
+    lower = np.tri(n, dtype=bool)  # i >= k: not a move
     while True:
         pred = arr[idx - 1]
         cur = arr[idx]
@@ -55,7 +55,7 @@ def two_opt(D, order):
                  + D[cur[:, None], succ[None, :]]
                  - D[pred, cur][:, None]
                  - D[cur, succ][None, :])
-        delta[np.tril_indices(n)] = np.inf  # only i < k moves
+        delta[lower] = np.inf
         flat = delta.argmin()
         i, k = divmod(int(flat), n)
         if delta[i, k] >= -1e-12:
@@ -80,34 +80,6 @@ def tsp_route(points, depot, speed: float):
     D = _dist_matrix(coords)
     order = two_opt(D, nearest_neighbor_order(D))
     return order, tour_length(D, order) / speed
-
-
-def held_karp_length(points, depot):
-    """Exact optimal closed-tour length by dynamic programming.  Intended
-    for small oracle instances (n <= ~12)."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(points)
-    if n == 0:
-        return 0.0
-    D = _dist_matrix(_coords(points, depot))
-    full = (1 << n) - 1
-    best = np.full((1 << n, n), np.inf)
-    for j in range(n):
-        best[1 << j, j] = D[0, j + 1]
-    for mask in range(1, full + 1):
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit or best[mask, j] == np.inf:
-                continue
-            base = best[mask, j]
-            for k in range(n):
-                kbit = 1 << k
-                if mask & kbit:
-                    continue
-                cand = base + D[j + 1, k + 1]
-                if cand < best[mask | kbit, k]:
-                    best[mask | kbit, k] = cand
-    return float(min(best[full, j] + D[j + 1, 0] for j in range(n)))
 
 
 def insertion_delta(tour_pts, depot, new_pt):

@@ -1,17 +1,23 @@
-"""Scalar reference for the lockstep kernel in ``endgame.bins_engine``.
+"""Test oracles.
 
-One row, one period at a time, written to be read rather than to be
-fast.  The engines must agree with it bit for bit on the same arrivals.
+``run`` is the scalar reference for the lockstep kernel in
+``endgame.bins_engine``: one row, one period at a time, written to be
+read rather than to be fast.  The engines must agree with it bit for bit
+on the same arrivals.  ``held_karp_length`` (exact TSP) and
+``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
+parcel heuristics are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from endgame.balls_bins import (ALWAYS_FLEX, FLEX_SQRT_T, NO_FLEX, STATIC,
                                 ArrivalArrays, PolicySpec, static_start)
+from endgame.parcel import clustering, tsp
 
 
 @dataclass
@@ -79,3 +85,56 @@ def run(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     return Record(loads=loads, flex_count=flex_count,
                   first_trigger=first_trigger,
                   trajectory=np.array(trajectory).reshape(-1, N))
+
+
+def stack_arrivals(rows: list) -> ArrivalArrays:
+    """Stack per-row arrival arrays into (rows, T) arrays."""
+    def stacked(name):
+        if getattr(rows[0], name) is None:
+            return None
+        return np.stack([getattr(a, name) for a in rows])
+    return ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)))
+
+
+def held_karp_length(points, depot):
+    """Exact optimal closed-tour length by dynamic programming, for small
+    instances (n <= ~12)."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(points)
+    if n == 0:
+        return 0.0
+    D = tsp._dist_matrix(tsp._coords(points, depot))
+    full = (1 << n) - 1
+    best = np.full((1 << n, n), np.inf)
+    for j in range(n):
+        best[1 << j, j] = D[0, j + 1]
+    for mask in range(1, full + 1):
+        for j in range(n):
+            bit = 1 << j
+            if not mask & bit or best[mask, j] == np.inf:
+                continue
+            base = best[mask, j]
+            for k in range(n):
+                kbit = 1 << k
+                if mask & kbit:
+                    continue
+                cand = base + D[j + 1, k + 1]
+                if cand < best[mask | kbit, k]:
+                    best[mask | kbit, k] = cand
+    return float(min(best[full, j] + D[j + 1, 0] for j in range(n)))
+
+
+def greedy_repair_assign(points, centers, epsilon: float):
+    """Nearest-center assignment projected to feasibility by greedy
+    swaps.  Returns (assignment, objective)."""
+    points = np.asarray(points, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    L, N = len(points), len(centers)
+    diff = points[:, None, :] - centers[None, :, :]
+    cost = np.hypot(diff[..., 0], diff[..., 1])
+    assignment = cost.argmin(axis=1)
+    lo = math.ceil(L / N - epsilon)
+    hi = math.floor(L / N + epsilon)
+    assignment = clustering._repair_counts(cost, assignment, lo, hi)
+    objective = float(cost[np.arange(L), assignment].sum())
+    return assignment, objective

@@ -8,10 +8,12 @@ fixtures, so the file is meant to be run as a whole.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracle
 from endgame import balls_bins as bb
 from endgame import bins_engine as be
 from endgame import opaque
@@ -277,7 +279,7 @@ def test_criterion_10_tsp_oracle():
         pts = rng.uniform(-10, 10, size=(n, 2))
         depot = np.zeros(2)
         _, hours = tsp.tsp_route(pts, depot, 1.0)
-        opt = tsp.held_karp_length(pts, depot)
+        opt = oracle.held_karp_length(pts, depot)
         D = tsp._dist_matrix(tsp._coords(pts, depot))
         nn = tsp.tour_length(D, tsp.nearest_neighbor_order(D))
         near_opt += hours <= 1.05 * opt + 1e-9
@@ -287,9 +289,8 @@ def test_criterion_10_tsp_oracle():
            f"(need >= {int(0.95 * n_cases)}); never above NN: {nn_ok}")
 
 
-def _day_costs(records, params, **overrides):
-    return np.array([sim.day_cost(r, params, **overrides)[0]
-                     for r in records])
+def _day_costs(records, params):
+    return np.array([sim.day_cost(r, params)[0] for r in records])
 
 
 def test_criterion_11_parcel_directional(parcel_days):
@@ -315,9 +316,9 @@ def test_criterion_11_parcel_directional(parcel_days):
     # threshold sweep: the patient advantage shrinks with h_max and
     # reverses by ~9.5
     h_grid = (8.0, 8.5, 9.0, 9.5)
-    adv = [(_day_costs(no, params, h_max=h)
-            - _day_costs(parcel_days[sim.PATIENT_DYNAMIC], params,
-                         h_max=h)).mean() for h in h_grid]
+    adv = [(_day_costs(no, replace(params, h_max=h))
+            - _day_costs(parcel_days[sim.PATIENT_DYNAMIC],
+                         replace(params, h_max=h))).mean() for h in h_grid]
     d_ok = adv[0] > adv[-1] and adv[-1] <= 0
     report(11, a_ok and b_ok and c_ok and d_ok,
            f"(a) unloading-only cost up, MAD down: {a_ok}; "
@@ -334,7 +335,7 @@ def test_criterion_12_clustering_feasibility(corpus):
     eps_ok = np.all(np.abs(counts - target) <= corpus.spec.epsilon)
     _, objective = clustering.balanced_assign(corpus.points, corpus.centers,
                                               corpus.spec.epsilon)
-    _, greedy_obj = clustering.greedy_repair_assign(
+    _, greedy_obj = oracle.greedy_repair_assign(
         corpus.points, corpus.centers, corpus.spec.epsilon)
     obj_ok = objective <= greedy_obj + 1e-6
     report(12, eps_ok and obj_ok,

@@ -130,16 +130,35 @@ def test_report_roundtrip(capsys, tmp_path):
 
 # opaque has no sweep command that reads a config; the model named in the
 # file decides what `bins sweep --config` runs
-@pytest.mark.parametrize("command,model,params,field", [
-    ("bins", "bins", "{T: 50, N: 3, q: 0.5, r: 2}", "params.r"),
-    ("bins", "opaque", "{S: 10, N: 3, q: 0.2, instances: 4}",
+FIELD_CASES = [  # command, model, policies, params, the field named
+    ("bins", "bins", "[no_flex]", "{T: 50, N: 3, q: 0.5, r: 2}", "params.r"),
+    ("bins", "opaque", "[no_flex]", "{S: 10, N: 3, q: 0.2, instances: 4}",
      "params.instances"),
-    ("parcel", "parcel", "{corpus: c.txt, N: 6}", "params.N"),
-])
+    ("parcel", "parcel", "[no_flex]", "{corpus: c.txt, N: 6}", "params.N"),
+    ("bins", "bins", "[{kind: dynamic, bogus: 3}]", "{T: 50}",
+     "policies[0].bogus"),
+    ("bins", "bins", "[{kind: dynamic, a_d: 0.05}, {kind: dynamic, a_d: 5}]",
+     "{T: 50}", "policies[1]"),
+    ("bins", "bins", "[no_flex, static, no_flex]", "{T: 50}", "policies[2]"),
+    ("bins", "opaque", "[{kind: dynamic, latched: false}]", "{S: 10}",
+     "policies[0].latched"),
+    ("parcel", "parcel", "[{kind: routing_dynamic, a_d: 0.5}]",
+     "{corpus: c.txt}", "policies[0].a_d"),
+    ("parcel", "parcel", "[{kind: unloading_only, radius_km: 3}]",
+     "{corpus: c.txt}", "policies[0].radius_km"),
+    ("bins", "bins", "[no_flex]", "{T: 50.5}", "params.T"),
+    ("parcel", "parcel", "[no_flex]", "{corpus: c.txt, M1: ten}",
+     "params.M1"),
+]
+
+
+@pytest.mark.parametrize("command,model,policies,params,field", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[3]}-{case[4]}")
+    for case in FIELD_CASES])
 def test_config_field_without_effect_exits_2(capsys, tmp_path, command, model,
-                                             params, field):
+                                             policies, params, field):
     config = tmp_path / "exp.yaml"
-    config.write_text(f"model: {model}\npolicies: [no_flex]\n"
+    config.write_text(f"model: {model}\npolicies: {policies}\n"
                       f"params: {params}\n")
     code, _, err = run_cli(capsys, command, "sweep", "--config", str(config),
                            "--out", str(tmp_path))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from endgame.parcel import clustering
 from endgame.streams import stream
 
@@ -48,7 +49,7 @@ def test_counts_within_epsilon_and_beats_greedy():
         assert counts.sum() == len(pts)
         assert np.all(counts >= np.ceil(len(pts) / N - eps - 1e-9))
         assert np.all(counts <= np.floor(len(pts) / N + eps + 1e-9))
-        g_assignment, g_obj = clustering.greedy_repair_assign(
+        g_assignment, g_obj = oracle.greedy_repair_assign(
             pts, centers, eps)
         assert obj <= g_obj + 1e-9
 

@@ -145,3 +145,27 @@ def test_emit_plot_data(tmp_path):
     assert (tmp_path / "plot.py").exists()
     with pytest.raises(ValueError):
         plots.emit_plot_data([], {"kind": "pie"}, tmp_path)
+
+
+def test_param_spellings_address_one_stream(tmp_path):
+    # 200 and 200.0 name the same cell: one stream, one CSV
+    raws = []
+    for i, T in enumerate(("200", "200.0")):
+        path = tmp_path / f"exp{i}.yaml"
+        path.write_text("model: bins\npolicies: [no_flex, dynamic]\n"
+                        f"params: {{N: 3, q: 0.5}}\nsweep: {{T: [50, {T}]}}\n"
+                        "replications: 3\nseed: 4\n")
+        cfg = load_config(path, out_dir=str(tmp_path / str(i)))
+        assert cfg.sweep["T"] == [50, 200]
+        assert all(type(v) is int for v in cfg.sweep["T"])
+        raws.append(runner.run_experiment(cfg)[0].read_bytes())
+    assert raws[0] == raws[1]
+    cfg = ExperimentConfig(model="bins", policies=["no_flex"],
+                           params={"T": 10, "N": 3, "q": 1})
+    assert type(cfg.params["q"]) is float
+    with pytest.raises(ConfigError, match="params.T"):
+        ExperimentConfig(model="bins", policies=["no_flex"],
+                         params={"T": 10.5})
+    with pytest.raises(ConfigError, match=r"sweep\.T"):
+        ExperimentConfig(model="bins", policies=["no_flex"],
+                         sweep={"T": [10, True]})

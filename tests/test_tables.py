@@ -50,9 +50,20 @@ def test_diagonal_observed_everywhere(small_setup):
     assert np.all(np.isfinite(np.diag(tables.inc)))
 
 
-def test_estimation_deterministic(small_setup):
+def test_estimation_deterministic(small_setup, monkeypatch):
     corpus, params, tables = small_setup
+    # replays reach run_day through the module attribute, which the
+    # benchmark traces
+    paths = []
+    day = tb.run_day
+
+    def counting(*args, **kwargs):
+        paths.append(kwargs["stream_path"])
+        return day(*args, **kwargs)
+
+    monkeypatch.setattr(tb, "run_day", counting)
     again = tb.estimate_flex_tables(corpus, params, reps=6, root_seed=0)
+    assert paths == [("tables", k) for k in range(6)]
     assert np.array_equal(tables.n_obs, again.n_obs)
     assert np.array_equal(tables.inc, again.inc, equal_nan=True)
     assert np.array_equal(tables.ser, again.ser, equal_nan=True)
