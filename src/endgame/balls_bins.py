@@ -117,13 +117,16 @@ class ArrivalArrays:
     ``exert_u`` is a separate uniform stream consumed only by the
     flex-sqrt-T policy, so policies stay coupled on the arrival streams
     regardless of their own randomness; it is None when it was not drawn.
+    An engine block (``bins_engine.run_blocks``) stores only the policy's
+    decision ``exert_u < (T - t_hat)/T`` there, as bool, which is all the
+    policy reads and an eighth of the memory.
     """
 
     is_flex: np.ndarray   # (T,) bool
     preferred: np.ndarray  # (T,) int
     pair_lo: np.ndarray   # (T,) int
     pair_hi: np.ndarray   # (T,) int
-    exert_u: np.ndarray | None = None  # (T,) float
+    exert_u: np.ndarray | None = None  # (T,) float, or bool in a block
 
     def __len__(self) -> int:
         return len(self.is_flex)

@@ -99,16 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
                       default="delta_zero")
     orun.add_argument("--cycles", type=int, default=100)
     _common_flags(orun)
-    osweep = osub.add_parser("sweep", help="loss-vs-S table for a regime")
-    osweep.add_argument("--regime", choices=opaque.REGIMES, required=True)
-    osweep.add_argument("--S", required=True,
-                        help="S grid, e.g. 50:800:log8")
-    osweep.add_argument("--N", type=int, default=5)
-    osweep.add_argument("--q", type=float, default=0.1)
-    osweep.add_argument("--instances", type=int, default=10)
-    osweep.add_argument("--cycles", type=int, default=10)
+    osweep = osub.add_parser(
+        "sweep", help="loss-vs-S table for a regime, or a config's sweep")
+    osweep.add_argument("--regime", choices=opaque.REGIMES)
+    osweep.add_argument("--S", help="S grid, e.g. 50:800:log8")
+    osweep.add_argument("--N", type=int)
+    osweep.add_argument("--q", type=float)
+    osweep.add_argument("--instances", type=int)
+    osweep.add_argument("--cycles", type=int)
     _common_flags(osweep)
-    osweep.add_argument("--out", default="results")
+    osweep.add_argument("--config", help="YAML experiment config")
+    osweep.add_argument("--out", default=None, help="output directory")
 
     parcel = sub.add_parser("parcel", help="parcel delivery model")
     psub = parcel.add_subparsers(dest="subcommand", required=True)
@@ -212,18 +213,45 @@ def cmd_opaque_run(args) -> int:
     return 0
 
 
+# flags of the regime table (``opaque sweep`` without --config), with
+# their defaults; --regime and --S have none
+REGIME_SWEEP_FLAGS = {"regime": None, "S": None, "N": 5, "q": 0.1,
+                      "instances": 10, "cycles": 10}
+
+
 def cmd_opaque_sweep(args) -> int:
+    given = [f"--{name}" for name in REGIME_SWEEP_FLAGS
+             if getattr(args, name) is not None]
+    if args.config:
+        if given:
+            print(f"opaque sweep --config takes its parameters from the "
+                  f"config, not from {', '.join(given)}", file=sys.stderr)
+            return 2
+        cfg = load_config(args.config, preset=args.preset, seed=args.seed,
+                          out_dir=args.out)
+        raw, summary = run_experiment(cfg)
+        print(raw)
+        print(summary)
+        return 0
+    if args.regime is None or args.S is None:
+        print("opaque sweep needs --config or both --regime and --S",
+              file=sys.stderr)
+        return 2
+    flags = {name: default if getattr(args, name) is None
+             else getattr(args, name)
+             for name, default in REGIME_SWEEP_FLAGS.items()}
+    out = args.out or "results"
     rows = opaque.regime_sweep(
-        args.regime, parse_grid(args.S), N=args.N, q=args.q,
-        instances=args.instances, cycles_per_instance=args.cycles,
+        args.regime, parse_grid(args.S), N=flags["N"], q=flags["q"],
+        instances=flags["instances"], cycles_per_instance=flags["cycles"],
         root_seed=resolve_root_seed(args.seed), preset=args.preset)
     import os
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"opaque_{args.regime}.csv")
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, f"opaque_{args.regime}.csv")
     cols = ["regime", "S", "policy", "cost", "lower_bound", "loss", "se",
             "mean_R", "mean_D"]
     write_csv(path, cols, rows)
-    emit_plot_data(rows, {"kind": "loss_vs_S"}, args.out)
+    emit_plot_data(rows, {"kind": "loss_vs_S"}, out)
     print(path)
     return 0
 

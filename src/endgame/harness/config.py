@@ -23,6 +23,9 @@ MODEL_PARAMS = {
                "a_d": float, "corpus": str, "tables": str},
 }
 
+# parameters a model cannot run without, set under "params:" or "sweep:"
+REQUIRED_PARAMS = {"bins": ("T",), "opaque": ("S",), "parcel": ("corpus",)}
+
 # fields a policy entry may set; the opaque dynamic policy is always
 # latched, and parcel policies take their constants from params
 POLICY_FIELDS = {
@@ -95,6 +98,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             where = "params" if name in cfg.params else "sweep"
             raise ConfigError(
                 f"{where}.{name}: not a parameter of model {cfg.model!r}")
+    for name in REQUIRED_PARAMS[cfg.model]:
+        if name not in cfg.params and name not in cfg.sweep:
+            raise ConfigError(f"params.{name}: required by model "
+                              f"{cfg.model!r} (under params or sweep)")
     for name, values in cfg.sweep.items():
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep.{name}: needs a nonempty value list")

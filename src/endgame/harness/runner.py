@@ -33,7 +33,8 @@ RAW_METRICS = {
                "overtime_freq"),
 }
 
-# per-process cache of loaded parcel corpora and tables, keyed by path
+# per-process cache of loaded parcel corpora and tables: path ->
+# ((st_mtime_ns, st_size), loaded object); a rewritten file is read again
 _PARCEL_CACHE: dict = {}
 
 
@@ -110,19 +111,19 @@ def _run_opaque_cell(policy, params, reps, root_seed, preset):
 def _load_parcel_inputs(params):
     from ..parcel.corpus import load_corpus
     from ..parcel.tables import load_tables
-    corpus_path = params.get("corpus")
-    if not corpus_path:
-        raise ValueError("parcel experiments need params.corpus")
-    if corpus_path not in _PARCEL_CACHE:
-        _PARCEL_CACHE[corpus_path] = load_corpus(corpus_path)
-    corpus = _PARCEL_CACHE[corpus_path]
-    tables = None
+    corpus = _cached(params["corpus"], load_corpus)
     tables_path = params.get("tables")
-    if tables_path:
-        if tables_path not in _PARCEL_CACHE:
-            _PARCEL_CACHE[tables_path] = load_tables(tables_path)
-        tables = _PARCEL_CACHE[tables_path]
+    tables = _cached(tables_path, load_tables) if tables_path else None
     return corpus, tables
+
+
+def _cached(path, load):
+    st = os.stat(path)
+    stamp = (st.st_mtime_ns, st.st_size)
+    hit = _PARCEL_CACHE.get(path)
+    if hit is None or hit[0] != stamp:
+        hit = _PARCEL_CACHE[path] = (stamp, load(path))
+    return hit[1]
 
 
 def _run_parcel_cell(policy, params, reps, root_seed):

@@ -65,6 +65,34 @@ def test_opaque_run_and_sweep(capsys, tmp_path):
     assert list(tmp_path.glob("loss-vs-S_*.dat"))
 
 
+def test_opaque_sweep_runs_config(capsys, tmp_path):
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: opaque\npolicies: [no_flex, dynamic]\n"
+                      "params: {N: 3, q: 0.2, cycles_per_instance: 2}\n"
+                      "sweep: {S: [5, 10]}\nreplications: 2\n")
+    code, out, _ = run_cli(capsys, "opaque", "sweep", "--config",
+                           str(config), "--seed", "1", "--out",
+                           str(tmp_path / "a"))
+    assert code == 0
+    raw = tmp_path / "a" / "opaque_raw.csv"
+    assert out.split() == [str(raw),
+                           str(tmp_path / "a" / "opaque_summary.csv")]
+    lines = raw.read_text().splitlines()
+    assert len(lines) == 1 + 2 * 2 * 2 * 2  # policies x S x reps x cycles
+    # the same config through `bins sweep` writes the same bytes
+    code, _, _ = run_cli(capsys, "bins", "sweep", "--config", str(config),
+                         "--seed", "1", "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert (tmp_path / "b" / "opaque_raw.csv").read_text() == raw.read_text()
+    # the regime-table flags do not mix with a config
+    code, _, err = run_cli(capsys, "opaque", "sweep", "--config",
+                           str(config), "--S", "5,10")
+    assert code == 2 and "--S" in err
+    code, _, err = run_cli(capsys, "opaque", "sweep", "--regime",
+                           "delta_zero")
+    assert code == 2 and "--config" in err
+
+
 def test_parcel_pipeline(capsys, tmp_path):
     corpus_path = str(tmp_path / "corpus.txt")
     code, out, _ = run_cli(capsys, "parcel", "gen-corpus", "--out",
@@ -128,8 +156,7 @@ def test_report_roundtrip(capsys, tmp_path):
     assert "final_gap" in text
 
 
-# opaque has no sweep command that reads a config; the model named in the
-# file decides what `bins sweep --config` runs
+# the model named in the file decides what `<command> sweep --config` runs
 FIELD_CASES = [  # command, model, policies, params, the field named
     ("bins", "bins", "[no_flex]", "{T: 50, N: 3, q: 0.5, r: 2}", "params.r"),
     ("bins", "opaque", "[no_flex]", "{S: 10, N: 3, q: 0.2, instances: 4}",
@@ -149,6 +176,9 @@ FIELD_CASES = [  # command, model, policies, params, the field named
     ("bins", "bins", "[no_flex]", "{T: 50.5}", "params.T"),
     ("parcel", "parcel", "[no_flex]", "{corpus: c.txt, M1: ten}",
      "params.M1"),
+    ("bins", "bins", "[no_flex]", "{N: 3}", "params.T"),
+    ("opaque", "opaque", "[no_flex]", "{N: 3, q: 0.2}", "params.S"),
+    ("parcel", "parcel", "[no_flex]", "{T: 40}", "params.corpus"),
 ]
 
 

@@ -169,3 +169,27 @@ def test_param_spellings_address_one_stream(tmp_path):
     with pytest.raises(ConfigError, match=r"sweep\.T"):
         ExperimentConfig(model="bins", policies=["no_flex"],
                          sweep={"T": [10, True]})
+
+
+def test_rewritten_parcel_corpus_is_read_again(tmp_path):
+    from endgame.parcel import corpus as cp
+    path = tmp_path / "corpus.txt"
+
+    def sweep(name):
+        cfg = ExperimentConfig(model="parcel", policies=["no_flex"],
+                               params={"corpus": str(path), "T": 20},
+                               replications=2, seed=0,
+                               out_dir=str(tmp_path / name))
+        return runner.run_experiment(cfg)[0].read_text()
+
+    def write(zones):
+        spec = cp.GeometrySpec(n_zones=zones, pool_size=100, epsilon=10)
+        cp.save_corpus(cp.build_corpus(spec, seed=0), path)
+
+    write(2)
+    two = sweep("two")
+    write(3)  # same path, same process
+    three = sweep("three")
+    assert three != two
+    runner._PARCEL_CACHE.clear()  # what a fresh process reads
+    assert sweep("fresh") == three
