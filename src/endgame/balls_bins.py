@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .streams import stream
+from . import streams
+from .streams import RowStreams, keyed_generator
 
 NO_FLEX = "no_flex"
 ALWAYS_FLEX = "always_flex"
@@ -132,22 +133,45 @@ class ArrivalArrays:
         return len(self.is_flex)
 
 
+# The arrival streams of a replication, one per draw category, in the
+# order they are drawn; "exert" is read by the flex-sqrt-T policy only.
+CATEGORIES = ("flex", "preferred", "flexset", "exert")
+
+
+def arrival_keys(root_seed: int, path, rows=None,
+                 exert: bool = True) -> dict:
+    """Philox keys of the category streams ``(root_seed, *path, row,
+    category)``, one (len(rows), 2) array per category, derived in one
+    :func:`streams.stream_keys` call each; without ``rows``, the keys of
+    the single path ``(root_seed, *path, category)``.  ``exert=False``
+    leaves out the flex-sqrt-T stream."""
+    return {c: streams.stream_keys(root_seed, path, c, rows)
+            for c in CATEGORIES[:None if exert else -1]}
+
+
 def draw_raw_arrays(root_seed: int, N: int, q: float, T: int, *path,
-                    exert: bool = True) -> ArrivalArrays:
+                    exert: bool = True,
+                    rng: RowStreams | None = None) -> ArrivalArrays:
     """Draw one replication's arrival randomness, one sub-stream per draw
     category, addressed by (root_seed, *path, category).  ``exert=False``
-    skips the flex-sqrt-T stream; the other categories are unchanged."""
-    g_flex = stream(root_seed, *path, "flex")
-    g_pref = stream(root_seed, *path, "preferred")
-    g_set = stream(root_seed, *path, "flexset")
+    skips the flex-sqrt-T stream; the other categories are unchanged.
+
+    ``rng`` holds the replication's streams when their keys were derived
+    with its block's (:func:`bins_engine.run_blocks`); it must be those of
+    (root_seed, *path).  Without it the keys are derived here."""
+    if rng is None:
+        keys = arrival_keys(root_seed, path, exert=exert)
+        rng = RowStreams(keyed_generator(),
+                         {c: k[0] for c, k in keys.items()})
     dtype = np.int16 if N > 127 else np.int8
-    is_flex = g_flex.random(T) < q
+    is_flex = rng["flex"].random(T) < q
     if N == 1:  # degenerate test mode used by the inventory model
         preferred = np.zeros(T, dtype=dtype)
         i = np.zeros(T, dtype=dtype)
         j = np.zeros(T, dtype=dtype)
     else:
-        preferred = g_pref.integers(0, N, size=T, dtype=dtype)
+        preferred = rng["preferred"].integers(0, N, size=T, dtype=dtype)
+        g_set = rng["flexset"]
         i = g_set.integers(0, N, size=T, dtype=dtype)
         j = g_set.integers(0, N - 1, size=T, dtype=dtype)
         j = j + (j >= i)
@@ -156,12 +180,12 @@ def draw_raw_arrays(root_seed: int, N: int, q: float, T: int, *path,
         preferred=preferred,
         pair_lo=np.minimum(i, j),
         pair_hi=np.maximum(i, j),
-        exert_u=(stream(root_seed, *path, "exert").random(T) if exert
-                 else None),
+        exert_u=rng["exert"].random(T) if exert else None,
     )
 
 
 def draw_arrival_arrays(root_seed: int, params: ModelParams, *path,
-                        exert: bool = True) -> ArrivalArrays:
+                        exert: bool = True,
+                        rng: RowStreams | None = None) -> ArrivalArrays:
     return draw_raw_arrays(root_seed, params.N, params.q, params.T, *path,
-                           exert=exert)
+                           exert=exert, rng=rng)

@@ -6,7 +6,8 @@ memory.  A row either runs the whole horizon or, given a stop level S,
 stops at the first period in which a load reaches S (an opaque cycle is
 a ball run on depletion counts, stopped at the first stock-out).  Each
 row consumes its own per-category streams, so results are independent
-of block size and execution order.
+of block size and execution order; a block derives its rows' stream
+keys together and draws them on one re-keyed generator.
 
 Loads depend on the policy only through its flex *events*: the flex
 arrivals it exerts on (for the unlatched dynamic policy, the flex
@@ -24,8 +25,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX, STATIC,
-                         ArrivalArrays, ModelParams, PolicySpec,
+                         ArrivalArrays, ModelParams, PolicySpec, arrival_keys,
                          draw_arrival_arrays, static_start)
+from .streams import RowStreams, keyed_generator
 
 # Target upper bound on (block rows) * T draws held in memory at once.
 _BLOCK_ELEMENTS = 32_000_000
@@ -61,45 +63,62 @@ def run_many(policy: PolicySpec, params: ModelParams, reps: int,
     ``rep`` consumes the streams addressed by ``(*path, rep)``."""
     out = run_blocks(
         policy, params.N, params.q, params.T, reps,
-        lambda rep, exert: draw_arrival_arrays(root_seed, params, *path, rep,
-                                               exert=exert))
+        lambda rep, exert, rng: draw_arrival_arrays(
+            root_seed, params, *path, rep, exert=exert, rng=rng),
+        keyed=(root_seed, path))
     return BatchResult(final_gap=out.loads.max(axis=1) - params.T / params.N,
                        flex_count=out.flex_count,
                        first_trigger=out.first_trigger)
 
 
 def run_blocks(policy: PolicySpec, N: int, q: float, T: int, n_rows: int,
-               draw, stop: int | None = None) -> LockstepResult:
+               draw, stop: int | None = None,
+               keyed: tuple | None = None) -> LockstepResult:
     """Run ``n_rows`` rows of the kernel in blocks of equal size (within
     one row) holding at most about ``_BLOCK_ELEMENTS`` draws and at most
     ``_BLOCK_ROWS`` rows.
 
     ``draw(row, exert)`` returns the row's T-period :class:`ArrivalArrays`;
-    ``exert`` says whether the policy reads the ``exert_u`` stream.  A
-    block keeps only the flex-sqrt-T decision ``exert_u < (T - t_hat)/T``.
+    ``exert`` says whether the policy reads the ``exert_u`` stream.  With
+    ``keyed = (root_seed, path)`` row r draws from the streams of
+    ``(root_seed, *path, r)``: the keys of a block's rows are derived
+    together, and ``draw(row, exert, rng)`` gets the row's
+    :class:`~endgame.streams.RowStreams`, all on one generator.  A block
+    keeps only the flex-sqrt-T decision ``exert_u < (T - t_hat)/T``.
     """
     if n_rows < 1:
         raise ValueError(f"need at least one row, got {n_rows}")
     _check_resolved(policy)
     cut = (_sqrt_prob(T, policy.a_s) if policy.kind == FLEX_SQRT_T
            else None)
+    generator = keyed_generator() if keyed is not None else None
     cap = max(1, min(_BLOCK_ELEMENTS // max(T, 1), _BLOCK_ROWS))
     n_blocks = -(-n_rows // cap)
     bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
-    parts = [lockstep(policy, N, q, _fill_block(draw, lo, hi, cut), stop)
+    parts = [lockstep(policy, N, q,
+                      _fill_block(draw, lo, hi, cut, keyed, generator), stop)
              for lo, hi in zip(bounds, bounds[1:])]
     return LockstepResult(*(np.concatenate([getattr(p, f.name) for p in parts])
                             for f in fields(LockstepResult)))
 
 
-def _fill_block(draw, lo: int, hi: int, cut: float | None) -> ArrivalArrays:
+def _fill_block(draw, lo: int, hi: int, cut: float | None,
+                keyed: tuple | None, generator) -> ArrivalArrays:
     """Rows ``lo..hi-1`` of arrivals, each drawn straight into its row of
     (rows, T) arrays allocated once per block; with ``cut`` set, the
     ``exert_u`` rows hold the bool ``exert_u < cut``."""
+    exert = cut is not None
+    if keyed is not None:
+        keys = arrival_keys(*keyed, np.arange(lo, hi), exert)
     block = None
     for i, row in enumerate(range(lo, hi)):
-        arrivals = dict(vars(draw(row, cut is not None)))
-        if cut is not None:
+        if keyed is None:
+            drawn = draw(row, exert)
+        else:
+            drawn = draw(row, exert, RowStreams(
+                generator, {c: k[i] for c, k in keys.items()}))
+        arrivals = dict(vars(drawn))
+        if exert:
             arrivals["exert_u"] = arrivals["exert_u"] < cut
         if block is None:
             block = {name: np.empty((hi - lo,) + a.shape, a.dtype)

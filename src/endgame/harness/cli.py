@@ -48,7 +48,14 @@ def _common_flags(p):
     p.add_argument("--seed", type=int, default=None,
                    help="root seed (default: ENDGAME_SEED or 0)")
     p.add_argument("--preset", choices=("theory", "numerics"),
-                   default="numerics", help="constant preset")
+                   default=None,
+                   help="constant preset (default: the config's, else "
+                   "numerics)")
+
+
+def _preset(args) -> str:
+    """The --preset flag, else numerics, for commands without a config."""
+    return args.preset or balls_bins.PRESET_NUMERICS
 
 
 def _sweep_flags(p):
@@ -158,7 +165,7 @@ def cmd_bins_run(args) -> int:
     params = balls_bins.ModelParams(T=args.T, N=args.N, q=args.q)
     spec = balls_bins.resolve_policy(
         balls_bins.PolicySpec(kind=args.policy, a_s=args.a_s, a_d=args.a_d),
-        params, args.preset)
+        params, _preset(args))
     seed = resolve_root_seed(args.seed)
     # one row on the stream path ()
     out = bins_engine.run_blocks(
@@ -189,7 +196,7 @@ def cmd_bins_sweep(args) -> int:
         cfg = ExperimentConfig(
             model="bins", policies=args.policy, params=params,
             sweep={"T": parse_grid(args.T)},
-            preset=args.preset, replications=args.reps, seed=args.seed,
+            preset=_preset(args), replications=args.reps, seed=args.seed,
             out_dir=args.out or "results")
     raw, summary = run_experiment(cfg, parallel=args.parallel)
     print(raw)
@@ -200,7 +207,7 @@ def cmd_bins_sweep(args) -> int:
 def cmd_opaque_run(args) -> int:
     params = opaque.eoq_params(args.N, args.S, args.q, args.regime)
     spec = opaque.resolve_opaque_policy(
-        balls_bins.PolicySpec(kind=args.policy), params, args.preset)
+        balls_bins.PolicySpec(kind=args.policy), params, _preset(args))
     R, D = opaque.simulate_cycles(spec, params, args.cycles,
                                   resolve_root_seed(args.seed),
                                   "opaque", args.policy, args.S)
@@ -244,7 +251,7 @@ def cmd_opaque_sweep(args) -> int:
     rows = opaque.regime_sweep(
         args.regime, parse_grid(args.S), N=flags["N"], q=flags["q"],
         instances=flags["instances"], cycles_per_instance=flags["cycles"],
-        root_seed=resolve_root_seed(args.seed), preset=args.preset)
+        root_seed=resolve_root_seed(args.seed), preset=_preset(args))
     import os
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"opaque_{args.regime}.csv")

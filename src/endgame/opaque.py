@@ -110,9 +110,9 @@ def simulate_cycles(policy: PolicySpec, params: InventoryParams,
     N, q, T = params.N, params.q, params.horizon
     out = run_blocks(
         policy, N, q, T, n_cycles,
-        lambda c, exert: draw_raw_arrays(root_seed, N, q, T, *path, c,
-                                         exert=exert),
-        stop=params.S)
+        lambda c, exert, rng: draw_raw_arrays(root_seed, N, q, T, *path, c,
+                                              exert=exert, rng=rng),
+        stop=params.S, keyed=(root_seed, path))
     return out.stop_time, out.flex_count
 
 

@@ -7,7 +7,7 @@ from scipy.stats import binom
 import oracle
 from endgame import balls_bins as bb
 from endgame import bins_engine as be
-from endgame import opaque
+from endgame import opaque, streams
 
 
 def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0):
@@ -317,8 +317,18 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
 
 def test_benchmark_trace_points_see_every_draw(monkeypatch):
     """The benchmark times draws through these module attributes, and the
-    two engine entry points must not call each other."""
+    two engine entry points must not call each other.  Stream keys are
+    derived a block at a time: one call per block and draw category."""
     calls = {}
+    key_calls = []
+    derive = streams.stream_keys
+
+    def counting_keys(root_seed, path, category, rows=None):
+        key_calls.append((category, None if rows is None else len(rows)))
+        return derive(root_seed, path, category, rows)
+    monkeypatch.setattr(streams, "stream_keys", counting_keys)
+    monkeypatch.setattr(be, "_BLOCK_ROWS", 3)
+    static_categories = ["flex", "preferred", "flexset"]
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -336,8 +346,12 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
     spec = bb.resolve_policy(bb.PolicySpec(kind=bb.STATIC), p, "numerics")
     be.run_many(spec, p, 7, 0, "trace")
     assert calls == {"run_many": 1, "draw_arrival_arrays": 7}
+    # 7 reps in blocks of 2, 2 and 3 rows
+    assert key_calls == [(c, n) for n in (2, 2, 3) for c in static_categories]
+    key_calls.clear()
     inv = opaque.InventoryParams(N=3, S=6, q=0.5)
     opaque.simulate_cycles(opaque.resolve_opaque_policy(spec, inv), inv, 5,
                            0, "trace")
     assert calls == {"run_many": 1, "draw_arrival_arrays": 7,
                      "simulate_cycles": 1, "draw_raw_arrays": 5}
+    assert key_calls == [(c, n) for n in (2, 3) for c in static_categories]

@@ -93,6 +93,40 @@ def test_opaque_sweep_runs_config(capsys, tmp_path):
     assert code == 2 and "--config" in err
 
 
+@pytest.mark.parametrize("command", ["bins", "opaque"])
+def test_config_preset_applies_unless_flag_overrides(capsys, tmp_path,
+                                                     command):
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: bins\npolicies: [static]\npreset: theory\n"
+                      "params: {N: 5, q: 0.1}\nsweep: {T: [5000]}\n"
+                      "replications: 1\n")
+
+    def first_trigger(*flags):
+        out = tmp_path / str(len(flags))
+        code, _, _ = run_cli(capsys, command, "sweep", "--config",
+                             str(config), "--seed", "3", "--out", str(out),
+                             *flags)
+        assert code == 0
+        rows = (out / "bins_raw.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        return int(rows[1].split(",")[header.index("first_trigger")])
+
+    assert first_trigger() == 0  # the theory a_s starts static at 0
+    assert first_trigger("--preset", "numerics") == 2936
+
+
+@pytest.mark.parametrize("argv", [
+    ["bins", "run", "--policy", "static", "--T", "30"],
+    ["bins", "sweep", "--policy", "static", "--T", "30"],
+    ["opaque", "sweep", "--regime", "delta_zero", "--S", "5,10"],
+], ids=["bins-run", "bins-sweep", "opaque-sweep"])
+def test_negative_seed_exits_2(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv, "--seed", "-1",
+                           *(["--out", str(tmp_path)] if "sweep" in argv
+                             else []))
+    assert code == 2 and "non-negative" in err
+
+
 def test_parcel_pipeline(capsys, tmp_path):
     corpus_path = str(tmp_path / "corpus.txt")
     code, out, _ = run_cli(capsys, "parcel", "gen-corpus", "--out",

@@ -2,8 +2,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from endgame.streams import resolve_root_seed, stream, stream_seed
+from endgame.streams import (RowStreams, keyed_generator, resolve_root_seed,
+                             stream, stream_keys, stream_seed)
 
 
 def test_same_path_same_stream():
@@ -32,3 +35,66 @@ def test_root_seed_resolution(monkeypatch):
     assert resolve_root_seed() == 42
     monkeypatch.delenv("ENDGAME_SEED")
     assert resolve_root_seed() == 0
+
+
+# ---------------------------------------------------------------------------
+# batched keys equal numpy's SeedSequence
+
+ROWS = [0, 1, 2**31, 2**32, 2**63, 2**64 - 1]
+components = st.integers(-2**65, 2**70) | st.text(max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(root=st.integers(0, 2**70),
+       path=st.lists(components, max_size=6).map(tuple),
+       category=components,
+       rows=st.lists(st.integers(0, 2**64 - 1), max_size=5))
+def test_stream_keys_equal_seed_sequence(root, path, category, rows):
+    """Paths of 0-6 components leave numpy's 4-word pool short (zero
+    padded) or overflow it; roots above 2**64 and rows of 2**32 and more
+    take several entropy words."""
+    rows = ROWS + rows
+    keys = stream_keys(root, path, category, rows)
+    assert keys.shape == (len(rows), 2) and keys.dtype == np.uint64
+    for key, row in zip(keys, rows):
+        expected = stream_seed(root, *path, row, category).generate_state(
+            2, np.uint64)
+        assert np.array_equal(key, expected)
+    single = stream_keys(root, path, category)
+    assert np.array_equal(single, stream_seed(root, *path, category)
+                          .generate_state(2, np.uint64)[None])
+
+
+def _mid_buffer(generator):
+    """Leave a Philox generator with a half-used 64-bit word and a
+    partly read output buffer."""
+    generator.integers(-128, 128, size=3, dtype=np.int8)
+    generator.random()
+    state = generator.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] != 4
+
+
+@pytest.mark.parametrize("draw", [
+    lambda g: g.random(5),
+    lambda g: g.integers(0, 5, size=9, dtype=np.int8),
+    lambda g: g.integers(0, 300, size=9, dtype=np.int16),
+], ids=["random", "int8", "int16"])
+def test_rekeyed_generator_draws_like_a_fresh_stream(draw):
+    for category in ("a", "b"):
+        generator = keyed_generator()
+        _mid_buffer(generator)
+        rng = RowStreams(generator,
+                         {category: stream_keys(5, ("rekey",), category,
+                                                [3])[0]})
+        assert np.array_equal(draw(rng[category]),
+                              draw(stream(5, "rekey", 3, category)))
+
+
+def test_negative_root_seed_raises_like_seed_sequence():
+    with pytest.raises(ValueError) as expected:
+        stream_seed(-1, "x")
+    with pytest.raises(ValueError) as got:
+        stream_keys(-1, (), "x", [0])
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError):
+        stream_keys(-1, (), "x")

@@ -1,0 +1,187 @@
+#!/usr/bin/env python3
+"""A/B runs of the benchmark: a parent and a change, alternating, one JSON.
+
+    python3 tools/bench_ab.py --parent HEAD~1 --change HEAD \\
+        --workload opaque_sweep --seeds 1601-1610 --out BENCH.json
+
+Both revisions are exported with ``git archive`` into a work directory,
+so each side runs only its committed files, as a fresh checkout would.
+For every workload and seed, ``bench/run.py`` runs once on each side;
+which side goes first alternates from one seed to the next.  The output
+holds one row per run (side, seed, the three end-to-end metrics,
+failed/attempted operations and the sha256 of every CSV the run wrote
+under ``.bench_out/<workload>/``), per workload and metric the medians
+and quartiles of each side and the number of seeds the change won,
+whether the CSV digests agree across sides on every seed, and what
+machine ran it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1601-1610' or '3,5,8'."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def metric_directions() -> dict:
+    """End-to-end metric name -> 'higher' or 'lower', from BENCHMARK.json."""
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def export(rev: str, dest: pathlib.Path) -> str:
+    """Write the committed files of ``rev`` to ``dest``; return its sha."""
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=REPO, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    dest.mkdir(parents=True)
+    archive = subprocess.Popen(["git", "archive", sha], cwd=REPO,
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout,
+                   check=True)
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
+    return sha
+
+
+def csv_digests(out_dir: pathlib.Path) -> dict:
+    return {str(p.relative_to(out_dir)):
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.rglob("*.csv"))}
+
+
+def run_once(tree: pathlib.Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One ``bench/run.py`` run in ``tree``; its metrics and CSV digests."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"bench/run.py exited {proc.returncode} in {tree}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    row = {name: m["value"] for name, m in result["metrics"].items()}
+    row.update(failed=result["failed"], attempted=result["attempted"],
+               correct=result["correct"],
+               csv_sha256=csv_digests(tree / ".bench_out" / workload))
+    return row
+
+
+def _quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def summarize(runs: list, directions: dict) -> dict:
+    """Per workload: for each metric both sides' median and quartiles,
+    the seeds on which the change is better, and the median change over
+    the parent's interquartile range; failed/attempted per side; and
+    whether every seed's CSV digests agree across sides."""
+    out = {}
+    for workload in sorted({r["workload"] for r in runs}):
+        rows = [r for r in runs if r["workload"] == workload]
+        by_seed = {}
+        for r in rows:
+            by_seed.setdefault(r["seed"], {})[r["side"]] = r
+        pairs = [p for p in by_seed.values() if set(p) == set(SIDES)]
+        metrics = {}
+        for name, better in directions.items():
+            sides = {s: _quartiles([r[name] for r in rows if r["side"] == s])
+                     for s in SIDES}
+            sign = 1.0 if better == "higher" else -1.0
+            iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+            gain = sign * (sides["change"]["median"]
+                           - sides["parent"]["median"])
+            metrics[name] = {
+                "better": better, **sides,
+                "change_better_pairs": sum(
+                    sign * (p["change"][name] - p["parent"][name]) > 0
+                    for p in pairs),
+                "pairs": len(pairs),
+                "median_gain_over_parent_iqr":
+                    gain / iqr if iqr > 0 else None,
+            }
+        out[workload] = {
+            "metrics": metrics,
+            "failed": {s: sum(r["failed"] for r in rows if r["side"] == s)
+                       for s in SIDES},
+            "attempted": {s: sum(r["attempted"] for r in rows
+                                 if r["side"] == s) for s in SIDES},
+            "digests_match": all(
+                p["parent"]["csv_sha256"] == p["change"]["csv_sha256"]
+                for p in pairs),
+        }
+    return out
+
+
+def machine() -> dict:
+    info = {"platform": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count()}
+    for path, key, field in (("/proc/cpuinfo", "model name", "cpu"),
+                             ("/proc/meminfo", "MemTotal", "mem_total")):
+        try:
+            for line in open(path):
+                if line.startswith(key):
+                    info[field] = line.split(":", 1)[1].strip()
+                    break
+        except OSError:
+            pass
+    return info
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="git revision")
+    p.add_argument("--change", default="HEAD", help="git revision")
+    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--seeds", required=True, help="e.g. 1601-1610 or 3,5,8")
+    p.add_argument("--seconds", type=float, default=5.0)
+    p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--workdir", default=None,
+                   help="where the two exports go (default: a temp dir)")
+    args = p.parse_args(argv)
+    work = pathlib.Path(args.workdir or tempfile.mkdtemp(prefix="bench_ab_"))
+    trees = {s: work / s for s in SIDES}
+    shas = {s: export(rev, trees[s])
+            for s, rev in zip(SIDES, (args.parent, args.change))}
+    runs = []
+    for workload in args.workload:
+        for i, seed in enumerate(parse_seeds(args.seeds)):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                row = run_once(trees[side], workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed,
+                             "side": side, **row})
+                print(f"{workload} seed={seed} {side}: "
+                      f"arrivals_per_s={row['arrivals_per_s']:.4g}",
+                      file=sys.stderr)
+    result = {"parent": {"rev": args.parent, "sha": shas["parent"]},
+              "change": {"rev": args.change, "sha": shas["change"]},
+              "seconds": args.seconds, "machine": machine(),
+              "summary": summarize(runs, metric_directions()),
+              "runs": runs}
+    pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
