@@ -146,7 +146,7 @@ def arrival_keys(root_seed: int, path, rows=None,
     the single path ``(root_seed, *path, category)``.  ``exert=False``
     leaves out the flex-sqrt-T stream."""
     return {c: streams.stream_keys(root_seed, path, c, rows)
-            for c in CATEGORIES[:None if exert else -1]}
+            for c in (CATEGORIES if exert else CATEGORIES[:-1])}
 
 
 def draw_raw_arrays(root_seed: int, N: int, q: float, T: int, *path,
