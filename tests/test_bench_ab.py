@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_ab.py"
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
 spec = importlib.util.spec_from_file_location("bench_ab", SCRIPT)
 bench_ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_ab)
