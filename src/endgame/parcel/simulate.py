@@ -170,6 +170,12 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
     if kind in TABLE_POLICIES and tables is None:
         raise ValueError(f"policy {kind} needs flex tables; build them with "
                          "`endgame parcel estimate-tables`")
+    if tables is not None and (tables.inc.shape != (N, N)
+                               or len(tables.arrival_prob) != N):
+        raise ValueError(
+            f"flex tables are for {tables.inc.shape[0]} zones "
+            f"({len(tables.arrival_prob)} arrival probabilities) but the "
+            f"corpus has {N}")
 
     rng = stream(root_seed, "parcel", *stream_path, "arrivals")
     sample_idx = rng.integers(0, len(corpus), size=T)

@@ -116,6 +116,7 @@ def save_tables(tables: FlexTables, path) -> None:
 
 def load_tables(path) -> FlexTables:
     blocks = {}
+    kinds = {}  # block name -> "matrix" or "vector"
     current = None
     fmt = None
     with open(path) as fh:
@@ -131,6 +132,7 @@ def load_tables(path) -> FlexTables:
                     elif parts[0] in ("matrix", "vector"):
                         current = parts[1]
                         blocks[current] = []
+                        kinds[current] = parts[0]
                     continue
                 blocks[current].append([float(v) for v in line.split()])
             except (IndexError, KeyError, ValueError):
@@ -141,6 +143,12 @@ def load_tables(path) -> FlexTables:
     for name in ("inc", "ser", "arrival_prob"):
         if not blocks.get(name):
             raise ValueError(f"{path}: missing block {name!r}")
+    N = len(blocks["inc"])
+    for name, rows in blocks.items():
+        n_rows = N if kinds[name] == "matrix" else 1
+        if len(rows) != n_rows or any(len(row) != N for row in rows):
+            raise ValueError(f"{path}: {kinds[name]} {name!r} is not "
+                             f"{n_rows}x{N}")
     n_obs = (np.array(blocks["n_obs"], dtype=np.int64)
              if "n_obs" in blocks else None)
     return FlexTables(inc=np.array(blocks["inc"]),

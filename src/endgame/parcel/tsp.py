@@ -13,8 +13,8 @@ def _coords(points, depot):
 
 
 def _dist_matrix(coords):
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
+    x, y = coords[:, 0], coords[:, 1]
+    return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
 
 
 def tour_length(D, order):
@@ -27,40 +27,45 @@ def tour_length(D, order):
 def nearest_neighbor_order(D):
     """Greedy construction starting from the depot (node 0 of D)."""
     n = D.shape[0] - 1
-    unvisited = np.ones(n + 1, dtype=bool)
-    unvisited[0] = False
-    order = []
+    W = D.copy()  # a visited node's column is +inf
+    W[:, 0] = np.inf
+    order = np.empty(n, dtype=np.int64)
     cur = 0
-    for _ in range(n):
-        d = np.where(unvisited, D[cur], np.inf)
-        cur = int(d.argmin())
-        unvisited[cur] = False
-        order.append(cur - 1)
-    return np.array(order, dtype=np.int64)
+    for step in range(n):
+        cur = int(W[cur].argmin())
+        W[:, cur] = np.inf
+        order[step] = cur - 1
+    return order
 
 
 def two_opt(D, order):
-    """Best-improvement 2-opt until no improving move remains."""
+    """Best-improvement 2-opt until no improving move remains.
+
+    ``P`` holds the distances between tour positions (depot at both
+    ends), so a move's delta reads contiguous views of it: replacing
+    edges (i, i+1) and (k+1, k+2) by (i, k+1) and (i+1, k+2) changes the
+    length by P[i, k+1] + P[i+1, k+2] - P[i, i+1] - P[k+1, k+2].  A move
+    reverses the segment in the tour and in P's rows and columns alike.
+    """
     n = len(order)
     if n < 3:
         return np.asarray(order, dtype=np.int64)
     arr = np.concatenate(([0], np.asarray(order, dtype=np.int64) + 1, [0]))
-    idx = np.arange(1, n + 1)
+    P = D[np.ix_(arr, arr)]
+    d1 = P.diagonal(1)  # a view: P[j, j+1], the tour's edges
     lower = np.tri(n, dtype=bool)  # i >= k: not a move
     while True:
-        pred = arr[idx - 1]
-        cur = arr[idx]
-        succ = arr[idx + 1]
-        delta = (D[pred[:, None], cur[None, :]]
-                 + D[cur[:, None], succ[None, :]]
-                 - D[pred, cur][:, None]
-                 - D[cur, succ][None, :])
+        delta = (P[:n, 1:n + 1] + P[1:n + 1, 2:]
+                 - d1[:n, None] - d1[None, 1:])
         delta[lower] = np.inf
         flat = delta.argmin()
         i, k = divmod(int(flat), n)
         if delta[i, k] >= -1e-12:
             break
-        arr[i + 1:k + 2] = arr[i + 1:k + 2][::-1]
+        s = slice(i + 1, k + 2)
+        arr[s] = arr[s][::-1]
+        P[s] = P[s][::-1]
+        P[:, s] = P[:, s][:, ::-1]
     return arr[1:-1] - 1
 
 

@@ -3,7 +3,10 @@
 ``run`` is the scalar reference for the lockstep kernel in
 ``endgame.bins_engine``: one row, one period at a time, written to be
 read rather than to be fast.  The engines must agree with it bit for bit
-on the same arrivals.  ``held_karp_length`` (exact TSP) and
+on the same arrivals.  ``nearest_neighbor_order`` and ``two_opt`` are
+the references for the routines of the same names in
+``endgame.parcel.tsp``, which must return the same tours.
+``held_karp_length`` (exact TSP) and
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
 parcel heuristics are checked against.
 """
@@ -94,6 +97,46 @@ def stack_arrivals(rows: list) -> ArrivalArrays:
             return None
         return np.stack([getattr(a, name) for a in rows])
     return ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)))
+
+
+def nearest_neighbor_order(D):
+    """Greedy construction starting from the depot (node 0 of D)."""
+    n = D.shape[0] - 1
+    unvisited = np.ones(n + 1, dtype=bool)
+    unvisited[0] = False
+    order = []
+    cur = 0
+    for _ in range(n):
+        d = np.where(unvisited, D[cur], np.inf)
+        cur = int(d.argmin())
+        unvisited[cur] = False
+        order.append(cur - 1)
+    return np.array(order, dtype=np.int64)
+
+
+def two_opt(D, order):
+    """Best-improvement 2-opt until no improving move remains."""
+    n = len(order)
+    if n < 3:
+        return np.asarray(order, dtype=np.int64)
+    arr = np.concatenate(([0], np.asarray(order, dtype=np.int64) + 1, [0]))
+    idx = np.arange(1, n + 1)
+    lower = np.tri(n, dtype=bool)  # i >= k: not a move
+    while True:
+        pred = arr[idx - 1]
+        cur = arr[idx]
+        succ = arr[idx + 1]
+        delta = (D[pred[:, None], cur[None, :]]
+                 + D[cur[:, None], succ[None, :]]
+                 - D[pred, cur][:, None]
+                 - D[cur, succ][None, :])
+        delta[lower] = np.inf
+        flat = delta.argmin()
+        i, k = divmod(int(flat), n)
+        if delta[i, k] >= -1e-12:
+            break
+        arr[i + 1:k + 2] = arr[i + 1:k + 2][::-1]
+    return arr[1:-1] - 1
 
 
 def held_karp_length(points, depot):

@@ -1,7 +1,11 @@
-"""The A/B script's aggregation, on synthetic run rows (no subprocess)."""
+"""The A/B script: its aggregation on synthetic run rows, and one whole
+run at the benchmark's tiny size."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -54,3 +58,33 @@ def test_summarize_digests_failures_and_workloads():
 def test_parse_seeds():
     assert bench_ab.parse_seeds("1601-1604") == [1601, 1602, 1603, 1604]
     assert bench_ab.parse_seeds("3,5,8") == [3, 5, 8]
+
+
+def _has_head() -> bool:
+    try:
+        return subprocess.run(["git", "rev-parse", "--verify", "-q", "HEAD"],
+                              cwd=SCRIPT.parents[1],
+                              capture_output=True).returncode == 0
+    except FileNotFoundError:  # no git at all
+        return False
+
+
+@pytest.mark.skipif(not _has_head(),
+                    reason="the repository has no git HEAD to export")
+def test_script_end_to_end_at_tiny_size(tmp_path):
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", "HEAD", "--change", "HEAD",
+         "--workload", "bins_sweep", "--seeds", "5", "--seconds", "0.5",
+         "--size", "tiny", "--out", str(out),
+         "--workdir", str(tmp_path / "work")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["size"] == "tiny"
+    assert [(r["side"], r["seed"]) for r in result["runs"]] == [
+        ("parent", 5), ("change", 5)]
+    assert all(r["csv_sha256"] for r in result["runs"])
+    summary = result["summary"]["bins_sweep"]
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["digests_match"]

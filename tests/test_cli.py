@@ -269,3 +269,58 @@ def test_tables_with_bare_hash_line_exits_2(capsys, tmp_path, small_corpus):
                            "--policy", "patient_dynamic")
     assert code == 2
     assert str(tables) in err and "line 3" in err
+
+
+def test_tables_with_a_short_row_exit_2(capsys, tmp_path, small_corpus):
+    tables = tmp_path / "tables.txt"
+    code, _, _ = run_cli(capsys, "parcel", "estimate-tables", "--corpus",
+                         str(small_corpus), "--out", str(tables), "--reps",
+                         "1", "--seed", "0")
+    assert code == 0
+    lines = tables.read_text().splitlines(True)
+    row = lines.index("# matrix ser\n") + 1
+    lines[row] = lines[row].split(" ", 1)[0] + "\n"
+    tables.write_text("".join(lines))
+    code, _, err = run_cli(capsys, "parcel", "run", "--corpus",
+                           str(small_corpus), "--tables", str(tables),
+                           "--policy", "patient_dynamic")
+    assert code == 2
+    assert str(tables) in err and "matrix 'ser' is not 2x2" in err
+
+
+@pytest.fixture(scope="module")
+def zone_inputs(tmp_path_factory):
+    """Zone count -> (corpus, its flex tables), for 6 and 8 zones."""
+    work = tmp_path_factory.mktemp("zones")
+    inputs = {}
+    for zones in (6, 8):
+        corpus, tables = work / f"c{zones}.txt", work / f"t{zones}.txt"
+        assert cli.main(["parcel", "gen-corpus", "--out", str(corpus),
+                         "--zones", str(zones), "--pool-size", "240",
+                         "--epsilon", "20", "--seed", "0"]) == 0
+        assert cli.main(["parcel", "estimate-tables", "--corpus",
+                         str(corpus), "--out", str(tables), "--reps", "1",
+                         "--seed", "0"]) == 0
+        inputs[zones] = corpus, tables
+    return inputs
+
+
+@pytest.mark.parametrize("corpus_zones,table_zones,policy", [
+    (8, 6, "patient_dynamic"), (6, 8, "cost_min")])
+def test_tables_for_another_zone_count_exit_2(capsys, tmp_path, zone_inputs,
+                                              corpus_zones, table_zones,
+                                              policy):
+    corpus, tables = zone_inputs[corpus_zones][0], zone_inputs[table_zones][1]
+    message = (f"flex tables are for {table_zones} zones "
+               f"({table_zones} arrival probabilities) but the corpus has "
+               f"{corpus_zones}")
+    code, _, err = run_cli(capsys, "parcel", "run", "--corpus", str(corpus),
+                           "--tables", str(tables), "--policy", policy)
+    assert code == 2 and message in err
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"model: parcel\npolicies: [{policy}]\n"
+                      f"params: {{corpus: {corpus}, tables: {tables}, "
+                      f"T: 50}}\n")
+    code, _, err = run_cli(capsys, "parcel", "sweep", "--config", str(config),
+                           "--reps", "1", "--out", str(tmp_path))
+    assert code == 2 and message in err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from endgame.parcel import tsp
@@ -95,3 +97,62 @@ def test_insertion_then_removal_roundtrip_bound():
                                 depot, k)
               for k in range(6)]
     assert any(math.isclose(d, ins, rel_tol=1e-9) for d in deltas)
+
+
+# ---------------------------------------------------------------------------
+# the routing routines return the oracle's tours exactly
+
+def _points(layout, n, rng):
+    """``n`` stops: spread out, on a small lattice (many equal distances),
+    drawn from a few distinct sites (duplicate stops), or on one line."""
+    if layout == "uniform":
+        return rng.uniform(-10, 10, size=(n, 2))
+    if layout == "lattice":
+        return rng.integers(0, 4, size=(n, 2)).astype(float)
+    if layout == "duplicates":
+        sites = rng.uniform(-5, 5, size=(max(n // 4, 1), 2))
+        return sites[rng.integers(0, len(sites), size=n)]
+    t = np.round(rng.uniform(0, 10, size=n), 1)  # collinear
+    return np.array([1.0, -2.0]) + t[:, None] * np.array([0.6, 0.8])
+
+
+def _improving_moves(D, order):
+    """Every 2-opt move on the tour whose delta is below -1e-12."""
+    n = len(order)
+    if n < 3:
+        return []
+    arr = np.concatenate(([0], order + 1, [0]))
+    i, k = np.triu_indices(n, 1)
+    delta = (D[arr[i], arr[k + 1]] + D[arr[i + 1], arr[k + 2]]
+             - D[arr[i], arr[i + 1]] - D[arr[k + 1], arr[k + 2]])
+    bad = delta < -1e-12
+    return list(zip(i[bad].tolist(), k[bad].tolist()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 130), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["uniform", "lattice", "duplicates",
+                               "collinear"]),
+       depot_on_stop=st.booleans())
+def test_routing_matches_oracle(n, seed, layout, depot_on_stop):
+    rng = stream(0, "tsp-property", seed)
+    pts = _points(layout, n, rng)
+    depot = (pts[rng.integers(0, n)] if depot_on_stop and n
+             else rng.uniform(-10, 10, size=2))
+    coords = tsp._coords(pts, depot)
+    diff = coords[:, None, :] - coords[None, :, :]
+    D = tsp._dist_matrix(coords)
+    assert np.array_equal(D, np.hypot(diff[..., 0], diff[..., 1]))
+    nn = tsp.nearest_neighbor_order(D)
+    assert np.array_equal(nn, oracle.nearest_neighbor_order(D))
+    # from the greedy tour, as tsp_route runs it, and from a random one,
+    # which takes many more moves
+    for start in (nn, rng.permutation(n)):
+        order = tsp.two_opt(D, start)
+        assert np.array_equal(order, oracle.two_opt(D, start))
+        assert _improving_moves(D, order) == []
+    order, hours = tsp.tsp_route(pts, depot, 2.0)
+    assert sorted(order) == list(range(n))
+    if n > 1:
+        assert np.array_equal(order, oracle.two_opt(D, nn))
+        assert hours == tsp.tour_length(D, order) / 2.0

@@ -4,6 +4,9 @@
     python3 tools/bench_ab.py --parent HEAD~1 --change HEAD \\
         --workload opaque_sweep --seeds 1601-1610 --out BENCH.json
 
+``--size tiny`` passes the benchmark's own self-check size through to
+``bench/run.py``, so a whole A/B run takes seconds (default ``paper``).
+
 Both revisions are exported with ``git archive`` into a work directory,
 so each side runs only its committed files, as a fresh checkout would.
 For every workload and seed, ``bench/run.py`` runs once on each side;
@@ -69,11 +72,11 @@ def csv_digests(out_dir: pathlib.Path) -> dict:
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int,
-             seconds: float) -> dict:
+             seconds: float, size: str) -> dict:
     """One ``bench/run.py`` run in ``tree``; its metrics and CSV digests."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--size", size],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -156,6 +159,8 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--seeds", required=True, help="e.g. 1601-1610 or 3,5,8")
     p.add_argument("--seconds", type=float, default=5.0)
+    p.add_argument("--size", default="paper",
+                   help="input size passed to bench/run.py")
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--workdir", default=None,
                    help="where the two exports go (default: a temp dir)")
@@ -168,7 +173,8 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for i, seed in enumerate(parse_seeds(args.seeds)):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                row = run_once(trees[side], workload, seed, args.seconds)
+                row = run_once(trees[side], workload, seed, args.seconds,
+                               args.size)
                 runs.append({"workload": workload, "seed": seed,
                              "side": side, **row})
                 print(f"{workload} seed={seed} {side}: "
@@ -176,7 +182,8 @@ def main(argv=None) -> int:
                       file=sys.stderr)
     result = {"parent": {"rev": args.parent, "sha": shas["parent"]},
               "change": {"rev": args.change, "sha": shas["change"]},
-              "seconds": args.seconds, "machine": machine(),
+              "seconds": args.seconds, "size": args.size,
+              "machine": machine(),
               "summary": summarize(runs, metric_directions()),
               "runs": runs}
     pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
