@@ -8,14 +8,16 @@ Subcommands::
     endgame report
 
 ``run`` subcommands execute a single replication and print one row;
-``sweep`` subcommands execute a replication matrix and write CSVs.
-Config files (YAML, via --config) provide defaults that individual
-flags override.
+``sweep`` subcommands execute a replication matrix and write CSVs,
+built either from model flags or from a YAML config (--config), whose
+run settings (--seed, --preset, --reps, --out, --parallel) flags
+override.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -24,24 +26,33 @@ from .. import balls_bins, bins_engine, opaque
 from ..streams import resolve_root_seed
 from .config import ConfigError, ExperimentConfig, load_config
 from .plots import emit_plot_data
-from .runner import SCHEMA_VERSION, run_experiment, write_csv
+from .runner import run_experiment, write_csv, write_summary
 
 
 def parse_grid(text: str) -> list[int]:
     """Parse a sweep grid: 'lo:hi:logN' (geometric), 'lo:hi:N' (linear),
-    or a comma-separated list."""
+    or a comma-separated list.  Anything else raises ValueError."""
     if ":" in text:
         lo, hi, n = text.split(":")
+        lo, hi = float(lo), float(hi)
+        if not (abs(lo) < 2.0**63 and abs(hi) < 2.0**63):  # nan, inf too
+            raise ValueError(f"grid {text!r}: bounds must be finite and "
+                             "fit in a 64-bit integer")
         if n.startswith("log"):
-            pts = np.geomspace(float(lo), float(hi), int(n[3:]))
+            if min(lo, hi) <= 0 <= max(lo, hi):
+                raise ValueError(f"grid {text!r}: a geometric grid needs "
+                                 "nonzero bounds of one sign")
+            pts = np.rint(np.geomspace(lo, hi, int(n[3:])))
         else:
-            pts = np.linspace(float(lo), float(hi), int(n))
-        out = []
-        for v in np.rint(pts).astype(int):
-            if not out or v != out[-1]:
-                out.append(int(v))
-        return out
-    return [int(v) for v in text.split(",")]
+            pts = np.rint(np.linspace(lo, hi, int(n)))
+        # rounding may repeat a point; keep the first of each run
+        out = [int(v) for i, v in enumerate(pts) if i == 0 or v != pts[i - 1]]
+    else:
+        out = [int(v) for v in text.split(",")]
+    if any(abs(v) >= 2**63 for v in out):
+        raise ValueError(f"grid {text!r}: a point does not fit in a 64-bit "
+                         "integer")
+    return out
 
 
 def _common_flags(p):
@@ -58,13 +69,17 @@ def _preset(args) -> str:
     return args.preset or balls_bins.PRESET_NUMERICS
 
 
-def _sweep_flags(p):
+def _sweep_flags(p, run=True):
+    """--config and --out, and with ``run`` --reps and --parallel; a
+    sweep parser without one of these or --preset reads its default."""
     p.add_argument("--config", help="YAML experiment config")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--reps", type=int, default=None,
-                   help="replications per cell")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="worker process count")
+    p.set_defaults(func=cmd_sweep, reps=None, parallel=1, preset=None)
+    if run:
+        p.add_argument("--reps", type=int, default=None,
+                       help="replications per cell")
+        p.add_argument("--parallel", type=int, default=1,
+                       help="worker process count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     brun.add_argument("--a-s", type=float, default=None, dest="a_s")
     brun.add_argument("--a-d", type=float, default=None, dest="a_d")
     _common_flags(brun)
+    brun.set_defaults(func=cmd_bins_run)
     bsweep = bsub.add_parser("sweep", help="replication matrix over T")
     bsweep.add_argument("--policy", action="append", default=None,
                         choices=balls_bins.POLICY_KINDS)
@@ -106,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="delta_zero")
     orun.add_argument("--cycles", type=int, default=100)
     _common_flags(orun)
+    orun.set_defaults(func=cmd_opaque_run)
     osweep = osub.add_parser(
         "sweep", help="loss-vs-S table for a regime, or a config's sweep")
     osweep.add_argument("--regime", choices=opaque.REGIMES)
@@ -115,10 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     osweep.add_argument("--instances", type=int)
     osweep.add_argument("--cycles", type=int)
     _common_flags(osweep)
-    osweep.add_argument("--config", help="YAML experiment config")
-    osweep.add_argument("--out", default=None, help="output directory")
+    _sweep_flags(osweep, run=False)
 
     parcel = sub.add_parser("parcel", help="parcel delivery model")
+    parcel.set_defaults(func=cmd_parcel)
     psub = parcel.add_subparsers(dest="subcommand", required=True)
     pgen = psub.add_parser("gen-corpus", help="build a synthetic corpus")
     pgen.add_argument("--out", required=True)
@@ -153,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="summarize a raw CSV")
     report.add_argument("--raw", required=True)
     report.add_argument("--out", required=True)
+    report.set_defaults(func=cmd_report)
 
     return parser
 
@@ -181,29 +199,6 @@ def cmd_bins_run(args) -> int:
     return 0
 
 
-def cmd_bins_sweep(args) -> int:
-    overrides = {"preset": args.preset, "seed": args.seed,
-                 "replications": args.reps, "out_dir": args.out}
-    if args.config:
-        cfg = load_config(args.config, **overrides)
-    else:
-        if args.policy is None or args.T is None:
-            print("bins sweep needs --config or both --policy and --T",
-                  file=sys.stderr)
-            return 2
-        params = {"N": args.N if args.N is not None else 2,
-                  "q": args.q if args.q is not None else 1.0}
-        cfg = ExperimentConfig(
-            model="bins", policies=args.policy, params=params,
-            sweep={"T": parse_grid(args.T)},
-            preset=_preset(args), replications=args.reps, seed=args.seed,
-            out_dir=args.out or "results")
-    raw, summary = run_experiment(cfg, parallel=args.parallel)
-    print(raw)
-    print(summary)
-    return 0
-
-
 def cmd_opaque_run(args) -> int:
     params = opaque.eoq_params(args.N, args.S, args.q, args.regime)
     spec = opaque.resolve_opaque_policy(
@@ -220,41 +215,68 @@ def cmd_opaque_run(args) -> int:
     return 0
 
 
-# flags of the regime table (``opaque sweep`` without --config), with
-# their defaults; --regime and --S have none
-REGIME_SWEEP_FLAGS = {"regime": None, "S": None, "N": 5, "q": 0.1,
-                      "instances": 10, "cycles": 10}
+# per sweep command, the flags that build its sweep without --config and
+# their defaults (None: required; parcel's "" tables: none); with
+# --config the file holds all of these
+SWEEP_FLAGS = {
+    "bins": {"policy": None, "T": None, "N": 2, "q": 1.0},
+    "opaque": {"regime": None, "S": None, "N": 5, "q": 0.1,
+               "instances": 10, "cycles": 10},
+    "parcel": {"corpus": None, "policy": None, "tables": ""},
+}
 
 
-def cmd_opaque_sweep(args) -> int:
-    given = [f"--{name}" for name in REGIME_SWEEP_FLAGS
-             if getattr(args, name) is not None]
+def cmd_sweep(args) -> int:
+    """``<command> sweep``: a config's sweep, or one built from flags."""
+    table = SWEEP_FLAGS[args.command]
     if args.config:
+        given = [f"--{name}" for name in table
+                 if getattr(args, name) is not None]
         if given:
-            print(f"opaque sweep --config takes its parameters from the "
-                  f"config, not from {', '.join(given)}", file=sys.stderr)
+            print(f"{args.command} sweep --config takes its parameters from "
+                  f"the config, not from {', '.join(given)}",
+                  file=sys.stderr)
             return 2
         cfg = load_config(args.config, preset=args.preset, seed=args.seed,
-                          out_dir=args.out)
-        raw, summary = run_experiment(cfg)
-        print(raw)
-        print(summary)
-        return 0
-    if args.regime is None or args.S is None:
-        print("opaque sweep needs --config or both --regime and --S",
-              file=sys.stderr)
-        return 2
-    flags = {name: default if getattr(args, name) is None
-             else getattr(args, name)
-             for name, default in REGIME_SWEEP_FLAGS.items()}
+                          replications=args.reps, out_dir=args.out)
+    else:
+        missing = [f"--{name}" for name, default in table.items()
+                   if default is None and getattr(args, name) is None]
+        if missing:
+            print(f"{args.command} sweep needs --config or "
+                  f"{' and '.join(missing)}", file=sys.stderr)
+            return 2
+        flags = {name: default if getattr(args, name) is None
+                 else getattr(args, name) for name, default in table.items()}
+        if args.command == "opaque":
+            return _regime_table(args, flags)
+        if args.command == "bins":
+            params = {"N": flags["N"], "q": flags["q"]}
+            sweep = {"T": parse_grid(flags["T"])}
+        else:
+            params = {"corpus": flags["corpus"]}
+            if flags["tables"]:
+                params["tables"] = flags["tables"]
+            sweep = {}
+        cfg = ExperimentConfig(
+            model=args.command, policies=flags["policy"], params=params,
+            sweep=sweep, preset=_preset(args), replications=args.reps,
+            seed=args.seed, out_dir=args.out or "results")
+    raw, summary = run_experiment(cfg, parallel=args.parallel)
+    print(raw)
+    print(summary)
+    return 0
+
+
+def _regime_table(args, flags) -> int:
+    """The loss-vs-S table of one opaque regime, with its plot data."""
     out = args.out or "results"
     rows = opaque.regime_sweep(
-        args.regime, parse_grid(args.S), N=flags["N"], q=flags["q"],
+        flags["regime"], parse_grid(flags["S"]), N=flags["N"], q=flags["q"],
         instances=flags["instances"], cycles_per_instance=flags["cycles"],
         root_seed=resolve_root_seed(args.seed), preset=_preset(args))
-    import os
     os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"opaque_{args.regime}.csv")
+    path = os.path.join(out, f"opaque_{flags['regime']}.csv")
     cols = ["regime", "S", "policy", "cost", "lower_bound", "loss", "se",
             "mean_R", "mean_D"]
     write_csv(path, cols, rows)
@@ -321,48 +343,20 @@ def cmd_parcel(args) -> int:
                     ("flex_count", rec.flex_count),
                     ("mean_total_hours", float(rec.totals.mean()))])
         return 0
-    if args.subcommand == "sweep":
-        overrides = {"seed": args.seed, "replications": args.reps,
-                     "out_dir": args.out}
-        if args.config:
-            cfg = load_config(args.config, **overrides)
-        else:
-            if args.corpus is None or args.policy is None:
-                print("parcel sweep needs --config or both --corpus and "
-                      "--policy", file=sys.stderr)
-                return 2
-            params = {"corpus": args.corpus}
-            if args.tables:
-                params["tables"] = args.tables
-            cfg = ExperimentConfig(
-                model="parcel", policies=args.policy, params=params,
-                replications=args.reps, seed=args.seed,
-                out_dir=args.out or "results")
-        kinds = {p if isinstance(p, str) else p["kind"]
-                 for p in cfg.policies}
-        needs = sorted(kinds & psim.TABLE_POLICIES)
-        if needs and "tables" not in {**cfg.params, **cfg.sweep}:
-            print(f"policies {needs} need flex tables; "
-                  "build them with `endgame parcel estimate-tables`",
-                  file=sys.stderr)
-            return 2
-        raw, summary = run_experiment(cfg, parallel=args.parallel)
-        print(raw)
-        print(summary)
-        return 0
     raise AssertionError(args.subcommand)
 
 
 def cmd_report(args) -> int:
     import csv as _csv
 
-    from .stats import summarize
     with open(args.raw) as fh:
         reader = _csv.DictReader(fh)
         rows = list(reader)
     if not rows:
         print("raw file has no rows", file=sys.stderr)
         return 1
+    if "policy" not in reader.fieldnames:
+        raise ValueError(f"{args.raw}: no 'policy' column to group by")
     numeric = []
     for row in rows:
         conv = {}
@@ -375,13 +369,7 @@ def cmd_report(args) -> int:
     skip = {"schema_version", "rep", "cycle", "policy"}
     metrics = [k for k, v in numeric[0].items()
                if isinstance(v, float) and k not in skip]
-    summary = summarize(numeric, ["policy"], metrics)
-    out_rows = [{**r.cell, "metric": r.metric, "mean": r.mean, "se": r.se,
-                 "mad": r.mad, "q1": r.q1, "median": r.median, "q3": r.q3,
-                 "n": r.n} for r in summary]
-    cols = ["policy", "metric", "mean", "se", "mad", "q1", "median", "q3",
-            "n"]
-    write_csv(args.out, cols, out_rows)
+    write_summary(args.out, numeric, ["policy"], metrics)
     print(args.out)
     return 0
 
@@ -390,16 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bins":
-            return (cmd_bins_run(args) if args.subcommand == "run"
-                    else cmd_bins_sweep(args))
-        if args.command == "opaque":
-            return (cmd_opaque_run(args) if args.subcommand == "run"
-                    else cmd_opaque_sweep(args))
-        if args.command == "parcel":
-            return cmd_parcel(args)
-        if args.command == "report":
-            return cmd_report(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -409,7 +388,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

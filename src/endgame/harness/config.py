@@ -1,5 +1,5 @@
 """Experiment configuration: a YAML file with model, policies, params,
-sweep axes, and run settings.  CLI flags may override file values."""
+sweep axes, and run settings.  CLI flags may override the run settings."""
 
 from __future__ import annotations
 
@@ -57,10 +57,6 @@ class ExperimentConfig:
 DEFAULT_REPLICATIONS = {"bins": 1000, "opaque": 10, "parcel": 50}
 
 
-def default_replications(model: str) -> int:
-    return DEFAULT_REPLICATIONS[model]
-
-
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.model not in MODELS:
         raise ConfigError(f"model: unknown model {cfg.model!r}, "
@@ -105,6 +101,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, values in cfg.sweep.items():
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep.{name}: needs a nonempty value list")
+    if cfg.model == "parcel" and "tables" not in {**cfg.params, **cfg.sweep}:
+        # imported here: the parcel modules load scipy
+        from ..parcel.simulate import TABLE_POLICIES
+        needs = sorted(kinds & TABLE_POLICIES)
+        if needs:
+            raise ConfigError(f"policies {needs} need flex tables; build "
+                              "them with `endgame parcel estimate-tables`")
     cfg.params = {name: _coerce(f"params.{name}", types[name], value)
                   for name, value in cfg.params.items()}
     cfg.sweep = {name: [_coerce(f"sweep.{name}", types[name], v)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import balls_bins, bins_engine, opaque
 from ..streams import resolve_root_seed
-from .config import ExperimentConfig, default_replications
+from .config import DEFAULT_REPLICATIONS, ExperimentConfig
 from .stats import summarize
 
 SCHEMA_VERSION = 1
@@ -163,7 +163,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
     CSVs.  Returns (raw_path, summary_path)."""
     root_seed = resolve_root_seed(config.seed)
     reps = (config.replications if config.replications is not None
-            else default_replications(config.model))
+            else DEFAULT_REPLICATIONS[config.model])
     out_dir = out_dir or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -182,23 +182,23 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
         per_cell = [_cell_worker(job) for job in jobs]
 
     raw_rows = [row for rows in per_cell for row in rows]
-    cell_keys = ["policy"] + list(config.sweep.keys())
     metrics = RAW_METRICS[config.model]
-
     raw_path = pathlib.Path(out_dir) / f"{config.model}_raw.csv"
-    raw_cols = _raw_columns(raw_rows, metrics)
-    write_csv(raw_path, raw_cols, raw_rows)
-
-    summary = summarize(raw_rows, cell_keys, metrics)
-    summary_rows = [{**row.cell, "metric": row.metric, "mean": row.mean,
-                     "se": row.se, "mad": row.mad, "q1": row.q1,
-                     "median": row.median, "q3": row.q3, "n": row.n}
-                    for row in summary]
+    write_csv(raw_path, _raw_columns(raw_rows, metrics), raw_rows)
     summary_path = pathlib.Path(out_dir) / f"{config.model}_summary.csv"
-    summary_cols = cell_keys + ["metric", "mean", "se", "mad",
-                                "q1", "median", "q3", "n"]
-    write_csv(summary_path, summary_cols, summary_rows)
+    write_summary(summary_path, raw_rows,
+                  ["policy"] + list(config.sweep.keys()), metrics)
     return raw_path, summary_path
+
+
+def write_summary(path, raw_rows, cell_keys, metrics) -> None:
+    """Per cell of ``cell_keys`` and per metric: mean, standard error,
+    mean absolute deviation, quartiles and count of ``raw_rows``."""
+    stats = ["mean", "se", "mad", "q1", "median", "q3", "n"]
+    rows = [{**row.cell, "metric": row.metric,
+             **{name: getattr(row, name) for name in stats}}
+            for row in summarize(raw_rows, cell_keys, metrics)]
+    write_csv(path, cell_keys + ["metric"] + stats, rows)
 
 
 def _raw_columns(rows, metrics):

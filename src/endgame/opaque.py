@@ -18,7 +18,7 @@ import numpy as np
 
 from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX,
                          PRESET_NUMERICS, STATIC, ModelParams, PolicySpec,
-                         draw_raw_arrays, static_start, theory_a_s)
+                         draw_raw_arrays, theory_a_s)
 from .bins_engine import run_blocks
 
 NUMERICS_C_S = 10.0
@@ -90,11 +90,6 @@ def resolve_opaque_policy(spec: PolicySpec, params: InventoryParams,
                else 1.0 / (10.0 * math.comb(model.N, 2)))
     latched = spec.latched if spec.kind != DYNAMIC else True
     return PolicySpec(kind=spec.kind, a_s=a_s, a_d=a_d, latched=latched)
-
-
-def static_cycle_start(params: InventoryParams, c_s: float) -> int:
-    """Period from which the static opaque policy offers the option."""
-    return static_start(params.horizon, c_s)
 
 
 def simulate_cycles(policy: PolicySpec, params: InventoryParams,

@@ -131,6 +131,7 @@ def load_corpus(path) -> Corpus:
     header = {}
     centers = {}
     rows = []
+    linenos = []  # of the package lines
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -151,6 +152,7 @@ def load_corpus(path) -> Corpus:
                     continue
                 x, y, u, z = line.split()
                 rows.append((float(x), float(y), float(u), int(z)))
+                linenos.append(lineno)
             except ValueError:
                 raise ValueError(
                     f"{path}: malformed line {lineno}: {line!r}") from None
@@ -170,7 +172,12 @@ def load_corpus(path) -> Corpus:
     depot = np.array([float(v) for v in header["depot"].split()])
     center_arr = np.array([centers[j] for j in range(n)])
     data = np.array(rows)
-    return Corpus(points=data[:, :2], unload=data[:, 2],
-                  default_zone=data[:, 3].astype(np.int64),
+    zone = data[:, 3].astype(np.int64)
+    bad = np.flatnonzero((zone < 0) | (zone >= n))
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {linenos[bad[0]]}: default zone {zone[bad[0]]} "
+            f"is outside [0, {n}) of a {n}-zone corpus")
+    return Corpus(points=data[:, :2], unload=data[:, 2], default_zone=zone,
                   centers=center_arr, depot=depot,
                   seed=int(header["seed"]), spec=spec)

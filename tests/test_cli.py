@@ -1,6 +1,12 @@
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endgame.harness import cli
+from endgame.parcel import simulate as psim
 
 
 def run_cli(capsys, *argv):
@@ -16,6 +22,37 @@ def test_parse_grid():
     assert grid[0] == 50 and grid[-1] == 800
     assert len(grid) == 8
     assert grid == sorted(grid)
+
+
+@pytest.mark.parametrize("text", ["1:inf:3", "1:1e30:3", "nan:5:log2",
+                                  "-inf:0:2", "1,99999999999999999999",
+                                  "-1:8:log3"])
+def test_parse_grid_refuses_points_outside_int64(text):
+    with pytest.raises(ValueError, match="grid"):
+        cli.parse_grid(text)
+
+
+_bound = st.one_of(st.integers(-10**20, 10**20).map(str),
+                   st.floats().map(repr), st.text(max_size=6))
+_grid_text = st.one_of(
+    st.lists(st.one_of(st.integers(-10**20, 10**20).map(str),
+                       st.text(max_size=4)), min_size=1, max_size=4)
+    .map(",".join),
+    st.tuples(_bound, _bound, st.integers(-3, 50).map(str))
+    .map(":".join),
+    st.tuples(_bound, _bound, st.integers(-3, 50).map("log{}".format))
+    .map(":".join),
+    st.text(max_size=20))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_grid_text)
+def test_parse_grid_returns_ints_or_raises_value_error(text):
+    try:
+        grid = cli.parse_grid(text)
+    except ValueError:
+        return
+    assert all(type(v) is int and abs(v) < 2**63 for v in grid)
 
 
 def test_bins_run_prints_one_row(capsys):
@@ -115,6 +152,41 @@ def test_config_preset_applies_unless_flag_overrides(capsys, tmp_path,
     assert first_trigger("--preset", "numerics") == 2936
 
 
+# per sweep command, flags that build a sweep without --config, and which
+# of them are required
+SWEEP_FLAG_CASES = {
+    "bins": ([("--policy", "static"), ("--T", "50"), ("--N", "3"),
+              ("--q", "0.5")], ["--policy", "--T"]),
+    "opaque": ([("--regime", "delta_zero"), ("--S", "5,10"), ("--N", "3"),
+                ("--q", "0.2"), ("--instances", "2"), ("--cycles", "2")],
+               ["--regime", "--S"]),
+    "parcel": ([("--corpus", "c.txt"), ("--policy", "no_flex"),
+                ("--tables", "t.txt")], ["--corpus", "--policy"]),
+}
+
+
+@pytest.mark.parametrize("command", list(SWEEP_FLAG_CASES))
+def test_sweep_model_flags_need_no_config_and_the_required_ones(
+        capsys, tmp_path, command):
+    flags, required = SWEEP_FLAG_CASES[command]
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: bins\npolicies: [no_flex]\n"
+                      "params: {T: 20}\nreplications: 1\n")
+    for flag, value in flags:
+        code, _, err = run_cli(capsys, command, "sweep", "--config",
+                               str(config), flag, value, "--out",
+                               str(tmp_path / "out"))
+        assert code == 2 and flag in err and "--config" in err
+    assert not (tmp_path / "out").exists()
+    for name in required:
+        argv = [arg for flag, value in flags if flag != name
+                for arg in (flag, value)]
+        code, _, err = run_cli(capsys, command, "sweep", *argv, "--out",
+                               str(tmp_path / "out"))
+        assert code == 2 and name in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bins", "run", "--policy", "static", "--T", "30"],
     ["bins", "sweep", "--policy", "static", "--T", "30"],
@@ -173,6 +245,16 @@ def test_missing_corpus_exits_1(capsys):
     code, _, err = run_cli(capsys, "parcel", "run", "--corpus",
                            "/nonexistent/corpus.txt", "--policy", "no_flex")
     assert code == 1
+
+
+def test_report_without_policy_column_exits_2(capsys, tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("schema_version,T,rep,final_gap\n1,50,0,1.5\n")
+    code, _, err = run_cli(capsys, "report", "--raw", str(raw), "--out",
+                           str(tmp_path / "report.csv"))
+    assert code == 2
+    assert str(raw) in err and "'policy'" in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_report_roundtrip(capsys, tmp_path):
@@ -238,6 +320,54 @@ def small_corpus(capsys, tmp_path):
                          "--epsilon", "10", "--seed", "0")
     assert code == 0
     return path
+
+
+def test_config_needing_tables_runs_no_day(capsys, tmp_path, small_corpus,
+                                           monkeypatch):
+    days = []
+    run_day = psim.run_day
+    monkeypatch.setattr(psim, "run_day",
+                        lambda *a, **kw: days.append(1) or run_day(*a, **kw))
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: parcel\npolicies: [no_flex, patient_dynamic]\n"
+                      f"params: {{corpus: {small_corpus}, T: 40}}\n"
+                      "replications: 2\n")
+    code, _, err = run_cli(capsys, "bins", "sweep", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "patient_dynamic" in err and "estimate-tables" in err
+    assert days == []
+
+
+def test_bins_and_opaque_configs_load_no_scipy():
+    # the parcel modules load scipy; the bins and opaque paths, and the
+    # benchmark's set-up of their workloads, must not
+    code = ("import sys\n"
+            "from endgame.harness import cli, runner\n"
+            "from endgame.harness.config import ExperimentConfig\n"
+            "ExperimentConfig(model='bins', policies=['static'],\n"
+            "                 params={'N': 5}, sweep={'T': [100]})\n"
+            "ExperimentConfig(model='opaque', policies=['dynamic'],\n"
+            "                 params={'S': 10})\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("zone", [5, -1])
+def test_corpus_zone_out_of_range_exits_2(capsys, tmp_path, small_corpus,
+                                          zone):
+    lines = small_corpus.read_text().splitlines(True)
+    x, y, u, _ = lines[-1].split()
+    lines[-1] = f"{x} {y} {u} {zone}\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(lines))
+    code, _, err = run_cli(capsys, "parcel", "run", "--corpus", str(bad),
+                           "--policy", "no_flex")
+    assert code == 2
+    assert (f"{bad}: line {len(lines)}: default zone {zone}" in err
+            and "2-zone" in err)
 
 
 @pytest.mark.parametrize("named,dropped", [

@@ -75,10 +75,10 @@ def test_cycle_length_bounds():
 def test_static_cycle_start_example():
     p = opaque.InventoryParams(N=5, S=201, q=0.1)
     assert p.horizon == 1001
-    start = opaque.static_cycle_start(p, 10.0)
+    start = bb.static_start(p.horizon, 10.0)
     assert abs(start - 170) <= 1
-    assert opaque.static_cycle_start(p, 10**6) == 0
-    assert opaque.static_cycle_start(p, 0.0) == p.horizon
+    assert bb.static_start(p.horizon, 10**6) == 0
+    assert bb.static_start(p.horizon, 0.0) == p.horizon
 
 
 def test_long_run_cost_closed_form_single_product():
