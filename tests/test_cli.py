@@ -166,8 +166,8 @@ SWEEP_FLAG_CASES = {
 
 
 @pytest.mark.parametrize("command", list(SWEEP_FLAG_CASES))
-def test_sweep_model_flags_need_no_config_and_the_required_ones(
-        capsys, tmp_path, command):
+def test_sweep_takes_model_flags_or_config_not_both(capsys, tmp_path,
+                                                   command):
     flags, required = SWEEP_FLAG_CASES[command]
     config = tmp_path / "exp.yaml"
     config.write_text("model: bins\npolicies: [no_flex]\n"
