@@ -7,7 +7,9 @@ stops at the first period in which a load reaches S (an opaque cycle is
 a ball run on depletion counts, stopped at the first stock-out).  Each
 row consumes its own per-category streams, so results are independent
 of block size and execution order; a block derives its rows' stream
-keys together and draws them on one re-keyed generator.
+keys together and draws them on one re-keyed generator.  Policies that
+share a model's arrivals run on one draw: each block is drawn once and
+every policy steps through it before the next is drawn.
 
 Loads depend on the policy only through its flex *events*: the flex
 arrivals it exerts on (for the unlatched dynamic policy, the flex
@@ -20,7 +22,7 @@ through the events only, adding the arrivals between events in bulk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,56 +63,80 @@ def run_many(policy: PolicySpec, params: ModelParams, reps: int,
              root_seed: int, *path) -> BatchResult:
     """Simulate ``reps`` independent horizons of one policy; replication
     ``rep`` consumes the streams addressed by ``(*path, rep)``."""
-    out = run_blocks(
-        policy, params.N, params.q, params.T, reps,
+    return run_policies([policy], params, reps, root_seed, *path)[0]
+
+
+def run_policies(policies, params: ModelParams, reps: int, root_seed: int,
+                 *path) -> list[BatchResult]:
+    """:func:`run_many` for each of ``policies``, on one draw of the
+    replications' arrivals that every policy runs on."""
+    outs = run_blocks(
+        policies, params.N, params.q, params.T, reps,
         lambda rep, exert, rng: draw_arrival_arrays(
             root_seed, params, *path, rep, exert=exert, rng=rng),
         keyed=(root_seed, path))
-    return BatchResult(final_gap=out.loads.max(axis=1) - params.T / params.N,
-                       flex_count=out.flex_count,
-                       first_trigger=out.first_trigger)
+    return [BatchResult(final_gap=out.loads.max(axis=1) - params.T / params.N,
+                        flex_count=out.flex_count,
+                        first_trigger=out.first_trigger) for out in outs]
 
 
-def run_blocks(policy: PolicySpec, N: int, q: float, T: int, n_rows: int,
-               draw, stop: int | None = None,
-               keyed: tuple | None = None) -> LockstepResult:
-    """Run ``n_rows`` rows of the kernel in blocks of equal size (within
-    one row) holding at most about ``_BLOCK_ELEMENTS`` draws and at most
-    ``_BLOCK_ROWS`` rows.
+def run_blocks(policies, N: int, q: float, T: int, n_rows: int, draw,
+               stop: int | None = None,
+               keyed: tuple | None = None) -> list[LockstepResult]:
+    """Run ``n_rows`` rows of the kernel for each of ``policies``, in
+    blocks of equal size (within one row) holding at most about
+    ``_BLOCK_ELEMENTS`` draws and at most ``_BLOCK_ROWS`` rows.  Each
+    block is drawn once and every policy runs on it before the next block
+    is drawn; returns one result per policy.
 
     ``draw(row, exert)`` returns the row's T-period :class:`ArrivalArrays`;
-    ``exert`` says whether the policy reads the ``exert_u`` stream.  With
+    ``exert`` says whether a policy reads the ``exert_u`` stream.  With
     ``keyed = (root_seed, path)`` row r draws from the streams of
     ``(root_seed, *path, r)``: the keys of a block's rows are derived
     together, and ``draw(row, exert, rng)`` gets the row's
     :class:`~endgame.streams.RowStreams`, all on one generator.  A block
-    keeps only the flex-sqrt-T decision ``exert_u < (T - t_hat)/T``.
+    keeps only the flex-sqrt-T decisions ``exert_u < (T - t_hat)/T``.
     """
     if n_rows < 1:
         raise ValueError(f"need at least one row, got {n_rows}")
-    _check_resolved(policy)
-    cut = (_sqrt_prob(T, policy.a_s) if policy.kind == FLEX_SQRT_T
-           else None)
+    for policy in policies:
+        _check_resolved(policy)
+    cuts = [_sqrt_prob(T, p.a_s) if p.kind == FLEX_SQRT_T else None
+            for p in policies]
+    # the policies that read exert_u run first, so that their decisions
+    # are freed before the others run
+    order = sorted(range(len(policies)), key=lambda i: cuts[i] is None)
     generator = keyed_generator() if keyed is not None else None
     cap = max(1, min(_BLOCK_ELEMENTS // max(T, 1), _BLOCK_ROWS))
     n_blocks = -(-n_rows // cap)
     bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
-    parts = [lockstep(policy, N, q,
-                      _fill_block(draw, lo, hi, cut, keyed, generator), stop)
-             for lo, hi in zip(bounds, bounds[1:])]
-    return LockstepResult(*(np.concatenate([getattr(p, f.name) for p in parts])
-                            for f in fields(LockstepResult)))
+    parts = [[] for _ in policies]
+    for lo, hi in zip(bounds, bounds[1:]):
+        block, decisions = _fill_block(
+            draw, lo, hi, sorted({c for c in cuts if c is not None}), keyed,
+            generator)
+        for i in order:
+            if cuts[i] is None:
+                decisions = None
+            parts[i].append(lockstep(
+                policies[i], N, q, block if cuts[i] is None
+                else replace(block, exert_u=decisions[cuts[i]]), stop))
+        del block, decisions  # one block is alive at a time
+    return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
+                             for f in fields(LockstepResult)))
+            for part in parts]
 
 
-def _fill_block(draw, lo: int, hi: int, cut: float | None,
-                keyed: tuple | None, generator) -> ArrivalArrays:
-    """Rows ``lo..hi-1`` of arrivals, each drawn straight into its row of
-    (rows, T) arrays allocated once per block; with ``cut`` set, the
-    ``exert_u`` rows hold the bool ``exert_u < cut``."""
-    exert = cut is not None
+def _fill_block(draw, lo: int, hi: int, cuts: list, keyed: tuple | None,
+                generator) -> tuple[ArrivalArrays, dict]:
+    """Rows ``lo..hi-1`` of arrivals without ``exert_u``, each drawn
+    straight into its row of (rows, T) arrays allocated once per block,
+    and for each flex-sqrt-T cut the bool rows ``exert_u < cut``; the
+    ``exert_u`` stream is drawn only when there are cuts."""
+    exert = bool(cuts)
     if keyed is not None:
         keys = arrival_keys(*keyed, np.arange(lo, hi), exert)
-    block = None
+    block = decisions = None
     for i, row in enumerate(range(lo, hi)):
         if keyed is None:
             drawn = draw(row, exert)
@@ -118,14 +144,16 @@ def _fill_block(draw, lo: int, hi: int, cut: float | None,
             drawn = draw(row, exert, RowStreams(
                 generator, {c: k[i] for c, k in keys.items()}))
         arrivals = dict(vars(drawn))
-        if exert:
-            arrivals["exert_u"] = arrivals["exert_u"] < cut
+        exert_u = arrivals.pop("exert_u")
         if block is None:
             block = {name: np.empty((hi - lo,) + a.shape, a.dtype)
-                     for name, a in arrivals.items() if a is not None}
+                     for name, a in arrivals.items()}
+            decisions = np.empty((len(cuts), hi - lo, len(drawn)), bool)
         for name, dst in block.items():
             dst[i] = arrivals[name]
-    return ArrivalArrays(**block)
+        for dst, cut in zip(decisions, cuts):
+            dst[i] = exert_u < cut
+    return ArrivalArrays(**block), dict(zip(cuts, decisions))
 
 
 def _check_resolved(policy: PolicySpec) -> None:

@@ -24,27 +24,38 @@ import numpy as np
 
 from .. import balls_bins, bins_engine, opaque
 from ..streams import resolve_root_seed
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import (ConfigError, ExperimentConfig, arrival_path,
+                     load_config)
 from .plots import emit_plot_data
 from .runner import run_experiment, write_csv, write_summary
 
 
+# most points a range grid may ask for; it is refused before any is made
+MAX_GRID_POINTS = 10_000
+
+
 def parse_grid(text: str) -> list[int]:
     """Parse a sweep grid: 'lo:hi:logN' (geometric), 'lo:hi:N' (linear),
-    or a comma-separated list.  Anything else raises ValueError."""
+    or a comma-separated list.  Anything else, or a range of more than
+    ``MAX_GRID_POINTS`` points, raises ValueError."""
     if ":" in text:
         lo, hi, n = text.split(":")
         lo, hi = float(lo), float(hi)
         if not (abs(lo) < 2.0**63 and abs(hi) < 2.0**63):  # nan, inf too
             raise ValueError(f"grid {text!r}: bounds must be finite and "
                              "fit in a 64-bit integer")
-        if n.startswith("log"):
+        geometric = n.startswith("log")
+        count = int(n[3:] if geometric else n)
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r}: {count} points, more than "
+                             f"{MAX_GRID_POINTS}")
+        if geometric:
             if min(lo, hi) <= 0 <= max(lo, hi):
                 raise ValueError(f"grid {text!r}: a geometric grid needs "
                                  "nonzero bounds of one sign")
-            pts = np.rint(np.geomspace(lo, hi, int(n[3:])))
+            pts = np.rint(np.geomspace(lo, hi, count))
         else:
-            pts = np.rint(np.linspace(lo, hi, int(n)))
+            pts = np.rint(np.linspace(lo, hi, count))
         # rounding may repeat a point; keep the first of each run
         out = [int(v) for i, v in enumerate(pts) if i == 0 or v != pts[i - 1]]
     else:
@@ -186,8 +197,8 @@ def cmd_bins_run(args) -> int:
         params, _preset(args))
     seed = resolve_root_seed(args.seed)
     # one row on the stream path ()
-    out = bins_engine.run_blocks(
-        spec, args.N, args.q, args.T, 1,
+    out, = bins_engine.run_blocks(
+        [spec], args.N, args.q, args.T, 1,
         lambda _, exert: bins_engine.draw_arrival_arrays(seed, params,
                                                          exert=exert))
     trigger = int(out.first_trigger[0])
@@ -205,7 +216,7 @@ def cmd_opaque_run(args) -> int:
         balls_bins.PolicySpec(kind=args.policy), params, _preset(args))
     R, D = opaque.simulate_cycles(spec, params, args.cycles,
                                   resolve_root_seed(args.seed),
-                                  "opaque", args.policy, args.S)
+                                  *arrival_path("opaque", params))
     est = opaque.long_run_cost(R, D, params)
     _print_row([("policy", args.policy), ("S", args.S),
                 ("regime", args.regime), ("cost", est.total),

@@ -23,6 +23,23 @@ MODEL_PARAMS = {
                "a_d": float, "corpus": str, "tables": str},
 }
 
+# parameters that shape a model's arrivals: a replication's streams are
+# addressed by these alone, so every policy and every cost or policy
+# constant of a sweep runs on the same arrivals
+ARRIVAL_PARAMS = {"bins": ("T", "N", "q"), "opaque": ("N", "S", "q"),
+                  "parcel": ("T",)}
+
+
+def arrival_path(model: str, params) -> tuple:
+    """The stream path ``(model, "k=v", ...)`` of a model's arrivals, from
+    the resolved ``params`` object (defaults included) by the attributes
+    :data:`ARRIVAL_PARAMS` names, each in its parameter's type; a
+    replication appends its index."""
+    types = MODEL_PARAMS[model]
+    return (model,) + tuple(f"{name}={types[name](getattr(params, name))}"
+                            for name in ARRIVAL_PARAMS[model])
+
+
 # parameters a model cannot run without, set under "params:" or "sweep:"
 REQUIRED_PARAMS = {"bins": ("T",), "opaque": ("S",), "parcel": ("corpus",)}
 

@@ -1,11 +1,13 @@
 """Experiment execution: sweep-cell expansion, replication scheduling,
 and CSV emission.
 
-Each cell derives its random streams from the root seed plus its own
-coordinates (model, policy, parameter values, replication index), so
-changing one cell never perturbs another and results are identical at
-any parallelism degree.  Aggregation is an ordered reduce over the cell
-list.
+A replication's random streams derive from the root seed, the model,
+the values of the parameters that shape its arrivals
+(:data:`~endgame.harness.config.ARRIVAL_PARAMS`) and its index, so every
+policy of a sweep runs on the same arrivals, and results are identical
+at any parallelism degree.  Cells with the same arrival path and row
+count run as one job on one draw of their arrivals.  Aggregation is an
+ordered reduce over the cell list.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .. import balls_bins, bins_engine, opaque
 from ..streams import resolve_root_seed
-from .config import DEFAULT_REPLICATIONS, ExperimentConfig
+from .config import DEFAULT_REPLICATIONS, ExperimentConfig, arrival_path
 from .stats import summarize
 
 SCHEMA_VERSION = 1
@@ -55,57 +57,88 @@ def _policy_dict(policy) -> dict:
     return dict(policy)
 
 
-def _cell_tokens(policy: dict, params: dict) -> tuple:
-    """Canonical stream-path coordinates of one cell."""
-    tokens = [f"policy={policy['kind']}"]
-    tokens += [f"{k}={params[k]}" for k in sorted(params)]
-    return tuple(tokens)
-
-
 def run_cell(model: str, policy: dict, params: dict, reps: int,
              root_seed: int, preset: str) -> list[dict]:
     """Execute one cell and return its raw rows."""
+    if model == "parcel":
+        return _run_parcel_cell(policy, params, reps, root_seed)
+    return run_group(model, [(policy, params)], reps, root_seed, preset)[0]
+
+
+def run_group(model: str, cells: list, reps: int, root_seed: int,
+              preset: str) -> list[list[dict]]:
+    """Execute the cells ``[(policy, params), ...]`` of one group of
+    :func:`_group_key` on one draw of their arrivals, each distinct
+    resolved policy once; returns each cell's raw rows."""
+    if model == "parcel":
+        return [run_cell(model, policy, params, reps, root_seed, preset)
+                for policy, params in cells]
+    resolved = [_resolve(model, policy, params, preset)
+                for policy, params in cells]
+    specs = list(dict.fromkeys(spec for _, spec in resolved))
+    mp = resolved[0][0]
+    path = arrival_path(model, mp)
+    n_rows = _rows(model, cells[0][1], reps)
     if model == "bins":
-        rows = _run_bins_cell(policy, params, reps, root_seed, preset)
-    elif model == "opaque":
-        rows = _run_opaque_cell(policy, params, reps, root_seed, preset)
-    elif model == "parcel":
-        rows = _run_parcel_cell(policy, params, reps, root_seed)
+        outs = bins_engine.run_policies(specs, mp, n_rows, root_seed, *path)
     else:
-        raise ValueError(f"unknown model {model!r}")
-    return rows
+        outs = opaque.simulate_policies(specs, mp, n_rows, root_seed, *path)
+    by_spec = dict(zip(specs, outs))
+    return [_raw_rows(model, policy, params, reps, by_spec[spec])
+            for (policy, params), (_, spec) in zip(cells, resolved)]
 
 
-def _run_bins_cell(policy, params, reps, root_seed, preset):
-    model = balls_bins.ModelParams(T=params["T"], N=params.get("N", 2),
-                                   q=params.get("q", 1.0))
-    spec = balls_bins.PolicySpec(
-        kind=policy["kind"], a_s=policy.get("a_s"), a_d=policy.get("a_d"),
-        latched=bool(policy.get("latched", False)))
-    spec = balls_bins.resolve_policy(spec, model, preset)
-    path = ("bins",) + _cell_tokens(policy, params)
-    batch = bins_engine.run_many(spec, model, reps, root_seed, *path)
-    return [{"policy": policy["kind"], **params, "rep": rep,
-             "final_gap": float(batch.final_gap[rep]),
-             "flex_count": int(batch.flex_count[rep]),
-             "first_trigger": int(batch.first_trigger[rep])}
-            for rep in range(reps)]
-
-
-def _run_opaque_cell(policy, params, reps, root_seed, preset):
-    cycles = params.get("cycles_per_instance", 10)
-    inv = opaque.eoq_params(params.get("N", 5), params["S"],
-                            params.get("q", 0.1),
-                            params.get("regime", "delta_zero"))
-    spec = opaque.resolve_opaque_policy(
-        balls_bins.PolicySpec(kind=policy["kind"], a_s=policy.get("a_s"),
-                              a_d=policy.get("a_d")), inv, preset)
-    path = ("opaque",) + _cell_tokens(policy, params)
-    R, D = opaque.simulate_cycles(spec, inv, reps * cycles, root_seed, *path)
+def _raw_rows(model: str, policy: dict, params: dict, reps: int,
+              out) -> list[dict]:
+    """A bins or opaque cell's raw rows from its policy's outcomes."""
+    if model == "bins":
+        return [{"policy": policy["kind"], **params, "rep": rep,
+                 "final_gap": float(out.final_gap[rep]),
+                 "flex_count": int(out.flex_count[rep]),
+                 "first_trigger": int(out.first_trigger[rep])}
+                for rep in range(reps)]
+    R, D = out
+    cycles = len(R) // reps
     return [{"policy": policy["kind"], **params,
              "rep": c // cycles, "cycle": c % cycles,
              "R": int(R[c]), "D": int(D[c])}
-            for c in range(reps * cycles)]
+            for c in range(len(R))]
+
+
+def _resolve(model: str, policy: dict, params: dict, preset: str) -> tuple:
+    """A bins or opaque cell's model parameters, defaults filled in, and
+    its resolved policy."""
+    if model == "bins":
+        mp = balls_bins.ModelParams(T=params["T"], N=params.get("N", 2),
+                                    q=params.get("q", 1.0))
+        spec = balls_bins.PolicySpec(
+            kind=policy["kind"], a_s=policy.get("a_s"),
+            a_d=policy.get("a_d"), latched=bool(policy.get("latched", False)))
+        return mp, balls_bins.resolve_policy(spec, mp, preset)
+    if model == "opaque":
+        mp = opaque.eoq_params(params.get("N", 5), params["S"],
+                               params.get("q", 0.1),
+                               params.get("regime", "delta_zero"))
+        spec = balls_bins.PolicySpec(kind=policy["kind"],
+                                     a_s=policy.get("a_s"),
+                                     a_d=policy.get("a_d"))
+        return mp, opaque.resolve_opaque_policy(spec, mp, preset)
+    raise ValueError(f"unknown model {model!r}")
+
+
+def _rows(model: str, params: dict, reps: int) -> int:
+    """Rows a cell runs: replications, or for opaque their cycles."""
+    if model == "opaque":
+        return reps * params.get("cycles_per_instance", 10)
+    return reps
+
+
+def _group_key(model: str, policy: dict, params: dict, reps: int,
+               preset: str) -> tuple:
+    """Bins or opaque cells with the same arrival path and row count run
+    as one group."""
+    mp, _ = _resolve(model, policy, params, preset)
+    return arrival_path(model, mp), _rows(model, params, reps)
 
 
 def _load_parcel_inputs(params):
@@ -133,7 +166,8 @@ def _run_parcel_cell(policy, params, reps, root_seed):
               if k not in ("corpus", "tables")}
     pp = psim.ParcelParams(N=corpus.n_zones, **fields)
     spec = psim.ParcelPolicy(kind=policy["kind"])
-    tokens = _cell_tokens(policy, fields)
+    # run_day puts the model name in front of its stream path itself
+    tokens = arrival_path("parcel", pp)[1:]
     rows = []
     for rep in range(reps):
         rec = psim.run_day(spec, corpus, pp, tables, root_seed=root_seed,
@@ -153,8 +187,8 @@ def _run_parcel_cell(policy, params, reps, root_seed):
     return rows
 
 
-def _cell_worker(args):
-    return run_cell(*args)
+def _group_worker(args):
+    return run_group(*args)
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1,
@@ -167,19 +201,28 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
     out_dir = out_dir or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    cells = expand_cells(config)
-    jobs = []
-    for cell in cells:
-        params = dict(config.params)
-        params.update(cell["overrides"])
-        jobs.append((config.model, _policy_dict(cell["policy"]), params,
-                     reps, root_seed, config.preset))
+    groups = {}  # group key -> indices into cells, in first-seen order
+    cells = []
+    for i, cell in enumerate(expand_cells(config)):
+        policy = _policy_dict(cell["policy"])
+        params = {**config.params, **cell["overrides"]}
+        cells.append((policy, params))
+        # a parcel cell runs alone
+        key = (i if config.model == "parcel" else
+               _group_key(config.model, policy, params, reps, config.preset))
+        groups.setdefault(key, []).append(i)
+    jobs = [(config.model, [cells[i] for i in members], reps, root_seed,
+             config.preset) for members in groups.values()]
 
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            per_cell = list(pool.map(_cell_worker, jobs))
+            per_group = list(pool.map(_group_worker, jobs))
     else:
-        per_cell = [_cell_worker(job) for job in jobs]
+        per_group = [_group_worker(job) for job in jobs]
+    per_cell = [None] * len(cells)
+    for members, outs in zip(groups.values(), per_group):
+        for i, rows in zip(members, outs):
+            per_cell[i] = rows
 
     raw_rows = [row for rows in per_cell for row in rows]
     metrics = RAW_METRICS[config.model]

@@ -20,6 +20,7 @@ from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX,
                          PRESET_NUMERICS, STATIC, ModelParams, PolicySpec,
                          draw_raw_arrays, theory_a_s)
 from .bins_engine import run_blocks
+from .harness.config import arrival_path
 
 NUMERICS_C_S = 10.0
 NUMERICS_C_D = 0.7
@@ -102,13 +103,20 @@ def simulate_cycles(policy: PolicySpec, params: InventoryParams,
     streams addressed by (*path, c), so results are independent of
     n_cycles batching.
     """
+    return simulate_policies([policy], params, n_cycles, root_seed, *path)[0]
+
+
+def simulate_policies(policies, params: InventoryParams, n_cycles: int,
+                      root_seed: int, *path) -> list[tuple]:
+    """:func:`simulate_cycles` for each of ``policies``, on one draw of
+    the cycles' arrivals that every policy runs on."""
     N, q, T = params.N, params.q, params.horizon
-    out = run_blocks(
-        policy, N, q, T, n_cycles,
+    outs = run_blocks(
+        policies, N, q, T, n_cycles,
         lambda c, exert, rng: draw_raw_arrays(root_seed, N, q, T, *path, c,
                                               exert=exert, rng=rng),
         stop=params.S, keyed=(root_seed, path))
-    return out.stop_time, out.flex_count
+    return [(out.stop_time, out.flex_count) for out in outs]
 
 
 def long_run_cost(R, D, params: InventoryParams,
@@ -191,28 +199,29 @@ def regime_sweep(regime: str, S_grid, *, N: int = 5, q: float = 0.1,
                  cycle_cache: dict | None = None):
     """Tabulate C - C* for each policy over an ascending S grid.
 
-    ``cycle_cache`` maps (policy kind, S) -> (R, D) arrays so the same
-    cycle simulations can be shared across regimes (the dynamics do not
-    depend on K, h, delta).
+    Every policy runs on the same cycles' arrivals, those of
+    ``arrival_path("opaque", ...)`` at each S.  ``cycle_cache`` maps
+    (policy kind, S) -> (R, D) arrays so the same cycle simulations can
+    be shared across regimes (the dynamics do not depend on K, h, delta).
     """
     if list(S_grid) != sorted(S_grid):
         raise ValueError("S_grid must be ascending")
+    cache = {} if cycle_cache is None else cycle_cache
     rows = []
     for S in S_grid:
         params = eoq_params(N, S, q, regime)
         c_star = lower_bound(params)
+        missing = [kind for kind in policies if (kind, S) not in cache]
+        if missing:
+            specs = [resolve_opaque_policy(PolicySpec(kind=kind), params,
+                                           preset) for kind in missing]
+            cycles = simulate_policies(
+                specs, params, instances * cycles_per_instance, root_seed,
+                *arrival_path("opaque", params))
+            cache.update(((kind, S), out)
+                         for kind, out in zip(missing, cycles))
         for kind in policies:
-            key = (kind, S)
-            if cycle_cache is not None and key in cycle_cache:
-                R, D = cycle_cache[key]
-            else:
-                policy = resolve_opaque_policy(PolicySpec(kind=kind), params,
-                                               preset)
-                n = instances * cycles_per_instance
-                R, D = simulate_cycles(policy, params, n, root_seed,
-                                       "opaque", kind, S)
-                if cycle_cache is not None:
-                    cycle_cache[key] = (R, D)
+            R, D = cache[(kind, S)]
             est = long_run_cost(R, D, params, n_groups=instances)
             rows.append({
                 "regime": regime, "S": S, "policy": kind,

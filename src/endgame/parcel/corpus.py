@@ -127,49 +127,81 @@ def save_corpus(corpus: Corpus, path) -> None:
         fh.write(buf.getvalue())
 
 
+def read_lines(path) -> list[str]:
+    """The stripped lines of a text file; bytes that are not text raise
+    ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            return [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text file ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
+def _header_value(path, header: dict, key: str, parse):
+    """``parse`` of the ``# key`` header's text; a missing header or one
+    ``parse`` refuses raises ValueError naming the file."""
+    if key not in header:
+        raise ValueError(f"{path}: missing '# {key}' header")
+    try:
+        return parse(header[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: '# {key}' header {header[key]!r}: "
+                         f"{exc}") from None
+
+
+def _finite_pair(text: str) -> np.ndarray:
+    pair = np.array([float(v) for v in text.split()])
+    if pair.shape != (2,) or not np.isfinite(pair).all():
+        raise ValueError("expected two finite numbers")
+    return pair
+
+
 def load_corpus(path) -> Corpus:
+    """Read a corpus file; malformed content raises ValueError naming the
+    file and, for a package or center line, the line."""
     header = {}
     centers = {}
     rows = []
     linenos = []  # of the package lines
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("#"):
-                    parts = line[1:].split(None, 1)
-                    if not parts:
-                        continue
-                    key = parts[0]
-                    rest = parts[1] if len(parts) > 1 else ""
-                    if key == "center":
-                        j, cx, cy = rest.split()
-                        centers[int(j)] = (float(cx), float(cy))
-                    else:
-                        header[key] = rest
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split(None, 1)
+                if not parts:
                     continue
-                x, y, u, z = line.split()
-                rows.append((float(x), float(y), float(u), int(z)))
-                linenos.append(lineno)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: malformed line {lineno}: {line!r}") from None
+                key = parts[0]
+                rest = parts[1] if len(parts) > 1 else ""
+                if key == "center":
+                    j, center = rest.split(None, 1)
+                    centers[int(j)] = _finite_pair(center)
+                else:
+                    header[key] = rest
+                continue
+            x, y, u, z = line.split()
+            row = (float(x), float(y), float(u))
+            if not (np.isfinite(row).all() and row[2] >= 0):
+                raise ValueError
+            rows.append(row + (int(z),))
+            linenos.append(lineno)
+        except ValueError:
+            raise ValueError(
+                f"{path}: malformed line {lineno}: {line!r}") from None
     if header.get("format") != CORPUS_FORMAT:
-        raise ValueError(
-            f"unrecognized corpus format tag {header.get('format')!r}")
-    for key in ("seed", "depot", "zones", "spec"):
-        if key not in header:
-            raise ValueError(f"{path}: missing '# {key}' header")
-    n = int(header["zones"])
+        raise ValueError(f"{path}: unrecognized corpus format tag "
+                         f"{header.get('format')!r}")
+    seed = _header_value(path, header, "seed", int)
+    depot = _header_value(path, header, "depot", _finite_pair)
+    n = _header_value(path, header, "zones", int)
+    spec = _header_value(path, header, "spec",
+                         lambda text: GeometrySpec(**json.loads(text)))
     for j in range(n):
         if j not in centers:
             raise ValueError(f"{path}: missing '# center {j}' line")
     if not rows:
         raise ValueError(f"{path}: no package lines")
-    spec = GeometrySpec(**json.loads(header["spec"]))
-    depot = np.array([float(v) for v in header["depot"].split()])
     center_arr = np.array([centers[j] for j in range(n)])
     data = np.array(rows)
     zone = data[:, 3].astype(np.int64)
@@ -179,5 +211,4 @@ def load_corpus(path) -> Corpus:
             f"{path}: line {linenos[bad[0]]}: default zone {zone[bad[0]]} "
             f"is outside [0, {n}) of a {n}-zone corpus")
     return Corpus(points=data[:, :2], unload=data[:, 2], default_zone=zone,
-                  centers=center_arr, depot=depot,
-                  seed=int(header["seed"]), spec=spec)
+                  centers=center_arr, depot=depot, seed=seed, spec=spec)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, read_lines
 from .simulate import NO_FLEX, ParcelParams, ParcelPolicy, flex_set_of, run_day
 from .tsp import insertion_delta, removal_delta
 
@@ -115,31 +115,31 @@ def save_tables(tables: FlexTables, path) -> None:
 
 
 def load_tables(path) -> FlexTables:
+    """Read a flex-table file; malformed content raises ValueError naming
+    the file."""
     blocks = {}
     kinds = {}  # block name -> "matrix" or "vector"
     current = None
     fmt = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if parts[0] == "format":
+                    fmt = parts[1]
+                elif parts[0] in ("matrix", "vector"):
+                    current = parts[1]
+                    blocks[current] = []
+                    kinds[current] = parts[0]
                 continue
-            try:
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if parts[0] == "format":
-                        fmt = parts[1]
-                    elif parts[0] in ("matrix", "vector"):
-                        current = parts[1]
-                        blocks[current] = []
-                        kinds[current] = parts[0]
-                    continue
-                blocks[current].append([float(v) for v in line.split()])
-            except (IndexError, KeyError, ValueError):
-                raise ValueError(
-                    f"{path}: malformed line {lineno}: {line!r}") from None
+            blocks[current].append([float(v) for v in line.split()])
+        except (IndexError, KeyError, ValueError):
+            raise ValueError(
+                f"{path}: malformed line {lineno}: {line!r}") from None
     if fmt != TABLES_FORMAT:
-        raise ValueError(f"unrecognized tables format tag {fmt!r}")
+        raise ValueError(f"{path}: unrecognized tables format tag {fmt!r}")
     for name in ("inc", "ser", "arrival_prob"):
         if not blocks.get(name):
             raise ValueError(f"{path}: missing block {name!r}")
@@ -149,8 +149,14 @@ def load_tables(path) -> FlexTables:
         if len(rows) != n_rows or any(len(row) != N for row in rows):
             raise ValueError(f"{path}: {kinds[name]} {name!r} is not "
                              f"{n_rows}x{N}")
-    n_obs = (np.array(blocks["n_obs"], dtype=np.int64)
-             if "n_obs" in blocks else None)
+    n_obs = None
+    if "n_obs" in blocks:
+        counts = np.array(blocks["n_obs"])
+        if not (np.isfinite(counts).all() and (counts >= 0).all()
+                and (counts == np.rint(counts)).all()):
+            raise ValueError(f"{path}: matrix 'n_obs' holds a value that is "
+                             "not a count")
+        n_obs = counts.astype(np.int64)
     return FlexTables(inc=np.array(blocks["inc"]),
                       ser=np.array(blocks["ser"]),
                       arrival_prob=np.array(blocks["arrival_prob"][0]),

@@ -5,10 +5,11 @@ derived from a single root seed.  A stream is addressed by a path of labels
 (strings or ints); the same path always yields the same stream, and distinct
 paths yield statistically independent streams.  Two runs share draws exactly
 when their paths agree, so a caller couples what it addresses alike: a
-replication's arrival categories are fixed by (root seed, model path, rep),
-and every cell of a sweep is independent of every other cell's parameters.
-Sweeps today put the policy kind into the path, so their policies do not
-share arrivals.
+replication's arrival categories are fixed by (root seed, model path, rep).
+Sweeps build the model path from the model and the values of the
+parameters that shape its arrivals (``harness.config.arrival_path``), so
+every policy and every cost constant of a sweep runs on common random
+numbers, and cells that differ in an arrival parameter are independent.
 
 :func:`stream` is the reference: a ``SeedSequence`` of the path's integers
 feeding a ``Philox``.  A Philox stream is fixed by its 128-bit key, the

@@ -178,8 +178,8 @@ def test_conservation_and_gap_bounds():
     p = bb.ModelParams(T=150, N=4, q=0.4)
     for kind in bb.POLICY_KINDS:
         spec = bb.resolve_policy(bb.PolicySpec(kind=kind), p, "numerics")
-        out = be.run_blocks(
-            spec, p.N, p.q, p.T, 5,
+        out, = be.run_blocks(
+            [spec], p.N, p.q, p.T, 5,
             lambda rep, exert: bb.draw_arrival_arrays(9, p, rep, exert=exert))
         assert (out.loads.sum(axis=1) == p.T).all()
         assert (out.stop_time == p.T).all()
@@ -315,6 +315,22 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name))
 
 
+@pytest.mark.parametrize("block_rows", [3, be._BLOCK_ROWS])
+def test_run_policies_equals_run_many_per_policy(monkeypatch, block_rows):
+    monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
+    p = bb.ModelParams(T=140, N=4, q=0.3)
+    specs = [bb.resolve_policy(bb.PolicySpec(kind=kind, latched=latched), p,
+                               "numerics")
+             for kind, latched in zip(bb.POLICY_KINDS,
+                                      (False, False, False, True, False))]
+    together = be.run_policies(specs, p, 8, 6, "shared")
+    assert len(together) == len(specs)
+    for spec, batch in zip(specs, together):
+        alone = be.run_many(spec, p, 8, 6, "shared")
+        for name in ("final_gap", "flex_count", "first_trigger"):
+            assert np.array_equal(getattr(batch, name), getattr(alone, name))
+
+
 def test_benchmark_trace_points_see_every_draw(monkeypatch):
     """The benchmark times draws through these module attributes, and the
     two engine entry points must not call each other.  Stream keys are
@@ -355,3 +371,11 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
     assert calls == {"run_many": 1, "draw_arrival_arrays": 7,
                      "simulate_cycles": 1, "draw_raw_arrays": 5}
     assert key_calls == [(c, n) for n in (2, 3) for c in static_categories]
+    # five policies draw each row once, with the exert stream for
+    # flex_sqrt_t, and derive each block's keys once per category
+    key_calls.clear()
+    specs = [bb.resolve_policy(bb.PolicySpec(kind=kind), p, "numerics")
+             for kind in bb.POLICY_KINDS]
+    be.run_policies(specs, p, 7, 0, "trace")
+    assert calls["draw_arrival_arrays"] == 7 + 7
+    assert key_calls == [(c, n) for n in (2, 2, 3) for c in bb.CATEGORIES]

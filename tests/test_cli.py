@@ -32,6 +32,29 @@ def test_parse_grid_refuses_points_outside_int64(text):
         cli.parse_grid(text)
 
 
+@pytest.mark.parametrize("text", ["1:2:1000000000", "1:2:log1000000000",
+                                  "0:9:10001"])
+def test_parse_grid_refuses_huge_ranges_before_allocating(monkeypatch, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    monkeypatch.setattr(cli.np, "geomspace", refuse)
+    with pytest.raises(ValueError, match="more than 10000"):
+        cli.parse_grid(text)
+
+
+def test_parse_grid_keeps_grids_up_to_the_cap(capsys, tmp_path):
+    assert cli.parse_grid("50:800:log8") == [50, 74, 110, 164, 244, 362,
+                                             538, 800]
+    assert cli.parse_grid("10:30:3") == [10, 20, 30]
+    assert cli.parse_grid("1:2:5") == [1, 2]
+    assert cli.parse_grid(f"1:{cli.MAX_GRID_POINTS}:"
+                          f"{cli.MAX_GRID_POINTS}")[-1] == 10_000
+    code, _, err = run_cli(capsys, "bins", "sweep", "--policy", "no_flex",
+                           "--T", "1:2:1000000000", "--out", str(tmp_path))
+    assert code == 2 and "more than 10000" in err
+
+
 _bound = st.one_of(st.integers(-10**20, 10**20).map(str),
                    st.floats().map(repr), st.text(max_size=6))
 _grid_text = st.one_of(

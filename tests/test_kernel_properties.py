@@ -40,8 +40,8 @@ def test_kernel_matches_oracle_and_invariants(chunk, case):
         mp.setattr(be, "_CHUNK", chunk)
         # the uniforms of exert_u, and the bool decisions of a block
         outs = [be.lockstep(spec, N, q, oracle.stack_arrivals(rows), stop),
-                be.run_blocks(spec, N, q, T, len(rows),
-                              lambda row, exert: rows[row], stop)]
+                be.run_blocks([spec], N, q, T, len(rows),
+                              lambda row, exert: rows[row], stop)[0]]
     refs = [oracle.run(spec, N, q, arrivals, stop) for arrivals in rows]
     for out in outs:
         for r, (arrivals, ref) in enumerate(zip(rows, refs)):

@@ -6,6 +6,7 @@ import pytest
 
 import oracle
 from endgame import balls_bins as bb
+from endgame import bins_engine as be
 from endgame import opaque
 
 
@@ -159,6 +160,19 @@ def test_simulate_cycles_matches_oracle(N, S, q):
             arr = bb.draw_raw_arrays(11, N, q, p.horizon, "oracle", kind, c)
             rec = oracle.run(spec, N, q, arr, stop=S)
             assert (R[c], D[c]) == (rec.stop_time, rec.flex_count)
+
+
+@pytest.mark.parametrize("block_rows", [3, be._BLOCK_ROWS])
+def test_simulate_policies_equals_simulate_cycles(monkeypatch, block_rows):
+    monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
+    p = opaque.InventoryParams(N=4, S=15, q=0.3)
+    specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
+             for kind in opaque.OPAQUE_POLICIES]
+    together = opaque.simulate_policies(specs, p, 9, 8, "shared")
+    assert len(together) == len(specs)
+    for spec, (R, D) in zip(specs, together):
+        R1, D1 = opaque.simulate_cycles(spec, p, 9, 8, "shared")
+        assert np.array_equal(R, R1) and np.array_equal(D, D1)
 
 
 def test_renewal_consistency_pooled_moments():
