@@ -67,9 +67,10 @@ def run_cell(model: str, policy: dict, params: dict, reps: int,
 
 def run_group(model: str, cells: list, reps: int, root_seed: int,
               preset: str) -> list[list[dict]]:
-    """Execute the cells ``[(policy, params), ...]`` of one group of
-    :func:`_group_key` on one draw of their arrivals, each distinct
-    resolved policy once; returns each cell's raw rows."""
+    """Execute the cells ``[(policy, params), ...]`` that share one
+    arrival path and row count on one draw of their arrivals, each
+    distinct resolved policy once; returns each cell's raw rows.  A
+    parcel group is one cell."""
     if model == "parcel":
         return [run_cell(model, policy, params, reps, root_seed, preset)
                 for policy, params in cells]
@@ -131,14 +132,6 @@ def _rows(model: str, params: dict, reps: int) -> int:
     if model == "opaque":
         return reps * params.get("cycles_per_instance", 10)
     return reps
-
-
-def _group_key(model: str, policy: dict, params: dict, reps: int,
-               preset: str) -> tuple:
-    """Bins or opaque cells with the same arrival path and row count run
-    as one group."""
-    mp, _ = _resolve(model, policy, params, preset)
-    return arrival_path(model, mp), _rows(model, params, reps)
 
 
 def _load_parcel_inputs(params):
@@ -207,9 +200,12 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
         policy = _policy_dict(cell["policy"])
         params = {**config.params, **cell["overrides"]}
         cells.append((policy, params))
-        # a parcel cell runs alone
-        key = (i if config.model == "parcel" else
-               _group_key(config.model, policy, params, reps, config.preset))
+        if config.model == "parcel":
+            key = i  # a parcel cell runs alone
+        else:
+            mp, _ = _resolve(config.model, policy, params, config.preset)
+            key = (arrival_path(config.model, mp),
+                   _rows(config.model, params, reps))
         groups.setdefault(key, []).append(i)
     jobs = [(config.model, [cells[i] for i in members], reps, root_seed,
              config.preset) for members in groups.values()]

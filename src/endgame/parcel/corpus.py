@@ -127,15 +127,16 @@ def save_corpus(corpus: Corpus, path) -> None:
         fh.write(buf.getvalue())
 
 
-def read_lines(path) -> list[str]:
-    """The stripped lines of a text file; bytes that are not text raise
-    ValueError naming the file."""
-    try:
-        with open(path) as fh:
-            return [line.strip() for line in fh]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not a text file ({exc.reason} at byte "
-                         f"{exc.start})") from None
+def read_lines(path):
+    """The stripped lines of a text file, one at a time; bytes that are
+    not text raise ValueError naming the file."""
+    with open(path) as fh:
+        try:
+            for line in fh:
+                yield line.strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a text file ({exc.reason} at "
+                             f"byte {exc.start})") from None
 
 
 def _header_value(path, header: dict, key: str, parse):
@@ -181,10 +182,7 @@ def load_corpus(path) -> Corpus:
                     header[key] = rest
                 continue
             x, y, u, z = line.split()
-            row = (float(x), float(y), float(u))
-            if not (np.isfinite(row).all() and row[2] >= 0):
-                raise ValueError
-            rows.append(row + (int(z),))
+            rows.append((float(x), float(y), float(u), int(z)))
             linenos.append(lineno)
         except ValueError:
             raise ValueError(
@@ -204,6 +202,12 @@ def load_corpus(path) -> Corpus:
         raise ValueError(f"{path}: no package lines")
     center_arr = np.array([centers[j] for j in range(n)])
     data = np.array(rows)
+    bad = np.flatnonzero(~(np.isfinite(data[:, :3]).all(axis=1)
+                           & (data[:, 2] >= 0)))
+    if bad.size:
+        raise ValueError(f"{path}: line {linenos[bad[0]]}: a coordinate or "
+                         "the unloading time is not finite, or the "
+                         "unloading time is negative")
     zone = data[:, 3].astype(np.int64)
     bad = np.flatnonzero((zone < 0) | (zone >= n))
     if bad.size:
