@@ -3,6 +3,7 @@ sweep axes, and run settings.  CLI flags may override the run settings."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -133,19 +134,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _coerce(where: str, kind: type, value):
-    """``value`` as a ``kind``; an int parameter takes only integral
-    numbers, so that 200 and 200.0 name the same cell."""
+    """``value`` as a ``kind``; a number must be finite, and an int
+    parameter takes only integral numbers, so that 200 and 200.0 name
+    the same cell."""
     if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{where}: expected a string, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if kind is int:
-        if not float(value).is_integer():
+        if not number.is_integer():
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
         return int(value)
-    return float(value)
+    return number
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

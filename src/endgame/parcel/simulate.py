@@ -6,7 +6,12 @@ time is tracked approximately between full TSP re-solves (every M1
 arrivals) by adding, per assignment, twice the distance to the nearest
 already-assigned stop (or the depot for an empty truck).  Only the
 policies that read travel time re-solve mid-day; every day ends with a
-re-solve for every truck.
+re-solve for every truck.  A truck's first mid-day re-solve is built
+cold (nearest-neighbor, then 2-opt); each later one is warm: it starts
+from the truck's previous tour, cheapest-inserts the stops added since,
+then runs 2-opt.  The end-of-day re-solve is always cold, so the
+reported travel hours and tours are the cold route of each truck's
+stops.
 
 Policies:
 
@@ -74,8 +79,10 @@ class ParcelParams:
     def __post_init__(self):
         for name in ("c_r", "c_o", "h_max", "N", "T", "speed", "flex_km",
                      "oblivious_radius_km", "M1", "M2", "a_d"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +214,8 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
     for t in range(T):
         if reads_travel and t > 0 and t % params.M1 == 0:
             for k in range(N):
-                tours[k], y_r[k] = tsp_route(stops_of(k), depot, speed)
+                tours[k], y_r[k] = tsp_route(stops_of(k), depot, speed,
+                                             start=tours[k])
 
         pkg = pts[t]
         u = unloads[t]

@@ -1,5 +1,10 @@
-"""Tour construction for truck routes: nearest-neighbor + 2-opt heuristic,
-plus cheap single-point insertion/removal deltas for table estimation."""
+"""Tour construction for truck routes, plus cheap single-point
+insertion/removal deltas for table estimation.
+
+A cold route is built by nearest-neighbor from the depot; a warm route
+starts from an earlier tour over a prefix of the stops and
+cheapest-inserts the stops added since.  Either is then improved by
+best-improvement 2-opt."""
 
 from __future__ import annotations
 
@@ -51,12 +56,14 @@ def two_opt(D, order):
     if n < 3:
         return np.asarray(order, dtype=np.int64)
     arr = np.concatenate(([0], np.asarray(order, dtype=np.int64) + 1, [0]))
-    P = D[np.ix_(arr, arr)]
+    P = D.take(arr, axis=0).take(arr, axis=1)
     d1 = P.diagonal(1)  # a view: P[j, j+1], the tour's edges
-    lower = np.tri(n, dtype=bool)  # i >= k: not a move
+    lower = np.arange(n)[:, None] >= np.arange(n)  # i >= k: not a move
+    delta = np.empty((n, n))
     while True:
-        delta = (P[:n, 1:n + 1] + P[1:n + 1, 2:]
-                 - d1[:n, None] - d1[None, 1:])
+        np.add(P[:n, 1:n + 1], P[1:n + 1, 2:], out=delta)
+        delta -= d1[:n, None]
+        delta -= d1[None, 1:]
         delta[lower] = np.inf
         flat = delta.argmin()
         i, k = divmod(int(flat), n)
@@ -69,11 +76,32 @@ def two_opt(D, order):
     return arr[1:-1] - 1
 
 
-def tsp_route(points, depot, speed: float):
-    """Closed tour over ``points`` from the depot via NN + 2-opt.
+def cheapest_insertion(D, start):
+    """Extend the tour ``start`` over the first ``len(start)`` points by
+    inserting each later point of D, in index order, into the edge where
+    it adds the least length (the first such edge on a tie)."""
+    m = len(start)
+    n = D.shape[0] - 1
+    arr = np.zeros(n + 2, dtype=np.int64)  # the depot at both ends
+    arr[1:m + 1] = start
+    arr[1:m + 1] += 1
+    for j in range(m + 1, n + 1):
+        a, b = arr[:j], arr[1:j + 1]  # the tour's edges so far
+        row = D[j]  # D is symmetric: D[j, a] == D[a, j]
+        e = int((row[a] + row[b] - D[a, b]).argmin()) + 1
+        arr[e + 1:j + 1] = arr[e:j].copy()
+        arr[e] = j
+    return arr[1:-1] - 1
 
-    Returns (order, travel_hours).  Empty input yields ([], 0.0); travel
-    hours are Euclidean tour length divided by ``speed``.
+
+def tsp_route(points, depot, speed: float, start=None):
+    """Closed tour over ``points`` from the depot, then 2-opt.
+
+    With ``start=None`` the tour is built by nearest-neighbor.  Otherwise
+    ``start`` is an earlier tour over the first ``len(start)`` points,
+    and the later points are cheapest-inserted into it.  Returns (order,
+    travel_hours).  Empty input yields ([], 0.0); travel hours are
+    Euclidean tour length divided by ``speed``.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) == 0:
@@ -83,7 +111,9 @@ def tsp_route(points, depot, speed: float):
         return np.array([0], dtype=np.int64), 2.0 * d / speed
     coords = _coords(points, depot)
     D = _dist_matrix(coords)
-    order = two_opt(D, nearest_neighbor_order(D))
+    first = (nearest_neighbor_order(D) if start is None
+             else cheapest_insertion(D, start))
+    order = two_opt(D, first)
     return order, tour_length(D, order) / speed
 
 

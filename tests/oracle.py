@@ -3,8 +3,8 @@
 ``run`` is the scalar reference for the lockstep kernel in
 ``endgame.bins_engine``: one row, one period at a time, written to be
 read rather than to be fast.  The engines must agree with it bit for bit
-on the same arrivals.  ``nearest_neighbor_order`` and ``two_opt`` are
-the references for the routines of the same names in
+on the same arrivals.  ``nearest_neighbor_order``, ``cheapest_insertion`` and ``two_opt``
+are the references for the routines of the same names in
 ``endgame.parcel.tsp``, which must return the same tours.
 ``held_karp_length`` (exact TSP) and
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
@@ -137,6 +137,21 @@ def two_opt(D, order):
             break
         arr[i + 1:k + 2] = arr[i + 1:k + 2][::-1]
     return arr[1:-1] - 1
+
+
+def cheapest_insertion(D, start):
+    """Insert the points after ``start`` one at a time, in index order,
+    each into the first edge of least added length."""
+    tour = [0] + [int(j) + 1 for j in start] + [0]
+    for j in range(len(start) + 1, D.shape[0]):
+        best, where = math.inf, 0
+        for e in range(len(tour) - 1):
+            a, b = tour[e], tour[e + 1]
+            cost = D[a, j] + D[j, b] - D[a, b]
+            if cost < best:
+                best, where = cost, e + 1
+        tour.insert(where, j)
+    return np.array(tour[1:-1], dtype=np.int64) - 1
 
 
 def held_karp_length(points, depot):

@@ -362,6 +362,22 @@ def test_config_needing_tables_runs_no_day(capsys, tmp_path, small_corpus,
     assert days == []
 
 
+@pytest.mark.parametrize("name,value", [("speed", ".nan"), ("a_d", ".inf"),
+                                        ("c_o", "-.inf"), ("flex_km", ".nan")])
+def test_non_finite_parcel_value_runs_no_day(capsys, tmp_path, small_corpus,
+                                             name, value):
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: parcel\npolicies: [no_flex, routing_dynamic]\n"
+                      f"params: {{corpus: {small_corpus}, T: 40, "
+                      f"{name}: {value}}}\nreplications: 2\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "parcel", "sweep", "--config", str(config),
+                           "--out", str(out))
+    assert code == 2
+    assert f"params.{name}: expected a finite number" in err
+    assert not (out / "parcel_raw.csv").exists()
+
+
 def test_bins_and_opaque_configs_load_no_scipy():
     # the parcel modules load scipy; the bins and opaque paths, and the
     # benchmark's set-up of their workloads, must not

@@ -29,6 +29,15 @@ def test_params_validation():
         sim.ParcelPolicy(kind="teleport")
 
 
+@pytest.mark.parametrize("name", ["c_r", "c_o", "h_max", "speed", "flex_km",
+                                  "oblivious_radius_km", "a_d"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_refuse_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                         "finite"):
+        sim.ParcelParams(**{name: value})
+
+
 def test_flex_set_rules():
     centers = np.array([[0.0, 0.0], [3.0, 0.0], [10.0, 0.0]])
     pkg = np.array([0.0, 0.0])
@@ -188,13 +197,15 @@ def test_patient_dynamic_collapses_without_projection(small_world):
     assert a.flex_count > 0 and b.flex_count > 0
 
 
-def test_approximation_reset_by_resolve(small_world):
-    # after the final re-solve the recorded travel equals a fresh TSP pass
-    # over the recorded tours
+@pytest.mark.parametrize("kind", sorted(sim.TRAVEL_POLICIES))
+def test_approximation_reset_by_resolve(small_world, kind):
+    # the end-of-day solve is cold even where the mid-day solves were
+    # warm: the recorded tours and travel equal a fresh TSP pass over
+    # each truck's stops
     from endgame.parcel.tsp import tsp_route
     corpus, params, tables = small_world
-    rec = sim.run_day(sim.ParcelPolicy(kind=sim.ROUTING_DYNAMIC), corpus,
-                      params, tables, root_seed=7)
+    rec = sim.run_day(sim.ParcelPolicy(kind=kind), corpus, params, tables,
+                      root_seed=7)
     for k, order in enumerate(rec.tours):
         mine = rec.sample_idx[rec.truck == k]
         order2, hours = tsp_route(corpus.points[mine], corpus.depot,
@@ -240,9 +251,9 @@ def test_mid_day_resolves_only_for_policies_that_read_travel(small_world,
     calls = []
     route = sim.tsp_route
 
-    def counting(points, depot, speed):
-        calls.append(len(points))
-        return route(points, depot, speed)
+    def counting(points, depot, speed, start=None):
+        calls.append((len(points), None if start is None else len(start)))
+        return route(points, depot, speed, start=start)
 
     monkeypatch.setattr(sim, "tsp_route", counting)
     periodic = 1 + (params.T - 1) // params.M1
@@ -254,8 +265,15 @@ def test_mid_day_resolves_only_for_policies_that_read_travel(small_world,
         sim.run_day(sim.ParcelPolicy(kind=kind), corpus, params, tables,
                     root_seed=4)
         assert len(calls) == params.N * solves, kind
-        # the end-of-day solve routes every package
-        assert sum(calls[-params.N:]) == params.T
+        # the end-of-day solve is cold and routes every package
+        assert all(start is None for _, start in calls[-params.N:])
+        assert sum(stops for stops, _ in calls[-params.N:]) == params.T
+        # a truck's first mid-day solve is cold; each later one starts
+        # from the tour of the truck's previous solve
+        mid_day = calls[:-params.N]
+        assert all(start is None for _, start in mid_day[:params.N]), kind
+        for before, (_, start) in zip(mid_day, mid_day[params.N:]):
+            assert start == before[0], kind
 
 
 def test_patient_dynamic_skips_unobserved_pairs(small_world):

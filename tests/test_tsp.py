@@ -156,3 +156,32 @@ def test_routing_matches_oracle(n, seed, layout, depot_on_stop):
     if n > 1:
         assert np.array_equal(order, oracle.two_opt(D, nn))
         assert hours == tsp.tour_length(D, order) / 2.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 130), cut=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["uniform", "lattice", "duplicates",
+                               "collinear"]))
+def test_warm_route_extends_a_prefix_tour(n, cut, seed, layout):
+    rng = stream(0, "tsp-warm", seed)
+    pts = _points(layout, n, rng)
+    depot = rng.uniform(-10, 10, size=2)
+    m = int(cut * n)
+    prefix, _ = tsp.tsp_route(pts[:m], depot, 2.0)
+    order, hours = tsp.tsp_route(pts, depot, 2.0, start=prefix)
+    assert sorted(order) == list(range(n))
+    if n == 0:
+        return
+    D = tsp._dist_matrix(tsp._coords(pts, depot))
+    inserted = tsp.cheapest_insertion(D, prefix)
+    assert np.array_equal(inserted, oracle.cheapest_insertion(D, prefix))
+    assert hours * 2.0 <= tsp.tour_length(D, inserted) + 1e-9
+    assert _improving_moves(D, order) == []
+    assert hours == tsp.tour_length(D, order) / 2.0
+    # without a start tour the route is the cold one, bit for bit
+    cold, cold_hours = tsp.tsp_route(pts, depot, 2.0, start=None)
+    nn = oracle.nearest_neighbor_order(D)
+    assert np.array_equal(cold, oracle.two_opt(D, nn))
+    assert cold_hours == tsp.tour_length(D, cold) / 2.0
+
