@@ -197,22 +197,23 @@ def test_patient_dynamic_collapses_without_projection(small_world):
     assert a.flex_count > 0 and b.flex_count > 0
 
 
-@pytest.mark.parametrize("kind", sorted(sim.TRAVEL_POLICIES))
-def test_approximation_reset_by_resolve(small_world, kind):
+def test_approximation_reset_by_resolve(small_world):
     # the end-of-day solve is cold even where the mid-day solves were
     # warm: the recorded tours and travel equal a fresh TSP pass over
     # each truck's stops
     from endgame.parcel.tsp import tsp_route
     corpus, params, tables = small_world
-    rec = sim.run_day(sim.ParcelPolicy(kind=kind), corpus, params, tables,
-                      root_seed=7)
-    for k, order in enumerate(rec.tours):
-        mine = rec.sample_idx[rec.truck == k]
-        order2, hours = tsp_route(corpus.points[mine], corpus.depot,
-                                  params.speed)
-        assert np.array_equal(order, order2)
-        assert rec.y_r[k] == hours
-        assert rec.y_u[k] == pytest.approx(float(corpus.unload[mine].sum()))
+    for kind in sorted(sim.TRAVEL_POLICIES):
+        rec = sim.run_day(sim.ParcelPolicy(kind=kind), corpus, params,
+                          tables, root_seed=7)
+        for k, order in enumerate(rec.tours):
+            mine = rec.sample_idx[rec.truck == k]
+            order2, hours = tsp_route(corpus.points[mine], corpus.depot,
+                                      params.speed)
+            assert np.array_equal(order, order2), kind
+            assert rec.y_r[k] == hours, kind
+            assert rec.y_u[k] == pytest.approx(
+                float(corpus.unload[mine].sum()))
 
 
 def test_cost_min_reacts_to_cost_overrides(small_world):
