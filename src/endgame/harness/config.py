@@ -131,6 +131,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
     cfg.sweep = {name: [_coerce(f"sweep.{name}", types[name], v)
                         for v in values]
                  for name, values in cfg.sweep.items()}
+    if cfg.model == "parcel":
+        # every cell's day parameters are checked before any cell runs
+        from ..parcel.simulate import ParcelParams
+        for where in ("params", "sweep"):
+            for name, values in getattr(cfg, where).items():
+                if types[name] is str:
+                    continue
+                for value in values if where == "sweep" else [values]:
+                    try:
+                        ParcelParams(**{name: value})
+                    except ValueError as exc:
+                        raise ConfigError(f"{where}.{name}: {exc}") from None
 
 
 def _coerce(where: str, kind: type, value):

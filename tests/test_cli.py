@@ -362,8 +362,9 @@ def test_config_needing_tables_runs_no_day(capsys, tmp_path, small_corpus,
     assert days == []
 
 
-@pytest.mark.parametrize("name,value", [("speed", ".nan"), ("a_d", ".inf"),
-                                        ("c_o", "-.inf"), ("flex_km", ".nan")])
+@pytest.mark.parametrize("name,value", [
+    ("speed", ".nan"), ("a_d", ".inf"), ("c_o", "-.inf"), ("flex_km", ".nan"),
+    pytest.param("h_max", "1" + "0" * 400, id="h_max-int-beyond-float")])
 def test_non_finite_parcel_value_runs_no_day(capsys, tmp_path, small_corpus,
                                              name, value):
     config = tmp_path / "exp.yaml"
@@ -376,6 +377,25 @@ def test_non_finite_parcel_value_runs_no_day(capsys, tmp_path, small_corpus,
     assert code == 2
     assert f"params.{name}: expected a finite number" in err
     assert not (out / "parcel_raw.csv").exists()
+
+
+def test_parcel_sweep_value_out_of_range_runs_no_day(capsys, tmp_path,
+                                                    small_corpus,
+                                                    monkeypatch):
+    # a later cell's bad value is refused before the first cell runs
+    days = []
+    run_day = psim.run_day
+    monkeypatch.setattr(psim, "run_day",
+                        lambda *a, **kw: days.append(1) or run_day(*a, **kw))
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: parcel\npolicies: [no_flex]\n"
+                      f"params: {{corpus: {small_corpus}, T: 40}}\n"
+                      "sweep: {speed: [15.75, -1.0]}\nreplications: 2\n")
+    code, _, err = run_cli(capsys, "parcel", "sweep", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "sweep.speed: speed must be positive and finite, got -1.0" in err
+    assert days == []
 
 
 def test_bins_and_opaque_configs_load_no_scipy():
