@@ -184,4 +184,3 @@ def test_warm_route_extends_a_prefix_tour(n, cut, seed, layout):
     nn = oracle.nearest_neighbor_order(D)
     assert np.array_equal(cold, oracle.two_opt(D, nn))
     assert cold_hours == tsp.tour_length(D, cold) / 2.0
-
