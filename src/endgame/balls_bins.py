@@ -165,16 +165,11 @@ def draw_raw_arrays(root_seed: int, N: int, q: float, T: int, *path,
                          {c: k[0] for c, k in keys.items()})
     dtype = np.int16 if N > 127 else np.int8
     is_flex = rng["flex"].random(T) < q
-    if N == 1:  # degenerate test mode used by the inventory model
-        preferred = np.zeros(T, dtype=dtype)
-        i = np.zeros(T, dtype=dtype)
-        j = np.zeros(T, dtype=dtype)
-    else:
-        preferred = rng["preferred"].integers(0, N, size=T, dtype=dtype)
-        g_set = rng["flexset"]
-        i = g_set.integers(0, N, size=T, dtype=dtype)
-        j = g_set.integers(0, N - 1, size=T, dtype=dtype)
-        j = j + (j >= i)
+    preferred = rng["preferred"].integers(0, N, size=T, dtype=dtype)
+    g_set = rng["flexset"]
+    i = g_set.integers(0, N, size=T, dtype=dtype)
+    j = g_set.integers(0, N - 1, size=T, dtype=dtype)
+    j = j + (j >= i)
     return ArrivalArrays(
         is_flex=is_flex,
         preferred=preferred,

@@ -57,14 +57,6 @@ def _policy_dict(policy) -> dict:
     return dict(policy)
 
 
-def run_cell(model: str, policy: dict, params: dict, reps: int,
-             root_seed: int, preset: str) -> list[dict]:
-    """Execute one cell and return its raw rows."""
-    if model == "parcel":
-        return _run_parcel_cell(policy, params, reps, root_seed)
-    return run_group(model, [(policy, params)], reps, root_seed, preset)[0]
-
-
 def run_group(model: str, cells: list, reps: int, root_seed: int,
               preset: str) -> list[list[dict]]:
     """Execute the cells ``[(policy, params), ...]`` that share one
@@ -72,7 +64,7 @@ def run_group(model: str, cells: list, reps: int, root_seed: int,
     distinct resolved policy once; returns each cell's raw rows.  A
     parcel group is one cell."""
     if model == "parcel":
-        return [run_cell(model, policy, params, reps, root_seed, preset)
+        return [run_cell(policy, params, reps, root_seed)
                 for policy, params in cells]
     resolved = [_resolve(model, policy, params, preset)
                 for policy, params in cells]
@@ -134,15 +126,6 @@ def _rows(model: str, params: dict, reps: int) -> int:
     return reps
 
 
-def _load_parcel_inputs(params):
-    from ..parcel.corpus import load_corpus
-    from ..parcel.tables import load_tables
-    corpus = _cached(params["corpus"], load_corpus)
-    tables_path = params.get("tables")
-    tables = _cached(tables_path, load_tables) if tables_path else None
-    return corpus, tables
-
-
 def _cached(path, load):
     st = os.stat(path)
     stamp = (st.st_mtime_ns, st.st_size)
@@ -152,9 +135,15 @@ def _cached(path, load):
     return hit[1]
 
 
-def _run_parcel_cell(policy, params, reps, root_seed):
+def run_cell(policy: dict, params: dict, reps: int,
+             root_seed: int) -> list[dict]:
+    """Run one parcel cell and return its raw rows."""
     from ..parcel import simulate as psim
-    corpus, tables = _load_parcel_inputs(params)
+    from ..parcel.corpus import load_corpus
+    from ..parcel.tables import load_tables
+    corpus = _cached(params["corpus"], load_corpus)
+    tables_path = params.get("tables")
+    tables = _cached(tables_path, load_tables) if tables_path else None
     fields = {k: v for k, v in params.items()
               if k not in ("corpus", "tables")}
     pp = psim.ParcelParams(N=corpus.n_zones, **fields)

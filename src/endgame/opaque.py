@@ -40,12 +40,10 @@ class InventoryParams:
     K: float = 0.0
     h: float = 0.0
     delta: float = 0.0
-    allow_single_product: bool = False  # N=1 enables closed-form test oracles
 
     def __post_init__(self):
-        min_n = 1 if self.allow_single_product else 2
-        if self.N < min_n:
-            raise ValueError(f"N must be >= {min_n}, got {self.N}")
+        if self.N < 2:
+            raise ValueError(f"N must be >= 2, got {self.N}")
         if self.S < 1:
             raise ValueError(f"S must be >= 1, got {self.S}")
         if not 0.0 < self.q <= 1.0:
@@ -82,7 +80,7 @@ def resolve_opaque_policy(spec: PolicySpec, params: InventoryParams,
     condition triggers, the option is offered every period to depletion.
     """
     a_s, a_d = spec.a_s, spec.a_d
-    model = ModelParams(T=params.horizon, N=max(params.N, 2), q=params.q)
+    model = ModelParams(T=params.horizon, N=params.N, q=params.q)
     if a_s is None:
         a_s = (NUMERICS_C_S if preset == PRESET_NUMERICS
                else theory_a_s(model))
@@ -182,45 +180,61 @@ def regime_delta(regime: str, N: int, S: int) -> float:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def eoq_params(N: int, S: int, q: float, regime: str,
-               allow_single_product: bool = False) -> InventoryParams:
+def eoq_params(N: int, S: int, q: float, regime: str) -> InventoryParams:
     """EOQ-consistent cost constants K = NS/2, h = 1/(NS) plus the
     regime's delta."""
     return InventoryParams(N=N, S=S, q=q,
                            K=N * S / 2.0, h=1.0 / (N * S),
-                           delta=regime_delta(regime, N, S),
-                           allow_single_product=allow_single_product)
+                           delta=regime_delta(regime, N, S))
+
+
+class Cycles(tuple):
+    """One policy's cycle samples ``(R, D)``, with ``source``: the
+    resolved policy, arrival path, cycle count and root seed they were
+    simulated from.  K, h and delta are not among them, so the regimes
+    share cycles."""
+
+    def __new__(cls, R, D, source):
+        cycles = super().__new__(cls, (R, D))
+        cycles.source = source
+        return cycles
 
 
 def regime_sweep(regime: str, S_grid, *, N: int = 5, q: float = 0.1,
                  instances: int = 10,
                  cycles_per_instance: int = 10, root_seed: int = 0,
-                 preset: str = PRESET_NUMERICS, policies=OPAQUE_POLICIES,
+                 preset: str = PRESET_NUMERICS,
                  cycle_cache: dict | None = None):
     """Tabulate C - C* for each policy over an ascending S grid.
 
     Every policy runs on the same cycles' arrivals, those of
     ``arrival_path("opaque", ...)`` at each S.  ``cycle_cache`` maps
-    (policy kind, S) -> (R, D) arrays so the same cycle simulations can
-    be shared across regimes (the dynamics do not depend on K, h, delta).
+    (policy kind, S) -> :class:`Cycles` so the same cycle simulations can
+    be shared across regimes (the dynamics do not depend on K, h, delta);
+    an entry simulated from other inputs is simulated again and replaced.
     """
     if list(S_grid) != sorted(S_grid):
         raise ValueError("S_grid must be ascending")
     cache = {} if cycle_cache is None else cycle_cache
+    n_cycles = instances * cycles_per_instance
     rows = []
     for S in S_grid:
         params = eoq_params(N, S, q, regime)
         c_star = lower_bound(params)
-        missing = [kind for kind in policies if (kind, S) not in cache]
-        if missing:
-            specs = [resolve_opaque_policy(PolicySpec(kind=kind), params,
-                                           preset) for kind in missing]
+        path = arrival_path("opaque", params)
+        sources = {kind: (resolve_opaque_policy(PolicySpec(kind=kind), params,
+                                                preset),
+                          path, n_cycles, root_seed)
+                   for kind in OPAQUE_POLICIES}
+        stale = [kind for kind, source in sources.items()
+                 if getattr(cache.get((kind, S)), "source", None) != source]
+        if stale:
             cycles = simulate_policies(
-                specs, params, instances * cycles_per_instance, root_seed,
-                *arrival_path("opaque", params))
-            cache.update(((kind, S), out)
-                         for kind, out in zip(missing, cycles))
-        for kind in policies:
+                [sources[kind][0] for kind in stale], params, n_cycles,
+                root_seed, *path)
+            cache.update(((kind, S), Cycles(R, D, sources[kind]))
+                         for kind, (R, D) in zip(stale, cycles))
+        for kind in OPAQUE_POLICIES:
             R, D = cache[(kind, S)]
             est = long_run_cost(R, D, params, n_groups=instances)
             rows.append({

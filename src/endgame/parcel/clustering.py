@@ -2,9 +2,11 @@
 reassignment solved as a transportation LP.
 
 The reassignment minimizes total package-to-center distance subject to
-every zone's package count lying within epsilon of L/N.  The constraint
-matrix is a transportation polytope, so simplex vertex optima are
-integral; we solve with HiGHS dual simplex and round.
+every zone's package count being an integer within epsilon of L/N.  The
+count bounds are integers and the constraint matrix (one assignment row
+per package, one count row per zone) is totally unimodular, so every
+vertex of the polytope is 0/1: HiGHS dual simplex returns an integral
+optimum, read off by argmax, and a fractional answer raises.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ def min_feasible_epsilon(L: int, N: int) -> float:
     if frac == 0.0:
         return 0.0
     return max(frac, 1.0 - frac)
+
+
+def count_bounds(L: int, N: int, epsilon: float) -> tuple[int, int]:
+    """The integer zone counts (lo, hi) within epsilon of L/N; the 1e-9
+    keeps epsilon = :func:`min_feasible_epsilon` feasible."""
+    return (max(math.ceil(L / N - epsilon - 1e-9), 0),
+            math.floor(L / N + epsilon + 1e-9))
 
 
 def kmeans_centers(points, N: int, seed: int):
@@ -65,55 +74,19 @@ def balanced_assign(points, centers, epsilon: float):
     counts = sparse.kron(np.ones((1, L)),
                          sparse.eye(N, format="csr"), format="csr")
     A_ub = sparse.vstack([counts, -counts], format="csr")
-    lo = max(L / N - epsilon, 0.0)
-    hi = L / N + epsilon
+    lo, hi = count_bounds(L, N, epsilon)
     b_ub = np.concatenate([np.full(N, hi), np.full(N, -lo)])
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=(0, 1), method="highs-ds")
     if not res.success:
         raise RuntimeError(f"balanced assignment LP failed: {res.message}")
     z = res.x.reshape(L, N)
+    if z.max(axis=1).min() < 1.0 - 1e-9:
+        raise RuntimeError("balanced assignment LP returned a fractional "
+                           "vertex")
     assignment = z.argmax(axis=1)
-    # degenerate bases can leave a handful of fractional entries; repair
-    # any count violations by cheapest moves
-    assignment = _repair_counts(cost, assignment,
-                                math.ceil(lo - 1e-9), math.floor(hi + 1e-9))
     objective = float(cost[np.arange(L), assignment].sum())
     return assignment, objective
-
-
-def _repair_counts(cost, assignment, lo: int, hi: int):
-    N = cost.shape[1]
-    counts = np.bincount(assignment, minlength=N)
-    while True:
-        over = np.flatnonzero(counts > hi)
-        under = np.flatnonzero(counts < lo)
-        if len(over) == 0 and len(under) == 0:
-            return assignment
-        if len(over) > 0:
-            src = over[0]
-            dst_ok = np.flatnonzero(counts < hi)
-            dst_ok = dst_ok[dst_ok != src]
-        else:
-            dst_ok = under[:1]
-            src_ok = np.flatnonzero(counts > lo)
-            src = None
-        if src is not None:
-            members = np.flatnonzero(assignment == src)
-            extra = cost[members][:, dst_ok] - cost[members, src][:, None]
-            m, d = np.unravel_index(extra.argmin(), extra.shape)
-            assignment[members[m]] = dst_ok[d]
-            counts[src] -= 1
-            counts[dst_ok[d]] += 1
-        else:
-            dst = dst_ok[0]
-            cand_mask = np.isin(assignment, src_ok)
-            members = np.flatnonzero(cand_mask)
-            extra = cost[members, dst] - cost[members, assignment[members]]
-            m = extra.argmin()
-            counts[assignment[members[m]]] -= 1
-            assignment[members[m]] = dst
-            counts[dst] += 1
 
 
 def cluster_default(points, N: int, epsilon: float, seed: int):

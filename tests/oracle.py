@@ -9,7 +9,8 @@ routines of the same names in ``endgame.parcel.tsp``, which must return
 the same tours.
 ``held_karp_length`` (exact TSP) and
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
-parcel heuristics are checked against.
+parcel heuristics are checked against, and ``zone_move_gap`` certifies a
+balanced zoning optimal.
 """
 
 from __future__ import annotations
@@ -183,17 +184,85 @@ def held_karp_length(points, depot):
     return float(min(best[full, j] + D[j + 1, 0] for j in range(n)))
 
 
+def _cost_matrix(points, centers):
+    """(L, N) package-to-center distances."""
+    points = np.asarray(points, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
 def greedy_repair_assign(points, centers, epsilon: float):
     """Nearest-center assignment projected to feasibility by greedy
     swaps.  Returns (assignment, objective)."""
-    points = np.asarray(points, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    L, N = len(points), len(centers)
-    diff = points[:, None, :] - centers[None, :, :]
-    cost = np.hypot(diff[..., 0], diff[..., 1])
+    cost = _cost_matrix(points, centers)
+    L, N = cost.shape
     assignment = cost.argmin(axis=1)
-    lo = math.ceil(L / N - epsilon)
-    hi = math.floor(L / N + epsilon)
-    assignment = clustering._repair_counts(cost, assignment, lo, hi)
+    lo, hi = clustering.count_bounds(L, N, epsilon)
+    assignment = _repair_counts(cost, assignment, lo, hi)
     objective = float(cost[np.arange(L), assignment].sum())
     return assignment, objective
+
+
+def _repair_counts(cost, assignment, lo: int, hi: int):
+    """Move packages one at a time, each the cheapest move that takes a
+    package out of an over-full zone or into an under-full one, until
+    every zone count is within [lo, hi]."""
+    N = cost.shape[1]
+    counts = np.bincount(assignment, minlength=N)
+    while True:
+        over = np.flatnonzero(counts > hi)
+        under = np.flatnonzero(counts < lo)
+        if len(over) == 0 and len(under) == 0:
+            return assignment
+        if len(over) > 0:
+            src = over[0]
+            dst_ok = np.flatnonzero(counts < hi)
+            dst_ok = dst_ok[dst_ok != src]
+        else:
+            dst_ok = under[:1]
+            src_ok = np.flatnonzero(counts > lo)
+            src = None
+        if src is not None:
+            members = np.flatnonzero(assignment == src)
+            extra = cost[members][:, dst_ok] - cost[members, src][:, None]
+            m, d = np.unravel_index(extra.argmin(), extra.shape)
+            assignment[members[m]] = dst_ok[d]
+            counts[src] -= 1
+            counts[dst_ok[d]] += 1
+        else:
+            dst = dst_ok[0]
+            cand_mask = np.isin(assignment, src_ok)
+            members = np.flatnonzero(cand_mask)
+            extra = cost[members, dst] - cost[members, assignment[members]]
+            m = extra.argmin()
+            counts[assignment[members[m]]] -= 1
+            assignment[members[m]] = dst
+            counts[dst] += 1
+
+
+def zone_move_gap(points, centers, assignment, lo: int, hi: int) -> float:
+    """Optimality certificate of a balanced assignment with zone counts
+    in [lo, hi]: the least cost change of moving packages around a cycle
+    of zones, or along a path of zones from one with count > lo to one
+    with count < hi, one package out of each zone but the last.
+
+    W[a, b] is the cheapest move of one package of zone a to zone b;
+    Floyd-Warshall over W gives the cheapest cycle through each zone (the
+    diagonal) and the cheapest path between any two.  The assignment is
+    optimal exactly when the returned value is >= 0."""
+    cost = _cost_matrix(points, centers)
+    N = cost.shape[1]
+    assignment = np.asarray(assignment)
+    counts = np.bincount(assignment, minlength=N)
+    W = np.full((N, N), np.inf)
+    for a in np.flatnonzero(counts):
+        zone = cost[assignment == a]
+        W[a] = (zone - zone[:, [a]]).min(axis=0)
+    np.fill_diagonal(W, np.inf)
+    for k in range(N):
+        W = np.minimum(W, W[:, [k]] + W[[k], :])
+    paths = np.where(np.eye(N, dtype=bool), np.inf, W)
+    return float(min(np.diagonal(W).min(),
+                     paths[np.ix_(counts > lo, counts < hi)].min(
+                         initial=np.inf)))

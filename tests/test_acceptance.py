@@ -330,18 +330,23 @@ def test_criterion_11_parcel_directional(parcel_days):
 
 
 def test_criterion_12_clustering_feasibility(corpus):
-    counts = np.bincount(corpus.default_zone, minlength=corpus.n_zones)
-    target = len(corpus) / corpus.n_zones
-    eps_ok = np.all(np.abs(counts - target) <= corpus.spec.epsilon)
-    _, objective = clustering.balanced_assign(corpus.points, corpus.centers,
-                                              corpus.spec.epsilon)
+    L, N = len(corpus), corpus.n_zones
+    zone = corpus.default_zone
+    counts = np.bincount(zone, minlength=N)
+    lo, hi = clustering.count_bounds(L, N, corpus.spec.epsilon)
+    counts_ok = lo <= counts.min() and counts.max() <= hi
+    gap = oracle.zone_move_gap(corpus.points, corpus.centers, zone, lo, hi)
+    gap_ok = gap >= -1e-6
+    diff = corpus.points - corpus.centers[zone]
+    objective = float(np.hypot(diff[:, 0], diff[:, 1]).sum())
     _, greedy_obj = oracle.greedy_repair_assign(
         corpus.points, corpus.centers, corpus.spec.epsilon)
     obj_ok = objective <= greedy_obj + 1e-6
-    report(12, eps_ok and obj_ok,
-           f"zone counts within eps={corpus.spec.epsilon:.0f} of "
-           f"{target:.0f}: {eps_ok}; flow objective {objective:.0f} <= "
-           f"greedy {greedy_obj:.0f}: {obj_ok}")
+    report(12, counts_ok and gap_ok and obj_ok,
+           f"zone counts {counts.min()}..{counts.max()} within "
+           f"[{lo}, {hi}]: {counts_ok}; least zone-move gap {gap:.2e} "
+           f">= -1e-6 (optimal): {gap_ok}; flow objective {objective:.0f} "
+           f"<= greedy {greedy_obj:.0f}: {obj_ok}")
 
 
 # ---------------------------------------------------------------------------

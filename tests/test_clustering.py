@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -42,16 +44,32 @@ def test_infeasible_epsilon_reports_minimum():
 def test_counts_within_epsilon_and_beats_greedy():
     rng = stream(0, "clustering")
     pts = rng.normal(size=(400, 2)) * np.array([3.0, 1.0])
-    for N, eps in ((5, 0.0), (7, 2.0), (8, 0.0)):
+    eps_min = clustering.min_feasible_epsilon(len(pts), 7)
+    for N, eps in ((5, 0.0), (7, 2.0), (8, 0.0), (7, eps_min)):
         centers = clustering.kmeans_centers(pts, N, seed=1)
         assignment, obj = clustering.balanced_assign(pts, centers, eps)
         counts = np.bincount(assignment, minlength=N)
         assert counts.sum() == len(pts)
-        assert np.all(counts >= np.ceil(len(pts) / N - eps - 1e-9))
-        assert np.all(counts <= np.floor(len(pts) / N + eps + 1e-9))
+        lo, hi = clustering.count_bounds(len(pts), N, eps)
+        assert (lo, hi) == (np.ceil(len(pts) / N - eps - 1e-9),
+                            np.floor(len(pts) / N + eps + 1e-9))
+        assert np.all(counts >= lo) and np.all(counts <= hi)
+        assert oracle.zone_move_gap(pts, centers, assignment,
+                                    lo, hi) >= -1e-9
         g_assignment, g_obj = oracle.greedy_repair_assign(
             pts, centers, eps)
         assert obj <= g_obj + 1e-9
+
+
+def test_fractional_lp_answer_raises(monkeypatch):
+    pts = np.array([[0.0, 0], [1.0, 0], [10.0, 0], [11.0, 0]])
+    centers = np.array([[0.5, 0.0], [10.5, 0.0]])
+
+    def halves(c, **kwargs):
+        return SimpleNamespace(success=True, x=np.full(len(c), 0.5))
+    monkeypatch.setattr(clustering, "linprog", halves)
+    with pytest.raises(RuntimeError, match="fractional"):
+        clustering.balanced_assign(pts, centers, 0.0)
 
 
 def test_zero_epsilon_matches_unconstrained_when_already_balanced():

@@ -13,10 +13,9 @@ from endgame import bins_engine as be
 
 @st.composite
 def kernel_cases(draw):
-    """A policy, (N, q, stop) and a few rows of drawn arrivals; N = 1 only
-    with a stop level (the single-product opaque cycle)."""
+    """A policy, (N, q, stop) and a few rows of drawn arrivals."""
     stop = draw(st.none() | st.integers(1, 60))
-    N = draw(st.integers(1 if stop is not None else 2, 8))
+    N = draw(st.integers(2, 8))
     q = draw(st.floats(0.05, 1.0))
     T = draw(st.integers(1, 400))
     seed = draw(st.integers(0, 2**20))

@@ -11,21 +11,11 @@ from endgame import opaque
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N must be >= 2"):
         opaque.InventoryParams(N=1, S=5, q=0.5)
-    opaque.InventoryParams(N=1, S=5, q=0.5, allow_single_product=True)
     with pytest.raises(ValueError):
         opaque.InventoryParams(N=2, S=5, q=0.5, K=-1.0)
     assert opaque.InventoryParams(N=2, S=5, q=0.5).horizon == 9
-
-
-def test_single_product_cycle_is_deterministic():
-    p = opaque.InventoryParams(N=1, S=7, q=0.5, allow_single_product=True)
-    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.NO_FLEX), p)
-    for seed in range(3):
-        R, D = opaque.simulate_cycles(spec, p, 2, seed, "single")
-        assert (R == 7).all()
-        assert (D == 0).all()
 
 
 def _never_flex_expected_R(N, S):
@@ -82,16 +72,17 @@ def test_static_cycle_start_example():
     assert bb.static_start(p.horizon, 0.0) == p.horizon
 
 
-def test_long_run_cost_closed_form_single_product():
-    p = opaque.InventoryParams(N=1, S=5, q=0.5, K=10.0, h=1.0, delta=0.0,
-                               allow_single_product=True)
+def test_long_run_cost_closed_form_constant_cycles():
+    # every cycle R = 5 with D = 2: K/R = 2, h/2 (2NS + 1 - R) = 8,
+    # delta D/R = 0.4
+    p = opaque.InventoryParams(N=2, S=5, q=0.5, K=10.0, h=1.0, delta=1.0)
     R = np.full(40, 5)
-    D = np.zeros(40)
+    D = np.full(40, 2)
     est = opaque.long_run_cost(R, D, p)
-    assert est.total == pytest.approx(5.0)
+    assert est.total == pytest.approx(10.4)
     assert est.ordering == pytest.approx(2.0)
-    assert est.holding == pytest.approx(3.0)
-    assert est.discount == 0.0
+    assert est.holding == pytest.approx(8.0)
+    assert est.discount == pytest.approx(0.4)
     assert est.se_total == pytest.approx(0.0)
 
 
@@ -148,10 +139,9 @@ def test_depletion_matches_coupled_ball_run():
         assert (R[0], D[0]) == (cycle.stop_time, cycle.flex_count)
 
 
-@pytest.mark.parametrize("N,S,q", [(3, 10, 0.4), (5, 40, 0.1), (2, 6, 1.0),
-                                   (1, 7, 0.5)])
+@pytest.mark.parametrize("N,S,q", [(3, 10, 0.4), (5, 40, 0.1), (2, 6, 1.0)])
 def test_simulate_cycles_matches_oracle(N, S, q):
-    p = opaque.InventoryParams(N=N, S=S, q=q, allow_single_product=True)
+    p = opaque.InventoryParams(N=N, S=S, q=q)
     for kind in opaque.OPAQUE_POLICIES:
         spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
         assert spec.latched == (kind == bb.DYNAMIC)
@@ -214,3 +204,27 @@ def test_regime_sweep_rows_and_cache():
         assert a["mean_R"] == b["mean_R"]
     with pytest.raises(ValueError):
         opaque.regime_sweep("delta_zero", [20, 10])
+
+
+def test_regime_sweep_cache_reuses_only_matching_cycles():
+    # a shared cache must not hand one call's cycles to a call with
+    # another N, q, root seed, preset or cycle count
+    kw = dict(instances=2, cycles_per_instance=2)
+    cache = {}
+    opaque.regime_sweep("delta_zero", [10], N=3, q=0.2, cycle_cache=cache,
+                        **kw)
+    variants = [dict(N=4, q=0.2), dict(N=3, q=0.3),
+                dict(N=3, q=0.2, root_seed=1),
+                dict(N=3, q=0.2, preset="theory"),
+                dict(N=3, q=0.2, instances=3, cycles_per_instance=2)]
+    for variant in variants:
+        args = {**kw, **variant}
+        cached = opaque.regime_sweep("delta_zero", [10], cycle_cache=cache,
+                                     **args)
+        assert cached == opaque.regime_sweep("delta_zero", [10], **args)
+    # the last call's cycles are kept and shared with another regime
+    R, D = cache[(bb.DYNAMIC, 10)]
+    assert len(R) == 6
+    opaque.regime_sweep("delta_const", [10], N=3, q=0.2, cycle_cache=cache,
+                        instances=3, cycles_per_instance=2)
+    assert cache[(bb.DYNAMIC, 10)][0] is R
