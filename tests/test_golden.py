@@ -1,0 +1,97 @@
+"""Golden outputs: the sha256 of every CSV of a fixed set of tiny sweeps.
+
+A change that is meant to keep the outputs byte-identical must leave
+these digests as they are; a declared output change updates them and
+says so."""
+
+import hashlib
+
+import pytest
+
+from endgame.harness import cli
+
+BINS = """\
+model: bins
+policies: [no_flex, always_flex, static, {kind: dynamic, latched: true},
+           flex_sqrt_t]
+params: {N: 3, q: 0.3}
+sweep: {T: [60, 300]}
+replications: 5
+seed: 3
+"""
+
+OPAQUE = """\
+model: opaque
+policies: [no_flex, always_flex, static, dynamic, flex_sqrt_t]
+params: {N: 3, q: 0.3, regime: delta_const, cycles_per_instance: 3}
+sweep: {S: [6, 15]}
+replications: 3
+seed: 4
+"""
+
+PARCEL = """\
+model: parcel
+policies: [no_flex, routing_dynamic]
+params: {{corpus: {corpus}, T: 60}}
+replications: 2
+seed: 1
+"""
+
+GOLDEN = {
+    "bins": {
+        "bins_raw.csv":
+            "a38f2e679a18f017d42d3f9592e197a38c88f4f684d38493b58628cc2b3f3b66",
+        "bins_summary.csv":
+            "8cbce36904dc2a0b2c16bc9cb22c8730ff2bdfc788816ba011964d83e9f35940",
+    },
+    "opaque_config": {
+        "opaque_raw.csv":
+            "dd67b1018e51e21b94c6995639e5c44b5abe3c320a330b7c7e9afbc98c24f013",
+        "opaque_summary.csv":
+            "f8b01c1726e2d0e97ac1e9ecbf92694734d17d421f8f2e14772e5b92c29c4c95",
+    },
+    "opaque_regime": {
+        "opaque_delta_const.csv":
+            "3c1ed5aea2eba8a4e46da02ef3defc1e1ecfab4ce6e0ee5c6d76ea6df56bc857",
+    },
+    "parcel": {
+        "parcel_raw.csv":
+            "4e8f34795a75fc9b2e6571574d3c176b07e164607014aec69bbf29cb8438e15e",
+        "parcel_summary.csv":
+            "1e5e685978e8c92e243be1b2131f218a464ff871fe3e9385e6e327692ee6aef2",
+    },
+}
+
+
+def run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+def sweep(case, work):
+    """Run one golden sweep into ``work``."""
+    config = work / "exp.yaml"
+    if case == "bins":
+        config.write_text(BINS)
+        run("bins", "sweep", "--config", config, "--out", work)
+    elif case == "opaque_config":
+        config.write_text(OPAQUE)
+        run("opaque", "sweep", "--config", config, "--out", work)
+    elif case == "opaque_regime":
+        run("opaque", "sweep", "--regime", "delta_const", "--S", "5,12",
+            "--N", 3, "--q", 0.3, "--instances", 2, "--cycles", 3,
+            "--seed", 5, "--out", work)
+    else:
+        corpus = work / "corpus.txt"
+        run("parcel", "gen-corpus", "--out", corpus, "--zones", 3,
+            "--pool-size", 150, "--epsilon", 15, "--seed", 0)
+        config.write_text(PARCEL.format(corpus=corpus))
+        run("parcel", "sweep", "--config", config, "--out", work)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_csv_digests(case, tmp_path, capsys):
+    sweep(case, tmp_path)
+    capsys.readouterr()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("*.csv"))}
+    assert digests == GOLDEN[case]
