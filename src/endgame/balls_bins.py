@@ -1,6 +1,9 @@
 """Balls-into-bins model: parameters, the five flexing policies (no-flex,
 always-flex, static, dynamic, flex-sqrt-T) with their constants, and the
-arrival streams.  The policy loop itself is :mod:`endgame.bins_engine`.
+draw of one row's arrivals from its per-category streams.  The policy
+loop itself is :mod:`endgame.bins_engine`, which also keys every row's
+streams: row r of a run on stream path ``path`` draws category c from
+``(root_seed, *path, r, c)``.
 
 Loads are integer counts; the imbalance metric is the gap
 ``max_i loads[i] - t/N`` where ``t`` is the number of balls already placed.
@@ -16,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import streams
-from .streams import RowStreams, keyed_generator
+from .streams import RowStreams
 
 NO_FLEX = "no_flex"
 ALWAYS_FLEX = "always_flex"
@@ -138,31 +140,11 @@ class ArrivalArrays:
 CATEGORIES = ("flex", "preferred", "flexset", "exert")
 
 
-def arrival_keys(root_seed: int, path, rows=None,
-                 exert: bool = True) -> dict:
-    """Philox keys of the category streams ``(root_seed, *path, row,
-    category)``, one (len(rows), 2) array per category, derived in one
-    :func:`streams.stream_keys` call each; without ``rows``, the keys of
-    the single path ``(root_seed, *path, category)``.  ``exert=False``
-    leaves out the flex-sqrt-T stream."""
-    return {c: streams.stream_keys(root_seed, path, c, rows)
-            for c in (CATEGORIES if exert else CATEGORIES[:-1])}
-
-
-def draw_raw_arrays(root_seed: int, N: int, q: float, T: int, *path,
-                    exert: bool = True,
-                    rng: RowStreams | None = None) -> ArrivalArrays:
-    """Draw one replication's arrival randomness, one sub-stream per draw
-    category, addressed by (root_seed, *path, category).  ``exert=False``
-    skips the flex-sqrt-T stream; the other categories are unchanged.
-
-    ``rng`` holds the replication's streams when their keys were derived
-    with its block's (:func:`bins_engine.run_blocks`); it must be those of
-    (root_seed, *path).  Without it the keys are derived here."""
-    if rng is None:
-        keys = arrival_keys(root_seed, path, exert=exert)
-        rng = RowStreams(keyed_generator(),
-                         {c: k[0] for c, k in keys.items()})
+def draw_raw_arrays(N: int, q: float, T: int, rng: RowStreams,
+                    exert: bool = True) -> ArrivalArrays:
+    """Draw one row's T periods of arrival randomness from its streams
+    ``rng``, one per draw category, each from its start.  ``exert=False``
+    skips the flex-sqrt-T stream; the other categories are unchanged."""
     dtype = np.int16 if N > 127 else np.int8
     is_flex = rng["flex"].random(T) < q
     preferred = rng["preferred"].integers(0, N, size=T, dtype=dtype)
@@ -177,10 +159,3 @@ def draw_raw_arrays(root_seed: int, N: int, q: float, T: int, *path,
         pair_hi=np.maximum(i, j),
         exert_u=rng["exert"].random(T) if exert else None,
     )
-
-
-def draw_arrival_arrays(root_seed: int, params: ModelParams, *path,
-                        exert: bool = True,
-                        rng: RowStreams | None = None) -> ArrivalArrays:
-    return draw_raw_arrays(root_seed, params.N, params.q, params.T, *path,
-                           exert=exert, rng=rng)

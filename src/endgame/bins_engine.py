@@ -6,10 +6,12 @@ memory.  A row either runs the whole horizon or, given a stop level S,
 stops at the first period in which a load reaches S (an opaque cycle is
 a ball run on depletion counts, stopped at the first stock-out).  Each
 row consumes its own per-category streams, so results are independent
-of block size and execution order; a block derives its rows' stream
-keys together and draws them on one re-keyed generator.  Policies that
-share a model's arrivals run on one draw: each block is drawn once and
-every policy steps through it before the next is drawn.
+of block size and execution order: row r of a run on stream path
+``path`` draws from ``(root_seed, *path, r, category)``, and a block
+derives its rows' stream keys together and draws them on one re-keyed
+generator.  Policies that share a model's arrivals run on one draw: each
+block is drawn once and every policy steps through it before the next is
+drawn.
 
 Loads depend on the policy only through its flex *events*: the flex
 arrivals it exerts on (for the unlatched dynamic policy, the flex
@@ -26,10 +28,15 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX, STATIC,
-                         ArrivalArrays, ModelParams, PolicySpec, arrival_keys,
-                         draw_arrival_arrays, static_start)
+from . import streams
+from .balls_bins import (ALWAYS_FLEX, CATEGORIES, DYNAMIC, FLEX_SQRT_T,
+                         NO_FLEX, STATIC, ArrivalArrays, ModelParams,
+                         PolicySpec, draw_raw_arrays, static_start)
 from .streams import RowStreams, keyed_generator
+
+# the name bins runs draw under (the benchmark's trace wraps it apart from
+# the opaque model's draws)
+draw_arrival_arrays = draw_raw_arrays
 
 # Target upper bound on (block rows) * T draws held in memory at once.
 _BLOCK_ELEMENTS = 32_000_000
@@ -70,32 +77,28 @@ def run_policies(policies, params: ModelParams, reps: int, root_seed: int,
                  *path) -> list[BatchResult]:
     """:func:`run_many` for each of ``policies``, on one draw of the
     replications' arrivals that every policy runs on."""
-    outs = run_blocks(
-        policies, params.N, params.q, params.T, reps,
-        lambda rep, exert, rng: draw_arrival_arrays(
-            root_seed, params, *path, rep, exert=exert, rng=rng),
-        keyed=(root_seed, path))
+    outs = run_blocks(policies, params.N, params.q, params.T, reps,
+                      root_seed, path, draw_arrival_arrays)
     return [BatchResult(final_gap=out.loads.max(axis=1) - params.T / params.N,
                         flex_count=out.flex_count,
                         first_trigger=out.first_trigger) for out in outs]
 
 
-def run_blocks(policies, N: int, q: float, T: int, n_rows: int, draw,
-               stop: int | None = None,
-               keyed: tuple | None = None) -> list[LockstepResult]:
+def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
+               root_seed: int, path: tuple, draw,
+               stop: int | None = None) -> list[LockstepResult]:
     """Run ``n_rows`` rows of the kernel for each of ``policies``, in
     blocks of equal size (within one row) holding at most about
     ``_BLOCK_ELEMENTS`` draws and at most ``_BLOCK_ROWS`` rows.  Each
     block is drawn once and every policy runs on it before the next block
     is drawn; returns one result per policy.
 
-    ``draw(row, exert)`` returns the row's T-period :class:`ArrivalArrays`;
-    ``exert`` says whether a policy reads the ``exert_u`` stream.  With
-    ``keyed = (root_seed, path)`` row r draws from the streams of
-    ``(root_seed, *path, r)``: the keys of a block's rows are derived
-    together, and ``draw(row, exert, rng)`` gets the row's
-    :class:`~endgame.streams.RowStreams`, all on one generator.  A block
-    keeps only the flex-sqrt-T decisions ``exert_u < (T - t_hat)/T``.
+    Row r draws from the streams ``(root_seed, *path, r, category)``.
+    The keys of a block's rows are derived together, and
+    ``draw(N, q, T, rng, exert=exert)`` draws a row's T periods from its
+    :class:`~endgame.streams.RowStreams` ``rng``, all on one generator;
+    ``exert`` says whether a policy reads the ``exert_u`` stream.  A
+    block keeps only the flex-sqrt-T decisions ``exert_u < (T - t_hat)/T``.
     """
     if n_rows < 1:
         raise ValueError(f"need at least one row, got {n_rows}")
@@ -103,18 +106,24 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int, draw,
         _check_resolved(policy)
     cuts = [_sqrt_prob(T, p.a_s) if p.kind == FLEX_SQRT_T else None
             for p in policies]
+    drawn_cuts = sorted({c for c in cuts if c is not None})
+    exert = bool(drawn_cuts)
+    categories = CATEGORIES if exert else CATEGORIES[:-1]
     # the policies that read exert_u run first, so that their decisions
     # are freed before the others run
     order = sorted(range(len(policies)), key=lambda i: cuts[i] is None)
-    generator = keyed_generator() if keyed is not None else None
+    generator = keyed_generator()
     cap = max(1, min(_BLOCK_ELEMENTS // max(T, 1), _BLOCK_ROWS))
     n_blocks = -(-n_rows // cap)
     bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
     parts = [[] for _ in policies]
     for lo, hi in zip(bounds, bounds[1:]):
-        block, decisions = _fill_block(
-            draw, lo, hi, sorted({c for c in cuts if c is not None}), keyed,
-            generator)
+        keys = {c: streams.stream_keys(root_seed, path, c, np.arange(lo, hi))
+                for c in categories}
+        rows = (draw(N, q, T, RowStreams(generator,
+                                         {c: k[i] for c, k in keys.items()}),
+                     exert=exert) for i in range(hi - lo))
+        block, decisions = _fill_block(rows, hi - lo, drawn_cuts)
         for i in order:
             if cuts[i] is None:
                 decisions = None
@@ -127,28 +136,18 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int, draw,
             for part in parts]
 
 
-def _fill_block(draw, lo: int, hi: int, cuts: list, keyed: tuple | None,
-                generator) -> tuple[ArrivalArrays, dict]:
-    """Rows ``lo..hi-1`` of arrivals without ``exert_u``, each drawn
-    straight into its row of (rows, T) arrays allocated once per block,
-    and for each flex-sqrt-T cut the bool rows ``exert_u < cut``; the
-    ``exert_u`` stream is drawn only when there are cuts."""
-    exert = bool(cuts)
-    if keyed is not None:
-        keys = arrival_keys(*keyed, np.arange(lo, hi), exert)
+def _fill_block(rows, n: int, cuts: list) -> tuple[ArrivalArrays, dict]:
+    """The ``n`` drawn ``rows`` without ``exert_u``, each copied straight
+    into its row of (n, T) arrays allocated once per block, and for each
+    flex-sqrt-T cut the bool rows ``exert_u < cut``."""
     block = decisions = None
-    for i, row in enumerate(range(lo, hi)):
-        if keyed is None:
-            drawn = draw(row, exert)
-        else:
-            drawn = draw(row, exert, RowStreams(
-                generator, {c: k[i] for c, k in keys.items()}))
+    for i, drawn in enumerate(rows):
         arrivals = dict(vars(drawn))
         exert_u = arrivals.pop("exert_u")
         if block is None:
-            block = {name: np.empty((hi - lo,) + a.shape, a.dtype)
+            block = {name: np.empty((n,) + a.shape, a.dtype)
                      for name, a in arrivals.items()}
-            decisions = np.empty((len(cuts), hi - lo, len(drawn)), bool)
+            decisions = np.empty((len(cuts), n, len(drawn)), bool)
         for name, dst in block.items():
             dst[i] = arrivals[name]
         for dst, cut in zip(decisions, cuts):

@@ -195,16 +195,12 @@ def cmd_bins_run(args) -> int:
     spec = balls_bins.resolve_policy(
         balls_bins.PolicySpec(kind=args.policy, a_s=args.a_s, a_d=args.a_d),
         params, _preset(args))
-    seed = resolve_root_seed(args.seed)
-    # one row on the stream path ()
-    out, = bins_engine.run_blocks(
-        [spec], args.N, args.q, args.T, 1,
-        lambda _, exert: bins_engine.draw_arrival_arrays(seed, params,
-                                                         exert=exert))
+    # rep 0 of the matching sweep cell
+    out = bins_engine.run_many(spec, params, 1, resolve_root_seed(args.seed),
+                               *arrival_path("bins", params))
     trigger = int(out.first_trigger[0])
     _print_row([("policy", args.policy), ("T", args.T), ("N", args.N),
-                ("q", args.q),
-                ("final_gap", float(out.loads[0].max()) - args.T / args.N),
+                ("q", args.q), ("final_gap", float(out.final_gap[0])),
                 ("flex_count", int(out.flex_count[0])),
                 ("first_trigger", trigger if trigger >= 0 else None)])
     return 0

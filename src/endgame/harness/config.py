@@ -81,9 +81,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"expected one of {MODELS}")
     if not cfg.policies:
         raise ConfigError("policies: need at least one policy")
-    if cfg.replications is not None and cfg.replications < 1:
-        raise ConfigError(
-            f"replications: must be >= 1, got {cfg.replications}")
+    for name, low, expected in (("seed", 0, "a non-negative integer"),
+                                ("replications", 1, "an integer >= 1")):
+        value = getattr(cfg, name)
+        if value is not None and not (_is_int(value) and value >= low):
+            raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+    if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
+        raise ConfigError(f"out_dir: expected a directory name, "
+                          f"got {cfg.out_dir!r}")
     if cfg.preset not in ("theory", "numerics"):
         raise ConfigError(f"preset: expected theory or numerics, "
                           f"got {cfg.preset!r}")
@@ -95,10 +100,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not isinstance(entry, dict) or not isinstance(entry.get("kind"),
                                                          str):
             raise ConfigError(f"policies[{i}]: needs a kind")
-        for name in entry:
+        for name, value in entry.items():
+            where = f"policies[{i}].{name}"
             if name not in POLICY_FIELDS[cfg.model]:
-                raise ConfigError(f"policies[{i}].{name}: not a policy "
-                                  f"field of model {cfg.model!r}")
+                raise ConfigError(f"{where}: not a policy field of model "
+                                  f"{cfg.model!r}")
+            if name in ("a_s", "a_d") and _coerce(where, float, value) < 0:
+                raise ConfigError(f"{where}: must be >= 0, got {value!r}")
+            if name == "latched" and not isinstance(value, bool):
+                raise ConfigError(f"{where}: expected true or false, "
+                                  f"got {value!r}")
         if entry["kind"] in kinds:
             raise ConfigError(f"policies[{i}]: a second {entry['kind']!r} "
                               "policy; each kind may appear once")
@@ -145,6 +156,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                         raise ConfigError(f"{where}.{name}: {exc}") from None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _coerce(where: str, kind: type, value):
     """``value`` as a ``kind``; a number must be finite, and an int
     parameter takes only integral numbers, so that 200 and 200.0 name
@@ -172,7 +187,10 @@ def load_config(path, **overrides) -> ExperimentConfig:
     """Read a YAML config; keyword overrides (from CLI flags) win over
     file values when not None."""
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+        try:
+            data = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config root: expected a mapping, "
                           f"got {type(data).__name__}")

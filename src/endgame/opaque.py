@@ -108,12 +108,9 @@ def simulate_policies(policies, params: InventoryParams, n_cycles: int,
                       root_seed: int, *path) -> list[tuple]:
     """:func:`simulate_cycles` for each of ``policies``, on one draw of
     the cycles' arrivals that every policy runs on."""
-    N, q, T = params.N, params.q, params.horizon
-    outs = run_blocks(
-        policies, N, q, T, n_cycles,
-        lambda c, exert, rng: draw_raw_arrays(root_seed, N, q, T, *path, c,
-                                              exert=exert, rng=rng),
-        stop=params.S, keyed=(root_seed, path))
+    outs = run_blocks(policies, params.N, params.q, params.horizon,
+                      n_cycles, root_seed, path, draw_raw_arrays,
+                      stop=params.S)
     return [(out.stop_time, out.flex_count) for out in outs]
 
 

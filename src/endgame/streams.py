@@ -15,9 +15,12 @@ numbers, and cells that differ in an arrival parameter are independent.
 feeding a ``Philox``.  A Philox stream is fixed by its 128-bit key, the
 first two uint64 words ``SeedSequence.generate_state`` gives, so
 :func:`stream_keys` derives the keys of a whole block of paths that differ
-only in one integer (the replication) in one numpy pass, and
-:class:`RowStreams` draws them from one generator re-keyed per stream.
-The draws are bit-identical to :func:`stream`'s.
+only in one integer (the row: a replication or a cycle) in one numpy pass,
+and :class:`RowStreams` draws them from one generator re-keyed per stream.
+The draws are bit-identical to :func:`stream`'s.  The policy kernel
+(``bins_engine.run_blocks``) is the one caller of the batched keys: it
+derives each block's keys itself, so a bins or opaque row is always
+drawn from the streams ``(root_seed, *arrival path, row, category)``.
 """
 
 from __future__ import annotations
@@ -125,17 +128,11 @@ def _key(entropy: list) -> list:
     return [hashmix(word) for word in pool]
 
 
-def stream_keys(root_seed: int, path, category, rows=None) -> np.ndarray:
+def stream_keys(root_seed: int, path, category, rows) -> np.ndarray:
     """Philox keys of the streams ``(root_seed, *path, row, category)`` for
     every row of ``rows`` (ints in [0, 2**64)), as a (len(rows), 2) uint64
     array whose row i is ``stream_seed(root_seed, *path, rows[i],
-    category).generate_state(2, np.uint64)``.  Without ``rows``, the key of
-    ``(root_seed, *path, category)`` as a (1, 2) array, from numpy's
-    compiled ``SeedSequence``: one key is cheaper there than in this
-    module's numpy pass."""
-    if rows is None:
-        return stream_seed(root_seed, *path, category).generate_state(
-            2, np.uint64).reshape(1, 2)
+    category).generate_state(2, np.uint64)``."""
     head = _words(int(root_seed))
     for part in path:
         head += _words(_component_to_int(part))

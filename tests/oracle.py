@@ -3,7 +3,7 @@
 ``run`` is the scalar reference for the lockstep kernel in
 ``endgame.bins_engine``: one row, one period at a time, written to be
 read rather than to be fast.  The engines must agree with it bit for bit
-on the same arrivals.  ``nearest_neighbor_order``,
+on the same arrivals, which ``draw`` draws for one row's stream path.  ``nearest_neighbor_order``,
 ``cheapest_insertion`` and ``two_opt`` are the references for the
 routines of the same names in ``endgame.parcel.tsp``, which must return
 the same tours.
@@ -20,9 +20,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from endgame.balls_bins import (ALWAYS_FLEX, FLEX_SQRT_T, NO_FLEX, STATIC,
-                                ArrivalArrays, PolicySpec, static_start)
+from endgame.balls_bins import (ALWAYS_FLEX, CATEGORIES, FLEX_SQRT_T,
+                                NO_FLEX, STATIC, ArrivalArrays, PolicySpec,
+                                draw_raw_arrays, static_start)
 from endgame.parcel import clustering, tsp
+from endgame.streams import RowStreams, keyed_generator, stream_seed
 
 
 @dataclass
@@ -90,6 +92,18 @@ def run(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     return Record(loads=loads, flex_count=flex_count,
                   first_trigger=first_trigger,
                   trajectory=np.array(trajectory).reshape(-1, N))
+
+
+def draw(root_seed: int, N: int, q: float, T: int, *path,
+         exert: bool = True) -> ArrivalArrays:
+    """The arrivals of the row whose streams are ``(root_seed, *path,
+    category)``: the kernel's row r of a run on stream path ``p`` is
+    ``draw(root_seed, N, q, T, *p, r)``.  The keys come from numpy's
+    compiled ``SeedSequence``, apart from ``streams.stream_keys``."""
+    keys = {c: stream_seed(root_seed, *path, c).generate_state(2, np.uint64)
+            for c in CATEGORIES}
+    return draw_raw_arrays(N, q, T, RowStreams(keyed_generator(), keys),
+                           exert=exert)
 
 
 def stack_arrivals(rows: list) -> ArrivalArrays:

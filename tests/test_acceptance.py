@@ -324,7 +324,7 @@ def test_criterion_11_parcel_directional(parcel_days):
            f"(a) unloading-only cost up, MAD down: {a_ok}; "
            f"(b) routing-dynamic travel up: {b_ok}; "
            f"(c) patient saves {diff.mean():.1f} >= 2SE={2 * se:.1f}: {c_ok}; "
-           f"(d) advantage by h_max {[round(a, 1) for a in adv]} "
+           f"(d) advantage by h_max {[round(float(a), 1) for a in adv]} "
            f"shrinking and reversed: {d_ok} "
            f"[overtime freq {freq:.2f}]")
 

@@ -50,24 +50,24 @@ def test_gap_examples():
 
 
 def test_draw_arrival_degenerate_flex():
-    arr = bb.draw_raw_arrays(0, 2, 1.0, 50, "draws")
+    arr = oracle.draw(0, 2, 1.0, 50, "draws")
     assert arr.is_flex.all()
     assert (arr.pair_lo == 0).all() and (arr.pair_hi == 1).all()
 
 
 def test_draw_arrival_flex_fraction():
-    arr = bb.draw_raw_arrays(0, 5, 0.1, 10**6, "fraction")
+    arr = oracle.draw(0, 5, 0.1, 10**6, "fraction")
     assert abs(arr.is_flex.mean() - 0.1) < 0.002
 
 
 def test_arrival_invariants():
-    arr = bb.draw_raw_arrays(3, 5, 0.3, 10**4, "invariants")
+    arr = oracle.draw(3, 5, 0.3, 10**4, "invariants")
     assert arr.preferred.dtype == np.int8
     assert arr.preferred.min() >= 0 and arr.preferred.max() < 5
     assert (0 <= arr.pair_lo).all() and (arr.pair_lo < arr.pair_hi).all()
     assert (arr.pair_hi < 5).all()
     # the exert stream is drawn on its own, so skipping it changes nothing
-    lean = bb.draw_raw_arrays(3, 5, 0.3, 10**4, "invariants", exert=False)
+    lean = oracle.draw(3, 5, 0.3, 10**4, "invariants", exert=False)
     assert lean.exert_u is None
     for name in ("is_flex", "preferred", "pair_lo", "pair_hi"):
         assert np.array_equal(getattr(lean, name), getattr(arr, name))
@@ -85,7 +85,7 @@ def test_model_params_validation():
 
 
 def test_choose_flex_pair_uniform():
-    arr = bb.draw_raw_arrays(0, 3, 1.0, 3 * 10**5, "pair-uniform")
+    arr = oracle.draw(0, 3, 1.0, 3 * 10**5, "pair-uniform")
     pairs, counts = np.unique(np.stack([arr.pair_lo, arr.pair_hi]), axis=1,
                               return_counts=True)
     assert [tuple(p) for p in pairs.T] == [(0, 1), (0, 2), (1, 2)]
@@ -178,9 +178,13 @@ def test_conservation_and_gap_bounds():
     p = bb.ModelParams(T=150, N=4, q=0.4)
     for kind in bb.POLICY_KINDS:
         spec = bb.resolve_policy(bb.PolicySpec(kind=kind), p, "numerics")
-        out, = be.run_blocks(
-            [spec], p.N, p.q, p.T, 5,
-            lambda rep, exert: bb.draw_arrival_arrays(9, p, rep, exert=exert))
+        out, = be.run_blocks([spec], p.N, p.q, p.T, 5, 9, ("conserve",),
+                             bb.draw_raw_arrays)
+        for rep in range(5):
+            ref = oracle.run(spec, p.N, p.q,
+                             oracle.draw(9, p.N, p.q, p.T, "conserve", rep))
+            assert np.array_equal(out.loads[rep], ref.loads)
+            assert out.flex_count[rep] == ref.flex_count
         assert (out.loads.sum(axis=1) == p.T).all()
         assert (out.stop_time == p.T).all()
         gap = out.loads.max(axis=1) - p.T / p.N
@@ -275,7 +279,7 @@ def test_engine_bit_identical_to_sequential():
                 bb.PolicySpec(kind=kind, latched=latched), p, "numerics")
             batch = be.run_many(spec, p, 6, 42, "engine", kind)
             for rep in range(6):
-                arr = bb.draw_arrival_arrays(42, p, "engine", kind, rep)
+                arr = oracle.draw(42, p.N, p.q, p.T, "engine", kind, rep)
                 rec = oracle.run(spec, p.N, p.q, arr)
                 assert rec.final_gap == batch.final_gap[rep]
                 assert rec.flex_count == batch.flex_count[rep]
@@ -339,8 +343,8 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
     key_calls = []
     derive = streams.stream_keys
 
-    def counting_keys(root_seed, path, category, rows=None):
-        key_calls.append((category, None if rows is None else len(rows)))
+    def counting_keys(root_seed, path, category, rows):
+        key_calls.append((category, len(rows)))
         return derive(root_seed, path, category, rows)
     monkeypatch.setattr(streams, "stream_keys", counting_keys)
     monkeypatch.setattr(be, "_BLOCK_ROWS", 3)

@@ -28,16 +28,18 @@ def read_rows(path):
 
 @pytest.fixture
 def seen(monkeypatch):
-    """Records the draw paths and, per policy kind, the arrival blocks
-    the kernel runs on."""
-    record = {"paths": [], "blocks": {}}
+    """Records each draw's row keys, one Philox key per category, and,
+    per policy kind, the arrival blocks the kernel runs on."""
+    record = {"keys": [], "blocks": {}}
 
     def counting(module, name):
         inner = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
-            record["paths"].append(args)
-            return inner(*args, **kwargs)
+        def wrapper(N, q, T, rng, **kwargs):
+            record["keys"].append(tuple(
+                (c, tuple(int(w) for w in key))
+                for c, key in sorted(rng.keys.items())))
+            return inner(N, q, T, rng, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
     counting(be, "draw_arrival_arrays")
@@ -66,8 +68,8 @@ def test_bins_sweep_policies_see_the_same_arrivals(capsys, tmp_path, seen):
             "--reps", "4", "--seed", "1", "--out", tmp_path)
     assert_same_blocks(seen["blocks"], ("no_flex", "flex_sqrt_t"))
     # one draw per replication and T, shared by both policies
-    assert len(seen["paths"]) == 2 * 4
-    assert len(set(seen["paths"])) == 2 * 4
+    assert len(seen["keys"]) == 2 * 4
+    assert len(set(seen["keys"])) == 2 * 4
 
 
 def test_opaque_config_sweep_policies_see_the_same_arrivals(capsys,
@@ -81,10 +83,26 @@ def test_opaque_config_sweep_policies_see_the_same_arrivals(capsys,
             "--out", tmp_path / "out")
     assert_same_blocks(seen["blocks"], ("no_flex", "dynamic"))
     # one draw per cycle and S: the regime and the policy share it
-    assert len(seen["paths"]) == 2 * 2 * 3
-    assert len(set(seen["paths"])) == 2 * 2 * 3
+    assert len(seen["keys"]) == 2 * 2 * 3
+    assert len(set(seen["keys"])) == 2 * 2 * 3
     # a regime sweep runs every policy once per S
     assert len(seen["blocks"]["dynamic"]) == 2
+
+
+@pytest.mark.parametrize("policy", ["no_flex", "static", "dynamic"])
+def test_bins_run_is_rep_0_of_its_sweep_cell(capsys, tmp_path, policy):
+    common = ("--T", 2000, "--N", 5, "--q", 0.1, "--seed", 7)
+    run = run_cli(capsys, "bins", "run", "--policy", policy, *common)
+    printed = dict(pair.split("=", 1) for pair in run.strip().split(","))
+    run_cli(capsys, "bins", "sweep", "--policy", policy, "--reps", 1,
+            "--out", tmp_path, *common)
+    rep0, = read_rows(tmp_path / "bins_raw.csv")
+    assert printed["final_gap"] == rep0["final_gap"]
+    assert printed["flex_count"] == rep0["flex_count"]
+    # a policy that never exerted prints None and writes -1
+    trigger = rep0["first_trigger"]
+    assert printed["first_trigger"] == ("None" if trigger == "-1"
+                                        else trigger)
 
 
 def test_parcel_policies_unload_the_same_packages(capsys, tmp_path):

@@ -13,7 +13,8 @@ from endgame import bins_engine as be
 
 @st.composite
 def kernel_cases(draw):
-    """A policy, (N, q, stop) and a few rows of drawn arrivals."""
+    """A policy, (N, q, stop), a root seed and a few rows of arrivals
+    drawn from the streams ``(seed, "prop", row)``."""
     stop = draw(st.none() | st.integers(1, 60))
     N = draw(st.integers(2, 8))
     q = draw(st.floats(0.05, 1.0))
@@ -23,24 +24,25 @@ def kernel_cases(draw):
                          a_s=draw(st.floats(0.0, 3.0)),
                          a_d=draw(st.floats(0.0, 3.0)),
                          latched=draw(st.booleans()))
-    rows = [bb.draw_raw_arrays(seed, N, q, T, "prop", row)
+    rows = [oracle.draw(seed, N, q, T, "prop", row)
             for row in range(draw(st.integers(1, 4)))]
-    return spec, N, q, stop, rows
+    return spec, N, q, stop, seed, rows
 
 
 @pytest.mark.parametrize("chunk", [be._CHUNK, 7])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=kernel_cases())
 def test_kernel_matches_oracle_and_invariants(chunk, case):
-    spec, N, q, stop, rows = case
+    spec, N, q, stop, seed, rows = case
     T = len(rows[0])
     with pytest.MonkeyPatch.context() as mp:
         # a narrow chunk puts events and stops across chunk boundaries
         mp.setattr(be, "_CHUNK", chunk)
         # the uniforms of exert_u, and the bool decisions of a block
+        # drawn on the rows' own streams
         outs = [be.lockstep(spec, N, q, oracle.stack_arrivals(rows), stop),
-                be.run_blocks([spec], N, q, T, len(rows),
-                              lambda row, exert: rows[row], stop)[0]]
+                be.run_blocks([spec], N, q, T, len(rows), seed, ("prop",),
+                              bb.draw_raw_arrays, stop)[0]]
     refs = [oracle.run(spec, N, q, arrivals, stop) for arrivals in rows]
     for out in outs:
         for r, (arrivals, ref) in enumerate(zip(rows, refs)):

@@ -60,9 +60,6 @@ def test_stream_keys_equal_seed_sequence(root, path, category, rows):
         expected = stream_seed(root, *path, row, category).generate_state(
             2, np.uint64)
         assert np.array_equal(key, expected)
-    single = stream_keys(root, path, category)
-    assert np.array_equal(single, stream_seed(root, *path, category)
-                          .generate_state(2, np.uint64)[None])
 
 
 def _mid_buffer(generator):
@@ -96,5 +93,3 @@ def test_negative_root_seed_raises_like_seed_sequence():
     with pytest.raises(ValueError) as got:
         stream_keys(-1, (), "x", [0])
     assert str(got.value) == str(expected.value)
-    with pytest.raises(ValueError):
-        stream_keys(-1, (), "x")
