@@ -84,7 +84,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, low, expected in (("seed", 0, "a non-negative integer"),
                                 ("replications", 1, "an integer >= 1")):
         value = getattr(cfg, name)
-        if value is not None and not (_is_int(value) and value >= low):
+        if value is not None and not (
+                isinstance(value, numbers.Integral)
+                and not isinstance(value, bool) and value >= low):
             raise ConfigError(f"{name}: expected {expected}, got {value!r}")
     if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
         raise ConfigError(f"out_dir: expected a directory name, "
@@ -154,10 +156,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                         ParcelParams(**{name: value})
                     except ValueError as exc:
                         raise ConfigError(f"{where}.{name}: {exc}") from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _coerce(where: str, kind: type, value):

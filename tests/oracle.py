@@ -3,10 +3,10 @@
 ``run`` is the scalar reference for the lockstep kernel in
 ``endgame.bins_engine``: one row, one period at a time, written to be
 read rather than to be fast.  The engines must agree with it bit for bit
-on the same arrivals, which ``draw`` draws for one row's stream path.  ``nearest_neighbor_order``,
-``cheapest_insertion`` and ``two_opt`` are the references for the
-routines of the same names in ``endgame.parcel.tsp``, which must return
-the same tours.
+on the same arrivals, which ``draw`` draws for one row's stream path.
+``nearest_neighbor_order``, ``cheapest_insertion`` and ``two_opt`` are
+the references for the routines of the same names in
+``endgame.parcel.tsp``, which must return the same tours.
 ``held_karp_length`` (exact TSP) and
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
 parcel heuristics are checked against, and ``zone_move_gap`` certifies a

@@ -7,7 +7,8 @@ Each sweep runs in a directory of its own, so that a relative
 import contextlib
 import copy
 import io
-import itertools
+import pathlib
+import tempfile
 
 import pytest
 import yaml
@@ -101,14 +102,10 @@ def edited(draw, config):
     return text
 
 
-_runs = itertools.count()
-
-
 def sweep(work, model, text) -> tuple[int, str]:
     """``<model> sweep --config`` on ``text`` in a fresh directory under
     ``work``: the exit code and stderr."""
-    run_dir = work / f"run{next(_runs)}"
-    run_dir.mkdir()
+    run_dir = pathlib.Path(tempfile.mkdtemp(dir=work))
     config = run_dir / "exp.yaml"
     config.write_text(text)
     err = io.StringIO()
@@ -121,10 +118,6 @@ def sweep(work, model, text) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     return tmp_path_factory.mktemp("config-fuzz")
-
-
-def text_of(config, path, token):
-    return yaml.safe_dump(apply(config, path, token), sort_keys=False)
 
 
 # values a config's run settings and policy fields took without a check
@@ -162,6 +155,7 @@ def test_edited_opaque_config_runs_or_exits_2(work, text):
                          ids=[f"{'.'.join(map(str, p))}={t}"
                               for p, t in MALFORMED])
 def test_malformed_value_exits_2_naming_its_field(work, path, token):
-    code, err = sweep(work, "bins", text_of(BINS, path, token))
+    code, err = sweep(work, "bins",
+                      yaml.safe_dump(apply(BINS, path, token)))
     field = path[0] if len(path) == 1 else f"policies[{path[1]}].{path[2]}"
     assert code == 2 and field in err, err
