@@ -1,4 +1,5 @@
-"""Golden outputs: the sha256 of every CSV of a fixed set of tiny sweeps.
+"""Golden outputs: the sha256 of every CSV of a fixed set of tiny sweeps,
+and of the flex tables one of them runs on.
 
 A change that is meant to keep the outputs byte-identical must leave
 these digests as they are; a declared output change updates them and
@@ -37,6 +38,15 @@ replications: 2
 seed: 1
 """
 
+PARCEL_TABLES = """\
+model: parcel
+policies: [no_flex, unloading_only, routing_dynamic, patient_dynamic,
+           cost_min]
+params: {{corpus: {corpus}, tables: {tables}, T: 60}}
+replications: 2
+seed: 1
+"""
+
 GOLDEN = {
     "bins": {
         "bins_raw.csv":
@@ -59,6 +69,14 @@ GOLDEN = {
             "4e8f34795a75fc9b2e6571574d3c176b07e164607014aec69bbf29cb8438e15e",
         "parcel_summary.csv":
             "1e5e685978e8c92e243be1b2131f218a464ff871fe3e9385e6e327692ee6aef2",
+    },
+    "parcel_tables": {
+        "parcel_raw.csv":
+            "7a697859e6f00d64b73f509732181c36403287cefe50c9ed36f01912ff4d97bc",
+        "parcel_summary.csv":
+            "4bef0b2014dc78c377760ce6d758137d9ef37e5a82fc5fa04b1861606cd55004",
+        "tables.txt":
+            "9784944e55d991a512d0006777c13ce1addf9def5f1cddc69c7478af78e6e780",
     },
 }
 
@@ -84,7 +102,14 @@ def sweep(case, work):
         corpus = work / "corpus.txt"
         run("parcel", "gen-corpus", "--out", corpus, "--zones", 3,
             "--pool-size", 150, "--epsilon", 15, "--seed", 0)
-        config.write_text(PARCEL.format(corpus=corpus))
+        if case == "parcel":
+            config.write_text(PARCEL.format(corpus=corpus))
+        else:
+            tables = work / "tables.txt"
+            run("parcel", "estimate-tables", "--corpus", corpus, "--out",
+                tables, "--reps", 3)
+            config.write_text(PARCEL_TABLES.format(corpus=corpus,
+                                                   tables=tables))
         run("parcel", "sweep", "--config", config, "--out", work)
 
 
@@ -92,6 +117,7 @@ def sweep(case, work):
 def test_golden_csv_digests(case, tmp_path, capsys):
     sweep(case, tmp_path)
     capsys.readouterr()
+    paths = sorted(tmp_path.glob("*.csv")) + list(tmp_path.glob("tables.txt"))
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(tmp_path.glob("*.csv"))}
+               for path in paths}
     assert digests == GOLDEN[case]
