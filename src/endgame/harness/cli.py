@@ -27,7 +27,7 @@ from ..streams import resolve_root_seed
 from .config import (ConfigError, ExperimentConfig, arrival_path,
                      load_config)
 from .plots import emit_plot_data
-from .runner import run_experiment, write_csv, write_summary
+from .runner import make_out_dir, run_experiment, write_csv, write_summary
 
 
 # most points a range grid may ask for; it is refused before any is made
@@ -278,11 +278,11 @@ def cmd_sweep(args) -> int:
 def _regime_table(args, flags) -> int:
     """The loss-vs-S table of one opaque regime, with its plot data."""
     out = args.out or "results"
+    make_out_dir(out)
     rows = opaque.regime_sweep(
         flags["regime"], parse_grid(flags["S"]), N=flags["N"], q=flags["q"],
         instances=flags["instances"], cycles_per_instance=flags["cycles"],
         root_seed=resolve_root_seed(args.seed), preset=_preset(args))
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"opaque_{flags['regime']}.csv")
     cols = ["regime", "S", "policy", "cost", "lower_bound", "loss", "se",
             "mean_R", "mean_D"]

@@ -96,12 +96,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"got {cfg.preset!r}")
     if not isinstance(cfg.policies, (list, tuple)):
         raise ConfigError("policies: expected a list")
+    # imported here: opaque imports this module, and the parcel modules
+    # load scipy
+    if cfg.model == "bins":
+        from ..balls_bins import POLICY_KINDS as model_kinds
+    elif cfg.model == "opaque":
+        from ..opaque import OPAQUE_POLICIES as model_kinds
+    else:
+        from ..parcel.simulate import PARCEL_POLICIES as model_kinds
     kinds = set()
     for i, policy in enumerate(cfg.policies):
         entry = {"kind": policy} if isinstance(policy, str) else policy
         if not isinstance(entry, dict) or not isinstance(entry.get("kind"),
                                                          str):
             raise ConfigError(f"policies[{i}]: needs a kind")
+        if entry["kind"] not in model_kinds:
+            raise ConfigError(f"policies[{i}].kind: unknown {cfg.model} "
+                              f"policy {entry['kind']!r}, expected one of "
+                              f"{', '.join(model_kinds)}")
         for name, value in entry.items():
             where = f"policies[{i}].{name}"
             if name not in POLICY_FIELDS[cfg.model]:

@@ -173,6 +173,16 @@ def _group_worker(args):
     return run_group(*args)
 
 
+def make_out_dir(path) -> None:
+    """Create the output directory ``path``; a file of that name is a
+    ValueError that names it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except FileExistsError:
+        raise ValueError(f"output directory {path}: a file of that name "
+                         "exists") from None
+
+
 def run_experiment(config: ExperimentConfig, parallel: int = 1,
                    out_dir: str | None = None):
     """Run the full sweep x replication matrix and write raw and summary
@@ -181,7 +191,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
     reps = (config.replications if config.replications is not None
             else DEFAULT_REPLICATIONS[config.model])
     out_dir = out_dir or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
 
     groups = {}  # group key -> indices into cells, in first-seen order
     cells = []

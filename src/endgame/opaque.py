@@ -59,17 +59,14 @@ class InventoryParams:
 
 @dataclass
 class CostEstimate:
-    """Long-run average cost decomposition with batch-means standard errors."""
+    """Long-run average cost decomposition, with the batch-means standard
+    error of the total."""
 
     total: float
     ordering: float
     holding: float
     discount: float
     se_total: float
-    se_ordering: float
-    se_holding: float
-    se_discount: float
-    n_cycles: int
 
 
 def resolve_opaque_policy(spec: PolicySpec, params: InventoryParams,
@@ -119,8 +116,8 @@ def long_run_cost(R, D, params: InventoryParams,
     """Renewal-reward cost from cycle samples.
 
     Point estimates use pooled moments over all cycles (plug-in sample
-    means for E[R], E[R^2], E[D]); standard errors come from batch means
-    over ``n_groups`` contiguous cycle groups.
+    means for E[R], E[R^2], E[D]); the total's standard error comes from
+    batch means over ``n_groups`` contiguous cycle groups.
     """
     R = np.asarray(R, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -138,24 +135,16 @@ def long_run_cost(R, D, params: InventoryParams,
 
     ordering, holding, discount = terms(R, D)
     n_groups = min(n_groups, R.size)
+    se_total = float("nan")
     if n_groups >= 2:
-        splits_r = np.array_split(R, n_groups)
-        splits_d = np.array_split(D, n_groups)
         per_group = np.array([terms(r, d) for r, d in
-                              zip(splits_r, splits_d)])
-        ses = per_group.std(axis=0, ddof=1) / math.sqrt(n_groups)
+                              zip(np.array_split(R, n_groups),
+                                  np.array_split(D, n_groups))])
         se_total = (per_group.sum(axis=1).std(ddof=1)
                     / math.sqrt(n_groups))
-    else:
-        ses = np.full(3, np.nan)
-        se_total = float("nan")
-    return CostEstimate(
-        total=ordering + holding + discount,
-        ordering=ordering, holding=holding, discount=discount,
-        se_total=float(se_total), se_ordering=float(ses[0]),
-        se_holding=float(ses[1]), se_discount=float(ses[2]),
-        n_cycles=int(R.size),
-    )
+    return CostEstimate(total=ordering + holding + discount,
+                        ordering=ordering, holding=holding,
+                        discount=discount, se_total=float(se_total))
 
 
 def lower_bound(params: InventoryParams) -> float:

@@ -118,24 +118,22 @@ class DayRecord:
         return self.y_u + self.y_r
 
 
-def flex_set_of(pkg_xy, centers, default_zone: int,
-                flex_km: float) -> np.ndarray:
-    """Zones whose center is within ``flex_km`` beyond the default
-    zone's center distance.  Always contains the default zone."""
-    d = np.hypot(centers[:, 0] - pkg_xy[0], centers[:, 1] - pkg_xy[1])
-    mask = d <= d[default_zone] + flex_km
-    mask[default_zone] = True
-    return np.flatnonzero(mask)
-
-
-def radius_flex_set(pkg_xy, centers, default_zone: int,
-                    radius_km: float) -> np.ndarray:
-    """Zones whose center is within ``radius_km`` of the package, plus
-    the default zone."""
-    d = np.hypot(centers[:, 0] - pkg_xy[0], centers[:, 1] - pkg_xy[1])
-    mask = d <= radius_km
-    mask[default_zone] = True
-    return np.flatnonzero(mask)
+def flex_mask(pts, defaults, centers, params: ParcelParams,
+              radius: bool = False) -> np.ndarray:
+    """(T, N) flex sets of packages at ``pts`` with default zones
+    ``defaults``: zone j is in package t's set when j's center is within
+    ``params.flex_km`` beyond the default zone's center distance or, with
+    ``radius``, within ``params.oblivious_radius_km`` of the package.
+    The default zone is always in."""
+    d = np.hypot(centers[None, :, 0] - pts[:, 0, None],
+                 centers[None, :, 1] - pts[:, 1, None])
+    rows = np.arange(len(pts))
+    if radius:
+        mask = d <= params.oblivious_radius_km
+    else:
+        mask = d <= d[rows, defaults][:, None] + params.flex_km
+    mask[rows, defaults] = True
+    return mask
 
 
 def inc_approx(stops: np.ndarray, pkg_xy, depot, speed: float) -> float:
@@ -189,8 +187,9 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
     pts = corpus.points[sample_idx]
     unloads = corpus.unload[sample_idx]
     defaults = corpus.default_zone[sample_idx]
-    centers = corpus.centers
     depot = corpus.depot
+    mask = flex_mask(pts, defaults, corpus.centers, params,
+                     radius=kind == UNLOADING_ONLY)
     # hour scale for the dimensionless dynamic threshold
     u_bar = float(corpus.unload.mean())
     if kind in TABLE_POLICIES:
@@ -221,20 +220,14 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
         u = unloads[t]
         dz = int(defaults[t])
         dest = dz
+        fset = np.flatnonzero(mask[t])
 
         if kind == UNLOADING_ONLY or kind == ROUTING_DYNAMIC:
-            if kind == UNLOADING_ONLY:
-                x = y_u
-                fset = radius_flex_set(pkg, centers, dz,
-                                       params.oblivious_radius_km)
-            else:
-                x = y_u + y_r
-                fset = flex_set_of(pkg, centers, dz, params.flex_km)
+            x = y_u if kind == UNLOADING_ONLY else y_u + y_r
             threshold = params.a_d * (T - t) * u_bar / N
             if x.max() - x.mean() >= threshold and len(fset) > 1:
                 dest = int(fset[np.argmin(x[fset])])
         elif kind in TABLE_POLICIES:
-            fset = flex_set_of(pkg, centers, dz, params.flex_km)
             cands = fset[fset != dz]
             if len(cands) > 0:
                 load = y_u + y_r

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, read_lines
-from .simulate import NO_FLEX, ParcelParams, ParcelPolicy, flex_set_of, run_day
-from .tsp import insertion_delta, removal_delta
+from .simulate import NO_FLEX, ParcelParams, ParcelPolicy, flex_mask, run_day
 
 TABLES_FORMAT = "endgame-flex-tables-1"
 
@@ -49,7 +48,6 @@ def estimate_flex_tables(corpus: Corpus, params: ParcelParams,
     uses the day stream path ("tables", k).
     """
     N = params.N
-    speed = params.speed
     depot = corpus.depot
     inc_sum = np.zeros((N, N))
     ser_sum = np.zeros((N, N))
@@ -58,34 +56,31 @@ def estimate_flex_tables(corpus: Corpus, params: ParcelParams,
     for rep in range(reps):
         rec = run_day(ParcelPolicy(NO_FLEX), corpus, params,
                       root_seed=root_seed, stream_path=("tables", rep))
-        pkg_pts = corpus.points[rec.sample_idx]
-        pkg_unload = corpus.unload[rec.sample_idx]
-        pkg_zone = corpus.default_zone[rec.sample_idx]
-        # per truck: stops in final tour order, and each stop's position in
-        # that tour by assignment order
-        tour_pts, tour_pos = [], []
+        pts = corpus.points[rec.sample_idx]
+        zone = corpus.default_zone[rec.sample_idx]
+        mask = flex_mask(pts, zone, corpus.centers, params)
+        delta_km = np.empty(mask.shape)  # read where mask holds
         for k, order in enumerate(rec.tours):
-            pos = np.empty(len(order), dtype=np.int64)
-            pos[order] = np.arange(len(order))
-            tour_pos.append(pos)
-            tour_pts.append(pkg_pts[rec.truck == k][order])
-
-        # on a no-flex day every package rides its default zone's truck
-        assigned_rank = {z: 0 for z in range(N)}
-        for pkg, u, i in zip(pkg_pts, pkg_unload, pkg_zone):
-            i = int(i)
-            k = assigned_rank[i]
-            assigned_rank[i] = k + 1
-            for j in flex_set_of(pkg, corpus.centers, i, params.flex_km):
-                j = int(j)
-                if j == i:
-                    delta_km = removal_delta(tour_pts[i], depot,
-                                             int(tour_pos[i][k]))
-                else:
-                    delta_km = insertion_delta(tour_pts[j], depot, pkg)
-                inc_sum[i, j] += delta_km / speed
-                ser_sum[i, j] += u
-                n_obs[i, j] += 1
+            stops = np.flatnonzero(rec.truck == k)[order]  # in tour order
+            cyc = np.vstack([depot, pts[stops], depot])
+            edge = np.hypot(*(cyc[:-1] - cyc[1:]).T)
+            # on a no-flex day truck k carries its zone's packages: the
+            # removal delta of each from k's own tour
+            skip = np.hypot(*(cyc[:-2] - cyc[2:]).T)
+            delta_km[stops, k] = edge[:-1] + edge[1:] - skip
+            # the cheapest-insertion delta into k's tour of every other
+            # package whose flex set holds k
+            guests = np.flatnonzero(mask[:, k] & (zone != k))
+            to_new = np.hypot(cyc[:, 0] - pts[guests, 0, None],
+                              cyc[:, 1] - pts[guests, 1, None])
+            delta_km[guests, k] = (to_new[:, :-1] + to_new[:, 1:]
+                                   - edge).min(axis=1)
+        # package-then-zone order: each sum adds its terms in package order
+        pkg, j = np.nonzero(mask)
+        cell = (zone[pkg], j)
+        np.add.at(inc_sum, cell, delta_km[pkg, j] / params.speed)
+        np.add.at(ser_sum, cell, corpus.unload[rec.sample_idx][pkg])
+        np.add.at(n_obs, cell, 1)
 
     with np.errstate(invalid="ignore"):
         inc = np.where(n_obs > 0, inc_sum / np.maximum(n_obs, 1), np.nan)

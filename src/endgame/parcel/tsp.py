@@ -1,5 +1,4 @@
-"""Tour construction for truck routes, plus cheap single-point
-insertion/removal deltas for table estimation.
+"""Tour construction for truck routes.
 
 A cold route is built by nearest-neighbor from the depot; a warm route
 starts from an earlier tour over a prefix of the stops and
@@ -115,33 +114,3 @@ def tsp_route(points, depot, speed: float, start=None):
              else cheapest_insertion(D, start))
     order = two_opt(D, first)
     return order, tour_length(D, order) / speed
-
-
-def insertion_delta(tour_pts, depot, new_pt):
-    """Cheapest-edge cost of inserting ``new_pt`` into a closed tour given
-    by the ordered point coordinates ``tour_pts`` (km, not hours)."""
-    new_pt = np.asarray(new_pt, dtype=float)
-    tour_pts = np.asarray(tour_pts, dtype=float).reshape(-1, 2)
-    depot = np.asarray(depot, dtype=float)
-    if len(tour_pts) == 0:
-        return 2.0 * float(np.hypot(*(new_pt - depot)))
-    cyc = np.vstack([depot[None, :], tour_pts, depot[None, :]])
-    a = cyc[:-1]
-    b = cyc[1:]
-    d_an = np.hypot(*(a - new_pt).T)
-    d_nb = np.hypot(*(b - new_pt).T)
-    d_ab = np.hypot(*(a - b).T)
-    return float((d_an + d_nb - d_ab).min())
-
-
-def removal_delta(tour_pts, depot, position):
-    """Length saved by dropping the stop at ``position`` from a closed tour
-    (km).  Nonnegative by the triangle inequality."""
-    tour_pts = np.asarray(tour_pts, dtype=float).reshape(-1, 2)
-    depot = np.asarray(depot, dtype=float)
-    cyc = np.vstack([depot[None, :], tour_pts, depot[None, :]])
-    p = position + 1
-    prev_pt, this_pt, next_pt = cyc[p - 1], cyc[p], cyc[p + 1]
-    return float(np.hypot(*(prev_pt - this_pt))
-                 + np.hypot(*(this_pt - next_pt))
-                 - np.hypot(*(prev_pt - next_pt)))

@@ -10,7 +10,11 @@ the references for the routines of the same names in
 ``held_karp_length`` (exact TSP) and
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
 parcel heuristics are checked against, and ``zone_move_gap`` certifies a
-balanced zoning optimal.
+balanced zoning optimal.  ``flex_set_of`` and ``radius_flex_set`` give
+one package's flex set, the rows of ``endgame.parcel.simulate.flex_mask``;
+``estimate_flex_tables`` is the package-at-a-time reference for the
+function of the same name in ``endgame.parcel.tables``, built on the
+single-point ``insertion_delta`` and ``removal_delta``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from endgame.balls_bins import (ALWAYS_FLEX, CATEGORIES, FLEX_SQRT_T,
                                 NO_FLEX, STATIC, ArrivalArrays, PolicySpec,
                                 draw_raw_arrays, static_start)
 from endgame.parcel import clustering, tsp
+from endgame.parcel import tables as ptables
+from endgame.parcel.simulate import NO_FLEX as PARCEL_NO_FLEX
+from endgame.parcel.simulate import ParcelPolicy
 from endgame.streams import RowStreams, keyed_generator, stream_seed
 
 
@@ -280,3 +287,104 @@ def zone_move_gap(points, centers, assignment, lo: int, hi: int) -> float:
     return float(min(np.diagonal(W).min(),
                      paths[np.ix_(counts > lo, counts < hi)].min(
                          initial=np.inf)))
+
+
+def flex_set_of(pkg_xy, centers, default_zone: int,
+                flex_km: float) -> np.ndarray:
+    """Zones whose center is within ``flex_km`` beyond the default
+    zone's center distance.  Always contains the default zone."""
+    d = np.hypot(centers[:, 0] - pkg_xy[0], centers[:, 1] - pkg_xy[1])
+    mask = d <= d[default_zone] + flex_km
+    mask[default_zone] = True
+    return np.flatnonzero(mask)
+
+
+def radius_flex_set(pkg_xy, centers, default_zone: int,
+                    radius_km: float) -> np.ndarray:
+    """Zones whose center is within ``radius_km`` of the package, plus
+    the default zone."""
+    d = np.hypot(centers[:, 0] - pkg_xy[0], centers[:, 1] - pkg_xy[1])
+    mask = d <= radius_km
+    mask[default_zone] = True
+    return np.flatnonzero(mask)
+
+
+def insertion_delta(tour_pts, depot, new_pt):
+    """Cheapest-edge cost of inserting ``new_pt`` into a closed tour given
+    by the ordered point coordinates ``tour_pts`` (km, not hours)."""
+    new_pt = np.asarray(new_pt, dtype=float)
+    tour_pts = np.asarray(tour_pts, dtype=float).reshape(-1, 2)
+    depot = np.asarray(depot, dtype=float)
+    if len(tour_pts) == 0:
+        return 2.0 * float(np.hypot(*(new_pt - depot)))
+    cyc = np.vstack([depot[None, :], tour_pts, depot[None, :]])
+    a = cyc[:-1]
+    b = cyc[1:]
+    d_an = np.hypot(*(a - new_pt).T)
+    d_nb = np.hypot(*(b - new_pt).T)
+    d_ab = np.hypot(*(a - b).T)
+    return float((d_an + d_nb - d_ab).min())
+
+
+def removal_delta(tour_pts, depot, position):
+    """Length saved by dropping the stop at ``position`` from a closed tour
+    (km).  Nonnegative by the triangle inequality."""
+    tour_pts = np.asarray(tour_pts, dtype=float).reshape(-1, 2)
+    depot = np.asarray(depot, dtype=float)
+    cyc = np.vstack([depot[None, :], tour_pts, depot[None, :]])
+    p = position + 1
+    prev_pt, this_pt, next_pt = cyc[p - 1], cyc[p], cyc[p + 1]
+    return float(np.hypot(*(prev_pt - this_pt))
+                 + np.hypot(*(this_pt - next_pt))
+                 - np.hypot(*(prev_pt - next_pt)))
+
+
+def estimate_flex_tables(corpus, params, reps: int = 50,
+                         root_seed: int = 0) -> ptables.FlexTables:
+    """Flex tables one (package, flex-set zone) pair at a time, on the
+    same no-flex replays as ``endgame.parcel.tables``."""
+    N = params.N
+    speed = params.speed
+    depot = corpus.depot
+    inc_sum = np.zeros((N, N))
+    ser_sum = np.zeros((N, N))
+    n_obs = np.zeros((N, N), dtype=np.int64)
+
+    for rep in range(reps):
+        rec = ptables.run_day(ParcelPolicy(PARCEL_NO_FLEX), corpus, params,
+                              root_seed=root_seed,
+                              stream_path=("tables", rep))
+        pkg_pts = corpus.points[rec.sample_idx]
+        pkg_unload = corpus.unload[rec.sample_idx]
+        pkg_zone = corpus.default_zone[rec.sample_idx]
+        # per truck: stops in final tour order, and each stop's position in
+        # that tour by assignment order
+        tour_pts, tour_pos = [], []
+        for k, order in enumerate(rec.tours):
+            pos = np.empty(len(order), dtype=np.int64)
+            pos[order] = np.arange(len(order))
+            tour_pos.append(pos)
+            tour_pts.append(pkg_pts[rec.truck == k][order])
+
+        # on a no-flex day every package rides its default zone's truck
+        assigned_rank = {z: 0 for z in range(N)}
+        for pkg, u, i in zip(pkg_pts, pkg_unload, pkg_zone):
+            i = int(i)
+            k = assigned_rank[i]
+            assigned_rank[i] = k + 1
+            for j in flex_set_of(pkg, corpus.centers, i, params.flex_km):
+                j = int(j)
+                if j == i:
+                    delta_km = removal_delta(tour_pts[i], depot,
+                                             int(tour_pos[i][k]))
+                else:
+                    delta_km = insertion_delta(tour_pts[j], depot, pkg)
+                inc_sum[i, j] += delta_km / speed
+                ser_sum[i, j] += u
+                n_obs[i, j] += 1
+
+    with np.errstate(invalid="ignore"):
+        inc = np.where(n_obs > 0, inc_sum / np.maximum(n_obs, 1), np.nan)
+        ser = np.where(n_obs > 0, ser_sum / np.maximum(n_obs, 1), np.nan)
+    return ptables.FlexTables(inc=inc, ser=ser,
+                              arrival_prob=corpus.arrival_prob(), n_obs=n_obs)

@@ -245,6 +245,19 @@ def test_criterion_8_regime_orderings(opaque_sweeps):
     report(8, all_ok, "; ".join(outcomes))
 
 
+def test_delta_sqrt_ordering_at_extended_scale():
+    # criterion 8's delta_sqrt ordering is out of reach at S <= 800; past
+    # the crossing no_flex is best, by at least 2 SE against every policy
+    rows = opaque.regime_sweep("delta_sqrt", [6400], instances=20,
+                               cycles_per_instance=20)
+    loss = {row["policy"]: row["loss"] for row in rows}
+    se = {row["policy"]: row["se"] for row in rows}
+    for policy in opaque.OPAQUE_POLICIES:
+        if policy != opaque.NO_FLEX:
+            assert loss[policy] - loss["no_flex"] >= \
+                2 * math.hypot(se[policy], se["no_flex"]), (loss, se)
+
+
 def test_criterion_9_exhaustive_oracle():
     # exact E[R] for N=2, S=2 never-flex by enumerating preferred paths
     total = 0.0

@@ -362,6 +362,42 @@ def test_config_needing_tables_runs_no_day(capsys, tmp_path, small_corpus,
     assert days == []
 
 
+@pytest.mark.parametrize("model,params", [
+    ("bins", "sweep: {{T: [20]}}"), ("opaque", "sweep: {{S: [4]}}"),
+    ("parcel", "params: {{corpus: {corpus}, T: 40}}")],
+    ids=["bins", "opaque", "parcel"])
+def test_unknown_policy_kind_exits_2_naming_its_field(
+        capsys, tmp_path, small_corpus, monkeypatch, model, params):
+    days = []
+    run_day = psim.run_day
+    monkeypatch.setattr(psim, "run_day",
+                        lambda *a, **kw: days.append(1) or run_day(*a, **kw))
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"model: {model}\npolicies: [no_flex, bogus]\n"
+                      + params.format(corpus=small_corpus)
+                      + "\nreplications: 2\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, model, "sweep", "--config", str(config),
+                           "--out", str(out))
+    assert code == 2
+    assert "policies[1].kind: unknown" in err and "'bogus'" in err
+    assert days == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("bins", "sweep", "--config", "{config}"),
+    ("opaque", "sweep", "--regime", "delta_zero", "--S", "5", "--out",
+     "{config}")])
+def test_out_dir_naming_a_file_exits_2(capsys, tmp_path, argv):
+    # the bins config names itself as its out_dir
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: bins\npolicies: [no_flex]\nsweep: {T: [20]}\n"
+                      f"replications: 2\nout_dir: {config}\n")
+    code, _, err = run_cli(capsys, *(a.format(config=config) for a in argv))
+    assert code == 2
+    assert f"output directory {config}" in err
+
+
 @pytest.mark.parametrize("name,value", [
     ("speed", ".nan"), ("a_d", ".inf"), ("c_o", "-.inf"), ("flex_km", ".nan"),
     pytest.param("h_max", "1" + "0" * 400, id="h_max-int-beyond-float")])

@@ -1,7 +1,9 @@
-"""Fuzzing of the config loader: a valid tiny bins or opaque config with
-one to three of its keys set to a token, dropped, or its text cut short
-either runs (exit 0) or exits 2 with a message, never with a traceback.
-Each sweep runs in a directory of its own, so that a relative
+"""Fuzzing of the config loader: a valid tiny bins, opaque or parcel
+config with one to three of its keys set to a token, dropped, or its
+text cut short either runs (exit 0) or exits 2 with a message, never
+with a traceback.  A parcel config may also exit 1, the code of a
+missing input file, when it names a corpus or tables file that is not
+there.  Each sweep runs in a directory of its own, so that a relative
 ``out_dir`` stays inside it."""
 
 import contextlib
@@ -17,6 +19,9 @@ from hypothesis import strategies as st
 
 from endgame.harness import cli
 from endgame.harness.config import MODEL_PARAMS, POLICY_FIELDS
+from endgame.parcel import corpus as cp
+from endgame.parcel import tables as tb
+from endgame.parcel.simulate import ParcelParams
 
 BINS = {
     "model": "bins",
@@ -120,6 +125,43 @@ def work(tmp_path_factory):
     return tmp_path_factory.mktemp("config-fuzz")
 
 
+@pytest.fixture(scope="module")
+def parcel_config(work):
+    """A tiny parcel config on a corpus and tables built here."""
+    spec = cp.GeometrySpec(n_zones=3, pool_size=120, city_radius_km=6.0,
+                           epsilon=15.0)
+    corpus = cp.build_corpus(spec, seed=0)
+    cp.save_corpus(corpus, work / "corpus.txt")
+    tb.save_tables(tb.estimate_flex_tables(corpus, ParcelParams(N=3, T=60),
+                                           reps=2),
+                   work / "tables.txt")
+    return {
+        "model": "parcel",
+        "policies": ["no_flex", {"kind": "routing_dynamic"},
+                     {"kind": "cost_min"}],
+        # T under params too, so that dropping one T keeps days short
+        "params": {"corpus": str(work / "corpus.txt"),
+                   "tables": str(work / "tables.txt"), "T": 40, "M1": 20,
+                   "a_d": 0.6},
+        "sweep": {"T": [30, 40]},
+        "preset": "numerics",
+        "replications": 2,
+        "seed": 3,
+        "out_dir": "out",
+    }
+
+
+def named_files(text) -> list:
+    """The corpus and tables values of a parcel config's text."""
+    data = yaml.safe_load(text)
+    values = []
+    for where in ("params", "sweep"):
+        for name in ("corpus", "tables"):
+            value = data.get(where, {}).get(name, [])
+            values += value if isinstance(value, list) else [value]
+    return [str(value) for value in values]
+
+
 # values a config's run settings and policy fields took without a check
 MALFORMED = [
     (("seed",), "[1]"), (("seed",), "1.5"), (("seed",), "-1"),
@@ -149,6 +191,22 @@ def test_edited_opaque_config_runs_or_exits_2(work, text):
     code, err = sweep(work, "opaque", text)
     assert code in (0, 2), err
     assert code == 0 or err
+
+
+def test_edited_parcel_config_runs_or_exits_1_or_2(work, parcel_config):
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              database=None)
+    @given(text=edited(parcel_config))
+    @example(text=yaml.safe_dump(parcel_config))
+    def check(text):
+        code, err = sweep(work, "parcel", text)
+        assert code in (0, 1, 2), err
+        assert code == 0 or err
+        if code == 1:  # only a missing input file, named in the message
+            assert "No such file" in err, err
+            assert any(repr(path) in err for path in named_files(text)), err
+
+    check()
 
 
 @pytest.mark.parametrize("path,token", MALFORMED,

@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from endgame.parcel import corpus as cp
 from endgame.parcel import simulate as sim
 from endgame.parcel import tables as tb
@@ -42,15 +45,49 @@ def test_flex_set_rules():
     centers = np.array([[0.0, 0.0], [3.0, 0.0], [10.0, 0.0]])
     pkg = np.array([0.0, 0.0])
     # default is farthest away: everything closer than d_default + 1 is in
-    assert list(sim.flex_set_of(pkg, centers, 2, 1.0)) == [0, 1, 2]
+    assert list(oracle.flex_set_of(pkg, centers, 2, 1.0)) == [0, 1, 2]
     # default nearest: only zones within 1 km beyond it qualify
-    assert list(sim.flex_set_of(pkg, centers, 0, 1.0)) == [0]
-    assert list(sim.flex_set_of(pkg, centers, 0, 3.0)) == [0, 1]
+    assert list(oracle.flex_set_of(pkg, centers, 0, 1.0)) == [0]
+    assert list(oracle.flex_set_of(pkg, centers, 0, 3.0)) == [0, 1]
     # radius rule ignores the default distance entirely
-    assert list(sim.radius_flex_set(pkg, centers, 2, 5.0)) == [0, 1, 2]
-    assert list(sim.radius_flex_set(pkg, centers, 0, 2.0)) == [0]
+    assert list(oracle.radius_flex_set(pkg, centers, 2, 5.0)) == [0, 1, 2]
+    assert list(oracle.radius_flex_set(pkg, centers, 0, 2.0)) == [0]
     # far default is kept even outside the radius
-    assert list(sim.radius_flex_set(pkg, centers, 2, 2.0)) == [0, 2]
+    assert list(oracle.radius_flex_set(pkg, centers, 2, 2.0)) == [0, 2]
+
+
+# centers and packages on a half-km lattice, so that packages exactly on
+# a bound (collinear points, 3-4-5 triangles) and on their own center
+# come up
+_coord = st.integers(-8, 8).map(lambda v: v / 2)
+_xy = st.tuples(_coord, _coord)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(centers=st.lists(_xy, min_size=2, max_size=6, unique=True),
+       pkgs=st.lists(st.tuples(_xy, st.integers(0, 5)), min_size=1,
+                     max_size=12),
+       flex_km=st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+       radius_km=st.sampled_from([0.5, 1.0, 2.5, 5.0]))
+@example(centers=[(0.0, 0.0), (3.0, 4.0), (1.0, 0.0), (2.0, 0.0)],
+         pkgs=[((0.0, 0.0), 0), ((0.0, 0.0), 2), ((1.0, 0.0), 2)],
+         flex_km=1.0, radius_km=5.0)
+def test_flex_mask_rows_are_the_oracle_flex_sets(centers, pkgs, flex_km,
+                                                 radius_km):
+    # the example: (3, 4) is exactly 5 km from a package at the origin,
+    # and (2, 0) exactly 1 km beyond the default (1, 0)
+    centers = np.array(centers)
+    pts = np.array([xy for xy, _ in pkgs], dtype=float)
+    defaults = np.array([z % len(centers) for _, z in pkgs])
+    params = sim.ParcelParams(flex_km=flex_km, oblivious_radius_km=radius_km)
+    close = sim.flex_mask(pts, defaults, centers, params)
+    near = sim.flex_mask(pts, defaults, centers, params, radius=True)
+    for t, (pkg, dz) in enumerate(zip(pts, defaults)):
+        assert np.array_equal(np.flatnonzero(close[t]),
+                              oracle.flex_set_of(pkg, centers, dz, flex_km))
+        assert np.array_equal(np.flatnonzero(near[t]),
+                              oracle.radius_flex_set(pkg, centers, dz,
+                                                     radius_km))
 
 
 def test_inc_approx_values():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from endgame.parcel import corpus as cp
 from endgame.parcel import tables as tb
 from endgame.parcel.simulate import ParcelParams
@@ -67,6 +68,32 @@ def test_estimation_deterministic(small_setup, monkeypatch):
     assert np.array_equal(tables.n_obs, again.n_obs)
     assert np.array_equal(tables.inc, again.inc, equal_nan=True)
     assert np.array_equal(tables.ser, again.ser, equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def golden_corpus():
+    """The corpus of the golden parcel sweeps (`parcel gen-corpus --zones 3
+    --pool-size 150 --epsilon 15 --seed 0`)."""
+    spec = cp.GeometrySpec(n_zones=3, pool_size=150, epsilon=15.0)
+    return cp.build_corpus(spec, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("world", ["small", "golden", "sparse"])
+def test_estimation_equals_oracle(small_setup, golden_corpus, world, seed):
+    if world == "small":
+        corpus, params, _ = small_setup
+    elif world == "golden":
+        corpus, params = golden_corpus, ParcelParams(N=3, T=600)
+    else:  # a truck with no stops, and every zone in every flex set
+        corpus, params = small_setup[0], ParcelParams(N=4, T=3, flex_km=20.0)
+    got = tb.estimate_flex_tables(corpus, params, reps=3, root_seed=seed)
+    want = oracle.estimate_flex_tables(corpus, params, reps=3,
+                                       root_seed=seed)
+    assert np.array_equal(got.n_obs, want.n_obs)
+    assert np.array_equal(got.inc, want.inc, equal_nan=True)
+    assert np.array_equal(got.ser, want.ser, equal_nan=True)
+    assert np.array_equal(got.arrival_prob, want.arrival_prob)
 
 
 def test_save_load_round_trip(small_setup, tmp_path):

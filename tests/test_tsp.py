@@ -62,12 +62,13 @@ def test_heuristic_near_optimal_and_never_below_optimum():
 def test_insertion_delta_cases():
     depot = np.zeros(2)
     # empty tour: round trip to the new point
-    assert tsp.insertion_delta([], depot, (3.0, 4.0)) == pytest.approx(10.0)
+    assert oracle.insertion_delta([], depot, (3.0, 4.0)) == pytest.approx(10.0)
     # point on an existing edge costs nothing
     tour = [(2.0, 0.0), (2.0, 2.0)]
-    assert tsp.insertion_delta(tour, depot, (1.0, 0.0)) == pytest.approx(0.0)
+    assert oracle.insertion_delta(tour, depot, (1.0, 0.0)) == \
+        pytest.approx(0.0)
     # detour: insert (0,2) into depot->(2,0)->depot, cheapest edge split
-    d = tsp.insertion_delta([(2.0, 0.0)], depot, (0.0, 2.0))
+    d = oracle.insertion_delta([(2.0, 0.0)], depot, (0.0, 2.0))
     assert d == pytest.approx(2 + 2 * math.sqrt(2) - 2)
     assert d >= 0
 
@@ -76,13 +77,13 @@ def test_removal_delta_cases():
     depot = np.zeros(2)
     tour = [(2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
     # dropping the middle corner of the square saves 2 + 2 - 2*sqrt(2)
-    assert tsp.removal_delta(tour, depot, 1) == \
+    assert oracle.removal_delta(tour, depot, 1) == \
         pytest.approx(4 - 2 * math.sqrt(2))
     # collinear stop saves nothing
     line = [(1.0, 0.0), (2.0, 0.0)]
-    assert tsp.removal_delta(line, depot, 0) == pytest.approx(0.0)
+    assert oracle.removal_delta(line, depot, 0) == pytest.approx(0.0)
     for pos in range(3):
-        assert tsp.removal_delta(tour, depot, pos) >= -1e-12
+        assert oracle.removal_delta(tour, depot, pos) >= -1e-12
 
 
 def test_insertion_then_removal_roundtrip_bound():
@@ -92,8 +93,8 @@ def test_insertion_then_removal_roundtrip_bound():
     depot = np.zeros(2)
     tour = rng.uniform(-4, 4, size=(5, 2))
     new = rng.uniform(-4, 4, size=2)
-    ins = tsp.insertion_delta(tour, depot, new)
-    deltas = [tsp.removal_delta(np.vstack([tour[:k], new[None], tour[k:]]),
+    ins = oracle.insertion_delta(tour, depot, new)
+    deltas = [oracle.removal_delta(np.vstack([tour[:k], new[None], tour[k:]]),
                                 depot, k)
               for k in range(6)]
     assert any(math.isclose(d, ins, rel_tol=1e-9) for d in deltas)
