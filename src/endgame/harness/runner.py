@@ -174,13 +174,13 @@ def _group_worker(args):
 
 
 def make_out_dir(path) -> None:
-    """Create the output directory ``path``; a file of that name is a
+    """Create the output directory ``path``; a file at or above it is a
     ValueError that names it."""
     try:
         os.makedirs(path, exist_ok=True)
-    except FileExistsError:
-        raise ValueError(f"output directory {path}: a file of that name "
-                         "exists") from None
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValueError(f"output directory {path}: {exc.strerror}") \
+            from None
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1,

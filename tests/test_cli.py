@@ -384,18 +384,21 @@ def test_unknown_policy_kind_exits_2_naming_its_field(
     assert days == [] and not out.exists()
 
 
+@pytest.mark.parametrize("out", ["{config}", "{config}/sub"])
 @pytest.mark.parametrize("argv", [
     ("bins", "sweep", "--config", "{config}"),
     ("opaque", "sweep", "--regime", "delta_zero", "--S", "5", "--out",
-     "{config}")])
-def test_out_dir_naming_a_file_exits_2(capsys, tmp_path, argv):
-    # the bins config names itself as its out_dir
+     "{out}")])
+def test_out_dir_naming_a_file_exits_2(capsys, tmp_path, argv, out):
+    # the bins config's out_dir is the config itself, or under it
     config = tmp_path / "exp.yaml"
+    out = out.format(config=config)
     config.write_text("model: bins\npolicies: [no_flex]\nsweep: {T: [20]}\n"
-                      f"replications: 2\nout_dir: {config}\n")
-    code, _, err = run_cli(capsys, *(a.format(config=config) for a in argv))
+                      f"replications: 2\nout_dir: {out}\n")
+    code, _, err = run_cli(capsys, *(a.format(config=config, out=out)
+                                     for a in argv))
     assert code == 2
-    assert f"output directory {config}" in err
+    assert f"output directory {out}: " in err
 
 
 @pytest.mark.parametrize("name,value", [
