@@ -1,10 +1,11 @@
 """Golden outputs: the sha256 of every CSV of a fixed set of tiny sweeps,
-and of the flex tables one of them runs on.
+and of the flex tables two of them run on.
 
 A change that is meant to keep the outputs byte-identical must leave
 these digests as they are; a declared output change updates them and
 says so."""
 
+import csv
 import hashlib
 
 import pytest
@@ -33,7 +34,7 @@ seed: 4
 PARCEL = """\
 model: parcel
 policies: [no_flex, routing_dynamic]
-params: {{corpus: {corpus}, T: 60}}
+params: {{corpus: {corpus}, T: {T}}}
 replications: 2
 seed: 1
 """
@@ -42,10 +43,22 @@ PARCEL_TABLES = """\
 model: parcel
 policies: [no_flex, unloading_only, routing_dynamic, patient_dynamic,
            cost_min]
-params: {{corpus: {corpus}, tables: {tables}, T: 60}}
+params: {{corpus: {corpus}, tables: {tables}, T: {T}}}
 replications: 2
 seed: 1
 """
+
+# corpus zones, pool size and epsilon, and day length T, of the parcel
+# cases: on the 3-zone corpus at T 60 only cost_min flexes, on the 4-zone
+# corpus at T 300 every flexing policy does (checked in the test)
+PARCEL_CASES = {
+    "parcel": (3, 150, 15, 60),
+    "parcel_tables": (3, 150, 15, 60),
+    "parcel_flex": (4, 300, 20, 300),
+}
+FLEXING = {"unloading_only", "routing_dynamic", "patient_dynamic",
+           "cost_min"}
+
 
 GOLDEN = {
     "bins": {
@@ -78,6 +91,14 @@ GOLDEN = {
         "tables.txt":
             "9784944e55d991a512d0006777c13ce1addf9def5f1cddc69c7478af78e6e780",
     },
+    "parcel_flex": {
+        "parcel_raw.csv":
+            "8830e20a0176a7ecb1cc3b8086d190b9150edb1eff1ac5014b1b2d9a28e5b6ac",
+        "parcel_summary.csv":
+            "c35599025f638bf351a95e885fbd206072ba4f4149433214b534f8284e697c80",
+        "tables.txt":
+            "e12df5779bef8dcd6908f2b9a53d4892f8a64b4955526d13bc5fc61332b473a9",
+    },
 }
 
 
@@ -100,16 +121,17 @@ def sweep(case, work):
             "--seed", 5, "--out", work)
     else:
         corpus = work / "corpus.txt"
-        run("parcel", "gen-corpus", "--out", corpus, "--zones", 3,
-            "--pool-size", 150, "--epsilon", 15, "--seed", 0)
+        zones, pool, eps, T = PARCEL_CASES[case]
+        run("parcel", "gen-corpus", "--out", corpus, "--zones", zones,
+            "--pool-size", pool, "--epsilon", eps, "--seed", 0)
         if case == "parcel":
-            config.write_text(PARCEL.format(corpus=corpus))
+            config.write_text(PARCEL.format(corpus=corpus, T=T))
         else:
             tables = work / "tables.txt"
             run("parcel", "estimate-tables", "--corpus", corpus, "--out",
                 tables, "--reps", 3)
             config.write_text(PARCEL_TABLES.format(corpus=corpus,
-                                                   tables=tables))
+                                                   tables=tables, T=T))
         run("parcel", "sweep", "--config", config, "--out", work)
 
 
@@ -121,3 +143,8 @@ def test_golden_csv_digests(case, tmp_path, capsys):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in paths}
     assert digests == GOLDEN[case]
+    if case == "parcel_flex":
+        with open(tmp_path / "parcel_raw.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        flexed = {r["policy"] for r in rows if int(r["flex_count"]) > 0}
+        assert flexed == FLEXING
