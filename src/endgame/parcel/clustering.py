@@ -1,12 +1,7 @@
-"""Default-zone construction: k-means centers followed by a balanced
-reassignment solved as a transportation LP.
-
-The reassignment minimizes total package-to-center distance subject to
-every zone's package count being an integer within epsilon of L/N.  The
-count bounds are integers and the constraint matrix (one assignment row
-per package, one count row per zone) is totally unimodular, so every
-vertex of the polytope is 0/1: HiGHS dual simplex returns an integral
-optimum, read off by argmax, and a fractional answer raises.
+"""Default-zone construction: k-means centers followed by an exact
+balanced reassignment, which minimizes total package-to-center distance
+subject to every zone's package count being an integer within epsilon of
+L/N (successive shortest paths on the zone move graph).
 """
 
 from __future__ import annotations
@@ -15,8 +10,6 @@ import math
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
-from scipy.optimize import linprog
-from scipy import sparse
 
 
 class EpsilonInfeasibleError(ValueError):
@@ -53,6 +46,14 @@ def kmeans_centers(points, N: int, seed: int):
 def balanced_assign(points, centers, epsilon: float):
     """Minimum-cost balanced assignment of packages to fixed centers.
 
+    A min-cost flow whose residual graph, condensed to the N zones, has
+    the arc a -> b of cost W[a, b], the cheapest move of one package of
+    zone a to zone b.  From the nearest-center assignment (optimal for its
+    own counts), each step moves one package along every arc of a
+    cheapest zone path, which keeps all zone cycles nonnegative, until no
+    path of negative cost leads from a zone above its lower count bound
+    to one below its upper bound: the flow's optimality condition.
+
     Returns (assignment, objective) where assignment[j] is the zone of
     package j and the objective is the summed assigned distance.
     """
@@ -62,31 +63,57 @@ def balanced_assign(points, centers, epsilon: float):
     eps_min = min_feasible_epsilon(L, N)
     if epsilon < eps_min:
         raise EpsilonInfeasibleError(epsilon, eps_min)
-
+    lo, hi = count_bounds(L, N, epsilon)
     diff = points[:, None, :] - centers[None, :, :]
     cost = np.hypot(diff[..., 0], diff[..., 1])  # (L, N)
+    assignment = cost.argmin(axis=1)
+    counts = np.bincount(assignment, minlength=N)
+    W = np.full((N, N), np.inf)
+    mover = np.zeros((N, N), dtype=np.int64)  # the package moved a -> b
 
-    # variables z[j, i] flattened row-major: v = j*N + i
-    c = cost.ravel()
-    A_eq = sparse.kron(sparse.eye(L, format="csr"),
-                       np.ones((1, N)), format="csr")
-    b_eq = np.ones(L)
-    counts = sparse.kron(np.ones((1, L)),
-                         sparse.eye(N, format="csr"), format="csr")
-    A_ub = sparse.vstack([counts, -counts], format="csr")
-    lo, hi = count_bounds(L, N, epsilon)
-    b_ub = np.concatenate([np.full(N, hi), np.full(N, -lo)])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=(0, 1), method="highs-ds")
-    if not res.success:
-        raise RuntimeError(f"balanced assignment LP failed: {res.message}")
-    z = res.x.reshape(L, N)
-    if z.max(axis=1).min() < 1.0 - 1e-9:
-        raise RuntimeError("balanced assignment LP returned a fractional "
-                           "vertex")
-    assignment = z.argmax(axis=1)
-    objective = float(cost[np.arange(L), assignment].sum())
-    return assignment, objective
+    def refresh(a):
+        members = np.flatnonzero(assignment == a)
+        W[a] = np.inf
+        if len(members):
+            delta = cost[members] - cost[members, a, None]
+            best = delta.argmin(axis=0)
+            W[a], mover[a] = delta[best, np.arange(N)], members[best]
+        W[a, a] = np.inf
+
+    for a in range(N):
+        refresh(a)
+    # a path out of a zone above hi or into one below lo beats any other
+    bonus = 1.0 + 2.0 * N * float(np.ptp(cost))
+    open_pair = ~np.eye(N, dtype=bool)
+    for _ in range(L * N + 1):
+        # Floyd-Warshall: D[a, b] the cheapest path cost (a cycle on the
+        # diagonal), hop[a, b] its first step; only a gain over 1e-12
+        # replaces a path, so rounding-size cycles never enter one
+        D, hop = W.copy(), np.tile(np.arange(N), (N, 1))
+        for k in range(N):
+            via = D[:, k, None] + D[k]
+            better = via < D - 1e-12
+            D = np.where(better, via, D)
+            hop = np.where(better, hop[:, k, None], hop)
+        assert D.diagonal().min() >= -1e-9, "negative zone cycle"
+        total = np.where(
+            (counts > lo)[:, None] & (counts < hi)[None, :] & open_pair,
+            D - bonus * ((counts > hi)[:, None] + (counts < lo)[None, :]),
+            np.inf)
+        s, t = np.unravel_index(total.argmin(), total.shape)
+        if total[s, t] >= -1e-12:
+            return assignment, float(cost[np.arange(L), assignment].sum())
+        path = [s]
+        while path[-1] != t:
+            path.append(hop[path[-1], t])
+            assert len(path) <= N, "negative zone cycle"
+        for a, b in zip(path, path[1:]):
+            assignment[mover[a, b]] = b
+        counts[s] -= 1
+        counts[t] += 1
+        for a in path:
+            refresh(a)
+    raise RuntimeError(f"balanced assignment took over {L * N} steps")
 
 
 def cluster_default(points, N: int, epsilon: float, seed: int):

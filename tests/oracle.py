@@ -9,8 +9,10 @@ the references for the routines of the same names in
 ``endgame.parcel.tsp``, which must return the same tours.
 ``held_karp_length`` (exact TSP) and
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
-parcel heuristics are checked against, and ``zone_move_gap`` certifies a
-balanced zoning optimal.  ``flex_set_of`` and ``radius_flex_set`` give
+parcel heuristics are checked against, ``lp_balanced_assign`` solves
+balanced zoning as the transportation LP it is, the reference for
+``endgame.parcel.clustering.balanced_assign``, and ``zone_move_gap``
+certifies a balanced zoning optimal.  ``flex_set_of`` and ``radius_flex_set`` give
 one package's flex set, the rows of ``endgame.parcel.simulate.flex_mask``;
 ``estimate_flex_tables`` is the package-at-a-time reference for the
 function of the same name in ``endgame.parcel.tables``, built on the
@@ -23,6 +25,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from endgame.balls_bins import (ALWAYS_FLEX, CATEGORIES, FLEX_SQRT_T,
                                 NO_FLEX, STATIC, ArrivalArrays, PolicySpec,
@@ -211,6 +215,39 @@ def _cost_matrix(points, centers):
     centers = np.asarray(centers, dtype=float)
     diff = points[:, None, :] - centers[None, :, :]
     return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def lp_balanced_assign(points, centers, epsilon: float):
+    """Minimum-cost balanced assignment as a transportation LP.  With the
+    integer count bounds of ``clustering.count_bounds`` the constraint
+    matrix (one assignment row per package, one count row per zone) is
+    totally unimodular, so HiGHS dual simplex returns a 0/1 vertex, read
+    off by argmax; a fractional answer raises.  Returns (assignment,
+    objective)."""
+    cost = _cost_matrix(points, centers)
+    L, N = cost.shape
+    eps_min = clustering.min_feasible_epsilon(L, N)
+    if epsilon < eps_min:
+        raise clustering.EpsilonInfeasibleError(epsilon, eps_min)
+    # variables z[j, i] flattened row-major: v = j*N + i
+    A_eq = sparse.kron(sparse.eye(L, format="csr"),
+                       np.ones((1, N)), format="csr")
+    counts = sparse.kron(np.ones((1, L)),
+                         sparse.eye(N, format="csr"), format="csr")
+    A_ub = sparse.vstack([counts, -counts], format="csr")
+    lo, hi = clustering.count_bounds(L, N, epsilon)
+    b_ub = np.concatenate([np.full(N, hi), np.full(N, -lo)])
+    res = linprog(cost.ravel(), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                  b_eq=np.ones(L), bounds=(0, 1), method="highs-ds")
+    if not res.success:
+        raise RuntimeError(f"balanced assignment LP failed: {res.message}")
+    z = res.x.reshape(L, N)
+    if z.max(axis=1).min() < 1.0 - 1e-9:
+        raise RuntimeError("balanced assignment LP returned a fractional "
+                           "vertex")
+    assignment = z.argmax(axis=1)
+    objective = float(cost[np.arange(L), assignment].sum())
+    return assignment, objective
 
 
 def greedy_repair_assign(points, centers, epsilon: float):

@@ -362,6 +362,15 @@ def test_criterion_12_clustering_feasibility(corpus):
            f"<= greedy {greedy_obj:.0f}: {obj_ok}")
 
 
+def test_default_zones_are_the_exact_optimum(corpus):
+    # the seed-1 city's optimal default-zone objective, as the corpus LP
+    # found it; a zoning that stays feasible but drifts from the optimum
+    # moves it
+    diff = corpus.points - corpus.centers[corpus.default_zone]
+    objective = float(np.hypot(diff[:, 0], diff[:, 1]).sum())
+    assert objective == pytest.approx(41308.183507, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -1,11 +1,15 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from endgame.harness import cli
+from endgame.parcel import clustering
+from endgame.parcel import corpus as pcorpus
 from endgame.parcel import simulate as psim
 
 
@@ -248,9 +252,27 @@ def test_parcel_pipeline(capsys, tmp_path):
                            "--tables", tables_path, "--policy",
                            "patient_dynamic", "--seed", "0")
     assert code == 0
-    code, _, _ = run_cli(capsys, "parcel", "cluster", "--corpus",
-                         corpus_path, "--epsilon", "20", "--seed", "0")
+    code, out, _ = run_cli(capsys, "parcel", "cluster", "--corpus",
+                           corpus_path, "--epsilon", "20", "--seed", "0")
     assert code == 0
+    # the printed zoning is the LP's on the same k-means centers
+    fields = dict(pair.split("=", 1) for pair in out.strip().split(","))
+    corpus = pcorpus.load_corpus(corpus_path)
+    centers = clustering.kmeans_centers(corpus.points, 3, seed=0)
+    lp, lp_obj = oracle.lp_balanced_assign(corpus.points, centers, 20.0)
+    counts = np.bincount(lp, minlength=3)
+    assert fields == {"objective_km": str(lp_obj),
+                      "min_count": str(counts.min()),
+                      "max_count": str(counts.max())}
+    # 299 packages in 3 zones: no epsilon below 2/3 is feasible
+    lines = (tmp_path / "corpus.txt").read_text().splitlines(True)
+    short = tmp_path / "short.txt"
+    short.write_text("".join(lines[:-1]))
+    code, _, err = run_cli(capsys, "parcel", "cluster", "--corpus",
+                           str(short), "--epsilon", "0.5", "--seed", "0")
+    assert code == 1
+    assert (f"minimal feasible epsilon is "
+            f"{clustering.min_feasible_epsilon(299, 3)}" in err)
 
 
 def test_invalid_policy_exits_2(capsys, tmp_path):
@@ -435,6 +457,16 @@ def test_parcel_sweep_value_out_of_range_runs_no_day(capsys, tmp_path,
     assert code == 2
     assert "sweep.speed: speed must be positive and finite, got -1.0" in err
     assert days == []
+
+
+def test_parcel_modules_load_no_scipy_optimize():
+    # balanced zoning needs no LP solver
+    code = ("import sys\n"
+            "from endgame.parcel import corpus, simulate, tables\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_bins_and_opaque_configs_load_no_scipy():

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from endgame.parcel import clustering
@@ -67,9 +69,56 @@ def test_fractional_lp_answer_raises(monkeypatch):
 
     def halves(c, **kwargs):
         return SimpleNamespace(success=True, x=np.full(len(c), 0.5))
-    monkeypatch.setattr(clustering, "linprog", halves)
+    monkeypatch.setattr(oracle, "linprog", halves)
     with pytest.raises(RuntimeError, match="fractional"):
-        clustering.balanced_assign(pts, centers, 0.0)
+        oracle.lp_balanced_assign(pts, centers, 0.0)
+
+
+def _layout(rng, L, N, points, unused):
+    """(points, centers) of one oracle case: packages spread out, on a few
+    repeated locations, or in clusters of near-zero spread; with
+    ``unused``, the last center is far from every package or a copy of
+    the first, so no package is nearest to it."""
+    if points == "spread":
+        pts = rng.normal(size=(L, 2)) * 3.0
+    elif points == "duplicates":
+        k = max(L // 5, 1)
+        pts = rng.normal(size=(k, 2))[rng.integers(0, k, L)]
+    else:
+        seeds = rng.normal(size=(N, 2)) * 5.0
+        pts = seeds[rng.integers(0, N, L)] + rng.normal(size=(L, 2)) * 1e-9
+    centers = rng.normal(size=(N, 2)) * 3.0
+    if N > 1 and unused == "far":
+        centers[-1] = [100.0, 100.0]
+    elif N > 1 and unused == "copy":
+        centers[-1] = centers[0]
+    return pts, centers
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+# N = 1 comes last, as hypothesis favours the first value listed
+@given(N=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 1]),
+       extra=st.integers(0, 292),
+       points=st.sampled_from(["spread", "duplicates", "zero_spread"]),
+       unused=st.sampled_from(["none", "far", "copy"]),
+       slack=st.sampled_from([0.0, 0.5, 1.0, 4.0, 20.0, 1e3]),
+       seed=st.integers(0, 2**16))
+@example(N=1, extra=40, points="spread", unused="none", slack=0.0, seed=0)
+@example(N=6, extra=0, points="duplicates", unused="far", slack=0.0, seed=1)
+def test_balanced_assign_matches_the_lp(N, extra, points, unused, slack,
+                                        seed):
+    # L = N + extra <= 300 packages, epsilon from the least feasible up
+    L = N + extra
+    pts, centers = _layout(stream(seed, "balanced-oracle"), L, N, points,
+                           unused)
+    eps = clustering.min_feasible_epsilon(L, N) + slack
+    assignment, obj = clustering.balanced_assign(pts, centers, eps)
+    lo, hi = clustering.count_bounds(L, N, eps)
+    counts = np.bincount(assignment, minlength=N)
+    assert counts.min() >= lo and counts.max() <= hi
+    _, lp_obj = oracle.lp_balanced_assign(pts, centers, eps)
+    assert abs(obj - lp_obj) <= 1e-6
+    assert oracle.zone_move_gap(pts, centers, assignment, lo, hi) >= -1e-9
 
 
 def test_zero_epsilon_matches_unconstrained_when_already_balanced():

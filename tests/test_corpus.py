@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from endgame.parcel import corpus as cp
 
 
@@ -35,6 +36,19 @@ def test_zero_spread_degenerate_clusters():
     distinct = np.unique(np.round(c.points, 6), axis=0)
     assert len(distinct) <= spec.n_zones
     assert np.all(np.bincount(c.default_zone, minlength=4) == 100)
+
+
+@pytest.mark.parametrize("city, seed", [
+    *(("small", seed) for seed in (0, 1, 2, 5, 6, 9)),
+    *(("bench_tiny", seed) for seed in range(4)),
+])
+def test_default_zones_are_the_lp_assignment(city, seed):
+    # bench_tiny is the benchmark's tiny parcel city
+    spec = (small_spec() if city == "small" else
+            cp.GeometrySpec(pool_size=1200, n_zones=6, epsilon=20.0))
+    c = cp.build_corpus(spec, seed=seed)
+    lp, _ = oracle.lp_balanced_assign(c.points, c.centers, spec.epsilon)
+    assert np.array_equal(c.default_zone, lp)
 
 
 def test_points_inside_plausible_region():
