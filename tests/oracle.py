@@ -9,11 +9,12 @@ the references for the routines of the same names in
 ``endgame.parcel.tsp``, which must return the same tours.
 ``held_karp_length`` (exact TSP) and
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
-parcel heuristics are checked against, ``lp_balanced_assign`` solves
+parcel heuristics are checked against; ``lp_balanced_assign`` solves
 balanced zoning as the transportation LP it is, the reference for
 ``endgame.parcel.clustering.balanced_assign``, and ``zone_move_gap``
-certifies a balanced zoning optimal.  ``flex_set_of`` and ``radius_flex_set`` give
-one package's flex set, the rows of ``endgame.parcel.simulate.flex_mask``;
+certifies a balanced zoning optimal.  ``flex_set_of`` and
+``radius_flex_set`` give one package's flex set, the rows of
+``endgame.parcel.simulate.flex_mask``;
 ``estimate_flex_tables`` is the package-at-a-time reference for the
 function of the same name in ``endgame.parcel.tables``, built on the
 single-point ``insertion_delta`` and ``removal_delta``.
@@ -226,9 +227,6 @@ def lp_balanced_assign(points, centers, epsilon: float):
     objective)."""
     cost = _cost_matrix(points, centers)
     L, N = cost.shape
-    eps_min = clustering.min_feasible_epsilon(L, N)
-    if epsilon < eps_min:
-        raise clustering.EpsilonInfeasibleError(epsilon, eps_min)
     # variables z[j, i] flattened row-major: v = j*N + i
     A_eq = sparse.kron(sparse.eye(L, format="csr"),
                        np.ones((1, N)), format="csr")
