@@ -162,3 +162,64 @@ def test_opaque_run_and_sweeps_share_cycles(capsys, tmp_path):
                                         "opaque_raw.csv")
          if r["policy"] == "dynamic"]
     assert len(R) == 6 and float(np.mean(R)) == mean_r
+
+
+# `bins run` and `opaque run` lines as printed before both commands went
+# through the sweep's cell path; they must not move by a byte
+PINNED_RUN_LINES = [
+    (["bins", "run", "--policy", "no_flex", "--T", 2000, "--N", 5, "--q",
+      0.1, "--seed", 7],
+     "policy=no_flex,T=2000,N=5,q=0.1,final_gap=21.0,flex_count=0,"
+     "first_trigger=None"),
+    (["bins", "run", "--policy", "static", "--T", 2000, "--N", 5, "--q", 0.1,
+      "--seed", 7],
+     "policy=static,T=2000,N=5,q=0.1,final_gap=8.0,flex_count=138,"
+     "first_trigger=767"),
+    (["bins", "run", "--policy", "dynamic", "--T", 2000, "--N", 5, "--q",
+      0.1, "--seed", 7],
+     "policy=dynamic,T=2000,N=5,q=0.1,final_gap=10.0,flex_count=106,"
+     "first_trigger=643"),
+    (["bins", "run", "--policy", "dynamic", "--T", 300, "--seed", 3],
+     "policy=dynamic,T=300,N=2,q=1.0,final_gap=0.0,flex_count=16,"
+     "first_trigger=276"),
+    (["bins", "run", "--policy", "static", "--T", 500, "--N", 3, "--q", 0.5,
+      "--a-s", 0.5, "--seed", 1],
+     "policy=static,T=500,N=3,q=0.5,final_gap=2.333333333333343,"
+     "flex_count=12,first_trigger=472"),
+    (["bins", "run", "--policy", "dynamic", "--T", 500, "--N", 3, "--q",
+      0.5, "--a-d", 0.2, "--seed", 1, "--preset", "theory"],
+     "policy=dynamic,T=500,N=3,q=0.5,final_gap=0.3333333333333428,"
+     "flex_count=33,first_trigger=253"),
+    (["opaque", "run", "--policy", "static", "--S", 20, "--N", 3, "--q", 0.2,
+      "--regime", "delta_zero", "--cycles", 12, "--seed", 5],
+     "policy=static,S=20,regime=delta_zero,cost=1.1259780907668233,"
+     "se=0.018364939563089898,lower_bound=1.0422413793103449,mean_R=53.25,"
+     "mean_D=11.833333333333334"),
+    (["opaque", "run", "--policy", "static", "--S", 20, "--N", 3, "--q", 0.2,
+      "--regime", "delta_const", "--cycles", 12, "--seed", 5],
+     "policy=static,S=20,regime=delta_const,cost=1.2370892018779345,"
+     "se=0.01676682022230388,lower_bound=1.0422413793103449,mean_R=53.25,"
+     "mean_D=11.833333333333334"),
+    (["opaque", "run", "--policy", "dynamic", "--S", 20, "--N", 3, "--q",
+      0.2, "--regime", "delta_zero", "--cycles", 12, "--seed", 5],
+     "policy=dynamic,S=20,regime=delta_zero,cost=1.134043112513144,"
+     "se=0.017275593197336417,lower_bound=1.0422413793103449,"
+     "mean_R=52.833333333333336,mean_D=8.166666666666666"),
+    (["opaque", "run", "--policy", "dynamic", "--S", 20, "--N", 3, "--q",
+      0.2, "--regime", "delta_const", "--cycles", 12, "--seed", 5],
+     "policy=dynamic,S=20,regime=delta_const,cost=1.2113301787592008,"
+     "se=0.013795393618871854,lower_bound=1.0422413793103449,"
+     "mean_R=52.833333333333336,mean_D=8.166666666666666"),
+    (["opaque", "run", "--policy", "dynamic", "--S", 30, "--seed", 2,
+      "--preset", "theory"],
+     "policy=dynamic,S=30,regime=delta_zero,cost=1.1730242126918817,"
+     "se=0.007814263657152978,lower_bound=1.030365296803653,mean_R=126.38,"
+     "mean_D=12.71"),
+]
+
+
+@pytest.mark.parametrize("argv,line", PINNED_RUN_LINES,
+                         ids=[f"{argv[0]}-{argv[3]}-{i}" for i, (argv, _)
+                              in enumerate(PINNED_RUN_LINES)])
+def test_run_prints_its_pinned_line(capsys, argv, line):
+    assert run_cli(capsys, *argv) == line + "\n"
