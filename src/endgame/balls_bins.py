@@ -120,9 +120,9 @@ class ArrivalArrays:
     ``exert_u`` is a separate uniform stream consumed only by the
     flex-sqrt-T policy, so policies stay coupled on the arrival streams
     regardless of their own randomness; it is None when it was not drawn.
-    An engine block (``bins_engine.run_blocks``) hands a flex-sqrt-T
-    policy only its decision ``exert_u < (T - t_hat)/T`` there, as bool,
-    which is all the policy reads and an eighth of the memory.
+    The kernel (``bins_engine.lockstep``) reads only a flex-sqrt-T
+    policy's decisions ``exert_u < (T - t_hat)/T`` there, as bool, which
+    ``bins_engine.run_blocks`` cuts per block: an eighth of the memory.
     """
 
     is_flex: np.ndarray   # (T,) bool

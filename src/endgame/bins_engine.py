@@ -175,9 +175,10 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     exerted flex arrival goes to the lesser-loaded bin of its pair, ties
     to the smaller index, and every other arrival to its preferred bin.
     With ``stop`` set, a row stops after the period in which a load first
-    reaches ``stop``.  ``exert_u`` may hold the uniforms or the bool
-    decisions of :func:`run_blocks`.  Constants on the policy must
-    already be resolved.
+    reaches ``stop``.  A flex-sqrt-T policy reads ``exert_u`` as the bool
+    decisions ``exert_u < (T - t_hat)/T`` that :func:`run_blocks` cuts;
+    no other policy reads it.  Constants on the policy must already be
+    resolved.
     """
     _check_resolved(policy)
     kind = policy.kind
@@ -207,8 +208,6 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
             events = flex & (t >= t_hat)
         elif kind == FLEX_SQRT_T:
             exert = arrivals.exert_u[live, c0:c1]
-            if exert.dtype != bool:
-                exert = exert < _sqrt_prob(T, policy.a_s)
             _first(trigger, live, exert, c0)
             events = flex & exert
         else:  # dynamic: trigger at the first period the condition holds

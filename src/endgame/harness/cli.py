@@ -7,27 +7,32 @@ Subcommands::
     endgame parcel gen-corpus|cluster|estimate-tables|run|sweep
     endgame report
 
-``run`` subcommands execute a single replication and print one row;
-``sweep`` subcommands execute a replication matrix and write CSVs,
-built either from model flags or from a YAML config (--config), whose
-run settings (--seed, --preset, --reps, --out, --parallel) flags
-override.
+``run`` subcommands execute replication 0 of the matching ``sweep``
+cell through the same runner and print one row; ``sweep`` subcommands
+execute a replication matrix and write CSVs, built either from model
+flags or from a YAML config (--config), whose run settings (--seed,
+--preset, --reps, --out, --parallel) flags override.  ``report``
+summarizes a raw CSV per cell.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
 import numpy as np
 
-from .. import balls_bins, bins_engine, opaque
+from .. import balls_bins, opaque
 from ..streams import resolve_root_seed
-from .config import (ConfigError, ExperimentConfig, arrival_path,
-                     load_config)
+from .config import (DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ConfigError,
+                     ExperimentConfig, load_config)
 from .plots import emit_plot_data
-from .runner import make_out_dir, run_experiment, write_csv, write_summary
+from .runner import (RAW_METRICS, make_out_dir, model_params, run_experiment,
+                     run_group, write_csv, write_summary)
+
+BINS, OPAQUE = MODEL_DEFAULTS["bins"], MODEL_DEFAULTS["opaque"]
 
 
 # most points a range grid may ask for; it is refused before any is made
@@ -105,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     brun.add_argument("--policy", required=True,
                       choices=balls_bins.POLICY_KINDS)
     brun.add_argument("--T", type=int, required=True)
-    brun.add_argument("--N", type=int, default=2)
-    brun.add_argument("--q", type=float, default=1.0)
+    brun.add_argument("--N", type=int, default=BINS["N"])
+    brun.add_argument("--q", type=float, default=BINS["q"])
     brun.add_argument("--a-s", type=float, default=None, dest="a_s")
     brun.add_argument("--a-d", type=float, default=None, dest="a_d")
     _common_flags(brun)
@@ -126,11 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     orun = osub.add_parser("run", help="estimate one policy's cost")
     orun.add_argument("--policy", required=True,
                       choices=opaque.OPAQUE_POLICIES)
-    orun.add_argument("--N", type=int, default=5)
+    orun.add_argument("--N", type=int, default=OPAQUE["N"])
     orun.add_argument("--S", type=int, required=True)
-    orun.add_argument("--q", type=float, default=0.1)
+    orun.add_argument("--q", type=float, default=OPAQUE["q"])
     orun.add_argument("--regime", choices=opaque.REGIMES,
-                      default="delta_zero")
+                      default=OPAQUE["regime"])
     orun.add_argument("--cycles", type=int, default=100)
     _common_flags(orun)
     orun.set_defaults(func=cmd_opaque_run)
@@ -146,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _sweep_flags(osweep, run=False)
 
     parcel = sub.add_parser("parcel", help="parcel delivery model")
-    parcel.set_defaults(func=cmd_parcel)
+    parcel.set_defaults(func=cmd_parcel, preset=None)
     psub = parcel.add_subparsers(dest="subcommand", required=True)
     pgen = psub.add_parser("gen-corpus", help="build a synthetic corpus")
     pgen.add_argument("--out", required=True)
@@ -190,34 +195,34 @@ def _print_row(pairs) -> None:
     print(",".join(f"{k}={v}" for k, v in pairs))
 
 
+def _rep0(model: str, args, params: dict, **policy) -> list[dict]:
+    """The raw rows of replication 0 of the sweep cell of ``args.policy``
+    (with the constants ``policy``) and ``params``."""
+    return run_group(model, [({"kind": args.policy, **policy}, params)], 1,
+                     resolve_root_seed(args.seed), _preset(args))[0]
+
+
 def cmd_bins_run(args) -> int:
-    params = balls_bins.ModelParams(T=args.T, N=args.N, q=args.q)
-    spec = balls_bins.resolve_policy(
-        balls_bins.PolicySpec(kind=args.policy, a_s=args.a_s, a_d=args.a_d),
-        params, _preset(args))
-    # rep 0 of the matching sweep cell
-    out = bins_engine.run_many(spec, params, 1, resolve_root_seed(args.seed),
-                               *arrival_path("bins", params))
-    trigger = int(out.first_trigger[0])
-    _print_row([("policy", args.policy), ("T", args.T), ("N", args.N),
-                ("q", args.q), ("final_gap", float(out.final_gap[0])),
-                ("flex_count", int(out.flex_count[0])),
-                ("first_trigger", trigger if trigger >= 0 else None)])
+    row, = _rep0("bins", args, {"T": args.T, "N": args.N, "q": args.q},
+                 a_s=args.a_s, a_d=args.a_d)
+    del row["rep"]
+    if row["first_trigger"] < 0:  # the policy never exerted
+        row["first_trigger"] = None
+    _print_row(row.items())
     return 0
 
 
 def cmd_opaque_run(args) -> int:
-    params = opaque.eoq_params(args.N, args.S, args.q, args.regime)
-    spec = opaque.resolve_opaque_policy(
-        balls_bins.PolicySpec(kind=args.policy), params, _preset(args))
-    R, D = opaque.simulate_cycles(spec, params, args.cycles,
-                                  resolve_root_seed(args.seed),
-                                  *arrival_path("opaque", params))
-    est = opaque.long_run_cost(R, D, params)
+    params = {"N": args.N, "S": args.S, "q": args.q, "regime": args.regime,
+              "cycles_per_instance": args.cycles}
+    rows = _rep0("opaque", args, params)
+    R, D = (np.array([row[name] for row in rows]) for name in ("R", "D"))
+    mp = model_params("opaque", params)
+    est = opaque.long_run_cost(R, D, mp)
     _print_row([("policy", args.policy), ("S", args.S),
                 ("regime", args.regime), ("cost", est.total),
                 ("se", est.se_total),
-                ("lower_bound", opaque.lower_bound(params)),
+                ("lower_bound", opaque.lower_bound(mp)),
                 ("mean_R", float(np.mean(R))), ("mean_D", float(np.mean(D)))])
     return 0
 
@@ -226,9 +231,10 @@ def cmd_opaque_run(args) -> int:
 # their defaults (None: required; parcel's "" tables: none); with
 # --config the file holds all of these
 SWEEP_FLAGS = {
-    "bins": {"policy": None, "T": None, "N": 2, "q": 1.0},
-    "opaque": {"regime": None, "S": None, "N": 5, "q": 0.1,
-               "instances": 10, "cycles": 10},
+    "bins": {"policy": None, "T": None, **BINS},
+    "opaque": {"regime": None, "S": None, "N": OPAQUE["N"],
+               "q": OPAQUE["q"], "instances": DEFAULT_REPLICATIONS["opaque"],
+               "cycles": OPAQUE["cycles_per_instance"]},
     "parcel": {"corpus": None, "policy": None, "tables": ""},
 }
 
@@ -277,12 +283,13 @@ def cmd_sweep(args) -> int:
 
 def _regime_table(args, flags) -> int:
     """The loss-vs-S table of one opaque regime, with its plot data."""
+    grid, seed = parse_grid(flags["S"]), resolve_root_seed(args.seed)
     out = args.out or "results"
     make_out_dir(out)
     rows = opaque.regime_sweep(
-        flags["regime"], parse_grid(flags["S"]), N=flags["N"], q=flags["q"],
+        flags["regime"], grid, N=flags["N"], q=flags["q"],
         instances=flags["instances"], cycles_per_instance=flags["cycles"],
-        root_seed=resolve_root_seed(args.seed), preset=_preset(args))
+        root_seed=seed, preset=_preset(args))
     path = os.path.join(out, f"opaque_{flags['regime']}.csv")
     cols = ["regime", "S", "policy", "cost", "lower_bound", "loss", "se",
             "mean_R", "mean_D"]
@@ -338,45 +345,33 @@ def cmd_parcel(args) -> int:
         _print_row([("tables", args.out), ("observed_pairs", observed)])
         return 0
     if args.subcommand == "run":
-        corpus = pcorpus.load_corpus(args.corpus)
-        params = psim.ParcelParams(N=corpus.n_zones)
-        tables = ptables.load_tables(args.tables) if args.tables else None
-        rec = psim.run_day(psim.ParcelPolicy(kind=args.policy), corpus,
-                           params, tables,
-                           root_seed=resolve_root_seed(args.seed))
-        total, travel, overtime = psim.day_cost(rec, params)
-        _print_row([("policy", args.policy), ("total_cost", total),
-                    ("travel_cost", travel), ("overtime_cost", overtime),
-                    ("flex_count", rec.flex_count),
-                    ("mean_total_hours", float(rec.totals.mean()))])
+        row, = _rep0("parcel", args, {"corpus": args.corpus,
+                                      "tables": args.tables})
+        _print_row(row.items())
         return 0
     raise AssertionError(args.subcommand)
 
 
 def cmd_report(args) -> int:
-    import csv as _csv
-
-    with open(args.raw) as fh:
-        reader = _csv.DictReader(fh)
+    """Summarize a raw CSV per cell: its metrics are the columns named in
+    ``RAW_METRICS``, a cell every other but schema_version, rep, cycle."""
+    with open(args.raw, newline="") as fh:
+        reader = csv.DictReader(fh)
         rows = list(reader)
     if not rows:
         print("raw file has no rows", file=sys.stderr)
         return 1
-    if "policy" not in reader.fieldnames:
+    columns = reader.fieldnames
+    if "policy" not in columns:
         raise ValueError(f"{args.raw}: no 'policy' column to group by")
-    numeric = []
-    for row in rows:
-        conv = {}
-        for key, value in row.items():
-            try:
-                conv[key] = float(value)
-            except (TypeError, ValueError):
-                conv[key] = value
-        numeric.append(conv)
-    skip = {"schema_version", "rep", "cycle", "policy"}
-    metrics = [k for k, v in numeric[0].items()
-               if isinstance(v, float) and k not in skip]
-    write_summary(args.out, numeric, ["policy"], metrics)
+    known = {name for names in RAW_METRICS.values() for name in names}
+    metrics = [name for name in columns if name in known]
+    if not metrics:
+        raise ValueError(f"{args.raw}: no metric column, expected one of "
+                         f"{', '.join(sorted(known))}")
+    cell = [name for name in columns if name not in metrics
+            and name not in ("schema_version", "rep", "cycle")]
+    write_summary(args.out, rows, cell, metrics)
     print(args.out)
     return 0
 

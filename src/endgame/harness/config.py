@@ -74,6 +74,14 @@ class ExperimentConfig:
 
 DEFAULT_REPLICATIONS = {"bins": 1000, "opaque": 10, "parcel": 50}
 
+# the values of the parameters a bins or opaque cell may leave out (a
+# parcel cell's are ParcelParams'); raw rows show only those it gave
+MODEL_DEFAULTS = {
+    "bins": {"N": 2, "q": 1.0},
+    "opaque": {"N": 5, "q": 0.1, "regime": "delta_zero",
+               "cycles_per_instance": 10},
+}
+
 
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.model not in MODELS:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .. import balls_bins, bins_engine, opaque
 from ..streams import resolve_root_seed
-from .config import DEFAULT_REPLICATIONS, ExperimentConfig, arrival_path
+from .config import (DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ExperimentConfig,
+                     arrival_path)
 from .stats import summarize
 
 SCHEMA_VERSION = 1
@@ -49,12 +50,6 @@ def expand_cells(config: ExperimentConfig) -> list[dict]:
             overrides = dict(zip((name for name, _ in axes), combo))
             cells.append({"policy": policy, "overrides": overrides})
     return cells
-
-
-def _policy_dict(policy) -> dict:
-    if isinstance(policy, str):
-        return {"kind": policy}
-    return dict(policy)
 
 
 def run_group(model: str, cells: list, reps: int, root_seed: int,
@@ -98,31 +93,32 @@ def _raw_rows(model: str, policy: dict, params: dict, reps: int,
             for c in range(len(R))]
 
 
-def _resolve(model: str, policy: dict, params: dict, preset: str) -> tuple:
-    """A bins or opaque cell's model parameters, defaults filled in, and
-    its resolved policy."""
+def model_params(model: str, params: dict):
+    """A bins or opaque cell's model parameters, with the
+    :data:`~endgame.harness.config.MODEL_DEFAULTS` of those it leaves
+    out."""
+    p = {**MODEL_DEFAULTS[model], **params}
     if model == "bins":
-        mp = balls_bins.ModelParams(T=params["T"], N=params.get("N", 2),
-                                    q=params.get("q", 1.0))
-        spec = balls_bins.PolicySpec(
-            kind=policy["kind"], a_s=policy.get("a_s"),
-            a_d=policy.get("a_d"), latched=bool(policy.get("latched", False)))
-        return mp, balls_bins.resolve_policy(spec, mp, preset)
-    if model == "opaque":
-        mp = opaque.eoq_params(params.get("N", 5), params["S"],
-                               params.get("q", 0.1),
-                               params.get("regime", "delta_zero"))
-        spec = balls_bins.PolicySpec(kind=policy["kind"],
-                                     a_s=policy.get("a_s"),
-                                     a_d=policy.get("a_d"))
-        return mp, opaque.resolve_opaque_policy(spec, mp, preset)
-    raise ValueError(f"unknown model {model!r}")
+        return balls_bins.ModelParams(T=p["T"], N=p["N"], q=p["q"])
+    return opaque.eoq_params(p["N"], p["S"], p["q"], p["regime"])
+
+
+def _resolve(model: str, policy: dict, params: dict, preset: str) -> tuple:
+    """A bins or opaque cell's model parameters and resolved policy."""
+    mp = model_params(model, params)
+    spec = balls_bins.PolicySpec(
+        kind=policy["kind"], a_s=policy.get("a_s"), a_d=policy.get("a_d"),
+        latched=bool(policy.get("latched", False)))
+    resolve = (balls_bins.resolve_policy if model == "bins"
+               else opaque.resolve_opaque_policy)
+    return mp, resolve(spec, mp, preset)
 
 
 def _rows(model: str, params: dict, reps: int) -> int:
     """Rows a cell runs: replications, or for opaque their cycles."""
     if model == "opaque":
-        return reps * params.get("cycles_per_instance", 10)
+        return reps * params.get("cycles_per_instance",
+                                 MODEL_DEFAULTS[model]["cycles_per_instance"])
     return reps
 
 
@@ -155,7 +151,6 @@ def run_cell(policy: dict, params: dict, reps: int,
         rec = psim.run_day(spec, corpus, pp, tables, root_seed=root_seed,
                            stream_path=tokens + (rep,))
         total, travel, overtime = psim.day_cost(rec, pp)
-        totals = rec.totals
         rows.append({
             "policy": policy["kind"], **fields, "rep": rep,
             "total_cost": total, "travel_cost": travel,
@@ -164,13 +159,9 @@ def run_cell(policy: dict, params: dict, reps: int,
             "mean_travel_hours": float(rec.y_r.mean()),
             "mad_unload_hours": float(np.abs(rec.y_u
                                              - rec.y_u.mean()).mean()),
-            "overtime_freq": float((totals > pp.h_max).mean()),
+            "overtime_freq": float((rec.totals > pp.h_max).mean()),
         })
     return rows
-
-
-def _group_worker(args):
-    return run_group(*args)
 
 
 def make_out_dir(path) -> None:
@@ -196,7 +187,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
     groups = {}  # group key -> indices into cells, in first-seen order
     cells = []
     for i, cell in enumerate(expand_cells(config)):
-        policy = _policy_dict(cell["policy"])
+        policy = cell["policy"]
+        policy = {"kind": policy} if isinstance(policy, str) else policy
         params = {**config.params, **cell["overrides"]}
         cells.append((policy, params))
         if config.model == "parcel":
@@ -211,9 +203,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
 
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            per_group = list(pool.map(_group_worker, jobs))
+            per_group = list(pool.map(run_group, *zip(*jobs)))
     else:
-        per_group = [_group_worker(job) for job in jobs]
+        per_group = [run_group(*job) for job in jobs]
     per_cell = [None] * len(cells)
     for members, outs in zip(groups.values(), per_group):
         for i, rows in zip(members, outs):

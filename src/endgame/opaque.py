@@ -20,7 +20,7 @@ from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX,
                          PRESET_NUMERICS, STATIC, ModelParams, PolicySpec,
                          draw_raw_arrays, theory_a_s)
 from .bins_engine import run_blocks
-from .harness.config import arrival_path
+from .harness.config import DEFAULT_REPLICATIONS, MODEL_DEFAULTS, arrival_path
 
 NUMERICS_C_S = 10.0
 NUMERICS_C_D = 0.7
@@ -186,10 +186,14 @@ class Cycles(tuple):
         return cycles
 
 
-def regime_sweep(regime: str, S_grid, *, N: int = 5, q: float = 0.1,
-                 instances: int = 10,
-                 cycles_per_instance: int = 10, root_seed: int = 0,
-                 preset: str = PRESET_NUMERICS,
+_DEFAULTS = MODEL_DEFAULTS["opaque"]
+
+
+def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
+                 q: float = _DEFAULTS["q"],
+                 instances: int = DEFAULT_REPLICATIONS["opaque"],
+                 cycles_per_instance: int = _DEFAULTS["cycles_per_instance"],
+                 root_seed: int = 0, preset: str = PRESET_NUMERICS,
                  cycle_cache: dict | None = None):
     """Tabulate C - C* for each policy over an ascending S grid.
 

@@ -105,9 +105,6 @@ def tsp_route(points, depot, speed: float, start=None):
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) == 0:
         return np.array([], dtype=np.int64), 0.0
-    if len(points) == 1:
-        d = float(np.hypot(*(points[0] - np.asarray(depot, dtype=float))))
-        return np.array([0], dtype=np.int64), 2.0 * d / speed
     coords = _coords(points, depot)
     D = _dist_matrix(coords)
     first = (nearest_neighbor_order(D) if start is None

@@ -44,13 +44,17 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def resolve_root_seed(explicit: int | None = None) -> int:
-    """Explicit seed, else the ENDGAME_SEED env var, else 0."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(ROOT_SEED_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ROOT_SEED
+    """Explicit seed, else the ENDGAME_SEED env var, else 0.  A seed that
+    is not a non-negative integer is a ValueError that names its
+    source."""
+    source, value = "seed", explicit
+    if explicit is None:
+        source = ROOT_SEED_ENV
+        value = os.environ.get(ROOT_SEED_ENV, DEFAULT_ROOT_SEED)
+    if not str(value).isdecimal():
+        raise ValueError(f"{source}: expected a non-negative integer, "
+                         f"got {value!r}")
+    return int(value)
 
 
 def _component_to_int(part) -> int:

@@ -118,13 +118,20 @@ def draw(root_seed: int, N: int, q: float, T: int, *path,
                            exert=exert)
 
 
-def stack_arrivals(rows: list) -> ArrivalArrays:
-    """Stack per-row arrival arrays into (rows, T) arrays."""
+def stack_arrivals(rows: list, policy: PolicySpec) -> ArrivalArrays:
+    """Stack per-row arrival arrays into the (rows, T) block that
+    ``bins_engine.run_blocks`` hands ``policy``: for a flex-sqrt-T policy
+    ``exert_u`` holds its bool decisions ``exert_u < (T - t_hat)/T``,
+    and for any other it is None."""
     def stacked(name):
-        if getattr(rows[0], name) is None:
-            return None
         return np.stack([getattr(a, name) for a in rows])
-    return ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)))
+    block = ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)
+                            if f.name != "exert_u"))
+    if policy.kind == FLEX_SQRT_T:
+        T = len(rows[0])
+        block.exert_u = (stacked("exert_u")
+                         < (T - static_start(T, policy.a_s)) / T)
+    return block
 
 
 def nearest_neighbor_order(D):

@@ -25,7 +25,8 @@ def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0):
 
 def kernel_row(spec, N, q, arrivals, stop=None):
     """The kernel on one injected row, checked against the oracle."""
-    out = be.lockstep(spec, N, q, oracle.stack_arrivals([arrivals]), stop)
+    out = be.lockstep(spec, N, q, oracle.stack_arrivals([arrivals], spec),
+                      stop)
     ref = oracle.run(spec, N, q, arrivals, stop)
     assert np.array_equal(out.loads[0], ref.loads)
     assert out.flex_count[0] == ref.flex_count
@@ -223,7 +224,7 @@ def enumerate_paths(policy_kind, T, a_s=None, a_d=None, latched=False):
         bb.PolicySpec(kind=policy_kind, a_s=a_s, a_d=a_d, latched=latched), p)
     paths = [injected([(bits >> i) & 1 for i in range(T)], True)
              for bits in range(2 ** T)]
-    out = be.lockstep(spec, 2, 1.0, oracle.stack_arrivals(paths))
+    out = be.lockstep(spec, 2, 1.0, oracle.stack_arrivals(paths, spec))
     refs = [oracle.run(spec, 2, 1.0, arr) for arr in paths]
     gaps = np.array([r.final_gap for r in refs])
     flexes = np.array([r.flex_count for r in refs])

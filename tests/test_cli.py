@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from endgame.harness import cli
+from endgame.harness import cli, runner
 from endgame.parcel import clustering
 from endgame.parcel import corpus as pcorpus
 from endgame.parcel import simulate as psim
@@ -315,6 +316,93 @@ def test_report_roundtrip(capsys, tmp_path):
     text = report_path.read_text()
     assert text.startswith("schema_version")
     assert "final_gap" in text
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("model,argv,params", [
+    ("bins", ["bins", "sweep", "--policy", "no_flex", "--policy", "dynamic",
+              "--T", "100,400", "--N", "3", "--q", "0.5", "--reps", "3"],
+     {"T", "N", "q"}),
+    ("opaque", ["opaque", "sweep", "--config", "{config}"],
+     {"S", "N", "q", "regime", "cycles_per_instance"}),
+], ids=["bins", "opaque"])
+def test_report_gives_one_row_per_cell_and_metric(capsys, tmp_path, model,
+                                                  argv, params):
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: opaque\npolicies: [no_flex, dynamic]\n"
+                      "params: {N: 3, q: 0.2, cycles_per_instance: 3}\n"
+                      "sweep: {S: [5, 10], regime: [delta_zero, delta_sqrt]}"
+                      "\nreplications: 2\n")
+    code, _, _ = run_cli(capsys, *(a.format(config=config) for a in argv),
+                         "--seed", "2", "--out", str(tmp_path))
+    assert code == 0
+    report = tmp_path / "report.csv"
+    code, _, _ = run_cli(capsys, "report", "--raw",
+                         str(tmp_path / f"{model}_raw.csv"), "--out",
+                         str(report))
+    assert code == 0
+    rows = read_csv(report)
+    summary = read_csv(tmp_path / f"{model}_summary.csv")
+    assert {row["metric"] for row in rows} == set(runner.RAW_METRICS[model])
+    assert not params & {row["metric"] for row in rows}
+    # the report's cells name every parameter; the summary's the swept ones
+    stats = ["mean", "se", "mad", "q1", "median", "q3", "n"]
+    cell = [key for key in summary[0] if key not in ["schema_version",
+                                                     "metric"] + stats]
+    by_cell = {tuple(row[k] for k in cell + ["metric"]): row for row in rows}
+    assert len(by_cell) == len(rows) == len(summary)
+    for want in summary:
+        got = by_cell[tuple(want[k] for k in cell + ["metric"])]
+        assert {k: got[k] for k in stats} == {k: want[k] for k in stats}
+
+
+def test_report_without_metric_column_exits_2(capsys, tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("schema_version,policy,T,rep\n1,no_flex,50,0\n")
+    code, _, err = run_cli(capsys, "report", "--raw", str(raw), "--out",
+                           str(tmp_path / "report.csv"))
+    assert code == 2
+    assert str(raw) in err and "no metric column" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+# every command that draws takes its seed from --seed or ENDGAME_SEED
+SEED_CASES = {
+    "bins-run": ["bins", "run", "--policy", "static", "--T", "30"],
+    "opaque-run": ["opaque", "run", "--policy", "static", "--S", "5"],
+    "bins-sweep": ["bins", "sweep", "--policy", "static", "--T", "30",
+                   "--out", "out"],
+    "opaque-table": ["opaque", "sweep", "--regime", "delta_zero", "--S", "5",
+                     "--out", "out"],
+    "parcel-gen-corpus": ["parcel", "gen-corpus", "--out", "out",
+                          "--zones", "2", "--pool-size", "40"],
+    "parcel-sweep": ["parcel", "sweep", "--corpus", "c.txt", "--policy",
+                     "no_flex", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("seed,env,named", [
+    ("-1", None, "seed: "), (None, "-3", "ENDGAME_SEED: "),
+    (None, "abc", "ENDGAME_SEED: "), (None, "", "ENDGAME_SEED: ")],
+    ids=["flag", "env-negative", "env-text", "env-empty"])
+@pytest.mark.parametrize("command", list(SEED_CASES))
+def test_bad_seed_exits_2_naming_its_source(capsys, tmp_path, monkeypatch,
+                                            command, seed, env, named):
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("ENDGAME_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ENDGAME_SEED", env)
+    argv = SEED_CASES[command] + (["--seed", seed] if seed else [])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert named in err and "non-negative integer" in err
+    assert ("-1" if env is None else repr(env)) in err
+    assert not (tmp_path / "out").exists()
 
 
 # the model named in the file decides what `<command> sweep --config` runs

@@ -121,6 +121,23 @@ def test_parcel_policies_unload_the_same_packages(capsys, tmp_path):
                                  rel=1e-12))
 
 
+def test_parcel_run_is_rep_0_of_its_sweep_cell(capsys, tmp_path):
+    corpus, tables = tmp_path / "corpus.txt", tmp_path / "tables.txt"
+    run_cli(capsys, "parcel", "gen-corpus", "--out", corpus, "--zones", 3,
+            "--pool-size", 300, "--epsilon", 20, "--seed", 0)
+    run_cli(capsys, "parcel", "estimate-tables", "--corpus", corpus, "--out",
+            tables, "--reps", 2, "--seed", 0)
+    for policy, extra in (("unloading_only", ()),
+                          ("patient_dynamic", ("--tables", tables))):
+        common = ("--corpus", corpus, "--policy", policy, "--seed", 1, *extra)
+        run = run_cli(capsys, "parcel", "run", *common)
+        run_cli(capsys, "parcel", "sweep", "--reps", 1, "--out",
+                tmp_path / policy, *common)
+        rep0, = read_rows(tmp_path / policy / "parcel_raw.csv")
+        del rep0["schema_version"]
+        assert run == ",".join(f"{k}={v}" for k, v in rep0.items()) + "\n"
+
+
 def test_default_and_explicit_parameter_name_one_stream(capsys, tmp_path):
     outs = []
     for name, n in (("omitted", ""), ("explicit", "N: 2, ")):

@@ -38,9 +38,10 @@ def test_kernel_matches_oracle_and_invariants(chunk, case):
     with pytest.MonkeyPatch.context() as mp:
         # a narrow chunk puts events and stops across chunk boundaries
         mp.setattr(be, "_CHUNK", chunk)
-        # the uniforms of exert_u, and the bool decisions of a block
-        # drawn on the rows' own streams
-        outs = [be.lockstep(spec, N, q, oracle.stack_arrivals(rows), stop),
+        # the oracle's rows as a block, and a block drawn on the rows'
+        # own streams
+        outs = [be.lockstep(spec, N, q, oracle.stack_arrivals(rows, spec),
+                            stop),
                 be.run_blocks([spec], N, q, T, len(rows), seed, ("prop",),
                               bb.draw_raw_arrays, stop)[0]]
     refs = [oracle.run(spec, N, q, arrivals, stop) for arrivals in rows]

@@ -37,6 +37,22 @@ def test_root_seed_resolution(monkeypatch):
     assert resolve_root_seed() == 0
 
 
+@pytest.mark.parametrize("explicit,env,named", [
+    (-1, None, "seed: "), (None, "-3", "ENDGAME_SEED: "),
+    (None, "abc", "ENDGAME_SEED: "), (None, "1.5", "ENDGAME_SEED: ")],
+    ids=["explicit", "env-negative", "env-text", "env-float"])
+def test_bad_root_seed_names_its_source(monkeypatch, explicit, env, named):
+    if env is None:
+        monkeypatch.delenv("ENDGAME_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ENDGAME_SEED", env)
+    with pytest.raises(ValueError, match=named) as exc:
+        resolve_root_seed(explicit)
+    assert repr(env if explicit is None else explicit) in str(exc.value)
+    # an explicit seed wins over a bad ENDGAME_SEED
+    assert resolve_root_seed(4) == 4
+
+
 # ---------------------------------------------------------------------------
 # batched keys equal numpy's SeedSequence
 

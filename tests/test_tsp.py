@@ -154,7 +154,7 @@ def test_routing_matches_oracle(n, seed, layout, depot_on_stop):
         assert _improving_moves(D, order) == []
     order, hours = tsp.tsp_route(pts, depot, 2.0)
     assert sorted(order) == list(range(n))
-    if n > 1:
+    if n >= 1:
         assert np.array_equal(order, oracle.two_opt(D, nn))
         assert hours == tsp.tour_length(D, order) / 2.0
 
