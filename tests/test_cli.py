@@ -215,16 +215,44 @@ def test_sweep_takes_model_flags_or_config_not_both(capsys, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["bins", "run", "--policy", "static", "--T", "30"],
-    ["bins", "sweep", "--policy", "static", "--T", "30"],
-    ["opaque", "sweep", "--regime", "delta_zero", "--S", "5,10"],
-], ids=["bins-run", "bins-sweep", "opaque-sweep"])
-def test_negative_seed_exits_2(capsys, tmp_path, argv):
-    code, _, err = run_cli(capsys, *argv, "--seed", "-1",
-                           *(["--out", str(tmp_path)] if "sweep" in argv
-                             else []))
-    assert code == 2 and "non-negative" in err
+# every command that draws, with an output that a refused seed leaves
+# unmade; each takes its seed from --seed, else ENDGAME_SEED
+SEED_ARGV = {
+    "bins-run": ["bins", "run", "--policy", "static", "--T", "30"],
+    "bins-sweep": ["bins", "sweep", "--policy", "static", "--T", "30",
+                   "--out", "out"],
+    "opaque-sweep": ["opaque", "sweep", "--regime", "delta_zero", "--S",
+                     "5,10", "--out", "out"],
+    "opaque-run": ["opaque", "run", "--policy", "static", "--S", "5"],
+    "parcel-gen-corpus": ["parcel", "gen-corpus", "--out", "out",
+                          "--zones", "2", "--pool-size", "40"],
+    "parcel-sweep": ["parcel", "sweep", "--corpus", "c.txt", "--policy",
+                     "no_flex", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("argv", list(SEED_ARGV.values()),
+                         ids=list(SEED_ARGV))
+def test_negative_seed_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert "seed: expected a non-negative integer, got -1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["-3", "abc", ""])
+@pytest.mark.parametrize("argv", list(SEED_ARGV.values()),
+                         ids=list(SEED_ARGV))
+def test_bad_endgame_seed_exits_2_naming_it(capsys, tmp_path, monkeypatch,
+                                            argv, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ENDGAME_SEED", value)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert (f"ENDGAME_SEED: expected a non-negative integer, got {value!r}"
+            in err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_parcel_pipeline(capsys, tmp_path):
@@ -368,41 +396,6 @@ def test_report_without_metric_column_exits_2(capsys, tmp_path):
     assert code == 2
     assert str(raw) in err and "no metric column" in err
     assert not (tmp_path / "report.csv").exists()
-
-
-# every command that draws takes its seed from --seed or ENDGAME_SEED
-SEED_CASES = {
-    "bins-run": ["bins", "run", "--policy", "static", "--T", "30"],
-    "opaque-run": ["opaque", "run", "--policy", "static", "--S", "5"],
-    "bins-sweep": ["bins", "sweep", "--policy", "static", "--T", "30",
-                   "--out", "out"],
-    "opaque-table": ["opaque", "sweep", "--regime", "delta_zero", "--S", "5",
-                     "--out", "out"],
-    "parcel-gen-corpus": ["parcel", "gen-corpus", "--out", "out",
-                          "--zones", "2", "--pool-size", "40"],
-    "parcel-sweep": ["parcel", "sweep", "--corpus", "c.txt", "--policy",
-                     "no_flex", "--out", "out"],
-}
-
-
-@pytest.mark.parametrize("seed,env,named", [
-    ("-1", None, "seed: "), (None, "-3", "ENDGAME_SEED: "),
-    (None, "abc", "ENDGAME_SEED: "), (None, "", "ENDGAME_SEED: ")],
-    ids=["flag", "env-negative", "env-text", "env-empty"])
-@pytest.mark.parametrize("command", list(SEED_CASES))
-def test_bad_seed_exits_2_naming_its_source(capsys, tmp_path, monkeypatch,
-                                            command, seed, env, named):
-    monkeypatch.chdir(tmp_path)
-    if env is None:
-        monkeypatch.delenv("ENDGAME_SEED", raising=False)
-    else:
-        monkeypatch.setenv("ENDGAME_SEED", env)
-    argv = SEED_CASES[command] + (["--seed", seed] if seed else [])
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert named in err and "non-negative integer" in err
-    assert ("-1" if env is None else repr(env)) in err
-    assert not (tmp_path / "out").exists()
 
 
 # the model named in the file decides what `<command> sweep --config` runs
