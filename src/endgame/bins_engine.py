@@ -40,11 +40,13 @@ draw_arrival_arrays = draw_raw_arrays
 
 # Target upper bound on (block rows) * T draws held in memory at once.
 _BLOCK_ELEMENTS = 32_000_000
-# Periods per chunk of the kernel's scan (below 2**15).  A chunk's working
-# arrays take tens of bytes per row and period, so blocks also hold at
-# most _BLOCK_ROWS rows.
+# Periods per chunk of the kernel's scan.  A chunk's working arrays take
+# tens of bytes per row and period, so blocks also hold at most
+# _BLOCK_ROWS rows, and a chunk's slab at most _SLAB counts (a full block's
+# at N = 2 and q = 1).
 _CHUNK = 1024
 _BLOCK_ROWS = 512
+_SLAB = 4 * _CHUNK * _BLOCK_ROWS
 
 
 @dataclass
@@ -104,8 +106,9 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
         raise ValueError(f"need at least one row, got {n_rows}")
     for policy in policies:
         _check_resolved(policy)
-    cuts = [_sqrt_prob(T, p.a_s) if p.kind == FLEX_SQRT_T else None
-            for p in policies]
+    # the flex-sqrt-T policies' per-period exertion probabilities
+    cuts = [(T - static_start(T, p.a_s)) / T if p.kind == FLEX_SQRT_T
+            else None for p in policies]
     drawn_cuts = sorted({c for c in cuts if c is not None})
     exert = bool(drawn_cuts)
     categories = CATEGORIES if exert else CATEGORIES[:-1]
@@ -160,11 +163,6 @@ def _check_resolved(policy: PolicySpec) -> None:
         raise ValueError(f"{policy.kind} policy needs a_s resolved")
     if policy.kind == DYNAMIC and policy.a_d is None:
         raise ValueError("dynamic policy needs a_d resolved")
-
-
-def _sqrt_prob(T: int, a_s: float) -> float:
-    """Per-period exertion probability of the flex-sqrt-T policy."""
-    return (T - static_start(T, a_s)) / T
 
 
 def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
@@ -283,7 +281,8 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
     bin of its pair, ties to ``lo``.  With ``recheck = (t/N, threshold)``
     per period (the unlatched dynamic policy) an event first re-checks
     the dynamic condition on those loads and goes to its preferred bin
-    when it fails.
+    when it fails.  Rows go in slices whose slab of per-(group, row, bin)
+    counts fits in ``_SLAB`` counts, one row at least.
 
     Returns each row's loads and flex count at the end of the chunk, or
     at its stop, and the periods a row ran before it stopped (0 for a row
@@ -299,19 +298,25 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
         # Event k of row r is entry (r, k) of (m, K) arrays.  The row's
         # non-events after its event k - 1 and before its event k form its
         # part of group k, which joins the loads just before step k.
-        group = np.cumsum(events, axis=1, dtype=np.int16)  # events so far
-        n_ev = group[:, -1].astype(np.int64)
+        group = np.cumsum(events, axis=1)  # events so far
+        n_ev = group[:, -1].copy()
         K = int(n_ev.max())
-        group = group.reshape(-1)
-        entry = (at // w) * K + group[at] - 1
-        group[at] = K + 1  # the events are in no group
-        adds = (np.arange(0, m * (N + 1), N + 1)[:, None] + pref
-                ).reshape(-1)[np.argsort(group, kind="stable")]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(group))))
-        full = np.zeros((m, N + 1), dtype=np.int64)
-        full[:, :N] = carry
-        chosen, exerted = _step(full, adds, bounds, at, entry, pref, lo, hi,
-                                recheck)
+        step = max(1, _SLAB // ((K + 2) * (N + 1)))  # rows a slab holds
+        if step < m:
+            return tuple(map(np.concatenate, zip(*(_place(
+                *(a[i:i + step] for a in (carry, pref, events, lo, hi)),
+                recheck, stop) for i in range(0, m, step)))))
+        key = group.reshape(-1)
+        entry = (at // w) * K + key[at] - 1
+        key[at] = K + 1  # the events are in no group
+        # adds[k, r, b]: row r's non-events of group k in bin b
+        group *= m * (N + 1)  # key (k * m + r) * (N + 1) + b, in place
+        group += np.arange(0, m * (N + 1), N + 1)[:, None]
+        group += pref
+        adds = np.bincount(key, minlength=(K + 2) * m * (N + 1)
+                           ).reshape(K + 2, m, N + 1)
+        full = np.pad(carry, ((0, 0), (0, 1)))  # column N: the spare bin
+        chosen, exerted = _step(full, adds, at, entry, pref, lo, hi, recheck)
         ends = full[:, :N]
         flexes = n_ev if exerted is None else exerted.sum(axis=1)
 
@@ -334,15 +339,15 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
     return ends, flexes, ran
 
 
-def _step(full, adds, bounds, at, entry, pref, lo, hi, recheck):
+def _step(full, adds, at, entry, pref, lo, hi, recheck):
     """The lockstep loop of :func:`_place` on the loads ``full``: step k
-    adds group k, the flat indices ``adds[bounds[k]:bounds[k + 1]]``,
-    and then places event k of every row, a row with fewer events
-    placing into its spare bin, column N of ``full``; group K joins after
-    the last step.  Returns the (rows, K) flat indices into ``full`` that
-    the events chose and, with ``recheck``, which of them exerted."""
+    adds group k's counts ``adds[k]`` and then places event k of every
+    row, a row with fewer events placing into its spare bin, column N of
+    ``full``; group K joins after the last step.  Returns the (rows, K)
+    flat indices into ``full`` that the events chose and, with
+    ``recheck``, which of them exerted."""
     m, w = pref.shape
-    N, K = full.shape[1] - 1, len(bounds) - 3  # groups 0..K, the events
+    N, K = full.shape[1] - 1, len(adds) - 2  # groups 0..K, the events
 
     def per_event(values, fill):
         out = np.full((m, K), fill, dtype=np.result_type(values, fill))
@@ -362,7 +367,7 @@ def _step(full, adds, bounds, at, entry, pref, lo, hi, recheck):
     flat = full.reshape(-1)
     chosen = np.empty((K, m), dtype=np.intp)
     for i in range(K):
-        np.add.at(flat, adds[bounds[i]:bounds[i + 1]], 1)
+        full += adds[i]
         ai, bi = a[i], b[i]
         c = np.where(flat[ai] <= flat[bi], ai, bi)
         if recheck is not None:
@@ -371,5 +376,5 @@ def _step(full, adds, bounds, at, entry, pref, lo, hi, recheck):
             exerted[i] = ok
         flat[c] += 1
         chosen[i] = c
-    np.add.at(flat, adds[bounds[K]:bounds[K + 1]], 1)
+    full += adds[K]
     return chosen.T, None if exerted is None else exerted.T

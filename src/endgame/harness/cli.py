@@ -284,6 +284,10 @@ def cmd_sweep(args) -> int:
 def _regime_table(args, flags) -> int:
     """The loss-vs-S table of one opaque regime, with its plot data."""
     grid, seed = parse_grid(flags["S"]), resolve_root_seed(args.seed)
+    if not grid:
+        raise ConfigError("sweep.S: needs a nonempty value list")
+    if grid != sorted(grid):
+        raise ConfigError("sweep.S: values must be ascending")
     out = args.out or "results"
     make_out_dir(out)
     rows = opaque.regime_sweep(
@@ -369,6 +373,14 @@ def cmd_report(args) -> int:
     if not metrics:
         raise ValueError(f"{args.raw}: no metric column, expected one of "
                          f"{', '.join(sorted(known))}")
+    for name in metrics:
+        for i, row in enumerate(rows, start=1):
+            try:
+                float(row[name])
+            except (TypeError, ValueError):  # None: a short row
+                raise ValueError(f"{args.raw}: column {name!r} of data row "
+                                 f"{i} is {row[name]!r}, not a number"
+                                 ) from None
     cell = [name for name in columns if name not in metrics
             and name not in ("schema_version", "rep", "cycle")]
     write_summary(args.out, rows, cell, metrics)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +320,25 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
     assert max(sizes) - min(sizes) <= 1
     for name in ("final_gap", "flex_count", "first_trigger"):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name))
+
+
+def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch):
+    """At N=600 and q=1 one chunk's per-(group, row, bin) counts for 64
+    rows would take about 316 MB; the kernel places them in slices of
+    rows, and slicing changes no row."""
+    args = ([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], 600, 1.0, 1024, 64, 8,
+            ("wide",), bb.draw_raw_arrays)
+    tracemalloc.start()
+    try:
+        sliced = be.run_blocks(*args)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+    monkeypatch.setattr(be, "_BLOCK_ROWS", 1)
+    alone = be.run_blocks(*args)[0]
+    for f in dataclasses.fields(sliced):
+        assert np.array_equal(getattr(sliced, f.name), getattr(alone, f.name))
 
 
 @pytest.mark.parametrize("block_rows", [3, be._BLOCK_ROWS])

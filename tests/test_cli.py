@@ -398,6 +398,33 @@ def test_report_without_metric_column_exits_2(capsys, tmp_path):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["x", ""])
+def test_report_non_number_metric_exits_2_naming_file_and_column(
+        capsys, tmp_path, value):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("schema_version,policy,T,rep,final_gap\n"
+                   f"1,no_flex,50,0,1.5\n1,no_flex,50,1,{value}\n")
+    code, _, err = run_cli(capsys, "report", "--raw", str(raw), "--out",
+                           str(tmp_path / "report.csv"))
+    assert code == 2
+    assert str(raw) in err and "'final_gap'" in err and "row 2" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("5:10:0", "sweep.S: needs a nonempty value list"),
+    ("10,5", "sweep.S: values must be ascending")],
+    ids=["empty", "descending"])
+def test_regime_table_bad_grid_exits_2_writing_nothing(capsys, tmp_path, grid,
+                                                       message):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "opaque", "sweep", "--regime",
+                           "delta_zero", "--S", grid, "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
 # the model named in the file decides what `<command> sweep --config` runs
 FIELD_CASES = [  # command, model, policies, params, the field named
     ("bins", "bins", "[no_flex]", "{T: 50, N: 3, q: 0.5, r: 2}", "params.r"),

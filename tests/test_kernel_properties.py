@@ -13,10 +13,11 @@ from endgame import bins_engine as be
 
 @st.composite
 def kernel_cases(draw):
-    """A policy, (N, q, stop), a root seed and a few rows of arrivals
-    drawn from the streams ``(seed, "prop", row)``."""
+    """A policy, (N, q, stop), a root seed and up to 16 rows of arrivals
+    drawn from the streams ``(seed, "prop", row)``.  Some cases take N
+    above 127, where ``preferred`` and the pairs are int16."""
     stop = draw(st.none() | st.integers(1, 60))
-    N = draw(st.integers(2, 8))
+    N = draw(st.integers(2, 8) | st.integers(128, 200))
     q = draw(st.floats(0.05, 1.0))
     T = draw(st.integers(1, 400))
     seed = draw(st.integers(0, 2**20))
@@ -25,7 +26,7 @@ def kernel_cases(draw):
                          a_d=draw(st.floats(0.0, 3.0)),
                          latched=draw(st.booleans()))
     rows = [oracle.draw(seed, N, q, T, "prop", row)
-            for row in range(draw(st.integers(1, 4)))]
+            for row in range(draw(st.integers(1, 16)))]
     return spec, N, q, stop, seed, rows
 
 
@@ -38,6 +39,8 @@ def test_kernel_matches_oracle_and_invariants(chunk, case):
     with pytest.MonkeyPatch.context() as mp:
         # a narrow chunk puts events and stops across chunk boundaries
         mp.setattr(be, "_CHUNK", chunk)
+        # a small slab budget places a block's rows in slices
+        mp.setattr(be, "_SLAB", 4096, raising=False)
         # the oracle's rows as a block, and a block drawn on the rows'
         # own streams
         outs = [be.lockstep(spec, N, q, oracle.stack_arrivals(rows, spec),
