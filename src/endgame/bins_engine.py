@@ -17,7 +17,7 @@ Loads depend on the policy only through its flex *events*: the flex
 arrivals it exerts on (for the unlatched dynamic policy, the flex
 arrivals it may exert on).  Every other arrival lands in its preferred
 bin, so between events a row's loads are per-bin counts of
-``preferred``.  The kernel scans the period axis in chunks of
+``preferred``.  The kernel scans the period axis in chunks of at most
 ``_CHUNK`` periods; in each chunk it steps in lockstep across rows
 through the events only, adding the arrivals between events in bulk.
 """
@@ -40,10 +40,9 @@ draw_arrival_arrays = draw_raw_arrays
 
 # Target upper bound on (block rows) * T draws held in memory at once.
 _BLOCK_ELEMENTS = 32_000_000
-# Periods per chunk of the kernel's scan.  A chunk's working arrays take
-# tens of bytes per row and period, so blocks also hold at most
-# _BLOCK_ROWS rows, and a chunk's slab at most _SLAB counts (a full block's
-# at N = 2 and q = 1).
+# Most periods per chunk of the kernel's scan.  A chunk's working arrays take
+# tens of bytes per row and period, so blocks also hold at most _BLOCK_ROWS
+# rows, and a chunk's slab at most _SLAB counts (a full block's at N = 2).
 _CHUNK = 1024
 _BLOCK_ROWS = 512
 _SLAB = 4 * _CHUNK * _BLOCK_ROWS
@@ -190,8 +189,9 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     if kind in (ALWAYS_FLEX, STATIC):
         trigger[:] = t_hat  # 0 for always_flex
 
-    for c0 in range(0, T, _CHUNK):
-        c1 = min(c0 + _CHUNK, T)
+    width = max(1, min(_CHUNK, _SLAB // (N + 1) - 2))  # a row's slab fits
+    for c0 in range(0, T, width):
+        c1 = min(c0 + width, T)
         t = np.arange(c0, c1)
         pref, flex, lo, hi = (a[live, c0:c1] for a in (
             arrivals.preferred, arrivals.is_flex, arrivals.pair_lo,

@@ -322,11 +322,14 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name))
 
 
-def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch):
-    """At N=600 and q=1 one chunk's per-(group, row, bin) counts for 64
-    rows would take about 316 MB; the kernel places them in slices of
-    rows, and slicing changes no row."""
-    args = ([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], 600, 1.0, 1024, 64, 8,
+@pytest.mark.parametrize("N,rows", [(600, 64), (20_000, 2)])
+def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
+                                                        rows):
+    """At q=1 one 1024-period chunk's per-(group, row, bin) counts would
+    take about 316 MB for 64 rows at N=600, and 157 MB for one row at
+    N=20000; the kernel places rows in slices and narrows its chunks, and
+    neither changes a row."""
+    args = ([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], N, 1.0, 1024, rows, 8,
             ("wide",), bb.draw_raw_arrays)
     tracemalloc.start()
     try:

@@ -39,8 +39,9 @@ def test_kernel_matches_oracle_and_invariants(chunk, case):
     with pytest.MonkeyPatch.context() as mp:
         # a narrow chunk puts events and stops across chunk boundaries
         mp.setattr(be, "_CHUNK", chunk)
-        # a small slab budget places a block's rows in slices
-        mp.setattr(be, "_SLAB", 4096, raising=False)
+        # a small slab budget places rows in slices and, at large N,
+        # narrows the chunks
+        mp.setattr(be, "_SLAB", 16384, raising=False)
         # the oracle's rows as a block, and a block drawn on the rows'
         # own streams
         outs = [be.lockstep(spec, N, q, oracle.stack_arrivals(rows, spec),
