@@ -46,6 +46,10 @@ _BLOCK_ELEMENTS = 32_000_000
 _CHUNK = 1024
 _BLOCK_ROWS = 512
 _SLAB = 4 * _CHUNK * _BLOCK_ROWS
+# Periods per segment of a chunk: the stop and dynamic-trigger searches take
+# loads at segment boundaries first and step period by period only through
+# the one segment that can hold a row's stop or trigger.
+_SEG = 16
 
 
 @dataclass
@@ -211,18 +215,9 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
         else:  # dynamic: trigger at the first period the condition holds
             threshold = policy.a_d * (T - t) * q / N
             fresh = np.flatnonzero(trigger[live] == T)
-            # Up to its trigger a row places every ball at preference, so
-            # no load before a period exceeds the chunk's no-flex end max;
-            # the condition's sides are monotone in the load and t, also
-            # in floating point, which rules out most chunks cheaply.
-            no_flex_end = carry[fresh] + _counts(pref[fresh], N)
-            fresh = fresh[no_flex_end.max(axis=1) - c0 / N >= threshold[-1]]
             if fresh.size:
-                top = _max_loads(carry[fresh], pref[fresh])
-                before = np.concatenate(
-                    (carry[fresh].max(axis=1, keepdims=True), top[:, :-1]),
-                    axis=1)
-                _first(trigger, live[fresh], before - t / N >= threshold, c0)
+                _trigger(trigger, live[fresh], carry[fresh], pref[fresh],
+                         c0, t / N, threshold)
             events = flex & (t >= trigger[live][:, None])
             if not policy.latched:
                 recheck = (t / N, threshold)
@@ -252,7 +247,8 @@ def _first(trigger, rows, cond, c0: int) -> None:
 
 def _counts(bins, N: int, end=None):
     """(rows, N) per-bin counts of ``bins`` (rows, w), counting only the
-    first ``end[r]`` periods of row r when ``end`` is given."""
+    first ``end[r]`` periods of row r when ``end`` is given; bin N counts
+    nothing."""
     m, w = bins.shape
     if end is not None:
         bins = np.where(np.arange(w) < end[:, None], bins, N)
@@ -269,6 +265,73 @@ def _max_loads(carry, bins):
         np.maximum(top, np.cumsum(bins == b, axis=1) + carry[:, b, None],
                    out=top)
     return top
+
+
+def _segment_loads(carry, bins):
+    """(rows, n + 1, N) loads of rows that drop ball t into bin
+    ``bins[r, t]`` (rows, w) on top of ``carry`` (rows, N), at the
+    boundaries of the chunk's n ``_SEG``-period segments: entry j before
+    segment j, entry n at the chunk's end."""
+    m, w = bins.shape
+    N = carry.shape[1]
+    n = -(-w // _SEG)
+    key = ((np.arange(0, m * n, n)[:, None] + np.arange(w) // _SEG)
+           * (N + 1) + bins)
+    counts = np.bincount(key.ravel(), minlength=m * n * (N + 1)
+                         ).reshape(m, n, N + 1)[:, :, :N]
+    out = np.empty((m, n + 1, N), dtype=np.int64)
+    out[:, 0] = carry
+    np.cumsum(counts, axis=1, out=out[:, 1:])
+    out[:, 1:] += carry[:, None]
+    return out
+
+
+def _window(bins, rows, seg, N: int):
+    """Segment ``seg[i]`` of row ``rows[i]`` of ``bins`` (rows, w): the
+    periods' offsets in the chunk, clipped to its last, and their bins,
+    N (no bin) past the chunk's end, both (len(rows), _SEG)."""
+    w = bins.shape[1]
+    t = seg[:, None] * _SEG + np.arange(_SEG)
+    inside = t < w
+    t = np.minimum(t, w - 1)
+    return t, np.where(inside, bins[rows[:, None], t], N)
+
+
+def _trigger(trigger, rows, carry, pref, c0: int, t_over_n,
+             threshold) -> None:
+    """Set ``trigger[rows]`` of not yet triggered rows to the first period
+    of the chunk starting at ``c0`` in which the dynamic condition holds:
+    the largest load before the period, of ``carry`` (rows, N) plus the
+    preferred bins ``pref`` (rows, w) so far, less ``t_over_n``, meets
+    ``threshold``.
+
+    Up to its trigger a row places every ball at preference, so no load
+    before a period of a segment exceeds the segment's end loads, and no
+    period comes before the segment's first.  The condition's sides are
+    monotone in the load and t, also in floating point, so a segment can
+    hold the trigger only if its end max, less its first period's
+    ``t_over_n``, meets the threshold of its last period.  The exact
+    condition runs on those candidate segments alone, all at once.
+    """
+    w = pref.shape[1]
+    bounds = _segment_loads(carry, pref)
+    first = np.arange(0, w, _SEG)
+    last = np.minimum(first + _SEG, w) - 1
+    r, j = np.nonzero(bounds[:, 1:].max(axis=2) - t_over_n[first]
+                      >= threshold[last])
+    if not r.size:
+        return
+    start = bounds[r, j]
+    t, bins = _window(pref, r, j, carry.shape[1])
+    top = _max_loads(start, bins)
+    before = np.concatenate((start.max(axis=1, keepdims=True), top[:, :-1]),
+                            axis=1)
+    hit = (bins < carry.shape[1]) & (before - t_over_n[t] >= threshold[t])
+    found = hit.any(axis=1)
+    # candidates come in row order, each row's segments in period order
+    r, i = np.unique(r[found], return_index=True)
+    t, hit = t[found][i], hit[found][i]
+    trigger[rows[r]] = c0 + t[np.arange(r.size), hit.argmax(axis=1)]
 
 
 def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
@@ -290,22 +353,23 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
     """
     m, w = pref.shape
     N = carry.shape[1]
-    at = (np.flatnonzero(events) if events is not None
-          else np.empty(0, dtype=np.intp))
-    if not at.size:
-        ends, flexes = carry + _counts(pref, N), np.zeros(m, dtype=np.int64)
+    n_ev = (np.zeros(m, dtype=np.int64) if events is None
+            else events.sum(axis=1))
+    K = int(n_ev.max())
+    step = max(1, _SLAB // ((K + 2) * (N + 1)))  # rows a slab holds
+    if K and step < m:
+        return tuple(map(np.concatenate, zip(*(_place(
+            *(a[i:i + step] for a in (carry, pref, events, lo, hi)),
+            recheck, stop) for i in range(0, m, step)))))
+    if not K:
+        at = np.empty(0, dtype=np.intp)
+        ends, flexes = carry + _counts(pref, N), n_ev
     else:
         # Event k of row r is entry (r, k) of (m, K) arrays.  The row's
         # non-events after its event k - 1 and before its event k form its
         # part of group k, which joins the loads just before step k.
+        at = np.flatnonzero(events)
         group = np.cumsum(events, axis=1)  # events so far
-        n_ev = group[:, -1].copy()
-        K = int(n_ev.max())
-        step = max(1, _SLAB // ((K + 2) * (N + 1)))  # rows a slab holds
-        if step < m:
-            return tuple(map(np.concatenate, zip(*(_place(
-                *(a[i:i + step] for a in (carry, pref, events, lo, hi)),
-                recheck, stop) for i in range(0, m, step)))))
         key = group.reshape(-1)
         entry = (at // w) * K + key[at] - 1
         key[at] = K + 1  # the events are in no group
@@ -333,8 +397,16 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
             rs, ts = np.searchsorted(s, r), at[ev] % w
             placed[rs, ts] = chosen[r, k] % (N + 1)
             flexed[rs, ts] = True if exerted is None else exerted[r, k]
-        ran[s] = (_max_loads(carry[s], placed) >= stop).argmax(axis=1) + 1
-        ends[s] = carry[s] + _counts(placed, N, ran[s])
+        # loads only grow: the first segment whose end max reaches stop
+        # holds the stop, and only its periods are stepped
+        bounds = _segment_loads(carry[s], placed)
+        row = np.arange(s.size)
+        j = (bounds[:, 1:].max(axis=2) >= stop).argmax(axis=1)
+        start = bounds[row, j]
+        _, bins = _window(placed, row, j, N)
+        into = (_max_loads(start, bins) >= stop).argmax(axis=1) + 1
+        ran[s] = j * _SEG + into
+        ends[s] = start + _counts(bins, N, into)
         flexes[s] = (flexed & (np.arange(w) < ran[s, None])).sum(axis=1)
     return ends, flexes, ran
 

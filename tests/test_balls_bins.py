@@ -148,6 +148,42 @@ def test_dynamic_should_flex_examples():
     assert rec.first_trigger == 0
 
 
+# With 10-period chunks of 4-period segments, the periods that open or
+# close a segment, and those of each chunk's last, 2-period segment.
+EDGES = (0, 3, 4, 7, 8, 9, 10, 13, 14, 18, 19)
+
+
+@pytest.mark.parametrize("p", EDGES)
+def test_stop_on_segment_edges(monkeypatch, p):
+    """Every ball prefers bin 0, so the row stops in period ``p`` at
+    ``stop = p + 1``; flexing on pair (0, 1) from period 0 halves that."""
+    monkeypatch.setattr(be, "_CHUNK", 10)
+    monkeypatch.setattr(be, "_SEG", 4)
+    rec = kernel_row(bb.PolicySpec(kind=bb.NO_FLEX), 2, 1.0,
+                     injected([0] * 24), stop=p + 1)
+    assert rec.stop_time == p + 1
+    flex = injected([0] * 48, True)
+    rec = kernel_row(bb.PolicySpec(kind=bb.ALWAYS_FLEX), 2, 1.0, flex,
+                     stop=p // 2 + 1)
+    assert rec.stop_time == 2 * (p // 2) + 1
+
+
+@pytest.mark.parametrize("latched", [False, True])
+@pytest.mark.parametrize("p", EDGES[1:])
+def test_dynamic_trigger_on_segment_edges(monkeypatch, p, latched):
+    """Every ball prefers bin 0, so the gap before period t is t/2 and the
+    threshold at a_d = 1/4, N = 2, q = 1 is (T - t)/8, both exact: the
+    condition first holds at t = T/5 = p.  A stop after the trigger
+    runs the stop search on the flexed loads too."""
+    monkeypatch.setattr(be, "_CHUNK", 10)
+    monkeypatch.setattr(be, "_SEG", 4)
+    spec = bb.PolicySpec(kind=bb.DYNAMIC, a_d=0.25, latched=latched)
+    T = 5 * p
+    arrivals = injected([0] * T, [t % 2 == 1 for t in range(T)])
+    assert kernel_row(spec, 2, 1.0, arrivals).first_trigger == p
+    kernel_row(spec, 2, 1.0, arrivals, stop=p + 3)
+
+
 def test_flex_sqrt_t_rate():
     p = bb.ModelParams(T=10000, N=2, q=0.5)
     spec = bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=9.798)

@@ -34,11 +34,31 @@ def kernel_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=kernel_cases())
 def test_kernel_matches_oracle_and_invariants(chunk, case):
-    spec, N, q, stop, seed, rows = case
-    T = len(rows[0])
     with pytest.MonkeyPatch.context() as mp:
         # a narrow chunk puts events and stops across chunk boundaries
         mp.setattr(be, "_CHUNK", chunk)
+        check_case(case)
+
+
+@pytest.mark.parametrize("seg,chunk", [(1, 7), (3, 7), (3, be._CHUNK),
+                                       (be._CHUNK, 7),
+                                       (be._CHUNK, be._CHUNK)])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=kernel_cases())
+def test_kernel_matches_oracle_at_segment_widths(seg, chunk, case):
+    """The stop and trigger searches step through one segment per row;
+    one-period segments, segments that do not divide the chunk and one
+    segment per chunk find the same periods."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(be, "_SEG", seg)
+        mp.setattr(be, "_CHUNK", chunk)
+        check_case(case)
+
+
+def check_case(case):
+    spec, N, q, stop, seed, rows = case
+    T = len(rows[0])
+    with pytest.MonkeyPatch.context() as mp:
         # a small slab budget places rows in slices and, at large N,
         # narrows the chunks
         mp.setattr(be, "_SLAB", 16384, raising=False)
