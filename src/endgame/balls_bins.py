@@ -37,6 +37,17 @@ PRESET_NUMERICS = "numerics"
 NUMERICS_A_S = 10.0
 NUMERICS_A_D = 0.7
 
+# most bins a model may have: a row's bins are drawn as int16
+MAX_BINS = np.iinfo(np.int16).max
+
+
+def check_bins(N: int) -> None:
+    """Refuse a bin count outside [2, MAX_BINS], naming N."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    if N > MAX_BINS:
+        raise ValueError(f"N must be <= {MAX_BINS}, got {N}")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -49,8 +60,7 @@ class ModelParams:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+        check_bins(self.N)
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
 

@@ -288,6 +288,8 @@ def _regime_table(args, flags) -> int:
         raise ConfigError("sweep.S: needs a nonempty value list")
     if grid != sorted(grid):
         raise ConfigError("sweep.S: values must be ascending")
+    for S in grid:  # every point's parameters, before any output
+        opaque.eoq_params(flags["N"], S, flags["q"], flags["regime"])
     out = args.out or "results"
     make_out_dir(out)
     rows = opaque.regime_sweep(

@@ -182,7 +182,6 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
     reps = (config.replications if config.replications is not None
             else DEFAULT_REPLICATIONS[config.model])
     out_dir = out_dir or config.out_dir
-    make_out_dir(out_dir)
 
     groups = {}  # group key -> indices into cells, in first-seen order
     cells = []
@@ -200,6 +199,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
         groups.setdefault(key, []).append(i)
     jobs = [(config.model, [cells[i] for i in members], reps, root_seed,
              config.preset) for members in groups.values()]
+    # every bins and opaque cell's parameters are checked by now
+    make_out_dir(out_dir)
 
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:

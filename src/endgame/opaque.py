@@ -18,7 +18,7 @@ import numpy as np
 
 from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX,
                          PRESET_NUMERICS, STATIC, ModelParams, PolicySpec,
-                         draw_raw_arrays, theory_a_s)
+                         check_bins, draw_raw_arrays, theory_a_s)
 from .bins_engine import run_blocks
 from .harness.config import DEFAULT_REPLICATIONS, MODEL_DEFAULTS, arrival_path
 
@@ -42,8 +42,7 @@ class InventoryParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+        check_bins(self.N)
         if self.S < 1:
             raise ValueError(f"S must be >= 1, got {self.S}")
         if not 0.0 < self.q <= 1.0:

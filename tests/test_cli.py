@@ -425,6 +425,32 @@ def test_regime_table_bad_grid_exits_2_writing_nothing(capsys, tmp_path, grid,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("bins", "run", "--policy", "no_flex", "--T", "100"),
+    ("bins", "sweep", "--policy", "always_flex", "--T", "100", "--reps", "1"),
+    ("opaque", "run", "--policy", "no_flex", "--S", "5"),
+    ("opaque", "sweep", "--regime", "delta_zero", "--S", "5,8"),
+    ("opaque", "sweep", "--config", "{config}")],
+    ids=["bins-run", "bins-sweep", "opaque-run", "opaque-sweep",
+         "opaque-config"])
+def test_too_many_bins_exits_2_naming_N_writing_nothing(capsys, tmp_path,
+                                                       argv):
+    # bins are drawn as int16: N above its range is refused up front
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: opaque\npolicies: [no_flex]\n"
+                      "params: {N: 40000}\nsweep: {S: [5]}\n")
+    out = tmp_path / "out"
+    argv = [a.format(config=config) for a in argv]
+    if argv[1] == "sweep":
+        argv += ["--out", str(out)]
+    if "--config" not in argv:
+        argv += ["--N", "40000"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "N must be <= 32767, got 40000" in err
+    assert not out.exists()
+
+
 # the model named in the file decides what `<command> sweep --config` runs
 FIELD_CASES = [  # command, model, policies, params, the field named
     ("bins", "bins", "[no_flex]", "{T: 50, N: 3, q: 0.5, r: 2}", "params.r"),
