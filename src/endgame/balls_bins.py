@@ -3,7 +3,8 @@ always-flex, static, dynamic, flex-sqrt-T) with their constants, and the
 draw of one row's arrivals from its per-category streams.  The policy
 loop itself is :mod:`endgame.bins_engine`, which also keys every row's
 streams: row r of a run on stream path ``path`` draws category c from
-``(root_seed, *path, r, c)``.
+the stream keyed by ``(root_seed, *path, c)`` at Philox counter
+(0, 0, r, 0).
 
 Loads are integer counts; the imbalance metric is the gap
 ``max_i loads[i] - t/N`` where ``t`` is the number of balls already placed.
@@ -124,22 +125,26 @@ class ArrivalArrays:
     """Pre-drawn per-period arrival randomness, one row per replication
     (1-D for a single replication, (rows, T) when stacked for the engine).
 
-    The flex set is drawn directly as a uniformly random pair (lo < hi)
-    of distinct bins: a uniform pair from a uniform subset of any size is
-    a uniform pair of all bins, so the flex-set size has no effect.
-    ``exert_u`` is a separate uniform stream consumed only by the
-    flex-sqrt-T policy, so policies stay coupled on the arrival streams
-    regardless of their own randomness; it is None when it was not drawn.
+    The flex periods are drawn as geometric gaps, and each flex arrival's
+    set directly as a uniformly random pair (lo < hi) of distinct bins: a
+    uniform pair from a uniform subset of any size is a uniform pair of
+    all bins, so the flex-set size has no effect.  A non-flex period's
+    pair is (0, 0) and never read.  ``exert_u`` is a separate uniform
+    stream consumed only by the flex-sqrt-T policy, so policies stay
+    coupled on the arrival streams regardless of their own randomness; it
+    is None when it was not drawn.  A drawn row holds K + 1 of them for
+    its K flex arrivals: ``exert_u[0]`` is V, which places the row's
+    non-flex decisions, and ``exert_u[1 + k]`` decides flex arrival k.
     The kernel (``bins_engine.lockstep``) reads only a flex-sqrt-T
-    policy's decisions ``exert_u < (T - t_hat)/T`` there, as bool, which
-    ``bins_engine.run_blocks`` cuts per block: an eighth of the memory.
+    policy's (rows, T) bool decisions there, which
+    ``bins_engine.run_blocks`` cuts per block.
     """
 
     is_flex: np.ndarray   # (T,) bool
     preferred: np.ndarray  # (T,) int
     pair_lo: np.ndarray   # (T,) int
     pair_hi: np.ndarray   # (T,) int
-    exert_u: np.ndarray | None = None  # (T,) float, or bool in a block
+    exert_u: np.ndarray | None = None  # (K + 1,) float, or bool in a block
 
     def __len__(self) -> int:
         return len(self.is_flex)
@@ -153,19 +158,46 @@ CATEGORIES = ("flex", "preferred", "flexset", "exert")
 def draw_raw_arrays(N: int, q: float, T: int, rng: RowStreams,
                     exert: bool = True) -> ArrivalArrays:
     """Draw one row's T periods of arrival randomness from its streams
-    ``rng``, one per draw category, each from its start.  ``exert=False``
-    skips the flex-sqrt-T stream; the other categories are unchanged."""
+    ``rng``, one per draw category, each from its start.  Only
+    ``preferred`` takes a draw per period; the pairs and ``exert_u`` take
+    one per flex arrival, and at N = 2 the pair, always (0, 1), takes
+    none.  ``exert=False`` skips the flex-sqrt-T stream; the other
+    categories are unchanged."""
     dtype = np.int16 if N > 127 else np.int8
-    is_flex = rng["flex"].random(T) < q
+    at = _flex_periods(q, T, rng)
+    is_flex = np.zeros(T, dtype=bool)
+    is_flex[at] = True
     preferred = rng["preferred"].integers(0, N, size=T, dtype=dtype)
-    g_set = rng["flexset"]
-    i = g_set.integers(0, N, size=T, dtype=dtype)
-    j = g_set.integers(0, N - 1, size=T, dtype=dtype)
-    j = j + (j >= i)
+    pair_lo, pair_hi = np.zeros((2, T), dtype=dtype)
+    if N == 2:
+        pair_hi[at] = 1
+    else:
+        g_set = rng["flexset"]
+        i = g_set.integers(0, N, size=at.size, dtype=dtype)
+        j = g_set.integers(0, N - 1, size=at.size, dtype=dtype)
+        j = j + (j >= i)
+        pair_lo[at] = np.minimum(i, j)
+        pair_hi[at] = np.maximum(i, j)
     return ArrivalArrays(
-        is_flex=is_flex,
-        preferred=preferred,
-        pair_lo=np.minimum(i, j),
-        pair_hi=np.maximum(i, j),
-        exert_u=rng["exert"].random(T) if exert else None,
-    )
+        is_flex=is_flex, preferred=preferred, pair_lo=pair_lo,
+        pair_hi=pair_hi,
+        exert_u=rng["exert"].random(at.size + 1) if exert else None)
+
+
+def _flex_periods(q: float, T: int, rng: RowStreams) -> np.ndarray:
+    """The ascending flex periods of a horizon of T: each gap to the next
+    is Geometric(q) on 1, 2, ..., drawn by inversion from one uniform U
+    of the flex stream as ``floor(log1p(-U) / log1p(-q)) + 1``, in
+    batches until the gaps pass T.  At q = 1 every period is one, with
+    no draw."""
+    if q == 1.0:
+        return np.arange(T)
+    rng, scale = rng["flex"], np.log1p(-q)
+    batch = int(q * T + 4 * math.sqrt(q * T)) + 16
+    parts, last = [], -1
+    while last < T - 1:
+        gaps = np.floor(np.minimum(np.log1p(-rng.random(batch)) / scale, T))
+        parts.append(last + np.cumsum(gaps.astype(np.int64) + 1))
+        last = parts[-1][-1]
+    at = np.concatenate(parts)
+    return at[:np.searchsorted(at, T)]

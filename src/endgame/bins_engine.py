@@ -7,11 +7,11 @@ stops at the first period in which a load reaches S (an opaque cycle is
 a ball run on depletion counts, stopped at the first stock-out).  Each
 row consumes its own per-category streams, so results are independent
 of block size and execution order: row r of a run on stream path
-``path`` draws from ``(root_seed, *path, r, category)``, and a block
-derives its rows' stream keys together and draws them on one re-keyed
-generator.  Policies that share a model's arrivals run on one draw: each
-block is drawn once and every policy steps through it before the next is
-drawn.
+``path`` draws category c from the stream keyed by ``(root_seed, *path,
+c)`` at Philox counter (0, 0, r, 0), and every row is drawn on one
+generator, re-keyed and re-countered per stream.  Policies that share a
+model's arrivals run on one draw: each block is drawn once and every
+policy steps through it before the next is drawn.
 
 Loads depend on the policy only through its flex *events*: the flex
 arrivals it exerts on (for the unlatched dynamic policy, the flex
@@ -98,12 +98,13 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     block is drawn once and every policy runs on it before the next block
     is drawn; returns one result per policy.
 
-    Row r draws from the streams ``(root_seed, *path, r, category)``.
-    The keys of a block's rows are derived together, and
-    ``draw(N, q, T, rng, exert=exert)`` draws a row's T periods from its
-    :class:`~endgame.streams.RowStreams` ``rng``, all on one generator;
-    ``exert`` says whether a policy reads the ``exert_u`` stream.  A
-    block keeps only the flex-sqrt-T decisions ``exert_u < (T - t_hat)/T``.
+    Row r draws category c from the stream keyed by ``(root_seed, *path,
+    c)`` at counter (0, 0, r, 0): ``draw(N, q, T, rng, exert=exert)``
+    draws a row's T periods from its :class:`~endgame.streams.RowStreams`
+    ``rng``, all rows on one generator; ``exert`` says whether a policy
+    reads the ``exert_u`` stream.  A block keeps only the flex-sqrt-T
+    policies' (rows, T) bool decisions, one row of them per cut
+    ``(T - t_hat)/T`` (see :func:`_decide`).
     """
     if n_rows < 1:
         raise ValueError(f"need at least one row, got {n_rows}")
@@ -114,7 +115,8 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
             else None for p in policies]
     drawn_cuts = sorted({c for c in cuts if c is not None})
     exert = bool(drawn_cuts)
-    categories = CATEGORIES if exert else CATEGORIES[:-1]
+    keys = {c: streams.stream_key(root_seed, *path, c)
+            for c in (CATEGORIES if exert else CATEGORIES[:-1])}
     # the policies that read exert_u run first, so that their decisions
     # are freed before the others run
     order = sorted(range(len(policies)), key=lambda i: cuts[i] is None)
@@ -124,11 +126,8 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
     parts = [[] for _ in policies]
     for lo, hi in zip(bounds, bounds[1:]):
-        keys = {c: streams.stream_keys(root_seed, path, c, np.arange(lo, hi))
-                for c in categories}
-        rows = (draw(N, q, T, RowStreams(generator,
-                                         {c: k[i] for c, k in keys.items()}),
-                     exert=exert) for i in range(hi - lo))
+        rows = (draw(N, q, T, RowStreams(generator, keys, r), exert=exert)
+                for r in range(lo, hi))
         block, decisions = _fill_block(rows, hi - lo, drawn_cuts)
         for i in order:
             if cuts[i] is None:
@@ -145,7 +144,7 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
 def _fill_block(rows, n: int, cuts: list) -> tuple[ArrivalArrays, dict]:
     """The ``n`` drawn ``rows`` without ``exert_u``, each copied straight
     into its row of (n, T) arrays allocated once per block, and for each
-    flex-sqrt-T cut the bool rows ``exert_u < cut``."""
+    flex-sqrt-T cut the rows' bool decisions."""
     block = decisions = None
     for i, drawn in enumerate(rows):
         arrivals = dict(vars(drawn))
@@ -153,12 +152,38 @@ def _fill_block(rows, n: int, cuts: list) -> tuple[ArrivalArrays, dict]:
         if block is None:
             block = {name: np.empty((n,) + a.shape, a.dtype)
                      for name, a in arrivals.items()}
-            decisions = np.empty((len(cuts), n, len(drawn)), bool)
+            decisions = np.zeros((len(cuts), n, len(drawn)), bool)
         for name, dst in block.items():
             dst[i] = arrivals[name]
-        for dst, cut in zip(decisions, cuts):
-            dst[i] = exert_u < cut
+        if cuts:
+            at = np.flatnonzero(drawn.is_flex)
+            for dst, cut in zip(decisions, cuts):
+                _decide(dst[i], drawn.is_flex, at, exert_u, cut)
     return ArrivalArrays(**block), dict(zip(cuts, decisions))
+
+
+def _decide(out, is_flex, at, exert_u, cut: float) -> None:
+    """Set ``out`` (T,), all False, to a flex-sqrt-T policy's decisions at
+    per-period exertion probability ``cut`` on a row whose flex periods
+    are ``at`` (K,): flex arrival k exerts when ``exert_u[1 + k] < cut``,
+    and every non-flex period from the k-th on, for k =
+    ``floor(log1p(-V) / log1p(-cut))`` of V = ``exert_u[0]``, a
+    Geometric(cut) count.  A non-flex decision moves no ball, so the
+    first decision, the policy's first trigger, has the law of the first
+    of independent Bernoulli(cut) decisions, and a smaller cut's
+    decisions are a subset of a larger one's.  A cut of 0 never exerts.
+    """
+    if cut <= 0:
+        return
+    T, K = is_flex.size, at.size
+    with np.errstate(divide="ignore"):  # log1p(-1) is -inf: k = 0
+        k = np.floor(np.log1p(-exert_u[0]) / np.log1p(-cut))
+    if k < T - K:
+        # the k-th non-flex period follows the flex periods that have at
+        # most k non-flex periods before them
+        t = int(k) + np.searchsorted(at - np.arange(K), k, "right")
+        np.logical_not(is_flex[t:], out=out[t:])
+    out[at] = exert_u[1:] < cut
 
 
 def _check_resolved(policy: PolicySpec) -> None:
@@ -177,7 +202,7 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     to the smaller index, and every other arrival to its preferred bin.
     With ``stop`` set, a row stops after the period in which a load first
     reaches ``stop``.  A flex-sqrt-T policy reads ``exert_u`` as the bool
-    decisions ``exert_u < (T - t_hat)/T`` that :func:`run_blocks` cuts;
+    decisions at its cut ``(T - t_hat)/T`` that :func:`run_blocks` makes;
     no other policy reads it.  Constants on the policy must already be
     resolved.
     """

@@ -3,7 +3,8 @@
 ``run`` is the scalar reference for the lockstep kernel in
 ``endgame.bins_engine``: one row, one period at a time, written to be
 read rather than to be fast.  The engines must agree with it bit for bit
-on the same arrivals, which ``draw`` draws for one row's stream path.
+on the same arrivals, which ``draw`` draws for one row of a stream path
+with numpy alone, and ``decisions`` cuts for the flex-sqrt-T policy.
 ``nearest_neighbor_order``, ``cheapest_insertion`` and ``two_opt`` are
 the references for the routines of the same names in
 ``endgame.parcel.tsp``, which must return the same tours.
@@ -22,6 +23,7 @@ single-point ``insertion_delta`` and ``removal_delta``.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 
@@ -29,14 +31,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from endgame.balls_bins import (ALWAYS_FLEX, CATEGORIES, FLEX_SQRT_T,
-                                NO_FLEX, STATIC, ArrivalArrays, PolicySpec,
-                                draw_raw_arrays, static_start)
+from endgame.balls_bins import (ALWAYS_FLEX, FLEX_SQRT_T, NO_FLEX, STATIC,
+                                ArrivalArrays, PolicySpec, static_start)
 from endgame.parcel import clustering, tsp
 from endgame.parcel import tables as ptables
 from endgame.parcel.simulate import NO_FLEX as PARCEL_NO_FLEX
 from endgame.parcel.simulate import ParcelPolicy
-from endgame.streams import RowStreams, keyed_generator, stream_seed
 
 
 @dataclass
@@ -75,6 +75,8 @@ def run(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     trajectory = []
     t_hat = (static_start(T, policy.a_s)
              if policy.kind in (STATIC, FLEX_SQRT_T) else 0)
+    if policy.kind == FLEX_SQRT_T:
+        exerts = decisions(arrivals, (T - t_hat) / T)
     for t in range(T):
         if policy.kind == NO_FLEX:
             exert = False
@@ -83,7 +85,7 @@ def run(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
         elif policy.kind == STATIC:
             exert = t >= t_hat
         elif policy.kind == FLEX_SQRT_T:
-            exert = arrivals.exert_u[t] < (T - t_hat) / T
+            exert = exerts[t]
         else:  # dynamic
             threshold = policy.a_d * (T - t) * q / N
             cond = loads.max() - t / N >= threshold
@@ -106,31 +108,89 @@ def run(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
                   trajectory=np.array(trajectory).reshape(-1, N))
 
 
-def draw(root_seed: int, N: int, q: float, T: int, *path,
+def row_generator(root_seed: int, *path, row: int = 0):
+    """Row ``row`` of the stream ``path``, from numpy alone: a fresh
+    Philox generator whose key is the first two uint64 words of
+    ``SeedSequence((root_seed, *path))``, a string label entering as the
+    first 8 bytes of its sha256, and whose counter is (0, 0, row, 0)."""
+    entropy = [root_seed] + [
+        p & (2**64 - 1) if isinstance(p, int) else int.from_bytes(
+            hashlib.sha256(str(p).encode()).digest()[:8], "little")
+        for p in path]
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    counter = np.array([0, 0, row, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def draw(root_seed: int, N: int, q: float, T: int, *path, row: int = 0,
          exert: bool = True) -> ArrivalArrays:
-    """The arrivals of the row whose streams are ``(root_seed, *path,
-    category)``: the kernel's row r of a run on stream path ``p`` is
-    ``draw(root_seed, N, q, T, *p, r)``.  The keys come from numpy's
-    compiled ``SeedSequence``, apart from ``streams.stream_keys``."""
-    keys = {c: stream_seed(root_seed, *path, c).generate_state(2, np.uint64)
-            for c in CATEGORIES}
-    return draw_raw_arrays(N, q, T, RowStreams(keyed_generator(), keys),
-                           exert=exert)
+    """The arrivals of row ``row`` of a run on stream path ``path``, built
+    from numpy alone: category c is drawn from ``row_generator(root_seed,
+    *path, c, row=row)``."""
+    def generator(category):
+        return row_generator(root_seed, *path, category, row=row)
+
+    dtype = np.int16 if N > 127 else np.int8
+    if q == 1.0:
+        at = np.arange(T)
+    else:
+        # T gaps of at least 1 reach past every period
+        u = generator("flex").random(T)
+        gaps = np.floor(np.minimum(np.log1p(-u) / np.log1p(-q), T)) + 1
+        at = np.cumsum(gaps.astype(np.int64)) - 1
+        at = at[at < T]
+    is_flex = np.zeros(T, dtype=bool)
+    is_flex[at] = True
+    preferred = generator("preferred").integers(0, N, size=T, dtype=dtype)
+    pair_lo, pair_hi = np.zeros((2, T), dtype=dtype)
+    if N == 2:
+        pair_hi[at] = 1
+    else:
+        g = generator("flexset")
+        i = g.integers(0, N, size=len(at), dtype=dtype)
+        j = g.integers(0, N - 1, size=len(at), dtype=dtype)
+        j[j >= i] += 1
+        pair_lo[at], pair_hi[at] = np.minimum(i, j), np.maximum(i, j)
+    exert_u = generator("exert").random(len(at) + 1) if exert else None
+    return ArrivalArrays(is_flex=is_flex, preferred=preferred,
+                         pair_lo=pair_lo, pair_hi=pair_hi, exert_u=exert_u)
+
+
+def decisions(arrivals: ArrivalArrays, cut: float) -> np.ndarray:
+    """A flex-sqrt-T policy's per-period decisions at exertion
+    probability ``cut``, one period at a time: the k-th flex arrival
+    exerts when ``exert_u[1 + k] < cut``; the non-flex periods exert from
+    the one with ``floor(log1p(-V) / log1p(-cut))`` non-flex periods
+    before it on, V = ``exert_u[0]``; nothing exerts at a cut of 0."""
+    out = np.zeros(len(arrivals), dtype=bool)
+    if cut == 0:
+        return out
+    with np.errstate(divide="ignore"):
+        first = np.floor(np.log1p(-arrivals.exert_u[0]) / np.log1p(-cut))
+    flex_seen = non_flex_seen = 0
+    for t in range(len(arrivals)):
+        if arrivals.is_flex[t]:
+            out[t] = arrivals.exert_u[1 + flex_seen] < cut
+            flex_seen += 1
+        else:
+            out[t] = non_flex_seen >= first
+            non_flex_seen += 1
+    return out
 
 
 def stack_arrivals(rows: list, policy: PolicySpec) -> ArrivalArrays:
     """Stack per-row arrival arrays into the (rows, T) block that
     ``bins_engine.run_blocks`` hands ``policy``: for a flex-sqrt-T policy
-    ``exert_u`` holds its bool decisions ``exert_u < (T - t_hat)/T``,
-    and for any other it is None."""
+    ``exert_u`` holds its bool :func:`decisions` at the cut
+    ``(T - t_hat)/T``, and for any other it is None."""
     def stacked(name):
         return np.stack([getattr(a, name) for a in rows])
     block = ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)
                             if f.name != "exert_u"))
     if policy.kind == FLEX_SQRT_T:
         T = len(rows[0])
-        block.exert_u = (stacked("exert_u")
-                         < (T - static_start(T, policy.a_s)) / T)
+        cut = (T - static_start(T, policy.a_s)) / T
+        block.exert_u = np.stack([decisions(a, cut) for a in rows])
     return block
 
 

@@ -13,16 +13,19 @@ from endgame import opaque, streams
 
 
 def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0):
-    """One row of hand-written arrivals; scalars broadcast over periods."""
+    """One row of hand-written arrivals; scalars broadcast over periods,
+    and ``exert_u`` over V and the flex arrivals."""
     preferred = np.asarray(preferred, dtype=np.int8)
     T = len(preferred)
     is_flex = np.zeros(T, dtype=bool) if is_flex is None else is_flex
+    is_flex = np.broadcast_to(np.asarray(is_flex, dtype=bool), T)
     return bb.ArrivalArrays(
-        is_flex=np.broadcast_to(np.asarray(is_flex, dtype=bool), T),
+        is_flex=is_flex,
         preferred=preferred,
         pair_lo=np.broadcast_to(np.asarray(pair_lo, dtype=np.int8), T),
         pair_hi=np.broadcast_to(np.asarray(pair_hi, dtype=np.int8), T),
-        exert_u=np.broadcast_to(np.asarray(exert_u, dtype=float), T))
+        exert_u=np.broadcast_to(np.asarray(exert_u, dtype=float),
+                                is_flex.sum() + 1))
 
 
 def kernel_row(spec, N, q, arrivals, stop=None):
@@ -67,13 +70,76 @@ def test_arrival_invariants():
     arr = oracle.draw(3, 5, 0.3, 10**4, "invariants")
     assert arr.preferred.dtype == np.int8
     assert arr.preferred.min() >= 0 and arr.preferred.max() < 5
-    assert (0 <= arr.pair_lo).all() and (arr.pair_lo < arr.pair_hi).all()
-    assert (arr.pair_hi < 5).all()
+    flex = arr.is_flex
+    assert (0 <= arr.pair_lo[flex]).all()
+    assert (arr.pair_lo[flex] < arr.pair_hi[flex]).all()
+    assert (arr.pair_hi[flex] < 5).all()
+    # a non-flex period has no pair
+    assert not arr.pair_lo[~flex].any() and not arr.pair_hi[~flex].any()
+    assert len(arr.exert_u) == flex.sum() + 1
     # the exert stream is drawn on its own, so skipping it changes nothing
     lean = oracle.draw(3, 5, 0.3, 10**4, "invariants", exert=False)
     assert lean.exert_u is None
     for name in ("is_flex", "preferred", "pair_lo", "pair_hi"):
         assert np.array_equal(getattr(lean, name), getattr(arr, name))
+
+
+def drawn(N, q, T, seed, row=0, categories=bb.CATEGORIES):
+    """Row ``row`` drawn by the kernel's draw from the streams
+    ``(seed, "law", c)`` of ``categories`` only."""
+    keys = {c: streams.stream_key(seed, "law", c) for c in categories}
+    return bb.draw_raw_arrays(
+        N, q, T, streams.RowStreams(streams.keyed_generator(), keys, row))
+
+
+def test_flex_fraction_and_mean_gap():
+    q, T = 0.1, 10**6
+    at = np.flatnonzero(drawn(5, q, T, 1).is_flex)
+    assert abs(at.size / T - q) < 5 * math.sqrt(q * (1 - q) / T)
+    # gaps from period -1 to each flex period are Geometric(q) on 1, 2, ...
+    gaps = np.diff(at, prepend=-1)
+    se = math.sqrt((1 - q) / q**2 / gaps.size)
+    assert abs(gaps.mean() - 1 / q) < 5 * se
+
+
+def test_flex_sqrt_t_first_trigger_is_geometric():
+    """The first decision falls on a flex or a non-flex period, and is
+    Geometric(cut) on 0, 1, ... either way."""
+    p = bb.ModelParams(T=2000, N=3, q=0.3)
+    spec = bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=0.8)
+    cut = (p.T - bb.static_start(p.T, spec.a_s)) / p.T
+    assert 0.03 < cut < 0.07 and (1 - cut) ** p.T < 1e-20
+    trigger = be.run_many(spec, p, 2000, 4, "geometric").first_trigger
+    mean, var = (1 - cut) / cut, (1 - cut) / cut**2
+    assert abs(trigger.mean() - mean) < 5 * math.sqrt(var / trigger.size)
+
+
+def test_smaller_cut_decisions_are_a_subset():
+    cuts = [0.0, 0.001, 0.02, 0.3, 0.3000001, 0.9, 1.0]
+    for row in range(20):
+        arr = drawn(4, 0.2, 500, 2, row)
+        at = np.flatnonzero(arr.is_flex)
+        made = []
+        for cut in cuts:
+            out = np.zeros(len(arr), dtype=bool)
+            be._decide(out, arr.is_flex, at, arr.exert_u, cut)
+            assert np.array_equal(out, oracle.decisions(arr, cut))
+            made.append(out)
+        assert not made[0].any() and made[-1].all()
+        for smaller, larger in zip(made, made[1:]):
+            assert not (smaller & ~larger).any()
+
+
+def test_two_bins_pair_is_fixed_and_q1_flexes_every_period():
+    # no draw from the flexset stream at N = 2, none from flex at q = 1
+    arr = drawn(2, 0.4, 10**4, 3,
+                categories=("flex", "preferred", "exert"))
+    assert 0.3 < arr.is_flex.mean() < 0.5
+    assert (arr.pair_lo[arr.is_flex] == 0).all()
+    assert (arr.pair_hi[arr.is_flex] == 1).all()
+    arr = drawn(3, 1.0, 10**4, 3,
+                categories=("preferred", "flexset", "exert"))
+    assert arr.is_flex.all() and len(arr.exert_u) == 10**4 + 1
 
 
 def test_model_params_validation():
@@ -220,8 +286,8 @@ def test_conservation_and_gap_bounds():
         out, = be.run_blocks([spec], p.N, p.q, p.T, 5, 9, ("conserve",),
                              bb.draw_raw_arrays)
         for rep in range(5):
-            ref = oracle.run(spec, p.N, p.q,
-                             oracle.draw(9, p.N, p.q, p.T, "conserve", rep))
+            ref = oracle.run(spec, p.N, p.q, oracle.draw(
+                9, p.N, p.q, p.T, "conserve", row=rep))
             assert np.array_equal(out.loads[rep], ref.loads)
             assert out.flex_count[rep] == ref.flex_count
         assert (out.loads.sum(axis=1) == p.T).all()
@@ -318,7 +384,8 @@ def test_engine_bit_identical_to_sequential():
                 bb.PolicySpec(kind=kind, latched=latched), p, "numerics")
             batch = be.run_many(spec, p, 6, 42, "engine", kind)
             for rep in range(6):
-                arr = oracle.draw(42, p.N, p.q, p.T, "engine", kind, rep)
+                arr = oracle.draw(42, p.N, p.q, p.T, "engine", kind,
+                                  row=rep)
                 rec = oracle.run(spec, p.N, p.q, arr)
                 assert rec.final_gap == batch.final_gap[rep]
                 assert rec.flex_count == batch.flex_count[rep]
@@ -399,15 +466,16 @@ def test_run_policies_equals_run_many_per_policy(monkeypatch, block_rows):
 def test_benchmark_trace_points_see_every_draw(monkeypatch):
     """The benchmark times draws through these module attributes, and the
     two engine entry points must not call each other.  Stream keys are
-    derived a block at a time: one call per block and draw category."""
+    derived once per run and draw category; rows differ by counter."""
     calls = {}
     key_calls = []
-    derive = streams.stream_keys
+    rows = []
+    derive = streams.stream_key
 
-    def counting_keys(root_seed, path, category, rows):
-        key_calls.append((category, len(rows)))
-        return derive(root_seed, path, category, rows)
-    monkeypatch.setattr(streams, "stream_keys", counting_keys)
+    def counting_keys(root_seed, *path):
+        key_calls.append(path[-1])
+        return derive(root_seed, *path)
+    monkeypatch.setattr(streams, "stream_key", counting_keys)
     monkeypatch.setattr(be, "_BLOCK_ROWS", 3)
     static_categories = ["flex", "preferred", "flexset"]
 
@@ -416,6 +484,8 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            if name.startswith("draw"):
+                rows.append(args[3].row)
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
@@ -427,20 +497,21 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
     spec = bb.resolve_policy(bb.PolicySpec(kind=bb.STATIC), p, "numerics")
     be.run_many(spec, p, 7, 0, "trace")
     assert calls == {"run_many": 1, "draw_arrival_arrays": 7}
-    # 7 reps in blocks of 2, 2 and 3 rows
-    assert key_calls == [(c, n) for n in (2, 2, 3) for c in static_categories]
+    # 7 reps in blocks of 2, 2 and 3 rows, each row at its own counter
+    assert key_calls == static_categories and rows == list(range(7))
     key_calls.clear()
+    rows.clear()
     inv = opaque.InventoryParams(N=3, S=6, q=0.5)
     opaque.simulate_cycles(opaque.resolve_opaque_policy(spec, inv), inv, 5,
                            0, "trace")
     assert calls == {"run_many": 1, "draw_arrival_arrays": 7,
                      "simulate_cycles": 1, "draw_raw_arrays": 5}
-    assert key_calls == [(c, n) for n in (2, 3) for c in static_categories]
+    assert key_calls == static_categories and rows == list(range(5))
     # five policies draw each row once, with the exert stream for
-    # flex_sqrt_t, and derive each block's keys once per category
+    # flex_sqrt_t, and derive the run's keys once per category
     key_calls.clear()
     specs = [bb.resolve_policy(bb.PolicySpec(kind=kind), p, "numerics")
              for kind in bb.POLICY_KINDS]
     be.run_policies(specs, p, 7, 0, "trace")
     assert calls["draw_arrival_arrays"] == 7 + 7
-    assert key_calls == [(c, n) for n in (2, 2, 3) for c in bb.CATEGORIES]
+    assert key_calls == list(bb.CATEGORIES)

@@ -28,17 +28,18 @@ def read_rows(path):
 
 @pytest.fixture
 def seen(monkeypatch):
-    """Records each draw's row keys, one Philox key per category, and,
-    per policy kind, the arrival blocks the kernel runs on."""
+    """Records each draw's stream addresses, its row and one Philox key
+    per category, and, per policy kind, the arrival blocks the kernel
+    runs on."""
     record = {"keys": [], "blocks": {}}
 
     def counting(module, name):
         inner = getattr(module, name)
 
         def wrapper(N, q, T, rng, **kwargs):
-            record["keys"].append(tuple(
+            record["keys"].append((rng.row, tuple(
                 (c, tuple(int(w) for w in key))
-                for c, key in sorted(rng.keys.items())))
+                for c, key in sorted(rng.keys.items()))))
             return inner(N, q, T, rng, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 

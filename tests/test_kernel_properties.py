@@ -25,7 +25,7 @@ def kernel_cases(draw):
                          a_s=draw(st.floats(0.0, 3.0)),
                          a_d=draw(st.floats(0.0, 3.0)),
                          latched=draw(st.booleans()))
-    rows = [oracle.draw(seed, N, q, T, "prop", row)
+    rows = [oracle.draw(seed, N, q, T, "prop", row=row)
             for row in range(draw(st.integers(1, 16)))]
     return spec, N, q, stop, seed, rows
 

@@ -128,7 +128,7 @@ def test_depletion_matches_coupled_ball_run():
     p = opaque.InventoryParams(N=3, S=8, q=0.6)
     for kind in opaque.OPAQUE_POLICIES:
         spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
-        arr = oracle.draw(5, p.N, p.q, p.horizon, "couple", kind, 0)
+        arr = oracle.draw(5, p.N, p.q, p.horizon, "couple", kind)
         cycle = oracle.run(spec, p.N, p.q, arr, stop=p.S)
         balls = oracle.run(spec, p.N, p.q, arr)
         assert np.array_equal(cycle.trajectory,
@@ -147,7 +147,7 @@ def test_simulate_cycles_matches_oracle(N, S, q):
         assert spec.latched == (kind == bb.DYNAMIC)
         R, D = opaque.simulate_cycles(spec, p, 8, 11, "oracle", kind)
         for c in range(8):
-            arr = oracle.draw(11, N, q, p.horizon, "oracle", kind, c)
+            arr = oracle.draw(11, N, q, p.horizon, "oracle", kind, row=c)
             rec = oracle.run(spec, N, q, arr, stop=S)
             assert (R[c], D[c]) == (rec.stop_time, rec.flex_count)
 
