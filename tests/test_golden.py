@@ -63,19 +63,19 @@ FLEXING = {"unloading_only", "routing_dynamic", "patient_dynamic",
 GOLDEN = {
     "bins": {
         "bins_raw.csv":
-            "a38f2e679a18f017d42d3f9592e197a38c88f4f684d38493b58628cc2b3f3b66",
+            "9a22f98e71aa5d12755a301f9fc1911ae0c4286efa39ac3a73c04e1359c5355b",
         "bins_summary.csv":
-            "8cbce36904dc2a0b2c16bc9cb22c8730ff2bdfc788816ba011964d83e9f35940",
+            "d9d5113629960d03ff0c7df079f4e4485f63aff07ac80b684aac453962d1690d",
     },
     "opaque_config": {
         "opaque_raw.csv":
-            "dd67b1018e51e21b94c6995639e5c44b5abe3c320a330b7c7e9afbc98c24f013",
+            "a77efc438de94b41a4401f4f5b6bd401df40550ae37fcd6c063abd53cfc80c37",
         "opaque_summary.csv":
-            "f8b01c1726e2d0e97ac1e9ecbf92694734d17d421f8f2e14772e5b92c29c4c95",
+            "852c504bb50cad0b87f134123ed14a8393e638999b6f16e5096c5b751e9eb5fd",
     },
     "opaque_regime": {
         "opaque_delta_const.csv":
-            "3c1ed5aea2eba8a4e46da02ef3defc1e1ecfab4ce6e0ee5c6d76ea6df56bc857",
+            "6708044c4d78fea84f449f22b6f512c0542a7571233473eb43e71d8882e9fc36",
     },
     "parcel": {
         "parcel_raw.csv":
