@@ -283,32 +283,46 @@ def _counts(bins, N: int, end=None):
 
 
 def _max_loads(carry, bins):
-    """Largest load after each period of a chunk that drops row r's ball t
-    into bin ``bins[r, t]`` on top of ``carry`` (rows, N)."""
-    top = np.zeros(bins.shape, dtype=np.int64)
-    for b in range(carry.shape[1]):
+    """Largest load after each period of a window that drops row r's ball
+    t into bin ``bins[r, t]`` (N: into none) on top of ``carry`` (rows,
+    N).  Only a bin that takes a ball can pass the carry's max."""
+    N = carry.shape[1]
+    top = np.repeat(carry.max(axis=1, keepdims=True), bins.shape[1], axis=1)
+    for b in np.unique(bins[bins < N]):
         np.maximum(top, np.cumsum(bins == b, axis=1) + carry[:, b, None],
                    out=top)
     return top
 
 
-def _segment_loads(carry, bins):
-    """(rows, n + 1, N) loads of rows that drop ball t into bin
-    ``bins[r, t]`` (rows, w) on top of ``carry`` (rows, N), at the
-    boundaries of the chunk's n ``_SEG``-period segments: entry j before
-    segment j, entry n at the chunk's end."""
+def _segment_rows(w: int, N: int) -> int:
+    """Rows whose segment loads over a chunk of w periods fit in ``_SLAB``
+    counts, one row at least."""
+    return max(1, _SLAB // (-(-w // _SEG) * (N + 1)))
+
+
+def _segment_ends(carry, bins):
+    """(rows, n, N) loads of rows that drop ball t into bin ``bins[r, t]``
+    (rows, w) on top of ``carry`` (rows, N), at the ends of the chunk's n
+    ``_SEG``-period segments."""
     m, w = bins.shape
     N = carry.shape[1]
     n = -(-w // _SEG)
     key = ((np.arange(0, m * n, n)[:, None] + np.arange(w) // _SEG)
            * (N + 1) + bins)
-    counts = np.bincount(key.ravel(), minlength=m * n * (N + 1)
-                         ).reshape(m, n, N + 1)[:, :, :N]
-    out = np.empty((m, n + 1, N), dtype=np.int64)
-    out[:, 0] = carry
-    np.cumsum(counts, axis=1, out=out[:, 1:])
-    out[:, 1:] += carry[:, None]
-    return out
+    ends = np.bincount(key.ravel(), minlength=m * n * (N + 1)
+                       ).reshape(m, n, N + 1)
+    np.cumsum(ends, axis=1, out=ends)
+    ends = ends[:, :, :N]
+    ends += carry[:, None]
+    return ends
+
+
+def _segment_start(carry, ends, r, j):
+    """The loads before segment ``j[i]`` of row ``r[i]``."""
+    start = ends[r, j - 1]
+    first = j == 0
+    start[first] = carry[r[first]]
+    return start
 
 
 def _window(bins, rows, seg, N: int):
@@ -336,17 +350,23 @@ def _trigger(trigger, rows, carry, pref, c0: int, t_over_n,
     monotone in the load and t, also in floating point, so a segment can
     hold the trigger only if its end max, less its first period's
     ``t_over_n``, meets the threshold of its last period.  The exact
-    condition runs on those candidate segments alone, all at once.
+    condition runs on those candidate segments alone, all at once.  Rows
+    go in slices whose segment loads fit in ``_SLAB`` counts.
     """
-    w = pref.shape[1]
-    bounds = _segment_loads(carry, pref)
+    m, w = pref.shape
+    step = _segment_rows(w, carry.shape[1])
+    if step < m:
+        for i in range(0, m, step):
+            _trigger(trigger, rows[i:i + step], carry[i:i + step],
+                     pref[i:i + step], c0, t_over_n, threshold)
+        return
+    ends = _segment_ends(carry, pref)
     first = np.arange(0, w, _SEG)
     last = np.minimum(first + _SEG, w) - 1
-    r, j = np.nonzero(bounds[:, 1:].max(axis=2) - t_over_n[first]
-                      >= threshold[last])
+    r, j = np.nonzero(ends.max(axis=2) - t_over_n[first] >= threshold[last])
     if not r.size:
         return
-    start = bounds[r, j]
+    start = _segment_start(carry, ends, r, j)
     t, bins = _window(pref, r, j, carry.shape[1])
     top = _max_loads(start, bins)
     before = np.concatenate((start.max(axis=1, keepdims=True), top[:, :-1]),
@@ -422,18 +442,32 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
             rs, ts = np.searchsorted(s, r), at[ev] % w
             placed[rs, ts] = chosen[r, k] % (N + 1)
             flexed[rs, ts] = True if exerted is None else exerted[r, k]
-        # loads only grow: the first segment whose end max reaches stop
-        # holds the stop, and only its periods are stepped
-        bounds = _segment_loads(carry[s], placed)
-        row = np.arange(s.size)
-        j = (bounds[:, 1:].max(axis=2) >= stop).argmax(axis=1)
-        start = bounds[row, j]
-        _, bins = _window(placed, row, j, N)
-        into = (_max_loads(start, bins) >= stop).argmax(axis=1) + 1
-        ran[s] = j * _SEG + into
-        ends[s] = start + _counts(bins, N, into)
+        ran[s], ends[s] = _stop(carry[s], placed, stop)
         flexes[s] = (flexed & (np.arange(w) < ran[s, None])).sum(axis=1)
     return ends, flexes, ran
+
+
+def _stop(carry, bins, stop: int):
+    """The periods run and the loads at the stop of rows that drop ball t
+    into bin ``bins[r, t]`` (rows, w) on top of ``carry`` (rows, N) and
+    reach ``stop`` in the chunk.  Loads only grow, so the first segment
+    whose end max reaches ``stop`` holds the stop, and only its periods
+    are stepped.  Rows go in slices whose segment loads fit in ``_SLAB``
+    counts."""
+    m, w = bins.shape
+    N = carry.shape[1]
+    step = _segment_rows(w, N)
+    if step < m:
+        return tuple(map(np.concatenate, zip(*(
+            _stop(carry[i:i + step], bins[i:i + step], stop)
+            for i in range(0, m, step)))))
+    ends = _segment_ends(carry, bins)
+    row = np.arange(m)
+    j = (ends.max(axis=2) >= stop).argmax(axis=1)
+    start = _segment_start(carry, ends, row, j)
+    _, window = _window(bins, row, j, N)
+    into = (_max_loads(start, window) >= stop).argmax(axis=1) + 1
+    return j * _SEG + into, start + _counts(window, N, into)
 
 
 def _step(full, adds, at, entry, pref, lo, hi, recheck):

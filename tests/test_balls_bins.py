@@ -447,6 +447,27 @@ def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
         assert np.array_equal(getattr(sliced, f.name), getattr(alone, f.name))
 
 
+@pytest.mark.parametrize("spec,stop", [
+    (bb.PolicySpec(kind=bb.DYNAMIC, a_d=0.5), None),
+    (bb.PolicySpec(kind=bb.NO_FLEX), 2)], ids=["trigger", "stop"])
+def test_segment_searches_memory_bounded_at_wide_sizes(spec, stop):
+    """Segment loads take rows x segments x (N + 1) counts: 64 rows at
+    N=20000 would take 157 MB in one piece, so the trigger and stop
+    searches go in row slices."""
+    tracemalloc.start()
+    try:
+        out = be.run_blocks([spec], 20_000, 0.01, 1024, 64, 8, ("wide",),
+                            bb.draw_raw_arrays, stop)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+    if stop is None:
+        assert (out.first_trigger == 1).all()
+    else:
+        assert (out.stop_time < 1024).all()
+
+
 @pytest.mark.parametrize("block_rows", [3, be._BLOCK_ROWS])
 def test_run_policies_equals_run_many_per_policy(monkeypatch, block_rows):
     monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
