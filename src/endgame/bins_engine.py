@@ -239,13 +239,24 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
             events = flex & exert
         else:  # dynamic: trigger at the first period the condition holds
             threshold = policy.a_d * (T - t) * q / N
+            t_over_n = t / N
             fresh = np.flatnonzero(trigger[live] == T)
-            if fresh.size:
-                _trigger(trigger, live[fresh], carry[fresh], pref[fresh],
-                         c0, t / N, threshold)
+            # Up to its trigger a row places every ball at preference, so
+            # no load before a period of a segment exceeds the segment's
+            # end loads, nor does the period come before the segment's
+            # first; the condition's sides are monotone in the load and
+            # t, also in floating point, so only a segment that meets
+            # the bound below can hold the trigger.
+            r, hit = _first_hit(
+                carry[fresh], pref[fresh],
+                lambda top, first, last:
+                    top - t_over_n[first] >= threshold[last],
+                lambda before, after, tt:
+                    before - t_over_n[tt] >= threshold[tt])
+            trigger[live[fresh[r]]] = c0 + hit
             events = flex & (t >= trigger[live][:, None])
             if not policy.latched:
-                recheck = (t / N, threshold)
+                recheck = (t_over_n, threshold)
         ends, flexes, ran = _place(carry, pref, events, lo, hi, recheck,
                                    stop)
         loads[live] = ends
@@ -294,89 +305,56 @@ def _max_loads(carry, bins):
     return top
 
 
-def _segment_rows(w: int, N: int) -> int:
-    """Rows whose segment loads over a chunk of w periods fit in ``_SLAB``
-    counts, one row at least."""
-    return max(1, _SLAB // (-(-w // _SEG) * (N + 1)))
+def _first_hit(carry, bins, may_hold, holds):
+    """The rows, and each one's first period as an offset in the chunk,
+    at which ``holds(before, after, t)`` holds, for rows that drop ball t
+    into bin ``bins[r, t]`` (rows, w) on top of ``carry`` (rows, N):
+    ``before`` and ``after`` are a row's largest loads before and after
+    period t, all (candidates, _SEG).
 
-
-def _segment_ends(carry, bins):
-    """(rows, n, N) loads of rows that drop ball t into bin ``bins[r, t]``
-    (rows, w) on top of ``carry`` (rows, N), at the ends of the chunk's n
-    ``_SEG``-period segments."""
+    One ``bincount`` gives each row's loads at the ends of the chunk's
+    ``_SEG``-period segments, and the exact condition runs only on the
+    (row, segment) pairs where ``may_hold(top, first, last)`` holds, for
+    ``top`` (rows, n) the segment end maxima and ``first``, ``last`` (n,)
+    the segments' first and last periods.  Rows go in slices whose
+    segment ends fit in ``_SLAB`` counts, one row at least.
+    """
     m, w = bins.shape
     N = carry.shape[1]
     n = -(-w // _SEG)
+    step = max(1, _SLAB // (n * (N + 1)))
+    if step < m:
+        parts = [_first_hit(carry[i:i + step], bins[i:i + step], may_hold,
+                            holds) for i in range(0, m, step)]
+        return (np.concatenate([r + i for i, (r, _) in
+                                zip(range(0, m, step), parts)]),
+                np.concatenate([t for _, t in parts]))
     key = ((np.arange(0, m * n, n)[:, None] + np.arange(w) // _SEG)
            * (N + 1) + bins)
     ends = np.bincount(key.ravel(), minlength=m * n * (N + 1)
                        ).reshape(m, n, N + 1)
-    np.cumsum(ends, axis=1, out=ends)
+    np.cumsum(ends, axis=1, out=ends)  # in place: a slab is large
     ends = ends[:, :, :N]
     ends += carry[:, None]
-    return ends
-
-
-def _segment_start(carry, ends, r, j):
-    """The loads before segment ``j[i]`` of row ``r[i]``."""
-    start = ends[r, j - 1]
-    first = j == 0
-    start[first] = carry[r[first]]
-    return start
-
-
-def _window(bins, rows, seg, N: int):
-    """Segment ``seg[i]`` of row ``rows[i]`` of ``bins`` (rows, w): the
-    periods' offsets in the chunk, clipped to its last, and their bins,
-    N (no bin) past the chunk's end, both (len(rows), _SEG)."""
-    w = bins.shape[1]
-    t = seg[:, None] * _SEG + np.arange(_SEG)
+    first = np.arange(0, w, _SEG)
+    r, j = np.nonzero(may_hold(ends.max(axis=2), first,
+                               np.minimum(first + _SEG, w) - 1))
+    if not r.size:
+        return r, j
+    start = ends[r, j - 1]  # the loads before segment j
+    start[j == 0] = carry[r[j == 0]]
+    t = first[j, None] + np.arange(_SEG)
     inside = t < w
     t = np.minimum(t, w - 1)
-    return t, np.where(inside, bins[rows[:, None], t], N)
-
-
-def _trigger(trigger, rows, carry, pref, c0: int, t_over_n,
-             threshold) -> None:
-    """Set ``trigger[rows]`` of not yet triggered rows to the first period
-    of the chunk starting at ``c0`` in which the dynamic condition holds:
-    the largest load before the period, of ``carry`` (rows, N) plus the
-    preferred bins ``pref`` (rows, w) so far, less ``t_over_n``, meets
-    ``threshold``.
-
-    Up to its trigger a row places every ball at preference, so no load
-    before a period of a segment exceeds the segment's end loads, and no
-    period comes before the segment's first.  The condition's sides are
-    monotone in the load and t, also in floating point, so a segment can
-    hold the trigger only if its end max, less its first period's
-    ``t_over_n``, meets the threshold of its last period.  The exact
-    condition runs on those candidate segments alone, all at once.  Rows
-    go in slices whose segment loads fit in ``_SLAB`` counts.
-    """
-    m, w = pref.shape
-    step = _segment_rows(w, carry.shape[1])
-    if step < m:
-        for i in range(0, m, step):
-            _trigger(trigger, rows[i:i + step], carry[i:i + step],
-                     pref[i:i + step], c0, t_over_n, threshold)
-        return
-    ends = _segment_ends(carry, pref)
-    first = np.arange(0, w, _SEG)
-    last = np.minimum(first + _SEG, w) - 1
-    r, j = np.nonzero(ends.max(axis=2) - t_over_n[first] >= threshold[last])
-    if not r.size:
-        return
-    start = _segment_start(carry, ends, r, j)
-    t, bins = _window(pref, r, j, carry.shape[1])
-    top = _max_loads(start, bins)
-    before = np.concatenate((start.max(axis=1, keepdims=True), top[:, :-1]),
-                            axis=1)
-    hit = (bins < carry.shape[1]) & (before - t_over_n[t] >= threshold[t])
+    after = _max_loads(start, np.where(inside, bins[r[:, None], t], N))
+    before = np.concatenate((start.max(axis=1, keepdims=True),
+                             after[:, :-1]), axis=1)
+    hit = inside & holds(before, after, t)
     found = hit.any(axis=1)
-    # candidates come in row order, each row's segments in period order
+    # the pairs come in row order, each row's segments in period order
     r, i = np.unique(r[found], return_index=True)
     t, hit = t[found][i], hit[found][i]
-    trigger[rows[r]] = c0 + t[np.arange(r.size), hit.argmax(axis=1)]
+    return r, t[np.arange(r.size), hit.argmax(axis=1)]
 
 
 def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
@@ -442,32 +420,17 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
             rs, ts = np.searchsorted(s, r), at[ev] % w
             placed[rs, ts] = chosen[r, k] % (N + 1)
             flexed[rs, ts] = True if exerted is None else exerted[r, k]
-        ran[s], ends[s] = _stop(carry[s], placed, stop)
+        # loads only grow, so the first segment whose end max reaches stop
+        # holds the stop (diff marks where the bool rows turn True)
+        _, last = _first_hit(
+            carry[s], placed,
+            lambda top, first, end: np.diff(top >= stop, axis=1,
+                                            prepend=False),
+            lambda before, after, t: after >= stop)
+        ran[s] = last + 1
+        ends[s] = carry[s] + _counts(placed, N, ran[s])
         flexes[s] = (flexed & (np.arange(w) < ran[s, None])).sum(axis=1)
     return ends, flexes, ran
-
-
-def _stop(carry, bins, stop: int):
-    """The periods run and the loads at the stop of rows that drop ball t
-    into bin ``bins[r, t]`` (rows, w) on top of ``carry`` (rows, N) and
-    reach ``stop`` in the chunk.  Loads only grow, so the first segment
-    whose end max reaches ``stop`` holds the stop, and only its periods
-    are stepped.  Rows go in slices whose segment loads fit in ``_SLAB``
-    counts."""
-    m, w = bins.shape
-    N = carry.shape[1]
-    step = _segment_rows(w, N)
-    if step < m:
-        return tuple(map(np.concatenate, zip(*(
-            _stop(carry[i:i + step], bins[i:i + step], stop)
-            for i in range(0, m, step)))))
-    ends = _segment_ends(carry, bins)
-    row = np.arange(m)
-    j = (ends.max(axis=2) >= stop).argmax(axis=1)
-    start = _segment_start(carry, ends, row, j)
-    _, window = _window(bins, row, j, N)
-    into = (_max_loads(start, window) >= stop).argmax(axis=1) + 1
-    return j * _SEG + into, start + _counts(window, N, into)
 
 
 def _step(full, adds, at, entry, pref, lo, hi, recheck):
