@@ -329,8 +329,9 @@ def _first_hit(carry, bins, may_hold, holds):
         return (np.concatenate([r + i for i, (r, _) in
                                 zip(range(0, m, step), parts)]),
                 np.concatenate([t for _, t in parts]))
-    key = ((np.arange(0, m * n, n)[:, None] + np.arange(w) // _SEG)
-           * (N + 1) + bins)
+    key = (np.arange(0, m * n * (N + 1), n * (N + 1))[:, None]
+           + np.arange(w) // _SEG * (N + 1))
+    key += bins
     ends = np.bincount(key.ravel(), minlength=m * n * (N + 1)
                        ).reshape(m, n, N + 1)
     np.cumsum(ends, axis=1, out=ends)  # in place: a slab is large
