@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -332,3 +333,63 @@ def test_patient_dynamic_skips_unobserved_pairs(small_world):
     again = sim.run_day(pol, corpus, params, sparse, root_seed=8)
     assert np.array_equal(again.truck, day.truck)
     assert np.array_equal(again.y_r, day.y_r)
+
+
+# ---------------------------------------------------------------------------
+# whole days pinned by digest: T = 1000 and M1 = 100 give each truck eight
+# warm mid-day re-solves, where the golden parcel cases give at most one
+
+DAY_DIGESTS = {
+    (sim.NO_FLEX, 0):
+        "1f7118b5e77406d84f7023b6f1b7fe039c81896aab6e65d5d1f7eb63e49b9da8",
+    (sim.NO_FLEX, 1):
+        "235ed56ad3cf6af41bb38da58c3ed6e2ce2e5cfb04f4c5088b08f60443219381",
+    (sim.UNLOADING_ONLY, 0):
+        "d32051763e4b1f8bb89782b94b3ffa8cddc9173e8eb2e023129b84b91edb3f35",
+    (sim.UNLOADING_ONLY, 1):
+        "f93a6ef2f4338af7b00b9a017e2941342988f104e8d63a5bc2700590cf19d169",
+    (sim.ROUTING_DYNAMIC, 0):
+        "dd01cbc2fa7af8c6fceadfb9c49bc93229b47323f75ec6e3d1e685c5440c9612",
+    (sim.ROUTING_DYNAMIC, 1):
+        "e982b2b2bdb84c0aab316f0eb712007b7431d815509bef9c791dc3d7bed03bb6",
+    (sim.PATIENT_DYNAMIC, 0):
+        "841647d9a63a375580795f197a28b0b997019f75908137eada932c8143f0e037",
+    (sim.PATIENT_DYNAMIC, 1):
+        "bd9bb23e8a4d7e17bf995f835af8685c10b312d479b0bf9d49f46b21679646e2",
+    (sim.COST_MIN, 0):
+        "c986b936ebcdd431ebd11e75a6b0c62e739844bda4bf5c108165f531a3188181",
+    (sim.COST_MIN, 1):
+        "257f480e82923d707c0e9482f640b30ab3213ff91214e7fadfcadcef5e0ae21d",
+}
+
+
+@pytest.fixture(scope="module")
+def warm_world():
+    spec = cp.GeometrySpec(n_zones=8, pool_size=1200, city_radius_km=10.0,
+                           cluster_sd_km=2.0, epsilon=60.0)
+    corpus = cp.build_corpus(spec, seed=2)
+    params = sim.ParcelParams(N=8, T=1000, M1=100)
+    tables = tb.estimate_flex_tables(corpus, params, reps=3, root_seed=2)
+    return corpus, params, tables
+
+
+def day_digest(rec) -> str:
+    """sha256 of a day's per-truck hours, assignment, tours and flex
+    count."""
+    h = hashlib.sha256()
+    for a in (rec.y_u, rec.y_r, rec.truck):
+        h.update(a.tobytes())
+    for tour in rec.tours:
+        h.update(len(tour).to_bytes(8, "little"))
+        h.update(np.asarray(tour, dtype=np.int64).tobytes())
+    h.update(int(rec.flex_count).to_bytes(8, "little"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind,day", sorted(DAY_DIGESTS))
+def test_day_outputs_are_pinned(warm_world, kind, day):
+    corpus, params, tables = warm_world
+    rec = sim.run_day(sim.ParcelPolicy(kind), corpus, params, tables,
+                      root_seed=5, stream_path=("pin", day))
+    assert kind == sim.NO_FLEX or rec.flex_count > 0
+    assert day_digest(rec) == DAY_DIGESTS[kind, day]
