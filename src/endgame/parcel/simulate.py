@@ -11,7 +11,8 @@ cold (nearest-neighbor, then 2-opt); each later one is warm: it starts
 from the truck's previous tour, cheapest-inserts the stops added since,
 then runs 2-opt.  The end-of-day re-solve is always cold, so the
 reported travel hours and tours are the cold route of each truck's
-stops.
+stops.  Each re-solve grows the truck's distance matrix from its last
+one (``tsp.dist_matrix``), bit for bit as a full rebuild.
 
 Policies:
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from ..streams import stream
 from .corpus import Corpus
-from .tsp import tsp_route
+from .tsp import dist_matrix, tsp_route
 
 NO_FLEX = "no_flex"
 UNLOADING_ONLY = "unloading_only"
@@ -136,15 +137,12 @@ def flex_mask(pts, defaults, centers, params: ParcelParams,
     return mask
 
 
-def inc_approx(stops: np.ndarray, pkg_xy, depot, speed: float) -> float:
+def inc_approx(route_xy: np.ndarray, pkg_xy, speed: float) -> float:
     """Approximate incremental travel hours of adding one package to a
-    truck with (n, 2) ``stops``: twice the distance to the nearest stop
-    or the depot."""
-    d = float(np.hypot(*(np.asarray(depot) - pkg_xy)))
-    if len(stops):
-        d = min(np.hypot(stops[:, 0] - pkg_xy[0],
-                         stops[:, 1] - pkg_xy[1]).min(), d)
-    return 2.0 * d / speed
+    truck whose (n + 1, 2) ``route_xy`` holds the depot, then its n
+    stops: twice the distance to the nearest of them."""
+    diff = route_xy - pkg_xy
+    return 2.0 * float(np.hypot(diff[:, 0], diff[:, 1]).min()) / speed
 
 
 def _normal_overtime(mean: float, sd: float, h: float) -> float:
@@ -201,38 +199,52 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
 
     y_u = np.zeros(N)
     y_r = np.zeros(N)
-    stops = [np.empty((16, 2)) for _ in range(N)]  # grown by doubling
+    # y_u + y_r, kept up to date for the policies that compare truck loads
+    load = y_u if kind == UNLOADING_ONLY else y_u + y_r
+    # row 0 of truck k's buffer is the depot, then its stops in assignment
+    # order; the buffer grows by doubling
+    coords = [np.empty((16, 2)) for _ in range(N)]
+    for buf in coords:
+        buf[0] = depot
     n_stops = [0] * N
+    dists = [None] * N  # each truck's distance matrix at its last solve
     truck = np.empty(T, dtype=np.int64)
     tours = [None] * N
     flex_count = 0
 
-    def stops_of(k):
-        return stops[k][:n_stops[k]]
+    def route_of(k):
+        return coords[k][:n_stops[k] + 1]
+
+    def route(k, start=None):
+        dists[k] = dist_matrix(route_of(k), dists[k])
+        tours[k], y_r[k] = tsp_route(route_of(k)[1:], depot, speed,
+                                     start=start, dist=dists[k])
 
     for t in range(T):
         if reads_travel and t > 0 and t % params.M1 == 0:
             for k in range(N):
-                tours[k], y_r[k] = tsp_route(stops_of(k), depot, speed,
-                                             start=tours[k])
+                route(k, start=tours[k])
+            np.add(y_u, y_r, out=load)
 
         pkg = pts[t]
         u = unloads[t]
         dz = int(defaults[t])
         dest = dz
-        fset = np.flatnonzero(mask[t])
+        inc = None  # the increment of the package on truck dest, once known
 
         if kind == UNLOADING_ONLY or kind == ROUTING_DYNAMIC:
-            x = y_u if kind == UNLOADING_ONLY else y_u + y_r
             threshold = params.a_d * (T - t) * u_bar / N
-            if x.max() - x.mean() >= threshold and len(fset) > 1:
-                dest = int(fset[np.argmin(x[fset])])
+            # x.sum() / N is x.mean() bit for bit: one add-reduce, one divide
+            if load.max() - load.sum() / N >= threshold:
+                fset = np.flatnonzero(mask[t])
+                if len(fset) > 1:
+                    dest = int(fset[np.argmin(load[fset])])
         elif kind in TABLE_POLICIES:
+            fset = np.flatnonzero(mask[t])
             cands = fset[fset != dz]
             if len(cands) > 0:
-                load = y_u + y_r
-                inc_d = inc_approx(stops_of(dz), pkg, depot, speed)
-                inc_c = np.array([inc_approx(stops_of(j), pkg, depot, speed)
+                inc = inc_d = inc_approx(route_of(dz), pkg, speed)
+                inc_c = np.array([inc_approx(route_of(j), pkg, speed)
                                   for j in cands])
                 if kind == PATIENT_DYNAMIC:
                     one_step = load[dz] + inc_d + u
@@ -242,7 +254,7 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
                     bar[~np.isfinite(pair[dz, cands])] = np.inf
                     i = int(np.argmin(bar))
                     if bar[i] < math.inf and one_step >= bar[i]:
-                        dest = int(cands[i])
+                        dest, inc = int(cands[i]), inc_c[i]
                 else:
                     n_fut = T - 1 - t
 
@@ -256,28 +268,31 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
                     base_d = _ot(dz, inc_d + u)  # default keeps the package
                     hat_d = _ot(dz, 0.0)         # default after flexing away
                     best, best_diff = -1, -math.inf
-                    for j, inc_j in zip(cands, inc_c):
+                    for i, (j, inc_j) in enumerate(zip(cands, inc_c)):
                         diff = (params.c_o * (base_d + _ot(j, 0.0)
                                               - hat_d - _ot(j, inc_j + u))
                                 + params.c_r * (inc_d - inc_j))
                         if diff > best_diff:
-                            best, best_diff = int(j), diff
+                            best, best_diff = i, diff
                     if best >= 0 and best_diff >= (T - t) / params.M2:
-                        dest = best
+                        dest, inc = int(cands[best]), inc_c[best]
 
         flex_count += dest != dz
         truck[t] = dest
-        if reads_travel:
-            y_r[dest] += inc_approx(stops_of(dest), pkg, depot, speed)
-        if n_stops[dest] == len(stops[dest]):
-            stops[dest] = np.concatenate([stops[dest],
-                                          np.empty_like(stops[dest])])
-        stops[dest][n_stops[dest]] = pkg
-        n_stops[dest] += 1
         y_u[dest] += u
+        if reads_travel:
+            if inc is None:
+                inc = inc_approx(route_of(dest), pkg, speed)
+            y_r[dest] += inc
+            load[dest] = y_u[dest] + y_r[dest]
+        n = n_stops[dest] = n_stops[dest] + 1
+        if n == len(coords[dest]):
+            coords[dest] = np.concatenate([coords[dest],
+                                           np.empty_like(coords[dest])])
+        coords[dest][n] = pkg
 
     for k in range(N):
-        tours[k], y_r[k] = tsp_route(stops_of(k), depot, speed)
+        route(k)
     return DayRecord(policy=kind, y_u=y_u, y_r=y_r, flex_count=flex_count,
                      sample_idx=sample_idx, truck=truck, tours=tours)
 

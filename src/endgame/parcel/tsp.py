@@ -3,7 +3,10 @@
 A cold route is built by nearest-neighbor from the depot; a warm route
 starts from an earlier tour over a prefix of the stops and
 cheapest-inserts the stops added since.  Either is then improved by
-best-improvement 2-opt."""
+best-improvement 2-opt.  A caller that routes a growing stop list can
+grow its distance matrix too: ``dist_matrix`` keeps the matrix of a
+prefix and computes only the new stops' rows and columns, bit for bit
+as a full rebuild would, and ``tsp_route`` takes the result."""
 
 from __future__ import annotations
 
@@ -16,9 +19,26 @@ def _coords(points, depot):
     return np.vstack([depot[None, :], points])
 
 
-def _dist_matrix(coords):
+def dist_matrix(coords, prev=None):
+    """Pairwise distances of the (n, 2) ``coords``, the depot first.
+
+    ``prev``, the matrix of the first ``len(prev)`` coords, is copied in
+    and only the later rows and columns are computed.  Entry (i, j) is
+    always ``hypot(x[i] - x[j], y[i] - y[j])``, so a grown matrix equals
+    a full rebuild bit for bit.
+    """
     x, y = coords[:, 0], coords[:, 1]
-    return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    n, m = len(coords), 0 if prev is None else len(prev)
+    if m == 0:
+        return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    if m == n:
+        return prev
+    D = np.empty((n, n))
+    D[:m, :m] = prev
+    np.hypot(x[:m, None] - x[None, m:], y[:m, None] - y[None, m:],
+             out=D[:m, m:])
+    np.hypot(x[m:, None] - x[None, :], y[m:, None] - y[None, :], out=D[m:])
+    return D
 
 
 def tour_length(D, order):
@@ -93,20 +113,20 @@ def cheapest_insertion(D, start):
     return arr[1:-1] - 1
 
 
-def tsp_route(points, depot, speed: float, start=None):
+def tsp_route(points, depot, speed: float, start=None, dist=None):
     """Closed tour over ``points`` from the depot, then 2-opt.
 
     With ``start=None`` the tour is built by nearest-neighbor.  Otherwise
     ``start`` is an earlier tour over the first ``len(start)`` points,
-    and the later points are cheapest-inserted into it.  Returns (order,
-    travel_hours).  Empty input yields ([], 0.0); travel hours are
-    Euclidean tour length divided by ``speed``.
+    and the later points are cheapest-inserted into it.  ``dist`` is the
+    ``dist_matrix`` of the depot and ``points``, built here when None.
+    Returns (order, travel_hours).  Empty input yields ([], 0.0); travel
+    hours are Euclidean tour length divided by ``speed``.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) == 0:
         return np.array([], dtype=np.int64), 0.0
-    coords = _coords(points, depot)
-    D = _dist_matrix(coords)
+    D = dist_matrix(_coords(points, depot)) if dist is None else dist
     first = (nearest_neighbor_order(D) if start is None
              else cheapest_insertion(D, start))
     order = two_opt(D, first)

@@ -256,7 +256,7 @@ def held_karp_length(points, depot):
     n = len(points)
     if n == 0:
         return 0.0
-    D = tsp._dist_matrix(tsp._coords(points, depot))
+    D = tsp.dist_matrix(tsp._coords(points, depot))
     full = (1 << n) - 1
     best = np.full((1 << n, n), np.inf)
     for j in range(n):

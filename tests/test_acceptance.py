@@ -293,7 +293,7 @@ def test_criterion_10_tsp_oracle():
         depot = np.zeros(2)
         _, hours = tsp.tsp_route(pts, depot, 1.0)
         opt = oracle.held_karp_length(pts, depot)
-        D = tsp._dist_matrix(tsp._coords(pts, depot))
+        D = tsp.dist_matrix(tsp._coords(pts, depot))
         nn = tsp.tour_length(D, tsp.nearest_neighbor_order(D))
         near_opt += hours <= 1.05 * opt + 1e-9
         nn_ok &= hours <= nn + 1e-9

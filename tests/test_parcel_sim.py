@@ -93,15 +93,14 @@ def test_flex_mask_rows_are_the_oracle_flex_sets(centers, pkgs, flex_km,
 
 def test_inc_approx_values():
     depot = np.zeros(2)
-    empty = np.empty((0, 2))
-    assert sim.inc_approx(empty, np.array([3.0, 0.0]), depot, 15.75) == \
+    assert sim.inc_approx(depot[None], np.array([3.0, 0.0]), 15.75) == \
         pytest.approx(6.0 / 15.75)
-    stops = np.array([[1.0, 0.0], [5.0, 5.0]])
-    assert sim.inc_approx(stops, np.array([1.0, 0.0]), depot, 15.75) == 0.0
-    assert sim.inc_approx(stops, np.array([2.0, 0.0]), depot, 15.75) == \
+    route = np.array([depot, [1.0, 0.0], [5.0, 5.0]])
+    assert sim.inc_approx(route, np.array([1.0, 0.0]), 15.75) == 0.0
+    assert sim.inc_approx(route, np.array([2.0, 0.0]), 15.75) == \
         pytest.approx(2.0 / 15.75)
     # the depot is closer than any stop
-    assert sim.inc_approx(stops, np.array([-0.5, 0.0]), depot, 15.75) == \
+    assert sim.inc_approx(route, np.array([-0.5, 0.0]), 15.75) == \
         pytest.approx(1.0 / 15.75)
 
 
@@ -290,9 +289,9 @@ def test_mid_day_resolves_only_for_policies_that_read_travel(small_world,
     calls = []
     route = sim.tsp_route
 
-    def counting(points, depot, speed, start=None):
+    def counting(points, depot, speed, start=None, dist=None):
         calls.append((len(points), None if start is None else len(start)))
-        return route(points, depot, speed, start=start)
+        return route(points, depot, speed, start=start, dist=dist)
 
     monkeypatch.setattr(sim, "tsp_route", counting)
     periodic = 1 + (params.T - 1) // params.M1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracle
 from endgame.parcel import tsp
@@ -13,7 +14,7 @@ from endgame.streams import stream
 
 def brute_force_length(points, depot):
     points = np.asarray(points, dtype=float)
-    D = tsp._dist_matrix(tsp._coords(points, depot))
+    D = tsp.dist_matrix(tsp._coords(points, depot))
     best = math.inf
     for perm in itertools.permutations(range(len(points))):
         best = min(best, tsp.tour_length(D, list(perm)))
@@ -142,7 +143,7 @@ def test_routing_matches_oracle(n, seed, layout, depot_on_stop):
              else rng.uniform(-10, 10, size=2))
     coords = tsp._coords(pts, depot)
     diff = coords[:, None, :] - coords[None, :, :]
-    D = tsp._dist_matrix(coords)
+    D = tsp.dist_matrix(coords)
     assert np.array_equal(D, np.hypot(diff[..., 0], diff[..., 1]))
     nn = tsp.nearest_neighbor_order(D)
     assert np.array_equal(nn, oracle.nearest_neighbor_order(D))
@@ -174,7 +175,7 @@ def test_warm_route_extends_a_prefix_tour(n, cut, seed, layout):
     assert sorted(order) == list(range(n))
     if n == 0:
         return
-    D = tsp._dist_matrix(tsp._coords(pts, depot))
+    D = tsp.dist_matrix(tsp._coords(pts, depot))
     inserted = tsp.cheapest_insertion(D, prefix)
     assert np.array_equal(inserted, oracle.cheapest_insertion(D, prefix))
     assert hours * 2.0 <= tsp.tour_length(D, inserted) + 1e-9
@@ -185,3 +186,39 @@ def test_warm_route_extends_a_prefix_tour(n, cut, seed, layout):
     nn = oracle.nearest_neighbor_order(D)
     assert np.array_equal(cold, oracle.two_opt(D, nn))
     assert cold_hours == tsp.tour_length(D, cold) / 2.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["uniform", "lattice", "duplicates",
+                               "collinear"]),
+       cuts=st.lists(st.floats(0, 1), max_size=4))
+def test_grown_matrix_is_the_full_one(n, seed, layout, cuts):
+    rng = stream(0, "tsp-grow", seed)
+    pts = _points(layout, n, rng)
+    depot = rng.uniform(-10, 10, size=2)
+    coords = tsp._coords(pts, depot)
+    D = tsp.dist_matrix(coords)
+    order, hours = tsp.tsp_route(pts, depot, 2.0)
+    # grown in one step from every prefix of the stops
+    for m in range(n + 1):
+        grown = tsp.dist_matrix(coords, tsp.dist_matrix(coords[:m + 1]))
+        assert np.array_equal(grown, D), m
+    # and through a chain of prefixes, as a day's re-solves grow it
+    grown = None
+    for m in sorted(int(c * n) for c in cuts) + [n]:
+        grown = tsp.dist_matrix(coords[:m + 1], grown)
+        assert np.array_equal(grown, D[:m + 1, :m + 1]), m
+    order2, hours2 = tsp.tsp_route(pts, depot, 2.0, dist=grown)
+    assert np.array_equal(order2, order) and hours2 == hours
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 64),
+                    elements=st.floats(-1e6, 1e6)
+                    | st.floats(allow_nan=False)))
+def test_sum_over_length_is_the_mean_bit_for_bit(x):
+    # the parcel threshold reads a mean as x.sum() / N; huge entries
+    # overflow both sides alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (x.sum() / len(x)).tobytes() == x.mean().tobytes()
