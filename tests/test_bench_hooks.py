@@ -1,6 +1,6 @@
 """The benchmark's trace hooks (``bench/spans.py``) wrap module-level names
 of the program: each must still resolve, and every wrapped call must go
-through, on a small bins sweep and an opaque regime table."""
+through, on a small bins sweep, an opaque regime table and parcel days."""
 
 import importlib
 import pathlib
@@ -10,6 +10,9 @@ import pytest
 from endgame import opaque
 from endgame.harness import runner
 from endgame.harness.config import ExperimentConfig
+from endgame.parcel import corpus as cp
+from endgame.parcel import simulate as sim
+from endgame.parcel import tables as tb
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -56,3 +59,26 @@ def test_trace_hooks_resolve_and_pass_calls_through(spans, tmp_path):
     assert calls["runner.summarize"] == 1
     metrics = spans.layer_metrics([], tracer.spans, 0.0, 0.0)
     assert metrics["balls_bins.draw_ns_per_ball"] > 0
+
+
+@pytest.mark.parametrize("kind", [sim.ROUTING_DYNAMIC, sim.COST_MIN])
+def test_parcel_day_passes_through_its_routing_hooks(spans, kind):
+    corpus = cp.build_corpus(cp.GeometrySpec(n_zones=3, pool_size=120,
+                                             city_radius_km=6.0,
+                                             epsilon=15.0), seed=0)
+    params = sim.ParcelParams(N=3, T=50, M1=20)
+    tables = tb.estimate_flex_tables(corpus, params, reps=2)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    sim.run_day(sim.ParcelPolicy(kind), corpus, params, tables, root_seed=1)
+    names = [name for name, *_ in tracer.spans]
+    parents = {names[parent] for name, _, _, parent, _ in tracer.spans
+               if name.startswith("tsp.")}
+    for name in ("simulate.tsp_route", "simulate.inc_approx", "tsp.two_opt",
+                 "tsp.nearest_neighbor_order"):
+        assert name in names, name
+    # the router's steps run inside the day's re-solves
+    assert parents == {"simulate.tsp_route"}
+    # a travel day re-solves every truck every M1 arrivals and at its end
+    assert names.count("simulate.tsp_route") == \
+        params.N * (1 + (params.T - 1) // params.M1)
