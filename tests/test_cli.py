@@ -180,6 +180,31 @@ def test_config_preset_applies_unless_flag_overrides(capsys, tmp_path,
     assert first_trigger("--preset", "numerics") == 2936
 
 
+
+def test_config_numbers_read_alike_in_every_spelling(capsys, tmp_path):
+    # YAML 1.1 reads an exponent without a dot (1e-1) as a string; the
+    # config loader reads it as the number YAML 1.2 gives
+    def sweep(q, T):
+        config = tmp_path / "exp.yaml"
+        config.write_text(f"model: bins\npolicies: [no_flex, always_flex]\n"
+                          f"params: {{N: 3, q: {q}}}\nsweep: {{T: [{T}]}}\n"
+                          f"replications: 2\n")
+        out = tmp_path / f"{q}-{T}"
+        code, _, err = run_cli(capsys, "bins", "sweep", "--config",
+                               str(config), "--seed", "4", "--out", str(out))
+        return code, err, [(out / name).read_bytes() if code == 0 else None
+                           for name in ("bins_raw.csv", "bins_summary.csv")]
+
+    runs = [sweep(q, T) for q in ("1e-1", "1.0e-1", "0.1", "1E-1")
+            for T in ("1e2", "100", "1.0e+2")]
+    assert all(code == 0 for code, _, _ in runs), runs[0][1]
+    assert all(csvs == runs[0][2] for _, _, csvs in runs)
+    code, err, _ = sweep("1e400", 100)
+    assert code == 2 and "params.q: expected a finite number" in err
+    code, err, _ = sweep(0.1, "1.55e1")
+    assert code == 2 and "expected an integer" in err
+
+
 # per sweep command, flags that build a sweep without --config, and which
 # of them are required
 SWEEP_FLAG_CASES = {
