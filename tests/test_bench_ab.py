@@ -42,6 +42,28 @@ def test_summarize_medians_quartiles_and_pairs():
     assert got["attempted"] == {"parent": 50, "change": 50}
 
 
+def test_summarize_paired_ratios():
+    # the parent drifts from 10 to 20 while the change stays 20% ahead:
+    # the sides' quartiles overlap, the per-seed ratios do not spread
+    runs = []
+    for seed, (p, ratio) in enumerate([(10, 1.2), (15, 1.25), (20, 1.1),
+                                       (12, 1.3)]):
+        runs += [row("parent", seed, p, 100), row("change", seed, p * ratio,
+                                                  100)]
+    runs.append(row("parent", 9, 11, 100))  # a seed without its pair
+    got = bench_ab.summarize(runs, DIRECTIONS)["w"]["metrics"]
+    rate = got["arrivals_per_s"]["paired_ratio"]
+    assert rate["median"] == pytest.approx(1.225)
+    assert rate["min"] == pytest.approx(1.1)
+    assert rate["max"] == pytest.approx(1.3)
+    assert got["peak_rss_mb"]["paired_ratio"] == {
+        "median": 1.0, "min": 1.0, "max": 1.0}
+    # a parent value of 0 gives no ratio
+    zero = [row("parent", 1, 0, 1), row("change", 1, 5, 1)]
+    got = bench_ab.summarize(zero, DIRECTIONS)["w"]["metrics"]
+    assert got["arrivals_per_s"]["paired_ratio"] is None
+
+
 def test_summarize_digests_failures_and_workloads():
     runs = [row("parent", 1, 5, 1), row("change", 1, 6, 1),
             row("parent", 2, 5, 1), row("change", 2, 6, 1, digest="b",

@@ -14,9 +14,11 @@ which side goes first alternates from one seed to the next.  The output
 holds one row per run (side, seed, the three end-to-end metrics,
 failed/attempted operations and the sha256 of every CSV the run wrote
 under ``.bench_out/<workload>/``), per workload and metric the medians
-and quartiles of each side and the number of seeds the change won,
-whether the CSV digests agree across sides on every seed, and what
-machine ran it.
+and quartiles of each side, the number of seeds the change won and the
+median and range of the per-seed change/parent ratios, whether the CSV
+digests agree across sides on every seed, and what machine ran it.  A
+seed's two runs go back to back, so its ratio cancels most of the
+machine's slower drift, which the quartiles of one side keep.
 """
 
 from __future__ import annotations
@@ -96,9 +98,11 @@ def _quartiles(values) -> dict:
 
 def summarize(runs: list, directions: dict) -> dict:
     """Per workload: for each metric both sides' median and quartiles,
-    the seeds on which the change is better, and the median change over
-    the parent's interquartile range; failed/attempted per side; and
-    whether every seed's CSV digests agree across sides."""
+    the seeds on which the change is better, the median change over the
+    parent's interquartile range, and the median, min and max of the
+    per-seed change/parent ratios (seeds whose parent value is 0 left
+    out); failed/attempted per side; and whether every seed's CSV
+    digests agree across sides."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         rows = [r for r in runs if r["workload"] == workload]
@@ -114,6 +118,8 @@ def summarize(runs: list, directions: dict) -> dict:
             iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
             gain = sign * (sides["change"]["median"]
                            - sides["parent"]["median"])
+            ratios = [p["change"][name] / p["parent"][name] for p in pairs
+                      if p["parent"][name] != 0]
             metrics[name] = {
                 "better": better, **sides,
                 "change_better_pairs": sum(
@@ -122,6 +128,10 @@ def summarize(runs: list, directions: dict) -> dict:
                 "pairs": len(pairs),
                 "median_gain_over_parent_iqr":
                     gain / iqr if iqr > 0 else None,
+                "paired_ratio": {
+                    "median": float(np.median(ratios)),
+                    "min": min(ratios), "max": max(ratios)}
+                if ratios else None,
             }
         out[workload] = {
             "metrics": metrics,
