@@ -31,8 +31,6 @@ def dist_matrix(coords, prev=None):
     n, m = len(coords), 0 if prev is None else len(prev)
     if m == 0:
         return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-    if m == n:
-        return prev
     D = np.empty((n, n))
     D[:m, :m] = prev
     np.hypot(x[:m, None] - x[None, m:], y[:m, None] - y[None, m:],
