@@ -4,7 +4,7 @@ approximate routing and five flexing policies.
 Packages are bootstrap-resampled from the corpus pool.  Truck travel
 time is tracked approximately between full TSP re-solves (every M1
 arrivals) by adding, per assignment, twice the distance to the nearest
-already-assigned stop (or the depot for an empty truck).  Only the
+of the depot and the truck's already-assigned stops.  Only the
 policies that read travel time re-solve mid-day; every day ends with a
 re-solve for every truck.  A truck's first mid-day re-solve is built
 cold (nearest-neighbor, then 2-opt); each later one is warm: it starts
