@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -156,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     pgen = psub.add_parser("gen-corpus", help="build a synthetic corpus")
     pgen.add_argument("--out", required=True)
     pgen.add_argument("--seed", type=int, default=None)
-    pgen.add_argument("--zones", type=int, default=24)
-    pgen.add_argument("--pool-size", type=int, default=20000)
+    pgen.add_argument("--zones", type=int, default=None, dest="n_zones")
+    pgen.add_argument("--pool-size", type=int, default=None)
     pgen.add_argument("--city-radius-km", type=float, default=None)
     pgen.add_argument("--cluster-sd-km", type=float, default=None)
-    pgen.add_argument("--epsilon", type=float, default=200.0)
+    pgen.add_argument("--epsilon", type=float, default=None)
     pclu = psub.add_parser("cluster", help="re-run zone construction")
     pclu.add_argument("--corpus", required=True)
     pclu.add_argument("--epsilon", type=float, default=200.0)
@@ -283,23 +284,14 @@ def cmd_sweep(args) -> int:
 
 def _regime_table(args, flags) -> int:
     """The loss-vs-S table of one opaque regime, with its plot data."""
-    grid, seed = parse_grid(flags["S"]), resolve_root_seed(args.seed)
-    if not grid:
-        raise ConfigError("sweep.S: needs a nonempty value list")
-    if grid != sorted(grid):
-        raise ConfigError("sweep.S: values must be ascending")
-    for S in grid:  # every point's parameters, before any output
-        opaque.eoq_params(flags["N"], S, flags["q"], flags["regime"])
+    rows = opaque.regime_sweep(
+        flags["regime"], parse_grid(flags["S"]), N=flags["N"], q=flags["q"],
+        instances=flags["instances"], cycles_per_instance=flags["cycles"],
+        root_seed=resolve_root_seed(args.seed), preset=_preset(args))
     out = args.out or "results"
     make_out_dir(out)
-    rows = opaque.regime_sweep(
-        flags["regime"], grid, N=flags["N"], q=flags["q"],
-        instances=flags["instances"], cycles_per_instance=flags["cycles"],
-        root_seed=seed, preset=_preset(args))
     path = os.path.join(out, f"opaque_{flags['regime']}.csv")
-    cols = ["regime", "S", "policy", "cost", "lower_bound", "loss", "se",
-            "mean_R", "mean_D"]
-    write_csv(path, cols, rows)
+    write_csv(path, list(rows[0]), rows)
     emit_plot_data(rows, {"kind": "loss_vs_S"}, out)
     print(path)
     return 0
@@ -311,13 +303,12 @@ def cmd_parcel(args) -> int:
     from ..parcel import tables as ptables
 
     if args.subcommand == "gen-corpus":
-        kwargs = {"n_zones": args.zones, "pool_size": args.pool_size,
-                  "epsilon": args.epsilon}
-        if args.city_radius_km is not None:
-            kwargs["city_radius_km"] = args.city_radius_km
-        if args.cluster_sd_km is not None:
-            kwargs["cluster_sd_km"] = args.cluster_sd_km
-        spec = pcorpus.GeometrySpec(**kwargs)
+        # each geometry flag's dest is a GeometrySpec field; a flag not
+        # given keeps its field's default
+        spec = pcorpus.GeometrySpec(**{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(pcorpus.GeometrySpec)
+            if getattr(args, f.name, None) is not None})
         corpus = pcorpus.build_corpus(spec, resolve_root_seed(args.seed))
         pcorpus.save_corpus(corpus, args.out)
         _print_row([("corpus", args.out), ("packages", len(corpus)),

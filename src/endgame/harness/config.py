@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -225,8 +225,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config root: expected a mapping, "
                           f"got {type(data).__name__}")
-    known = {"model", "policies", "params", "sweep", "preset",
-             "replications", "seed", "out_dir"}
+    known = {f.name for f in fields(ExperimentConfig)}
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown top-level field")

@@ -41,14 +41,16 @@ RAW_METRICS = {
 _PARCEL_CACHE: dict = {}
 
 
-def expand_cells(config: ExperimentConfig) -> list[dict]:
-    """Cartesian product of policies and sweep axes, in config order."""
+def expand_cells(config: ExperimentConfig) -> list[tuple[dict, dict]]:
+    """The cells ``(policy, params)`` of the cartesian product of
+    policies and sweep axes, in config order."""
     axes = list(config.sweep.items())
     cells = []
     for policy in config.policies:
+        policy = {"kind": policy} if isinstance(policy, str) else policy
         for combo in itertools.product(*(values for _, values in axes)):
             overrides = dict(zip((name for name, _ in axes), combo))
-            cells.append({"policy": policy, "overrides": overrides})
+            cells.append((policy, {**config.params, **overrides}))
     return cells
 
 
@@ -174,33 +176,27 @@ def make_out_dir(path) -> None:
             from None
 
 
-def run_experiment(config: ExperimentConfig, parallel: int = 1,
-                   out_dir: str | None = None):
+def run_experiment(config: ExperimentConfig, parallel: int = 1):
     """Run the full sweep x replication matrix and write raw and summary
     CSVs.  Returns (raw_path, summary_path)."""
     root_seed = resolve_root_seed(config.seed)
     reps = (config.replications if config.replications is not None
             else DEFAULT_REPLICATIONS[config.model])
-    out_dir = out_dir or config.out_dir
 
+    cells = expand_cells(config)
     groups = {}  # group key -> indices into cells, in first-seen order
-    cells = []
-    for i, cell in enumerate(expand_cells(config)):
-        policy = cell["policy"]
-        policy = {"kind": policy} if isinstance(policy, str) else policy
-        params = {**config.params, **cell["overrides"]}
-        cells.append((policy, params))
+    for i, (_, params) in enumerate(cells):
         if config.model == "parcel":
             key = i  # a parcel cell runs alone
         else:
-            mp, _ = _resolve(config.model, policy, params, config.preset)
-            key = (arrival_path(config.model, mp),
+            key = (arrival_path(config.model,
+                                model_params(config.model, params)),
                    _rows(config.model, params, reps))
         groups.setdefault(key, []).append(i)
     jobs = [(config.model, [cells[i] for i in members], reps, root_seed,
              config.preset) for members in groups.values()]
     # every bins and opaque cell's parameters are checked by now
-    make_out_dir(out_dir)
+    make_out_dir(config.out_dir)
 
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -213,34 +209,20 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1,
             per_cell[i] = rows
 
     raw_rows = [row for rows in per_cell for row in rows]
-    metrics = RAW_METRICS[config.model]
-    raw_path = pathlib.Path(out_dir) / f"{config.model}_raw.csv"
-    write_csv(raw_path, _raw_columns(raw_rows, metrics), raw_rows)
-    summary_path = pathlib.Path(out_dir) / f"{config.model}_summary.csv"
-    write_summary(summary_path, raw_rows,
-                  ["policy"] + list(config.sweep.keys()), metrics)
+    out = pathlib.Path(config.out_dir)
+    raw_path = out / f"{config.model}_raw.csv"
+    write_csv(raw_path, list(raw_rows[0]), raw_rows)
+    summary_path = out / f"{config.model}_summary.csv"
+    write_summary(summary_path, raw_rows, ["policy"] + list(config.sweep),
+                  RAW_METRICS[config.model])
     return raw_path, summary_path
 
 
 def write_summary(path, raw_rows, cell_keys, metrics) -> None:
     """Per cell of ``cell_keys`` and per metric: mean, standard error,
     mean absolute deviation, quartiles and count of ``raw_rows``."""
-    stats = ["mean", "se", "mad", "q1", "median", "q3", "n"]
-    rows = [{**row.cell, "metric": row.metric,
-             **{name: getattr(row, name) for name in stats}}
-            for row in summarize(raw_rows, cell_keys, metrics)]
-    write_csv(path, cell_keys + ["metric"] + stats, rows)
-
-
-def _raw_columns(rows, metrics):
-    cols = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    # metrics last, stable order
-    return ([c for c in cols if c not in metrics]
-            + [m for m in metrics if any(m in r for r in rows)])
+    rows = summarize(raw_rows, cell_keys, metrics)
+    write_csv(path, list(rows[0]), rows)
 
 
 def write_csv(path, columns, rows) -> None:

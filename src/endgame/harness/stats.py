@@ -3,28 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class SummaryRow:
-    """Aggregated statistics of one metric in one experiment cell."""
-
-    cell: dict
-    metric: str
-    mean: float
-    se: float
-    mad: float
-    q1: float
-    median: float
-    q3: float
-    n: int
-
-    def __post_init__(self):
-        if not (self.q1 <= self.median <= self.q3):
-            raise ValueError("quartiles out of order")
 
 
 def summarize_values(values) -> dict:
@@ -42,8 +22,10 @@ def summarize_values(values) -> dict:
             "q1": q1, "median": median, "q3": q3, "n": int(v.size)}
 
 
-def summarize(raw_rows, cell_keys, metrics) -> list[SummaryRow]:
-    """Group raw rows by ``cell_keys`` and summarize each metric.
+def summarize(raw_rows, cell_keys, metrics) -> list[dict]:
+    """Group raw rows by ``cell_keys`` and summarize each metric: one row
+    per cell and metric, the cell's keys, then ``metric``, then the
+    statistics of :func:`summarize_values`.
 
     Rows are dicts; cells appear in first-seen order so output is
     deterministic in the input order.
@@ -55,7 +37,7 @@ def summarize(raw_rows, cell_keys, metrics) -> list[SummaryRow]:
     out = []
     for key, rows in groups.items():
         cell = dict(zip(cell_keys, key))
-        for metric in metrics:
-            stats = summarize_values([r[metric] for r in rows])
-            out.append(SummaryRow(cell=cell, metric=metric, **stats))
+        out.extend({**cell, "metric": metric,
+                    **summarize_values([r[metric] for r in rows])}
+                   for metric in metrics)
     return out

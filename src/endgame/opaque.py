@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX,
-                         PRESET_NUMERICS, STATIC, ModelParams, PolicySpec,
-                         check_bins, draw_raw_arrays, theory_a_s)
+                         NUMERICS_A_D, NUMERICS_A_S, PRESET_NUMERICS, STATIC,
+                         ModelParams, PolicySpec, check_bins, draw_raw_arrays,
+                         theory_a_s)
 from .bins_engine import run_blocks
-from .harness.config import DEFAULT_REPLICATIONS, MODEL_DEFAULTS, arrival_path
-
-NUMERICS_C_S = 10.0
-NUMERICS_C_D = 0.7
+from .harness.config import (DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ConfigError,
+                             arrival_path)
 
 REGIMES = ("delta_zero", "delta_inv_sqrt", "delta_const", "delta_sqrt")
 
@@ -78,10 +77,10 @@ def resolve_opaque_policy(spec: PolicySpec, params: InventoryParams,
     a_s, a_d = spec.a_s, spec.a_d
     model = ModelParams(T=params.horizon, N=params.N, q=params.q)
     if a_s is None:
-        a_s = (NUMERICS_C_S if preset == PRESET_NUMERICS
+        a_s = (NUMERICS_A_S if preset == PRESET_NUMERICS
                else theory_a_s(model))
     if a_d is None:
-        a_d = (NUMERICS_C_D if preset == PRESET_NUMERICS
+        a_d = (NUMERICS_A_D if preset == PRESET_NUMERICS
                else 1.0 / (10.0 * math.comb(model.N, 2)))
     latched = spec.latched if spec.kind != DYNAMIC else True
     return PolicySpec(kind=spec.kind, a_s=a_s, a_d=a_d, latched=latched)
@@ -194,7 +193,7 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
                  cycles_per_instance: int = _DEFAULTS["cycles_per_instance"],
                  root_seed: int = 0, preset: str = PRESET_NUMERICS,
                  cycle_cache: dict | None = None):
-    """Tabulate C - C* for each policy over an ascending S grid.
+    """Tabulate C - C* for each policy over a nonempty ascending S grid.
 
     Every policy runs on the same cycles' arrivals, those of
     ``arrival_path("opaque", ...)`` at each S.  ``cycle_cache`` maps
@@ -202,8 +201,10 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
     be shared across regimes (the dynamics do not depend on K, h, delta);
     an entry simulated from other inputs is simulated again and replaced.
     """
+    if len(S_grid) == 0:
+        raise ConfigError("sweep.S: needs a nonempty value list")
     if list(S_grid) != sorted(S_grid):
-        raise ValueError("S_grid must be ascending")
+        raise ConfigError("sweep.S: values must be ascending")
     cache = {} if cycle_cache is None else cycle_cache
     n_cycles = instances * cycles_per_instance
     rows = []

@@ -400,8 +400,9 @@ def test_criterion_13_determinism(tmp_path):
     for i, cfg in enumerate(configs):
         outputs = []
         for run, par in (("a", 1), ("b", 1), ("c", 3)):
-            raw, _ = run_experiment(cfg, parallel=par,
-                                    out_dir=str(tmp_path / f"{i}{run}"))
+            raw, _ = run_experiment(
+                replace(cfg, out_dir=str(tmp_path / f"{i}{run}")),
+                parallel=par)
             outputs.append(raw.read_bytes())
         same = outputs[0] == outputs[1] == outputs[2]
         ok &= same

@@ -38,8 +38,8 @@ def test_summarize_groups_in_first_seen_order():
            {"policy": "b", "T": 10, "x": 5.0},
            {"policy": "a", "T": 10, "x": 3.0}]
     out = stats.summarize(raw, ("policy", "T"), ("x",))
-    assert [r.cell["policy"] for r in out] == ["a", "b"]
-    assert out[0].mean == 2.0 and out[1].mean == 5.0
+    assert [r["policy"] for r in out] == ["a", "b"]
+    assert out[0]["mean"] == 2.0 and out[1]["mean"] == 5.0
 
 
 def test_config_validation_messages():
@@ -86,7 +86,7 @@ def bins_config(**kw):
 def test_expand_cells_cardinality():
     cells = runner.expand_cells(bins_config())
     assert len(cells) == 4  # 2 policies x 2 horizons
-    assert cells[0]["overrides"] == {"T": 50}
+    assert cells[0] == ({"kind": "no_flex"}, {"N": 3, "q": 0.5, "T": 50})
 
 
 def test_run_experiment_outputs(tmp_path):

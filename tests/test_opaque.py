@@ -206,6 +206,11 @@ def test_regime_sweep_rows_and_cache():
         opaque.regime_sweep("delta_zero", [20, 10])
 
 
+def test_regime_sweep_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="sweep.S: needs a nonempty"):
+        opaque.regime_sweep("delta_zero", [])
+
+
 def test_regime_sweep_cache_reuses_only_matching_cycles():
     # a shared cache must not hand one call's cycles to a call with
     # another N, q, root seed, preset or cycle count
