@@ -105,8 +105,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"got {cfg.preset!r}")
     if not isinstance(cfg.policies, (list, tuple)):
         raise ConfigError("policies: expected a list")
-    # imported here: opaque imports this module, and the parcel modules
-    # load scipy
+    # imported here: opaque imports this module, and a bins or opaque
+    # config need not load the parcel modules
     if cfg.model == "bins":
         from ..balls_bins import POLICY_KINDS as model_kinds
     elif cfg.model == "opaque":
@@ -154,7 +154,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep.{name}: needs a nonempty value list")
     if cfg.model == "parcel" and "tables" not in {**cfg.params, **cfg.sweep}:
-        # imported here: the parcel modules load scipy
+        # imported here, as the model kinds above
         from ..parcel.simulate import TABLE_POLICIES
         needs = sorted(kinds & TABLE_POLICIES)
         if needs:
@@ -165,6 +165,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     cfg.sweep = {name: [_coerce(f"sweep.{name}", types[name], v)
                         for v in values]
                  for name, values in cfg.sweep.items()}
+    if cfg.model == "opaque":
+        # a cell of no cycles has no rows to write
+        given = [("params", cfg.params.get("cycles_per_instance", 1))] + [
+            ("sweep", value)
+            for value in cfg.sweep.get("cycles_per_instance", [])]
+        for where, value in given:
+            if value < 1:
+                raise ConfigError(f"{where}.cycles_per_instance: expected "
+                                  f"an integer >= 1, got {value!r}")
     if cfg.model == "parcel":
         # every cell's day parameters are checked before any cell runs
         from ..parcel.simulate import ParcelParams

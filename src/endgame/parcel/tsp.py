@@ -60,6 +60,20 @@ def nearest_neighbor_order(D):
     return order
 
 
+_NO_MOVE = np.ones((0, 0), dtype=bool)
+
+
+def _no_move(n):
+    """The (n, n) mask of the pairs i >= k, which are no 2-opt move.  It
+    is a view of one mask, built again only for a larger n than any so
+    far, so it costs no build per call and holds only the largest tour's
+    n * n bytes."""
+    global _NO_MOVE
+    if len(_NO_MOVE) < n:
+        _NO_MOVE = np.arange(n)[:, None] >= np.arange(n)
+    return _NO_MOVE[:n, :n]
+
+
 def two_opt(D, order):
     """Best-improvement 2-opt until no improving move remains.
 
@@ -75,13 +89,13 @@ def two_opt(D, order):
     arr = np.concatenate(([0], np.asarray(order, dtype=np.int64) + 1, [0]))
     P = D.take(arr, axis=0).take(arr, axis=1)
     d1 = P.diagonal(1)  # a view: P[j, j+1], the tour's edges
-    lower = np.arange(n)[:, None] >= np.arange(n)  # i >= k: not a move
+    lower = _no_move(n)
     delta = np.empty((n, n))
     while True:
         np.add(P[:n, 1:n + 1], P[1:n + 1, 2:], out=delta)
         delta -= d1[:n, None]
         delta -= d1[None, 1:]
-        delta[lower] = np.inf
+        np.copyto(delta, np.inf, where=lower)
         flat = delta.argmin()
         i, k = divmod(int(flat), n)
         if delta[i, k] >= -1e-12:

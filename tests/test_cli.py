@@ -240,6 +240,22 @@ def test_sweep_takes_model_flags_or_config_not_both(capsys, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where,spelling", [
+    ("params", "params: {S: 5, cycles_per_instance: 0}"),
+    ("sweep", "params: {S: 5}\nsweep: {cycles_per_instance: [2, -1]}"),
+])
+def test_opaque_config_without_cycles_exits_2(capsys, tmp_path, where,
+                                              spelling):
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"model: opaque\npolicies: [no_flex]\n{spelling}\n"
+                      "replications: 2\n")
+    code, _, err = run_cli(capsys, "opaque", "sweep", "--config",
+                           str(config), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"{where}.cycles_per_instance: expected an integer >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 # every command that draws, with an output that a refused seed leaves
 # unmade; each takes its seed from --seed, else ENDGAME_SEED
 SEED_ARGV = {
@@ -628,9 +644,25 @@ def test_parcel_modules_load_no_scipy_optimize():
     assert out.strip() == "False"
 
 
+def test_endgame_modules_load_no_scipy():
+    # every module of the package, the CLI included, runs on numpy alone
+    code = ("import importlib, pkgutil, sys\n"
+            "import endgame\n"
+            "names = [m.name for m in pkgutil.walk_packages(\n"
+            "    endgame.__path__, 'endgame.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print('endgame.harness.cli' in names,\n"
+            "      'endgame.parcel.clustering' in names)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[:2] == ["True True", "[]"]
+
+
 def test_bins_and_opaque_configs_load_no_scipy():
-    # the parcel modules load scipy; the bins and opaque paths, and the
-    # benchmark's set-up of their workloads, must not
+    # no endgame module loads scipy; the bins and opaque paths, and the
+    # benchmark's set-up of their workloads, must keep it that way
     code = ("import sys\n"
             "from endgame.harness import cli, runner\n"
             "from endgame.harness.config import ExperimentConfig\n"

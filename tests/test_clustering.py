@@ -1,12 +1,15 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.cluster.vq import kmeans2
 
 import oracle
 from endgame.parcel import clustering
+from endgame.parcel import corpus as cp
 from endgame.streams import stream
 
 
@@ -75,12 +78,18 @@ def test_fractional_lp_answer_raises(monkeypatch):
 
 
 def _layout(rng, L, N, points, unused):
-    """(points, centers) of one oracle case: packages spread out, on a few
-    repeated locations, or in clusters of near-zero spread; with
-    ``unused``, the last center is far from every package or a copy of
-    the first, so no package is nearest to it."""
-    if points == "spread":
+    """(points, centers) of one oracle case: packages spread out, on a
+    line, on a few repeated locations, spread out but for one far
+    outlier, or in clusters of near-zero spread; with ``unused``, the
+    last center is far from every package or a copy of the first, so no
+    package is nearest to it."""
+    if points in ("spread", "outlier"):
         pts = rng.normal(size=(L, 2)) * 3.0
+        if points == "outlier":
+            pts[rng.integers(0, L)] = [4e5, -3e5]
+    elif points == "collinear":
+        t = rng.normal(size=L) * 3.0
+        pts = np.column_stack([t, 0.5 * t - 2.0])
     elif points == "duplicates":
         k = max(L // 5, 1)
         pts = rng.normal(size=(k, 2))[rng.integers(0, k, L)]
@@ -119,6 +128,48 @@ def test_balanced_assign_matches_the_lp(N, extra, points, unused, slack,
     _, lp_obj = oracle.lp_balanced_assign(pts, centers, eps)
     assert abs(obj - lp_obj) <= 1e-6
     assert oracle.zone_move_gap(pts, centers, assignment, lo, hi) >= -1e-9
+
+
+def _kmeans2(points, N, seed):
+    """The oracle's centers; its warning about an empty cluster is moot."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return kmeans2(points, N, minit="++", seed=seed, iter=100)[0]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(N=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 1]),
+       extra=st.integers(0, 300),
+       points=st.sampled_from(["spread", "collinear", "duplicates",
+                               "zero_spread", "outlier"]),
+       seed=st.integers(0, 2**31 - 2))
+@example(N=1, extra=30, points="spread", seed=0)
+@example(N=5, extra=0, points="collinear", seed=1)  # L = N
+@example(N=8, extra=2, points="duplicates", seed=2)  # two locations
+@example(N=6, extra=0, points="duplicates", seed=3)  # one location
+@example(N=4, extra=200, points="zero_spread", seed=4)
+def test_kmeans_centers_match_scipy_kmeans2(N, extra, points, seed):
+    # bit for bit, empty clusters included
+    pts, _ = _layout(stream(seed, "kmeans-oracle"), N + extra, N, points,
+                     "none")
+    assert np.array_equal(clustering.kmeans_centers(pts, N, seed),
+                          _kmeans2(pts, N, seed))
+
+
+class _Clustered(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kmeans_centers_match_scipy_kmeans2_on_cities(monkeypatch, seed):
+    # the points and k-means seed of the default corpus of each seed
+    def capture(points, N, epsilon, kseed):
+        raise _Clustered(points, N, kseed)
+    monkeypatch.setattr(cp, "cluster_default", capture)
+    with pytest.raises(_Clustered) as city:
+        cp.build_corpus(cp.GeometrySpec(), seed)
+    assert np.array_equal(clustering.kmeans_centers(*city.value.args),
+                          _kmeans2(*city.value.args))
 
 
 def test_zero_epsilon_matches_unconstrained_when_already_balanced():
