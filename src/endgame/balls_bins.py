@@ -85,8 +85,9 @@ class PolicySpec:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         for name in ("a_s", "a_d"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if v is not None and not 0 <= v < math.inf:  # nan fails too
+                raise ValueError(f"{name} must be a finite number >= 0, "
+                                 f"got {v}")
 
 
 def theory_a_s(params: ModelParams) -> float:
@@ -113,7 +114,7 @@ def static_start(T: int, a_s: float) -> int:
     policy flexes on a horizon of T periods: round(T - a_s*sqrt(T ln T)),
     clamped to [0, T]."""
     raw = T - a_s * math.sqrt(T * math.log(T)) if T >= 2 else 0.0
-    return int(min(max(round(raw), 0), T))
+    return round(min(max(raw, 0.0), T))  # clamped first: raw may be -inf
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +133,17 @@ class ArrivalArrays:
     pair is (0, 0) and never read.  ``exert_u`` is a separate uniform
     stream consumed only by the flex-sqrt-T policy, so policies stay
     coupled on the arrival streams regardless of their own randomness; it
-    is None when it was not drawn.  A drawn row holds K + 1 of them for
-    its K flex arrivals: ``exert_u[0]`` is V, which places the row's
-    non-flex decisions, and ``exert_u[1 + k]`` decides flex arrival k.
-    The kernel (``bins_engine.lockstep``) reads only a flex-sqrt-T
-    policy's (rows, T) bool decisions there, which
-    ``bins_engine.run_blocks`` cuts per block.
+    is None when it was not drawn, and in a stacked block.  A drawn row
+    holds K + 1 of them for its K flex arrivals: ``exert_u[0]`` is V,
+    which places the row's non-flex decisions, and ``exert_u[1 + k]``
+    decides flex arrival k.
     """
 
     is_flex: np.ndarray   # (T,) bool
     preferred: np.ndarray  # (T,) int
     pair_lo: np.ndarray   # (T,) int
     pair_hi: np.ndarray   # (T,) int
-    exert_u: np.ndarray | None = None  # (K + 1,) float, or bool in a block
+    exert_u: np.ndarray | None = None  # (K + 1,) float
 
     def __len__(self) -> int:
         return len(self.is_flex)

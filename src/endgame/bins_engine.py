@@ -24,7 +24,7 @@ through the events only, adding the arrivals between events in bulk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,15 +53,6 @@ _SEG = 16
 
 
 @dataclass
-class BatchResult:
-    """Per-replication outcomes of a replication batch."""
-
-    final_gap: np.ndarray    # (reps,)
-    flex_count: np.ndarray   # (reps,)
-    first_trigger: np.ndarray  # (reps,) int, -1 when the policy never exerted
-
-
-@dataclass
 class LockstepResult:
     """Per-row outcomes of the kernel."""
 
@@ -70,23 +61,25 @@ class LockstepResult:
     first_trigger: np.ndarray  # (rows,) first exerting period, -1 if none
     stop_time: np.ndarray      # (rows,) periods run
 
+    @property
+    def final_gap(self) -> np.ndarray:
+        """(rows,) largest minus mean load, recomputed on each access."""
+        return self.loads.max(axis=1) - self.stop_time / self.loads.shape[1]
+
 
 def run_many(policy: PolicySpec, params: ModelParams, reps: int,
-             root_seed: int, *path) -> BatchResult:
+             root_seed: int, *path) -> LockstepResult:
     """Simulate ``reps`` independent horizons of one policy; replication
     ``rep`` consumes the streams addressed by ``(*path, rep)``."""
     return run_policies([policy], params, reps, root_seed, *path)[0]
 
 
 def run_policies(policies, params: ModelParams, reps: int, root_seed: int,
-                 *path) -> list[BatchResult]:
+                 *path) -> list[LockstepResult]:
     """:func:`run_many` for each of ``policies``, on one draw of the
     replications' arrivals that every policy runs on."""
-    outs = run_blocks(policies, params.N, params.q, params.T, reps,
+    return run_blocks(policies, params.N, params.q, params.T, reps,
                       root_seed, path, draw_arrival_arrays)
-    return [BatchResult(final_gap=out.loads.max(axis=1) - params.T / params.N,
-                        flex_count=out.flex_count,
-                        first_trigger=out.first_trigger) for out in outs]
 
 
 def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
@@ -117,8 +110,8 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     exert = bool(drawn_cuts)
     keys = {c: streams.stream_key(root_seed, *path, c)
             for c in (CATEGORIES if exert else CATEGORIES[:-1])}
-    # the policies that read exert_u run first, so that their decisions
-    # are freed before the others run
+    # the flex-sqrt-T policies run first, so that their decisions are
+    # freed before the others run
     order = sorted(range(len(policies)), key=lambda i: cuts[i] is None)
     generator = keyed_generator()
     cap = max(1, min(_BLOCK_ELEMENTS // max(T, 1), _BLOCK_ROWS))
@@ -133,8 +126,8 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
             if cuts[i] is None:
                 decisions = None
             parts[i].append(lockstep(
-                policies[i], N, q, block if cuts[i] is None
-                else replace(block, exert_u=decisions[cuts[i]]), stop))
+                policies[i], N, q, block,
+                None if decisions is None else decisions[cuts[i]], stop))
         del block, decisions  # one block is alive at a time
     return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
                              for f in fields(LockstepResult)))
@@ -194,6 +187,7 @@ def _check_resolved(policy: PolicySpec) -> None:
 
 
 def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
+             decisions: np.ndarray | None,
              stop: int | None = None) -> LockstepResult:
     """Run every row of stacked (rows, T) arrivals through one policy.
 
@@ -201,10 +195,9 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     exerted flex arrival goes to the lesser-loaded bin of its pair, ties
     to the smaller index, and every other arrival to its preferred bin.
     With ``stop`` set, a row stops after the period in which a load first
-    reaches ``stop``.  A flex-sqrt-T policy reads ``exert_u`` as the bool
-    decisions at its cut ``(T - t_hat)/T`` that :func:`run_blocks` makes;
-    no other policy reads it.  Constants on the policy must already be
-    resolved.
+    reaches ``stop``.  ``decisions`` holds a flex-sqrt-T policy's (rows, T)
+    bool decisions at its cut ``(T - t_hat)/T`` (see :func:`run_blocks`)
+    and is None for any other policy.  Constants must be resolved.
     """
     _check_resolved(policy)
     kind = policy.kind
@@ -234,7 +227,7 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
         elif kind == STATIC:
             events = flex & (t >= t_hat)
         elif kind == FLEX_SQRT_T:
-            exert = arrivals.exert_u[live, c0:c1]
+            exert = decisions[live, c0:c1]
             _first(trigger, live, exert, c0)
             events = flex & exert
         else:  # dynamic: trigger at the first period the condition holds

@@ -72,6 +72,18 @@ def parse_grid(text: str) -> list[int]:
     return out
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1, else an error naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _common_flags(p):
     p.add_argument("--seed", type=int, default=None,
                    help="root seed (default: ENDGAME_SEED or 0)")
@@ -131,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     osub = opq.add_subparsers(dest="subcommand", required=True)
     orun = osub.add_parser("run", help="estimate one policy's cost")
     orun.add_argument("--policy", required=True,
-                      choices=opaque.OPAQUE_POLICIES)
+                      choices=balls_bins.POLICY_KINDS)
     orun.add_argument("--N", type=int, default=OPAQUE["N"])
     orun.add_argument("--S", type=int, required=True)
     orun.add_argument("--q", type=float, default=OPAQUE["q"])
     orun.add_argument("--regime", choices=opaque.REGIMES,
                       default=OPAQUE["regime"])
-    orun.add_argument("--cycles", type=int, default=100)
+    orun.add_argument("--cycles", type=_count, default=100)
     _common_flags(orun)
     orun.set_defaults(func=cmd_opaque_run)
     osweep = osub.add_parser(
@@ -146,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     osweep.add_argument("--S", help="S grid, e.g. 50:800:log8")
     osweep.add_argument("--N", type=int)
     osweep.add_argument("--q", type=float)
-    osweep.add_argument("--instances", type=int)
-    osweep.add_argument("--cycles", type=int)
+    osweep.add_argument("--instances", type=_count)
+    osweep.add_argument("--cycles", type=_count)
     _common_flags(osweep)
     _sweep_flags(osweep, run=False)
 
@@ -356,8 +368,7 @@ def cmd_report(args) -> int:
         reader = csv.DictReader(fh)
         rows = list(reader)
     if not rows:
-        print("raw file has no rows", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.raw}: no data rows")
     columns = reader.fieldnames
     if "policy" not in columns:
         raise ValueError(f"{args.raw}: no 'policy' column to group by")

@@ -105,14 +105,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"got {cfg.preset!r}")
     if not isinstance(cfg.policies, (list, tuple)):
         raise ConfigError("policies: expected a list")
-    # imported here: opaque imports this module, and a bins or opaque
-    # config need not load the parcel modules
-    if cfg.model == "bins":
-        from ..balls_bins import POLICY_KINDS as model_kinds
-    elif cfg.model == "opaque":
-        from ..opaque import OPAQUE_POLICIES as model_kinds
-    else:
+    # imported here: a bins or opaque config need not load the parcel
+    # modules; the opaque model runs the bins model's policy kinds
+    if cfg.model == "parcel":
         from ..parcel.simulate import PARCEL_POLICIES as model_kinds
+    else:
+        from ..balls_bins import POLICY_KINDS as model_kinds
     kinds = set()
     for i, policy in enumerate(cfg.policies):
         entry = {"kind": policy} if isinstance(policy, str) else policy

@@ -69,10 +69,9 @@ def run_group(model: str, cells: list, reps: int, root_seed: int,
     mp = resolved[0][0]
     path = arrival_path(model, mp)
     n_rows = _rows(model, cells[0][1], reps)
-    if model == "bins":
-        outs = bins_engine.run_policies(specs, mp, n_rows, root_seed, *path)
-    else:
-        outs = opaque.simulate_policies(specs, mp, n_rows, root_seed, *path)
+    run = (bins_engine.run_policies if model == "bins"
+           else opaque.simulate_policies)
+    outs = run(specs, mp, n_rows, root_seed, *path)
     by_spec = dict(zip(specs, outs))
     return [_raw_rows(model, policy, params, reps, by_spec[spec])
             for (policy, params), (_, spec) in zip(cells, resolved)]
@@ -81,13 +80,13 @@ def run_group(model: str, cells: list, reps: int, root_seed: int,
 def _raw_rows(model: str, policy: dict, params: dict, reps: int,
               out) -> list[dict]:
     """A bins or opaque cell's raw rows from its policy's outcomes."""
-    if model == "bins":
+    if model == "bins":  # final_gap is read once: it recomputes per access
         return [{"policy": policy["kind"], **params, "rep": rep,
-                 "final_gap": float(out.final_gap[rep]),
-                 "flex_count": int(out.flex_count[rep]),
-                 "first_trigger": int(out.first_trigger[rep])}
-                for rep in range(reps)]
-    R, D = out
+                 "final_gap": gap, "flex_count": flex, "first_trigger": first}
+                for rep, (gap, flex, first) in enumerate(zip(
+                    out.final_gap.tolist(), out.flex_count.tolist(),
+                    out.first_trigger.tolist()))]
+    R, D = out.stop_time, out.flex_count
     cycles = len(R) // reps
     return [{"policy": policy["kind"], **params,
              "rep": c // cycles, "cycle": c % cycles,

@@ -12,21 +12,20 @@ long-run cost
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balls_bins import (ALWAYS_FLEX, DYNAMIC, FLEX_SQRT_T, NO_FLEX,
-                         NUMERICS_A_D, NUMERICS_A_S, PRESET_NUMERICS, STATIC,
-                         ModelParams, PolicySpec, check_bins, draw_raw_arrays,
-                         theory_a_s)
-from .bins_engine import run_blocks
+from .balls_bins import (DYNAMIC, NO_FLEX, POLICY_KINDS,  # noqa: F401
+                         PRESET_NUMERICS, ModelParams, PolicySpec, check_bins,
+                         draw_raw_arrays, resolve_policy, theory_a_d)
+from .bins_engine import LockstepResult, run_blocks
 from .harness.config import (DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ConfigError,
                              arrival_path)
 
 REGIMES = ("delta_zero", "delta_inv_sqrt", "delta_const", "delta_sqrt")
 
-OPAQUE_POLICIES = (NO_FLEX, ALWAYS_FLEX, STATIC, DYNAMIC, FLEX_SQRT_T)
+OPAQUE_POLICIES = POLICY_KINDS
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,15 @@ class CostEstimate:
 
 def resolve_opaque_policy(spec: PolicySpec, params: InventoryParams,
                           preset: str = PRESET_NUMERICS) -> PolicySpec:
-    """Fill in missing opaque-policy constants from a named preset.
-
-    The dynamic opaque policy is latched by default: once the imbalance
-    condition triggers, the option is offered every period to depletion.
-    """
-    a_s, a_d = spec.a_s, spec.a_d
+    """:func:`~endgame.balls_bins.resolve_policy` on a bins horizon of
+    N(S-1)+1, but with the theory preset's a_d halved and the dynamic
+    policy latched: once its condition triggers, the option is offered
+    every period to depletion."""
     model = ModelParams(T=params.horizon, N=params.N, q=params.q)
-    if a_s is None:
-        a_s = (NUMERICS_A_S if preset == PRESET_NUMERICS
-               else theory_a_s(model))
-    if a_d is None:
-        a_d = (NUMERICS_A_D if preset == PRESET_NUMERICS
-               else 1.0 / (10.0 * math.comb(model.N, 2)))
-    latched = spec.latched if spec.kind != DYNAMIC else True
-    return PolicySpec(kind=spec.kind, a_s=a_s, a_d=a_d, latched=latched)
+    if spec.a_d is None and preset != PRESET_NUMERICS:
+        spec = replace(spec, a_d=theory_a_d(model) / 2)
+    return replace(resolve_policy(spec, model, preset),
+                   latched=spec.latched or spec.kind == DYNAMIC)
 
 
 def simulate_cycles(policy: PolicySpec, params: InventoryParams,
@@ -96,17 +89,17 @@ def simulate_cycles(policy: PolicySpec, params: InventoryParams,
     streams addressed by (*path, c), so results are independent of
     n_cycles batching.
     """
-    return simulate_policies([policy], params, n_cycles, root_seed, *path)[0]
+    out = simulate_policies([policy], params, n_cycles, root_seed, *path)[0]
+    return out.stop_time, out.flex_count
 
 
 def simulate_policies(policies, params: InventoryParams, n_cycles: int,
-                      root_seed: int, *path) -> list[tuple]:
+                      root_seed: int, *path) -> list[LockstepResult]:
     """:func:`simulate_cycles` for each of ``policies``, on one draw of
-    the cycles' arrivals that every policy runs on."""
-    outs = run_blocks(policies, params.N, params.q, params.horizon,
+    the cycles' arrivals, with R as ``stop_time`` and D as ``flex_count``."""
+    return run_blocks(policies, params.N, params.q, params.horizon,
                       n_cycles, root_seed, path, draw_raw_arrays,
                       stop=params.S)
-    return [(out.stop_time, out.flex_count) for out in outs]
 
 
 def long_run_cost(R, D, params: InventoryParams,
@@ -166,10 +159,10 @@ def regime_delta(regime: str, N: int, S: int) -> float:
 
 def eoq_params(N: int, S: int, q: float, regime: str) -> InventoryParams:
     """EOQ-consistent cost constants K = NS/2, h = 1/(NS) plus the
-    regime's delta."""
-    return InventoryParams(N=N, S=S, q=q,
-                           K=N * S / 2.0, h=1.0 / (N * S),
-                           delta=regime_delta(regime, N, S))
+    regime's delta; N, S and q are checked first."""
+    params = InventoryParams(N=N, S=S, q=q)
+    return replace(params, K=N * S / 2.0, h=1.0 / (N * S),
+                   delta=regime_delta(regime, N, S))
 
 
 class Cycles(tuple):
@@ -215,16 +208,17 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
         sources = {kind: (resolve_opaque_policy(PolicySpec(kind=kind), params,
                                                 preset),
                           path, n_cycles, root_seed)
-                   for kind in OPAQUE_POLICIES}
+                   for kind in POLICY_KINDS}
         stale = [kind for kind, source in sources.items()
                  if getattr(cache.get((kind, S)), "source", None) != source]
         if stale:
-            cycles = simulate_policies(
+            outs = simulate_policies(
                 [sources[kind][0] for kind in stale], params, n_cycles,
                 root_seed, *path)
-            cache.update(((kind, S), Cycles(R, D, sources[kind]))
-                         for kind, (R, D) in zip(stale, cycles))
-        for kind in OPAQUE_POLICIES:
+            cache.update(((kind, S), Cycles(out.stop_time, out.flex_count,
+                                            sources[kind]))
+                         for kind, out in zip(stale, outs))
+        for kind in POLICY_KINDS:
             R, D = cache[(kind, S)]
             est = long_run_cost(R, D, params, n_groups=instances)
             rows.append({

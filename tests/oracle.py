@@ -178,20 +178,20 @@ def decisions(arrivals: ArrivalArrays, cut: float) -> np.ndarray:
     return out
 
 
-def stack_arrivals(rows: list, policy: PolicySpec) -> ArrivalArrays:
-    """Stack per-row arrival arrays into the (rows, T) block that
-    ``bins_engine.run_blocks`` hands ``policy``: for a flex-sqrt-T policy
-    ``exert_u`` holds its bool :func:`decisions` at the cut
-    ``(T - t_hat)/T``, and for any other it is None."""
+def stack_arrivals(rows: list, policy: PolicySpec) -> tuple:
+    """The (rows, T) block of per-row arrival arrays, without
+    ``exert_u``, and the decisions that ``bins_engine.run_blocks`` hands
+    ``policy`` with it: for a flex-sqrt-T policy its (rows, T) bool
+    :func:`decisions` at the cut ``(T - t_hat)/T``, for any other None."""
     def stacked(name):
         return np.stack([getattr(a, name) for a in rows])
     block = ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)
                             if f.name != "exert_u"))
-    if policy.kind == FLEX_SQRT_T:
-        T = len(rows[0])
-        cut = (T - static_start(T, policy.a_s)) / T
-        block.exert_u = np.stack([decisions(a, cut) for a in rows])
-    return block
+    if policy.kind != FLEX_SQRT_T:
+        return block, None
+    T = len(rows[0])
+    cut = (T - static_start(T, policy.a_s)) / T
+    return block, np.stack([decisions(a, cut) for a in rows])
 
 
 def nearest_neighbor_order(D):

@@ -30,7 +30,7 @@ def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0):
 
 def kernel_row(spec, N, q, arrivals, stop=None):
     """The kernel on one injected row, checked against the oracle."""
-    out = be.lockstep(spec, N, q, oracle.stack_arrivals([arrivals], spec),
+    out = be.lockstep(spec, N, q, *oracle.stack_arrivals([arrivals], spec),
                       stop)
     ref = oracle.run(spec, N, q, arrivals, stop)
     assert np.array_equal(out.loads[0], ref.loads)
@@ -193,6 +193,22 @@ def test_static_start_examples():
     assert rec.first_trigger == bb.static_start(100, 1.0) == 79
 
 
+@pytest.mark.parametrize("name,value", [
+    ("a_s", math.inf), ("a_s", math.nan), ("a_s", -1.0), ("a_d", math.inf),
+    ("a_d", -math.inf), ("a_d", math.nan)])
+def test_policy_spec_refuses_constants_not_finite_and_nonnegative(name,
+                                                                 value):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a finite number >= 0"):
+        bb.PolicySpec(kind=bb.FLEX_SQRT_T, **{name: value})
+
+
+def test_static_start_clamps_a_huge_constant():
+    # T - a_s*sqrt(T ln T) overflows to -inf; the start is period 0
+    assert bb.static_start(100, 1e308) == 0
+    assert bb.static_start(100, 0.0) == 100
+
+
 def test_dynamic_should_flex_examples():
     p = bb.ModelParams(T=100, N=2, q=1.0)
     assert abs(bb.theory_a_d(p) - 0.2) < 1e-12
@@ -328,7 +344,7 @@ def enumerate_paths(policy_kind, T, a_s=None, a_d=None, latched=False):
         bb.PolicySpec(kind=policy_kind, a_s=a_s, a_d=a_d, latched=latched), p)
     paths = [injected([(bits >> i) & 1 for i in range(T)], True)
              for bits in range(2 ** T)]
-    out = be.lockstep(spec, 2, 1.0, oracle.stack_arrivals(paths, spec))
+    out = be.lockstep(spec, 2, 1.0, *oracle.stack_arrivals(paths, spec))
     refs = [oracle.run(spec, 2, 1.0, arr) for arr in paths]
     gaps = np.array([r.final_gap for r in refs])
     flexes = np.array([r.flex_count for r in refs])
@@ -412,9 +428,9 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
     sizes = []
     kernel = be.lockstep
 
-    def recording(policy, N, q, arrivals, stop=None):
+    def recording(policy, N, q, arrivals, *rest):
         sizes.append(arrivals.is_flex.shape[0])
-        return kernel(policy, N, q, arrivals, stop)
+        return kernel(policy, N, q, arrivals, *rest)
 
     monkeypatch.setattr(be, "lockstep", recording)
     monkeypatch.setattr(be, "_BLOCK_ELEMENTS", cap * p.T)

@@ -452,6 +452,77 @@ def test_report_non_number_metric_exits_2_naming_file_and_column(
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_report_without_data_rows_exits_2_naming_file(capsys, tmp_path):
+    for text in ("schema_version,policy,T,rep,final_gap\n", ""):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(text)
+        report = tmp_path / "report.csv"
+        code, _, err = run_cli(capsys, "report", "--raw", str(raw), "--out",
+                               str(report))
+        assert code == 2
+        assert f"{raw}: no data rows" in err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("sweep", "--regime", "delta_zero", "--S", "5", "--cycles", "0",
+      "--out", "{out}"), "--cycles"),
+    (("sweep", "--regime", "delta_zero", "--S", "5", "--instances", "0",
+      "--out", "{out}"), "--instances"),
+    (("run", "--policy", "static", "--S", "5", "--cycles", "0"), "--cycles"),
+    (("run", "--policy", "static", "--S", "5", "--cycles", "-3"),
+     "--cycles")],
+    ids=["sweep-cycles", "sweep-instances", "run-cycles", "run-negative"])
+def test_opaque_zero_counts_exit_2_naming_the_flag(capsys, tmp_path, argv,
+                                                  flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["opaque"] + [a.format(out=out) for a in argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer >= 1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("run", "--policy", "static", "--S", "0"), "S must be >= 1, got 0"),
+    (("sweep", "--regime", "delta_inv_sqrt", "--S", "5", "--N", "0",
+      "--out", "{out}"), "N must be >= 2, got 0"),
+    (("sweep", "--config", "{config}", "--out", "{out}"),
+     "S must be >= 1, got 0")],
+    ids=["run-S", "sweep-N", "config-S"])
+def test_opaque_zero_stock_or_products_exit_2_writing_nothing(
+        capsys, tmp_path, argv, message):
+    out, config = tmp_path / "out", tmp_path / "exp.yaml"
+    config.write_text("model: opaque\npolicies: [static]\n"
+                      "sweep: {S: [0, 5]}\nreplications: 1\n")
+    code, _, err = run_cli(capsys, "opaque", *(
+        a.format(out=out, config=config) for a in argv))
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy,flag,value", [
+    ("static", "--a-s", "inf"), ("flex_sqrt_t", "--a-s", "inf"),
+    ("static", "--a-s", "nan"), ("dynamic", "--a-d", "inf"),
+    ("always_flex", "--a-d", "nan")])
+def test_bins_run_refuses_a_non_finite_constant_naming_it(capsys, policy,
+                                                         flag, value):
+    code, out, err = run_cli(capsys, "bins", "run", "--policy", policy,
+                             "--T", "100", flag, value)
+    name = flag[2:].replace("-", "_")
+    assert code == 2 and not out
+    assert f"{name} must be a finite number >= 0, got {value}" in err
+
+
+def test_bins_run_takes_a_huge_finite_static_constant(capsys):
+    # the static start overflows to before period 0, and clamps there
+    code, out, _ = run_cli(capsys, "bins", "run", "--policy", "static",
+                           "--T", "100", "--a-s", "1e308")
+    assert code == 0 and "first_trigger=0" in out
+
+
 @pytest.mark.parametrize("grid,message", [
     ("5:10:0", "sweep.S: needs a nonempty value list"),
     ("10,5", "sweep.S: values must be ascending")],
@@ -705,6 +776,44 @@ def test_corpus_missing_part_exits_2(capsys, tmp_path, small_corpus, named,
                            "--policy", "no_flex")
     assert code == 2
     assert str(bad) in err and named in err
+
+
+@pytest.mark.parametrize("column,value", [
+    (0, "nan"), (1, "inf"), (2, "-0.5"), (2, "nan")],
+    ids=["x-nan", "y-inf", "unload-negative", "unload-nan"])
+def test_corpus_bad_package_value_exits_2(capsys, tmp_path, small_corpus,
+                                          column, value):
+    lines = small_corpus.read_text().splitlines(True)
+    parts = lines[-1].split()
+    parts[column] = value
+    lines[-1] = " ".join(parts) + "\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(lines))
+    code, _, err = run_cli(capsys, "parcel", "run", "--corpus", str(bad),
+                           "--policy", "no_flex")
+    assert code == 2
+    assert (f"{bad}: line {len(lines)}: a coordinate or the unloading time "
+            "is not finite, or the unloading time is negative" in err)
+
+
+@pytest.mark.parametrize("value", ["1.5", "-1", "nan"])
+def test_tables_n_obs_not_a_count_exits_2(capsys, tmp_path, small_corpus,
+                                          value):
+    tables = tmp_path / "tables.txt"
+    code, _, _ = run_cli(capsys, "parcel", "estimate-tables", "--corpus",
+                         str(small_corpus), "--out", str(tables), "--reps",
+                         "1", "--seed", "0")
+    assert code == 0
+    lines = tables.read_text().splitlines(True)
+    row = lines.index("# matrix n_obs\n") + 1
+    lines[row] = value + " " + lines[row].split(" ", 1)[1]
+    tables.write_text("".join(lines))
+    code, _, err = run_cli(capsys, "parcel", "run", "--corpus",
+                           str(small_corpus), "--tables", str(tables),
+                           "--policy", "patient_dynamic")
+    assert code == 2
+    assert f"{tables}: matrix 'n_obs' holds a value that is not a count" \
+        in err
 
 
 def test_tables_with_bare_hash_line_exits_2(capsys, tmp_path, small_corpus):

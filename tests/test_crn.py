@@ -47,10 +47,10 @@ def seen(monkeypatch):
     counting(opaque, "draw_raw_arrays")
     kernel = be.lockstep
 
-    def recording(policy, N, q, arrivals, stop=None):
+    def recording(policy, N, q, arrivals, *rest):
         record["blocks"].setdefault(policy.kind, []).append(
             {name: getattr(arrivals, name).copy() for name in ARRAYS})
-        return kernel(policy, N, q, arrivals, stop)
+        return kernel(policy, N, q, arrivals, *rest)
     monkeypatch.setattr(be, "lockstep", recording)
     return record
 

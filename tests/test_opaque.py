@@ -160,9 +160,10 @@ def test_simulate_policies_equals_simulate_cycles(monkeypatch, block_rows):
              for kind in opaque.OPAQUE_POLICIES]
     together = opaque.simulate_policies(specs, p, 9, 8, "shared")
     assert len(together) == len(specs)
-    for spec, (R, D) in zip(specs, together):
+    for spec, out in zip(specs, together):
         R1, D1 = opaque.simulate_cycles(spec, p, 9, 8, "shared")
-        assert np.array_equal(R, R1) and np.array_equal(D, D1)
+        assert np.array_equal(out.stop_time, R1)
+        assert np.array_equal(out.flex_count, D1)
 
 
 def test_renewal_consistency_pooled_moments():
@@ -233,3 +234,78 @@ def test_regime_sweep_cache_reuses_only_matching_cycles():
     opaque.regime_sweep("delta_const", [10], N=3, q=0.2, cycle_cache=cache,
                         instances=3, cycles_per_instance=2)
     assert cache[(bb.DYNAMIC, 10)][0] is R
+
+
+def test_eoq_params_check_the_model_before_dividing():
+    with pytest.raises(ValueError, match="S must be >= 1, got 0"):
+        opaque.eoq_params(5, 0, 0.1, "delta_const")
+    with pytest.raises(ValueError, match="N must be >= 2, got 0"):
+        opaque.eoq_params(0, 5, 0.1, "delta_inv_sqrt")
+
+
+def _spelled_out_opaque_policy(spec, params, preset):
+    """The opaque resolver written out in full: on the horizon model
+    N(S-1)+1, numerics a_s = 10 and a_d = 0.7, theory a_s from the bins
+    model and a_d = 1/(10 C(N, 2)); the dynamic policy is always
+    latched."""
+    model = bb.ModelParams(T=params.horizon, N=params.N, q=params.q)
+    numerics = preset == bb.PRESET_NUMERICS
+    a_s, a_d = spec.a_s, spec.a_d
+    if a_s is None:
+        a_s = bb.NUMERICS_A_S if numerics else bb.theory_a_s(model)
+    if a_d is None:
+        a_d = (bb.NUMERICS_A_D if numerics
+               else 1.0 / (10.0 * math.comb(model.N, 2)))
+    latched = spec.latched if spec.kind != bb.DYNAMIC else True
+    return bb.PolicySpec(kind=spec.kind, a_s=a_s, a_d=a_d, latched=latched)
+
+
+def test_resolve_opaque_policy_matches_its_spelled_out_form():
+    assert opaque.OPAQUE_POLICIES == bb.POLICY_KINDS
+    for N, kind, preset, latched, given in itertools.product(
+            range(2, 51), bb.POLICY_KINDS,
+            (bb.PRESET_THEORY, bb.PRESET_NUMERICS), (False, True),
+            ({}, {"a_s": 3.0}, {"a_d": 0.25})):
+        p = opaque.InventoryParams(N=N, S=7, q=0.1)
+        spec = bb.PolicySpec(kind=kind, latched=latched, **given)
+        got = opaque.resolve_opaque_policy(spec, p, preset)
+        want = _spelled_out_opaque_policy(spec, p, preset)
+        # floats compare exactly: the halved theory a_d is bit-identical
+        assert got == want, (N, kind, preset, latched, given)
+
+
+def test_dynamic_beats_static_on_paired_cycles():
+    """Criterion 8's "dynamic <= static" orderings, resolved on common
+    cycles.  At S=800, N=5, q=0.1 the numerics static and dynamic
+    policies run 4,000 cycles on one draw of arrivals (one
+    ``simulate_policies`` call at root seed 0 on the sweeps' own stream
+    path), and under delta_inv_sqrt and delta_const dynamic's long-run
+    cost on all cycles is below static's by at least 2 SE.
+
+    The SE is by batch means of the paired difference: the cycles split
+    into 50 contiguous batches of 80, each batch gives dynamic's minus
+    static's renewal-reward cost on its own cycles, and SE is the
+    standard deviation (ddof=1) of those 50 differences over sqrt(50).
+    Per-batch ratio estimators carry a small-batch bias; the point
+    estimate is therefore the pooled difference."""
+    from endgame.harness.config import arrival_path
+    inv = opaque.InventoryParams(N=5, S=800, q=0.1)
+    specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), inv)
+             for kind in (bb.STATIC, bb.DYNAMIC)]
+    static, dynamic = opaque.simulate_policies(
+        specs, inv, 4000, 0, *arrival_path("opaque", inv))
+    batches = 50
+    for regime in ("delta_inv_sqrt", "delta_const"):
+        p = opaque.eoq_params(inv.N, inv.S, inv.q, regime)
+
+        def cost(out, part=slice(None)):
+            return opaque.long_run_cost(out.stop_time[part],
+                                        out.flex_count[part], p,
+                                        n_groups=1).total
+
+        diff = cost(dynamic) - cost(static)
+        parts = [slice(i, i + 80) for i in range(0, 4000, 80)]
+        per_batch = np.array([cost(dynamic, s) - cost(static, s)
+                              for s in parts])
+        se = per_batch.std(ddof=1) / math.sqrt(batches)
+        assert diff <= -2 * se, (regime, diff, se)
