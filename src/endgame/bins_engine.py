@@ -96,8 +96,8 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     draws a row's T periods from its :class:`~endgame.streams.RowStreams`
     ``rng``, all rows on one generator; ``exert`` says whether a policy
     reads the ``exert_u`` stream.  A block keeps only the flex-sqrt-T
-    policies' (rows, T) bool decisions, one row of them per cut
-    ``(T - t_hat)/T`` (see :func:`_decide`).
+    policies' decisions, one (events, first) pair per cut ``(T -
+    t_hat)/T`` (see :func:`_decide`).
     """
     if n_rows < 1:
         raise ValueError(f"need at least one row, got {n_rows}")
@@ -137,46 +137,51 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
 def _fill_block(rows, n: int, cuts: list) -> tuple[ArrivalArrays, dict]:
     """The ``n`` drawn ``rows`` without ``exert_u``, each copied straight
     into its row of (n, T) arrays allocated once per block, and for each
-    flex-sqrt-T cut the rows' bool decisions."""
-    block = decisions = None
+    flex-sqrt-T cut the rows' (n, T) bool flex decisions and (n,) first
+    decision periods (see :func:`_decide`)."""
+    block = events = None
+    first = np.empty((len(cuts), n), dtype=np.int64)
     for i, drawn in enumerate(rows):
         arrivals = dict(vars(drawn))
         exert_u = arrivals.pop("exert_u")
         if block is None:
             block = {name: np.empty((n,) + a.shape, a.dtype)
                      for name, a in arrivals.items()}
-            decisions = np.zeros((len(cuts), n, len(drawn)), bool)
+            events = np.zeros((len(cuts), n, len(drawn)), bool)
         for name, dst in block.items():
             dst[i] = arrivals[name]
         if cuts:
             at = np.flatnonzero(drawn.is_flex)
-            for dst, cut in zip(decisions, cuts):
-                _decide(dst[i], drawn.is_flex, at, exert_u, cut)
-    return ArrivalArrays(**block), dict(zip(cuts, decisions))
+            for j, cut in enumerate(cuts):
+                first[j, i] = _decide(events[j, i], at, exert_u, cut)
+    return ArrivalArrays(**block), dict(zip(cuts, zip(events, first)))
 
 
-def _decide(out, is_flex, at, exert_u, cut: float) -> None:
-    """Set ``out`` (T,), all False, to a flex-sqrt-T policy's decisions at
-    per-period exertion probability ``cut`` on a row whose flex periods
-    are ``at`` (K,): flex arrival k exerts when ``exert_u[1 + k] < cut``,
-    and every non-flex period from the k-th on, for k =
-    ``floor(log1p(-V) / log1p(-cut))`` of V = ``exert_u[0]``, a
-    Geometric(cut) count.  A non-flex decision moves no ball, so the
-    first decision, the policy's first trigger, has the law of the first
-    of independent Bernoulli(cut) decisions, and a smaller cut's
-    decisions are a subset of a larger one's.  A cut of 0 never exerts.
+def _decide(out, at, exert_u, cut: float) -> int:
+    """A flex-sqrt-T policy's decisions at per-period exertion probability
+    ``cut`` on a row whose flex periods are ``at`` (K,): sets ``out``
+    (T,), all False, where a flex arrival exerts, and returns the row's
+    first decision period, T if it has none.  Flex arrival k exerts when
+    ``exert_u[1 + k] < cut``; the policy decides on every non-flex period
+    from the k-th on, for k = ``floor(log1p(-V) / log1p(-cut))`` of V =
+    ``exert_u[0]``, a Geometric(cut) count.  A non-flex decision moves no
+    ball, so the first decision, the policy's first trigger, has the law
+    of the first of independent Bernoulli(cut) decisions, and a smaller
+    cut's decisions are a subset of a larger one's.  A cut of 0 never
+    decides.
     """
+    T, K = out.size, at.size
     if cut <= 0:
-        return
-    T, K = is_flex.size, at.size
+        return T
+    out[at] = exert_u[1:] < cut
     with np.errstate(divide="ignore"):  # log1p(-1) is -inf: k = 0
         k = np.floor(np.log1p(-exert_u[0]) / np.log1p(-cut))
+    t = T
     if k < T - K:
         # the k-th non-flex period follows the flex periods that have at
         # most k non-flex periods before them
-        t = int(k) + np.searchsorted(at - np.arange(K), k, "right")
-        np.logical_not(is_flex[t:], out=out[t:])
-    out[at] = exert_u[1:] < cut
+        t = int(k) + int(np.searchsorted(at - np.arange(K), k, "right"))
+    return int(out[:t].argmax()) if out[:t].any() else t
 
 
 def _check_resolved(policy: PolicySpec) -> None:
@@ -187,7 +192,7 @@ def _check_resolved(policy: PolicySpec) -> None:
 
 
 def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
-             decisions: np.ndarray | None,
+             decisions: tuple | None,
              stop: int | None = None) -> LockstepResult:
     """Run every row of stacked (rows, T) arrivals through one policy.
 
@@ -195,9 +200,9 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     exerted flex arrival goes to the lesser-loaded bin of its pair, ties
     to the smaller index, and every other arrival to its preferred bin.
     With ``stop`` set, a row stops after the period in which a load first
-    reaches ``stop``.  ``decisions`` holds a flex-sqrt-T policy's (rows, T)
-    bool decisions at its cut ``(T - t_hat)/T`` (see :func:`run_blocks`)
-    and is None for any other policy.  Constants must be resolved.
+    reaches ``stop``.  ``decisions`` is a flex-sqrt-T policy's (events,
+    first) at its cut (see :func:`_fill_block`), None for any other
+    policy.  Constants must be resolved.
     """
     _check_resolved(policy)
     kind = policy.kind
@@ -207,9 +212,11 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     trigger = np.full(rows, T, dtype=np.int64)  # first exerting period
     stop_time = np.full(rows, T, dtype=np.int64)
     live = np.arange(rows)  # rows still running
-    t_hat = static_start(T, policy.a_s) if kind in (STATIC, FLEX_SQRT_T) else 0
+    t_hat = static_start(T, policy.a_s) if kind == STATIC else 0
     if kind in (ALWAYS_FLEX, STATIC):
         trigger[:] = t_hat  # 0 for always_flex
+    elif kind == FLEX_SQRT_T:
+        exerted, trigger[:] = decisions
 
     width = max(1, min(_CHUNK, _SLAB // (N + 1) - 2))  # a row's slab fits
     for c0 in range(0, T, width):
@@ -227,9 +234,7 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
         elif kind == STATIC:
             events = flex & (t >= t_hat)
         elif kind == FLEX_SQRT_T:
-            exert = decisions[live, c0:c1]
-            _first(trigger, live, exert, c0)
-            events = flex & exert
+            events = exerted[live, c0:c1]
         else:  # dynamic: trigger at the first period the condition holds
             threshold = policy.a_d * (T - t) * q / N
             t_over_n = t / N
@@ -264,14 +269,6 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     first_trigger = np.where(trigger < stop_time, trigger, -1)
     return LockstepResult(loads=loads, flex_count=flex_count,
                           first_trigger=first_trigger, stop_time=stop_time)
-
-
-def _first(trigger, rows, cond, c0: int) -> None:
-    """Lower ``trigger[rows]`` to the first period of the chunk starting at
-    ``c0`` in which ``cond`` (rows, chunk) holds, where it holds at all."""
-    hit = cond.any(axis=1)
-    rows = rows[hit]
-    trigger[rows] = np.minimum(trigger[rows], c0 + cond[hit].argmax(axis=1))
 
 
 def _counts(bins, N: int, end=None):

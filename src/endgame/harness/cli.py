@@ -107,8 +107,8 @@ def _sweep_flags(p, run=True):
     if run:
         p.add_argument("--reps", type=int, default=None,
                        help="replications per cell")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker process count")
+        p.add_argument("--parallel", type=_count, default=1,
+                       help="most worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,13 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     pgen.add_argument("--epsilon", type=float, default=None)
     pclu = psub.add_parser("cluster", help="re-run zone construction")
     pclu.add_argument("--corpus", required=True)
-    pclu.add_argument("--epsilon", type=float, default=200.0)
+    pclu.add_argument("--epsilon", type=float, default=None,
+                      help="zone-size tolerance (default: the corpus's)")
     pclu.add_argument("--seed", type=int, default=None)
     ptab = psub.add_parser("estimate-tables",
                            help="estimate flex increment tables")
     ptab.add_argument("--corpus", required=True)
     ptab.add_argument("--out", required=True)
-    ptab.add_argument("--reps", type=int, default=50)
+    ptab.add_argument("--reps", type=_count, default=50)
     ptab.add_argument("--seed", type=int, default=None)
     prun = psub.add_parser("run", help="simulate one delivery day")
     prun.add_argument("--corpus", required=True)
@@ -333,7 +334,8 @@ def cmd_parcel(args) -> int:
         corpus = pcorpus.load_corpus(args.corpus)
         try:
             _, assignment, objective = cluster_default(
-                corpus.points, corpus.n_zones, args.epsilon,
+                corpus.points, corpus.n_zones,
+                corpus.spec.epsilon if args.epsilon is None else args.epsilon,
                 resolve_root_seed(args.seed))
         except EpsilonInfeasibleError as exc:
             print(str(exc), file=sys.stderr)

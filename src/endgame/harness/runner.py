@@ -177,7 +177,10 @@ def make_out_dir(path) -> None:
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1):
     """Run the full sweep x replication matrix and write raw and summary
-    CSVs.  Returns (raw_path, summary_path)."""
+    CSVs, on at most ``parallel`` worker processes and never more than
+    one per job.  Returns (raw_path, summary_path)."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     root_seed = resolve_root_seed(config.seed)
     reps = (config.replications if config.replications is not None
             else DEFAULT_REPLICATIONS[config.model])
@@ -197,8 +200,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
     # every bins and opaque cell's parameters are checked by now
     make_out_dir(config.out_dir)
 
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_group = list(pool.map(run_group, *zip(*jobs)))
     else:
         per_group = [run_group(*job) for job in jobs]

@@ -16,16 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balls_bins import (DYNAMIC, NO_FLEX, POLICY_KINDS,  # noqa: F401
-                         PRESET_NUMERICS, ModelParams, PolicySpec, check_bins,
-                         draw_raw_arrays, resolve_policy, theory_a_d)
+from .balls_bins import (DYNAMIC, POLICY_KINDS, PRESET_NUMERICS, ModelParams,
+                         PolicySpec, check_bins, draw_raw_arrays,
+                         resolve_policy, theory_a_d)
 from .bins_engine import LockstepResult, run_blocks
 from .harness.config import (DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ConfigError,
                              arrival_path)
 
 REGIMES = ("delta_zero", "delta_inv_sqrt", "delta_const", "delta_sqrt")
-
-OPAQUE_POLICIES = POLICY_KINDS
 
 
 @dataclass(frozen=True)

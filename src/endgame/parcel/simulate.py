@@ -106,7 +106,6 @@ class DayRecord:
     ``tours[k]`` is the visiting order over truck k's stops.
     """
 
-    policy: str
     y_u: np.ndarray         # (N,) unloading hours
     y_r: np.ndarray         # (N,) travel hours
     flex_count: int
@@ -185,9 +184,9 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
     pts = corpus.points[sample_idx]
     unloads = corpus.unload[sample_idx]
     defaults = corpus.default_zone[sample_idx]
-    depot = corpus.depot
-    mask = flex_mask(pts, defaults, corpus.centers, params,
-                     radius=kind == UNLOADING_ONLY)
+    if kind != NO_FLEX:  # the flex sets of the policies that may flex
+        mask = flex_mask(pts, defaults, corpus.centers, params,
+                         radius=kind == UNLOADING_ONLY)
     # hour scale for the dimensionless dynamic threshold
     u_bar = float(corpus.unload.mean())
     if kind in TABLE_POLICIES:
@@ -205,7 +204,7 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
     # order; the buffer grows by doubling
     coords = [np.empty((16, 2)) for _ in range(N)]
     for buf in coords:
-        buf[0] = depot
+        buf[0] = corpus.depot
     n_stops = [0] * N
     dists = [None] * N  # each truck's distance matrix at its last solve
     truck = np.empty(T, dtype=np.int64)
@@ -217,8 +216,8 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
 
     def route(k, start=None):
         dists[k] = dist_matrix(route_of(k), dists[k])
-        tours[k], y_r[k] = tsp_route(route_of(k)[1:], depot, speed,
-                                     start=start, dist=dists[k])
+        tours[k], y_r[k] = tsp_route(route_of(k)[1:], dists[k], speed,
+                                     start=start)
 
     for t in range(T):
         if reads_travel and t > 0 and t % params.M1 == 0:
@@ -293,7 +292,7 @@ def run_day(policy: ParcelPolicy, corpus: Corpus, params: ParcelParams,
 
     for k in range(N):
         route(k)
-    return DayRecord(policy=kind, y_u=y_u, y_r=y_r, flex_count=flex_count,
+    return DayRecord(y_u=y_u, y_r=y_r, flex_count=flex_count,
                      sample_idx=sample_idx, truck=truck, tours=tours)
 
 

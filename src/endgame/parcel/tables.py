@@ -47,6 +47,8 @@ def estimate_flex_tables(corpus: Corpus, params: ParcelParams,
     Deterministic in (corpus, params, reps, root_seed); replication k
     uses the day stream path ("tables", k).
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     N = params.N
     depot = corpus.depot
     inc_sum = np.zeros((N, N))

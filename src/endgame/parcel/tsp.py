@@ -13,12 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _coords(points, depot):
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    depot = np.asarray(depot, dtype=float).reshape(2)
-    return np.vstack([depot[None, :], points])
-
-
 def dist_matrix(coords, prev=None):
     """Pairwise distances of the (n, 2) ``coords``, the depot first.
 
@@ -125,21 +119,19 @@ def cheapest_insertion(D, start):
     return arr[1:-1] - 1
 
 
-def tsp_route(points, depot, speed: float, start=None, dist=None):
-    """Closed tour over ``points`` from the depot, then 2-opt.
+def tsp_route(points, dist, speed: float, start=None):
+    """Closed tour over ``points`` from the depot, then 2-opt, on
+    ``dist``, the ``dist_matrix`` of the depot and ``points``.
 
     With ``start=None`` the tour is built by nearest-neighbor.  Otherwise
     ``start`` is an earlier tour over the first ``len(start)`` points,
-    and the later points are cheapest-inserted into it.  ``dist`` is the
-    ``dist_matrix`` of the depot and ``points``, built here when None.
-    Returns (order, travel_hours).  Empty input yields ([], 0.0); travel
-    hours are Euclidean tour length divided by ``speed``.
+    and the later points are cheapest-inserted into it.  Returns (order,
+    travel_hours).  No points yield ([], 0.0); travel hours are Euclidean
+    tour length divided by ``speed``.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) == 0:
         return np.array([], dtype=np.int64), 0.0
-    D = dist_matrix(_coords(points, depot)) if dist is None else dist
-    first = (nearest_neighbor_order(D) if start is None
-             else cheapest_insertion(D, start))
-    order = two_opt(D, first)
-    return order, tour_length(D, order) / speed
+    first = (nearest_neighbor_order(dist) if start is None
+             else cheapest_insertion(dist, start))
+    order = two_opt(dist, first)
+    return order, tour_length(dist, order) / speed

@@ -7,7 +7,9 @@ on the same arrivals, which ``draw`` draws for one row of a stream path
 with numpy alone, and ``decisions`` cuts for the flex-sqrt-T policy.
 ``nearest_neighbor_order``, ``cheapest_insertion`` and ``two_opt`` are
 the references for the routines of the same names in
-``endgame.parcel.tsp``, which must return the same tours.
+``endgame.parcel.tsp``, which must return the same tours; ``route``
+runs ``tsp.tsp_route`` on the distance matrix of the depot and the
+stops, ``coords``, as ``run_day`` does.
 ``held_karp_length`` (exact TSP) and
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
 parcel heuristics are checked against; ``lp_balanced_assign`` solves
@@ -181,8 +183,9 @@ def decisions(arrivals: ArrivalArrays, cut: float) -> np.ndarray:
 def stack_arrivals(rows: list, policy: PolicySpec) -> tuple:
     """The (rows, T) block of per-row arrival arrays, without
     ``exert_u``, and the decisions that ``bins_engine.run_blocks`` hands
-    ``policy`` with it: for a flex-sqrt-T policy its (rows, T) bool
-    :func:`decisions` at the cut ``(T - t_hat)/T``, for any other None."""
+    ``policy`` with it: for a flex-sqrt-T policy, of its :func:`decisions`
+    at the cut ``(T - t_hat)/T``, the (rows, T) bool flex ones and each
+    row's first period (T if it has none); for any other None."""
     def stacked(name):
         return np.stack([getattr(a, name) for a in rows])
     block = ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)
@@ -191,7 +194,22 @@ def stack_arrivals(rows: list, policy: PolicySpec) -> tuple:
         return block, None
     T = len(rows[0])
     cut = (T - static_start(T, policy.a_s)) / T
-    return block, np.stack([decisions(a, cut) for a in rows])
+    made = np.stack([decisions(a, cut) for a in rows])
+    first = np.where(made.any(axis=1), made.argmax(axis=1), T)
+    return block, (made & block.is_flex, first)
+
+
+def coords(points, depot) -> np.ndarray:
+    """The (n + 1, 2) coordinates of ``depot``, then ``points``."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    return np.vstack([np.asarray(depot, dtype=float).reshape(1, 2), points])
+
+
+def route(points, depot, speed: float, start=None):
+    """``tsp.tsp_route`` over ``points`` from ``depot`` on their
+    ``tsp.dist_matrix``, as ``run_day`` routes a truck."""
+    xy = coords(points, depot)
+    return tsp.tsp_route(xy[1:], tsp.dist_matrix(xy), speed, start=start)
 
 
 def nearest_neighbor_order(D):
@@ -256,7 +274,7 @@ def held_karp_length(points, depot):
     n = len(points)
     if n == 0:
         return 0.0
-    D = tsp.dist_matrix(tsp._coords(points, depot))
+    D = tsp.dist_matrix(coords(points, depot))
     full = (1 << n) - 1
     best = np.full((1 << n, n), np.inf)
     for j in range(n):

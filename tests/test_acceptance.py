@@ -230,9 +230,9 @@ def test_criterion_8_regime_orderings(opaque_sweeps):
     for regime, (label, check) in expected.items():
         rows = opaque_sweeps[regime]
         loss = {p: _sweep_lookup(rows, p, S)["loss"]
-                for p in opaque.OPAQUE_POLICIES}
+                for p in bb.POLICY_KINDS}
         se = {p: _sweep_lookup(rows, p, S)["se"]
-              for p in opaque.OPAQUE_POLICIES}
+              for p in bb.POLICY_KINDS}
         best = min(loss, key=loss.get)
         worst = max(loss, key=loss.get)
         sep = loss[worst] - loss[best]
@@ -252,8 +252,8 @@ def test_delta_sqrt_ordering_at_extended_scale():
                                cycles_per_instance=20)
     loss = {row["policy"]: row["loss"] for row in rows}
     se = {row["policy"]: row["se"] for row in rows}
-    for policy in opaque.OPAQUE_POLICIES:
-        if policy != opaque.NO_FLEX:
+    for policy in bb.POLICY_KINDS:
+        if policy != bb.NO_FLEX:
             assert loss[policy] - loss["no_flex"] >= \
                 2 * math.hypot(se[policy], se["no_flex"]), (loss, se)
 
@@ -291,9 +291,9 @@ def test_criterion_10_tsp_oracle():
         n = int(rng.integers(3, 10))
         pts = rng.uniform(-10, 10, size=(n, 2))
         depot = np.zeros(2)
-        _, hours = tsp.tsp_route(pts, depot, 1.0)
+        D = tsp.dist_matrix(oracle.coords(pts, depot))
+        _, hours = tsp.tsp_route(pts, D, 1.0)
         opt = oracle.held_karp_length(pts, depot)
-        D = tsp.dist_matrix(tsp._coords(pts, depot))
         nn = tsp.tour_length(D, tsp.nearest_neighbor_order(D))
         near_opt += hours <= 1.05 * opt + 1e-9
         nn_ok &= hours <= nn + 1e-9

@@ -119,15 +119,21 @@ def test_smaller_cut_decisions_are_a_subset():
     for row in range(20):
         arr = drawn(4, 0.2, 500, 2, row)
         at = np.flatnonzero(arr.is_flex)
-        made = []
+        made, firsts = [], []
         for cut in cuts:
             out = np.zeros(len(arr), dtype=bool)
-            be._decide(out, arr.is_flex, at, arr.exert_u, cut)
-            assert np.array_equal(out, oracle.decisions(arr, cut))
-            made.append(out)
+            first = be._decide(out, at, arr.exert_u, cut)
+            ref = oracle.decisions(arr, cut)
+            # the flex arrivals' decisions, and the first of all of them
+            assert np.array_equal(out, ref & arr.is_flex)
+            assert first == (ref.argmax() if ref.any() else len(arr))
+            made.append(ref)
+            firsts.append(first)
         assert not made[0].any() and made[-1].all()
+        assert firsts[0] == len(arr) and firsts[-1] == 0
         for smaller, larger in zip(made, made[1:]):
             assert not (smaller & ~larger).any()
+        assert firsts == sorted(firsts, reverse=True)
 
 
 def test_two_bins_pair_is_fixed_and_q1_flexes_every_period():

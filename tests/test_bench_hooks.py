@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from endgame import balls_bins as bb
 from endgame import opaque
 from endgame.harness import runner
 from endgame.harness.config import ExperimentConfig
@@ -47,7 +48,7 @@ def test_trace_hooks_resolve_and_pass_calls_through(spans, tmp_path):
     rows = opaque.regime_sweep("delta_zero", [5, 8], N=3, q=0.3,
                                instances=2, cycles_per_instance=2,
                                cycle_cache={})
-    assert len(rows) == 2 * len(opaque.OPAQUE_POLICIES)
+    assert len(rows) == 2 * len(bb.POLICY_KINDS)
     calls = {}
     for name, start, end, _, attrs in tracer.spans:
         assert end >= start > 0

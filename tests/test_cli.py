@@ -484,6 +484,50 @@ def test_opaque_zero_counts_exit_2_naming_the_flag(capsys, tmp_path, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("bins", "sweep", "--policy", "no_flex", "--T", "10", "--reps", "1"),
+    ("parcel", "sweep", "--corpus", "corpus.txt", "--policy", "no_flex")],
+    ids=["bins", "parcel"])
+def test_sweep_parallel_below_one_exits_2_naming_the_flag(capsys, tmp_path,
+                                                          argv, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv) + ["--parallel", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --parallel: expected an integer >= 1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_estimate_tables_reps_below_one_exits_2_writing_nothing(
+        capsys, tmp_path, small_corpus, value):
+    tables = tmp_path / "tables.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["parcel", "estimate-tables", "--corpus", str(small_corpus),
+                  "--out", str(tables), "--reps", value])
+    assert exc.value.code == 2
+    assert "argument --reps: expected an integer >= 1" in \
+        capsys.readouterr().err
+    assert not tables.exists()
+
+
+def test_cluster_defaults_to_the_corpus_epsilon(capsys, tmp_path):
+    # 300 packages in 3 zones: an epsilon of 200 leaves them 31 to 191
+    # packages, the corpus's 10 keeps every zone within 100 +- 10
+    path = str(tmp_path / "corpus.txt")
+    code, _, _ = run_cli(capsys, "parcel", "gen-corpus", "--out", path,
+                         "--zones", "3", "--pool-size", "300",
+                         "--epsilon", "10", "--seed", "0")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "parcel", "cluster", "--corpus", path,
+                           "--seed", "0")
+    assert code == 0
+    fields = dict(pair.split("=", 1) for pair in out.strip().split(","))
+    assert 90 <= int(fields["min_count"]) <= int(fields["max_count"]) <= 110
+
+
 @pytest.mark.parametrize("argv,message", [
     (("run", "--policy", "static", "--S", "0"), "S must be >= 1, got 0"),
     (("sweep", "--regime", "delta_inv_sqrt", "--S", "5", "--N", "0",

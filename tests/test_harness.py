@@ -111,9 +111,48 @@ def test_rerun_byte_identical_and_parallel_matches(tmp_path):
     raw1, _ = runner.run_experiment(cfg)
     raw2, _ = runner.run_experiment(bins_config(out_dir=str(tmp_path / "b")))
     assert raw1.read_bytes() == raw2.read_bytes()
-    raw3, _ = runner.run_experiment(
-        bins_config(out_dir=str(tmp_path / "c")), parallel=3)
-    assert raw1.read_bytes() == raw3.read_bytes()
+    for parallel in (2, 3):
+        raw3, _ = runner.run_experiment(
+            bins_config(out_dir=str(tmp_path / str(parallel))),
+            parallel=parallel)
+        assert raw1.read_bytes() == raw3.read_bytes()
+
+
+def test_run_experiment_refuses_parallel_below_one(tmp_path):
+    out = tmp_path / "out"
+    for parallel in (0, -1):
+        with pytest.raises(ValueError, match="parallel must be >= 1"):
+            runner.run_experiment(bins_config(out_dir=str(out)),
+                                  parallel=parallel)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T,parallel,pools", [
+    ([50], 8, []), ([50, 80], 1, []), ([50, 80], 8, [2]),
+    ([50, 80, 120], 2, [2])])
+def test_pool_has_at_most_one_worker_per_job(tmp_path, monkeypatch, T,
+                                             parallel, pools):
+    # a bins job is one T here; the stand-in pool runs its jobs in this
+    # process, so no worker starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    runner.run_experiment(bins_config(sweep={"T": T}, out_dir=str(tmp_path)),
+                          parallel=parallel)
+    assert sizes == pools
 
 
 def test_opaque_experiment_smoke(tmp_path):

@@ -55,7 +55,7 @@ def test_always_flex_full_flex_set_maximal_cycles():
 
 def test_cycle_length_bounds():
     p = opaque.InventoryParams(N=4, S=5, q=0.3)
-    for kind in opaque.OPAQUE_POLICIES:
+    for kind in bb.POLICY_KINDS:
         spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
         R, D = opaque.simulate_cycles(spec, p, 200, 0, "bounds", kind)
         assert np.all(R >= p.S)
@@ -126,7 +126,7 @@ def test_eoq_params_satisfy_eoq_identity():
 def test_depletion_matches_coupled_ball_run():
     # the cycle is a ball run on depletion counts, stopped at first depletion
     p = opaque.InventoryParams(N=3, S=8, q=0.6)
-    for kind in opaque.OPAQUE_POLICIES:
+    for kind in bb.POLICY_KINDS:
         spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
         arr = oracle.draw(5, p.N, p.q, p.horizon, "couple", kind)
         cycle = oracle.run(spec, p.N, p.q, arr, stop=p.S)
@@ -142,7 +142,7 @@ def test_depletion_matches_coupled_ball_run():
 @pytest.mark.parametrize("N,S,q", [(3, 10, 0.4), (5, 40, 0.1), (2, 6, 1.0)])
 def test_simulate_cycles_matches_oracle(N, S, q):
     p = opaque.InventoryParams(N=N, S=S, q=q)
-    for kind in opaque.OPAQUE_POLICIES:
+    for kind in bb.POLICY_KINDS:
         spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
         assert spec.latched == (kind == bb.DYNAMIC)
         R, D = opaque.simulate_cycles(spec, p, 8, 11, "oracle", kind)
@@ -157,7 +157,7 @@ def test_simulate_policies_equals_simulate_cycles(monkeypatch, block_rows):
     monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
     p = opaque.InventoryParams(N=4, S=15, q=0.3)
     specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
-             for kind in opaque.OPAQUE_POLICIES]
+             for kind in bb.POLICY_KINDS]
     together = opaque.simulate_policies(specs, p, 9, 8, "shared")
     assert len(together) == len(specs)
     for spec, out in zip(specs, together):
@@ -194,7 +194,7 @@ def test_regime_sweep_rows_and_cache():
     rows = opaque.regime_sweep("delta_zero", [10, 20], N=3, q=0.2,
                                instances=4, cycles_per_instance=5,
                                cycle_cache=cache)
-    assert len(rows) == 2 * len(opaque.OPAQUE_POLICIES)
+    assert len(rows) == 2 * len(bb.POLICY_KINDS)
     for row in rows:
         assert row["cost"] >= row["lower_bound"] - 3 * max(row["se"], 1e-9)
     rows2 = opaque.regime_sweep("delta_const", [10, 20], N=3, q=0.2,
@@ -261,7 +261,6 @@ def _spelled_out_opaque_policy(spec, params, preset):
 
 
 def test_resolve_opaque_policy_matches_its_spelled_out_form():
-    assert opaque.OPAQUE_POLICIES == bb.POLICY_KINDS
     for N, kind, preset, latched, given in itertools.product(
             range(2, 51), bb.POLICY_KINDS,
             (bb.PRESET_THEORY, bb.PRESET_NUMERICS), (False, True),

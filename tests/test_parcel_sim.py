@@ -120,8 +120,7 @@ def test_normal_overtime():
 def _record(y_u, y_r):
     # one package per truck; day_cost reads only the per-truck times
     N = len(y_u)
-    return sim.DayRecord(policy="no_flex", y_u=np.array(y_u),
-                         y_r=np.array(y_r), flex_count=0,
+    return sim.DayRecord(y_u=np.array(y_u), y_r=np.array(y_r), flex_count=0,
                          sample_idx=np.arange(N), truck=np.arange(N),
                          tours=[np.array([0])] * N)
 
@@ -238,15 +237,14 @@ def test_approximation_reset_by_resolve(small_world):
     # the end-of-day solve is cold even where the mid-day solves were
     # warm: the recorded tours and travel equal a fresh TSP pass over
     # each truck's stops
-    from endgame.parcel.tsp import tsp_route
     corpus, params, tables = small_world
     for kind in sorted(sim.TRAVEL_POLICIES):
         rec = sim.run_day(sim.ParcelPolicy(kind=kind), corpus, params,
                           tables, root_seed=7)
         for k, order in enumerate(rec.tours):
             mine = rec.sample_idx[rec.truck == k]
-            order2, hours = tsp_route(corpus.points[mine], corpus.depot,
-                                      params.speed)
+            order2, hours = oracle.route(corpus.points[mine], corpus.depot,
+                                         params.speed)
             assert np.array_equal(order, order2), kind
             assert rec.y_r[k] == hours, kind
             assert rec.y_u[k] == pytest.approx(
@@ -268,15 +266,14 @@ def test_cost_min_reacts_to_cost_overrides(small_world):
 def test_two_cluster_no_cross_flex_is_cheaper():
     # two tight far-apart blobs: any policy that keeps packages in their
     # own cluster travels no more than a hand-built cross assignment
-    from endgame.parcel.tsp import tsp_route
     left = np.array([[-20.0, 0.0], [-21.0, 0.5], [-20.5, -0.5]])
     right = np.array([[20.0, 0.0], [21.0, 0.5], [20.5, -0.5]])
     depot = np.zeros(2)
-    _, own_l = tsp_route(left, depot, 1.0)
-    _, own_r = tsp_route(right, depot, 1.0)
+    _, own_l = oracle.route(left, depot, 1.0)
+    _, own_r = oracle.route(right, depot, 1.0)
     swap = np.vstack([left[:2], right[:1]])
-    _, cross = tsp_route(swap, depot, 1.0)
-    _, cross2 = tsp_route(np.vstack([right[1:], left[2:]]), depot, 1.0)
+    _, cross = oracle.route(swap, depot, 1.0)
+    _, cross2 = oracle.route(np.vstack([right[1:], left[2:]]), depot, 1.0)
     assert own_l + own_r < cross + cross2
 
 
@@ -289,9 +286,9 @@ def test_mid_day_resolves_only_for_policies_that_read_travel(small_world,
     calls = []
     route = sim.tsp_route
 
-    def counting(points, depot, speed, start=None, dist=None):
+    def counting(points, dist, speed, start=None):
         calls.append((len(points), None if start is None else len(start)))
-        return route(points, depot, speed, start=start, dist=dist)
+        return route(points, dist, speed, start=start)
 
     monkeypatch.setattr(sim, "tsp_route", counting)
     periodic = 1 + (params.T - 1) // params.M1
@@ -312,6 +309,27 @@ def test_mid_day_resolves_only_for_policies_that_read_travel(small_world,
         assert all(start is None for _, start in mid_day[:params.N]), kind
         for before, (_, start) in zip(mid_day, mid_day[params.N:]):
             assert start == before[0], kind
+
+
+def test_no_flex_day_builds_no_flex_mask(small_world, monkeypatch):
+    corpus, params, tables = small_world
+    calls = []
+    mask = sim.flex_mask
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return mask(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "flex_mask", counting)
+    sim.run_day(sim.ParcelPolicy(kind=sim.NO_FLEX), corpus, params,
+                root_seed=3)
+    # nor do the table replays, which are no-flex days
+    tb.estimate_flex_tables(corpus, params, reps=2, root_seed=3)
+    assert calls == []
+    for kind in sim.PARCEL_POLICIES[1:]:
+        sim.run_day(sim.ParcelPolicy(kind=kind), corpus, params, tables,
+                    root_seed=3)
+    assert len(calls) == len(sim.PARCEL_POLICIES) - 1
 
 
 def test_patient_dynamic_skips_unobserved_pairs(small_world):

