@@ -30,7 +30,7 @@ import numpy as np
 
 from . import streams
 from .balls_bins import (ALWAYS_FLEX, CATEGORIES, DYNAMIC, FLEX_SQRT_T,
-                         NO_FLEX, STATIC, ArrivalArrays, ModelParams,
+                         STATIC, ArrivalArrays, ModelParams,
                          PolicySpec, draw_raw_arrays, static_start)
 from .streams import RowStreams, keyed_generator
 
@@ -222,43 +222,56 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     for c0 in range(0, T, width):
         c1 = min(c0 + width, T)
         t = np.arange(c0, c1)
-        pref, flex, lo, hi = (a[live, c0:c1] for a in (
+        # views of the block until a row stops, copies of the live rows
+        # after
+        sel = slice(None) if live.size == rows else live
+        pref, flex, lo, hi = (a[sel, c0:c1] for a in (
             arrivals.preferred, arrivals.is_flex, arrivals.pair_lo,
             arrivals.pair_hi))
-        carry = loads[live]
-        recheck = None
-        if kind == NO_FLEX:
-            events = None
-        elif kind == ALWAYS_FLEX:
-            events = flex
-        elif kind == STATIC:
-            events = flex & (t >= t_hat)
-        elif kind == FLEX_SQRT_T:
-            events = exerted[live, c0:c1]
-        else:  # dynamic: trigger at the first period the condition holds
+        carry = loads[sel]
+        recheck = ends = None
+        if kind == DYNAMIC:  # trigger at the first period the condition holds
             threshold = policy.a_d * (T - t) * q / N
             t_over_n = t / N
             fresh = np.flatnonzero(trigger[live] == T)
-            # Up to its trigger a row places every ball at preference, so
-            # no load before a period of a segment exceeds the segment's
-            # end loads, nor does the period come before the segment's
-            # first; the condition's sides are monotone in the load and
-            # t, also in floating point, so only a segment that meets
-            # the bound below can hold the trigger.
-            r, hit = _first_hit(
-                carry[fresh], pref[fresh],
-                lambda top, first, last:
-                    top - t_over_n[first] >= threshold[last],
-                lambda before, after, tt:
-                    before - t_over_n[tt] >= threshold[tt])
-            trigger[live[fresh[r]]] = c0 + hit
-            events = flex & (t >= trigger[live][:, None])
+            if fresh.size:
+                # Up to its trigger a row places every ball at preference,
+                # so no load before a period of a segment exceeds the
+                # segment's end loads, nor does the period come before the
+                # segment's first; the condition's sides are monotone in
+                # the load and t, also in floating point, so only a
+                # segment that meets the bound below can hold the
+                # trigger.  The whole chunk is one such segment.
+                ends = carry[fresh] + _counts(pref[fresh], N)
+                near = fresh[ends.max(axis=1) - t_over_n[0] >= threshold[-1]]
+                r, hit = _first_hit(
+                    carry[near], pref[near],
+                    lambda top, first, last:
+                        top - t_over_n[first] >= threshold[last],
+                    lambda before, after, tt:
+                        before - t_over_n[tt] >= threshold[tt])
+                trigger[live[near[r]]] = c0 + hit
             if not policy.latched:
                 recheck = (t_over_n, threshold)
-        ends, flexes, ran = _place(carry, pref, events, lo, hi, recheck,
-                                   stop)
-        loads[live] = ends
-        flex_count[live] += flexes
+        if trigger[live].min() >= c1:
+            # no live row exerts in the chunk; a dynamic chunk's rows are
+            # then all fresh, and their end loads counted
+            at = None
+        else:
+            ends = None
+            if kind == ALWAYS_FLEX:
+                events = flex
+            elif kind == STATIC:
+                events = flex & (t >= t_hat)
+            elif kind == FLEX_SQRT_T:
+                events = exerted[sel, c0:c1]
+            else:
+                events = flex & (t >= trigger[live][:, None])
+            at = np.flatnonzero(events)
+        ends, flexes, ran = _place(carry, pref, at, lo, hi, recheck, stop,
+                                   ends)
+        loads[sel] = ends
+        flex_count[sel] += flexes
         if stop is not None:
             stopped = ran > 0
             stop_time[live[stopped]] = c0 + ran[stopped]
@@ -290,8 +303,8 @@ def _max_loads(carry, bins):
     N = carry.shape[1]
     top = np.repeat(carry.max(axis=1, keepdims=True), bins.shape[1], axis=1)
     for b in np.unique(bins[bins < N]):
-        np.maximum(top, np.cumsum(bins == b, axis=1) + carry[:, b, None],
-                   out=top)
+        hits = (bins == b).astype(np.intp)  # a bool cumsum casts slowly
+        np.maximum(top, np.cumsum(hits, axis=1) + carry[:, b, None], out=top)
     return top
 
 
@@ -348,18 +361,21 @@ def _first_hit(carry, bins, may_hold, holds):
     return r, t[np.arange(r.size), hit.argmax(axis=1)]
 
 
-def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
+def _place(carry, pref, at, lo, hi, recheck=None, stop=None, ends=None):
     """Place one chunk of arrivals (rows, w) on top of ``carry`` (rows, N).
 
-    Non-events land in their preferred bin.  The events are stepped in
-    lockstep across rows, event k of every row at once, each on its row's
-    loads at its period: the per-bin counts of the non-events before it
-    plus the events already placed.  An event goes to the lesser-loaded
-    bin of its pair, ties to ``lo``.  With ``recheck = (t/N, threshold)``
-    per period (the unlatched dynamic policy) an event first re-checks
-    the dynamic condition on those loads and goes to its preferred bin
-    when it fails.  Rows go in slices whose slab of per-(group, row, bin)
-    counts fits in ``_SLAB`` counts, one row at least.
+    ``at`` holds the flat positions in (rows, w) of the events, in
+    increasing order, or is None when there are none; then ``ends``, if
+    given, are the rows' loads at the chunk's end.  Non-events land in
+    their preferred bin.  The events are stepped in lockstep across rows,
+    event k of every row at once, each on its row's loads at its period:
+    the per-bin counts of the non-events before it plus the events
+    already placed.  An event goes to the lesser-loaded bin of its pair,
+    ties to ``lo``.  With ``recheck = (t/N, threshold)`` per period (the
+    unlatched dynamic policy) an event first re-checks the dynamic
+    condition on those loads and goes to its preferred bin when it fails.
+    Rows go in slices whose slab of per-(group, row, bin) counts fits in
+    ``_SLAB`` counts, one row at least.
 
     Returns each row's loads and flex count at the end of the chunk, or
     at its stop, and the periods a row ran before it stopped (0 for a row
@@ -367,34 +383,56 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
     """
     m, w = pref.shape
     N = carry.shape[1]
-    n_ev = (np.zeros(m, dtype=np.int64) if events is None
-            else events.sum(axis=1))
-    K = int(n_ev.max())
+    K = 0
+    if at is not None and at.size:
+        # row r's events are at[first[r]:first[r + 1]]
+        first = np.searchsorted(at, np.arange(0, (m + 1) * w, w))
+        n_ev = np.diff(first)
+        K = int(n_ev.max())
     step = max(1, _SLAB // ((K + 2) * (N + 1)))  # rows a slab holds
     if K and step < m:
         return tuple(map(np.concatenate, zip(*(_place(
-            *(a[i:i + step] for a in (carry, pref, events, lo, hi)),
-            recheck, stop) for i in range(0, m, step)))))
+            carry[i:i + step], pref[i:i + step],
+            at[first[i]:first[min(i + step, m)]] - i * w,
+            lo[i:i + step], hi[i:i + step], recheck, stop)
+            for i in range(0, m, step)))))
     if not K:
-        at = np.empty(0, dtype=np.intp)
-        ends, flexes = carry + _counts(pref, N), n_ev
+        flexes = np.zeros(m, dtype=np.int64)
+        if ends is None:
+            ends = carry + _counts(pref, N)
     else:
         # Event k of row r is entry (r, k) of (m, K) arrays.  The row's
         # non-events after its event k - 1 and before its event k form its
         # part of group k, which joins the loads just before step k.
-        at = np.flatnonzero(events)
-        group = np.cumsum(events, axis=1)  # events so far
-        key = group.reshape(-1)
-        entry = (at // w) * K + key[at] - 1
-        key[at] = K + 1  # the events are in no group
+        row, col = np.divmod(at, w)
+        entry = np.arange(at.size)
+        opens = entry + row + 1
+        entry -= first[row]  # k
+        # The key (k * m + r) * (N + 1) + b of row r's non-event of group
+        # k in bin b is its run's base plus b: row r's start opens a run
+        # of group 0, and its event k one of group k + 1.
+        heads = first[:-1] + np.arange(m)
+        starts = np.empty(m + at.size, dtype=np.intp)
+        starts[heads] = np.arange(0, m * w, w)
+        starts[opens] = at
+        base = np.empty(m + at.size, dtype=np.int64)
+        base[heads] = np.arange(0, m * (N + 1), N + 1)
+        base[opens] = ((entry + 1) * m + row) * (N + 1)
+        del opens
+        key = np.repeat(base, np.diff(starts, append=m * w))
+        del starts, base
+        grid = key.reshape(m, w)
+        grid += pref
+        key[at] = (K + 1) * m * (N + 1)  # the events are in no group
         # adds[k, r, b]: row r's non-events of group k in bin b
-        group *= m * (N + 1)  # key (k * m + r) * (N + 1) + b, in place
-        group += np.arange(0, m * (N + 1), N + 1)[:, None]
-        group += pref
         adds = np.bincount(key, minlength=(K + 2) * m * (N + 1)
                            ).reshape(K + 2, m, N + 1)
-        full = np.pad(carry, ((0, 0), (0, 1)))  # column N: the spare bin
-        chosen, exerted = _step(full, adds, at, entry, pref, lo, hi, recheck)
+        del key, grid
+        entry += row * K
+        full = np.zeros((m, N + 1), dtype=np.int64)  # column N: spare bin
+        full[:, :N] = carry
+        chosen, exerted = _step(full, adds, (row, col), entry, pref, lo, hi,
+                                recheck)
         ends = full[:, :N]
         flexes = n_ev if exerted is None else exerted.sum(axis=1)
 
@@ -405,10 +443,10 @@ def _place(carry, pref, events, lo, hi, recheck=None, stop=None):
     if s.size:
         # a row's trajectory up to its stop is its unstopped trajectory
         placed, flexed = pref[s], np.zeros((s.size, w), dtype=bool)
-        if at.size:
-            ev = np.flatnonzero(np.isin(at // w, s))
+        if K:
+            ev = np.flatnonzero(np.isin(row, s))
             r, k = np.divmod(entry[ev], K)
-            rs, ts = np.searchsorted(s, r), at[ev] % w
+            rs, ts = np.searchsorted(s, r), col[ev]
             placed[rs, ts] = chosen[r, k] % (N + 1)
             flexed[rs, ts] = True if exerted is None else exerted[r, k]
         # loads only grow, so the first segment whose end max reaches stop
@@ -428,10 +466,11 @@ def _step(full, adds, at, entry, pref, lo, hi, recheck):
     """The lockstep loop of :func:`_place` on the loads ``full``: step k
     adds group k's counts ``adds[k]`` and then places event k of every
     row, a row with fewer events placing into its spare bin, column N of
-    ``full``; group K joins after the last step.  Returns the (rows, K)
-    flat indices into ``full`` that the events chose and, with
-    ``recheck``, which of them exerted."""
-    m, w = pref.shape
+    ``full``; group K joins after the last step.  ``at`` holds the
+    events' (rows, periods) in the chunk.  Returns the (rows, K) flat
+    indices into ``full`` that the events chose and, with ``recheck``,
+    which of them exerted."""
+    m = pref.shape[0]
     N, K = full.shape[1] - 1, len(adds) - 2  # groups 0..K, the events
 
     def per_event(values, fill):
@@ -440,12 +479,12 @@ def _step(full, adds, at, entry, pref, lo, hi, recheck):
         return np.ascontiguousarray(out.T)  # the loop reads rows of (K, m)
 
     row0 = np.arange(0, m * (N + 1), N + 1)
-    a = row0 + per_event(lo.ravel()[at], N)
-    b = row0 + per_event(hi.ravel()[at], N)
+    a = row0 + per_event(lo[at], N)
+    b = row0 + per_event(hi[at], N)
     exerted = None
     if recheck is not None:
-        tt = at % w
-        p = row0 + per_event(pref.ravel()[at], N)
+        tt = at[1]
+        p = row0 + per_event(pref[at], N)
         t_over_n = per_event(recheck[0][tt], np.inf)
         threshold = per_event(recheck[1][tt], np.inf)
         exerted = np.empty((K, m), dtype=bool)

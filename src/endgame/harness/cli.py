@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 
@@ -81,6 +82,18 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite float, else an error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
     return value
 
 
@@ -171,12 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     pgen.add_argument("--seed", type=int, default=None)
     pgen.add_argument("--zones", type=int, default=None, dest="n_zones")
     pgen.add_argument("--pool-size", type=int, default=None)
-    pgen.add_argument("--city-radius-km", type=float, default=None)
-    pgen.add_argument("--cluster-sd-km", type=float, default=None)
-    pgen.add_argument("--epsilon", type=float, default=None)
+    pgen.add_argument("--city-radius-km", type=_finite, default=None)
+    pgen.add_argument("--cluster-sd-km", type=_finite, default=None)
+    pgen.add_argument("--epsilon", type=_finite, default=None)
     pclu = psub.add_parser("cluster", help="re-run zone construction")
     pclu.add_argument("--corpus", required=True)
-    pclu.add_argument("--epsilon", type=float, default=None,
+    pclu.add_argument("--epsilon", type=_finite, default=None,
                       help="zone-size tolerance (default: the corpus's)")
     pclu.add_argument("--seed", type=int, default=None)
     ptab = psub.add_parser("estimate-tables",

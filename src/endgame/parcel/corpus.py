@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,9 +44,13 @@ class GeometrySpec:
     def __post_init__(self):
         if self.n_zones < 1 or self.pool_size < self.n_zones:
             raise ValueError("need pool_size >= n_zones >= 1")
-        for name in ("city_radius_km", "cluster_sd_km", "unload_mean_hours",
-                     "unload_sigma"):
-            if getattr(self, name) < 0:
+        sizes = ("city_radius_km", "cluster_sd_km", "unload_mean_hours",
+                 "unload_sigma")
+        for name in sizes + ("epsilon",):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0 and name in sizes:
                 raise ValueError(f"{name} must be nonnegative")
 
 

@@ -28,17 +28,23 @@ def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0):
                                 is_flex.sum() + 1))
 
 
+def kernel_rows(spec, N, q, rows, stop=None):
+    """The kernel on a block of rows, each checked against the oracle;
+    the oracle's records."""
+    out = be.lockstep(spec, N, q, *oracle.stack_arrivals(rows, spec), stop)
+    refs = [oracle.run(spec, N, q, arrivals, stop) for arrivals in rows]
+    for r, ref in enumerate(refs):
+        assert np.array_equal(out.loads[r], ref.loads)
+        assert out.flex_count[r] == ref.flex_count
+        assert out.first_trigger[r] == (-1 if ref.first_trigger is None
+                                        else ref.first_trigger)
+        assert out.stop_time[r] == ref.stop_time
+    return refs
+
+
 def kernel_row(spec, N, q, arrivals, stop=None):
     """The kernel on one injected row, checked against the oracle."""
-    out = be.lockstep(spec, N, q, *oracle.stack_arrivals([arrivals], spec),
-                      stop)
-    ref = oracle.run(spec, N, q, arrivals, stop)
-    assert np.array_equal(out.loads[0], ref.loads)
-    assert out.flex_count[0] == ref.flex_count
-    assert out.first_trigger[0] == (-1 if ref.first_trigger is None
-                                    else ref.first_trigger)
-    assert out.stop_time[0] == ref.stop_time
-    return ref
+    return kernel_rows(spec, N, q, [arrivals], stop)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +278,78 @@ def test_dynamic_trigger_on_segment_edges(monkeypatch, p, latched):
     kernel_row(spec, 2, 1.0, arrivals, stop=p + 3)
 
 
+CHUNKS = (7, be._CHUNK)
+
+
+@pytest.mark.parametrize("stop", [None, "chunk"])
+@pytest.mark.parametrize("spec", [
+    bb.PolicySpec(kind=bb.ALWAYS_FLEX),
+    bb.PolicySpec(kind=bb.DYNAMIC, a_d=0.0),
+    bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=1.0)],
+    ids=["always_flex", "unlatched_dynamic", "flex_sqrt_t"])
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_events_on_chunk_edges_beside_rows_without_and_all_events(
+        monkeypatch, chunk, spec, stop):
+    """Flex arrivals on only the first and last period of each chunk, in a
+    block with a row of no flex arrivals and a row of nothing else.  Each
+    policy exerts on every flex arrival from period 0 on (the dynamic
+    threshold is 0, and every flex-sqrt-T uniform is below its cut); with
+    a stop the rows stop in the last chunk."""
+    monkeypatch.setattr(be, "_CHUNK", chunk)
+    T = 3 * chunk
+    t = np.arange(T)
+    edges = (t % chunk == 0) | (t % chunk == chunk - 1)
+    rng = np.random.default_rng(chunk)
+    rows = [injected(rng.integers(0, 3, T), edges, 0, 1),
+            injected(rng.integers(0, 3, T)),
+            injected(rng.integers(0, 3, T), True, 1, 2),
+            injected(np.zeros(T), edges, 0, 2)]
+    refs = kernel_rows(spec, 3, 1.0, rows,
+                       None if stop is None else chunk)
+    assert refs[0].flex_count == edges[:refs[0].stop_time].sum()
+    assert refs[1].flex_count == 0
+    assert refs[2].flex_count == refs[2].stop_time
+
+
+@pytest.mark.parametrize("N", [2, 5])
+@pytest.mark.parametrize("kind", bb.POLICY_KINDS)
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_all_event_rows_match_oracle(monkeypatch, chunk, kind, N):
+    """At q = 1 every period is a flex arrival."""
+    monkeypatch.setattr(be, "_CHUNK", chunk)
+    T = 2 * chunk + 3
+    spec = bb.resolve_policy(bb.PolicySpec(kind=kind), bb.ModelParams(
+        T=T, N=N, q=1.0), "numerics")
+    rows = [oracle.draw(3, N, 1.0, T, "dense", row=r) for r in range(4)]
+    assert all(a.is_flex.all() for a in rows)
+    for stop in (None, T // N):
+        kernel_rows(spec, N, 1.0, rows, stop)
+
+
+@pytest.mark.parametrize("latched", [False, True])
+@pytest.mark.parametrize("edge", ["last", "first"])
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_dynamic_trigger_on_chunk_edges(monkeypatch, chunk, edge, latched):
+    """As in the segment-edge test, a row whose balls all prefer bin 0
+    triggers at p = T/5: here the last or first period of the second
+    chunk.  Beside it, a row that balances its first 10 balls triggers
+    8 periods later, and a balanced row only in the last periods, so the
+    trigger chunk holds rows the chunk screen rules out."""
+    monkeypatch.setattr(be, "_CHUNK", chunk)
+    spec = bb.PolicySpec(kind=bb.DYNAMIC, a_d=0.25, latched=latched)
+    p = 2 * chunk - 1 if edge == "last" else chunk
+    T = 5 * p
+    flex = [t % 2 == 1 for t in range(T)]
+    rows = [injected([0] * T, flex),
+            injected([0, 1] * 5 + [0] * (T - 10), flex),
+            injected([0, 1] * (T // 2) + [0] * (T % 2), flex)]
+    refs = kernel_rows(spec, 2, 1.0, rows)
+    assert refs[0].first_trigger == p
+    assert refs[1].first_trigger == p + 8
+    assert refs[2].first_trigger > p + 8
+    kernel_rows(spec, 2, 1.0, rows, stop=p + 3)
+
+
 def test_flex_sqrt_t_rate():
     p = bb.ModelParams(T=10000, N=2, q=0.5)
     spec = bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=9.798)
@@ -467,6 +545,21 @@ def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
     alone = be.run_blocks(*args)[0]
     for f in dataclasses.fields(sliced):
         assert np.array_equal(getattr(sliced, f.name), getattr(alone, f.name))
+
+
+def test_kernel_memory_bounded_at_dense_events():
+    """At N=2 and q=1 every period of a full 512-row block is an event,
+    so a chunk has 1024 event steps and half a million events."""
+    tracemalloc.start()
+    try:
+        out = be.run_blocks([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], 2, 1.0,
+                            1024, 512, 8, ("dense",), bb.draw_raw_arrays)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+    # every ball goes to the lesser-loaded of the two bins
+    assert (out.loads == 512).all() and (out.flex_count == 1024).all()
 
 
 @pytest.mark.parametrize("spec,stop", [

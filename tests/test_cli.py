@@ -528,6 +528,39 @@ def test_cluster_defaults_to_the_corpus_epsilon(capsys, tmp_path):
     assert 90 <= int(fields["min_count"]) <= int(fields["max_count"]) <= 110
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--epsilon", "inf"), ("--epsilon", "nan"), ("--epsilon", "-inf"),
+    ("--city-radius-km", "inf"), ("--city-radius-km", "nan"),
+    ("--cluster-sd-km", "nan"), ("--cluster-sd-km", "inf")])
+def test_gen_corpus_refuses_non_finite_geometry_naming_the_flag(
+        capsys, tmp_path, flag, value):
+    path = tmp_path / "corpus.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["parcel", "gen-corpus", "--out", str(path), "--zones", "3",
+                  "--pool-size", "300", f"{flag}={value}", "--seed", "0"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number, got '{value}'" in \
+        capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_cluster_refuses_a_non_finite_epsilon_naming_the_flag(
+        capsys, tmp_path, value):
+    path = str(tmp_path / "corpus.txt")
+    code, _, _ = run_cli(capsys, "parcel", "gen-corpus", "--out", path,
+                         "--zones", "3", "--pool-size", "300", "--seed", "0")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["parcel", "cluster", "--corpus", path,
+                  f"--epsilon={value}", "--seed", "0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert f"argument --epsilon: expected a finite number, got '{value}'" \
+        in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (("run", "--policy", "static", "--S", "0"), "S must be >= 1, got 0"),
     (("sweep", "--regime", "delta_inv_sqrt", "--S", "5", "--N", "0",

@@ -29,6 +29,17 @@ def test_build_calibration():
     assert np.array_equal(c.depot, np.zeros(2))
 
 
+@pytest.mark.parametrize("name", ["city_radius_km", "cluster_sd_km",
+                                  "unload_mean_hours", "unload_sigma",
+                                  "epsilon"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                   float("nan")])
+def test_spec_refuses_non_finite_floats_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got "
+                       f"{value}"):
+        small_spec(**{name: value})
+
+
 def test_zero_spread_degenerate_clusters():
     spec = small_spec(cluster_sd_km=1e-9, epsilon=0.0)
     c = cp.build_corpus(spec, seed=2)
