@@ -241,7 +241,8 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
                 # segment's first; the condition's sides are monotone in
                 # the load and t, also in floating point, so only a
                 # segment that meets the bound below can hold the
-                # trigger.  The whole chunk is one such segment.
+                # trigger: first the whole chunk as one segment, then its
+                # _SEG-period segments.
                 ends = carry[fresh] + _counts(pref[fresh], N)
                 near = fresh[ends.max(axis=1) - t_over_n[0] >= threshold[-1]]
                 r, hit = _first_hit(
@@ -418,6 +419,8 @@ def _place(carry, pref, at, lo, hi, recheck=None, stop=None, ends=None):
         base = np.empty(m + at.size, dtype=np.int64)
         base[heads] = np.arange(0, m * (N + 1), N + 1)
         base[opens] = ((entry + 1) * m + row) * (N + 1)
+        # the temporaries go before the slab: at q = 1 each is as large
+        # as the chunk
         del opens
         key = np.repeat(base, np.diff(starts, append=m * w))
         del starts, base
