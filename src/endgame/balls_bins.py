@@ -30,6 +30,11 @@ FLEX_SQRT_T = "flex_sqrt_t"
 
 POLICY_KINDS = (NO_FLEX, ALWAYS_FLEX, STATIC, DYNAMIC, FLEX_SQRT_T)
 
+# the constants each kind reads (no_flex and always_flex: none); one its
+# kind does not read is refused wherever a policy's constants are set
+POLICY_CONSTANTS = {STATIC: ("a_s",), FLEX_SQRT_T: ("a_s",),
+                    DYNAMIC: ("a_d", "latched")}
+
 # Named constant presets: "theory" uses the constants from the analysis,
 # "numerics" the tuned values used in the numerical experiments.
 PRESET_THEORY = "theory"

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import streams
 from .balls_bins import (ALWAYS_FLEX, CATEGORIES, DYNAMIC, FLEX_SQRT_T,
-                         STATIC, ArrivalArrays, ModelParams,
+                         POLICY_CONSTANTS, STATIC, ArrivalArrays, ModelParams,
                          PolicySpec, draw_raw_arrays, static_start)
 from .streams import RowStreams, keyed_generator
 
@@ -185,10 +185,9 @@ def _decide(out, at, exert_u, cut: float) -> int:
 
 
 def _check_resolved(policy: PolicySpec) -> None:
-    if policy.kind in (STATIC, FLEX_SQRT_T) and policy.a_s is None:
-        raise ValueError(f"{policy.kind} policy needs a_s resolved")
-    if policy.kind == DYNAMIC and policy.a_d is None:
-        raise ValueError("dynamic policy needs a_d resolved")
+    for name in POLICY_CONSTANTS.get(policy.kind, ()):
+        if getattr(policy, name) is None:
+            raise ValueError(f"{policy.kind} policy needs {name} resolved")
 
 
 def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
@@ -212,11 +211,13 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     trigger = np.full(rows, T, dtype=np.int64)  # first exerting period
     stop_time = np.full(rows, T, dtype=np.int64)
     live = np.arange(rows)  # rows still running
-    t_hat = static_start(T, policy.a_s) if kind == STATIC else 0
-    if kind in (ALWAYS_FLEX, STATIC):
-        trigger[:] = t_hat  # 0 for always_flex
-    elif kind == FLEX_SQRT_T:
-        exerted, trigger[:] = decisions
+    # a row exerts on the flex arrivals of one mask (flex-sqrt-T's: those
+    # it decided on) from its trigger on; dynamic's is found chunk by chunk
+    mask = arrivals.is_flex
+    if kind == FLEX_SQRT_T:
+        mask, trigger[:] = decisions
+    elif kind in (ALWAYS_FLEX, STATIC):
+        trigger[:] = static_start(T, policy.a_s) if kind == STATIC else 0
 
     width = max(1, min(_CHUNK, _SLAB // (N + 1) - 2))  # a row's slab fits
     for c0 in range(0, T, width):
@@ -226,10 +227,9 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
         # after
         sel = slice(None) if live.size == rows else live
         pref, flex, lo, hi = (a[sel, c0:c1] for a in (
-            arrivals.preferred, arrivals.is_flex, arrivals.pair_lo,
-            arrivals.pair_hi))
+            arrivals.preferred, mask, arrivals.pair_lo, arrivals.pair_hi))
         carry = loads[sel]
-        recheck = ends = None
+        recheck = ends = at = None
         if kind == DYNAMIC:  # trigger at the first period the condition holds
             threshold = policy.a_d * (T - t) * q / N
             t_over_n = t / N
@@ -254,21 +254,13 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
                 trigger[live[near[r]]] = c0 + hit
             if not policy.latched:
                 recheck = (t_over_n, threshold)
-        if trigger[live].min() >= c1:
-            # no live row exerts in the chunk; a dynamic chunk's rows are
-            # then all fresh, and their end loads counted
-            at = None
-        else:
+        start = trigger[live]
+        # while no live row exerts, a dynamic chunk's rows are all fresh,
+        # and their end loads counted
+        if start.min() < c1:
             ends = None
-            if kind == ALWAYS_FLEX:
-                events = flex
-            elif kind == STATIC:
-                events = flex & (t >= t_hat)
-            elif kind == FLEX_SQRT_T:
-                events = exerted[sel, c0:c1]
-            else:
-                events = flex & (t >= trigger[live][:, None])
-            at = np.flatnonzero(events)
+            at = np.flatnonzero(flex if start.max() <= c0
+                                else flex & (t >= start[:, None]))
         ends, flexes, ran = _place(carry, pref, at, lo, hi, recheck, stop,
                                    ends)
         loads[sel] = ends

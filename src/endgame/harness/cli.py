@@ -118,7 +118,7 @@ def _sweep_flags(p, run=True):
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_sweep, reps=None, parallel=1, preset=None)
     if run:
-        p.add_argument("--reps", type=int, default=None,
+        p.add_argument("--reps", type=_count, default=None,
                        help="replications per cell")
         p.add_argument("--parallel", type=_count, default=1,
                        help="most worker processes")

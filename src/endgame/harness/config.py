@@ -10,6 +10,8 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
+from ..balls_bins import POLICY_CONSTANTS, POLICY_KINDS
+
 MODELS = ("bins", "opaque", "parcel")
 
 # parameters accepted under "params:"/"sweep:" for each model, with the
@@ -45,8 +47,8 @@ def arrival_path(model: str, params) -> tuple:
 # parameters a model cannot run without, set under "params:" or "sweep:"
 REQUIRED_PARAMS = {"bins": ("T",), "opaque": ("S",), "parcel": ("corpus",)}
 
-# fields a policy entry may set; the opaque dynamic policy is always
-# latched, and parcel policies take their constants from params
+# fields a policy entry may set if its kind reads them (POLICY_CONSTANTS);
+# opaque dynamic is always latched, parcel policies read only params
 POLICY_FIELDS = {
     "bins": {"kind", "a_s", "a_d", "latched"},
     "opaque": {"kind", "a_s", "a_d"},
@@ -105,12 +107,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"got {cfg.preset!r}")
     if not isinstance(cfg.policies, (list, tuple)):
         raise ConfigError("policies: expected a list")
-    # imported here: a bins or opaque config need not load the parcel
-    # modules; the opaque model runs the bins model's policy kinds
+    # the opaque model runs the bins model's policy kinds; imported here:
+    # a bins or opaque config need not load the parcel modules
+    model_kinds = POLICY_KINDS
     if cfg.model == "parcel":
         from ..parcel.simulate import PARCEL_POLICIES as model_kinds
-    else:
-        from ..balls_bins import POLICY_KINDS as model_kinds
     kinds = set()
     for i, policy in enumerate(cfg.policies):
         entry = {"kind": policy} if isinstance(policy, str) else policy
@@ -121,11 +122,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"policies[{i}].kind: unknown {cfg.model} "
                               f"policy {entry['kind']!r}, expected one of "
                               f"{', '.join(model_kinds)}")
+        reads = {"kind", *POLICY_CONSTANTS.get(entry["kind"], ())}
         for name, value in entry.items():
             where = f"policies[{i}].{name}"
-            if name not in POLICY_FIELDS[cfg.model]:
-                raise ConfigError(f"{where}: not a policy field of model "
-                                  f"{cfg.model!r}")
+            if name not in POLICY_FIELDS[cfg.model] & reads:
+                raise ConfigError(f"{where}: not read by a {cfg.model} "
+                                  f"{entry['kind']} policy")
             if name in ("a_s", "a_d") and _coerce(where, float, value) < 0:
                 raise ConfigError(f"{where}: must be >= 0, got {value!r}")
             if name == "latched" and not isinstance(value, bool):

@@ -110,6 +110,10 @@ def _resolve(model: str, policy: dict, params: dict, preset: str) -> tuple:
     spec = balls_bins.PolicySpec(
         kind=policy["kind"], a_s=policy.get("a_s"), a_d=policy.get("a_d"),
         latched=bool(policy.get("latched", False)))
+    reads = ("kind", *balls_bins.POLICY_CONSTANTS.get(spec.kind, ()))
+    for name, value in policy.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"{name}: not read by the {spec.kind} policy")
     resolve = (balls_bins.resolve_policy if model == "bins"
                else opaque.resolve_opaque_policy)
     return mp, resolve(spec, mp, preset)

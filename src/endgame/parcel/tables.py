@@ -30,7 +30,7 @@ class FlexTables:
     inc: np.ndarray           # (N, N), hours, NaN = no observations
     ser: np.ndarray           # (N, N), hours, NaN = no observations
     arrival_prob: np.ndarray  # (N,), sums to 1
-    n_obs: np.ndarray | None = None  # (N, N) observation counts
+    n_obs: np.ndarray         # (N, N) observation counts
 
     def __post_init__(self):
         if self.inc.shape != self.ser.shape or \
@@ -103,10 +103,9 @@ def save_tables(tables: FlexTables, path) -> None:
             buf.write(" ".join(repr(float(v)) for v in row) + "\n")
     buf.write("# vector arrival_prob\n")
     buf.write(" ".join(repr(float(v)) for v in tables.arrival_prob) + "\n")
-    if tables.n_obs is not None:
-        buf.write("# matrix n_obs\n")
-        for row in tables.n_obs:
-            buf.write(" ".join(str(int(v)) for v in row) + "\n")
+    buf.write("# matrix n_obs\n")
+    for row in tables.n_obs:
+        buf.write(" ".join(str(int(v)) for v in row) + "\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 
@@ -137,7 +136,7 @@ def load_tables(path) -> FlexTables:
                 f"{path}: malformed line {lineno}: {line!r}") from None
     if fmt != TABLES_FORMAT:
         raise ValueError(f"{path}: unrecognized tables format tag {fmt!r}")
-    for name in ("inc", "ser", "arrival_prob"):
+    for name in ("inc", "ser", "arrival_prob", "n_obs"):
         if not blocks.get(name):
             raise ValueError(f"{path}: missing block {name!r}")
     N = len(blocks["inc"])
@@ -146,15 +145,12 @@ def load_tables(path) -> FlexTables:
         if len(rows) != n_rows or any(len(row) != N for row in rows):
             raise ValueError(f"{path}: {kinds[name]} {name!r} is not "
                              f"{n_rows}x{N}")
-    n_obs = None
-    if "n_obs" in blocks:
-        counts = np.array(blocks["n_obs"])
-        if not (np.isfinite(counts).all() and (counts >= 0).all()
-                and (counts == np.rint(counts)).all()):
-            raise ValueError(f"{path}: matrix 'n_obs' holds a value that is "
-                             "not a count")
-        n_obs = counts.astype(np.int64)
+    counts = np.array(blocks["n_obs"])
+    if not (np.isfinite(counts).all() and (counts >= 0).all()
+            and (counts == np.rint(counts)).all()):
+        raise ValueError(f"{path}: matrix 'n_obs' holds a value that is "
+                         "not a count")
     return FlexTables(inc=np.array(blocks["inc"]),
                       ser=np.array(blocks["ser"]),
                       arrival_prob=np.array(blocks["arrival_prob"][0]),
-                      n_obs=n_obs)
+                      n_obs=counts.astype(np.int64))

@@ -350,6 +350,79 @@ def test_dynamic_trigger_on_chunk_edges(monkeypatch, chunk, edge, latched):
     kernel_rows(spec, 2, 1.0, rows, stop=p + 3)
 
 
+def edge_rows(T, seed):
+    """Rows for the exertion-rule tests: random preferences and flex
+    arrivals, beside a row of flex arrivals only and one of none."""
+    rng = np.random.default_rng(seed)
+    return [injected(rng.integers(0, 3, T), rng.random(T) < 0.5, 0, 2),
+            injected(rng.integers(0, 3, T), rng.random(T) < 0.3, 1, 2),
+            injected(rng.integers(0, 3, T), True, 0, 1),
+            injected(rng.integers(0, 3, T))]
+
+
+@pytest.mark.parametrize("stop", [None, 9])
+@pytest.mark.parametrize("t_hat,kind", [
+    (7, bb.STATIC), (8, bb.STATIC), (13, bb.STATIC), (0, bb.ALWAYS_FLEX),
+    (None, bb.NO_FLEX)],
+    ids=["static-first", "static-second", "static-last", "always_flex",
+         "no_flex"])
+def test_known_start_on_chunk_edges(monkeypatch, t_hat, kind, stop):
+    """At 7-period chunks a static row starts on the first, second or last
+    period of the second chunk; always_flex and no_flex run the same
+    rows."""
+    monkeypatch.setattr(be, "_CHUNK", 7)
+    T = 28
+    start = T if t_hat is None else t_hat
+    a_s = None
+    if kind == bb.STATIC:
+        a_s = (T - t_hat) / math.sqrt(T * math.log(T))
+        assert bb.static_start(T, a_s) == t_hat
+    refs = kernel_rows(bb.PolicySpec(kind=kind, a_s=a_s), 3, 0.5,
+                       edge_rows(T, start), stop)
+    for ref in refs:
+        assert ref.first_trigger == (start if start < ref.stop_time
+                                     else None)
+
+
+@pytest.mark.parametrize("stop", [None, 9])
+def test_flex_sqrt_t_first_decision_on_chunk_edges(monkeypatch, stop):
+    """At 7-period chunks, flex-sqrt-T rows whose first decision is a flex
+    arrival on the first (7) or last (13) period of the second chunk, or a
+    non-flex period on the first of the third (14), beside a row that
+    exerts on every flex arrival from period 0 and one that never
+    decides."""
+    monkeypatch.setattr(be, "_CHUNK", 7)
+    T, a_s = 28, 1.0
+    cut = (T - bb.static_start(T, a_s)) / T
+    never = 1 - 1e-12  # V: the first non-flex decision is past T
+    rng = np.random.default_rng(5)
+    rows, want = [], []
+    for first in (7, 13, None, 0, T):
+        flex = rng.random(T) < 0.5
+        if first is None:  # a non-flex decision at period 14
+            first = 14
+            flex[first] = False
+            k = int(np.count_nonzero(~flex[:first]))
+            v = 1 - (1 - cut) ** (k + 0.5)
+        else:
+            flex[first:first + 1] = True
+            v = never
+        at = np.flatnonzero(flex)
+        u = rng.choice([0.0, 0.99], at.size)
+        u[at < first] = 0.99
+        u[at == first] = 0.0
+        if first == 0:
+            u[:] = 0.0
+        rows.append(injected(rng.integers(0, 3, T), flex, 0, 2,
+                             np.concatenate(([v], u))))
+        want.append(first)
+    refs = kernel_rows(bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=a_s), 3, 0.5,
+                       rows, stop)
+    for ref, first in zip(refs, want):
+        assert ref.first_trigger == (first if first < ref.stop_time
+                                     else None)
+
+
 def test_flex_sqrt_t_rate():
     p = bb.ModelParams(T=10000, N=2, q=0.5)
     spec = bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=9.798)

@@ -500,6 +500,22 @@ def test_sweep_parallel_below_one_exits_2_naming_the_flag(capsys, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("bins", "sweep", "--policy", "no_flex", "--T", "10"),
+    ("parcel", "sweep", "--corpus", "corpus.txt", "--policy", "no_flex")],
+    ids=["bins", "parcel"])
+def test_sweep_reps_below_one_exits_2_naming_the_flag(capsys, tmp_path,
+                                                      argv, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv) + ["--reps", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --reps: expected an integer >= 1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_estimate_tables_reps_below_one_exits_2_writing_nothing(
         capsys, tmp_path, small_corpus, value):
@@ -593,6 +609,19 @@ def test_bins_run_refuses_a_non_finite_constant_naming_it(capsys, policy,
     assert f"{name} must be a finite number >= 0, got {value}" in err
 
 
+@pytest.mark.parametrize("policy,flag,value", [
+    ("no_flex", "--a-s", "3"), ("static", "--a-d", "0.5"),
+    ("always_flex", "--a-s", "3"), ("dynamic", "--a-s", "2"),
+    ("flex_sqrt_t", "--a-d", "0.1")])
+def test_bins_run_refuses_a_constant_its_policy_does_not_read(capsys, policy,
+                                                              flag, value):
+    code, out, err = run_cli(capsys, "bins", "run", "--policy", policy,
+                             "--T", "100", flag, value)
+    name = flag[2:].replace("-", "_")
+    assert code == 2 and not out
+    assert f"{name}: not read by the {policy} policy" in err
+
+
 def test_bins_run_takes_a_huge_finite_static_constant(capsys):
     # the static start overflows to before period 0, and clamps there
     code, out, _ = run_cli(capsys, "bins", "run", "--policy", "static",
@@ -653,6 +682,14 @@ FIELD_CASES = [  # command, model, policies, params, the field named
     ("bins", "bins", "[no_flex, static, no_flex]", "{T: 50}", "policies[2]"),
     ("bins", "opaque", "[{kind: dynamic, latched: false}]", "{S: 10}",
      "policies[0].latched"),
+    ("bins", "bins", "[{kind: static, a_d: 0.5}]", "{T: 50}",
+     "policies[0].a_d"),
+    ("bins", "bins", "[{kind: no_flex, latched: true}]", "{T: 50}",
+     "policies[0].latched"),
+    ("bins", "bins", "[{kind: dynamic, a_s: 2}]", "{T: 50}",
+     "policies[0].a_s"),
+    ("opaque", "opaque", "[{kind: always_flex, a_s: 3}]", "{S: 10}",
+     "policies[0].a_s"),
     ("parcel", "parcel", "[{kind: routing_dynamic, a_d: 0.5}]",
      "{corpus: c.txt}", "policies[0].a_d"),
     ("parcel", "parcel", "[{kind: unloading_only, radius_km: 3}]",
@@ -674,10 +711,12 @@ def test_config_field_without_effect_exits_2(capsys, tmp_path, command, model,
     config = tmp_path / "exp.yaml"
     config.write_text(f"model: {model}\npolicies: {policies}\n"
                       f"params: {params}\n")
+    out = tmp_path / "out"
     code, _, err = run_cli(capsys, command, "sweep", "--config", str(config),
-                           "--out", str(tmp_path))
+                           "--out", str(out))
     assert code == 2
     assert field in err
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -891,6 +930,22 @@ def test_tables_n_obs_not_a_count_exits_2(capsys, tmp_path, small_corpus,
     assert code == 2
     assert f"{tables}: matrix 'n_obs' holds a value that is not a count" \
         in err
+
+
+def test_tables_without_n_obs_exits_2_naming_it(capsys, tmp_path,
+                                                small_corpus):
+    tables = tmp_path / "tables.txt"
+    code, _, _ = run_cli(capsys, "parcel", "estimate-tables", "--corpus",
+                         str(small_corpus), "--out", str(tables), "--reps",
+                         "1", "--seed", "0")
+    assert code == 0
+    text = tables.read_text()
+    tables.write_text(text[:text.index("# matrix n_obs\n")])
+    code, out, err = run_cli(capsys, "parcel", "run", "--corpus",
+                             str(small_corpus), "--tables", str(tables),
+                             "--policy", "patient_dynamic")
+    assert code == 2 and not out
+    assert f"{tables}: missing block 'n_obs'" in err
 
 
 def test_tables_with_bare_hash_line_exits_2(capsys, tmp_path, small_corpus):

@@ -44,6 +44,49 @@ def test_cases_cover_both_models():
     assert stops["opaque_S400"] == (5 * 399 + 1, 400)
 
 
+def test_each_side_runs_its_own_worker(tmp_path, monkeypatch):
+    """A worker calls the kernel's private functions, so each side runs
+    the copy of this script its own tree holds, on its own ``src/``."""
+    calls = []
+
+    def recording_run(argv, cwd, env, **kwargs):
+        calls.append((argv, cwd, env["PYTHONPATH"]))
+        module = pathlib.Path(cwd).resolve() / "src" / "endgame"
+        line = json.dumps({"endgame": str(module / "bins_engine.py"),
+                           "cases": {}})
+        return subprocess.CompletedProcess(argv, 0, line + "\n", "")
+
+    monkeypatch.setattr(kernel_ab.subprocess, "run", recording_run)
+    for side in ("parent", "change"):
+        tree = tmp_path / side
+        assert kernel_ab.run_worker(tree, "tiny", 7)["cases"] == {}
+        argv, cwd, path = calls[-1]
+        assert argv[1:] == [str(tree / "tools" / "kernel_ab.py"), "--worker",
+                            "--size", "tiny", "--seed", "7"]
+        assert cwd == tree and path == str(tree / "src")
+
+
+def test_a_revision_without_the_script_is_refused_naming_it(
+        tmp_path, monkeypatch, capsys):
+    def export(rev, dest):
+        (dest / "src").mkdir(parents=True)
+        if rev == "new":
+            (dest / "tools").mkdir()
+            (dest / "tools" / "kernel_ab.py").write_text("")
+        return rev
+
+    monkeypatch.setattr(kernel_ab, "export", export)
+    out = tmp_path / "k.json"
+    with pytest.raises(SystemExit) as exc:
+        kernel_ab.main(["--parent", "old", "--change", "new", "--size",
+                        "tiny", "--out", str(out),
+                        "--workdir", str(tmp_path / "work")])
+    assert exc.value.code == 2
+    assert "revision old (parent) has no tools/kernel_ab.py" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def _has_head() -> bool:
     try:
         return subprocess.run(["git", "rev-parse", "--verify", "-q", "HEAD"],

@@ -346,7 +346,8 @@ def test_patient_dynamic_skips_unobserved_pairs(small_world):
     assert day.flex_count > 0 and blank.any()
     sparse = tb.FlexTables(inc=np.where(blank, np.nan, tables.inc),
                            ser=np.where(blank, np.nan, tables.ser),
-                           arrival_prob=tables.arrival_prob)
+                           arrival_prob=tables.arrival_prob,
+                           n_obs=np.where(blank, 0, tables.n_obs))
     again = sim.run_day(pol, corpus, params, sparse, root_seed=8)
     assert np.array_equal(again.truck, day.truck)
     assert np.array_equal(again.y_r, day.y_r)

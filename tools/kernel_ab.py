@@ -6,9 +6,11 @@ fixed drawn blocks, a parent and a change, alternating, one JSON.
         --out BENCH_kernel.json
 
 Both revisions are exported with ``git archive`` as ``tools/bench_ab.py``
-does.  Each round runs one worker process per side, the side that goes
-first alternating from round to round; a worker imports ``endgame`` from
-its side's ``src/`` only.  It draws each case's block once, through the
+does, and each must hold this script.  Each round runs one worker process
+per side, the side that goes first alternating from round to round; a
+worker is the side's own ``tools/kernel_ab.py --worker``, so that the
+private kernel calls it makes match its ``src/``, and imports ``endgame``
+from that ``src/`` only.  It draws each case's block once, through the
 side's own draw path, and times ``lockstep`` on it for every policy
 (best of ``--repeats``):
 
@@ -42,6 +44,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from bench_ab import SIDES, export, machine  # noqa: E402
 
+TOOL = "tools/kernel_ab.py"  # this script, where each exported tree holds it
 N, Q = 5, 0.1
 POLICIES = ("no_flex", "always_flex", "static", "dynamic", "flex_sqrt_t")
 SIZES = {
@@ -111,10 +114,11 @@ def worker(size: dict, seed: int) -> dict:
 
 
 def run_worker(tree: pathlib.Path, size_name: str, seed: int) -> dict:
-    """One worker process on ``tree``'s ``src/``."""
+    """One worker process: ``tree``'s own copy of this script on its
+    ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
-        [sys.executable, __file__, "--worker", "--size", size_name,
+        [sys.executable, str(tree / TOOL), "--worker", "--size", size_name,
          "--seed", str(seed)],
         cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -170,6 +174,10 @@ def main(argv=None) -> int:
     trees = {s: work / s for s in SIDES}
     shas = {s: export(rev, trees[s])
             for s, rev in zip(SIDES, (args.parent, args.change))}
+    for s, rev in zip(SIDES, (args.parent, args.change)):
+        if not (trees[s] / TOOL).is_file():
+            p.error(f"revision {rev} ({s}) has no {TOOL} to run as its "
+                    "worker")
     runs = []
     for i in range(size["rounds"]):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
