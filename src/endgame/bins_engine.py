@@ -46,9 +46,9 @@ _BLOCK_ELEMENTS = 32_000_000
 _CHUNK = 1024
 _BLOCK_ROWS = 512
 _SLAB = 4 * _CHUNK * _BLOCK_ROWS
-# Periods per segment of a chunk: the stop and dynamic-trigger searches take
-# loads at segment boundaries first and step period by period only through
-# the one segment that can hold a row's stop or trigger.
+# Periods per segment of a chunk: the dynamic-trigger search takes loads at
+# segment boundaries first and steps period by period only through the
+# segments that can hold a row's trigger.
 _SEG = 16
 
 
@@ -245,12 +245,8 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
                 # _SEG-period segments.
                 ends = carry[fresh] + _counts(pref[fresh], N)
                 near = fresh[ends.max(axis=1) - t_over_n[0] >= threshold[-1]]
-                r, hit = _first_hit(
-                    carry[near], pref[near],
-                    lambda top, first, last:
-                        top - t_over_n[first] >= threshold[last],
-                    lambda before, after, tt:
-                        before - t_over_n[tt] >= threshold[tt])
+                r, hit = _first_hit(carry[near], pref[near], t_over_n,
+                                    threshold)
                 trigger[live[near[r]]] = c0 + hit
             if not policy.latched:
                 recheck = (t_over_n, threshold)
@@ -277,13 +273,10 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
                           first_trigger=first_trigger, stop_time=stop_time)
 
 
-def _counts(bins, N: int, end=None):
-    """(rows, N) per-bin counts of ``bins`` (rows, w), counting only the
-    first ``end[r]`` periods of row r when ``end`` is given; bin N counts
+def _counts(bins, N: int):
+    """(rows, N) per-bin counts of ``bins`` (rows, w); bin N counts
     nothing."""
-    m, w = bins.shape
-    if end is not None:
-        bins = np.where(np.arange(w) < end[:, None], bins, N)
+    m = bins.shape[0]
     key = np.arange(0, m * (N + 1), N + 1)[:, None] + bins
     return np.bincount(key.ravel(), minlength=m * (N + 1)
                        ).reshape(m, N + 1)[:, :N]
@@ -301,18 +294,16 @@ def _max_loads(carry, bins):
     return top
 
 
-def _first_hit(carry, bins, may_hold, holds):
+def _first_hit(carry, bins, t_over_n, threshold):
     """The rows, and each one's first period as an offset in the chunk,
-    at which ``holds(before, after, t)`` holds, for rows that drop ball t
-    into bin ``bins[r, t]`` (rows, w) on top of ``carry`` (rows, N):
-    ``before`` and ``after`` are a row's largest loads before and after
-    period t, all (candidates, _SEG).
+    at which the dynamic condition ``max load - t_over_n[t] >=
+    threshold[t]`` holds on the loads before period t, for rows that drop
+    ball t into bin ``bins[r, t]`` (rows, w) on top of ``carry`` (rows, N).
 
     One ``bincount`` gives each row's loads at the ends of the chunk's
-    ``_SEG``-period segments, and the exact condition runs only on the
-    (row, segment) pairs where ``may_hold(top, first, last)`` holds, for
-    ``top`` (rows, n) the segment end maxima and ``first``, ``last`` (n,)
-    the segments' first and last periods.  Rows go in slices whose
+    ``_SEG``-period segments, and the condition runs period by period
+    only on the (row, segment) pairs whose end max meets it at the
+    segment's first t/N and last threshold.  Rows go in slices whose
     segment ends fit in ``_SLAB`` counts, one row at least.
     """
     m, w = bins.shape
@@ -320,8 +311,8 @@ def _first_hit(carry, bins, may_hold, holds):
     n = -(-w // _SEG)
     step = max(1, _SLAB // (n * (N + 1)))
     if step < m:
-        parts = [_first_hit(carry[i:i + step], bins[i:i + step], may_hold,
-                            holds) for i in range(0, m, step)]
+        parts = [_first_hit(carry[i:i + step], bins[i:i + step], t_over_n,
+                            threshold) for i in range(0, m, step)]
         return (np.concatenate([r + i for i, (r, _) in
                                 zip(range(0, m, step), parts)]),
                 np.concatenate([t for _, t in parts]))
@@ -334,8 +325,8 @@ def _first_hit(carry, bins, may_hold, holds):
     ends = ends[:, :, :N]
     ends += carry[:, None]
     first = np.arange(0, w, _SEG)
-    r, j = np.nonzero(may_hold(ends.max(axis=2), first,
-                               np.minimum(first + _SEG, w) - 1))
+    last = np.minimum(first + _SEG, w) - 1
+    r, j = np.nonzero(ends.max(axis=2) - t_over_n[first] >= threshold[last])
     if not r.size:
         return r, j
     start = ends[r, j - 1]  # the loads before segment j
@@ -346,7 +337,7 @@ def _first_hit(carry, bins, may_hold, holds):
     after = _max_loads(start, np.where(inside, bins[r[:, None], t], N))
     before = np.concatenate((start.max(axis=1, keepdims=True),
                              after[:, :-1]), axis=1)
-    hit = inside & holds(before, after, t)
+    hit = inside & (before - t_over_n[t] >= threshold[t])
     found = hit.any(axis=1)
     # the pairs come in row order, each row's segments in period order
     r, i = np.unique(r[found], return_index=True)
@@ -444,16 +435,19 @@ def _place(carry, pref, at, lo, hi, recheck=None, stop=None, ends=None):
             rs, ts = np.searchsorted(s, r), col[ev]
             placed[rs, ts] = chosen[r, k] % (N + 1)
             flexed[rs, ts] = True if exerted is None else exerted[r, k]
-        # loads only grow, so the first segment whose end max reaches stop
-        # holds the stop (diff marks where the bool rows turn True)
-        _, last = _first_hit(
-            carry[s], placed,
-            lambda top, first, end: np.diff(top >= stop, axis=1,
-                                            prepend=False),
-            lambda before, after, t: after >= stop)
-        ran[s] = last + 1
-        ends[s] = carry[s] + _counts(placed, N, ran[s])
-        flexes[s] = (flexed & (np.arange(w) < ran[s, None])).sum(axis=1)
+        # a stable sort by bin lists bin b's balls in period order from
+        # entry cumsum(counts) - counts, counts = top - carry; its
+        # (stop - carry[b])-th brings it to stop, and the row stops at the
+        # first such ball
+        top = ends[s]
+        nth = np.cumsum(top - carry[s], axis=1) - top + (stop - 1)
+        hit = np.take_along_axis(np.argsort(placed, axis=1, kind="stable"),
+                                 np.where(top >= stop, nth, 0), axis=1)
+        ran[s] = np.where(top >= stop, hit, w).min(axis=1) + 1
+        after = np.arange(w) >= ran[s, None]
+        placed[after] = N
+        ends[s] = carry[s] + _counts(placed, N)
+        flexes[s] = (flexed & ~after).sum(axis=1)
     return ends, flexes, ran
 
 

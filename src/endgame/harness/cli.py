@@ -300,7 +300,7 @@ def cmd_sweep(args) -> int:
             sweep = {}
         cfg = ExperimentConfig(
             model=args.command, policies=flags["policy"], params=params,
-            sweep=sweep, preset=_preset(args), replications=args.reps,
+            sweep=sweep, preset=args.preset, replications=args.reps,
             seed=args.seed, out_dir=args.out or "results")
     raw, summary = run_experiment(cfg, parallel=args.parallel)
     print(raw)

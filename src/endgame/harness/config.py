@@ -66,7 +66,7 @@ class ExperimentConfig:
     policies: list
     params: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
-    preset: str = "numerics"
+    preset: str | None = None  # bins and opaque: None runs numerics
     replications: int | None = None
     seed: int | None = None
     out_dir: str = "results"
@@ -102,7 +102,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
         raise ConfigError(f"out_dir: expected a directory name, "
                           f"got {cfg.out_dir!r}")
-    if cfg.preset not in ("theory", "numerics"):
+    if cfg.preset is not None and cfg.model == "parcel":
+        raise ConfigError(f"preset: not read by model {cfg.model!r}")
+    if cfg.preset not in (None, "theory", "numerics"):
         raise ConfigError(f"preset: expected theory or numerics, "
                           f"got {cfg.preset!r}")
     if not isinstance(cfg.policies, (list, tuple)):

@@ -200,7 +200,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
                    _rows(config.model, params, reps))
         groups.setdefault(key, []).append(i)
     jobs = [(config.model, [cells[i] for i in members], reps, root_seed,
-             config.preset) for members in groups.values()]
+             config.preset or balls_bins.PRESET_NUMERICS)
+            for members in groups.values()]
     # every bins and opaque cell's parameters are checked by now
     make_out_dir(config.out_dir)
 

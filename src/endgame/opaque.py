@@ -165,9 +165,9 @@ def eoq_params(N: int, S: int, q: float, regime: str) -> InventoryParams:
 
 class Cycles(tuple):
     """One policy's cycle samples ``(R, D)``, with ``source``: the
-    resolved policy, arrival path, cycle count and root seed they were
-    simulated from.  K, h and delta are not among them, so the regimes
-    share cycles."""
+    ``(N, q, cycle count, root seed, preset)`` they were simulated from,
+    which with the kind and S fix the policy and arrivals.  K, h and delta
+    are not among them, so the regimes share cycles."""
 
     def __new__(cls, R, D, source):
         cycles = super().__new__(cls, (R, D))
@@ -198,23 +198,20 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
         raise ConfigError("sweep.S: values must be ascending")
     cache = {} if cycle_cache is None else cycle_cache
     n_cycles = instances * cycles_per_instance
+    source = (N, q, n_cycles, root_seed, preset)
     rows = []
     for S in S_grid:
         params = eoq_params(N, S, q, regime)
         c_star = lower_bound(params)
-        path = arrival_path("opaque", params)
-        sources = {kind: (resolve_opaque_policy(PolicySpec(kind=kind), params,
-                                                preset),
-                          path, n_cycles, root_seed)
-                   for kind in POLICY_KINDS}
-        stale = [kind for kind, source in sources.items()
+        stale = [kind for kind in POLICY_KINDS
                  if getattr(cache.get((kind, S)), "source", None) != source]
         if stale:
             outs = simulate_policies(
-                [sources[kind][0] for kind in stale], params, n_cycles,
-                root_seed, *path)
+                [resolve_opaque_policy(PolicySpec(kind=kind), params, preset)
+                 for kind in stale], params, n_cycles, root_seed,
+                *arrival_path("opaque", params))
             cache.update(((kind, S), Cycles(out.stop_time, out.flex_count,
-                                            sources[kind]))
+                                            source))
                          for kind, out in zip(stale, outs))
         for kind in POLICY_KINDS:
             R, D = cache[(kind, S)]

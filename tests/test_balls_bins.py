@@ -262,6 +262,42 @@ def test_stop_on_segment_edges(monkeypatch, p):
     assert rec.stop_time == 2 * (p // 2) + 1
 
 
+# Rows that enter their second 7-period chunk with bins 0 and 1 at stop - 1
+# = 3, bin 2 at 1: the stop is whichever of the two takes a ball first.
+TWO_AT_STOP = [
+    # bin 1 on the chunk's first period; bin 0 reaches 4 later in it
+    ([1, 0, 0, 2, 3, 4, 2], [], {bb.NO_FLEX: 8, bb.ALWAYS_FLEX: 8}),
+    # bin 0 in a middle period, by an exerted flex arrival on (0, 1) that
+    # prefers bin 4; bin 1 after it
+    ([2, 3, 3, 4, 0, 1, 2], [(10, 0, 1)],
+     {bb.NO_FLEX: 12, bb.ALWAYS_FLEX: 11}),
+    # bin 1 on the chunk's last period, once an exerted flex arrival on
+    # (0, 4) has kept a ball from bin 0
+    ([2, 3, 0, 3, 4, 2, 1], [(9, 0, 4)],
+     {bb.NO_FLEX: 10, bb.ALWAYS_FLEX: 14}),
+    # neither: bin 0 on the next chunk's second period
+    ([2, 3, 4, 3, 4, 2, 3, 4, 0], [], {bb.NO_FLEX: 16, bb.ALWAYS_FLEX: 16}),
+]
+
+
+@pytest.mark.parametrize("kind", [bb.NO_FLEX, bb.ALWAYS_FLEX])
+def test_stop_between_two_bins_at_stop_minus_one(monkeypatch, kind):
+    monkeypatch.setattr(be, "_CHUNK", 7)
+    T = 21
+    rows = []
+    for tail, flex, _ in TWO_AT_STOP:
+        pref = np.zeros(T, dtype=np.int8)
+        pref[:7 + len(tail)] = [0, 0, 0, 1, 1, 1, 2] + tail
+        is_flex = np.zeros(T, dtype=bool)
+        lo, hi = np.zeros(T, dtype=np.int8), np.ones(T, dtype=np.int8)
+        for t, a, b in flex:
+            is_flex[t], lo[t], hi[t] = True, a, b
+        rows.append(injected(pref, is_flex, lo, hi))
+    refs = kernel_rows(bb.PolicySpec(kind=kind), 5, 1.0, rows, stop=4)
+    assert [ref.stop_time for ref in refs] == [
+        stops[kind] for _, _, stops in TWO_AT_STOP]
+
+
 @pytest.mark.parametrize("latched", [False, True])
 @pytest.mark.parametrize("p", EDGES[1:])
 def test_dynamic_trigger_on_segment_edges(monkeypatch, p, latched):
@@ -598,15 +634,20 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name))
 
 
-@pytest.mark.parametrize("N,rows", [(600, 64), (20_000, 2)])
+@pytest.mark.parametrize("N,rows,stop", [
+    pytest.param(600, 64, None, id="600-64"),
+    pytest.param(20_000, 2, None, id="20000-2"),
+    pytest.param(600, 64, 3, id="600-64-stop3"),
+    pytest.param(20_000, 64, 2, id="20000-64-stop2")])
 def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
-                                                        rows):
+                                                        rows, stop):
     """At q=1 one 1024-period chunk's per-(group, row, bin) counts would
     take about 316 MB for 64 rows at N=600, and 157 MB for one row at
     N=20000; the kernel places rows in slices and narrows its chunks, and
-    neither changes a row."""
+    neither changes a row.  With a stop, the rows that reach it find it
+    in those slices too."""
     args = ([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], N, 1.0, 1024, rows, 8,
-            ("wide",), bb.draw_raw_arrays)
+            ("wide",), bb.draw_raw_arrays, stop)
     tracemalloc.start()
     try:
         sliced = be.run_blocks(*args)[0]
@@ -614,6 +655,8 @@ def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+    if stop is not None:
+        assert (sliced.stop_time < 1024).any()
     monkeypatch.setattr(be, "_BLOCK_ROWS", 1)
     alone = be.run_blocks(*args)[0]
     for f in dataclasses.fields(sliced):

@@ -180,6 +180,20 @@ def test_config_preset_applies_unless_flag_overrides(capsys, tmp_path,
     assert first_trigger("--preset", "numerics") == 2936
 
 
+@pytest.mark.parametrize("preset", ["theory", "numerics"])
+def test_parcel_config_refuses_a_preset(capsys, tmp_path, preset):
+    """Parcel policies read no constant preset, so a config that sets one
+    exits 2 before any output directory is made."""
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"model: parcel\npolicies: [no_flex]\n"
+                      f"params: {{corpus: c.txt}}\npreset: {preset}\n")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "parcel", "sweep", "--config",
+                                str(config), "--out", str(out))
+    assert code == 2 and not stdout
+    assert "config error: preset: not read by model 'parcel'" in err
+    assert not out.exists()
+
 
 def test_config_numbers_read_alike_in_every_spelling(capsys, tmp_path):
     # YAML 1.1 reads an exponent without a dot (1e-1) as a string; the

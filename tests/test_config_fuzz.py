@@ -144,7 +144,7 @@ def parcel_config(work):
                    "tables": str(work / "tables.txt"), "T": 40, "M1": 20,
                    "a_d": 0.6},
         "sweep": {"T": [30, 40]},
-        "preset": "numerics",
+        # no preset: parcel policies read none
         "replications": 2,
         "seed": 3,
         "out_dir": "out",
