@@ -683,8 +683,9 @@ def test_kernel_memory_bounded_at_dense_events():
     (bb.PolicySpec(kind=bb.NO_FLEX), 2)], ids=["trigger", "stop"])
 def test_segment_searches_memory_bounded_at_wide_sizes(spec, stop):
     """Segment loads take rows x segments x (N + 1) counts: 64 rows at
-    N=20000 would take 157 MB in one piece, so the trigger and stop
-    searches go in row slices."""
+    N=20000 would take 157 MB in one piece, so the trigger search goes
+    in row slices; the stop search holds a stopped row's periods, not
+    its bins."""
     tracemalloc.start()
     try:
         out = be.run_blocks([spec], 20_000, 0.01, 1024, 64, 8, ("wide",),

@@ -46,9 +46,9 @@ def test_kernel_matches_oracle_and_invariants(chunk, case):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=kernel_cases())
 def test_kernel_matches_oracle_at_segment_widths(seg, chunk, case):
-    """The stop and trigger searches step through one segment per row;
-    one-period segments, segments that do not divide the chunk and one
-    segment per chunk find the same periods."""
+    """The trigger search steps through the segments its bound cannot
+    rule out; one-period segments, segments that do not divide the chunk
+    and one segment per chunk find the same periods."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(be, "_SEG", seg)
         mp.setattr(be, "_CHUNK", chunk)
