@@ -1,10 +1,10 @@
 """Balls-into-bins model: parameters, the five flexing policies (no-flex,
 always-flex, static, dynamic, flex-sqrt-T) with their constants, and the
-draw of one row's arrivals from its per-category streams.  The policy
-loop itself is :mod:`endgame.bins_engine`, which also keys every row's
-streams: row r of a run on stream path ``path`` draws category c from
-the stream keyed by ``(root_seed, *path, c)`` at Philox counter
-(0, 0, r, 0).
+draw of a block of rows' arrivals, tile by tile (stream layout v4).  The
+policy loop itself is :mod:`endgame.bins_engine`, which also keys every
+run's streams: a run on stream path ``path`` draws category c from the
+stream keyed by ``(root_seed, *path, c)``, tile (g, w) of rows x periods
+at Philox counter (0, w, g, 0).
 
 Loads are integer counts; the imbalance metric is the gap
 ``max_i loads[i] - t/N`` where ``t`` is the number of balls already placed.
@@ -16,11 +16,12 @@ proportional to the expected number of flex balls remaining.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import Generator, Philox
 
-from .streams import RowStreams
+from .streams import tile_stream
 
 NO_FLEX = "no_flex"
 ALWAYS_FLEX = "always_flex"
@@ -123,85 +124,173 @@ def static_start(T: int, a_s: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-period random draws
+# Per-period random draws (stream layout v4)
+
+# Periods per tile: tile (g, w) of a run covers periods [w W, (w + 1) W) of
+# rows [g G, (g + 1) G), W = TILE_PERIODS and G = tile_rows(T).  These are
+# layout constants: another value draws other rows.
+TILE_PERIODS = 4096
+
+
+def tile_rows(T: int) -> int:
+    """Rows per tile on a horizon of T: at most 64, so that a tile holds
+    at most 2**18 periods, and at most 2**24 // T, so that a block of
+    the kernel's whole horizons (up to 32e6 periods) holds whole tiles."""
+    return max(1, min(64, 2**24 // T))
 
 
 @dataclass
 class ArrivalArrays:
-    """Pre-drawn per-period arrival randomness, one row per replication
-    (1-D for a single replication, (rows, T) when stacked for the engine).
+    """Pre-drawn per-period arrival randomness of a block of rows
+    (replications or cycles), each array (rows, T).
 
     The flex periods are drawn as geometric gaps, and each flex arrival's
     set directly as a uniformly random pair (lo < hi) of distinct bins: a
     uniform pair from a uniform subset of any size is a uniform pair of
     all bins, so the flex-set size has no effect.  A non-flex period's
-    pair is (0, 0) and never read.  ``exert_u`` is a separate uniform
-    stream consumed only by the flex-sqrt-T policy, so policies stay
-    coupled on the arrival streams regardless of their own randomness; it
-    is None when it was not drawn, and in a stacked block.  A drawn row
-    holds K + 1 of them for its K flex arrivals: ``exert_u[0]`` is V,
-    which places the row's non-flex decisions, and ``exert_u[1 + k]``
-    decides flex arrival k.
+    pair is (0, 0) and never read.  ``decisions`` maps each flex-sqrt-T
+    cut drawn to that policy's (events, first): the (rows, T) flex
+    arrivals it exerts on, and each row's first decision period, T if it
+    has none (see :func:`draw_raw_arrays`).
     """
 
-    is_flex: np.ndarray   # (T,) bool
-    preferred: np.ndarray  # (T,) int
-    pair_lo: np.ndarray   # (T,) int
-    pair_hi: np.ndarray   # (T,) int
-    exert_u: np.ndarray | None = None  # (K + 1,) float
+    is_flex: np.ndarray    # (rows, T) bool
+    preferred: np.ndarray  # (rows, T) int
+    pair_lo: np.ndarray    # (rows, T) int
+    pair_hi: np.ndarray    # (rows, T) int
+    decisions: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.is_flex)
+        """The periods drawn, rows x T."""
+        return self.is_flex.size
 
 
-# The arrival streams of a replication, one per draw category, in the
-# order they are drawn; "exert" is read by the flex-sqrt-T policy only.
+# The arrival streams of a run, one per draw category, in the order a tile
+# draws them; "exert" is read by the flex-sqrt-T policy only.
 CATEGORIES = ("flex", "preferred", "flexset", "exert")
 
 
-def draw_raw_arrays(N: int, q: float, T: int, rng: RowStreams,
-                    exert: bool = True) -> ArrivalArrays:
-    """Draw one row's T periods of arrival randomness from its streams
-    ``rng``, one per draw category, each from its start.  Only
-    ``preferred`` takes a draw per period; the pairs and ``exert_u`` take
-    one per flex arrival, and at N = 2 the pair, always (0, 1), takes
-    none.  ``exert=False`` skips the flex-sqrt-T stream; the other
-    categories are unchanged."""
+def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
+                    cuts=()) -> ArrivalArrays:
+    """Draw the rows ``rows`` of a run on a horizon of T periods, category
+    c from the Philox key ``keys[c]``, tile by tile.
+
+    Tile (g, w) covers rows [gG, (g + 1)G), G = :func:`tile_rows` (T), and
+    periods [wW, (w + 1)W), W = ``TILE_PERIODS``.  Its category c is drawn
+    at counter (0, w, g, 0), in one call, row-major over its periods:
+
+    - flex: the flex periods, one geometric-gap process over the tile's
+      concatenated periods (:func:`_flex_periods`); no draw at q = 1;
+    - preferred: one bin per period, int16 above N = 127;
+    - flexset: one code in [0, N(N - 1)) per flex arrival, which gives the
+      pair (i, j + (j >= i)) for (i, j) = divmod(code, N - 1); no draw at
+      N = 2, where the pair is (0, 1);
+    - exert, drawn only with ``cuts``: per row, V (in window 0 only),
+      then one uniform per flex arrival.
+
+    So row r's draws depend only on the keys, r and T: rows that end
+    inside a tile take the tile's prefix, and a block that starts inside
+    a tile draws the tile's rows before it and drops them.
+
+    ``cuts`` are the flex-sqrt-T exertion probabilities whose decisions
+    the block keeps.  At cut c a row's flex arrival exerts when its
+    uniform is below c, and the policy decides on every non-flex period
+    from the k-th on, k = floor(log1p(-V) / log1p(-c)), a Geometric(c)
+    count.  A non-flex decision moves no ball, so the first decision, the
+    policy's first trigger, has the law of the first of independent
+    Bernoulli(c) decisions, and a smaller cut's decisions are a subset of
+    a larger one's.  A cut of 0 never decides.
+    """
     dtype = np.int16 if N > 127 else np.int8
-    at = _flex_periods(q, T, rng)
-    is_flex = np.zeros(T, dtype=bool)
-    is_flex[at] = True
-    preferred = rng["preferred"].integers(0, N, size=T, dtype=dtype)
-    pair_lo, pair_hi = np.zeros((2, T), dtype=dtype)
-    if N == 2:
-        pair_hi[at] = 1
-    else:
-        g_set = rng["flexset"]
-        i = g_set.integers(0, N, size=at.size, dtype=dtype)
-        j = g_set.integers(0, N - 1, size=at.size, dtype=dtype)
-        j = j + (j >= i)
-        pair_lo[at] = np.minimum(i, j)
-        pair_hi[at] = np.maximum(i, j)
-    return ArrivalArrays(
-        is_flex=is_flex, preferred=preferred, pair_lo=pair_lo,
-        pair_hi=pair_hi,
-        exert_u=rng["exert"].random(at.size + 1) if exert else None)
+    n, G = len(rows), tile_rows(T)
+    shape = (n, T)
+    out = ArrivalArrays(
+        is_flex=np.zeros(shape, bool), preferred=np.empty(shape, dtype),
+        pair_lo=np.zeros(shape, dtype), pair_hi=np.zeros(shape, dtype),
+        decisions={c: (np.zeros(shape, bool), np.full(n, T, np.int64))
+                   for c in cuts})
+    generator = Generator(Philox(0))  # set to each tile's stream in turn
+    for g in range(rows.start // G, -(-rows.stop // G)):
+        m = min(G, rows.stop - g * G)  # the tile's rows drawn
+        skip = max(rows.start - g * G, 0)  # those before the block
+        base = g * G - rows.start  # the block row of the tile's row 0
+        non_flex = np.zeros(m, np.int64)  # before the window, per row
+        k = {}
+        for w, t0 in enumerate(range(0, T, TILE_PERIODS)):
+            width = min(TILE_PERIODS, T - t0)
+
+            def stream(category):
+                return tile_stream(keys[category], g, w, generator)
+            at = (np.arange(m * width) if q == 1.0 else
+                  _flex_periods(q, m * width, stream("flex")))
+            # row i's flex arrivals are at[heads[i]:heads[i + 1]]
+            heads = np.searchsorted(at, np.arange(m + 1) * width)
+            row = np.repeat(np.arange(m), np.diff(heads))
+            col = at - row * width
+            s = heads[skip]  # the block's flex arrivals are at[s:]
+            dst = (row[s:] + base) * T + (t0 + col[s:])
+            out.is_flex.reshape(-1)[dst] = True
+            out.preferred[base + skip:base + m, t0:t0 + width] = stream(
+                "preferred").integers(0, N, size=(m, width),
+                                      dtype=dtype)[skip:]
+            if N == 2:
+                out.pair_hi.reshape(-1)[dst] = 1
+            else:
+                code = stream("flexset").integers(
+                    0, N * (N - 1), size=at.size,
+                    dtype=np.min_scalar_type(N * (N - 1) - 1))
+                i, j = np.divmod(code[s:], N - 1)
+                j += j >= i
+                out.pair_lo.reshape(-1)[dst] = np.minimum(i, j)
+                out.pair_hi.reshape(-1)[dst] = np.maximum(i, j)
+            if not cuts:
+                continue
+            u = stream("exert").random(m * (w == 0) + at.size)
+            heads = heads[:-1]
+            if w == 0:
+                v = u[heads + np.arange(m)]
+                u = u[np.arange(at.size) + row + 1]
+                with np.errstate(divide="ignore"):  # log1p(-1) is -inf
+                    k = {c: np.floor(np.log1p(-v) / np.log1p(-c))
+                         for c in cuts if c > 0}
+            # each flex arrival's non-flex periods before it in the window
+            before = col - (np.arange(at.size) - heads[row])
+            flexes = np.diff(heads, append=at.size)
+            for c, kc in k.items():
+                events, first = out.decisions[c]
+                exerts = u < c
+                events.reshape(-1)[dst[exerts[s:]]] = True
+                # a row's first exerting flex arrival: the rows come in
+                # order
+                r, t = row[exerts], col[exerts]
+                head = np.flatnonzero(np.diff(r, prepend=-1))
+                found = np.full(m, T, np.int64)
+                found[r[head]] = t0 + t[head]
+                # the kc-th non-flex period, if it is in this window,
+                # follows the flex arrivals with at most kc - non_flex
+                # non-flex periods before them
+                j = kc - non_flex
+                here = (j >= 0) & (j < width - flexes)
+                after = np.bincount(row[before <= j[row]], minlength=m)
+                found = np.minimum(found, np.where(
+                    here, t0 + j + after, T).astype(np.int64))
+                np.minimum(first[base + skip:base + m], found[skip:],
+                           out=first[base + skip:base + m])
+            non_flex += width - flexes
+    return out
 
 
-def _flex_periods(q: float, T: int, rng: RowStreams) -> np.ndarray:
-    """The ascending flex periods of a horizon of T: each gap to the next
-    is Geometric(q) on 1, 2, ..., drawn by inversion from one uniform U
-    of the flex stream as ``floor(log1p(-U) / log1p(-q)) + 1``, in
-    batches until the gaps pass T.  At q = 1 every period is one, with
-    no draw."""
-    if q == 1.0:
-        return np.arange(T)
-    rng, scale = rng["flex"], np.log1p(-q)
-    batch = int(q * T + 4 * math.sqrt(q * T)) + 16
+def _flex_periods(q: float, P: int, rng: Generator) -> np.ndarray:
+    """The ascending flex periods among P: each gap to the next is
+    Geometric(q) on 1, 2, ..., drawn by inversion from one uniform U of
+    ``rng`` as ``floor(log1p(-U) / log1p(-q)) + 1``, in batches until the
+    gaps pass P."""
+    scale = np.log1p(-q)
+    batch = int(q * P + 4 * math.sqrt(q * P)) + 16
     parts, last = [], -1
-    while last < T - 1:
-        gaps = np.floor(np.minimum(np.log1p(-rng.random(batch)) / scale, T))
+    while last < P - 1:
+        gaps = np.floor(np.minimum(np.log1p(-rng.random(batch)) / scale, P))
         parts.append(last + np.cumsum(gaps.astype(np.int64) + 1))
         last = parts[-1][-1]
     at = np.concatenate(parts)
-    return at[:np.searchsorted(at, T)]
+    return at[:np.searchsorted(at, P)]

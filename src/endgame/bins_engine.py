@@ -1,17 +1,16 @@
 """The policy loop: one event-driven kernel for the balls-into-bins model
 and the opaque-selling cycle.
 
-Rows (replications or cycles) run in equal-sized blocks sized to bound
-memory.  A row either runs the whole horizon or, given a stop level S,
-stops at the first period in which a load reaches S (an opaque cycle is
-a ball run on depletion counts, stopped at the first stock-out).  Each
-row consumes its own per-category streams, so results are independent
-of block size and execution order: row r of a run on stream path
-``path`` draws category c from the stream keyed by ``(root_seed, *path,
-c)`` at Philox counter (0, 0, r, 0), and every row is drawn on one
-generator, re-keyed and re-countered per stream.  Policies that share a
-model's arrivals run on one draw: each block is drawn once and every
-policy steps through it before the next is drawn.
+Rows (replications or cycles) run in blocks sized to bound memory, of
+whole tiles of the draw where they can be.  A row either runs the whole
+horizon or, given a stop level S, stops at the first period in which a
+load reaches S (an opaque cycle is a ball run on depletion counts,
+stopped at the first stock-out).  A run on stream path ``path`` draws
+category c from the stream keyed by ``(root_seed, *path, c)``, in tiles of
+rows x periods whose draws depend only on the row, not on the block size
+or the execution order (see ``balls_bins.draw_raw_arrays``).  Policies
+that share a model's arrivals run on one draw: each block is drawn once
+and every policy steps through it before the next is drawn.
 
 Loads depend on the policy only through its flex *events*: the flex
 arrivals it exerts on (for the unlatched dynamic policy, the flex
@@ -31,8 +30,7 @@ import numpy as np
 from . import streams
 from .balls_bins import (ALWAYS_FLEX, CATEGORIES, DYNAMIC, FLEX_SQRT_T,
                          POLICY_CONSTANTS, STATIC, ArrivalArrays, ModelParams,
-                         PolicySpec, draw_raw_arrays, static_start)
-from .streams import RowStreams, keyed_generator
+                         PolicySpec, draw_raw_arrays, static_start, tile_rows)
 
 # the name bins runs draw under (the benchmark's trace wraps it apart from
 # the opaque model's draws)
@@ -86,18 +84,18 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
                root_seed: int, path: tuple, draw,
                stop: int | None = None) -> list[LockstepResult]:
     """Run ``n_rows`` rows of the kernel for each of ``policies``, in
-    blocks of equal size (within one row) holding at most about
-    ``_BLOCK_ELEMENTS`` draws and at most ``_BLOCK_ROWS`` rows.  Each
-    block is drawn once and every policy runs on it before the next block
-    is drawn; returns one result per policy.
+    blocks holding at most about ``_BLOCK_ELEMENTS`` draws and at most
+    ``_BLOCK_ROWS`` rows.  Where a block can hold a tile's G =
+    ``tile_rows(T)`` rows, the cap is rounded down to whole tiles and the
+    blocks hold equally many tiles (within one); otherwise they are of
+    equal size (within one row).  Each block is drawn once and every
+    policy runs on it before the next block is drawn; returns one result
+    per policy.
 
-    Row r draws category c from the stream keyed by ``(root_seed, *path,
-    c)`` at counter (0, 0, r, 0): ``draw(N, q, T, rng, exert=exert)``
-    draws a row's T periods from its :class:`~endgame.streams.RowStreams`
-    ``rng``, all rows on one generator; ``exert`` says whether a policy
-    reads the ``exert_u`` stream.  A block keeps only the flex-sqrt-T
-    policies' decisions, one (events, first) pair per cut ``(T -
-    t_hat)/T`` (see :func:`_decide`).
+    ``draw(N, q, T, keys, rows, cuts)`` draws a block's rows from the
+    Philox keys of ``(root_seed, *path, c)`` by category c, with the
+    decisions of the flex-sqrt-T policies, one per cut ``(T -
+    t_hat)/T``; the exert stream is drawn only when a policy reads it.
     """
     if n_rows < 1:
         raise ValueError(f"need at least one row, got {n_rows}")
@@ -107,81 +105,30 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     cuts = [(T - static_start(T, p.a_s)) / T if p.kind == FLEX_SQRT_T
             else None for p in policies]
     drawn_cuts = sorted({c for c in cuts if c is not None})
-    exert = bool(drawn_cuts)
     keys = {c: streams.stream_key(root_seed, *path, c)
-            for c in (CATEGORIES if exert else CATEGORIES[:-1])}
+            for c in (CATEGORIES if drawn_cuts else CATEGORIES[:-1])}
     # the flex-sqrt-T policies run first, so that their decisions are
     # freed before the others run
     order = sorted(range(len(policies)), key=lambda i: cuts[i] is None)
-    generator = keyed_generator()
     cap = max(1, min(_BLOCK_ELEMENTS // max(T, 1), _BLOCK_ROWS))
-    n_blocks = -(-n_rows // cap)
-    bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
+    # blocks of whole tiles where a block holds one
+    unit = tile_rows(T) if cap >= tile_rows(T) else 1
+    units = -(-n_rows // unit)
+    n_blocks = -(-units // (cap // unit))
+    bounds = [min(i * units // n_blocks * unit, n_rows)
+              for i in range(n_blocks + 1)]
     parts = [[] for _ in policies]
     for lo, hi in zip(bounds, bounds[1:]):
-        rows = (draw(N, q, T, RowStreams(generator, keys, r), exert=exert)
-                for r in range(lo, hi))
-        block, decisions = _fill_block(rows, hi - lo, drawn_cuts)
+        block = draw(N, q, T, keys, range(lo, hi), drawn_cuts)
         for i in order:
             if cuts[i] is None:
-                decisions = None
-            parts[i].append(lockstep(
-                policies[i], N, q, block,
-                None if decisions is None else decisions[cuts[i]], stop))
-        del block, decisions  # one block is alive at a time
+                block.decisions.clear()
+            parts[i].append(lockstep(policies[i], N, q, block,
+                                     block.decisions.get(cuts[i]), stop))
+        del block  # one block is alive at a time
     return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
                              for f in fields(LockstepResult)))
             for part in parts]
-
-
-def _fill_block(rows, n: int, cuts: list) -> tuple[ArrivalArrays, dict]:
-    """The ``n`` drawn ``rows`` without ``exert_u``, each copied straight
-    into its row of (n, T) arrays allocated once per block, and for each
-    flex-sqrt-T cut the rows' (n, T) bool flex decisions and (n,) first
-    decision periods (see :func:`_decide`)."""
-    block = events = None
-    first = np.empty((len(cuts), n), dtype=np.int64)
-    for i, drawn in enumerate(rows):
-        arrivals = dict(vars(drawn))
-        exert_u = arrivals.pop("exert_u")
-        if block is None:
-            block = {name: np.empty((n,) + a.shape, a.dtype)
-                     for name, a in arrivals.items()}
-            events = np.zeros((len(cuts), n, len(drawn)), bool)
-        for name, dst in block.items():
-            dst[i] = arrivals[name]
-        if cuts:
-            at = np.flatnonzero(drawn.is_flex)
-            for j, cut in enumerate(cuts):
-                first[j, i] = _decide(events[j, i], at, exert_u, cut)
-    return ArrivalArrays(**block), dict(zip(cuts, zip(events, first)))
-
-
-def _decide(out, at, exert_u, cut: float) -> int:
-    """A flex-sqrt-T policy's decisions at per-period exertion probability
-    ``cut`` on a row whose flex periods are ``at`` (K,): sets ``out``
-    (T,), all False, where a flex arrival exerts, and returns the row's
-    first decision period, T if it has none.  Flex arrival k exerts when
-    ``exert_u[1 + k] < cut``; the policy decides on every non-flex period
-    from the k-th on, for k = ``floor(log1p(-V) / log1p(-cut))`` of V =
-    ``exert_u[0]``, a Geometric(cut) count.  A non-flex decision moves no
-    ball, so the first decision, the policy's first trigger, has the law
-    of the first of independent Bernoulli(cut) decisions, and a smaller
-    cut's decisions are a subset of a larger one's.  A cut of 0 never
-    decides.
-    """
-    T, K = out.size, at.size
-    if cut <= 0:
-        return T
-    out[at] = exert_u[1:] < cut
-    with np.errstate(divide="ignore"):  # log1p(-1) is -inf: k = 0
-        k = np.floor(np.log1p(-exert_u[0]) / np.log1p(-cut))
-    t = T
-    if k < T - K:
-        # the k-th non-flex period follows the flex periods that have at
-        # most k non-flex periods before them
-        t = int(k) + int(np.searchsorted(at - np.arange(K), k, "right"))
-    return int(out[:t].argmax()) if out[:t].any() else t
 
 
 def _check_resolved(policy: PolicySpec) -> None:
@@ -200,8 +147,8 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     to the smaller index, and every other arrival to its preferred bin.
     With ``stop`` set, a row stops after the period in which a load first
     reaches ``stop``.  ``decisions`` is a flex-sqrt-T policy's (events,
-    first) at its cut (see :func:`_fill_block`), None for any other
-    policy.  Constants must be resolved.
+    first) at its cut (see ``ArrivalArrays.decisions``), None for any
+    other policy.  Constants must be resolved.
     """
     _check_resolved(policy)
     kind = policy.kind

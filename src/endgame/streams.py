@@ -16,13 +16,14 @@ feeding a ``Philox``, whose 128-bit key is the first two uint64 words
 ``SeedSequence.generate_state`` gives and whose 256-bit counter starts at
 0.  The rows of a bins or opaque run (replications or cycles) share one
 key per draw category, that of the path ``(root_seed, *arrival path,
-category)``, and row r starts at counter ``(0, 0, r, 0)``: each row has
-2**128 counter blocks before it could reach the next row's, and distinct
-counters under one key give independent streams (Salmon, Moraes, Dror and
-Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Row 0's
-streams are :func:`stream`'s.  :class:`RowStreams` draws a row's streams
-on one generator, setting its key and counter per stream; the policy
-kernel (``bins_engine.run_blocks``) is its one caller.
+category)``, and are drawn in tiles of rows x periods (stream layout v4,
+``balls_bins.draw_raw_arrays``): tile (g, w) starts at counter
+``(0, w, g, 0)``, so each tile has 2**64 counter blocks before it could
+reach the next window's, and distinct counters under one key give
+independent streams (Salmon, Moraes, Dror and Shaw, "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011).  Tile (0, 0)'s streams are
+:func:`stream`'s.  :func:`tile_stream` sets one generator to a tile's
+stream, so a block's tiles are all drawn on one generator.
 """
 
 from __future__ import annotations
@@ -79,27 +80,14 @@ def stream_key(root_seed: int, *path) -> np.ndarray:
 _ZEROS = (0, 0, 0, 0)
 
 
-def keyed_generator() -> Generator:
-    """A Philox generator for :class:`RowStreams` to re-key."""
-    return Generator(Philox(0))
-
-
-class RowStreams:
-    """Row ``row``'s streams by category on a shared Philox generator:
-    ``streams[category]`` sets the generator to key ``keys[category]`` and
-    counter ``(0, 0, row, 0)`` and returns it, so its draws equal those of
-    a fresh ``Philox(key=keys[category], counter=(0, 0, row, 0))``."""
-
-    def __init__(self, generator: Generator, keys: dict, row: int):
-        self.generator, self.keys, self.row = generator, keys, row
-
-    def __getitem__(self, category) -> Generator:
-        # Philox keeps its output buffer and the spare half of a 64-bit
-        # word across calls; a fresh stream has neither
-        self.generator.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, self.row, 0),
-                      "key": self.keys[category]},
-            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0,
-            "uinteger": 0}
-        return self.generator
+def tile_stream(key, g: int, w: int, generator: Generator) -> Generator:
+    """``generator``, a Philox one, set to key ``key`` and counter
+    (0, w, g, 0), the start of tile (g, w) under ``key``: its draws equal
+    those of a fresh ``Philox(key=key, counter=(0, w, g, 0))``."""
+    # Philox keeps its output buffer and the spare half of a 64-bit word
+    # across calls; a fresh stream has neither
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, w, g, 0), "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return generator

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from endgame import balls_bins as bb
 from endgame.balls_bins import (ALWAYS_FLEX, FLEX_SQRT_T, NO_FLEX, STATIC,
                                 ArrivalArrays, PolicySpec, static_start)
 from endgame.parcel import clustering, tsp
@@ -63,6 +64,19 @@ class Record:
     def gap_trajectory(self) -> np.ndarray:
         t = np.arange(1, self.stop_time + 1)
         return self.trajectory.max(axis=1) - t / len(self.loads)
+
+
+# the per-period arrays of a row or block
+ARRAYS = ("is_flex", "preferred", "pair_lo", "pair_hi")
+
+
+@dataclass
+class Row(ArrivalArrays):
+    """One row of arrivals, each array (T,), with its exert stream
+    ``exert_u``: V, then one uniform per flex arrival in period order;
+    None when it was not drawn."""
+
+    exert_u: np.ndarray | None = None
 
 
 def run(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
@@ -110,55 +124,91 @@ def run(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
                   trajectory=np.array(trajectory).reshape(-1, N))
 
 
-def row_generator(root_seed: int, *path, row: int = 0):
-    """Row ``row`` of the stream ``path``, from numpy alone: a fresh
+def tile_generator(root_seed: int, *path, g: int = 0, w: int = 0):
+    """Tile (g, w) of the stream ``path``, from numpy alone: a fresh
     Philox generator whose key is the first two uint64 words of
     ``SeedSequence((root_seed, *path))``, a string label entering as the
-    first 8 bytes of its sha256, and whose counter is (0, 0, row, 0)."""
+    first 8 bytes of its sha256, and whose counter is (0, w, g, 0)."""
     entropy = [root_seed] + [
         p & (2**64 - 1) if isinstance(p, int) else int.from_bytes(
             hashlib.sha256(str(p).encode()).digest()[:8], "little")
         for p in path]
     key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-    counter = np.array([0, 0, row, 0], dtype=np.uint64)
+    counter = np.array([0, w, g, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def draw(root_seed: int, N: int, q: float, T: int, *path, row: int = 0,
-         exert: bool = True) -> ArrivalArrays:
-    """The arrivals of row ``row`` of a run on stream path ``path``, built
-    from numpy alone: category c is drawn from ``row_generator(root_seed,
-    *path, c, row=row)``."""
-    def generator(category):
-        return row_generator(root_seed, *path, category, row=row)
-
+         exert: bool = True) -> Row:
+    """The arrivals of row ``row`` of a run on stream path ``path``,
+    built the slow way:
+    row r is row i = r mod G of the tiles (r div G, w) of G =
+    ``bb.tile_rows(T)`` rows and W = ``bb.TILE_PERIODS`` periods, and
+    category c of a tile comes from ``tile_generator(root_seed, *path, c,
+    g=g, w=w)``, drawn for the tile's rows up to row i, row-major, of
+    which row i's are kept.  A tile's flex periods are a geometric-gap
+    process over its concatenated periods, one uniform per gap (none at
+    q = 1); ``preferred`` is one bin per period; the pair of flex arrival
+    k is code k of one draw in [0, N(N - 1)) per flex arrival, as (a, b)
+    = divmod(code, N - 1) and the pair {a, b + (b >= a)} (none at N = 2,
+    where it is (0, 1)); the exert stream holds per row V, in window 0
+    only, then one uniform per flex arrival.  ``exert_u`` is V, then the
+    row's flex uniforms in period order."""
+    g, i = divmod(row, bb.tile_rows(T))
     dtype = np.int16 if N > 127 else np.int8
-    if q == 1.0:
-        at = np.arange(T)
-    else:
-        # T gaps of at least 1 reach past every period
-        u = generator("flex").random(T)
-        gaps = np.floor(np.minimum(np.log1p(-u) / np.log1p(-q), T)) + 1
-        at = np.cumsum(gaps.astype(np.int64)) - 1
-        at = at[at < T]
+    code_dtype = np.min_scalar_type(N * (N - 1) - 1)
     is_flex = np.zeros(T, dtype=bool)
-    is_flex[at] = True
-    preferred = generator("preferred").integers(0, N, size=T, dtype=dtype)
+    preferred = np.zeros(T, dtype=dtype)
     pair_lo, pair_hi = np.zeros((2, T), dtype=dtype)
-    if N == 2:
-        pair_hi[at] = 1
-    else:
-        g = generator("flexset")
-        i = g.integers(0, N, size=len(at), dtype=dtype)
-        j = g.integers(0, N - 1, size=len(at), dtype=dtype)
-        j[j >= i] += 1
-        pair_lo[at], pair_hi[at] = np.minimum(i, j), np.maximum(i, j)
-    exert_u = generator("exert").random(len(at) + 1) if exert else None
-    return ArrivalArrays(is_flex=is_flex, preferred=preferred,
-                         pair_lo=pair_lo, pair_hi=pair_hi, exert_u=exert_u)
+    exert_u = []
+    for w, t0 in enumerate(range(0, T, bb.TILE_PERIODS)):
+        width = min(bb.TILE_PERIODS, T - t0)
+
+        def generator(category):
+            return tile_generator(root_seed, *path, category, g=g, w=w)
+
+        # the flex periods of the tile's rows 0..i, as (row, period)
+        flex = []
+        if q == 1.0:
+            flex = [(r, t) for r in range(i + 1) for t in range(width)]
+        else:
+            rng, at = generator("flex"), -1
+            while True:
+                u = rng.random()
+                gap = np.floor(np.log1p(-u) / np.log1p(-q))
+                at += min(int(gap), (i + 1) * width) + 1
+                if at >= (i + 1) * width:
+                    break
+                flex.append(divmod(at, width))
+        mine = [n for n, (r, _) in enumerate(flex) if r == i]
+        for n in mine:
+            is_flex[t0 + flex[n][1]] = True
+        preferred[t0:t0 + width] = generator("preferred").integers(
+            0, N, size=(i + 1) * width, dtype=dtype)[i * width:]
+        if N == 2:
+            pairs = [(0, 1)] * len(flex)
+        else:
+            codes = generator("flexset").integers(
+                0, N * (N - 1), size=len(flex), dtype=code_dtype)
+            pairs = []
+            for code in codes:
+                a, b = divmod(int(code), N - 1)
+                b += b >= a
+                pairs.append((min(a, b), max(a, b)))
+        for n in mine:
+            pair_lo[t0 + flex[n][1]], pair_hi[t0 + flex[n][1]] = pairs[n]
+        if exert:
+            u = generator("exert").random(len(flex) + (i + 1) * (w == 0))
+            # row i's uniforms follow its V (window 0) and every earlier
+            # row's V and flex uniforms
+            at = sum(1 for r, _ in flex if r < i) + i * (w == 0)
+            exert_u.extend(u[at:at + len(mine) + (w == 0)])
+    return Row(is_flex=is_flex, preferred=preferred, pair_lo=pair_lo,
+               pair_hi=pair_hi,
+               exert_u=np.array(exert_u) if exert else None)
 
 
-def decisions(arrivals: ArrivalArrays, cut: float) -> np.ndarray:
+def decisions(arrivals: Row, cut: float) -> np.ndarray:
     """A flex-sqrt-T policy's per-period decisions at exertion
     probability ``cut``, one period at a time: the k-th flex arrival
     exerts when ``exert_u[1 + k] < cut``; the non-flex periods exert from
@@ -181,15 +231,13 @@ def decisions(arrivals: ArrivalArrays, cut: float) -> np.ndarray:
 
 
 def stack_arrivals(rows: list, policy: PolicySpec) -> tuple:
-    """The (rows, T) block of per-row arrival arrays, without
-    ``exert_u``, and the decisions that ``bins_engine.run_blocks`` hands
-    ``policy`` with it: for a flex-sqrt-T policy, of its :func:`decisions`
-    at the cut ``(T - t_hat)/T``, the (rows, T) bool flex ones and each
-    row's first period (T if it has none); for any other None."""
-    def stacked(name):
-        return np.stack([getattr(a, name) for a in rows])
-    block = ArrivalArrays(*(stacked(f.name) for f in fields(ArrivalArrays)
-                            if f.name != "exert_u"))
+    """The (rows, T) block of per-row arrival arrays, and the decisions
+    that ``bins_engine.run_blocks`` hands ``policy`` with it: for a
+    flex-sqrt-T policy, of its :func:`decisions` at the cut ``(T -
+    t_hat)/T``, the (rows, T) bool flex ones and each row's first period
+    (T if it has none); for any other None."""
+    block = ArrivalArrays(*(np.stack([getattr(a, name) for a in rows])
+                            for name in ARRAYS))
     if policy.kind != FLEX_SQRT_T:
         return block, None
     T = len(rows[0])

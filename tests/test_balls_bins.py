@@ -19,7 +19,7 @@ def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0):
     T = len(preferred)
     is_flex = np.zeros(T, dtype=bool) if is_flex is None else is_flex
     is_flex = np.broadcast_to(np.asarray(is_flex, dtype=bool), T)
-    return bb.ArrivalArrays(
+    return oracle.Row(
         is_flex=is_flex,
         preferred=preferred,
         pair_lo=np.broadcast_to(np.asarray(pair_lo, dtype=np.int8), T),
@@ -90,12 +90,12 @@ def test_arrival_invariants():
         assert np.array_equal(getattr(lean, name), getattr(arr, name))
 
 
-def drawn(N, q, T, seed, row=0, categories=bb.CATEGORIES):
-    """Row ``row`` drawn by the kernel's draw from the streams
+def drawn(N, q, T, seed, rows=range(1), categories=bb.CATEGORIES,
+          cuts=()):
+    """The block of ``rows`` drawn by the kernel's draw from the streams
     ``(seed, "law", c)`` of ``categories`` only."""
     keys = {c: streams.stream_key(seed, "law", c) for c in categories}
-    return bb.draw_raw_arrays(
-        N, q, T, streams.RowStreams(streams.keyed_generator(), keys, row))
+    return bb.draw_raw_arrays(N, q, T, keys, rows, cuts)
 
 
 def test_flex_fraction_and_mean_gap():
@@ -122,16 +122,16 @@ def test_flex_sqrt_t_first_trigger_is_geometric():
 
 def test_smaller_cut_decisions_are_a_subset():
     cuts = [0.0, 0.001, 0.02, 0.3, 0.3000001, 0.9, 1.0]
+    block = drawn(4, 0.2, 500, 2, range(20), cuts=cuts)
     for row in range(20):
-        arr = drawn(4, 0.2, 500, 2, row)
-        at = np.flatnonzero(arr.is_flex)
+        arr = oracle.draw(2, 4, 0.2, 500, "law", row=row)
+        assert np.array_equal(block.is_flex[row], arr.is_flex)
         made, firsts = [], []
         for cut in cuts:
-            out = np.zeros(len(arr), dtype=bool)
-            first = be._decide(out, at, arr.exert_u, cut)
+            events, first = (d[row] for d in block.decisions[cut])
             ref = oracle.decisions(arr, cut)
             # the flex arrivals' decisions, and the first of all of them
-            assert np.array_equal(out, ref & arr.is_flex)
+            assert np.array_equal(events, ref & arr.is_flex)
             assert first == (ref.argmax() if ref.any() else len(arr))
             made.append(ref)
             firsts.append(first)
@@ -145,13 +145,145 @@ def test_smaller_cut_decisions_are_a_subset():
 def test_two_bins_pair_is_fixed_and_q1_flexes_every_period():
     # no draw from the flexset stream at N = 2, none from flex at q = 1
     arr = drawn(2, 0.4, 10**4, 3,
-                categories=("flex", "preferred", "exert"))
+                categories=("flex", "preferred", "exert"), cuts=[1.0])
     assert 0.3 < arr.is_flex.mean() < 0.5
     assert (arr.pair_lo[arr.is_flex] == 0).all()
     assert (arr.pair_hi[arr.is_flex] == 1).all()
     arr = drawn(3, 1.0, 10**4, 3,
-                categories=("preferred", "flexset", "exert"))
-    assert arr.is_flex.all() and len(arr.exert_u) == 10**4 + 1
+                categories=("preferred", "flexset", "exert"), cuts=[1.0])
+    assert arr.is_flex.all() and arr.decisions[1.0][0].all()
+
+
+# ---------------------------------------------------------------------------
+# stream layout v4: tiles of rows x periods
+
+
+def test_tile_layout_constants():
+    """Another W or G draws other rows: both are part of the layout."""
+    assert bb.TILE_PERIODS == 4096
+    assert [bb.tile_rows(T) for T in (1, 2**18, 2**19, 2**24, 2**25)] == [
+        64, 64, 32, 1, 1]
+
+
+# three windows, the last one partial
+WINDOWS_T = 2 * bb.TILE_PERIODS + 100
+
+
+def kernel_inputs(monkeypatch, spec, N, q, T, n_rows, seed):
+    """The arrays and flex-sqrt-T decisions that ``run_blocks`` hands the
+    kernel for ``n_rows`` rows of ``spec``, its blocks joined; the kernel
+    itself does not run."""
+    blocks = []
+
+    def recording(policy, N, q, arrivals, decisions, stop=None):
+        blocks.append(([getattr(arrivals, name).copy()
+                        for name in oracle.ARRAYS],
+                       None if decisions is None
+                       else [d.copy() for d in decisions]))
+        zeros = np.zeros(arrivals.is_flex.shape[0], np.int64)
+        return be.LockstepResult(np.zeros((zeros.size, N), np.int64),
+                                 zeros, zeros, zeros)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(be, "lockstep", recording)
+        be.run_blocks([spec], N, q, T, n_rows, seed, ("tiles",),
+                      bb.draw_raw_arrays)
+    arrays = [np.concatenate(part) for part in zip(*(b[0] for b in blocks))]
+    decisions = (None if blocks[0][1] is None else
+                 [np.concatenate(part) for part in zip(*(b[1]
+                                                         for b in blocks))])
+    return arrays, decisions
+
+
+@pytest.mark.parametrize("exert", [False, True], ids=["lean", "exert"])
+@pytest.mark.parametrize("q", [0.3, 1.0])
+@pytest.mark.parametrize("N", [2, 5, 200])
+def test_rows_draw_alike_at_any_row_count_and_block_size(monkeypatch, N, q,
+                                                         exert):
+    """Row r's arrays and flex-sqrt-T decisions depend on r and T only:
+    not on a row count that ends inside a tile, nor on a block size whose
+    blocks start inside one.  The horizon spans three windows, and the
+    cut is small enough that first decisions fall past the first; rows
+    of tiles 0 and 1 equal the oracle's."""
+    T = WINDOWS_T
+    G = bb.tile_rows(T)
+    spec = bb.PolicySpec(kind=bb.FLEX_SQRT_T if exert else bb.STATIC,
+                         a_s=0.006)
+    cut = (T - bb.static_start(T, spec.a_s)) / T
+    whole, made = kernel_inputs(monkeypatch, spec, N, q, T, 3 * G, 7)
+    if exert:
+        assert {0, 1} <= set(made[1][made[1] < T] // bb.TILE_PERIODS)
+    for elements in (be._BLOCK_ELEMENTS, 10 * T):
+        monkeypatch.setattr(be, "_BLOCK_ELEMENTS", elements)
+        for n_rows in (1, G - 1, G, G + 1, 3 * G):
+            arrays, decisions = kernel_inputs(monkeypatch, spec, N, q, T,
+                                              n_rows, 7)
+            for got, want in zip(arrays, whole):
+                assert np.array_equal(got, want[:n_rows])
+            if not exert:
+                assert decisions is None
+                continue
+            for got, want in zip(decisions, made):
+                assert np.array_equal(got, want[:n_rows])
+    for row in (0, G + 1):
+        arr = oracle.draw(7, N, q, T, "tiles", row=row, exert=exert)
+        for got, name in zip(whole, oracle.ARRAYS):
+            assert np.array_equal(got[row], getattr(arr, name)), name
+        if exert:
+            ref = oracle.decisions(arr, cut)
+            assert np.array_equal(made[0][row], ref & arr.is_flex)
+            assert made[1][row] == (ref.argmax() if ref.any() else T)
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0])
+@pytest.mark.parametrize("N", [2, 5, 200])
+def test_rows_match_the_oracle_over_narrow_windows(monkeypatch, N, q):
+    """With 50-period windows, every row of three tiles of rows and its
+    flex-sqrt-T decisions equal the oracle's, and the first decisions
+    fall in each of the three windows, in blocks of whole tiles and in
+    blocks of 10 rows."""
+    monkeypatch.setattr(bb, "TILE_PERIODS", 50)
+    T = 143
+    G = bb.tile_rows(T)
+    spec = bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=0.1)
+    cut = (T - bb.static_start(T, spec.a_s)) / T
+    rows = [oracle.draw(7, N, q, T, "tiles", row=row)
+            for row in range(3 * G)]
+    refs = [oracle.decisions(arr, cut) for arr in rows]
+    for elements in (be._BLOCK_ELEMENTS, 10 * T):
+        monkeypatch.setattr(be, "_BLOCK_ELEMENTS", elements)
+        arrays, made = kernel_inputs(monkeypatch, spec, N, q, T, 3 * G, 7)
+        assert set(made[1][made[1] < T] // 50) == {0, 1, 2}
+        for row, (arr, ref) in enumerate(zip(rows, refs)):
+            for got, name in zip(arrays, oracle.ARRAYS):
+                assert np.array_equal(got[row], getattr(arr, name)), name
+            assert np.array_equal(made[0][row], ref & arr.is_flex)
+            assert made[1][row] == (ref.argmax() if ref.any() else T)
+
+
+def test_block_draw_memory_is_its_arrays_and_one_tile():
+    """A block draw holds its own arrays and one tile's temporaries: at
+    q = 1 and N = 200 (a flex arrival with an int16 pair every period),
+    blocks of 2 and 5 tiles of rows over three windows peak equally far
+    above their own arrays, about 20 MB."""
+    keys = {c: streams.stream_key(4, "memory", c) for c in bb.CATEGORIES}
+    G = bb.tile_rows(WINDOWS_T)
+    over = []
+    for n in (2 * G, 5 * G):
+        tracemalloc.start()
+        try:
+            block = bb.draw_raw_arrays(200, 1.0, WINDOWS_T, keys, range(n),
+                                       [0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(a.nbytes for a in (block.is_flex, block.preferred,
+                                     block.pair_lo, block.pair_hi,
+                                     *block.decisions[0.5]))
+        over.append(peak - own)
+        del block
+    assert max(over) < 24 * 2**20, [f"{o / 2**20:.1f} MB" for o in over]
+    assert over[1] < over[0] + 2**20
 
 
 def test_model_params_validation():
@@ -612,7 +744,8 @@ def test_engine_independent_of_block_size(monkeypatch):
     assert np.array_equal(full.flex_count, small.flex_count)
 
 
-@pytest.mark.parametrize("reps,cap", [(9, 4), (321, 320), (10, 10)])
+@pytest.mark.parametrize("reps,cap", [(9, 4), (321, 320), (10, 10),
+                                      (200, 100)])
 def test_blocks_are_equal_sized(monkeypatch, reps, cap):
     p = bb.ModelParams(T=30, N=3, q=0.5)
     spec = bb.resolve_policy(bb.PolicySpec(kind=bb.DYNAMIC, latched=True), p,
@@ -629,7 +762,13 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
     monkeypatch.setattr(be, "_BLOCK_ELEMENTS", cap * p.T)
     blocked = be.run_many(spec, p, reps, 2, "equal")
     assert sum(sizes) == reps and max(sizes) <= cap
-    assert max(sizes) - min(sizes) <= 1
+    # a block that can hold a tile holds whole tiles, the last a prefix;
+    # the blocks hold equally many (rows, where a tile does not fit),
+    # within one
+    unit = bb.tile_rows(p.T) if cap >= bb.tile_rows(p.T) else 1
+    assert all(size % unit == 0 for size in sizes[:-1])
+    units = [-(-size // unit) for size in sizes]
+    assert max(units) - min(units) <= 1
     for name in ("final_gap", "flex_count", "first_trigger"):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name))
 
@@ -719,7 +858,7 @@ def test_run_policies_equals_run_many_per_policy(monkeypatch, block_rows):
 def test_benchmark_trace_points_see_every_draw(monkeypatch):
     """The benchmark times draws through these module attributes, and the
     two engine entry points must not call each other.  Stream keys are
-    derived once per run and draw category; rows differ by counter."""
+    derived once per run and draw category; each block is one draw."""
     calls = {}
     key_calls = []
     rows = []
@@ -738,7 +877,7 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             if name.startswith("draw"):
-                rows.append(args[3].row)
+                rows.append(args[4])
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
@@ -749,22 +888,24 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
     p = bb.ModelParams(T=50, N=3, q=0.5)
     spec = bb.resolve_policy(bb.PolicySpec(kind=bb.STATIC), p, "numerics")
     be.run_many(spec, p, 7, 0, "trace")
-    assert calls == {"run_many": 1, "draw_arrival_arrays": 7}
-    # 7 reps in blocks of 2, 2 and 3 rows, each row at its own counter
-    assert key_calls == static_categories and rows == list(range(7))
+    assert calls == {"run_many": 1, "draw_arrival_arrays": 3}
+    # 7 reps in blocks of 2, 2 and 3 rows, one draw each
+    assert key_calls == static_categories
+    assert rows == [range(0, 2), range(2, 4), range(4, 7)]
     key_calls.clear()
     rows.clear()
     inv = opaque.InventoryParams(N=3, S=6, q=0.5)
     opaque.simulate_cycles(opaque.resolve_opaque_policy(spec, inv), inv, 5,
                            0, "trace")
-    assert calls == {"run_many": 1, "draw_arrival_arrays": 7,
-                     "simulate_cycles": 1, "draw_raw_arrays": 5}
-    assert key_calls == static_categories and rows == list(range(5))
-    # five policies draw each row once, with the exert stream for
+    assert calls == {"run_many": 1, "draw_arrival_arrays": 3,
+                     "simulate_cycles": 1, "draw_raw_arrays": 2}
+    assert key_calls == static_categories
+    assert rows == [range(0, 2), range(2, 5)]
+    # five policies draw each block once, with the exert stream for
     # flex_sqrt_t, and derive the run's keys once per category
     key_calls.clear()
     specs = [bb.resolve_policy(bb.PolicySpec(kind=kind), p, "numerics")
              for kind in bb.POLICY_KINDS]
     be.run_policies(specs, p, 7, 0, "trace")
-    assert calls["draw_arrival_arrays"] == 7 + 7
+    assert calls["draw_arrival_arrays"] == 3 + 3
     assert key_calls == list(bb.CATEGORIES)

@@ -53,9 +53,10 @@ def test_trace_hooks_resolve_and_pass_calls_through(spans, tmp_path):
     for name, start, end, _, attrs in tracer.spans:
         assert end >= start > 0
         calls[name] = calls.get(name, 0) + 1
-    # one draw per replication or cycle, shared by the policies
-    assert calls["bins_engine.draw_arrival_arrays"] == 2 * 3
-    assert calls["opaque.draw_raw_arrays"] == 2 * 2 * 2
+    # one draw per block of replications or cycles, shared by the
+    # policies: one per T and one per S
+    assert calls["bins_engine.draw_arrival_arrays"] == 2
+    assert calls["opaque.draw_raw_arrays"] == 2
     assert calls["runner.write_csv"] == 2
     assert calls["runner.summarize"] == 1
     metrics = spans.layer_metrics([], tracer.spans, 0.0, 0.0)

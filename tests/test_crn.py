@@ -28,7 +28,7 @@ def read_rows(path):
 
 @pytest.fixture
 def seen(monkeypatch):
-    """Records each draw's stream addresses, its row and one Philox key
+    """Records each draw's stream addresses, its rows and one Philox key
     per category, and, per policy kind, the arrival blocks the kernel
     runs on."""
     record = {"keys": [], "blocks": {}}
@@ -36,11 +36,11 @@ def seen(monkeypatch):
     def counting(module, name):
         inner = getattr(module, name)
 
-        def wrapper(N, q, T, rng, **kwargs):
-            record["keys"].append((rng.row, tuple(
+        def wrapper(N, q, T, keys, rows, *rest):
+            record["keys"].append(((rows.start, rows.stop), tuple(
                 (c, tuple(int(w) for w in key))
-                for c, key in sorted(rng.keys.items()))))
-            return inner(N, q, T, rng, **kwargs)
+                for c, key in sorted(keys.items()))))
+            return inner(N, q, T, keys, rows, *rest)
         monkeypatch.setattr(module, name, wrapper)
 
     counting(be, "draw_arrival_arrays")
@@ -68,9 +68,9 @@ def test_bins_sweep_policies_see_the_same_arrivals(capsys, tmp_path, seen):
             "flex_sqrt_t", "--T", "50,80", "--N", "3", "--q", "0.5",
             "--reps", "4", "--seed", "1", "--out", tmp_path)
     assert_same_blocks(seen["blocks"], ("no_flex", "flex_sqrt_t"))
-    # one draw per replication and T, shared by both policies
-    assert len(seen["keys"]) == 2 * 4
-    assert len(set(seen["keys"])) == 2 * 4
+    # one draw of the 4 replications per T, shared by both policies
+    assert len(seen["keys"]) == 2
+    assert len(set(seen["keys"])) == 2
 
 
 def test_opaque_config_sweep_policies_see_the_same_arrivals(capsys,
@@ -83,9 +83,10 @@ def test_opaque_config_sweep_policies_see_the_same_arrivals(capsys,
     run_cli(capsys, "opaque", "sweep", "--config", config, "--seed", "2",
             "--out", tmp_path / "out")
     assert_same_blocks(seen["blocks"], ("no_flex", "dynamic"))
-    # one draw per cycle and S: the regime and the policy share it
-    assert len(seen["keys"]) == 2 * 2 * 3
-    assert len(set(seen["keys"])) == 2 * 2 * 3
+    # one draw of the 2 x 3 cycles per S: the regime and the policy
+    # share it
+    assert len(seen["keys"]) == 2
+    assert len(set(seen["keys"])) == 2
     # a regime sweep runs every policy once per S
     assert len(seen["blocks"]["dynamic"]) == 2
 

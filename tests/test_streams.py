@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from endgame.streams import (RowStreams, keyed_generator, resolve_root_seed,
-                             stream, stream_key, stream_seed)
+from numpy.random import Generator, Philox
+
+from endgame.streams import (resolve_root_seed, stream, stream_key,
+                             stream_seed, tile_stream)
 
 
 def test_same_path_same_stream():
@@ -53,9 +55,9 @@ def test_bad_root_seed_names_its_source(monkeypatch, explicit, env, named):
 
 
 # ---------------------------------------------------------------------------
-# rows addressed by the Philox counter
+# tiles addressed by the Philox counter
 
-ROWS = [0, 1, 2**31, 2**32, 2**63, 2**64 - 1]
+TILES = [0, 1, 2**31, 2**32, 2**63, 2**64 - 1]
 components = st.integers(0, 2**70) | st.text(max_size=6)
 
 
@@ -63,19 +65,21 @@ components = st.integers(0, 2**70) | st.text(max_size=6)
 @given(root=st.integers(0, 2**70),
        path=st.lists(components, max_size=6).map(tuple),
        category=components,
-       rows=st.lists(st.integers(0, 2**64 - 1), max_size=3))
-def test_row_streams_equal_fresh_counter_philox(root, path, category, rows):
-    """Row r of a category is a fresh Philox generator at counter
-    (0, 0, r, 0) under the key of ``(root, *path, category)``, built from
-    numpy alone; row 0 is :func:`stream`.  Roots and labels above 2**64
-    take several entropy words."""
-    keys = {category: stream_key(root, *path, category)}
-    generator = keyed_generator()
-    for row in ROWS + rows:
-        got = RowStreams(generator, keys, row)[category].random(6)
-        expected = oracle.row_generator(root, *path, category, row=row)
+       tiles=st.lists(st.tuples(st.integers(0, 2**64 - 1),
+                                st.integers(0, 2**64 - 1)), max_size=3))
+def test_tile_streams_equal_fresh_counter_philox(root, path, category,
+                                                 tiles):
+    """Tile (g, w) of a category is a fresh Philox generator at counter
+    (0, w, g, 0) under the key of ``(root, *path, category)``, built from
+    numpy alone; tile (0, 0) is :func:`stream`.  Roots and labels above
+    2**64 take several entropy words."""
+    key = stream_key(root, *path, category)
+    generator = Generator(Philox(0))
+    for g, w in [(g, w) for g in TILES[:3] for w in TILES[-3:]] + tiles:
+        got = tile_stream(key, g, w, generator).random(6)
+        expected = oracle.tile_generator(root, *path, category, g=g, w=w)
         assert np.array_equal(got, expected.random(6))
-    assert np.array_equal(RowStreams(generator, keys, 0)[category].random(6),
+    assert np.array_equal(tile_stream(key, 0, 0, generator).random(6),
                           stream(root, *path, category).random(6))
 
 
@@ -95,15 +99,14 @@ def _mid_buffer(generator):
 ], ids=["random", "int8", "int16"])
 def test_rekeyed_generator_draws_like_a_fresh_stream(draw):
     for category in ("a", "b"):
-        for row in (0, 3):
-            generator = keyed_generator()
+        for g, w in ((0, 0), (3, 0), (0, 2), (5, 7)):
+            generator = Generator(Philox(0))
             _mid_buffer(generator)
-            rng = RowStreams(generator,
-                             {category: stream_key(5, "rekey", category)},
-                             row)
+            rng = tile_stream(stream_key(5, "rekey", category), g, w,
+                              generator)
             assert np.array_equal(
-                draw(rng[category]),
-                draw(oracle.row_generator(5, "rekey", category, row=row)))
+                draw(rng),
+                draw(oracle.tile_generator(5, "rekey", category, g=g, w=w)))
 
 
 def test_negative_root_seed_raises_like_seed_sequence():

@@ -23,8 +23,10 @@ A ball is a period a row ran, so ns/ball is the time over the sum of
 ``stop_time``.  The output holds per case and policy each side's best
 ns/ball per round, their medians, the change/parent ratio of the medians,
 and whether every worker's result digest (sha256 of the result arrays)
-agrees across sides and rounds; also what machine ran it.  ``--size
-tiny`` runs small cases, one round and two repeats, in seconds.
+agrees across sides and rounds; also what machine ran it.  Two sides on
+different stream layouts draw different blocks, so their digests differ
+by design and only their ns/ball compare.  ``--size tiny`` runs small
+cases, one round and two repeats, in seconds.
 """
 
 from __future__ import annotations
@@ -87,16 +89,13 @@ def worker(size: dict, seed: int) -> dict:
         # the block as run_blocks draws it, flex-sqrt-T decisions included
         keys = {c: streams.stream_key(seed, "kernel_ab", name, c)
                 for c in bb.CATEGORIES}
-        generator = streams.keyed_generator()
         a_s = next(s.a_s for s in specs if s.kind == bb.FLEX_SQRT_T)
         cut = (T - bb.static_start(T, a_s)) / T
-        block, decisions = be._fill_block(
-            (bb.draw_raw_arrays(N, Q, T, streams.RowStreams(generator, keys,
-                                                            r), exert=True)
-             for r in range(rows)), rows, [cut])
+        block = bb.draw_raw_arrays(N, Q, T, keys, range(rows), [cut])
         timed = {}
         for spec in specs:
-            made = decisions[cut] if spec.kind == bb.FLEX_SQRT_T else None
+            made = (block.decisions[cut] if spec.kind == bb.FLEX_SQRT_T
+                    else None)
             best = float("inf")
             for _ in range(size["repeats"]):
                 start = time.perf_counter()
@@ -109,7 +108,7 @@ def worker(size: dict, seed: int) -> dict:
                 "ns_per_ball": best * 1e9 / int(result.stop_time.sum()),
                 "digest": digest.hexdigest()}
         out["cases"][name] = timed
-        del block, decisions
+        del block
     return out
 
 
