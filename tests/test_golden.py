@@ -63,19 +63,19 @@ FLEXING = {"unloading_only", "routing_dynamic", "patient_dynamic",
 GOLDEN = {
     "bins": {
         "bins_raw.csv":
-            "9a22f98e71aa5d12755a301f9fc1911ae0c4286efa39ac3a73c04e1359c5355b",
+            "198feb0daefca7fb1d3e2750b08e337c51561150f5a6ee8609ae8436820d6bdd",
         "bins_summary.csv":
-            "d9d5113629960d03ff0c7df079f4e4485f63aff07ac80b684aac453962d1690d",
+            "a276f10e7d591462d6a328c35a373ce25417362a9bdbac75dc93e2e304f1becd",
     },
     "opaque_config": {
         "opaque_raw.csv":
-            "a77efc438de94b41a4401f4f5b6bd401df40550ae37fcd6c063abd53cfc80c37",
+            "d0f3c13f5b933636add0f9bbe0abd4b43683aa68662e872f673526e63b1e81ce",
         "opaque_summary.csv":
-            "852c504bb50cad0b87f134123ed14a8393e638999b6f16e5096c5b751e9eb5fd",
+            "2e7ea1cebe92b71d43cbea1add5a1cf8e550f682c5a17b6e8c5493a42ad2a4ba",
     },
     "opaque_regime": {
         "opaque_delta_const.csv":
-            "6708044c4d78fea84f449f22b6f512c0542a7571233473eb43e71d8882e9fc36",
+            "bf08e32a475e3d3d669cfeb79e0e3ccce2158e39960f708bc92338fd676f2356",
     },
     "parcel": {
         "parcel_raw.csv":
