@@ -225,7 +225,8 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
                   _flex_periods(q, m * width, stream("flex")))
             # row i's flex arrivals are at[heads[i]:heads[i + 1]]
             heads = np.searchsorted(at, np.arange(m + 1) * width)
-            row = np.repeat(np.arange(m), np.diff(heads))
+            flexes = np.diff(heads)
+            row = np.repeat(np.arange(m), flexes)
             col = at - row * width
             s = heads[skip]  # the block's flex arrivals are at[s:]
             dst = (row[s:] + base) * T + (t0 + col[s:])
@@ -246,16 +247,14 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
             if not cuts:
                 continue
             u = stream("exert").random(m * (w == 0) + at.size)
-            heads = heads[:-1]
             if w == 0:
-                v = u[heads + np.arange(m)]
+                v = u[heads[:-1] + np.arange(m)]
                 u = u[np.arange(at.size) + row + 1]
                 with np.errstate(divide="ignore"):  # log1p(-1) is -inf
                     k = {c: np.floor(np.log1p(-v) / np.log1p(-c))
                          for c in cuts if c > 0}
             # each flex arrival's non-flex periods before it in the window
             before = col - (np.arange(at.size) - heads[row])
-            flexes = np.diff(heads, append=at.size)
             for c, kc in k.items():
                 events, first = out.decisions[c]
                 exerts = u < c
