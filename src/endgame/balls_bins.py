@@ -223,13 +223,15 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
                 return tile_stream(keys[category], g, w, generator)
             at = (np.arange(m * width) if q == 1.0 else
                   _flex_periods(q, m * width, stream("flex")))
-            # row i's flex arrivals are at[heads[i]:heads[i + 1]]
-            heads = np.searchsorted(at, np.arange(m + 1) * width)
+            # row i's periods start at starts[i], and its flex arrivals are
+            # at[heads[i]:heads[i + 1]]
+            starts = np.arange(m + 1) * width
+            heads = np.searchsorted(at, starts)
             flexes = np.diff(heads)
             row = np.repeat(np.arange(m), flexes)
-            col = at - row * width
             s = heads[skip]  # the block's flex arrivals are at[s:]
-            dst = (row[s:] + base) * T + (t0 + col[s:])
+            # their flat positions in the block
+            dst = at[s:] + row[s:] * (T - width) + (base * T + t0)
             out.is_flex.reshape(-1)[dst] = True
             out.preferred[base + skip:base + m, t0:t0 + width] = stream(
                 "preferred").integers(0, N, size=(m, width),
@@ -253,29 +255,32 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
                 with np.errstate(divide="ignore"):  # log1p(-1) is -inf
                     k = {c: np.floor(np.log1p(-v) / np.log1p(-c))
                          for c in cuts if c > 0}
-            # each flex arrival's non-flex periods before it in the window
-            before = col - (np.arange(at.size) - heads[row])
+                first = {c: np.full(m, T, np.int64) for c in k}
             for c, kc in k.items():
-                events, first = out.decisions[c]
                 exerts = u < c
-                events.reshape(-1)[dst[exerts[s:]]] = True
-                # a row's first exerting flex arrival: the rows come in
-                # order
-                r, t = row[exerts], col[exerts]
-                head = np.flatnonzero(np.diff(r, prepend=-1))
-                found = np.full(m, T, np.int64)
-                found[r[head]] = t0 + t[head]
-                # the kc-th non-flex period, if it is in this window,
-                # follows the flex arrivals with at most kc - non_flex
-                # non-flex periods before them
+                out.decisions[c][0].reshape(-1)[dst[exerts[s:]]] = True
+                if (first[c] < T).all():
+                    continue  # every row decided in an earlier window
+                # each row's first exerting flex arrival, as an offset in
+                # the row (width or more if none)
+                hits = np.append(at[exerts], m * width)
+                flexed = hits[np.searchsorted(hits, starts[:-1])] - starts[:-1]
+                # the row's kc-th non-flex period, if it is in this
+                # window, is the tile's n-th, n = kc - non_flex + the
+                # non-flex periods of earlier rows; n plus the flex
+                # arrivals with at most n non-flex periods before them
                 j = kc - non_flex
                 here = (j >= 0) & (j < width - flexes)
-                after = np.bincount(row[before <= j[row]], minlength=m)
-                found = np.minimum(found, np.where(
-                    here, t0 + j + after, T).astype(np.int64))
-                np.minimum(first[base + skip:base + m], found[skip:],
-                           out=first[base + skip:base + m])
+                n = starts[:-1] - heads[:-1] + np.where(here, j, 0).astype(
+                    np.int64)
+                nth = n + np.searchsorted(at - np.arange(at.size), n,
+                                          "right") - starts[:-1]
+                offset = np.minimum(flexed, np.where(here, nth, width))
+                first[c] = np.minimum(first[c], np.where(
+                    offset < width, t0 + offset, T))
             non_flex += width - flexes
+        for c in k:
+            out.decisions[c][1][base + skip:base + m] = first[c][skip:]
     return out
 
 
@@ -288,8 +293,15 @@ def _flex_periods(q: float, P: int, rng: Generator) -> np.ndarray:
     batch = int(q * P + 4 * math.sqrt(q * P)) + 16
     parts, last = [], -1
     while last < P - 1:
-        gaps = np.floor(np.minimum(np.log1p(-rng.random(batch)) / scale, P))
-        parts.append(last + np.cumsum(gaps.astype(np.int64) + 1))
-        last = parts[-1][-1]
+        gaps = rng.random(batch)
+        np.log1p(np.negative(gaps, out=gaps), out=gaps)
+        gaps /= scale
+        # the gaps are >= 0, so the cast floors them
+        at = np.minimum(gaps, P, out=gaps).astype(np.int64)
+        at += 1
+        np.cumsum(at, out=at)
+        at += last
+        parts.append(at)
+        last = at[-1]
     at = np.concatenate(parts)
     return at[:np.searchsorted(at, P)]

@@ -141,12 +141,11 @@ def tile_generator(root_seed: int, *path, g: int = 0, w: int = 0):
 def draw(root_seed: int, N: int, q: float, T: int, *path, row: int = 0,
          exert: bool = True) -> Row:
     """The arrivals of row ``row`` of a run on stream path ``path``,
-    built the slow way:
-    row r is row i = r mod G of the tiles (r div G, w) of G =
-    ``bb.tile_rows(T)`` rows and W = ``bb.TILE_PERIODS`` periods, and
-    category c of a tile comes from ``tile_generator(root_seed, *path, c,
-    g=g, w=w)``, drawn for the tile's rows up to row i, row-major, of
-    which row i's are kept.  A tile's flex periods are a geometric-gap
+    built the slow way.  Row r is row i = r mod G of the tiles (r div G,
+    w) of G = ``bb.tile_rows(T)`` rows and W = ``bb.TILE_PERIODS``
+    periods.  Category c of a tile comes from ``tile_generator(root_seed,
+    *path, c, g=g, w=w)``, drawn for the tile's rows up to row i,
+    row-major, of which row i's are kept.  A tile's flex periods are a geometric-gap
     process over its concatenated periods, one uniform per gap (none at
     q = 1); ``preferred`` is one bin per period; the pair of flex arrival
     k is code k of one draw in [0, N(N - 1)) per flex arrival, as (a, b)
@@ -201,8 +200,8 @@ def draw(root_seed: int, N: int, q: float, T: int, *path, row: int = 0,
             u = generator("exert").random(len(flex) + (i + 1) * (w == 0))
             # row i's uniforms follow its V (window 0) and every earlier
             # row's V and flex uniforms
-            at = sum(1 for r, _ in flex if r < i) + i * (w == 0)
-            exert_u.extend(u[at:at + len(mine) + (w == 0)])
+            start = sum(1 for r, _ in flex if r < i) + i * (w == 0)
+            exert_u.extend(u[start:start + len(mine) + (w == 0)])
     return Row(is_flex=is_flex, preferred=preferred, pair_lo=pair_lo,
                pair_hi=pair_hi,
                exert_u=np.array(exert_u) if exert else None)
