@@ -214,8 +214,10 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
         m = min(G, rows.stop - g * G)  # the tile's rows drawn
         skip = max(rows.start - g * G, 0)  # those before the block
         base = g * G - rows.start  # the block row of the tile's row 0
-        non_flex = np.zeros(m, np.int64)  # before the window, per row
-        k = {}
+        # per row of the tile: its non-flex periods before the window, and
+        # per cut its k and its first decision
+        non_flex = np.zeros(m, np.int64)
+        k, first = {}, {}
         for w, t0 in enumerate(range(0, T, TILE_PERIODS)):
             width = min(TILE_PERIODS, T - t0)
 
@@ -228,10 +230,11 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
             starts = np.arange(m + 1) * width
             heads = np.searchsorted(at, starts)
             flexes = np.diff(heads)
-            row = np.repeat(np.arange(m), flexes)
             s = heads[skip]  # the block's flex arrivals are at[s:]
             # their flat positions in the block
-            dst = at[s:] + row[s:] * (T - width) + (base * T + t0)
+            dst = np.repeat((np.arange(skip, m) + base) * T + t0
+                            - starts[skip:-1], flexes[skip:])
+            dst += at[s:]
             out.is_flex.reshape(-1)[dst] = True
             out.preferred[base + skip:base + m, t0:t0 + width] = stream(
                 "preferred").integers(0, N, size=(m, width),
@@ -246,42 +249,62 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
                 j += j >= i
                 out.pair_lo.reshape(-1)[dst] = np.minimum(i, j)
                 out.pair_hi.reshape(-1)[dst] = np.maximum(i, j)
-            if not cuts:
-                continue
-            u = stream("exert").random(m * (w == 0) + at.size)
-            if w == 0:
-                v = u[heads[:-1] + np.arange(m)]
-                u = u[np.arange(at.size) + row + 1]
-                with np.errstate(divide="ignore"):  # log1p(-1) is -inf
-                    k = {c: np.floor(np.log1p(-v) / np.log1p(-c))
-                         for c in cuts if c > 0}
-                first = {c: np.full(m, T, np.int64) for c in k}
-            for c, kc in k.items():
-                exerts = u < c
-                out.decisions[c][0].reshape(-1)[dst[exerts[s:]]] = True
-                if (first[c] < T).all():
-                    continue  # every row decided in an earlier window
-                # each row's first exerting flex arrival, as an offset in
-                # the row (width or more if none)
-                hits = np.append(at[exerts], m * width)
-                flexed = hits[np.searchsorted(hits, starts[:-1])] - starts[:-1]
-                # the row's kc-th non-flex period, if it is in this
-                # window, is the tile's n-th, n = kc - non_flex + the
-                # non-flex periods of earlier rows; n plus the flex
-                # arrivals with at most n non-flex periods before them
-                j = kc - non_flex
-                here = (j >= 0) & (j < width - flexes)
-                n = starts[:-1] - heads[:-1] + np.where(here, j, 0).astype(
-                    np.int64)
-                nth = n + np.searchsorted(at - np.arange(at.size), n,
-                                          "right") - starts[:-1]
-                offset = np.minimum(flexed, np.where(here, nth, width))
-                first[c] = np.minimum(first[c], np.where(
-                    offset < width, t0 + offset, T))
-            non_flex += width - flexes
-        for c in k:
+            if cuts:
+                _decide(out.decisions, first, k, stream("exert"), at, heads,
+                        width, dst, non_flex, t0, T)
+            # the window's arrays go before the next window's are drawn
+            del at, dst
+        for c in first:
             out.decisions[c][1][base + skip:base + m] = first[c][skip:]
     return out
+
+
+def _decide(decisions, first, k, rng, at, heads, width, dst, non_flex,
+            t0, T):
+    """The flex-sqrt-T decisions of one tile of m rows x ``width``
+    periods from ``t0`` on, whose flex arrivals are at the flat positions
+    ``at``, row i's at ``at[heads[i]:heads[i + 1]]``, drawing the tile's
+    exert stream from ``rng``.  Marks the exerting flex arrivals in each
+    cut's events of ``decisions`` at their block positions ``dst`` (those
+    of the last ``dst.size`` of ``at``), and lowers ``first``, per cut
+    the rows' first decision periods.  In the first window it sets each
+    row's k per cut from its V, and ``first``.  ``non_flex``, each row's
+    non-flex periods before the window, is advanced past it.
+    """
+    m = heads.size - 1
+    u = rng.random(m * (t0 == 0) + at.size)
+    if t0 == 0:
+        v = u[heads[:-1] + np.arange(m)]
+        u = np.delete(u, heads[:-1] + np.arange(m))
+        with np.errstate(divide="ignore"):  # log1p(-1) is -inf
+            k.update((c, np.floor(np.log1p(-v) / np.log1p(-c)))
+                     for c in decisions if c > 0)
+        first.update((c, np.full(m, T, np.int64)) for c in k)
+    starts = np.arange(m) * width
+    flexes = np.diff(heads)
+    for c, kc in k.items():
+        exerts = u < c
+        decisions[c][0].reshape(-1)[dst[exerts[at.size - dst.size:]]] = True
+        if (first[c] < T).all():
+            continue  # every row decided in an earlier window
+        # each row's first exerting flex arrival, as an offset in the row
+        # (width or more if none)
+        hits = np.append(at[exerts], m * width)
+        flexed = hits[np.searchsorted(hits, starts)] - starts
+        # the row's kc-th non-flex period, if it is in this window, is the
+        # tile's n-th, n = kc - non_flex + the non-flex periods of earlier
+        # rows: n plus the flex arrivals with at most n non-flex periods
+        # before them
+        j = kc - non_flex
+        here = (j >= 0) & (j < width - flexes)
+        n = starts - heads[:-1] + np.where(here, j, 0).astype(np.int64)
+        before = np.arange(at.size)
+        np.subtract(at, before, out=before)
+        nth = n + np.searchsorted(before, n, "right") - starts
+        offset = np.minimum(flexed, np.where(here, nth, width))
+        first[c] = np.minimum(first[c], np.where(offset < width,
+                                                 t0 + offset, T))
+    non_flex += width - flexes
 
 
 def _flex_periods(q: float, P: int, rng: Generator) -> np.ndarray:

@@ -145,14 +145,14 @@ def draw(root_seed: int, N: int, q: float, T: int, *path, row: int = 0,
     w) of G = ``bb.tile_rows(T)`` rows and W = ``bb.TILE_PERIODS``
     periods.  Category c of a tile comes from ``tile_generator(root_seed,
     *path, c, g=g, w=w)``, drawn for the tile's rows up to row i,
-    row-major, of which row i's are kept.  A tile's flex periods are a geometric-gap
-    process over its concatenated periods, one uniform per gap (none at
-    q = 1); ``preferred`` is one bin per period; the pair of flex arrival
-    k is code k of one draw in [0, N(N - 1)) per flex arrival, as (a, b)
-    = divmod(code, N - 1) and the pair {a, b + (b >= a)} (none at N = 2,
-    where it is (0, 1)); the exert stream holds per row V, in window 0
-    only, then one uniform per flex arrival.  ``exert_u`` is V, then the
-    row's flex uniforms in period order."""
+    row-major, of which row i's are kept.  A tile's flex periods are a
+    geometric-gap process over its concatenated periods, one uniform per
+    gap (none at q = 1); ``preferred`` is one bin per period; the pair of
+    flex arrival k is code k of one draw in [0, N(N - 1)) per flex
+    arrival, as (a, b) = divmod(code, N - 1) and the pair {a, b + (b >=
+    a)} (none at N = 2, where it is (0, 1)); the exert stream holds per
+    row V, in window 0 only, then one uniform per flex arrival.
+    ``exert_u`` is V, then the row's flex uniforms in period order."""
     g, i = divmod(row, bb.tile_rows(T))
     dtype = np.int16 if N > 127 else np.int8
     code_dtype = np.min_scalar_type(N * (N - 1) - 1)
