@@ -16,10 +16,10 @@ proportional to the expected number of flex balls remaining.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .streams import tile_stream
 
@@ -142,23 +142,24 @@ def tile_rows(T: int) -> int:
 @dataclass
 class ArrivalArrays:
     """Pre-drawn per-period arrival randomness of a block of rows
-    (replications or cycles), each array (rows, T).
+    (replications or cycles), one array per draw category of
+    ``CATEGORIES``, each (rows, T) but ``decisions``.
 
     The flex periods are drawn as geometric gaps, and each flex arrival's
-    set directly as a uniformly random pair (lo < hi) of distinct bins: a
-    uniform pair from a uniform subset of any size is a uniform pair of
-    all bins, so the flex-set size has no effect.  A non-flex period's
-    pair is (0, 0) and never read.  ``decisions`` maps each flex-sqrt-T
-    cut drawn to that policy's (events, first): the (rows, T) flex
-    arrivals it exerts on, and each row's first decision period, T if it
-    has none (see :func:`draw_raw_arrays`).
+    set directly as a uniformly random pair of distinct bins: a uniform
+    pair from a uniform subset of any size is a uniform pair of all bins,
+    so the flex-set size has no effect.  ``pair`` holds the pair's code in
+    [0, N(N - 1)), which :func:`flex_pair` decodes; a non-flex period's
+    code is 0 and never read.  ``decisions`` is the flex-sqrt-T policy's
+    (events, first) at the block's cut: the (rows, T) flex arrivals it
+    exerts on, and each row's first decision period, T if it has none
+    (see :func:`draw_raw_arrays`); None when no cut was drawn.
     """
 
     is_flex: np.ndarray    # (rows, T) bool
     preferred: np.ndarray  # (rows, T) int
-    pair_lo: np.ndarray    # (rows, T) int
-    pair_hi: np.ndarray    # (rows, T) int
-    decisions: dict = field(default_factory=dict)
+    pair: np.ndarray       # (rows, T) unsigned int
+    decisions: tuple | None = None
 
     def __len__(self) -> int:
         """The periods drawn, rows x T."""
@@ -170,8 +171,16 @@ class ArrivalArrays:
 CATEGORIES = ("flex", "preferred", "flexset", "exert")
 
 
+def flex_pair(code, N: int):
+    """The pairs (lo, hi), lo < hi, of flexset codes ``code`` in [0, N(N -
+    1)): {i, j + (j >= i)} for (i, j) = divmod(code, N - 1)."""
+    i, j = np.divmod(code, N - 1)
+    j += j >= i
+    return np.minimum(i, j), np.maximum(i, j)
+
+
 def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
-                    cuts=()) -> ArrivalArrays:
+                    cut: float | None = None) -> ArrivalArrays:
     """Draw the rows ``rows`` of a run on a horizon of T periods, category
     c from the Philox key ``keys[c]``, tile by tile.
 
@@ -182,47 +191,45 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
     - flex: the flex periods, one geometric-gap process over the tile's
       concatenated periods (:func:`_flex_periods`); no draw at q = 1;
     - preferred: one bin per period, int16 above N = 127;
-    - flexset: one code in [0, N(N - 1)) per flex arrival, which gives the
-      pair (i, j + (j >= i)) for (i, j) = divmod(code, N - 1); no draw at
-      N = 2, where the pair is (0, 1);
-    - exert, drawn only with ``cuts``: per row, V (in window 0 only),
-      then one uniform per flex arrival.
+    - flexset: one code in [0, N(N - 1)) per flex arrival; no draw at
+      N = 2, where every code is 0, the pair (0, 1);
+    - exert, drawn only with a nonzero ``cut``: per row, V (in window 0
+      only), then one uniform per flex arrival.
 
     So row r's draws depend only on the keys, r and T: rows that end
     inside a tile take the tile's prefix, and a block that starts inside
     a tile draws the tile's rows before it and drops them.
 
-    ``cuts`` are the flex-sqrt-T exertion probabilities whose decisions
-    the block keeps.  At cut c a row's flex arrival exerts when its
-    uniform is below c, and the policy decides on every non-flex period
-    from the k-th on, k = floor(log1p(-V) / log1p(-c)), a Geometric(c)
-    count.  A non-flex decision moves no ball, so the first decision, the
-    policy's first trigger, has the law of the first of independent
-    Bernoulli(c) decisions, and a smaller cut's decisions are a subset of
-    a larger one's.  A cut of 0 never decides.
+    ``cut`` is the flex-sqrt-T exertion probability whose decisions the
+    block keeps, None for none.  A row's flex arrival exerts when its
+    uniform is below the cut c, and the policy decides on every non-flex
+    period from the k-th on, k = floor(log1p(-V) / log1p(-c)), a
+    Geometric(c) count.  A non-flex decision moves no ball, so the first
+    decision, the policy's first trigger, has the law of the first of
+    independent Bernoulli(c) decisions, and a smaller cut's decisions are
+    a subset of a larger one's.  A cut of 0 never decides.
     """
     dtype = np.int16 if N > 127 else np.int8
     n, G = len(rows), tile_rows(T)
     shape = (n, T)
     out = ArrivalArrays(
         is_flex=np.zeros(shape, bool), preferred=np.empty(shape, dtype),
-        pair_lo=np.zeros(shape, dtype), pair_hi=np.zeros(shape, dtype),
-        decisions={c: (np.zeros(shape, bool), np.full(n, T, np.int64))
-                   for c in cuts})
-    generator = Generator(Philox(0))  # set to each tile's stream in turn
+        pair=np.zeros(shape, np.min_scalar_type(N * (N - 1) - 1)),
+        decisions=None if cut is None else (np.zeros(shape, bool),
+                                            np.full(n, T, np.int64)))
     for g in range(rows.start // G, -(-rows.stop // G)):
         m = min(G, rows.stop - g * G)  # the tile's rows drawn
         skip = max(rows.start - g * G, 0)  # those before the block
         base = g * G - rows.start  # the block row of the tile's row 0
-        # per row of the tile: its non-flex periods before the window, and
-        # per cut its k and its first decision
-        non_flex = np.zeros(m, np.int64)
-        k, first = {}, {}
+        # per row of the tile: its non-flex periods before the window, its
+        # k and its first decision
+        non_flex, k = np.zeros(m, np.int64), np.zeros(m)
+        first = np.full(m, T, np.int64)
         for w, t0 in enumerate(range(0, T, TILE_PERIODS)):
             width = min(TILE_PERIODS, T - t0)
 
             def stream(category):
-                return tile_stream(keys[category], g, w, generator)
+                return tile_stream(keys[category], g, w)
             at = (np.arange(m * width) if q == 1.0 else
                   _flex_periods(q, m * width, stream("flex")))
             # row i's periods start at starts[i], and its flex arrivals are
@@ -239,37 +246,30 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
             out.preferred[base + skip:base + m, t0:t0 + width] = stream(
                 "preferred").integers(0, N, size=(m, width),
                                       dtype=dtype)[skip:]
-            if N == 2:
-                out.pair_hi.reshape(-1)[dst] = 1
-            else:
-                code = stream("flexset").integers(
-                    0, N * (N - 1), size=at.size,
-                    dtype=np.min_scalar_type(N * (N - 1) - 1))
-                i, j = np.divmod(code[s:], N - 1)
-                j += j >= i
-                out.pair_lo.reshape(-1)[dst] = np.minimum(i, j)
-                out.pair_hi.reshape(-1)[dst] = np.maximum(i, j)
-            if cuts:
-                _decide(out.decisions, first, k, stream("exert"), at, heads,
-                        width, dst, non_flex, t0, T)
+            if N > 2:
+                out.pair.reshape(-1)[dst] = stream("flexset").integers(
+                    0, N * (N - 1), size=at.size, dtype=out.pair.dtype)[s:]
+            if cut:
+                _decide(cut, stream("exert"), at, heads, width, dst,
+                        out.decisions[0], non_flex, k, first, t0, T)
             # the window's arrays go before the next window's are drawn
             del at, dst
-        for c in first:
-            out.decisions[c][1][base + skip:base + m] = first[c][skip:]
+        if cut:
+            out.decisions[1][base + skip:base + m] = first[skip:]
     return out
 
 
-def _decide(decisions, first, k, rng, at, heads, width, dst, non_flex,
+def _decide(cut, rng, at, heads, width, dst, events, non_flex, k, first,
             t0, T):
-    """The flex-sqrt-T decisions of one tile of m rows x ``width``
-    periods from ``t0`` on, whose flex arrivals are at the flat positions
-    ``at``, row i's at ``at[heads[i]:heads[i + 1]]``, drawing the tile's
-    exert stream from ``rng``.  Marks the exerting flex arrivals in each
-    cut's events of ``decisions`` at their block positions ``dst`` (those
-    of the last ``dst.size`` of ``at``), and lowers ``first``, per cut
-    the rows' first decision periods.  In the first window it sets each
-    row's k per cut from its V, and ``first``.  ``non_flex``, each row's
-    non-flex periods before the window, is advanced past it.
+    """The flex-sqrt-T decisions at ``cut`` > 0 of one tile of m rows x
+    ``width`` periods from ``t0`` on, whose flex arrivals are at the flat
+    positions ``at``, row i's at ``at[heads[i]:heads[i + 1]]``, drawing
+    the tile's exert stream from ``rng``.  Marks the exerting flex
+    arrivals in ``events`` at their block positions ``dst`` (those of the
+    last ``dst.size`` of ``at``), and lowers ``first``, the rows' first
+    decision periods (T if none).  In the first window it sets each row's
+    ``k`` from its V.  ``non_flex``, each row's non-flex periods before
+    the window, is advanced past it.
     """
     m = heads.size - 1
     u = rng.random(m * (t0 == 0) + at.size)
@@ -277,33 +277,29 @@ def _decide(decisions, first, k, rng, at, heads, width, dst, non_flex,
         v = u[heads[:-1] + np.arange(m)]
         u = np.delete(u, heads[:-1] + np.arange(m))
         with np.errstate(divide="ignore"):  # log1p(-1) is -inf
-            k.update((c, np.floor(np.log1p(-v) / np.log1p(-c)))
-                     for c in decisions if c > 0)
-        first.update((c, np.full(m, T, np.int64)) for c in k)
+            k[:] = np.floor(np.log1p(-v) / np.log1p(-cut))
+    exerts = u < cut
+    events.reshape(-1)[dst[exerts[at.size - dst.size:]]] = True
     starts = np.arange(m) * width
     flexes = np.diff(heads)
-    for c, kc in k.items():
-        exerts = u < c
-        decisions[c][0].reshape(-1)[dst[exerts[at.size - dst.size:]]] = True
-        if (first[c] < T).all():
-            continue  # every row decided in an earlier window
+    if (first == T).any():  # else every row decided in an earlier window
         # each row's first exerting flex arrival, as an offset in the row
         # (width or more if none)
         hits = np.append(at[exerts], m * width)
         flexed = hits[np.searchsorted(hits, starts)] - starts
-        # the row's kc-th non-flex period, if it is in this window, is the
-        # tile's n-th, n = kc - non_flex + the non-flex periods of earlier
+        # the row's k-th non-flex period, if it is in this window, is the
+        # tile's n-th, n = k - non_flex + the non-flex periods of earlier
         # rows: n plus the flex arrivals with at most n non-flex periods
         # before them
-        j = kc - non_flex
+        j = k - non_flex
         here = (j >= 0) & (j < width - flexes)
         n = starts - heads[:-1] + np.where(here, j, 0).astype(np.int64)
         before = np.arange(at.size)
         np.subtract(at, before, out=before)
         nth = n + np.searchsorted(before, n, "right") - starts
         offset = np.minimum(flexed, np.where(here, nth, width))
-        first[c] = np.minimum(first[c], np.where(offset < width,
-                                                 t0 + offset, T))
+        np.minimum(first, np.where(offset < width, t0 + offset, T),
+                   out=first)
     non_flex += width - flexes
 
 

@@ -30,7 +30,8 @@ import numpy as np
 from . import streams
 from .balls_bins import (ALWAYS_FLEX, CATEGORIES, DYNAMIC, FLEX_SQRT_T,
                          POLICY_CONSTANTS, STATIC, ArrivalArrays, ModelParams,
-                         PolicySpec, draw_raw_arrays, static_start, tile_rows)
+                         PolicySpec, draw_raw_arrays, flex_pair, static_start,
+                         tile_rows)
 
 # the name bins runs draw under (the benchmark's trace wraps it apart from
 # the opaque model's draws)
@@ -92,24 +93,29 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     policy runs on it before the next block is drawn; returns one result
     per policy.
 
-    ``draw(N, q, T, keys, rows, cuts)`` draws a block's rows from the
+    ``draw(N, q, T, keys, rows, cut)`` draws a block's rows from the
     Philox keys of ``(root_seed, *path, c)`` by category c, with the
-    decisions of the flex-sqrt-T policies, one per cut ``(T -
-    t_hat)/T``; the exert stream is drawn only when a policy reads it.
+    decisions of the flex-sqrt-T policies at their cut ``(T - t_hat)/T``;
+    the exert stream is drawn only when a policy reads it.  Flex-sqrt-T
+    policies whose ``a_s`` give two cuts are refused.
     """
     if n_rows < 1:
         raise ValueError(f"need at least one row, got {n_rows}")
     for policy in policies:
         _check_resolved(policy)
-    # the flex-sqrt-T policies' per-period exertion probabilities
-    cuts = [(T - static_start(T, p.a_s)) / T if p.kind == FLEX_SQRT_T
-            else None for p in policies]
-    drawn_cuts = sorted({c for c in cuts if c is not None})
+    # the flex-sqrt-T policies' per-period exertion probability
+    sqrt_t = [p.a_s for p in policies if p.kind == FLEX_SQRT_T]
+    cuts = {(T - static_start(T, a_s)) / T for a_s in sqrt_t}
+    if len(cuts) > 1:
+        raise ValueError("flex_sqrt_t policies of one run need one a_s, "
+                         f"got {sqrt_t}")
+    cut = cuts.pop() if cuts else None
     keys = {c: streams.stream_key(root_seed, *path, c)
-            for c in (CATEGORIES if drawn_cuts else CATEGORIES[:-1])}
+            for c in (CATEGORIES if cut is not None else CATEGORIES[:-1])}
     # the flex-sqrt-T policies run first, so that their decisions are
     # freed before the others run
-    order = sorted(range(len(policies)), key=lambda i: cuts[i] is None)
+    order = sorted(range(len(policies)),
+                   key=lambda i: policies[i].kind != FLEX_SQRT_T)
     cap = max(1, min(_BLOCK_ELEMENTS // max(T, 1), _BLOCK_ROWS))
     # blocks of whole tiles where a block holds one
     unit = tile_rows(T) if cap >= tile_rows(T) else 1
@@ -119,12 +125,12 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
               for i in range(n_blocks + 1)]
     parts = [[] for _ in policies]
     for lo, hi in zip(bounds, bounds[1:]):
-        block = draw(N, q, T, keys, range(lo, hi), drawn_cuts)
+        block = draw(N, q, T, keys, range(lo, hi), cut)
         for i in order:
-            if cuts[i] is None:
-                block.decisions.clear()
+            if policies[i].kind != FLEX_SQRT_T:
+                block.decisions = None
             parts[i].append(lockstep(policies[i], N, q, block,
-                                     block.decisions.get(cuts[i]), stop))
+                                     block.decisions, stop))
         del block  # one block is alive at a time
     return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
                              for f in fields(LockstepResult)))
@@ -147,8 +153,8 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     to the smaller index, and every other arrival to its preferred bin.
     With ``stop`` set, a row stops after the period in which a load first
     reaches ``stop``.  ``decisions`` is a flex-sqrt-T policy's (events,
-    first) at its cut (see ``ArrivalArrays.decisions``), None for any
-    other policy.  Constants must be resolved.
+    first) at its cut (``ArrivalArrays.decisions``), None for any other
+    policy.  Constants must be resolved.
     """
     _check_resolved(policy)
     kind = policy.kind
@@ -173,8 +179,8 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
         # views of the block until a row stops, copies of the live rows
         # after
         sel = slice(None) if live.size == rows else live
-        pref, flex, lo, hi = (a[sel, c0:c1] for a in (
-            arrivals.preferred, mask, arrivals.pair_lo, arrivals.pair_hi))
+        pref, flex, pair = (a[sel, c0:c1]
+                            for a in (arrivals.preferred, mask, arrivals.pair))
         carry = loads[sel]
         recheck = ends = at = None
         if kind == DYNAMIC:  # trigger at the first period the condition holds
@@ -204,8 +210,7 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
             ends = None
             at = np.flatnonzero(flex if start.max() <= c0
                                 else flex & (t >= start[:, None]))
-        ends, flexes, ran = _place(carry, pref, at, lo, hi, recheck, stop,
-                                   ends)
+        ends, flexes, ran = _place(carry, pref, at, pair, recheck, stop, ends)
         loads[sel] = ends
         flex_count[sel] += flexes
         if stop is not None:
@@ -292,7 +297,7 @@ def _first_hit(carry, bins, t_over_n, threshold):
     return r, t[np.arange(r.size), hit.argmax(axis=1)]
 
 
-def _place(carry, pref, at, lo, hi, recheck=None, stop=None, ends=None):
+def _place(carry, pref, at, pair, recheck=None, stop=None, ends=None):
     """Place one chunk of arrivals (rows, w) on top of ``carry`` (rows, N).
 
     ``at`` holds the flat positions in (rows, w) of the events, in
@@ -301,10 +306,11 @@ def _place(carry, pref, at, lo, hi, recheck=None, stop=None, ends=None):
     their preferred bin.  The events are stepped in lockstep across rows,
     event k of every row at once, each on its row's loads at its period:
     the per-bin counts of the non-events before it plus the events
-    already placed.  An event goes to the lesser-loaded bin of its pair,
-    ties to ``lo``.  With ``recheck = (t/N, threshold)`` per period (the
-    unlatched dynamic policy) an event first re-checks the dynamic
-    condition on those loads and goes to its preferred bin when it fails.
+    already placed.  An event goes to the lesser-loaded bin of its pair
+    (flexset code ``pair``), ties to the smaller.  With ``recheck = (t/N,
+    threshold)`` per period (the unlatched dynamic policy) an event first
+    re-checks the dynamic condition on those loads and goes to its
+    preferred bin when it fails.
     Rows go in slices whose slab of per-(group, row, bin) counts fits in
     ``_SLAB`` counts, one row at least.
 
@@ -325,7 +331,7 @@ def _place(carry, pref, at, lo, hi, recheck=None, stop=None, ends=None):
         return tuple(map(np.concatenate, zip(*(_place(
             carry[i:i + step], pref[i:i + step],
             at[first[i]:first[min(i + step, m)]] - i * w,
-            lo[i:i + step], hi[i:i + step], recheck, stop)
+            pair[i:i + step], recheck, stop)
             for i in range(0, m, step)))))
     if not K:
         flexes = np.zeros(m, dtype=np.int64)
@@ -364,7 +370,7 @@ def _place(carry, pref, at, lo, hi, recheck=None, stop=None, ends=None):
         entry += row * K
         full = np.zeros((m, N + 1), dtype=np.int64)  # column N: spare bin
         full[:, :N] = carry
-        chosen, exerted = _step(full, adds, (row, col), entry, pref, lo, hi,
+        chosen, exerted = _step(full, adds, (row, col), entry, pref, pair,
                                 recheck)
         ends = full[:, :N]
         flexes = n_ev if exerted is None else exerted.sum(axis=1)
@@ -398,7 +404,7 @@ def _place(carry, pref, at, lo, hi, recheck=None, stop=None, ends=None):
     return ends, flexes, ran
 
 
-def _step(full, adds, at, entry, pref, lo, hi, recheck):
+def _step(full, adds, at, entry, pref, pair, recheck):
     """The lockstep loop of :func:`_place` on the loads ``full``: step k
     adds group k's counts ``adds[k]`` and then places event k of every
     row, a row with fewer events placing into its spare bin, column N of
@@ -415,8 +421,7 @@ def _step(full, adds, at, entry, pref, lo, hi, recheck):
         return np.ascontiguousarray(out.T)  # the loop reads rows of (K, m)
 
     row0 = np.arange(0, m * (N + 1), N + 1)
-    a = row0 + per_event(lo[at], N)
-    b = row0 + per_event(hi[at], N)
+    a, b = (row0 + per_event(bins, N) for bins in flex_pair(pair[at], N))
     exerted = None
     if recheck is not None:
         tt = at[1]

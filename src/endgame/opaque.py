@@ -114,9 +114,10 @@ def long_run_cost(R, D, params: InventoryParams,
         raise ValueError("long_run_cost needs at least one cycle")
 
     def terms(r, d):
-        er = r.mean()
-        er2 = (r ** 2).mean()
-        ed = d.mean()
+        """The cost terms of the cycles along the last axis."""
+        er = r.mean(axis=-1)
+        er2 = (r ** 2).mean(axis=-1)
+        ed = d.mean(axis=-1)
         ordering = params.K / er
         holding = params.h / 2.0 * (2 * params.N * params.S + 1 - er2 / er)
         discount = params.delta * ed / er
@@ -126,11 +127,13 @@ def long_run_cost(R, D, params: InventoryParams,
     n_groups = min(n_groups, R.size)
     se_total = float("nan")
     if n_groups >= 2:
-        per_group = np.array([terms(r, d) for r, d in
-                              zip(np.array_split(R, n_groups),
-                                  np.array_split(D, n_groups))])
-        se_total = (per_group.sum(axis=1).std(ddof=1)
-                    / math.sqrt(n_groups))
+        # np.array_split's groups: ``extra`` of size + 1, then ones of size
+        size, extra = divmod(R.size, n_groups)
+        cut = extra * (size + 1)
+        per_group = np.concatenate([
+            sum(terms(R[a:b].reshape(-1, n), D[a:b].reshape(-1, n)))
+            for a, b, n in ((0, cut, size + 1), (cut, R.size, size))])
+        se_total = per_group.std(ddof=1) / math.sqrt(n_groups)
     return CostEstimate(total=ordering + holding + discount,
                         ordering=ordering, holding=holding,
                         discount=discount, se_total=float(se_total))

@@ -22,8 +22,8 @@ category)``, and are drawn in tiles of rows x periods (stream layout v4,
 reach the next window's, and distinct counters under one key give
 independent streams (Salmon, Moraes, Dror and Shaw, "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).  Tile (0, 0)'s streams are
-:func:`stream`'s.  :func:`tile_stream` sets one generator to a tile's
-stream, so a block's tiles are all drawn on one generator.
+:func:`stream`'s.  :func:`tile_stream` gives a tile's stream as a fresh
+generator.
 """
 
 from __future__ import annotations
@@ -77,17 +77,9 @@ def stream_key(root_seed: int, *path) -> np.ndarray:
     return stream_seed(root_seed, *path).generate_state(2, np.uint64)
 
 
-_ZEROS = (0, 0, 0, 0)
-
-
-def tile_stream(key, g: int, w: int, generator: Generator) -> Generator:
-    """``generator``, a Philox one, set to key ``key`` and counter
-    (0, w, g, 0), the start of tile (g, w) under ``key``: its draws equal
-    those of a fresh ``Philox(key=key, counter=(0, w, g, 0))``."""
-    # Philox keeps its output buffer and the spare half of a 64-bit word
-    # across calls; a fresh stream has neither
-    generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, w, g, 0), "key": key},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return generator
+def tile_stream(key, g: int, w: int) -> Generator:
+    """A fresh Philox generator with key ``key`` at counter (0, w, g, 0),
+    the start of tile (g, w) under ``key``."""
+    # a uint64 array: a tuple casts g or w >= 2**63 wrongly
+    counter = np.array([0, w, g, 0], np.uint64)
+    return Generator(Philox(key=key, counter=counter))

@@ -4,7 +4,8 @@
 ``endgame.bins_engine``: one row, one period at a time, written to be
 read rather than to be fast.  The engines must agree with it bit for bit
 on the same arrivals, which ``draw`` draws for one row of a stream path
-with numpy alone, and ``decisions`` cuts for the flex-sqrt-T policy.
+with numpy alone, and ``decisions`` cuts for the flex-sqrt-T policy;
+``flex_code`` encodes a flex pair for hand-written rows.
 ``nearest_neighbor_order``, ``cheapest_insertion`` and ``two_opt`` are
 the references for the routines of the same names in
 ``endgame.parcel.tsp``, which must return the same tours; ``route``
@@ -67,7 +68,7 @@ class Record:
 
 
 # the per-period arrays of a row or block
-ARRAYS = ("is_flex", "preferred", "pair_lo", "pair_hi")
+ARRAYS = ("is_flex", "preferred", "pair")
 
 
 @dataclass
@@ -110,7 +111,11 @@ def run(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
         if exert and first_trigger is None:
             first_trigger = t
         if exert and arrivals.is_flex[t]:
-            a, b = int(arrivals.pair_lo[t]), int(arrivals.pair_hi[t])
+            # the flexset code's pair {i, j + (j >= i)}, (i, j) =
+            # divmod(code, N - 1)
+            i, j = divmod(int(arrivals.pair[t]), N - 1)
+            j += j >= i
+            a, b = min(i, j), max(i, j)
             chosen = a if loads[a] <= loads[b] else b  # ties to a < b
             flex_count += 1
         else:
@@ -147,18 +152,17 @@ def draw(root_seed: int, N: int, q: float, T: int, *path, row: int = 0,
     *path, c, g=g, w=w)``, drawn for the tile's rows up to row i,
     row-major, of which row i's are kept.  A tile's flex periods are a
     geometric-gap process over its concatenated periods, one uniform per
-    gap (none at q = 1); ``preferred`` is one bin per period; the pair of
-    flex arrival k is code k of one draw in [0, N(N - 1)) per flex
-    arrival, as (a, b) = divmod(code, N - 1) and the pair {a, b + (b >=
-    a)} (none at N = 2, where it is (0, 1)); the exert stream holds per
-    row V, in window 0 only, then one uniform per flex arrival.
-    ``exert_u`` is V, then the row's flex uniforms in period order."""
+    gap (none at q = 1); ``preferred`` is one bin per period; ``pair``
+    holds flex arrival k's code, code k of one draw in [0, N(N - 1)) per
+    flex arrival (none at N = 2, where every code is 0), and 0 in a
+    non-flex period; the exert stream holds per row V, in window 0 only,
+    then one uniform per flex arrival.  ``exert_u`` is V, then the row's
+    flex uniforms in period order."""
     g, i = divmod(row, bb.tile_rows(T))
     dtype = np.int16 if N > 127 else np.int8
-    code_dtype = np.min_scalar_type(N * (N - 1) - 1)
     is_flex = np.zeros(T, dtype=bool)
     preferred = np.zeros(T, dtype=dtype)
-    pair_lo, pair_hi = np.zeros((2, T), dtype=dtype)
+    pair = np.zeros(T, dtype=np.min_scalar_type(N * (N - 1) - 1))
     exert_u = []
     for w, t0 in enumerate(range(0, T, bb.TILE_PERIODS)):
         width = min(bb.TILE_PERIODS, T - t0)
@@ -184,27 +188,25 @@ def draw(root_seed: int, N: int, q: float, T: int, *path, row: int = 0,
             is_flex[t0 + flex[n][1]] = True
         preferred[t0:t0 + width] = generator("preferred").integers(
             0, N, size=(i + 1) * width, dtype=dtype)[i * width:]
-        if N == 2:
-            pairs = [(0, 1)] * len(flex)
-        else:
+        if N > 2:
             codes = generator("flexset").integers(
-                0, N * (N - 1), size=len(flex), dtype=code_dtype)
-            pairs = []
-            for code in codes:
-                a, b = divmod(int(code), N - 1)
-                b += b >= a
-                pairs.append((min(a, b), max(a, b)))
-        for n in mine:
-            pair_lo[t0 + flex[n][1]], pair_hi[t0 + flex[n][1]] = pairs[n]
+                0, N * (N - 1), size=len(flex), dtype=pair.dtype)
+            for n in mine:
+                pair[t0 + flex[n][1]] = codes[n]
         if exert:
             u = generator("exert").random(len(flex) + (i + 1) * (w == 0))
             # row i's uniforms follow its V (window 0) and every earlier
             # row's V and flex uniforms
             start = sum(1 for r, _ in flex if r < i) + i * (w == 0)
             exert_u.extend(u[start:start + len(mine) + (w == 0)])
-    return Row(is_flex=is_flex, preferred=preferred, pair_lo=pair_lo,
-               pair_hi=pair_hi,
+    return Row(is_flex=is_flex, preferred=preferred, pair=pair,
                exert_u=np.array(exert_u) if exert else None)
+
+
+def flex_code(lo, hi, N: int):
+    """A flexset code of the pair (lo, hi), lo < hi, of N bins:
+    lo (N - 1) + hi - 1, which ``draw``'s decoding gives back."""
+    return lo * (N - 1) + hi - 1
 
 
 def decisions(arrivals: Row, cut: float) -> np.ndarray:

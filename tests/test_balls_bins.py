@@ -12,18 +12,24 @@ from endgame import bins_engine as be
 from endgame import opaque, streams
 
 
-def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0):
-    """One row of hand-written arrivals; scalars broadcast over periods,
-    and ``exert_u`` over V and the flex arrivals."""
+def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0,
+             N=None):
+    """One row of hand-written arrivals of N bins; scalars broadcast over
+    periods, and ``exert_u`` over V and the flex arrivals.  N may be left
+    out when every pair is (0, 1), whose code is 0 at any N."""
     preferred = np.asarray(preferred, dtype=np.int8)
     T = len(preferred)
     is_flex = np.zeros(T, dtype=bool) if is_flex is None else is_flex
     is_flex = np.broadcast_to(np.asarray(is_flex, dtype=bool), T)
+    if N is None:
+        assert not np.any(pair_lo) and np.all(np.equal(pair_hi, 1))
+        N = 2
+    code = oracle.flex_code(np.asarray(pair_lo, np.int64),
+                            np.asarray(pair_hi, np.int64), N)
     return oracle.Row(
         is_flex=is_flex,
         preferred=preferred,
-        pair_lo=np.broadcast_to(np.asarray(pair_lo, dtype=np.int8), T),
-        pair_hi=np.broadcast_to(np.asarray(pair_hi, dtype=np.int8), T),
+        pair=np.broadcast_to(code.astype(np.uint16), T),
         exert_u=np.broadcast_to(np.asarray(exert_u, dtype=float),
                                 is_flex.sum() + 1))
 
@@ -64,7 +70,30 @@ def test_gap_examples():
 def test_draw_arrival_degenerate_flex():
     arr = oracle.draw(0, 2, 1.0, 50, "draws")
     assert arr.is_flex.all()
-    assert (arr.pair_lo == 0).all() and (arr.pair_hi == 1).all()
+    # at N = 2 every code is 0, the pair (0, 1)
+    assert not arr.pair.any()
+    assert [a.tolist() for a in bb.flex_pair(arr.pair, 2)] == [[0] * 50,
+                                                                [1] * 50]
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 17, 200])
+def test_flex_pair_decodes_every_code_as_the_oracle(N):
+    """Each pair (lo, hi) of distinct bins has two codes, (lo, hi - 1) and
+    (hi, lo) by divmod(code, N - 1), and ``oracle.flex_code`` gives the
+    first back."""
+    codes = np.arange(N * (N - 1), dtype=np.min_scalar_type(N * (N - 1) - 1))
+    lo, hi = bb.flex_pair(codes, N)
+    want = []
+    for code in range(N * (N - 1)):
+        i, j = divmod(code, N - 1)
+        j += j >= i
+        want.append((min(i, j), max(i, j)))
+    assert list(zip(lo.tolist(), hi.tolist())) == want
+    assert sorted(want) == sorted(
+        [(a, b) for a in range(N) for b in range(a + 1, N)] * 2)
+    code = oracle.flex_code(lo.astype(np.int64), hi.astype(np.int64), N)
+    assert [a.tolist() for a in bb.flex_pair(code, N)] == [lo.tolist(),
+                                                           hi.tolist()]
 
 
 def test_draw_arrival_flex_fraction():
@@ -77,25 +106,25 @@ def test_arrival_invariants():
     assert arr.preferred.dtype == np.int8
     assert arr.preferred.min() >= 0 and arr.preferred.max() < 5
     flex = arr.is_flex
-    assert (0 <= arr.pair_lo[flex]).all()
-    assert (arr.pair_lo[flex] < arr.pair_hi[flex]).all()
-    assert (arr.pair_hi[flex] < 5).all()
-    # a non-flex period has no pair
-    assert not arr.pair_lo[~flex].any() and not arr.pair_hi[~flex].any()
+    assert arr.pair.dtype == np.uint8 and (arr.pair[flex] < 20).all()
+    lo, hi = bb.flex_pair(arr.pair[flex], 5)
+    assert (0 <= lo).all() and (lo < hi).all() and (hi < 5).all()
+    # a non-flex period's code is 0
+    assert not arr.pair[~flex].any()
     assert len(arr.exert_u) == flex.sum() + 1
     # the exert stream is drawn on its own, so skipping it changes nothing
     lean = oracle.draw(3, 5, 0.3, 10**4, "invariants", exert=False)
     assert lean.exert_u is None
-    for name in ("is_flex", "preferred", "pair_lo", "pair_hi"):
+    for name in oracle.ARRAYS:
         assert np.array_equal(getattr(lean, name), getattr(arr, name))
 
 
 def drawn(N, q, T, seed, rows=range(1), categories=bb.CATEGORIES,
-          cuts=()):
+          cut=None):
     """The block of ``rows`` drawn by the kernel's draw from the streams
     ``(seed, "law", c)`` of ``categories`` only."""
     keys = {c: streams.stream_key(seed, "law", c) for c in categories}
-    return bb.draw_raw_arrays(N, q, T, keys, rows, cuts)
+    return bb.draw_raw_arrays(N, q, T, keys, rows, cut)
 
 
 def test_flex_fraction_and_mean_gap():
@@ -121,14 +150,18 @@ def test_flex_sqrt_t_first_trigger_is_geometric():
 
 
 def test_smaller_cut_decisions_are_a_subset():
+    """One draw per cut over the same keys: each equals the oracle's, and
+    a smaller cut's decisions are a subset of a larger one's."""
     cuts = [0.0, 0.001, 0.02, 0.3, 0.3000001, 0.9, 1.0]
-    block = drawn(4, 0.2, 500, 2, range(20), cuts=cuts)
+    blocks = [drawn(4, 0.2, 500, 2, range(20), cut=cut) for cut in cuts]
     for row in range(20):
         arr = oracle.draw(2, 4, 0.2, 500, "law", row=row)
-        assert np.array_equal(block.is_flex[row], arr.is_flex)
         made, firsts = [], []
-        for cut in cuts:
-            events, first = (d[row] for d in block.decisions[cut])
+        for cut, block in zip(cuts, blocks):
+            for name in oracle.ARRAYS:
+                assert np.array_equal(getattr(block, name)[row],
+                                      getattr(arr, name))
+            events, first = (d[row] for d in block.decisions)
             ref = oracle.decisions(arr, cut)
             # the flex arrivals' decisions, and the first of all of them
             assert np.array_equal(events, ref & arr.is_flex)
@@ -145,13 +178,12 @@ def test_smaller_cut_decisions_are_a_subset():
 def test_two_bins_pair_is_fixed_and_q1_flexes_every_period():
     # no draw from the flexset stream at N = 2, none from flex at q = 1
     arr = drawn(2, 0.4, 10**4, 3,
-                categories=("flex", "preferred", "exert"), cuts=[1.0])
+                categories=("flex", "preferred", "exert"), cut=1.0)
     assert 0.3 < arr.is_flex.mean() < 0.5
-    assert (arr.pair_lo[arr.is_flex] == 0).all()
-    assert (arr.pair_hi[arr.is_flex] == 1).all()
+    assert not arr.pair.any()  # every code 0, the pair (0, 1)
     arr = drawn(3, 1.0, 10**4, 3,
-                categories=("preferred", "flexset", "exert"), cuts=[1.0])
-    assert arr.is_flex.all() and arr.decisions[1.0][0].all()
+                categories=("preferred", "flexset", "exert"), cut=1.0)
+    assert arr.is_flex.all() and arr.decisions[0].all()
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +295,7 @@ def test_rows_match_the_oracle_over_narrow_windows(monkeypatch, N, q):
 
 def test_block_draw_memory_is_its_arrays_and_one_tile():
     """A block draw holds its own arrays and one tile's temporaries: at
-    q = 1 and N = 200 (a flex arrival with an int16 pair every period),
+    q = 1 and N = 200 (a flex arrival with a uint16 code every period),
     blocks of 2 and 5 tiles of rows over three windows peak equally far
     above their own arrays, about 20 MB."""
     keys = {c: streams.stream_key(4, "memory", c) for c in bb.CATEGORIES}
@@ -273,13 +305,12 @@ def test_block_draw_memory_is_its_arrays_and_one_tile():
         tracemalloc.start()
         try:
             block = bb.draw_raw_arrays(200, 1.0, WINDOWS_T, keys, range(n),
-                                       [0.5])
+                                       0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         own = sum(a.nbytes for a in (block.is_flex, block.preferred,
-                                     block.pair_lo, block.pair_hi,
-                                     *block.decisions[0.5]))
+                                     block.pair, *block.decisions))
         over.append(peak - own)
         del block
     assert max(over) < 24 * 2**20, [f"{o / 2**20:.1f} MB" for o in over]
@@ -299,7 +330,7 @@ def test_model_params_validation():
 
 def test_choose_flex_pair_uniform():
     arr = oracle.draw(0, 3, 1.0, 3 * 10**5, "pair-uniform")
-    pairs, counts = np.unique(np.stack([arr.pair_lo, arr.pair_hi]), axis=1,
+    pairs, counts = np.unique(np.stack(bb.flex_pair(arr.pair, 3)), axis=1,
                               return_counts=True)
     assert [tuple(p) for p in pairs.T] == [(0, 1), (0, 2), (1, 2)]
     for c in counts:
@@ -311,19 +342,19 @@ def test_allocate_argmin_and_ties():
     flex_last = [False] * 6 + [True]
     # loads [0, 4, 2, 0] before the flex arrival on pair (1, 2)
     rec = kernel_row(spec, 4, 1.0, injected([1, 1, 1, 1, 2, 2, 0], flex_last,
-                                            pair_lo=1, pair_hi=2))
+                                            pair_lo=1, pair_hi=2, N=4))
     assert list(rec.loads) == [0, 4, 3, 0]
     # loads [0, 3, 3, 0]: the tie goes to the smaller index
     rec = kernel_row(spec, 4, 1.0, injected([1, 1, 1, 2, 2, 2, 0], flex_last,
-                                            pair_lo=1, pair_hi=2))
+                                            pair_lo=1, pair_hi=2, N=4))
     assert list(rec.loads) == [0, 4, 3, 0]
     # exerting on a non-flex arrival falls through to preferred
     rec = kernel_row(spec, 4, 1.0, injected([1, 1, 1, 2, 2, 2, 0],
-                                            pair_lo=1, pair_hi=2))
+                                            pair_lo=1, pair_hi=2, N=4))
     assert list(rec.loads) == [1, 3, 3, 0] and rec.flex_count == 0
     # without exertion a flex arrival goes to preferred
     rec = kernel_row(bb.PolicySpec(kind=bb.NO_FLEX), 4, 1.0,
-                     injected([1, 1, 1, 2, 2, 2, 1], flex_last, 1, 2))
+                     injected([1, 1, 1, 2, 2, 2, 1], flex_last, 1, 2, N=4))
     assert list(rec.loads) == [0, 4, 3, 0] and rec.flex_count == 0
 
 
@@ -424,7 +455,7 @@ def test_stop_between_two_bins_at_stop_minus_one(monkeypatch, kind):
         lo, hi = np.zeros(T, dtype=np.int8), np.ones(T, dtype=np.int8)
         for t, a, b in flex:
             is_flex[t], lo[t], hi[t] = True, a, b
-        rows.append(injected(pref, is_flex, lo, hi))
+        rows.append(injected(pref, is_flex, lo, hi, N=5))
     refs = kernel_rows(bb.PolicySpec(kind=kind), 5, 1.0, rows, stop=4)
     assert [ref.stop_time for ref in refs] == [
         stops[kind] for _, _, stops in TWO_AT_STOP]
@@ -470,8 +501,8 @@ def test_events_on_chunk_edges_beside_rows_without_and_all_events(
     rng = np.random.default_rng(chunk)
     rows = [injected(rng.integers(0, 3, T), edges, 0, 1),
             injected(rng.integers(0, 3, T)),
-            injected(rng.integers(0, 3, T), True, 1, 2),
-            injected(np.zeros(T), edges, 0, 2)]
+            injected(rng.integers(0, 3, T), True, 1, 2, N=3),
+            injected(np.zeros(T), edges, 0, 2, N=3)]
     refs = kernel_rows(spec, 3, 1.0, rows,
                        None if stop is None else chunk)
     assert refs[0].flex_count == edges[:refs[0].stop_time].sum()
@@ -522,8 +553,8 @@ def edge_rows(T, seed):
     """Rows for the exertion-rule tests: random preferences and flex
     arrivals, beside a row of flex arrivals only and one of none."""
     rng = np.random.default_rng(seed)
-    return [injected(rng.integers(0, 3, T), rng.random(T) < 0.5, 0, 2),
-            injected(rng.integers(0, 3, T), rng.random(T) < 0.3, 1, 2),
+    return [injected(rng.integers(0, 3, T), rng.random(T) < 0.5, 0, 2, N=3),
+            injected(rng.integers(0, 3, T), rng.random(T) < 0.3, 1, 2, N=3),
             injected(rng.integers(0, 3, T), True, 0, 1),
             injected(rng.integers(0, 3, T))]
 
@@ -582,7 +613,7 @@ def test_flex_sqrt_t_first_decision_on_chunk_edges(monkeypatch, stop):
         if first == 0:
             u[:] = 0.0
         rows.append(injected(rng.integers(0, 3, T), flex, 0, 2,
-                             np.concatenate(([v], u))))
+                             np.concatenate(([v], u)), N=3))
         want.append(first)
     refs = kernel_rows(bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=a_s), 3, 0.5,
                        rows, stop)
@@ -837,6 +868,43 @@ def test_segment_searches_memory_bounded_at_wide_sizes(spec, stop):
         assert (out.first_trigger == 1).all()
     else:
         assert (out.stop_time < 1024).all()
+
+
+def test_five_policy_run_peaks_under_five_bytes_per_period():
+    """A five-policy bins run draws one block of 100 rows x 2e4 periods:
+    its flex marks, preferred bins, flexset codes and flex-sqrt-T events
+    take a byte per period each, and the run peaks under 5 bytes per
+    period in all."""
+    p = bb.ModelParams(T=20_000, N=5, q=0.1)
+    specs = [bb.resolve_policy(bb.PolicySpec(kind=kind, latched=latched), p,
+                               "numerics")
+             for kind, latched in zip(bb.POLICY_KINDS,
+                                      (False, False, False, True, False))]
+    reps = 100
+    tracemalloc.start()
+    try:
+        be.run_policies(specs, p, reps, 3, "peak")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * reps * p.T, f"{peak / (reps * p.T):.2f} B/period"
+
+
+def test_run_blocks_refuses_two_flex_sqrt_t_cuts():
+    """A block keeps the decisions of one cut: flex-sqrt-T policies with
+    two a_s that give two cuts are refused, naming a_s; two that give
+    one cut run."""
+    specs = [bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=a_s)
+             for a_s in (1.0, 2.0)]
+    with pytest.raises(ValueError, match="a_s"):
+        be.run_blocks(specs, 3, 0.5, 100, 2, 0, ("cuts",),
+                      bb.draw_raw_arrays)
+    # both a_s put t_hat at 0: one cut of 1
+    specs = [bb.PolicySpec(kind=bb.FLEX_SQRT_T, a_s=a_s)
+             for a_s in (50.0, 60.0)]
+    first, second = be.run_blocks(specs, 3, 0.5, 100, 2, 0, ("cuts",),
+                                  bb.draw_raw_arrays)
+    assert np.array_equal(first.loads, second.loads)
 
 
 @pytest.mark.parametrize("block_rows", [3, be._BLOCK_ROWS])

@@ -11,7 +11,7 @@ from endgame import bins_engine as be
 from endgame import opaque
 from endgame.harness import cli
 
-ARRAYS = ("preferred", "is_flex", "pair_lo", "pair_hi")
+ARRAYS = ("preferred", "is_flex", "pair")
 
 
 def run_cli(capsys, *argv):

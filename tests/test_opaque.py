@@ -94,6 +94,27 @@ def test_long_run_cost_with_enumerated_mean():
     assert est.total == pytest.approx(1 / 2.5)
 
 
+@pytest.mark.parametrize("n,groups", [(300, 10), (101, 10), (7, 3),
+                                      (5, 5)])
+def test_long_run_cost_batch_means_are_array_split_groups(n, groups):
+    """The SE's batch means are those of ``np.array_split``'s groups, to
+    the bit: ``n % groups`` groups of one more cycle first."""
+    p = opaque.eoq_params(5, 40, 0.1, "delta_sqrt")
+    rng = np.random.default_rng(n)
+    R = rng.integers(p.S, p.horizon + 1, n).astype(float)
+    D = rng.integers(0, p.S, n).astype(float)
+
+    def total(r, d):
+        er = r.mean()
+        return (p.K / er + p.h / 2.0 * (2 * p.N * p.S + 1 - (r ** 2).mean()
+                                        / er) + p.delta * d.mean() / er)
+    means = [total(r, d) for r, d in zip(np.array_split(R, groups),
+                                         np.array_split(D, groups))]
+    est = opaque.long_run_cost(R, D, p, groups)
+    assert est.se_total == np.std(means, ddof=1) / math.sqrt(groups)
+    assert est.total == total(R, D)
+
+
 def test_long_run_cost_rejects_empty():
     p = opaque.InventoryParams(N=2, S=2, q=0.5)
     with pytest.raises(ValueError):

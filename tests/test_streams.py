@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from numpy.random import Generator, Philox
 
 from endgame.streams import (resolve_root_seed, stream, stream_key,
                              stream_seed, tile_stream)
@@ -74,39 +73,12 @@ def test_tile_streams_equal_fresh_counter_philox(root, path, category,
     numpy alone; tile (0, 0) is :func:`stream`.  Roots and labels above
     2**64 take several entropy words."""
     key = stream_key(root, *path, category)
-    generator = Generator(Philox(0))
     for g, w in [(g, w) for g in TILES[:3] for w in TILES[-3:]] + tiles:
-        got = tile_stream(key, g, w, generator).random(6)
+        got = tile_stream(key, g, w).random(6)
         expected = oracle.tile_generator(root, *path, category, g=g, w=w)
         assert np.array_equal(got, expected.random(6))
-    assert np.array_equal(tile_stream(key, 0, 0, generator).random(6),
+    assert np.array_equal(tile_stream(key, 0, 0).random(6),
                           stream(root, *path, category).random(6))
-
-
-def _mid_buffer(generator):
-    """Leave a Philox generator with a half-used 64-bit word and a
-    partly read output buffer."""
-    generator.integers(-128, 128, size=3, dtype=np.int8)
-    generator.random()
-    state = generator.bit_generator.state
-    assert state["has_uint32"] == 1 and state["buffer_pos"] != 4
-
-
-@pytest.mark.parametrize("draw", [
-    lambda g: g.random(5),
-    lambda g: g.integers(0, 5, size=9, dtype=np.int8),
-    lambda g: g.integers(0, 300, size=9, dtype=np.int16),
-], ids=["random", "int8", "int16"])
-def test_rekeyed_generator_draws_like_a_fresh_stream(draw):
-    for category in ("a", "b"):
-        for g, w in ((0, 0), (3, 0), (0, 2), (5, 7)):
-            generator = Generator(Philox(0))
-            _mid_buffer(generator)
-            rng = tile_stream(stream_key(5, "rekey", category), g, w,
-                              generator)
-            assert np.array_equal(
-                draw(rng),
-                draw(oracle.tile_generator(5, "rekey", category, g=g, w=w)))
 
 
 def test_negative_root_seed_raises_like_seed_sequence():

@@ -91,11 +91,10 @@ def worker(size: dict, seed: int) -> dict:
                 for c in bb.CATEGORIES}
         a_s = next(s.a_s for s in specs if s.kind == bb.FLEX_SQRT_T)
         cut = (T - bb.static_start(T, a_s)) / T
-        block = bb.draw_raw_arrays(N, Q, T, keys, range(rows), [cut])
+        block = bb.draw_raw_arrays(N, Q, T, keys, range(rows), cut)
         timed = {}
         for spec in specs:
-            made = (block.decisions[cut] if spec.kind == bb.FLEX_SQRT_T
-                    else None)
+            made = block.decisions if spec.kind == bb.FLEX_SQRT_T else None
             best = float("inf")
             for _ in range(size["repeats"]):
                 start = time.perf_counter()
