@@ -205,7 +205,7 @@ def draw(root_seed: int, N: int, q: float, T: int, *path, row: int = 0,
 
 def flex_code(lo, hi, N: int):
     """A flexset code of the pair (lo, hi), lo < hi, of N bins:
-    lo (N - 1) + hi - 1, which ``draw``'s decoding gives back."""
+    lo (N - 1) + hi - 1, which ``run``'s decoding gives back."""
     return lo * (N - 1) + hi - 1
 
 
