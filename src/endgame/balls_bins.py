@@ -134,8 +134,9 @@ TILE_PERIODS = 4096
 
 def tile_rows(T: int) -> int:
     """Rows per tile on a horizon of T: at most 64, so that a tile holds
-    at most 2**18 periods, and at most 2**24 // T, so that a block of
-    the kernel's whole horizons (up to 32e6 periods) holds whole tiles."""
+    at most 2**18 periods, and at most 2**24 // T, so that a tile fits in
+    a block of the kernel's (up to 32e6 periods).  Blocks are whole tiles
+    of rows: a row range drawn starts on a multiple of it."""
     return max(1, min(64, 2**24 // T))
 
 
@@ -196,9 +197,9 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
     - exert, drawn only with a nonzero ``cut``: per row, V (in window 0
       only), then one uniform per flex arrival.
 
-    So row r's draws depend only on the keys, r and T: rows that end
-    inside a tile take the tile's prefix, and a block that starts inside
-    a tile draws the tile's rows before it and drops them.
+    So row r's draws depend only on the keys, r and T.  ``rows`` must
+    start on a tile boundary, a multiple of G; rows that end inside a
+    tile take the tile's prefix.
 
     ``cut`` is the flex-sqrt-T exertion probability whose decisions the
     block keeps, None for none.  A row's flex arrival exerts when its
@@ -211,20 +212,20 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
     """
     dtype = np.int16 if N > 127 else np.int8
     n, G = len(rows), tile_rows(T)
+    if rows.start % G:
+        raise ValueError(f"rows must start on a tile boundary, a multiple "
+                         f"of G = {G}, got {rows.start}")
     shape = (n, T)
     out = ArrivalArrays(
         is_flex=np.zeros(shape, bool), preferred=np.empty(shape, dtype),
         pair=np.zeros(shape, np.min_scalar_type(N * (N - 1) - 1)),
         decisions=None if cut is None else (np.zeros(shape, bool),
                                             np.full(n, T, np.int64)))
-    for g in range(rows.start // G, -(-rows.stop // G)):
-        m = min(G, rows.stop - g * G)  # the tile's rows drawn
-        skip = max(rows.start - g * G, 0)  # those before the block
-        base = g * G - rows.start  # the block row of the tile's row 0
-        # per row of the tile: its non-flex periods before the window, its
-        # k and its first decision
+    for base in range(0, n, G):  # the block row of tile g's row 0
+        g, m = (rows.start + base) // G, min(G, n - base)
+        # per row: non-flex periods before the window, k, first decision
         non_flex, k = np.zeros(m, np.int64), np.zeros(m)
-        first = np.full(m, T, np.int64)
+        first = None if cut is None else out.decisions[1][base:base + m]
         for w, t0 in enumerate(range(0, T, TILE_PERIODS)):
             width = min(TILE_PERIODS, T - t0)
 
@@ -236,26 +237,21 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
             # at[heads[i]:heads[i + 1]]
             starts = np.arange(m + 1) * width
             heads = np.searchsorted(at, starts)
-            flexes = np.diff(heads)
-            s = heads[skip]  # the block's flex arrivals are at[s:]
-            # their flat positions in the block
-            dst = np.repeat((np.arange(skip, m) + base) * T + t0
-                            - starts[skip:-1], flexes[skip:])
-            dst += at[s:]
+            # the flex arrivals' flat positions in the block
+            dst = np.repeat((np.arange(m) + base) * T + t0 - starts[:-1],
+                            np.diff(heads))
+            dst += at
             out.is_flex.reshape(-1)[dst] = True
-            out.preferred[base + skip:base + m, t0:t0 + width] = stream(
-                "preferred").integers(0, N, size=(m, width),
-                                      dtype=dtype)[skip:]
+            out.preferred[base:base + m, t0:t0 + width] = stream(
+                "preferred").integers(0, N, size=(m, width), dtype=dtype)
             if N > 2:
                 out.pair.reshape(-1)[dst] = stream("flexset").integers(
-                    0, N * (N - 1), size=at.size, dtype=out.pair.dtype)[s:]
+                    0, N * (N - 1), size=at.size, dtype=out.pair.dtype)
             if cut:
                 _decide(cut, stream("exert"), at, heads, width, dst,
                         out.decisions[0], non_flex, k, first, t0, T)
             # the window's arrays go before the next window's are drawn
             del at, dst
-        if cut:
-            out.decisions[1][base + skip:base + m] = first[skip:]
     return out
 
 
@@ -265,11 +261,10 @@ def _decide(cut, rng, at, heads, width, dst, events, non_flex, k, first,
     ``width`` periods from ``t0`` on, whose flex arrivals are at the flat
     positions ``at``, row i's at ``at[heads[i]:heads[i + 1]]``, drawing
     the tile's exert stream from ``rng``.  Marks the exerting flex
-    arrivals in ``events`` at their block positions ``dst`` (those of the
-    last ``dst.size`` of ``at``), and lowers ``first``, the rows' first
-    decision periods (T if none).  In the first window it sets each row's
-    ``k`` from its V.  ``non_flex``, each row's non-flex periods before
-    the window, is advanced past it.
+    arrivals in ``events`` at their block positions ``dst``, and lowers
+    ``first``, the rows' first decision periods (T if none).  In the
+    first window it sets each row's ``k`` from its V.  ``non_flex``, each
+    row's non-flex periods before the window, is advanced past it.
     """
     m = heads.size - 1
     u = rng.random(m * (t0 == 0) + at.size)
@@ -279,7 +274,7 @@ def _decide(cut, rng, at, heads, width, dst, events, non_flex, k, first,
         with np.errstate(divide="ignore"):  # log1p(-1) is -inf
             k[:] = np.floor(np.log1p(-v) / np.log1p(-cut))
     exerts = u < cut
-    events.reshape(-1)[dst[exerts[at.size - dst.size:]]] = True
+    events.reshape(-1)[dst[exerts]] = True
     starts = np.arange(m) * width
     flexes = np.diff(heads)
     if (first == T).any():  # else every row decided in an earlier window

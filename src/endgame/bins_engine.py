@@ -2,7 +2,7 @@
 and the opaque-selling cycle.
 
 Rows (replications or cycles) run in blocks sized to bound memory, of
-whole tiles of the draw where they can be.  A row either runs the whole
+whole tiles of the draw.  A row either runs the whole
 horizon or, given a stop level S, stops at the first period in which a
 load reaches S (an opaque cycle is a ball run on depletion counts,
 stopped at the first stock-out).  A run on stream path ``path`` draws
@@ -85,13 +85,10 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
                root_seed: int, path: tuple, draw,
                stop: int | None = None) -> list[LockstepResult]:
     """Run ``n_rows`` rows of the kernel for each of ``policies``, in
-    blocks holding at most about ``_BLOCK_ELEMENTS`` draws and at most
-    ``_BLOCK_ROWS`` rows.  Where a block can hold a tile's G =
-    ``tile_rows(T)`` rows, the cap is rounded down to whole tiles and the
-    blocks hold equally many tiles (within one); otherwise they are of
-    equal size (within one row).  Each block is drawn once and every
-    policy runs on it before the next block is drawn; returns one result
-    per policy.
+    blocks of equally many (within one) whole tiles of G = ``tile_rows(T)``
+    rows: as many as fit in ``_BLOCK_ELEMENTS`` draws and ``_BLOCK_ROWS``
+    rows, one at least.  Each block is drawn once and every policy runs on
+    it before the next block is drawn; returns one result per policy.
 
     ``draw(N, q, T, keys, rows, cut)`` draws a block's rows from the
     Philox keys of ``(root_seed, *path, c)`` by category c, with the
@@ -116,12 +113,11 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     # freed before the others run
     order = sorted(range(len(policies)),
                    key=lambda i: policies[i].kind != FLEX_SQRT_T)
-    cap = max(1, min(_BLOCK_ELEMENTS // max(T, 1), _BLOCK_ROWS))
-    # blocks of whole tiles where a block holds one
-    unit = tile_rows(T) if cap >= tile_rows(T) else 1
-    units = -(-n_rows // unit)
-    n_blocks = -(-units // (cap // unit))
-    bounds = [min(i * units // n_blocks * unit, n_rows)
+    G = tile_rows(T)
+    per_block = max(1, min(_BLOCK_ELEMENTS // T, _BLOCK_ROWS) // G)
+    tiles = -(-n_rows // G)
+    n_blocks = -(-tiles // per_block)
+    bounds = [min(i * tiles // n_blocks * G, n_rows)
               for i in range(n_blocks + 1)]
     parts = [[] for _ in policies]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -129,8 +125,7 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
         for i in order:
             if policies[i].kind != FLEX_SQRT_T:
                 block.decisions = None
-            parts[i].append(lockstep(policies[i], N, q, block,
-                                     block.decisions, stop))
+            parts[i].append(lockstep(policies[i], N, q, block, stop))
         del block  # one block is alive at a time
     return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
                              for f in fields(LockstepResult)))
@@ -144,7 +139,6 @@ def _check_resolved(policy: PolicySpec) -> None:
 
 
 def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
-             decisions: tuple | None,
              stop: int | None = None) -> LockstepResult:
     """Run every row of stacked (rows, T) arrivals through one policy.
 
@@ -152,9 +146,8 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     exerted flex arrival goes to the lesser-loaded bin of its pair, ties
     to the smaller index, and every other arrival to its preferred bin.
     With ``stop`` set, a row stops after the period in which a load first
-    reaches ``stop``.  ``decisions`` is a flex-sqrt-T policy's (events,
-    first) at its cut (``ArrivalArrays.decisions``), None for any other
-    policy.  Constants must be resolved.
+    reaches ``stop``.  A flex-sqrt-T policy reads ``arrivals.decisions``.
+    Constants must be resolved.
     """
     _check_resolved(policy)
     kind = policy.kind
@@ -168,7 +161,7 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     # it decided on) from its trigger on; dynamic's is found chunk by chunk
     mask = arrivals.is_flex
     if kind == FLEX_SQRT_T:
-        mask, trigger[:] = decisions
+        mask, trigger[:] = arrivals.decisions
     elif kind in (ALWAYS_FLEX, STATIC):
         trigger[:] = static_start(T, policy.a_s) if kind == STATIC else 0
 

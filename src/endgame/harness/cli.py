@@ -44,15 +44,24 @@ MAX_GRID_POINTS = 10_000
 def parse_grid(text: str) -> list[int]:
     """Parse a sweep grid: 'lo:hi:logN' (geometric), 'lo:hi:N' (linear),
     or a comma-separated list.  Anything else, or a range of more than
-    ``MAX_GRID_POINTS`` points, raises ValueError."""
+    ``MAX_GRID_POINTS`` points, raises ValueError naming the grid."""
+    try:
+        if ":" in text:
+            lo, hi, n = text.split(":")
+            lo, hi = float(lo), float(hi)
+            geometric = n.startswith("log")
+            count = int(n[3:] if geometric else n)
+            if count < 0:
+                raise ValueError
+        else:
+            out = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"grid {text!r}: expected lo:hi:N, lo:hi:logN or "
+                         "comma-separated integers") from None
     if ":" in text:
-        lo, hi, n = text.split(":")
-        lo, hi = float(lo), float(hi)
         if not (abs(lo) < 2.0**63 and abs(hi) < 2.0**63):  # nan, inf too
             raise ValueError(f"grid {text!r}: bounds must be finite and "
                              "fit in a 64-bit integer")
-        geometric = n.startswith("log")
-        count = int(n[3:] if geometric else n)
         if count > MAX_GRID_POINTS:
             raise ValueError(f"grid {text!r}: {count} points, more than "
                              f"{MAX_GRID_POINTS}")
@@ -65,8 +74,6 @@ def parse_grid(text: str) -> list[int]:
             pts = np.rint(np.linspace(lo, hi, count))
         # rounding may repeat a point; keep the first of each run
         out = [int(v) for i, v in enumerate(pts) if i == 0 or v != pts[i - 1]]
-    else:
-        out = [int(v) for v in text.split(",")]
     if any(abs(v) >= 2**63 for v in out):
         raise ValueError(f"grid {text!r}: a point does not fit in a 64-bit "
                          "integer")

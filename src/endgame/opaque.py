@@ -187,7 +187,7 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
                  cycles_per_instance: int = _DEFAULTS["cycles_per_instance"],
                  root_seed: int = 0, preset: str = PRESET_NUMERICS,
                  cycle_cache: dict | None = None):
-    """Tabulate C - C* for each policy over a nonempty ascending S grid.
+    """Tabulate C - C* per policy over a nonempty, strictly ascending S grid.
 
     Every policy runs on the same cycles' arrivals, those of
     ``arrival_path("opaque", ...)`` at each S.  ``cycle_cache`` maps
@@ -197,8 +197,8 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
     """
     if len(S_grid) == 0:
         raise ConfigError("sweep.S: needs a nonempty value list")
-    if list(S_grid) != sorted(S_grid):
-        raise ConfigError("sweep.S: values must be ascending")
+    if any(a >= b for a, b in zip(S_grid, S_grid[1:])):
+        raise ConfigError("sweep.S: values must be ascending, each once")
     cache = {} if cycle_cache is None else cycle_cache
     n_cycles = instances * cycles_per_instance
     source = (N, q, n_cycles, root_seed, preset)

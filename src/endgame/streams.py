@@ -11,19 +11,18 @@ parameters that shape its arrivals (``harness.config.arrival_path``), so
 every policy and every cost constant of a sweep runs on common random
 numbers, and cells that differ in an arrival parameter are independent.
 
-:func:`stream` is the reference: a ``SeedSequence`` of the path's integers
-feeding a ``Philox``, whose 128-bit key is the first two uint64 words
-``SeedSequence.generate_state`` gives and whose 256-bit counter starts at
-0.  The rows of a bins or opaque run (replications or cycles) share one
-key per draw category, that of the path ``(root_seed, *arrival path,
-category)``, and are drawn in tiles of rows x periods (stream layout v4,
-``balls_bins.draw_raw_arrays``): tile (g, w) starts at counter
-``(0, w, g, 0)``, so each tile has 2**64 counter blocks before it could
-reach the next window's, and distinct counters under one key give
-independent streams (Salmon, Moraes, Dror and Shaw, "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011).  Tile (0, 0)'s streams are
-:func:`stream`'s.  :func:`tile_stream` gives a tile's stream as a fresh
-generator.
+A stream is a ``Philox`` keyed by :func:`stream_key`, the first two
+uint64 words ``SeedSequence.generate_state`` gives for the path's
+integers, at counter 0: :func:`stream` is :func:`tile_stream` at tile
+(0, 0).  The rows of a bins or opaque run (replications or cycles) share
+one key per draw category, that of the path ``(root_seed, *arrival
+path, category)``, and are drawn in tiles of rows x periods (stream
+layout v4, ``balls_bins.draw_raw_arrays``): tile (g, w) starts at
+counter ``(0, w, g, 0)``, so each tile has 2**64 counter blocks before
+it could reach the next window's, and distinct counters under one key
+give independent streams (Salmon, Moraes, Dror and Shaw, "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011).  :func:`tile_stream`
+gives a tile's stream as a fresh generator.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ def stream_seed(root_seed: int, *path) -> SeedSequence:
 
 
 def stream(root_seed: int, *path) -> Generator:
-    """Philox generator for a labeled sub-stream."""
-    return Generator(Philox(stream_seed(root_seed, *path)))
+    """Philox generator for a labeled sub-stream, tile (0, 0) of its key."""
+    return tile_stream(stream_key(root_seed, *path), 0, 0)
 
 
 def stream_key(root_seed: int, *path) -> np.ndarray:

@@ -231,21 +231,21 @@ def decisions(arrivals: Row, cut: float) -> np.ndarray:
     return out
 
 
-def stack_arrivals(rows: list, policy: PolicySpec) -> tuple:
-    """The (rows, T) block of per-row arrival arrays, and the decisions
-    that ``bins_engine.run_blocks`` hands ``policy`` with it: for a
-    flex-sqrt-T policy, of its :func:`decisions` at the cut ``(T -
-    t_hat)/T``, the (rows, T) bool flex ones and each row's first period
-    (T if it has none); for any other None."""
+def stack_arrivals(rows: list, policy: PolicySpec) -> ArrivalArrays:
+    """The (rows, T) block of per-row arrival arrays as
+    ``bins_engine.run_blocks`` hands it to ``policy``: for a flex-sqrt-T
+    policy with the ``decisions`` of its :func:`decisions` at the cut
+    ``(T - t_hat)/T``, the (rows, T) bool flex ones and each row's first
+    period (T if it has none); for any other with None."""
     block = ArrivalArrays(*(np.stack([getattr(a, name) for a in rows])
                             for name in ARRAYS))
-    if policy.kind != FLEX_SQRT_T:
-        return block, None
-    T = len(rows[0])
-    cut = (T - static_start(T, policy.a_s)) / T
-    made = np.stack([decisions(a, cut) for a in rows])
-    first = np.where(made.any(axis=1), made.argmax(axis=1), T)
-    return block, (made & block.is_flex, first)
+    if policy.kind == FLEX_SQRT_T:
+        T = len(rows[0])
+        cut = (T - static_start(T, policy.a_s)) / T
+        made = np.stack([decisions(a, cut) for a in rows])
+        first = np.where(made.any(axis=1), made.argmax(axis=1), T)
+        block.decisions = (made & block.is_flex, first)
+    return block
 
 
 def coords(points, depot) -> np.ndarray:

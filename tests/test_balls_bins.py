@@ -37,7 +37,7 @@ def injected(preferred, is_flex=None, pair_lo=0, pair_hi=1, exert_u=0.0,
 def kernel_rows(spec, N, q, rows, stop=None):
     """The kernel on a block of rows, each checked against the oracle;
     the oracle's records."""
-    out = be.lockstep(spec, N, q, *oracle.stack_arrivals(rows, spec), stop)
+    out = be.lockstep(spec, N, q, oracle.stack_arrivals(rows, spec), stop)
     refs = [oracle.run(spec, N, q, arrivals, stop) for arrivals in rows]
     for r, ref in enumerate(refs):
         assert np.array_equal(out.loads[r], ref.loads)
@@ -207,11 +207,11 @@ def kernel_inputs(monkeypatch, spec, N, q, T, n_rows, seed):
     itself does not run."""
     blocks = []
 
-    def recording(policy, N, q, arrivals, decisions, stop=None):
+    def recording(policy, N, q, arrivals, stop=None):
         blocks.append(([getattr(arrivals, name).copy()
                         for name in oracle.ARRAYS],
-                       None if decisions is None
-                       else [d.copy() for d in decisions]))
+                       None if arrivals.decisions is None
+                       else [d.copy() for d in arrivals.decisions]))
         zeros = np.zeros(arrivals.is_flex.shape[0], np.int64)
         return be.LockstepResult(np.zeros((zeros.size, N), np.int64),
                                  zeros, zeros, zeros)
@@ -233,10 +233,10 @@ def kernel_inputs(monkeypatch, spec, N, q, T, n_rows, seed):
 def test_rows_draw_alike_at_any_row_count_and_block_size(monkeypatch, N, q,
                                                          exert):
     """Row r's arrays and flex-sqrt-T decisions depend on r and T only:
-    not on a row count that ends inside a tile, nor on a block size whose
-    blocks start inside one.  The horizon spans three windows, and the
-    cut is small enough that first decisions fall past the first; rows
-    of tiles 0 and 1 equal the oracle's."""
+    not on a row count that ends inside a tile, nor on the block size, in
+    one block or in blocks of one tile.  The horizon spans three windows,
+    and the cut is small enough that first decisions fall past the
+    first; rows of tiles 0 and 1 equal the oracle's."""
     T = WINDOWS_T
     G = bb.tile_rows(T)
     spec = bb.PolicySpec(kind=bb.FLEX_SQRT_T if exert else bb.STATIC,
@@ -245,7 +245,7 @@ def test_rows_draw_alike_at_any_row_count_and_block_size(monkeypatch, N, q,
     whole, made = kernel_inputs(monkeypatch, spec, N, q, T, 3 * G, 7)
     if exert:
         assert {0, 1} <= set(made[1][made[1] < T] // bb.TILE_PERIODS)
-    for elements in (be._BLOCK_ELEMENTS, 10 * T):
+    for elements in (be._BLOCK_ELEMENTS, G * T):
         monkeypatch.setattr(be, "_BLOCK_ELEMENTS", elements)
         for n_rows in (1, G - 1, G, G + 1, 3 * G):
             arrays, decisions = kernel_inputs(monkeypatch, spec, N, q, T,
@@ -272,8 +272,8 @@ def test_rows_draw_alike_at_any_row_count_and_block_size(monkeypatch, N, q,
 def test_rows_match_the_oracle_over_narrow_windows(monkeypatch, N, q):
     """With 50-period windows, every row of three tiles of rows and its
     flex-sqrt-T decisions equal the oracle's, and the first decisions
-    fall in each of the three windows, in blocks of whole tiles and in
-    blocks of 10 rows."""
+    fall in each of the three windows, in one block and in blocks of
+    one tile."""
     monkeypatch.setattr(bb, "TILE_PERIODS", 50)
     T = 143
     G = bb.tile_rows(T)
@@ -282,7 +282,7 @@ def test_rows_match_the_oracle_over_narrow_windows(monkeypatch, N, q):
     rows = [oracle.draw(7, N, q, T, "tiles", row=row)
             for row in range(3 * G)]
     refs = [oracle.decisions(arr, cut) for arr in rows]
-    for elements in (be._BLOCK_ELEMENTS, 10 * T):
+    for elements in (be._BLOCK_ELEMENTS, G * T):
         monkeypatch.setattr(be, "_BLOCK_ELEMENTS", elements)
         arrays, made = kernel_inputs(monkeypatch, spec, N, q, T, 3 * G, 7)
         assert set(made[1][made[1] < T] // 50) == {0, 1, 2}
@@ -700,7 +700,7 @@ def enumerate_paths(policy_kind, T, a_s=None, a_d=None, latched=False):
         bb.PolicySpec(kind=policy_kind, a_s=a_s, a_d=a_d, latched=latched), p)
     paths = [injected([(bits >> i) & 1 for i in range(T)], True)
              for bits in range(2 ** T)]
-    out = be.lockstep(spec, 2, 1.0, *oracle.stack_arrivals(paths, spec))
+    out = be.lockstep(spec, 2, 1.0, oracle.stack_arrivals(paths, spec))
     refs = [oracle.run(spec, 2, 1.0, arr) for arr in paths]
     gaps = np.array([r.final_gap for r in refs])
     flexes = np.array([r.flex_count for r in refs])
@@ -768,17 +768,20 @@ def test_engine_bit_identical_to_sequential():
 def test_engine_independent_of_block_size(monkeypatch):
     p = bb.ModelParams(T=90, N=3, q=0.5)
     spec = bb.resolve_policy(bb.PolicySpec(kind=bb.DYNAMIC), p, "numerics")
-    full = be.run_many(spec, p, 10, 1, "blocks")
-    monkeypatch.setattr(be, "_BLOCK_ELEMENTS", 200)  # force tiny blocks
-    small = be.run_many(spec, p, 10, 1, "blocks")
+    reps = 2 * bb.tile_rows(p.T) + 5  # three tiles, the last a prefix
+    full = be.run_many(spec, p, reps, 1, "blocks")
+    monkeypatch.setattr(be, "_BLOCK_ELEMENTS", 200)  # blocks of one tile
+    small = be.run_many(spec, p, reps, 1, "blocks")
     assert np.array_equal(full.final_gap, small.final_gap)
     assert np.array_equal(full.flex_count, small.flex_count)
 
 
-@pytest.mark.parametrize("reps,cap", [(9, 4), (321, 320), (10, 10),
+# T = 30: tiles of 64 rows
+@pytest.mark.parametrize("reps,cap", [(129, 4), (321, 320), (640, 202),
                                       (200, 100)])
 def test_blocks_are_equal_sized(monkeypatch, reps, cap):
     p = bb.ModelParams(T=30, N=3, q=0.5)
+    G = bb.tile_rows(p.T)
     spec = bb.resolve_policy(bb.PolicySpec(kind=bb.DYNAMIC, latched=True), p,
                              "numerics")
     whole = be.run_many(spec, p, reps, 2, "equal")
@@ -792,16 +795,60 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
     monkeypatch.setattr(be, "lockstep", recording)
     monkeypatch.setattr(be, "_BLOCK_ELEMENTS", cap * p.T)
     blocked = be.run_many(spec, p, reps, 2, "equal")
-    assert sum(sizes) == reps and max(sizes) <= cap
-    # a block that can hold a tile holds whole tiles, the last a prefix;
-    # the blocks hold equally many (rows, where a tile does not fit),
-    # within one
-    unit = bb.tile_rows(p.T) if cap >= bb.tile_rows(p.T) else 1
-    assert all(size % unit == 0 for size in sizes[:-1])
-    units = [-(-size // unit) for size in sizes]
-    assert max(units) - min(units) <= 1
+    assert sum(sizes) == reps and len(sizes) > 1
+    # blocks hold whole tiles, the last a prefix, and as many as fit
+    # under the cap, one at least; equally many, within one
+    assert max(sizes) <= max(cap, G)
+    assert all(size % G == 0 for size in sizes[:-1])
+    tiles = [-(-size // G) for size in sizes]
+    assert max(tiles) - min(tiles) <= 1
     for name in ("final_gap", "flex_count", "first_trigger"):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name))
+
+
+@pytest.mark.parametrize("elements,block_rows", [
+    (be._BLOCK_ELEMENTS, be._BLOCK_ROWS), (200, 3)])
+def test_blocks_are_whole_tiles_at_every_horizon(monkeypatch, elements,
+                                                 block_rows):
+    """At T from 1 to 1e10, every block but the last is whole tiles, one
+    at least, the blocks hold equally many tiles (within one), and none
+    holds more than max(_BLOCK_ELEMENTS, G T) draws; the draw and the
+    kernel are stubbed."""
+    monkeypatch.setattr(be, "_BLOCK_ELEMENTS", elements)
+    monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
+    blocks = []
+
+    def draw(N, q, T, keys, rows, cut):
+        blocks.append(rows)
+        return bb.ArrivalArrays(np.empty((len(rows), 0)), None, None)
+
+    def kernel(policy, N, q, arrivals, stop=None):
+        zeros = np.zeros(arrivals.is_flex.shape[0], np.int64)
+        return be.LockstepResult(np.zeros((zeros.size, N), np.int64),
+                                 zeros, zeros, zeros)
+
+    monkeypatch.setattr(be, "lockstep", kernel)
+    horizons = np.unique(np.r_[1:3000, np.geomspace(3000, 1e10, 200)
+                               .astype(np.int64)])
+    for T in map(int, horizons):
+        G = bb.tile_rows(T)
+        for n_rows in (1, 1000):
+            blocks.clear()
+            be.run_blocks([bb.PolicySpec(kind=bb.NO_FLEX)], 2, 0.5, T,
+                          n_rows, 0, ("rule",), draw)
+            assert [b.start for b in blocks[1:]] == [b.stop
+                                                     for b in blocks[:-1]]
+            assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+            assert all(len(b) >= G and len(b) % G == 0 for b in blocks[:-1])
+            tiles = [-(-len(b) // G) for b in blocks]
+            assert max(tiles) - min(tiles) <= 1
+            assert max(map(len, blocks)) * T <= max(elements, G * T)
+
+
+def test_draw_refuses_rows_that_start_inside_a_tile():
+    G = bb.tile_rows(100)
+    with pytest.raises(ValueError, match=f"G = {G}"):
+        drawn(3, 0.5, 100, 0, range(1, G + 1))
 
 
 @pytest.mark.parametrize("N,rows,stop", [
@@ -814,7 +861,8 @@ def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
     """At q=1 one 1024-period chunk's per-(group, row, bin) counts would
     take about 316 MB for 64 rows at N=600, and 157 MB for one row at
     N=20000; the kernel places rows in slices and narrows its chunks, and
-    neither changes a row.  With a stop, the rows that reach it find it
+    neither changes a row: rows of two tiles run alike in one block and
+    in blocks of one tile.  With a stop, the rows that reach it find it
     in those slices too."""
     args = ([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], N, 1.0, 1024, rows, 8,
             ("wide",), bb.draw_raw_arrays, stop)
@@ -827,10 +875,12 @@ def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
     if stop is not None:
         assert (sliced.stop_time < 1024).any()
+    args = (*args[:4], bb.tile_rows(1024) + 1, *args[5:])
+    whole = be.run_blocks(*args)[0]
     monkeypatch.setattr(be, "_BLOCK_ROWS", 1)
     alone = be.run_blocks(*args)[0]
-    for f in dataclasses.fields(sliced):
-        assert np.array_equal(getattr(sliced, f.name), getattr(alone, f.name))
+    for f in dataclasses.fields(whole):
+        assert np.array_equal(getattr(whole, f.name), getattr(alone, f.name))
 
 
 def test_kernel_memory_bounded_at_dense_events():
@@ -911,14 +961,15 @@ def test_run_blocks_refuses_two_flex_sqrt_t_cuts():
 def test_run_policies_equals_run_many_per_policy(monkeypatch, block_rows):
     monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
     p = bb.ModelParams(T=140, N=4, q=0.3)
+    reps = 2 * bb.tile_rows(p.T) + 1  # blocks of one tile at block_rows 3
     specs = [bb.resolve_policy(bb.PolicySpec(kind=kind, latched=latched), p,
                                "numerics")
              for kind, latched in zip(bb.POLICY_KINDS,
                                       (False, False, False, True, False))]
-    together = be.run_policies(specs, p, 8, 6, "shared")
+    together = be.run_policies(specs, p, reps, 6, "shared")
     assert len(together) == len(specs)
     for spec, batch in zip(specs, together):
-        alone = be.run_many(spec, p, 8, 6, "shared")
+        alone = be.run_many(spec, p, reps, 6, "shared")
         for name in ("final_gap", "flex_count", "first_trigger"):
             assert np.array_equal(getattr(batch, name), getattr(alone, name))
 
@@ -955,25 +1006,26 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
         counting(module, name)
     p = bb.ModelParams(T=50, N=3, q=0.5)
     spec = bb.resolve_policy(bb.PolicySpec(kind=bb.STATIC), p, "numerics")
-    be.run_many(spec, p, 7, 0, "trace")
+    be.run_many(spec, p, 129, 0, "trace")
     assert calls == {"run_many": 1, "draw_arrival_arrays": 3}
-    # 7 reps in blocks of 2, 2 and 3 rows, one draw each
+    # 129 reps in blocks of one 64-row tile, the last a prefix, one draw
+    # each
     assert key_calls == static_categories
-    assert rows == [range(0, 2), range(2, 4), range(4, 7)]
+    assert rows == [range(0, 64), range(64, 128), range(128, 129)]
     key_calls.clear()
     rows.clear()
     inv = opaque.InventoryParams(N=3, S=6, q=0.5)
-    opaque.simulate_cycles(opaque.resolve_opaque_policy(spec, inv), inv, 5,
+    opaque.simulate_cycles(opaque.resolve_opaque_policy(spec, inv), inv, 65,
                            0, "trace")
     assert calls == {"run_many": 1, "draw_arrival_arrays": 3,
                      "simulate_cycles": 1, "draw_raw_arrays": 2}
     assert key_calls == static_categories
-    assert rows == [range(0, 2), range(2, 5)]
+    assert rows == [range(0, 64), range(64, 65)]
     # five policies draw each block once, with the exert stream for
     # flex_sqrt_t, and derive the run's keys once per category
     key_calls.clear()
     specs = [bb.resolve_policy(bb.PolicySpec(kind=kind), p, "numerics")
              for kind in bb.POLICY_KINDS]
-    be.run_policies(specs, p, 7, 0, "trace")
+    be.run_policies(specs, p, 129, 0, "trace")
     assert calls["draw_arrival_arrays"] == 3 + 3
     assert key_calls == list(bb.CATEGORIES)

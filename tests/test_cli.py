@@ -1,4 +1,5 @@
 import csv
+import re
 import subprocess
 import sys
 
@@ -35,6 +36,20 @@ def test_parse_grid():
 def test_parse_grid_refuses_points_outside_int64(text):
     with pytest.raises(ValueError, match="grid"):
         cli.parse_grid(text)
+
+
+@pytest.mark.parametrize("text", ["10:20", "10:20:3:4", "10:20:-1",
+                                  "10:20:logx", ",5", "1e3"])
+def test_parse_grid_refuses_malformed_text(capsys, tmp_path, text):
+    """A grid of neither form is refused naming it, before a bins sweep
+    or a regime table runs."""
+    with pytest.raises(ValueError, match=f"^grid {re.escape(repr(text))}: "
+                                         "expected lo:hi:N"):
+        cli.parse_grid(text)
+    for argv in (("bins", "sweep", "--policy", "no_flex", "--T", text),
+                 ("opaque", "sweep", "--regime", "delta_zero", "--S", text)):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2 and f"grid {text!r}" in err, err
 
 
 @pytest.mark.parametrize("text", ["1:2:1000000000", "1:2:log1000000000",
@@ -645,8 +660,9 @@ def test_bins_run_takes_a_huge_finite_static_constant(capsys):
 
 @pytest.mark.parametrize("grid,message", [
     ("5:10:0", "sweep.S: needs a nonempty value list"),
-    ("10,5", "sweep.S: values must be ascending")],
-    ids=["empty", "descending"])
+    ("10,5", "sweep.S: values must be ascending"),
+    ("10,10", "sweep.S: values must be ascending, each once")],
+    ids=["empty", "descending", "repeated"])
 def test_regime_table_bad_grid_exits_2_writing_nothing(capsys, tmp_path, grid,
                                                        message):
     out = tmp_path / "out"
@@ -654,6 +670,18 @@ def test_regime_table_bad_grid_exits_2_writing_nothing(capsys, tmp_path, grid,
                            "delta_zero", "--S", grid, "--out", str(out))
     assert code == 2
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["50,50", "50,60,50"])
+def test_bins_sweep_refuses_a_repeated_T(capsys, tmp_path, grid):
+    """A T given twice would run, and summarize, each replication
+    twice."""
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "bins", "sweep", "--policy", "no_flex",
+                           "--T", grid, "--reps", "3", "--out", str(out))
+    assert code == 2
+    assert "sweep.T: a second 50; each value may appear once" in err
     assert not out.exists()
 
 

@@ -217,3 +217,17 @@ def test_malformed_value_exits_2_naming_its_field(work, path, token):
                       yaml.safe_dump(apply(BINS, path, token)))
     field = path[0] if len(path) == 1 else f"policies[{path[1]}].{path[2]}"
     assert code == 2 and field in err, err
+
+
+@pytest.mark.parametrize("model,name,values", [
+    ("bins", "T", [50, 50.0]), ("bins", "q", [0.5, 0.25, 0.50]),
+    ("opaque", "S", [4, 4]), ("opaque", "regime", ["delta_zero"] * 2)])
+def test_repeated_sweep_value_exits_2_naming_its_axis(work, model, name,
+                                                      values):
+    """A value given twice on one sweep axis, after coercion, would run
+    each of its cells twice."""
+    config = copy.deepcopy(BINS if model == "bins" else OPAQUE)
+    config["params"].pop(name, None)
+    config["sweep"][name] = values
+    code, err = sweep(work, model, yaml.safe_dump(config))
+    assert code == 2 and f"sweep.{name}: a second" in err, err

@@ -64,7 +64,7 @@ def check_case(case):
         mp.setattr(be, "_SLAB", 16384, raising=False)
         # the oracle's rows as a block, and a block drawn on the rows'
         # own streams
-        outs = [be.lockstep(spec, N, q, *oracle.stack_arrivals(rows, spec),
+        outs = [be.lockstep(spec, N, q, oracle.stack_arrivals(rows, spec),
                             stop),
                 be.run_blocks([spec], N, q, T, len(rows), seed, ("prop",),
                               bb.draw_raw_arrays, stop)[0]]

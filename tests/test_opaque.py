@@ -177,12 +177,14 @@ def test_simulate_cycles_matches_oracle(N, S, q):
 def test_simulate_policies_equals_simulate_cycles(monkeypatch, block_rows):
     monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
     p = opaque.InventoryParams(N=4, S=15, q=0.3)
+    # blocks of one tile at block_rows 3
+    cycles = 2 * bb.tile_rows(p.horizon) + 1
     specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
              for kind in bb.POLICY_KINDS]
-    together = opaque.simulate_policies(specs, p, 9, 8, "shared")
+    together = opaque.simulate_policies(specs, p, cycles, 8, "shared")
     assert len(together) == len(specs)
     for spec, out in zip(specs, together):
-        R1, D1 = opaque.simulate_cycles(spec, p, 9, 8, "shared")
+        R1, D1 = opaque.simulate_cycles(spec, p, cycles, 8, "shared")
         assert np.array_equal(out.stop_time, R1)
         assert np.array_equal(out.flex_count, D1)
 

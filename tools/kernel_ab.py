@@ -94,11 +94,10 @@ def worker(size: dict, seed: int) -> dict:
         block = bb.draw_raw_arrays(N, Q, T, keys, range(rows), cut)
         timed = {}
         for spec in specs:
-            made = block.decisions if spec.kind == bb.FLEX_SQRT_T else None
             best = float("inf")
             for _ in range(size["repeats"]):
                 start = time.perf_counter()
-                result = be.lockstep(spec, N, Q, block, made, stop)
+                result = be.lockstep(spec, N, Q, block, stop)
                 best = min(best, time.perf_counter() - start)
             digest = hashlib.sha256()
             for f in ("loads", "flex_count", "first_trigger", "stop_time"):
