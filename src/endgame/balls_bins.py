@@ -221,7 +221,7 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
         pair=np.zeros(shape, np.min_scalar_type(N * (N - 1) - 1)),
         decisions=None if cut is None else (np.zeros(shape, bool),
                                             np.full(n, T, np.int64)))
-    for base in range(0, n, G):  # the block row of tile g's row 0
+    for base in range(0, n, G):  # the block row of a tile's row 0
         g, m = (rows.start + base) // G, min(G, n - base)
         # per row: non-flex periods before the window, k, first decision
         non_flex, k = np.zeros(m, np.int64), np.zeros(m)

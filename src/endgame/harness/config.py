@@ -168,10 +168,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                         for v in values]
                  for name, values in cfg.sweep.items()}
     for name, values in cfg.sweep.items():
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ConfigError(f"sweep.{name}: a second {value!r}; each "
-                                  "value may appear once")
+        if len(set(values)) < len(values):
+            twice = next(v for i, v in enumerate(values) if v in values[:i])
+            raise ConfigError(f"sweep.{name}: a second {twice!r}; each "
+                              "value may appear once")
     if cfg.model == "opaque":
         # a cell of no cycles has no rows to write
         given = [("params", cfg.params.get("cycles_per_instance", 1))] + [
