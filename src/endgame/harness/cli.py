@@ -251,13 +251,11 @@ def cmd_opaque_run(args) -> int:
               "cycles_per_instance": args.cycles}
     rows = _rep0("opaque", args, params)
     R, D = (np.array([row[name] for row in rows]) for name in ("R", "D"))
-    mp = model_params("opaque", params)
-    est = opaque.long_run_cost(R, D, mp)
+    cost = opaque.long_run_cost(R, D, model_params("opaque", params))
     _print_row([("policy", args.policy), ("S", args.S),
-                ("regime", args.regime), ("cost", est.total),
-                ("se", est.se_total),
-                ("lower_bound", opaque.lower_bound(mp)),
-                ("mean_R", float(np.mean(R))), ("mean_D", float(np.mean(D)))])
+                ("regime", args.regime)]
+               + [(name, cost[name]) for name in
+                  ("cost", "se", "lower_bound", "mean_R", "mean_D")])
     return 0
 
 

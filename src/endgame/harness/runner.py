@@ -181,8 +181,10 @@ def make_out_dir(path) -> None:
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1):
     """Run the full sweep x replication matrix and write raw and summary
-    CSVs, on at most ``parallel`` worker processes and never more than
-    one per job.  Returns (raw_path, summary_path)."""
+    CSVs (opaque: and ``opaque_cost.csv``, each cell's
+    :func:`~endgame.opaque.long_run_cost` row over its replications as
+    batches), on at most ``parallel`` worker processes and never more
+    than one per job.  Returns (raw_path, summary_path)."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     root_seed = resolve_root_seed(config.seed)
@@ -223,6 +225,15 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
     summary_path = out / f"{config.model}_summary.csv"
     write_summary(summary_path, raw_rows, ["policy"] + list(config.sweep),
                   RAW_METRICS[config.model])
+    if config.model == "opaque":  # one cost row per cell
+        costs = []
+        for (policy, params), rows in zip(cells, per_cell):
+            R, D = (np.array([row[name] for row in rows])
+                    for name in ("R", "D"))
+            costs.append({"policy": policy["kind"], **params,
+                          **opaque.long_run_cost(
+                              R, D, model_params("opaque", params), reps)})
+        write_csv(out / "opaque_cost.csv", list(costs[0]), costs)
     return raw_path, summary_path
 
 

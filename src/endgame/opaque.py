@@ -52,18 +52,6 @@ class InventoryParams:
         return self.N * (self.S - 1) + 1
 
 
-@dataclass
-class CostEstimate:
-    """Long-run average cost decomposition, with the batch-means standard
-    error of the total."""
-
-    total: float
-    ordering: float
-    holding: float
-    discount: float
-    se_total: float
-
-
 def resolve_opaque_policy(spec: PolicySpec, params: InventoryParams,
                           preset: str = PRESET_NUMERICS) -> PolicySpec:
     """:func:`~endgame.balls_bins.resolve_policy` on a bins horizon of
@@ -100,43 +88,43 @@ def simulate_policies(policies, params: InventoryParams, n_cycles: int,
                       stop=params.S)
 
 
-def long_run_cost(R, D, params: InventoryParams,
-                  n_groups: int = 10) -> CostEstimate:
-    """Renewal-reward cost from cycle samples.
+def long_run_cost(R, D, params: InventoryParams, n_groups: int = 10) -> dict:
+    """The cost row of cycle samples: the renewal-reward ``cost``, the
+    ``lower_bound`` and the ``loss`` above it, the cost's standard error
+    ``se``, and ``mean_R`` and ``mean_D``.
 
     Point estimates use pooled moments over all cycles (plug-in sample
-    means for E[R], E[R^2], E[D]); the total's standard error comes from
-    batch means over ``n_groups`` contiguous cycle groups.
+    means for E[R], E[R^2], E[D]); ``se`` comes from batch means over
+    ``n_groups`` contiguous cycle groups, and is nan below two groups.
     """
+    if np.size(R) == 0:
+        raise ValueError("long_run_cost needs at least one cycle")
+    mean_R, mean_D = float(np.mean(R)), float(np.mean(D))
     R = np.asarray(R, dtype=float)
     D = np.asarray(D, dtype=float)
-    if R.size == 0:
-        raise ValueError("long_run_cost needs at least one cycle")
 
-    def terms(r, d):
-        """The cost terms of the cycles along the last axis."""
+    def cost(r, d):
+        """Ordering + holding + discount of the cycles along the last
+        axis."""
         er = r.mean(axis=-1)
-        er2 = (r ** 2).mean(axis=-1)
-        ed = d.mean(axis=-1)
-        ordering = params.K / er
-        holding = params.h / 2.0 * (2 * params.N * params.S + 1 - er2 / er)
-        discount = params.delta * ed / er
-        return ordering, holding, discount
+        return (params.K / er
+                + params.h / 2.0 * (2 * params.N * params.S + 1
+                                    - (r ** 2).mean(axis=-1) / er)
+                + params.delta * d.mean(axis=-1) / er)
 
-    ordering, holding, discount = terms(R, D)
     n_groups = min(n_groups, R.size)
-    se_total = float("nan")
+    se = float("nan")
     if n_groups >= 2:
         # np.array_split's groups: ``extra`` of size + 1, then ones of size
         size, extra = divmod(R.size, n_groups)
         cut = extra * (size + 1)
         per_group = np.concatenate([
-            sum(terms(R[a:b].reshape(-1, n), D[a:b].reshape(-1, n)))
+            cost(R[a:b].reshape(-1, n), D[a:b].reshape(-1, n))
             for a, b, n in ((0, cut, size + 1), (cut, R.size, size))])
-        se_total = per_group.std(ddof=1) / math.sqrt(n_groups)
-    return CostEstimate(total=ordering + holding + discount,
-                        ordering=ordering, holding=holding,
-                        discount=discount, se_total=float(se_total))
+        se = per_group.std(ddof=1) / math.sqrt(n_groups)
+    total, c_star = cost(R, D), lower_bound(params)
+    return {"cost": total, "lower_bound": c_star, "loss": total - c_star,
+            "se": float(se), "mean_R": mean_R, "mean_D": mean_D}
 
 
 def lower_bound(params: InventoryParams) -> float:
@@ -205,7 +193,6 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
     rows = []
     for S in S_grid:
         params = eoq_params(N, S, q, regime)
-        c_star = lower_bound(params)
         stale = [kind for kind in POLICY_KINDS
                  if getattr(cache.get((kind, S)), "source", None) != source]
         if stale:
@@ -216,13 +203,7 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
             cache.update(((kind, S), Cycles(out.stop_time, out.flex_count,
                                             source))
                          for kind, out in zip(stale, outs))
-        for kind in POLICY_KINDS:
-            R, D = cache[(kind, S)]
-            est = long_run_cost(R, D, params, n_groups=instances)
-            rows.append({
-                "regime": regime, "S": S, "policy": kind,
-                "cost": est.total, "lower_bound": c_star,
-                "loss": est.total - c_star, "se": est.se_total,
-                "mean_R": float(np.mean(R)), "mean_D": float(np.mean(D)),
-            })
+        rows.extend({"regime": regime, "S": S, "policy": kind,
+                     **long_run_cost(*cache[(kind, S)], params, instances)}
+                    for kind in POLICY_KINDS)
     return rows

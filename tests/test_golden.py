@@ -68,6 +68,8 @@ GOLDEN = {
             "a276f10e7d591462d6a328c35a373ce25417362a9bdbac75dc93e2e304f1becd",
     },
     "opaque_config": {
+        "opaque_cost.csv":
+            "d06ec4ad4364f2257e287d12c4b1bb8bbee7cad030b403ab25499777c634f698",
         "opaque_raw.csv":
             "d0f3c13f5b933636add0f9bbe0abd4b43683aa68662e872f673526e63b1e81ce",
         "opaque_summary.csv":

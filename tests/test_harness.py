@@ -1,8 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from endgame import balls_bins as bb
+from endgame import opaque
 from endgame.harness import plots, runner, stats
 from endgame.harness.config import ConfigError, ExperimentConfig, load_config
 
@@ -172,6 +175,47 @@ def test_opaque_experiment_smoke(tmp_path):
         parts = line.split(",")
         S = int(parts[s_col])
         assert S <= float(parts[r_col]) <= 3 * (S - 1) + 1
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_opaque_config_cost_rows_equal_the_regime_tables(tmp_path):
+    """An opaque config sweep's ``opaque_cost.csv`` holds, to the bit,
+    the regime tables' cost columns for the same cells; its ``regime``
+    changes the cost while the cycles it costs stay the same."""
+    S_grid = [50, 100]
+    columns = ("cost", "lower_bound", "loss", "se", "mean_R", "mean_D")
+    cfg = ExperimentConfig(
+        model="opaque", policies=list(bb.POLICY_KINDS),
+        params={"N": 5, "q": 0.1, "cycles_per_instance": 7},
+        sweep={"regime": list(opaque.REGIMES), "S": S_grid},
+        replications=4, seed=0, out_dir=str(tmp_path))
+    raw_path, _ = runner.run_experiment(cfg)
+    costs = _csv_rows(tmp_path / "opaque_cost.csv")
+    assert len(costs) == len(bb.POLICY_KINDS) * len(opaque.REGIMES) * 2
+    table = {(row["regime"], row["S"], row["policy"]): row
+             for regime in opaque.REGIMES
+             for row in opaque.regime_sweep(regime, S_grid, N=5, q=0.1,
+                                            instances=4,
+                                            cycles_per_instance=7)}
+    for row in costs:
+        want = table[(row["regime"], int(row["S"]), row["policy"])]
+        assert {name: float(row[name]) for name in columns} \
+            == {name: want[name] for name in columns}, row
+    raw = _csv_rows(raw_path)
+    for kind in bb.POLICY_KINDS:
+        cycles, cost = {}, {}
+        for regime in ("delta_zero", "delta_const"):
+            cycles[regime] = [(r["R"], r["D"]) for r in raw
+                              if (r["policy"], r["regime"]) == (kind, regime)]
+            cost[regime] = [r["cost"] for r in costs
+                            if (r["policy"], r["regime"]) == (kind, regime)]
+        assert cycles["delta_zero"] == cycles["delta_const"]
+        if kind != bb.NO_FLEX:  # no_flex exercises no discount
+            assert cost["delta_zero"] != cost["delta_const"]
 
 
 def test_emit_plot_data(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,24 +75,29 @@ def test_static_cycle_start_example():
 
 def test_long_run_cost_closed_form_constant_cycles():
     # every cycle R = 5 with D = 2: K/R = 2, h/2 (2NS + 1 - R) = 8,
-    # delta D/R = 0.4
+    # delta D/R = 0.4; each term alone is the cost with the other two
+    # constants at 0
     p = opaque.InventoryParams(N=2, S=5, q=0.5, K=10.0, h=1.0, delta=1.0)
     R = np.full(40, 5)
     D = np.full(40, 2)
-    est = opaque.long_run_cost(R, D, p)
-    assert est.total == pytest.approx(10.4)
-    assert est.ordering == pytest.approx(2.0)
-    assert est.holding == pytest.approx(8.0)
-    assert est.discount == pytest.approx(0.4)
-    assert est.se_total == pytest.approx(0.0)
+    row = opaque.long_run_cost(R, D, p)
+    assert row["cost"] == pytest.approx(10.4)
+    assert row["se"] == pytest.approx(0.0)
+    assert (row["mean_R"], row["mean_D"]) == (5.0, 2.0)
+    for costs, term in ((dict(h=0.0, delta=0.0), 2.0),
+                        (dict(K=0.0, delta=0.0), 8.0),
+                        (dict(K=0.0, h=0.0), 0.4)):
+        alone = opaque.long_run_cost(R, D, replace(p, **costs))
+        assert alone["cost"] == pytest.approx(term), costs
+        assert alone["loss"] == alone["cost"] - alone["lower_bound"]
 
 
 def test_long_run_cost_with_enumerated_mean():
     p = opaque.InventoryParams(N=2, S=2, q=0.5, K=1.0, h=0.0, delta=0.0)
     # exact distribution: R=2 w.p. 1/2, R=3 w.p. 1/2
     R = np.array([2, 3] * 50)
-    est = opaque.long_run_cost(R, np.zeros(100), p)
-    assert est.total == pytest.approx(1 / 2.5)
+    row = opaque.long_run_cost(R, np.zeros(100), p)
+    assert row["cost"] == pytest.approx(1 / 2.5)
 
 
 @pytest.mark.parametrize("n,groups", [(300, 10), (101, 10), (7, 3),
@@ -110,9 +116,9 @@ def test_long_run_cost_batch_means_are_array_split_groups(n, groups):
                                         / er) + p.delta * d.mean() / er)
     means = [total(r, d) for r, d in zip(np.array_split(R, groups),
                                          np.array_split(D, groups))]
-    est = opaque.long_run_cost(R, D, p, groups)
-    assert est.se_total == np.std(means, ddof=1) / math.sqrt(groups)
-    assert est.total == total(R, D)
+    row = opaque.long_run_cost(R, D, p, groups)
+    assert row["se"] == np.std(means, ddof=1) / math.sqrt(groups)
+    assert row["cost"] == total(R, D)
 
 
 def test_long_run_cost_rejects_empty():
@@ -193,13 +199,16 @@ def test_renewal_consistency_pooled_moments():
     p = opaque.eoq_params(5, 20, 0.1, "delta_const")
     spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p)
     R, D = opaque.simulate_cycles(spec, p, 60, 0, "renewal")
-    est = opaque.long_run_cost(R, D, p)
+    row = opaque.long_run_cost(R, D, p)
     er, er2, ed = R.mean(), (R.astype(float) ** 2).mean(), D.mean()
-    expect = (p.K / er + p.h / 2 * (2 * p.N * p.S + 1 - er2 / er)
-              + p.delta * ed / er)
-    assert est.total == pytest.approx(expect)
-    assert est.total == pytest.approx(
-        est.ordering + est.holding + est.discount)
+    ordering, holding = p.K / er, p.h / 2 * (2 * p.N * p.S + 1 - er2 / er)
+    discount = p.delta * ed / er
+    assert row["cost"] == pytest.approx(ordering + holding + discount)
+    for costs, term in ((dict(h=0.0, delta=0.0), ordering),
+                        (dict(K=0.0, delta=0.0), holding),
+                        (dict(K=0.0, h=0.0), discount)):
+        assert opaque.long_run_cost(R, D, replace(p, **costs))["cost"] \
+            == pytest.approx(term), costs
 
 
 def test_simulate_cycles_independent_of_batching():
@@ -323,7 +332,7 @@ def test_dynamic_beats_static_on_paired_cycles():
         def cost(out, part=slice(None)):
             return opaque.long_run_cost(out.stop_time[part],
                                         out.flex_count[part], p,
-                                        n_groups=1).total
+                                        n_groups=1)["cost"]
 
         diff = cost(dynamic) - cost(static)
         parts = [slice(i, i + 80) for i in range(0, 4000, 80)]
