@@ -225,7 +225,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
     summary_path = out / f"{config.model}_summary.csv"
     write_summary(summary_path, raw_rows, ["policy"] + list(config.sweep),
                   RAW_METRICS[config.model])
-    if config.model == "opaque":  # one cost row per cell
+    if config.model == "opaque":
         costs = []
         for (policy, params), rows in zip(cells, per_cell):
             R, D = (np.array([row[name] for row in rows])
