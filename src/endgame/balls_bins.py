@@ -134,17 +134,18 @@ TILE_PERIODS = 4096
 
 def tile_rows(T: int) -> int:
     """Rows per tile on a horizon of T: at most 64, so that a tile holds
-    at most 2**18 periods, and at most 2**24 // T, so that a tile fits in
-    a block of the kernel's (up to 32e6 periods).  Blocks are whole tiles
-    of rows: a row range drawn starts on a multiple of it."""
+    at most 2**18 periods, and at most 2**24 // T, a layout constant
+    like ``TILE_PERIODS``.  The kernel's blocks are whole tiles of rows:
+    a row range drawn starts on a multiple of it."""
     return max(1, min(64, 2**24 // T))
 
 
 @dataclass
 class ArrivalArrays:
     """Pre-drawn per-period arrival randomness of a block of rows
-    (replications or cycles), one array per draw category of
-    ``CATEGORIES``, each (rows, T) but ``decisions``.
+    (replications or cycles) over the periods drawn, a window or the
+    horizon: one array per draw category of ``CATEGORIES``, each (rows,
+    periods) but ``decisions``.
 
     The flex periods are drawn as geometric gaps, and each flex arrival's
     set directly as a uniformly random pair of distinct bins: a uniform
@@ -152,18 +153,19 @@ class ArrivalArrays:
     so the flex-set size has no effect.  ``pair`` holds the pair's code in
     [0, N(N - 1)), which :func:`flex_pair` decodes; a non-flex period's
     code is 0 and never read.  ``decisions`` is the flex-sqrt-T policy's
-    (events, first) at the block's cut: the (rows, T) flex arrivals it
-    exerts on, and each row's first decision period, T if it has none
-    (see :func:`draw_raw_arrays`); None when no cut was drawn.
+    (events, first) at the block's cut: the (rows, periods) flex arrivals
+    it exerts on, and each row's first decision period up to the end of
+    the periods drawn, T if it has none (see :func:`draw_raw_arrays`);
+    None when no cut was drawn.
     """
 
-    is_flex: np.ndarray    # (rows, T) bool
-    preferred: np.ndarray  # (rows, T) int
-    pair: np.ndarray       # (rows, T) unsigned int
+    is_flex: np.ndarray    # (rows, periods) bool
+    preferred: np.ndarray  # (rows, periods) int
+    pair: np.ndarray       # (rows, periods) unsigned int
     decisions: tuple | None = None
 
     def __len__(self) -> int:
-        """The periods drawn, rows x T."""
+        """The periods drawn, rows x periods."""
         return self.is_flex.size
 
 
@@ -180,10 +182,20 @@ def flex_pair(code, N: int):
     return np.minimum(i, j), np.maximum(i, j)
 
 
+def decision_carry(n: int, T: int) -> tuple:
+    """The flex-sqrt-T carry of n rows before period 0 of a horizon of T,
+    which :func:`draw_raw_arrays` advances window by window: each row's
+    non-flex periods so far, its k and its first decision, T if none
+    yet."""
+    return np.zeros(n, np.int64), np.zeros(n), np.full(n, T, np.int64)
+
+
 def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
-                    cut: float | None = None) -> ArrivalArrays:
+                    cut: float | None = None, window: int | None = None,
+                    carry: tuple | None = None) -> ArrivalArrays:
     """Draw the rows ``rows`` of a run on a horizon of T periods, category
-    c from the Philox key ``keys[c]``, tile by tile.
+    c from the Philox key ``keys[c]``, tile by tile: the whole horizon,
+    or with ``window`` w only its window w, periods [wW, (w + 1)W).
 
     Tile (g, w) covers rows [gG, (g + 1)G), G = :func:`tile_rows` (T), and
     periods [wW, (w + 1)W), W = ``TILE_PERIODS``.  Its category c is drawn
@@ -208,26 +220,33 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
     Geometric(c) count.  A non-flex decision moves no ball, so the first
     decision, the policy's first trigger, has the law of the first of
     independent Bernoulli(c) decisions, and a smaller cut's decisions are
-    a subset of a larger one's.  A cut of 0 never decides.
+    a subset of a larger one's.  A cut of 0 never decides.  ``carry`` is
+    the rows' :func:`decision_carry` before the periods drawn, which the
+    draw advances in place: window w > 0 takes the carry that windows 0
+    to w - 1 left; None starts from period 0.
     """
     dtype = np.int16 if N > 127 else np.int8
     n, G = len(rows), tile_rows(T)
     if rows.start % G:
         raise ValueError(f"rows must start on a tile boundary, a multiple "
                          f"of G = {G}, got {rows.start}")
-    shape = (n, T)
+    W = TILE_PERIODS
+    windows = (range(-(-T // W)) if window is None
+               else range(window, window + 1))
+    t0 = windows.start * W  # the first period drawn
+    span = min(windows.stop * W, T) - t0
+    if cut is not None and carry is None:
+        carry = decision_carry(n, T)
+    shape = (n, span)
     out = ArrivalArrays(
         is_flex=np.zeros(shape, bool), preferred=np.empty(shape, dtype),
         pair=np.zeros(shape, np.min_scalar_type(N * (N - 1) - 1)),
-        decisions=None if cut is None else (np.zeros(shape, bool),
-                                            np.full(n, T, np.int64)))
+        decisions=None if cut is None else (np.zeros(shape, bool), carry[2]))
     for base in range(0, n, G):  # the block row of a tile's row 0
         g, m = (rows.start + base) // G, min(G, n - base)
-        # per row: non-flex periods before the window, k, first decision
-        non_flex, k = np.zeros(m, np.int64), np.zeros(m)
-        first = None if cut is None else out.decisions[1][base:base + m]
-        for w, t0 in enumerate(range(0, T, TILE_PERIODS)):
-            width = min(TILE_PERIODS, T - t0)
+        for w in windows:
+            tw = w * W
+            width = min(W, T - tw)
 
             def stream(category):
                 return tile_stream(keys[category], g, w)
@@ -238,18 +257,19 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
             starts = np.arange(m + 1) * width
             heads = np.searchsorted(at, starts)
             # the flex arrivals' flat positions in the block
-            dst = np.repeat((np.arange(m) + base) * T + t0 - starts[:-1],
-                            np.diff(heads))
+            dst = np.repeat((np.arange(m) + base) * span + tw - t0
+                            - starts[:-1], np.diff(heads))
             dst += at
             out.is_flex.reshape(-1)[dst] = True
-            out.preferred[base:base + m, t0:t0 + width] = stream(
+            out.preferred[base:base + m, tw - t0:tw - t0 + width] = stream(
                 "preferred").integers(0, N, size=(m, width), dtype=dtype)
             if N > 2:
                 out.pair.reshape(-1)[dst] = stream("flexset").integers(
                     0, N * (N - 1), size=at.size, dtype=out.pair.dtype)
             if cut:
                 _decide(cut, stream("exert"), at, heads, width, dst,
-                        out.decisions[0], non_flex, k, first, t0, T)
+                        out.decisions[0],
+                        *(a[base:base + m] for a in carry), tw, T)
             # the window's arrays go before the next window's are drawn
             del at, dst
     return out

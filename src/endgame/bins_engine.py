@@ -1,22 +1,23 @@
 """The policy loop: one event-driven kernel for the balls-into-bins model
 and the opaque-selling cycle.
 
-Rows (replications or cycles) run in blocks sized to bound memory, of
-whole tiles of the draw.  A row either runs the whole
+Rows (replications or cycles) run in blocks of whole tiles of the draw,
+and a block runs one draw window of ``TILE_PERIODS`` periods at a time,
+so memory is bounded at any horizon.  A row either runs the whole
 horizon or, given a stop level S, stops at the first period in which a
 load reaches S (an opaque cycle is a ball run on depletion counts,
 stopped at the first stock-out).  A run on stream path ``path`` draws
 category c from the stream keyed by ``(root_seed, *path, c)``, in tiles of
 rows x periods whose draws depend only on the row, not on the block size
 or the execution order (see ``balls_bins.draw_raw_arrays``).  Policies
-that share a model's arrivals run on one draw: each block is drawn once
-and every policy steps through it before the next is drawn.
+that share a model's arrivals run on one draw: each window of a block is
+drawn once and every policy steps through it before the next is drawn.
 
 Loads depend on the policy only through its flex *events*: the flex
 arrivals it exerts on (for the unlatched dynamic policy, the flex
 arrivals it may exert on).  Every other arrival lands in its preferred
 bin, so between events a row's loads are per-bin counts of
-``preferred``.  The kernel scans the period axis in chunks of at most
+``preferred``.  The kernel scans a window in chunks of at most
 ``_CHUNK`` periods; in each chunk it steps in lockstep across rows
 through the events only, adding the arrivals between events in bulk.
 """
@@ -27,21 +28,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import streams
+from . import balls_bins, streams
 from .balls_bins import (ALWAYS_FLEX, CATEGORIES, DYNAMIC, FLEX_SQRT_T,
                          POLICY_CONSTANTS, STATIC, ArrivalArrays, ModelParams,
-                         PolicySpec, draw_raw_arrays, flex_pair, static_start,
-                         tile_rows)
+                         PolicySpec, decision_carry, draw_raw_arrays,
+                         flex_pair, static_start, tile_rows)
 
 # the name bins runs draw under (the benchmark's trace wraps it apart from
 # the opaque model's draws)
 draw_arrival_arrays = draw_raw_arrays
 
-# Target upper bound on (block rows) * T draws held in memory at once.
-_BLOCK_ELEMENTS = 32_000_000
 # Most periods per chunk of the kernel's scan.  A chunk's working arrays take
-# tens of bytes per row and period, so blocks also hold at most _BLOCK_ROWS
-# rows, and a chunk's slab at most _SLAB counts (a full block's at N = 2).
+# tens of bytes per row and period, so blocks hold at most _BLOCK_ROWS rows
+# (or one tile), and a chunk's slab at most _SLAB counts (a full block's at
+# N = 2).
 _CHUNK = 1024
 _BLOCK_ROWS = 512
 _SLAB = 4 * _CHUNK * _BLOCK_ROWS
@@ -66,6 +66,38 @@ class LockstepResult:
         return self.loads.max(axis=1) - self.stop_time / self.loads.shape[1]
 
 
+@dataclass
+class _State:
+    """One policy's kernel state of a block on a horizon of T, before
+    period ``t0``."""
+
+    T: int
+    t0: int
+    loads: np.ndarray       # (rows, N)
+    flex_count: np.ndarray  # (rows,)
+    trigger: np.ndarray     # (rows,) first exerting period, T if none yet
+    stop_time: np.ndarray   # (rows,) T until the row stops
+    live: np.ndarray        # the rows still running
+
+    @classmethod
+    def start(cls, policy: PolicySpec, N: int, rows: int, T: int):
+        # static and always-flex exert from a fixed period; flex-sqrt-T
+        # and dynamic find theirs as they run
+        first = (static_start(T, policy.a_s) if policy.kind == STATIC
+                 else 0 if policy.kind == ALWAYS_FLEX else T)
+        return cls(T, 0, np.zeros((rows, N), dtype=np.int64),
+                   np.zeros(rows, dtype=np.int64),
+                   np.full(rows, first, dtype=np.int64),
+                   np.full(rows, T, dtype=np.int64), np.arange(rows))
+
+    def result(self) -> LockstepResult:
+        """The rows' outcomes so far, on the state's arrays."""
+        return LockstepResult(
+            self.loads, self.flex_count,
+            np.where(self.trigger < self.stop_time, self.trigger, -1),
+            self.stop_time)
+
+
 def run_many(policy: PolicySpec, params: ModelParams, reps: int,
              root_seed: int, *path) -> LockstepResult:
     """Simulate ``reps`` independent horizons of one policy; replication
@@ -86,13 +118,16 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
                stop: int | None = None) -> list[LockstepResult]:
     """Run ``n_rows`` rows of the kernel for each of ``policies``, in
     blocks of equally many (within one) whole tiles of G = ``tile_rows(T)``
-    rows: as many as fit in ``_BLOCK_ELEMENTS`` draws and ``_BLOCK_ROWS``
-    rows, one at least.  Each block is drawn once and every policy runs on
-    it before the next block is drawn; returns one result per policy.
+    rows: as many as fit in ``_BLOCK_ROWS`` rows, one at least.  A block
+    runs window by window: each window of ``TILE_PERIODS`` periods is
+    drawn once, every policy steps through it, and it is dropped before
+    the next is drawn; with ``stop`` set, a block's draws end once no
+    policy has a row running.  Returns one result per policy.
 
-    ``draw(N, q, T, keys, rows, cut)`` draws a block's rows from the
-    Philox keys of ``(root_seed, *path, c)`` by category c, with the
-    decisions of the flex-sqrt-T policies at their cut ``(T - t_hat)/T``;
+    ``draw(N, q, T, keys, rows, cut, w, carry)`` draws window w of a
+    block's rows from the Philox keys of ``(root_seed, *path, c)`` by
+    category c, with the decisions of the flex-sqrt-T policies at their
+    cut ``(T - t_hat)/T``, carried from window to window in ``carry``;
     the exert stream is drawn only when a policy reads it.  Flex-sqrt-T
     policies whose ``a_s`` give two cuts are refused.
     """
@@ -109,24 +144,25 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     cut = cuts.pop() if cuts else None
     keys = {c: streams.stream_key(root_seed, *path, c)
             for c in (CATEGORIES if cut is not None else CATEGORIES[:-1])}
-    # the flex-sqrt-T policies run first, so that their decisions are
-    # freed before the others run
-    order = sorted(range(len(policies)),
-                   key=lambda i: policies[i].kind != FLEX_SQRT_T)
     G = tile_rows(T)
-    per_block = max(1, min(_BLOCK_ELEMENTS // T, _BLOCK_ROWS) // G)
     tiles = -(-n_rows // G)
-    n_blocks = -(-tiles // per_block)
+    n_blocks = -(-tiles // max(1, _BLOCK_ROWS // G))
     bounds = [min(i * tiles // n_blocks * G, n_rows)
               for i in range(n_blocks + 1)]
     parts = [[] for _ in policies]
     for lo, hi in zip(bounds, bounds[1:]):
-        block = draw(N, q, T, keys, range(lo, hi), cut)
-        for i in order:
-            if policies[i].kind != FLEX_SQRT_T:
-                block.decisions = None
-            parts[i].append(lockstep(policies[i], N, q, block, stop))
-        del block  # one block is alive at a time
+        states = [_State.start(p, N, hi - lo, T) for p in policies]
+        carry = None if cut is None else decision_carry(hi - lo, T)
+        for w in range(-(-T // balls_bins.TILE_PERIODS)):
+            window = draw(N, q, T, keys, range(lo, hi), cut, w, carry)
+            for policy, state in zip(policies, states):
+                if state.live.size:
+                    lockstep(policy, N, q, window, stop, state)
+            del window  # one window is alive at a time
+            if not any(state.live.size for state in states):
+                break
+        for part, state in zip(parts, states):
+            part.append(state.result())
     return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
                              for f in fields(LockstepResult)))
             for part in parts]
@@ -139,8 +175,12 @@ def _check_resolved(policy: PolicySpec) -> None:
 
 
 def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
-             stop: int | None = None) -> LockstepResult:
-    """Run every row of stacked (rows, T) arrivals through one policy.
+             stop: int | None = None, state: _State | None = None
+             ) -> LockstepResult:
+    """Run every row of stacked (rows, periods) arrivals through one
+    policy: the whole horizon, or with ``state`` the periods from
+    ``state.t0`` on of a block on a horizon of ``state.T``, advancing the
+    state past them.  Returns the rows' outcomes so far.
 
     Each period the policy decides whether to exert flexibility; an
     exerted flex arrival goes to the lesser-loaded bin of its pair, ties
@@ -151,28 +191,29 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     """
     _check_resolved(policy)
     kind = policy.kind
-    rows, T = arrivals.is_flex.shape
-    loads = np.zeros((rows, N), dtype=np.int64)
-    flex_count = np.zeros(rows, dtype=np.int64)
-    trigger = np.full(rows, T, dtype=np.int64)  # first exerting period
-    stop_time = np.full(rows, T, dtype=np.int64)
-    live = np.arange(rows)  # rows still running
+    rows, span = arrivals.is_flex.shape
+    if state is None:
+        state = _State.start(policy, N, rows, span)
+    T, t0, live = state.T, state.t0, state.live
+    loads, flex_count, trigger, stop_time = (
+        state.loads, state.flex_count, state.trigger, state.stop_time)
     # a row exerts on the flex arrivals of one mask (flex-sqrt-T's: those
     # it decided on) from its trigger on; dynamic's is found chunk by chunk
     mask = arrivals.is_flex
     if kind == FLEX_SQRT_T:
-        mask, trigger[:] = arrivals.decisions
-    elif kind in (ALWAYS_FLEX, STATIC):
-        trigger[:] = static_start(T, policy.a_s) if kind == STATIC else 0
+        # the first decision so far: no exerting flex arrival comes before
+        # a row's first decision, so a later one moves no event
+        mask, first = arrivals.decisions
+        np.minimum(trigger, first, out=trigger)
 
     width = max(1, min(_CHUNK, _SLAB // (N + 1) - 2))  # a row's slab fits
-    for c0 in range(0, T, width):
-        c1 = min(c0 + width, T)
+    for c0 in range(t0, t0 + span, width):
+        c1 = min(c0 + width, t0 + span)
         t = np.arange(c0, c1)
         # views of the block until a row stops, copies of the live rows
         # after
         sel = slice(None) if live.size == rows else live
-        pref, flex, pair = (a[sel, c0:c1]
+        pref, flex, pair = (a[sel, c0 - t0:c1 - t0]
                             for a in (arrivals.preferred, mask, arrivals.pair))
         carry = loads[sel]
         recheck = ends = at = None
@@ -212,10 +253,8 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
             live = live[~stopped]
             if not live.size:
                 break
-
-    first_trigger = np.where(trigger < stop_time, trigger, -1)
-    return LockstepResult(loads=loads, flex_count=flex_count,
-                          first_trigger=first_trigger, stop_time=stop_time)
+    state.t0, state.live = t0 + span, live
+    return state.result()
 
 
 def _counts(bins, N: int):

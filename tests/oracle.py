@@ -233,7 +233,7 @@ def decisions(arrivals: Row, cut: float) -> np.ndarray:
 
 def stack_arrivals(rows: list, policy: PolicySpec) -> ArrivalArrays:
     """The (rows, T) block of per-row arrival arrays as
-    ``bins_engine.run_blocks`` hands it to ``policy``: for a flex-sqrt-T
+    ``bins_engine.lockstep`` runs it whole for ``policy``: for a flex-sqrt-T
     policy with the ``decisions`` of its :func:`decisions` at the cut
     ``(T - t_hat)/T``, the (rows, T) bool flex ones and each row's first
     period (T if it has none); for any other with None."""

@@ -202,28 +202,43 @@ WINDOWS_T = 2 * bb.TILE_PERIODS + 100
 
 
 def kernel_inputs(monkeypatch, spec, N, q, T, n_rows, seed):
-    """The arrays and flex-sqrt-T decisions that ``run_blocks`` hands the
-    kernel for ``n_rows`` rows of ``spec``, its blocks joined; the kernel
-    itself does not run."""
-    blocks = []
+    """The arrays and flex-sqrt-T decisions that ``run_blocks`` draws for
+    ``n_rows`` rows of ``spec``, window by window, its windows and blocks
+    joined; the kernel itself does not run.  Each block draws its windows
+    once each, in order, and a draw holds its block's rows x at most W
+    periods."""
+    W = bb.TILE_PERIODS
+    blocks = {}  # rows -> the block's windows in order
 
-    def recording(policy, N, q, arrivals, stop=None):
-        blocks.append(([getattr(arrivals, name).copy()
-                        for name in oracle.ARRAYS],
-                       None if arrivals.decisions is None
-                       else [d.copy() for d in arrivals.decisions]))
-        zeros = np.zeros(arrivals.is_flex.shape[0], np.int64)
-        return be.LockstepResult(np.zeros((zeros.size, N), np.int64),
-                                 zeros, zeros, zeros)
+    def recording(*args):
+        rows, w = args[4], args[6]
+        out = bb.draw_raw_arrays(*args)
+        windows = blocks.setdefault(rows, [])
+        assert w == len(windows)
+        assert out.is_flex.shape == (len(rows), min(W, T - w * W))
+        windows.append(([getattr(out, name).copy()
+                         for name in oracle.ARRAYS],
+                        None if out.decisions is None
+                        else [d.copy() for d in out.decisions]))
+        return out
 
     with monkeypatch.context() as mp:
-        mp.setattr(be, "lockstep", recording)
-        be.run_blocks([spec], N, q, T, n_rows, seed, ("tiles",),
-                      bb.draw_raw_arrays)
-    arrays = [np.concatenate(part) for part in zip(*(b[0] for b in blocks))]
-    decisions = (None if blocks[0][1] is None else
+        mp.setattr(be, "lockstep", lambda *args: None)
+        be.run_blocks([spec], N, q, T, n_rows, seed, ("tiles",), recording)
+    joined = []
+    for windows in blocks.values():
+        assert len(windows) == -(-T // W)
+        arrays = [np.concatenate(part, axis=1)
+                  for part in zip(*(arr for arr, _ in windows))]
+        # the first decisions after the last window are the row's
+        made = (None if windows[0][1] is None else
+                [np.concatenate([d[0] for _, d in windows], axis=1),
+                 windows[-1][1][1]])
+        joined.append((arrays, made))
+    arrays = [np.concatenate(part) for part in zip(*(b[0] for b in joined))]
+    decisions = (None if joined[0][1] is None else
                  [np.concatenate(part) for part in zip(*(b[1]
-                                                         for b in blocks))])
+                                                         for b in joined))])
     return arrays, decisions
 
 
@@ -245,8 +260,8 @@ def test_rows_draw_alike_at_any_row_count_and_block_size(monkeypatch, N, q,
     whole, made = kernel_inputs(monkeypatch, spec, N, q, T, 3 * G, 7)
     if exert:
         assert {0, 1} <= set(made[1][made[1] < T] // bb.TILE_PERIODS)
-    for elements in (be._BLOCK_ELEMENTS, G * T):
-        monkeypatch.setattr(be, "_BLOCK_ELEMENTS", elements)
+    for block_rows in (be._BLOCK_ROWS, G):
+        monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
         for n_rows in (1, G - 1, G, G + 1, 3 * G):
             arrays, decisions = kernel_inputs(monkeypatch, spec, N, q, T,
                                               n_rows, 7)
@@ -282,8 +297,8 @@ def test_rows_match_the_oracle_over_narrow_windows(monkeypatch, N, q):
     rows = [oracle.draw(7, N, q, T, "tiles", row=row)
             for row in range(3 * G)]
     refs = [oracle.decisions(arr, cut) for arr in rows]
-    for elements in (be._BLOCK_ELEMENTS, G * T):
-        monkeypatch.setattr(be, "_BLOCK_ELEMENTS", elements)
+    for block_rows in (be._BLOCK_ROWS, G):
+        monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
         arrays, made = kernel_inputs(monkeypatch, spec, N, q, T, 3 * G, 7)
         assert set(made[1][made[1] < T] // 50) == {0, 1, 2}
         for row, (arr, ref) in enumerate(zip(rows, refs)):
@@ -770,10 +785,106 @@ def test_engine_independent_of_block_size(monkeypatch):
     spec = bb.resolve_policy(bb.PolicySpec(kind=bb.DYNAMIC), p, "numerics")
     reps = 2 * bb.tile_rows(p.T) + 5  # three tiles, the last a prefix
     full = be.run_many(spec, p, reps, 1, "blocks")
-    monkeypatch.setattr(be, "_BLOCK_ELEMENTS", 200)  # blocks of one tile
+    monkeypatch.setattr(be, "_BLOCK_ROWS", 1)  # blocks of one tile
     small = be.run_many(spec, p, reps, 1, "blocks")
     assert np.array_equal(full.final_gap, small.final_gap)
     assert np.array_equal(full.flex_count, small.flex_count)
+
+
+def windowed_specs(T):
+    """The five policies and unlatched dynamic, static and flex-sqrt-T at
+    a_s = 0.1 (on T = 143: t_hat = 140 and a cut of 0.02)."""
+    return [bb.PolicySpec(kind=kind, a_s=0.1, a_d=0.7, latched=latched)
+            for kind, latched in ((bb.NO_FLEX, False), (bb.ALWAYS_FLEX, False),
+                                  (bb.STATIC, False), (bb.DYNAMIC, True),
+                                  (bb.DYNAMIC, False),
+                                  (bb.FLEX_SQRT_T, False))]
+
+
+def check_windowed(N, q, T, n_rows, stop, draw=bb.draw_raw_arrays):
+    """``run_blocks`` on every policy of :func:`windowed_specs`: each
+    result equals ``lockstep`` on the whole block, and each row the
+    oracle's."""
+    specs = windowed_specs(T)
+    outs = be.run_blocks(specs, N, q, T, n_rows, 5, ("windows",), draw,
+                         stop)
+    keys = {c: streams.stream_key(5, "windows", c) for c in bb.CATEGORIES}
+    cut = (T - bb.static_start(T, 0.1)) / T
+    block = bb.draw_raw_arrays(N, q, T, keys, range(n_rows), cut)
+    rows = [oracle.draw(5, N, q, T, "windows", row=r) for r in range(n_rows)]
+    for spec, out in zip(specs, outs):
+        whole = be.lockstep(spec, N, q, block, stop)
+        for f in dataclasses.fields(out):
+            assert np.array_equal(getattr(out, f.name),
+                                  getattr(whole, f.name)), (spec, f.name)
+        for r, arr in enumerate(rows):
+            ref = oracle.run(spec, N, q, arr, stop)
+            assert np.array_equal(out.loads[r], ref.loads)
+            assert (out.flex_count[r], out.stop_time[r]) == (
+                ref.flex_count, ref.stop_time)
+            assert out.first_trigger[r] == (-1 if ref.first_trigger is None
+                                            else ref.first_trigger)
+    return outs
+
+
+@pytest.mark.parametrize("stop", [None, 40])
+def test_windowed_blocks_equal_whole_blocks_and_the_oracle(monkeypatch,
+                                                           stop):
+    """With 50-period windows over T = 143 (the last one partial) and
+    16-period chunks, chunk boundaries fall elsewhere when a block runs
+    window by window than on the whole block; every policy's rows come
+    out alike, with and without a stop, and the stop and the first
+    triggers fall in several windows."""
+    monkeypatch.setattr(bb, "TILE_PERIODS", 50)
+    monkeypatch.setattr(be, "_CHUNK", 16)
+    outs = check_windowed(3, 0.5, 143, 6, stop)
+    triggers = np.concatenate([out.first_trigger for out in outs])
+    assert len(set(triggers[triggers > 0] // 50)) >= 2
+    if stop is not None:
+        ends = np.concatenate([out.stop_time for out in outs])
+        assert len(set(ends[ends < 143] // 50)) >= 2
+
+
+def test_rows_stopped_in_window_0_draw_no_later_window(monkeypatch):
+    """When every row of every policy stops in window 0, the block draws
+    window 0 alone, and its rows are unchanged."""
+    monkeypatch.setattr(bb, "TILE_PERIODS", 50)
+    windows = []
+
+    def counting(*args):
+        windows.append(args[6])
+        return bb.draw_raw_arrays(*args)
+    outs = check_windowed(2, 0.5, 143, 6, 3, counting)
+    assert windows == [0]
+    assert all((out.stop_time < 50).all() for out in outs)
+
+
+def test_run_memory_does_not_grow_with_the_horizon():
+    """A 64-row run of the five policies holds one window of draws and
+    the kernel's state: its peak above the result arrays is the same,
+    within 1 MiB, over 2 W + 100 and 8 W periods."""
+    W = bb.TILE_PERIODS
+    over = []
+    # the first run, untraced, takes the one-time set-up (about 1 MiB)
+    for T, traced in ((2 * W + 100, False), (2 * W + 100, True),
+                      (8 * W, True)):
+        p = bb.ModelParams(T=T, N=5, q=0.1)
+        specs = [bb.resolve_policy(bb.PolicySpec(kind=kind), p, "numerics")
+                 for kind in bb.POLICY_KINDS]
+        if not traced:
+            be.run_policies(specs, p, 64, 3, "horizon")
+            continue
+        tracemalloc.start()
+        try:
+            outs = be.run_policies(specs, p, 64, 3, "horizon")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(getattr(out, f.name).nbytes for out in outs
+                  for f in dataclasses.fields(out))
+        over.append(peak - own)
+    assert abs(over[1] - over[0]) < 2**20, [f"{o / 2**20:.2f} MiB"
+                                            for o in over]
 
 
 # T = 30: tiles of 64 rows
@@ -793,7 +904,7 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
         return kernel(policy, N, q, arrivals, *rest)
 
     monkeypatch.setattr(be, "lockstep", recording)
-    monkeypatch.setattr(be, "_BLOCK_ELEMENTS", cap * p.T)
+    monkeypatch.setattr(be, "_BLOCK_ROWS", cap)
     blocked = be.run_many(spec, p, reps, 2, "equal")
     assert sum(sizes) == reps and len(sizes) > 1
     # blocks hold whole tiles, the last a prefix, and as many as fit
@@ -806,26 +917,22 @@ def test_blocks_are_equal_sized(monkeypatch, reps, cap):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name))
 
 
-@pytest.mark.parametrize("elements,block_rows", [
-    (be._BLOCK_ELEMENTS, be._BLOCK_ROWS), (200, 3)])
-def test_blocks_are_whole_tiles_at_every_horizon(monkeypatch, elements,
-                                                 block_rows):
+@pytest.mark.parametrize("block_rows", [be._BLOCK_ROWS, 3])
+def test_blocks_are_whole_tiles_at_every_horizon(monkeypatch, block_rows):
     """At T from 1 to 1e10, every block but the last is whole tiles, one
     at least, the blocks hold equally many tiles (within one), and none
-    holds more than max(_BLOCK_ELEMENTS, G T) draws; the draw and the
-    kernel are stubbed."""
-    monkeypatch.setattr(be, "_BLOCK_ELEMENTS", elements)
+    holds more than max(_BLOCK_ROWS, G) rows; the draw and the kernel
+    are stubbed, and the kernel stops every row in window 0, so each
+    block draws that window alone."""
     monkeypatch.setattr(be, "_BLOCK_ROWS", block_rows)
     blocks = []
 
-    def draw(N, q, T, keys, rows, cut):
-        blocks.append(rows)
+    def draw(N, q, T, keys, rows, cut, w, carry):
+        blocks.append((rows, w))
         return bb.ArrivalArrays(np.empty((len(rows), 0)), None, None)
 
-    def kernel(policy, N, q, arrivals, stop=None):
-        zeros = np.zeros(arrivals.is_flex.shape[0], np.int64)
-        return be.LockstepResult(np.zeros((zeros.size, N), np.int64),
-                                 zeros, zeros, zeros)
+    def kernel(policy, N, q, arrivals, stop, state):
+        state.live = state.live[:0]
 
     monkeypatch.setattr(be, "lockstep", kernel)
     horizons = np.unique(np.r_[1:3000, np.geomspace(3000, 1e10, 200)
@@ -835,14 +942,15 @@ def test_blocks_are_whole_tiles_at_every_horizon(monkeypatch, elements,
         for n_rows in (1, 1000):
             blocks.clear()
             be.run_blocks([bb.PolicySpec(kind=bb.NO_FLEX)], 2, 0.5, T,
-                          n_rows, 0, ("rule",), draw)
-            assert [b.start for b in blocks[1:]] == [b.stop
-                                                     for b in blocks[:-1]]
-            assert blocks[0].start == 0 and blocks[-1].stop == n_rows
-            assert all(len(b) >= G and len(b) % G == 0 for b in blocks[:-1])
-            tiles = [-(-len(b) // G) for b in blocks]
+                          n_rows, 0, ("rule",), draw, stop=1)
+            assert {w for _, w in blocks} == {0}
+            rows = [b for b, _ in blocks]
+            assert [b.start for b in rows[1:]] == [b.stop for b in rows[:-1]]
+            assert rows[0].start == 0 and rows[-1].stop == n_rows
+            assert all(len(b) >= G and len(b) % G == 0 for b in rows[:-1])
+            tiles = [-(-len(b) // G) for b in rows]
             assert max(tiles) - min(tiles) <= 1
-            assert max(map(len, blocks)) * T <= max(elements, G * T)
+            assert max(map(len, rows)) <= max(block_rows, G)
 
 
 def test_draw_refuses_rows_that_start_inside_a_tile():
