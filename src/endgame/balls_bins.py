@@ -242,16 +242,32 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
         is_flex=np.zeros(shape, bool), preferred=np.empty(shape, dtype),
         pair=np.zeros(shape, np.min_scalar_type(N * (N - 1) - 1)),
         decisions=None if cut is None else (np.zeros(shape, bool), carry[2]))
-    for base in range(0, n, G):  # the block row of a tile's row 0
-        g, m = (rows.start + base) // G, min(G, n - base)
+    # the rows of a group: whole tiles, at most a full tile's 64 rows (or
+    # one tile); a group's tiles are drawn one by one and placed together
+    R = max(1, 64 // G) * G
+    for base in range(0, n, R):  # the block row of a group's row 0
+        m = min(R, n - base)
         for w in windows:
             tw = w * W
             width = min(W, T - tw)
+            at, codes, u = [], [], []
+            for b in range(base, base + m, G):  # the block row of a tile's
+                g, h = (rows.start + b) // G, min(G, base + m - b)
 
-            def stream(category):
-                return tile_stream(keys[category], g, w)
-            at = (np.arange(m * width) if q == 1.0 else
-                  _flex_periods(q, m * width, stream("flex")))
+                def stream(category):
+                    return tile_stream(keys[category], g, w)
+                tile = (np.arange(h * width) if q == 1.0 else
+                        _flex_periods(q, h * width, stream("flex")))
+                out.preferred[b:b + h, tw - t0:tw - t0 + width] = stream(
+                    "preferred").integers(0, N, size=(h, width), dtype=dtype)
+                if N > 2:
+                    codes.append(stream("flexset").integers(
+                        0, N * (N - 1), size=tile.size, dtype=out.pair.dtype))
+                if cut:
+                    u.append(stream("exert").random(h * (w == 0) + tile.size))
+                tile += (b - base) * width
+                at.append(tile)
+            at = _join(at)  # the group's flex arrivals, row-major
             # row i's periods start at starts[i], and its flex arrivals are
             # at[heads[i]:heads[i + 1]]
             starts = np.arange(m + 1) * width
@@ -261,33 +277,35 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
                             - starts[:-1], np.diff(heads))
             dst += at
             out.is_flex.reshape(-1)[dst] = True
-            out.preferred[base:base + m, tw - t0:tw - t0 + width] = stream(
-                "preferred").integers(0, N, size=(m, width), dtype=dtype)
             if N > 2:
-                out.pair.reshape(-1)[dst] = stream("flexset").integers(
-                    0, N * (N - 1), size=at.size, dtype=out.pair.dtype)
+                out.pair.reshape(-1)[dst] = _join(codes)
             if cut:
-                _decide(cut, stream("exert"), at, heads, width, dst,
+                _decide(cut, _join(u), at, heads, width, dst,
                         out.decisions[0],
                         *(a[base:base + m] for a in carry), tw, T)
             # the window's arrays go before the next window's are drawn
-            del at, dst
+            del at, dst, codes, u
     return out
 
 
-def _decide(cut, rng, at, heads, width, dst, events, non_flex, k, first,
+def _join(parts):
+    """The arrays ``parts`` end to end; one part is itself."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _decide(cut, u, at, heads, width, dst, events, non_flex, k, first,
             t0, T):
-    """The flex-sqrt-T decisions at ``cut`` > 0 of one tile of m rows x
-    ``width`` periods from ``t0`` on, whose flex arrivals are at the flat
-    positions ``at``, row i's at ``at[heads[i]:heads[i + 1]]``, drawing
-    the tile's exert stream from ``rng``.  Marks the exerting flex
+    """The flex-sqrt-T decisions at ``cut`` > 0 of m rows x ``width``
+    periods from ``t0`` on, whose flex arrivals are at the flat positions
+    ``at``, row i's at ``at[heads[i]:heads[i + 1]]``, from the rows'
+    exert uniforms ``u``: per row, V (in window 0 only) and then one per
+    flex arrival.  Marks the exerting flex
     arrivals in ``events`` at their block positions ``dst``, and lowers
     ``first``, the rows' first decision periods (T if none).  In the
     first window it sets each row's ``k`` from its V.  ``non_flex``, each
     row's non-flex periods before the window, is advanced past it.
     """
     m = heads.size - 1
-    u = rng.random(m * (t0 == 0) + at.size)
     if t0 == 0:
         v = u[heads[:-1] + np.arange(m)]
         u = np.delete(u, heads[:-1] + np.arange(m))

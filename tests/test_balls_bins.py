@@ -308,6 +308,40 @@ def test_rows_match_the_oracle_over_narrow_windows(monkeypatch, N, q):
             assert made[1][row] == (ref.argmax() if ref.any() else T)
 
 
+@pytest.mark.parametrize("q", [0.3, 1.0])
+def test_short_tiles_are_drawn_in_groups_alike(q):
+    """At T = 2**19 a tile holds 32 rows, and the draw places the rows of
+    two tiles together: windows 0 and 1 of 64 rows equal those of each
+    tile drawn alone, and row 33's equal the oracle's, its flex-sqrt-T
+    decisions included; first decisions fall in both windows."""
+    T, N, cut = 2**19, 5, 2e-4
+    W = bb.TILE_PERIODS
+    assert bb.tile_rows(T) == 32
+    keys = {c: streams.stream_key(7, "groups", c) for c in bb.CATEGORIES}
+
+    def windows(rows):
+        carry = bb.decision_carry(len(rows), T)
+        out = [bb.draw_raw_arrays(N, q, T, keys, rows, cut, w, carry)
+               for w in (0, 1)]
+        return [np.concatenate([getattr(o, name) for o in out], axis=1)
+                for name in oracle.ARRAYS] + [
+            np.concatenate([o.decisions[0] for o in out], axis=1), carry[2]]
+
+    together = windows(range(64))
+    apart = zip(windows(range(32)), windows(range(32, 64)))
+    for got, parts in zip(together, apart):
+        assert np.array_equal(got, np.concatenate(parts))
+    arr = oracle.draw(7, N, q, T, "groups", row=33)
+    for got, name in zip(together, oracle.ARRAYS):
+        assert np.array_equal(got[33], getattr(arr, name)[:2 * W]), name
+    ref = oracle.decisions(arr, cut)
+    assert np.array_equal(together[3][33], (ref & arr.is_flex)[:2 * W])
+    first = ref.argmax() if ref.any() else T
+    assert together[4][33] == (first if first < 2 * W else T)
+    firsts = together[4]
+    assert set(firsts[firsts < T] // W) == {0, 1}
+
+
 def test_block_draw_memory_is_its_arrays_and_one_tile():
     """A block draw holds its own arrays and one tile's temporaries: at
     q = 1 and N = 200 (a flex arrival with a uint16 code every period),
