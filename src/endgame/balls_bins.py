@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator
 
-from .streams import tile_stream
+from .streams import tile_streams
 
 NO_FLEX = "no_flex"
 ALWAYS_FLEX = "always_flex"
@@ -242,6 +242,7 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
         is_flex=np.zeros(shape, bool), preferred=np.empty(shape, dtype),
         pair=np.zeros(shape, np.min_scalar_type(N * (N - 1) - 1)),
         decisions=None if cut is None else (np.zeros(shape, bool), carry[2]))
+    tiles = {c: tile_streams(key) for c, key in keys.items()}
     # the rows of a group: whole tiles, at most a full tile's 64 rows (or
     # one tile); a group's tiles are drawn one by one and placed together
     R = max(1, 64 // G) * G
@@ -251,11 +252,11 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
             tw = w * W
             width = min(W, T - tw)
             at, codes, u = [], [], []
-            for b in range(base, base + m, G):  # the block row of a tile's
+            for b in range(base, base + m, G):  # a tile's row 0 in the block
                 g, h = (rows.start + b) // G, min(G, base + m - b)
 
                 def stream(category):
-                    return tile_stream(keys[category], g, w)
+                    return tiles[category](g, w)
                 tile = (np.arange(h * width) if q == 1.0 else
                         _flex_periods(q, h * width, stream("flex")))
                 out.preferred[b:b + h, tw - t0:tw - t0 + width] = stream(

@@ -201,8 +201,9 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     # it decided on) from its trigger on; dynamic's is found chunk by chunk
     mask = arrivals.is_flex
     if kind == FLEX_SQRT_T:
-        # the first decision so far: no exerting flex arrival comes before
-        # a row's first decision, so a later one moves no event
+        # the running first decision: no exerting flex arrival comes
+        # before a row's first decision, so a trigger still at T until
+        # then moves no event
         mask, first = arrivals.decisions
         np.minimum(trigger, first, out=trigger)
 

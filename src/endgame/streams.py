@@ -22,7 +22,8 @@ counter ``(0, w, g, 0)``, so each tile has 2**64 counter blocks before
 it could reach the next window's, and distinct counters under one key
 give independent streams (Salmon, Moraes, Dror and Shaw, "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011).  :func:`tile_stream`
-gives a tile's stream as a fresh generator.
+gives a tile's stream as a fresh generator, and :func:`tile_streams`
+moves one generator from tile to tile.
 """
 
 from __future__ import annotations
@@ -82,3 +83,19 @@ def tile_stream(key, g: int, w: int) -> Generator:
     # a uint64 array: a tuple casts g or w >= 2**63 wrongly
     counter = np.array([0, w, g, 0], np.uint64)
     return Generator(Philox(key=key, counter=counter))
+
+
+def tile_streams(key):
+    """``tile_stream(key, g, w)`` as a function of (g, w) that moves one
+    generator to the start of tile (g, w) on each call, for a fifth of
+    the cost of a fresh one; a tile's stream is read before the next
+    call."""
+    generator = tile_stream(key, 0, 0)
+    bits = generator.bit_generator
+    start = bits.state  # with nothing buffered
+
+    def at(g: int, w: int) -> Generator:
+        start["state"]["counter"] = np.array([0, w, g, 0], np.uint64)
+        bits.state = start
+        return generator
+    return at

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracle
 
 from endgame.streams import (resolve_root_seed, stream, stream_key,
-                             stream_seed, tile_stream)
+                             stream_seed, tile_stream, tile_streams)
 
 
 def test_same_path_same_stream():
@@ -79,6 +79,22 @@ def test_tile_streams_equal_fresh_counter_philox(root, path, category,
         assert np.array_equal(got, expected.random(6))
     assert np.array_equal(tile_stream(key, 0, 0).random(6),
                           stream(root, *path, category).random(6))
+
+
+def test_a_moved_generator_draws_each_tile_as_a_fresh_one():
+    """``tile_streams`` moves one generator from tile to tile, after
+    reads that leave part of a Philox block or of a 64-bit output
+    buffered, and each tile draws what a fresh generator draws."""
+    key = stream_key(3, "moved", "flex")
+    at = tile_streams(key)
+    reads = [lambda r: r.random(5),
+             lambda r: r.integers(0, 7, size=9, dtype=np.int8),
+             lambda r: r.integers(0, 20, size=3, dtype=np.uint8),
+             lambda r: r.integers(0, 2**20, size=3, dtype=np.uint32)]
+    tiles = [(0, 0), (5, 2), (0, 0), (2**63, 1), (5, 2), (1, 2**64 - 1)]
+    for i, (g, w) in enumerate(tiles):
+        read = reads[i % len(reads)]
+        assert np.array_equal(read(at(g, w)), read(tile_stream(key, g, w)))
 
 
 def test_negative_root_seed_raises_like_seed_sequence():

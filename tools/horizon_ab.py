@@ -40,7 +40,7 @@ from bench_ab import SIDES, export, machine  # noqa: E402
 N, Q = 5, 0.1
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 SIZES = {
-    "paper": {"T": 10_000_000, "reps": 20, "rounds": 3},
+    "paper": {"T": 10_000_000, "reps": 20, "rounds": 5},
     "tiny": {"T": 50_000, "reps": 4, "rounds": 1},
 }
 
