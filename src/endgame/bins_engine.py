@@ -24,6 +24,7 @@ through the events only, adding the arrivals between events in bulk.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -144,6 +145,7 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     cut = cuts.pop() if cuts else None
     keys = {c: streams.stream_key(root_seed, *path, c)
             for c in (CATEGORIES if cut is not None else CATEGORIES[:-1])}
+    _keep_the_heap()
     G = tile_rows(T)
     tiles = -(-n_rows // G)
     n_blocks = -(-tiles // max(1, _BLOCK_ROWS // G))
@@ -166,6 +168,26 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
                              for f in fields(LockstepResult)))
             for part in parts]
+
+
+def _keep_the_heap() -> None:
+    """Raise glibc's mmap threshold to 16 MiB, as freeing a whole-horizon
+    block used to.  glibc maps each allocation above the threshold
+    afresh and trims its heap once twice the threshold lies free at the
+    top; the threshold starts at 128 KiB and rises to the largest mapped
+    block freed.  A window's arrays are smaller than a chunk's
+    temporaries, so without a larger block freed every chunk faults its
+    temporaries in again (8 to 22 times the page faults of whole-horizon
+    blocks, in repeated sweeps).  The block is never touched, so it takes
+    no memory, and under another C library it is only mapped and freed.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no C library loadable by name
+        return
+    libc.malloc.restype = ctypes.c_void_p
+    libc.free.argtypes = [ctypes.c_void_p]
+    libc.free(libc.malloc(2**24))
 
 
 def _check_resolved(policy: PolicySpec) -> None:

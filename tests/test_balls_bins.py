@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import pathlib
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1060,6 +1064,31 @@ def test_segment_searches_memory_bounded_at_wide_sizes(spec, stop):
         assert (out.first_trigger == 1).all()
     else:
         assert (out.stop_time < 1024).all()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap trimming rule is glibc's")
+def test_a_second_run_reuses_the_heap():
+    """A run's chunk temporaries stay in the heap from chunk to chunk and
+    from run to run: in a fresh process, a second 100-row run of the
+    five policies over five windows takes few minor page faults (about
+    10,000 when every chunk faults its temporaries in)."""
+    code = "\n".join([
+        "import resource",
+        "from endgame import balls_bins as bb, bins_engine as be",
+        "p = bb.ModelParams(T=20_000, N=5, q=0.1)",
+        "specs = [bb.resolve_policy(bb.PolicySpec(kind=k), p, 'numerics')",
+        "         for k in bb.POLICY_KINDS]",
+        "be.run_policies(specs, p, 100, 1, 'heap')",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "be.run_policies(specs, p, 100, 2, 'heap')",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"])
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000, proc.stdout
 
 
 def test_five_policy_run_peaks_under_five_bytes_per_period():
