@@ -179,15 +179,17 @@ def _keep_the_heap() -> None:
     temporaries, so without a larger block freed every chunk faults its
     temporaries in again (8 to 22 times the page faults of whole-horizon
     blocks, in repeated sweeps).  The block is never touched, so it takes
-    no memory, and under another C library it is only mapped and freed.
+    no memory, and under another allocator it is only allocated and
+    freed.
     """
     try:
         libc = ctypes.CDLL(None)
-    except (OSError, TypeError):  # no C library loadable by name
+        malloc, free = libc.malloc, libc.free
+    except (OSError, TypeError, AttributeError):  # no C allocator to call
         return
-    libc.malloc.restype = ctypes.c_void_p
-    libc.free.argtypes = [ctypes.c_void_p]
-    libc.free(libc.malloc(2**24))
+    malloc.restype = ctypes.c_void_p
+    free.argtypes = [ctypes.c_void_p]
+    free(malloc(2**24))
 
 
 def _check_resolved(policy: PolicySpec) -> None:
