@@ -24,7 +24,6 @@ through the events only, adding the arrivals between events in bulk.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,7 +41,8 @@ draw_arrival_arrays = draw_raw_arrays
 # Most periods per chunk of the kernel's scan.  A chunk's working arrays take
 # tens of bytes per row and period, so blocks hold at most _BLOCK_ROWS rows
 # (or one tile), and a chunk's slab at most _SLAB counts (a full block's at
-# N = 2).
+# N = 2).  A block's (rows, N + 1) state fits in a slab too, so at wide N
+# blocks hold fewer rows.
 _CHUNK = 1024
 _BLOCK_ROWS = 512
 _SLAB = 4 * _CHUNK * _BLOCK_ROWS
@@ -50,6 +50,14 @@ _SLAB = 4 * _CHUNK * _BLOCK_ROWS
 # segment boundaries first and steps period by period only through the
 # segments that can hold a row's trigger.
 _SEG = 16
+
+# Freed at once and never touched.  GNU malloc raises its mmap threshold to
+# the largest mapping freed and its trim threshold to twice that, so a
+# chunk's temporaries then stay in the heap from chunk to chunk, not faulted
+# in afresh.  It is made at import, while 16 MiB is still a fresh mapping:
+# made per run, it would come from the heap, and NumPy's huge-page advice on
+# arrays of 4 MiB or more would stay on that part of the heap (more RSS).
+np.empty(2**24, np.uint8)
 
 
 @dataclass
@@ -119,11 +127,12 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
                stop: int | None = None) -> list[LockstepResult]:
     """Run ``n_rows`` rows of the kernel for each of ``policies``, in
     blocks of equally many (within one) whole tiles of G = ``tile_rows(T)``
-    rows: as many as fit in ``_BLOCK_ROWS`` rows, one at least.  A block
-    runs window by window: each window of ``TILE_PERIODS`` periods is
-    drawn once, every policy steps through it, and it is dropped before
-    the next is drawn; with ``stop`` set, a block's draws end once no
-    policy has a row running.  Returns one result per policy.
+    rows: as many as fit in ``_BLOCK_ROWS`` rows and in a (rows, N + 1)
+    state of ``_SLAB`` counts, one at least.  A block runs window by
+    window: each window of ``TILE_PERIODS`` periods is drawn once, every
+    policy steps through it, and it is dropped before the next is drawn;
+    with ``stop`` set, a block's draws end once no policy has a row
+    running.  Returns one result per policy.
 
     ``draw(N, q, T, keys, rows, cut, w, carry)`` draws window w of a
     block's rows from the Philox keys of ``(root_seed, *path, c)`` by
@@ -145,10 +154,9 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     cut = cuts.pop() if cuts else None
     keys = {c: streams.stream_key(root_seed, *path, c)
             for c in (CATEGORIES if cut is not None else CATEGORIES[:-1])}
-    _keep_the_heap()
     G = tile_rows(T)
     tiles = -(-n_rows // G)
-    n_blocks = -(-tiles // max(1, _BLOCK_ROWS // G))
+    n_blocks = -(-tiles // max(1, min(_BLOCK_ROWS, _SLAB // (N + 1)) // G))
     bounds = [min(i * tiles // n_blocks * G, n_rows)
               for i in range(n_blocks + 1)]
     parts = [[] for _ in policies]
@@ -168,28 +176,6 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
                              for f in fields(LockstepResult)))
             for part in parts]
-
-
-def _keep_the_heap() -> None:
-    """Raise glibc's mmap threshold to 16 MiB, as freeing a whole-horizon
-    block used to.  glibc maps each allocation above the threshold
-    afresh and trims its heap once twice the threshold lies free at the
-    top; the threshold starts at 128 KiB and rises to the largest mapped
-    block freed.  A window's arrays are smaller than a chunk's
-    temporaries, so without a larger block freed every chunk faults its
-    temporaries in again (8 to 22 times the page faults of whole-horizon
-    blocks, in repeated sweeps).  The block is never touched, so it takes
-    no memory, and under another allocator it is only allocated and
-    freed.
-    """
-    try:
-        libc = ctypes.CDLL(None)
-        malloc, free = libc.malloc, libc.free
-    except (OSError, TypeError, AttributeError):  # no C allocator to call
-        return
-    malloc.restype = ctypes.c_void_p
-    free.argtypes = [ctypes.c_void_p]
-    free(malloc(2**24))
 
 
 def _check_resolved(policy: PolicySpec) -> None:

@@ -991,26 +991,67 @@ def test_blocks_are_whole_tiles_at_every_horizon(monkeypatch, block_rows):
             assert max(map(len, rows)) <= max(block_rows, G)
 
 
+@pytest.mark.parametrize("N", [2, 8, 600, 20_000, bb.MAX_BINS])
+def test_block_state_fits_a_slab_at_every_width(monkeypatch, N):
+    """A block's (rows, N + 1) state takes at most _SLAB counts, or the
+    block is one tile; blocks stay whole tiles, and at N <= 8 they are
+    the blocks of _BLOCK_ROWS rows alone.  The draw and the kernel are
+    stubbed as in the test above, and the kernel drops the loads, which
+    would take rows x N counts."""
+    blocks = []
+
+    def draw(N, q, T, keys, rows, cut, w, carry):
+        blocks.append(rows)
+        return bb.ArrivalArrays(np.empty((len(rows), 0)), None, None)
+
+    def kernel(policy, N, q, arrivals, stop, state):
+        state.live = state.live[:0]
+        state.loads = state.loads[:, :0].copy()
+
+    monkeypatch.setattr(be, "lockstep", kernel)
+    for T in map(int, np.unique(np.geomspace(1, 1e10, 60).astype(np.int64))):
+        G = bb.tile_rows(T)
+        for n_rows in (1, 1000):
+            blocks.clear()
+            be.run_blocks([bb.PolicySpec(kind=bb.NO_FLEX)], N, 0.5, T,
+                          n_rows, 0, ("state",), draw, stop=1)
+            assert [b.start for b in blocks[1:]] == [
+                b.stop for b in blocks[:-1]]
+            assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+            assert all(len(b) >= G and len(b) % G == 0
+                       for b in blocks[:-1])
+            assert all(len(b) * (N + 1) <= be._SLAB or len(b) <= G
+                       for b in blocks)
+            if N <= 8:  # the rule without the state bound
+                tiles = -(-n_rows // G)
+                n = -(-tiles // max(1, be._BLOCK_ROWS // G))
+                assert [b.start for b in blocks] == [
+                    i * tiles // n * G for i in range(n)]
+
+
 def test_draw_refuses_rows_that_start_inside_a_tile():
     G = bb.tile_rows(100)
     with pytest.raises(ValueError, match=f"G = {G}"):
         drawn(3, 0.5, 100, 0, range(1, G + 1))
 
 
-@pytest.mark.parametrize("N,rows,stop", [
-    pytest.param(600, 64, None, id="600-64"),
-    pytest.param(20_000, 2, None, id="20000-2"),
-    pytest.param(600, 64, 3, id="600-64-stop3"),
-    pytest.param(20_000, 64, 2, id="20000-64-stop2")])
+@pytest.mark.parametrize("N,rows,stop,T", [
+    pytest.param(600, 64, None, 1024, id="600-64"),
+    pytest.param(20_000, 2, None, 1024, id="20000-2"),
+    pytest.param(600, 64, 3, 1024, id="600-64-stop3"),
+    pytest.param(20_000, 64, 2, 1024, id="20000-64-stop2"),
+    pytest.param(20_000, 160, None, 16, id="20000-160-T16")])
 def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
-                                                        rows, stop):
+                                                        rows, stop, T):
     """At q=1 one 1024-period chunk's per-(group, row, bin) counts would
     take about 316 MB for 64 rows at N=600, and 157 MB for one row at
     N=20000; the kernel places rows in slices and narrows its chunks, and
     neither changes a row: rows of two tiles run alike in one block and
     in blocks of one tile.  With a stop, the rows that reach it find it
-    in those slices too."""
-    args = ([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], N, 1.0, 1024, rows, 8,
+    in those slices too.  The (rows, N + 1) state of one block of 160
+    rows at N=20000 takes 25 MB a copy, and a chunk holds about three
+    copies, so such blocks are narrower."""
+    args = ([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], N, 1.0, T, rows, 8,
             ("wide",), bb.draw_raw_arrays, stop)
     tracemalloc.start()
     try:
@@ -1020,8 +1061,8 @@ def test_kernel_memory_bounded_at_wide_flex_heavy_sizes(monkeypatch, N,
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
     if stop is not None:
-        assert (sliced.stop_time < 1024).any()
-    args = (*args[:4], bb.tile_rows(1024) + 1, *args[5:])
+        assert (sliced.stop_time < T).any()
+    args = (*args[:4], bb.tile_rows(T) + 1, *args[5:])
     whole = be.run_blocks(*args)[0]
     monkeypatch.setattr(be, "_BLOCK_ROWS", 1)
     alone = be.run_blocks(*args)[0]
@@ -1068,20 +1109,32 @@ def test_segment_searches_memory_bounded_at_wide_sizes(spec, stop):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the heap trimming rule is glibc's")
-def test_a_second_run_reuses_the_heap():
+@pytest.mark.parametrize("model", [
+    ["from endgame import bins_engine as be",
+     "p = bb.ModelParams(T=20_000, N=5, q=0.1)",
+     "specs = [bb.resolve_policy(bb.PolicySpec(kind=k), p, 'numerics')",
+     "         for k in bb.POLICY_KINDS]",
+     "run = lambda seed: be.run_policies(specs, p, 100, seed, 'heap')"],
+    ["from endgame import opaque",
+     "p = opaque.InventoryParams(N=5, S=800, q=0.1)",
+     "specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=k), p)",
+     "         for k in bb.POLICY_KINDS]",
+     "run = lambda seed: opaque.simulate_policies(specs, p, 300, seed,",
+     "                                            'heap')"]],
+    ids=["bins", "opaque"])
+def test_a_second_run_reuses_the_heap(model):
     """A run's chunk temporaries stay in the heap from chunk to chunk and
-    from run to run: in a fresh process, a second 100-row run of the
-    five policies over five windows takes few minor page faults (about
-    10,000 when every chunk faults its temporaries in)."""
+    from run to run: in a fresh process, a second run of the five
+    policies takes few minor page faults (over 10,000 when every chunk
+    faults its temporaries in).  The bins run holds 100 rows over five
+    windows, the opaque run 300 cycles up to their stock-outs."""
     code = "\n".join([
         "import resource",
-        "from endgame import balls_bins as bb, bins_engine as be",
-        "p = bb.ModelParams(T=20_000, N=5, q=0.1)",
-        "specs = [bb.resolve_policy(bb.PolicySpec(kind=k), p, 'numerics')",
-        "         for k in bb.POLICY_KINDS]",
-        "be.run_policies(specs, p, 100, 1, 'heap')",
+        "from endgame import balls_bins as bb",
+        *model,
+        "run(1)",
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
-        "be.run_policies(specs, p, 100, 2, 'heap')",
+        "run(2)",
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"])
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -107,6 +107,8 @@ def test_script_end_to_end_at_tiny_size(tmp_path):
     assert [(r["side"], r["seed"]) for r in result["runs"]] == [
         ("parent", 5), ("change", 5)]
     assert all(r["csv_sha256"] for r in result["runs"])
+    assert all(r["cpu_s"] > 0 for r in result["runs"])
     summary = result["summary"]["bins_sweep"]
     assert summary["failed"] == {"parent": 0, "change": 0}
     assert summary["digests_match"]
+    assert summary["metrics"]["cpu_s"]["better"] == "lower"

@@ -11,14 +11,16 @@ Both revisions are exported with ``git archive`` into a work directory,
 so each side runs only its committed files, as a fresh checkout would.
 For every workload and seed, ``bench/run.py`` runs once on each side;
 which side goes first alternates from one seed to the next.  The output
-holds one row per run (side, seed, the three end-to-end metrics,
-failed/attempted operations and the sha256 of every CSV the run wrote
-under ``.bench_out/<workload>/``), per workload and metric the medians
+holds one row per run (side, seed, the three end-to-end metrics, the
+CPU seconds of the run's process tree as ``cpu_s``, failed/attempted
+operations and the sha256 of every CSV the run wrote under
+``.bench_out/<workload>/``), per workload and metric the medians
 and quartiles of each side, the number of seeds the change won and the
 median and range of the per-seed change/parent ratios, whether the CSV
 digests agree across sides on every seed, and what machine ran it.  A
 seed's two runs go back to back, so its ratio cancels most of the
-machine's slower drift, which the quartiles of one side keep.
+machine's slower drift, which the quartiles of one side keep.  CPU time,
+unlike wall time, does not count the time the run waits for a core.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import os
 import pathlib
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -48,9 +51,11 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def metric_directions() -> dict:
-    """End-to-end metric name -> 'higher' or 'lower', from BENCHMARK.json."""
+    """End-to-end metric name -> 'higher' or 'lower', from BENCHMARK.json,
+    and ``cpu_s``, lower."""
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {**{m["name"]: m["better"] for m in spec["end_to_end"]},
+            "cpu_s": "lower"}
 
 
 def export(rev: str, dest: pathlib.Path) -> str:
@@ -75,7 +80,9 @@ def csv_digests(out_dir: pathlib.Path) -> dict:
 
 def run_once(tree: pathlib.Path, workload: str, seed: int,
              seconds: float, size: str) -> dict:
-    """One ``bench/run.py`` run in ``tree``; its metrics and CSV digests."""
+    """One ``bench/run.py`` run in ``tree``; its metrics, CPU seconds and
+    CSV digests."""
+    cpu = _children_cpu()
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--size", size],
@@ -85,10 +92,16 @@ def run_once(tree: pathlib.Path, workload: str, seed: int,
         raise RuntimeError(f"bench/run.py exited {proc.returncode} in {tree}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     row = {name: m["value"] for name, m in result["metrics"].items()}
-    row.update(failed=result["failed"], attempted=result["attempted"],
-               correct=result["correct"],
+    row.update(cpu_s=_children_cpu() - cpu, failed=result["failed"],
+               attempted=result["attempted"], correct=result["correct"],
                csv_sha256=csv_digests(tree / ".bench_out" / workload))
     return row
+
+
+def _children_cpu() -> float:
+    """User plus system seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _quartiles(values) -> dict:
@@ -188,7 +201,8 @@ def main(argv=None) -> int:
                 runs.append({"workload": workload, "seed": seed,
                              "side": side, **row})
                 print(f"{workload} seed={seed} {side}: "
-                      f"arrivals_per_s={row['arrivals_per_s']:.4g}",
+                      f"arrivals_per_s={row['arrivals_per_s']:.4g} "
+                      f"cpu_s={row['cpu_s']:.3g}",
                       file=sys.stderr)
     result = {"parent": {"rev": args.parent, "sha": shas["parent"]},
               "change": {"rev": args.change, "sha": shas["change"]},
