@@ -24,7 +24,7 @@ through the events only, adding the arrivals between events in bulk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,13 +89,15 @@ class _State:
     live: np.ndarray        # the rows still running
 
     @classmethod
-    def start(cls, policy: PolicySpec, N: int, rows: int, T: int):
+    def start(cls, policy: PolicySpec, T: int, loads: np.ndarray):
+        """The state before period 0 on ``loads`` (rows, N), all zero,
+        which the kernel advances in place."""
+        rows = len(loads)
         # static and always-flex exert from a fixed period; flex-sqrt-T
         # and dynamic find theirs as they run
         first = (static_start(T, policy.a_s) if policy.kind == STATIC
                  else 0 if policy.kind == ALWAYS_FLEX else T)
-        return cls(T, 0, np.zeros((rows, N), dtype=np.int64),
-                   np.zeros(rows, dtype=np.int64),
+        return cls(T, 0, loads, np.zeros(rows, dtype=np.int64),
                    np.full(rows, first, dtype=np.int64),
                    np.full(rows, T, dtype=np.int64), np.arange(rows))
 
@@ -159,9 +161,15 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     n_blocks = -(-tiles // max(1, min(_BLOCK_ROWS, _SLAB // (N + 1)) // G))
     bounds = [min(i * tiles // n_blocks * G, n_rows)
               for i in range(n_blocks + 1)]
-    parts = [[] for _ in policies]
+    # each block's states advance the loads in place in its rows of the
+    # results, so the loads are never held twice
+    results = [LockstepResult(np.zeros((n_rows, N), dtype=np.int64),
+                              *(np.empty(n_rows, dtype=np.int64)
+                                for _ in range(3)))
+               for _ in policies]
     for lo, hi in zip(bounds, bounds[1:]):
-        states = [_State.start(p, N, hi - lo, T) for p in policies]
+        states = [_State.start(p, T, out.loads[lo:hi])
+                  for p, out in zip(policies, results)]
         carry = None if cut is None else decision_carry(hi - lo, T)
         for w in range(-(-T // balls_bins.TILE_PERIODS)):
             window = draw(N, q, T, keys, range(lo, hi), cut, w, carry)
@@ -171,11 +179,12 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
             del window  # one window is alive at a time
             if not any(state.live.size for state in states):
                 break
-        for part, state in zip(parts, states):
-            part.append(state.result())
-    return [LockstepResult(*(np.concatenate([getattr(p, f.name) for p in part])
-                             for f in fields(LockstepResult)))
-            for part in parts]
+        for out, state in zip(results, states):
+            done = state.result()
+            out.flex_count[lo:hi] = done.flex_count
+            out.first_trigger[lo:hi] = done.first_trigger
+            out.stop_time[lo:hi] = done.stop_time
+    return results
 
 
 def _check_resolved(policy: PolicySpec) -> None:
@@ -203,7 +212,8 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     kind = policy.kind
     rows, span = arrivals.is_flex.shape
     if state is None:
-        state = _State.start(policy, N, rows, span)
+        state = _State.start(policy, span,
+                             np.zeros((rows, N), dtype=np.int64))
     T, t0, live = state.T, state.t0, state.live
     loads, flex_count, trigger, stop_time = (
         state.loads, state.flex_count, state.trigger, state.stop_time)
@@ -290,16 +300,21 @@ def _max_loads(carry, bins):
 
 
 def _first_hit(carry, bins, t_over_n, threshold):
-    """The rows, and each one's first period as an offset in the chunk,
-    at which the dynamic condition ``max load - t_over_n[t] >=
-    threshold[t]`` holds on the loads before period t, for rows that drop
-    ball t into bin ``bins[r, t]`` (rows, w) on top of ``carry`` (rows, N).
+    """The rows, in increasing order, and each one's first period as an
+    offset in the chunk, at which the dynamic condition ``max load -
+    t_over_n[t] >= threshold[t]`` holds on the loads before period t, for
+    rows that drop ball t into bin ``bins[r, t]`` (rows, w) on top of
+    ``carry`` (rows, N).
 
     One ``bincount`` gives each row's loads at the ends of the chunk's
-    ``_SEG``-period segments, and the condition runs period by period
-    only on the (row, segment) pairs whose end max meets it at the
-    segment's first t/N and last threshold.  Rows go in slices whose
-    segment ends fit in ``_SLAB`` counts, one row at least.
+    ``_SEG``-period segments, and a segment is open when its end max
+    meets the condition at its first t/N and last threshold; no other
+    segment can hold a hit.  The search then runs in passes: each pass
+    steps the first open segment of every row not yet hit period by
+    period, and closes the segments that hold no hit, so a pass takes
+    rows x ``_SEG`` scratch and there are at most as many passes as
+    segments.  Rows go in slices whose segment ends fit in ``_SLAB``
+    counts, one row at least.
     """
     m, w = bins.shape
     N = carry.shape[1]
@@ -316,28 +331,32 @@ def _first_hit(carry, bins, t_over_n, threshold):
     key += bins
     ends = np.bincount(key.ravel(), minlength=m * n * (N + 1)
                        ).reshape(m, n, N + 1)
+    del key
     np.cumsum(ends, axis=1, out=ends)  # in place: a slab is large
     ends = ends[:, :, :N]
     ends += carry[:, None]
     first = np.arange(0, w, _SEG)
     last = np.minimum(first + _SEG, w) - 1
-    r, j = np.nonzero(ends.max(axis=2) - t_over_n[first] >= threshold[last])
-    if not r.size:
-        return r, j
-    start = ends[r, j - 1]  # the loads before segment j
-    start[j == 0] = carry[r[j == 0]]
-    t = first[j, None] + np.arange(_SEG)
-    inside = t < w
-    t = np.minimum(t, w - 1)
-    after = _max_loads(start, np.where(inside, bins[r[:, None], t], N))
-    before = np.concatenate((start.max(axis=1, keepdims=True),
-                             after[:, :-1]), axis=1)
-    hit = inside & (before - t_over_n[t] >= threshold[t])
-    found = hit.any(axis=1)
-    # the pairs come in row order, each row's segments in period order
-    r, i = np.unique(r[found], return_index=True)
-    t, hit = t[found][i], hit[found][i]
-    return r, t[np.arange(r.size), hit.argmax(axis=1)]
+    is_open = ends.max(axis=2) - t_over_n[first] >= threshold[last]
+    hit_at = np.full(m, -1)
+    r = np.flatnonzero(is_open.any(axis=1))
+    while r.size:
+        j = is_open[r].argmax(axis=1)  # each row's first open segment
+        start = ends[r, j - 1]  # the loads before segment j
+        start[j == 0] = carry[r[j == 0]]
+        t = first[j, None] + np.arange(_SEG)
+        inside = t < w
+        t = np.minimum(t, w - 1)
+        after = _max_loads(start, np.where(inside, bins[r[:, None], t], N))
+        before = np.concatenate((start.max(axis=1, keepdims=True),
+                                 after[:, :-1]), axis=1)
+        hit = inside & (before - t_over_n[t] >= threshold[t])
+        found = hit.any(axis=1)
+        hit_at[r[found]] = first[j[found]] + hit[found].argmax(axis=1)
+        is_open[r, j] = False
+        r = r[~found & is_open[r].any(axis=1)]
+    r = np.flatnonzero(hit_at >= 0)
+    return r, hit_at[r]
 
 
 def _place(carry, pref, at, pair, recheck=None, stop=None, ends=None):
@@ -415,6 +434,7 @@ def _place(carry, pref, at, pair, recheck=None, stop=None, ends=None):
         full[:, :N] = carry
         chosen, exerted = _step(full, adds, (row, col), entry, pref, pair,
                                 recheck)
+        del adds  # before the stop search allocates
         ends = full[:, :N]
         flexes = n_ev if exerted is None else exerted.sum(axis=1)
 

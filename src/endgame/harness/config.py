@@ -8,8 +8,6 @@ import numbers
 import re
 from dataclasses import dataclass, field, fields
 
-import yaml
-
 from ..balls_bins import POLICY_CONSTANTS, POLICY_KINDS
 
 MODELS = ("bins", "opaque", "parcel")
@@ -218,21 +216,20 @@ def _coerce(where: str, kind: type, value):
     return number
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, which follows YAML 1.1, plus YAML 1.2's
-    floats with an exponent and no dot or no exponent sign (1e-1, 1E5,
-    2.5e3), which YAML 1.1 reads as strings."""
-
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."))
-
-
 def load_config(path, **overrides) -> ExperimentConfig:
     """Read a YAML config; keyword overrides (from CLI flags) win over
     file values when not None."""
+    import yaml  # imported here: only YAML configs need it (about 1 MB)
+
+    class _Loader(yaml.SafeLoader):
+        """PyYAML's safe loader, which follows YAML 1.1, plus YAML 1.2's
+        floats with an exponent and no dot or no exponent sign (1e-1,
+        1E5, 2.5e3), which YAML 1.1 reads as strings."""
+
+    _Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."))
     with open(path) as fh:
         try:
             data = yaml.load(fh, Loader=_Loader) or {}

@@ -16,7 +16,6 @@ import csv
 import itertools
 import os
 import pathlib
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -209,6 +208,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
 
     workers = min(parallel, len(jobs))
     if workers > 1:
+        # imported here: the process pool's modules cost every process
+        # about 2 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_group = list(pool.map(run_group, *zip(*jobs)))
     else:

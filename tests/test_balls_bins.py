@@ -530,6 +530,66 @@ def test_dynamic_trigger_on_segment_edges(monkeypatch, p, latched):
     kernel_row(spec, 2, 1.0, arrivals, stop=p + 3)
 
 
+def first_hits_period_by_period(carry, bins, t_over_n, threshold):
+    """Each row's first offset t at which max load - t_over_n[t] >=
+    threshold[t] on its loads before period t, stepped one ball at a
+    time, and the segments whose end max meets the condition at their
+    first t/N and last threshold (the open ones)."""
+    N, w = carry.shape[1], bins.shape[1]
+    hits, opens = {}, []
+    for r in range(len(bins)):
+        loads, row_opens = carry[r].copy(), []
+        for t in range(w):
+            if r not in hits and loads.max() - t_over_n[t] >= threshold[t]:
+                hits[r] = t
+            loads[bins[r, t]] += 1
+            first = t - t % be._SEG
+            if ((t - first == be._SEG - 1 or t == w - 1)
+                    and loads.max() - t_over_n[first] >= threshold[t]):
+                row_opens.append(first)
+        opens.append(row_opens)
+    return hits, opens
+
+
+@pytest.mark.parametrize("slab", [None, 5000], ids=["whole", "row-slices"])
+def test_first_hit_equals_a_period_by_period_search(monkeypatch, slab):
+    """The trigger search finds each row's first period that meets the
+    dynamic condition, as a period-by-period search does, on random
+    carries and bins over a 500-period chunk (31 whole segments and one
+    of 4 periods): at N = 150 (int16 bins) and at N = 3, where a row may
+    have several open segments before the one that holds its hit.  A
+    small ``_SLAB`` takes the search through row slices."""
+    if slab is not None:
+        monkeypatch.setattr(be, "_SLAB", slab)
+    rng = np.random.default_rng(32)
+    m, w, c0, T, a_d = 80, 500, 3000, 20_000, 0.7
+    t = np.arange(c0, c0 + w)
+    seen = {"no open segment": 0, "open segments before the hit": 0,
+            "hit in a segment's last period": 0}
+    for N, dtype, carry in (
+            (150, np.int16, rng.integers(0, 100, (m, 1))
+             + rng.integers(0, 5, (m, 150))),
+            (3, np.int8, rng.integers(4550, 5000, (m, 1))
+             + rng.integers(0, 40, (m, 3)))):
+        spread = rng.integers(2, min(N, 40) + 1, m)  # some rows run hot
+        bins = (rng.random((m, w)) * spread[:, None]).astype(dtype)
+        t_over_n, threshold = t / N, a_d * (T - t) / N
+        if slab is not None:
+            assert slab < m * -(-w // be._SEG) * (N + 1)
+        r, hit = be._first_hit(carry, bins, t_over_n, threshold)
+        hits, opens = first_hits_period_by_period(carry, bins, t_over_n,
+                                                  threshold)
+        assert r.tolist() == sorted(hits)
+        assert hit.tolist() == [hits[i] for i in sorted(hits)]
+        seen["no open segment"] += sum(not o for o in opens)
+        seen["open segments before the hit"] += sum(
+            sum(f < hits[i] - hits[i] % be._SEG for f in opens[i]) >= 2
+            for i in hits)
+        seen["hit in a segment's last period"] += sum(
+            t % be._SEG == be._SEG - 1 or t == w - 1 for t in hits.values())
+    assert w % be._SEG and all(seen.values()), seen
+
+
 CHUNKS = (7, be._CHUNK)
 
 
@@ -1083,6 +1143,23 @@ def test_kernel_memory_bounded_at_dense_events():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
     # every ball goes to the lesser-loaded of the two bins
     assert (out.loads == 512).all() and (out.flex_count == 1024).all()
+
+
+def test_a_run_holds_its_output_once():
+    """Each block writes its rows into the run's results: 192 rows at
+    N=20000 (three 64-row blocks at T=16) hold 29.3 MB of output loads
+    and peak under 56 MB, where a second copy of them would take the
+    peak to about 59 MB."""
+    tracemalloc.start()
+    try:
+        out = be.run_blocks([bb.PolicySpec(kind=bb.ALWAYS_FLEX)], 20_000,
+                            1.0, 16, 192, 8, ("wide",),
+                            bb.draw_raw_arrays)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.loads.shape == (192, 20_000) and (out.flex_count == 16).all()
+    assert peak < 56 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("spec,stop", [

@@ -905,6 +905,23 @@ def test_bins_and_opaque_configs_load_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_and_runner_load_no_process_pool_or_yaml(tmp_path):
+    # the process pool loads when a run starts workers and PyYAML when a
+    # config is read; the config loader still reads 1e-1 as a float
+    config = tmp_path / "exp.yaml"
+    config.write_text("model: bins\npolicies: [no_flex]\n"
+                      "params: {T: 100, N: 3, q: 1e-1}\n")
+    code = ("import sys\n"
+            "import endgame.harness.cli, endgame.harness.runner\n"
+            "print([m for m in ('yaml', 'concurrent.futures.process')\n"
+            "       if m in sys.modules])\n"
+            "from endgame.harness.config import load_config\n"
+            f"print(repr(load_config({str(config)!r}).params['q']))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[:2] == ["[]", "0.1"]
+
+
 @pytest.mark.parametrize("zone", [5, -1])
 def test_corpus_zone_out_of_range_exits_2(capsys, tmp_path, small_corpus,
                                           zone):

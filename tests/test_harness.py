@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 
@@ -152,7 +153,10 @@ def test_pool_has_at_most_one_worker_per_job(tmp_path, monkeypatch, T,
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    # the runner imports the pool from concurrent.futures when it starts
+    # workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     runner.run_experiment(bins_config(sweep={"T": T}, out_dir=str(tmp_path)),
                           parallel=parallel)
     assert sizes == pools

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,23 @@ def test_resolve_opaque_policy_matches_its_spelled_out_form():
         want = _spelled_out_opaque_policy(spec, p, preset)
         # floats compare exactly: the halved theory a_d is bit-identical
         assert got == want, (N, kind, preset, latched, given)
+
+
+def test_dynamic_cycles_search_their_triggers_in_little_memory():
+    """The dynamic trigger search steps one open segment per cycle at a
+    time: 300 numerics dynamic cycles at N=5, q=0.1, S=200 peak under
+    8 MB (about 14 MB when every open segment is stepped at once)."""
+    p = opaque.InventoryParams(N=5, S=200, q=0.1)
+    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p)
+    # the first run, untraced, takes the one-time set-up
+    opaque.simulate_policies([spec], p, 300, 1, "memory")
+    tracemalloc.start()
+    try:
+        opaque.simulate_policies([spec], p, 300, 2, "memory")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_dynamic_beats_static_on_paired_cycles():
