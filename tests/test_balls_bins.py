@@ -586,7 +586,7 @@ def test_first_hit_equals_a_period_by_period_search(monkeypatch, slab):
             sum(f < hits[i] - hits[i] % be._SEG for f in opens[i]) >= 2
             for i in hits)
         seen["hit in a segment's last period"] += sum(
-            t % be._SEG == be._SEG - 1 or t == w - 1 for t in hits.values())
+            h % be._SEG == be._SEG - 1 or h == w - 1 for h in hits.values())
     assert w % be._SEG and all(seen.values()), seen
 
 
