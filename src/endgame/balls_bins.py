@@ -1,10 +1,10 @@
 """Balls-into-bins model: parameters, the five flexing policies (no-flex,
 always-flex, static, dynamic, flex-sqrt-T) with their constants, and the
-draw of a block of rows' arrivals, tile by tile (stream layout v4).  The
-policy loop itself is :mod:`endgame.bins_engine`, which also keys every
-run's streams: a run on stream path ``path`` draws category c from the
-stream keyed by ``(root_seed, *path, c)``, tile (g, w) of rows x periods
-at Philox counter (0, w, g, 0).
+draw of a block of rows' arrivals, one window of tiles per call (stream
+layout v4).  The policy loop itself is :mod:`endgame.bins_engine`, which
+also keys every run's streams: a run on stream path ``path`` draws
+category c from the stream keyed by ``(root_seed, *path, c)``, tile
+(g, w) of rows x periods at Philox counter (0, w, g, 0).
 
 Loads are integer counts; the imbalance metric is the gap
 ``max_i loads[i] - t/N`` where ``t`` is the number of balls already placed.
@@ -38,9 +38,10 @@ POLICY_CONSTANTS = {STATIC: ("a_s",), FLEX_SQRT_T: ("a_s",),
 
 # Named constant presets: "theory" uses the constants from the analysis,
 # a_s = 2 sqrt(6) N (N - 1) / q and a_d = 1 / (5 C(N, 2)); "numerics" the
-# tuned values used in the numerical experiments, a_s = 10 and a_d = 0.7 at
-# any N, q and T.  Measured at N = 5, q = 0.1: under the numerics constants
-# the static and dynamic mean final gaps grow beyond T = 1e5; under the
+# tuned values used in the numerical experiments, a_s = 10 and a_d = 0.7
+# whatever N, q and T.  They are meant for T <= 1e5, the horizons of
+# acceptance criteria 1-5: measured at N = 5, q = 0.1, the static and
+# dynamic mean final gaps grow beyond T = 1e5 under them, and under the
 # theory constants the unlatched dynamic gap stays flat to T = 1e7.
 PRESET_THEORY = "theory"
 PRESET_NUMERICS = "numerics"
@@ -147,9 +148,9 @@ def tile_rows(T: int) -> int:
 @dataclass
 class ArrivalArrays:
     """Pre-drawn per-period arrival randomness of a block of rows
-    (replications or cycles) over the periods drawn, a window or the
-    horizon: one array per draw category of ``CATEGORIES``, each (rows,
-    periods) but ``decisions``.
+    (replications or cycles) over one draw window, which
+    :func:`draw_raw_arrays` draws one per call: one array per draw
+    category of ``CATEGORIES``, each (rows, periods) but ``decisions``.
 
     The flex periods are drawn as geometric gaps, and each flex arrival's
     set directly as a uniformly random pair of distinct bins: a uniform
@@ -158,9 +159,9 @@ class ArrivalArrays:
     [0, N(N - 1)), which :func:`flex_pair` decodes; a non-flex period's
     code is 0 and never read.  ``decisions`` is the flex-sqrt-T policy's
     (events, first) at the block's cut: the (rows, periods) flex arrivals
-    it exerts on, and each row's first decision period up to the end of
-    the periods drawn, T if it has none (see :func:`draw_raw_arrays`);
-    None when no cut was drawn.
+    it exerts on, and each row's first decision period up to the window's
+    end, T if it has none (see :func:`draw_raw_arrays`); None when no cut
+    was drawn.
     """
 
     is_flex: np.ndarray    # (rows, periods) bool
@@ -195,11 +196,11 @@ def decision_carry(n: int, T: int) -> tuple:
 
 
 def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
-                    cut: float | None = None, window: int | None = None,
-                    carry: tuple | None = None) -> ArrivalArrays:
-    """Draw the rows ``rows`` of a run on a horizon of T periods, category
-    c from the Philox key ``keys[c]``, tile by tile: the whole horizon,
-    or with ``window`` w only its window w, periods [wW, (w + 1)W).
+                    cut: float | None, w: int,
+                    carry: tuple | None) -> ArrivalArrays:
+    """Draw window w, periods [wW, (w + 1)W), of the rows ``rows`` of a
+    run on a horizon of T periods, category c from the Philox key
+    ``keys[c]``, tile by tile.
 
     Tile (g, w) covers rows [gG, (g + 1)G), G = :func:`tile_rows` (T), and
     periods [wW, (w + 1)W), W = ``TILE_PERIODS``.  Its category c is drawn
@@ -225,23 +226,18 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
     decision, the policy's first trigger, has the law of the first of
     independent Bernoulli(c) decisions, and a smaller cut's decisions are
     a subset of a larger one's.  A cut of 0 never decides.  ``carry`` is
-    the rows' :func:`decision_carry` before the periods drawn, which the
-    draw advances in place: window w > 0 takes the carry that windows 0
-    to w - 1 left; None starts from period 0.
+    the rows' :func:`decision_carry` before the window, which the draw
+    advances in place: window w takes the carry that windows 0 to w - 1
+    left; None with no cut.
     """
     dtype = np.int16 if N > 127 else np.int8
     n, G = len(rows), tile_rows(T)
     if rows.start % G:
         raise ValueError(f"rows must start on a tile boundary, a multiple "
                          f"of G = {G}, got {rows.start}")
-    W = TILE_PERIODS
-    windows = (range(-(-T // W)) if window is None
-               else range(window, window + 1))
-    t0 = windows.start * W  # the first period drawn
-    span = min(windows.stop * W, T) - t0
-    if cut is not None and carry is None:
-        carry = decision_carry(n, T)
-    shape = (n, span)
+    t0 = w * TILE_PERIODS  # the window's first period
+    width = min(TILE_PERIODS, T - t0)
+    shape = (n, width)
     out = ArrivalArrays(
         is_flex=np.zeros(shape, bool), preferred=np.empty(shape, dtype),
         pair=np.zeros(shape, np.min_scalar_type(N * (N - 1) - 1)),
@@ -252,44 +248,34 @@ def draw_raw_arrays(N: int, q: float, T: int, keys: dict, rows: range,
     R = max(1, 64 // G) * G
     for base in range(0, n, R):  # the block row of a group's row 0
         m = min(R, n - base)
-        for w in windows:
-            tw = w * W
-            width = min(W, T - tw)
-            at, codes, u = [], [], []
-            for b in range(base, base + m, G):  # a tile's row 0 in the block
-                g, h = (rows.start + b) // G, min(G, base + m - b)
+        at, codes, u = [], [], []
+        for b in range(base, base + m, G):  # a tile's row 0 in the block
+            g, h = (rows.start + b) // G, min(G, base + m - b)
 
-                def stream(category):
-                    return tiles[category](g, w)
-                tile = (np.arange(h * width) if q == 1.0 else
-                        _flex_periods(q, h * width, stream("flex")))
-                out.preferred[b:b + h, tw - t0:tw - t0 + width] = stream(
-                    "preferred").integers(0, N, size=(h, width), dtype=dtype)
-                if N > 2:
-                    codes.append(stream("flexset").integers(
-                        0, N * (N - 1), size=tile.size, dtype=out.pair.dtype))
-                if cut:
-                    u.append(stream("exert").random(h * (w == 0) + tile.size))
-                tile += (b - base) * width
-                at.append(tile)
-            at = _join(at)  # the group's flex arrivals, row-major
-            # row i's periods start at starts[i], and its flex arrivals are
-            # at[heads[i]:heads[i + 1]]
-            starts = np.arange(m + 1) * width
-            heads = np.searchsorted(at, starts)
-            # the flex arrivals' flat positions in the block
-            dst = np.repeat((np.arange(m) + base) * span + tw - t0
-                            - starts[:-1], np.diff(heads))
-            dst += at
-            out.is_flex.reshape(-1)[dst] = True
+            def stream(category):
+                return tiles[category](g, w)
+            tile = (np.arange(h * width) if q == 1.0 else
+                    _flex_periods(q, h * width, stream("flex")))
+            out.preferred[b:b + h] = stream("preferred").integers(
+                0, N, size=(h, width), dtype=dtype)
             if N > 2:
-                out.pair.reshape(-1)[dst] = _join(codes)
+                codes.append(stream("flexset").integers(
+                    0, N * (N - 1), size=tile.size, dtype=out.pair.dtype))
             if cut:
-                _decide(cut, _join(u), at, heads, width, dst,
-                        out.decisions[0],
-                        *(a[base:base + m] for a in carry), tw, T)
-            # the window's arrays go before the next window's are drawn
-            del at, dst, codes, u
+                u.append(stream("exert").random(h * (w == 0) + tile.size))
+            tile += (b - base) * width
+            at.append(tile)
+        # the group's flex arrivals, row-major: flat positions in its rows
+        # of the window, row i's at at[heads[i]:heads[i + 1]]
+        at = _join(at)
+        heads = np.searchsorted(at, np.arange(m + 1) * width)
+        out.is_flex[base:base + m].reshape(-1)[at] = True
+        if N > 2:
+            out.pair[base:base + m].reshape(-1)[at] = _join(codes)
+        if cut:
+            _decide(cut, _join(u), at, heads, width,
+                    out.decisions[0][base:base + m],
+                    *(a[base:base + m] for a in carry), t0, T)
     return out
 
 
@@ -298,17 +284,16 @@ def _join(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _decide(cut, u, at, heads, width, dst, events, non_flex, k, first,
-            t0, T):
+def _decide(cut, u, at, heads, width, events, non_flex, k, first, t0, T):
     """The flex-sqrt-T decisions at ``cut`` > 0 of m rows x ``width``
     periods from ``t0`` on, whose flex arrivals are at the flat positions
     ``at``, row i's at ``at[heads[i]:heads[i + 1]]``, from the rows'
     exert uniforms ``u``: per row, V (in window 0 only) and then one per
-    flex arrival.  Marks the exerting flex
-    arrivals in ``events`` at their block positions ``dst``, and lowers
-    ``first``, the rows' first decision periods (T if none).  In the
-    first window it sets each row's ``k`` from its V.  ``non_flex``, each
-    row's non-flex periods before the window, is advanced past it.
+    flex arrival.  Marks the exerting flex arrivals in ``events`` (m,
+    ``width``), and lowers ``first``, the rows' first decision periods (T
+    if none).  In the first window it sets each row's ``k`` from its V.
+    ``non_flex``, each row's non-flex periods before the window, is
+    advanced past it.
     """
     m = heads.size - 1
     if t0 == 0:
@@ -316,14 +301,14 @@ def _decide(cut, u, at, heads, width, dst, events, non_flex, k, first,
         u = np.delete(u, heads[:-1] + np.arange(m))
         with np.errstate(divide="ignore"):  # log1p(-1) is -inf
             k[:] = np.floor(np.log1p(-v) / np.log1p(-cut))
-    exerts = u < cut
-    events.reshape(-1)[dst[exerts]] = True
+    exerts = at[u < cut]
+    events.reshape(-1)[exerts] = True
     starts = np.arange(m) * width
     flexes = np.diff(heads)
     if (first == T).any():  # else every row decided in an earlier window
         # each row's first exerting flex arrival, as an offset in the row
         # (width or more if none)
-        hits = np.append(at[exerts], m * width)
+        hits = np.append(exerts, m * width)
         flexed = hits[np.searchsorted(hits, starts)] - starts
         # the row's k-th non-flex period, if it is in this window, is the
         # tile's n-th, n = k - non_flex + the non-flex periods of earlier

@@ -75,38 +75,37 @@ class LockstepResult:
         return self.loads.max(axis=1) - self.stop_time / self.loads.shape[1]
 
 
+def _results(rows: int, N: int) -> LockstepResult:
+    """Outcome arrays for ``rows`` rows, their loads all zero."""
+    return LockstepResult(np.zeros((rows, N), dtype=np.int64),
+                          *(np.empty(rows, dtype=np.int64) for _ in range(3)))
+
+
 @dataclass
 class _State:
     """One policy's kernel state of a block on a horizon of T, before
-    period ``t0``."""
+    period ``t0``: the block's rows ``out``, which the kernel advances in
+    place.  While the block runs, ``out.first_trigger`` holds each row's
+    first exerting period, T if none yet, and ``out.stop_time`` is T
+    until the row stops."""
 
     T: int
     t0: int
-    loads: np.ndarray       # (rows, N)
-    flex_count: np.ndarray  # (rows,)
-    trigger: np.ndarray     # (rows,) first exerting period, T if none yet
-    stop_time: np.ndarray   # (rows,) T until the row stops
-    live: np.ndarray        # the rows still running
+    live: np.ndarray  # the rows still running
+    out: LockstepResult
 
     @classmethod
-    def start(cls, policy: PolicySpec, T: int, loads: np.ndarray):
-        """The state before period 0 on ``loads`` (rows, N), all zero,
-        which the kernel advances in place."""
-        rows = len(loads)
+    def start(cls, policy: PolicySpec, T: int, out: LockstepResult):
+        """The state before period 0 on the rows ``out``, whose loads are
+        all zero."""
         # static and always-flex exert from a fixed period; flex-sqrt-T
         # and dynamic find theirs as they run
-        first = (static_start(T, policy.a_s) if policy.kind == STATIC
-                 else 0 if policy.kind == ALWAYS_FLEX else T)
-        return cls(T, 0, loads, np.zeros(rows, dtype=np.int64),
-                   np.full(rows, first, dtype=np.int64),
-                   np.full(rows, T, dtype=np.int64), np.arange(rows))
-
-    def result(self) -> LockstepResult:
-        """The rows' outcomes so far, on the state's arrays."""
-        return LockstepResult(
-            self.loads, self.flex_count,
-            np.where(self.trigger < self.stop_time, self.trigger, -1),
-            self.stop_time)
+        out.first_trigger[:] = (static_start(T, policy.a_s)
+                                if policy.kind == STATIC
+                                else 0 if policy.kind == ALWAYS_FLEX else T)
+        out.flex_count[:] = 0
+        out.stop_time[:] = T
+        return cls(T, 0, np.arange(len(out.loads)), out)
 
 
 def run_many(policy: PolicySpec, params: ModelParams, reps: int,
@@ -144,7 +143,7 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     policies whose ``a_s`` give two cuts are refused.
     """
     if n_rows < 1:
-        raise ValueError(f"need at least one row, got {n_rows}")
+        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
     for policy in policies:
         _check_resolved(policy)
     # the flex-sqrt-T policies' per-period exertion probability
@@ -161,14 +160,11 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
     n_blocks = -(-tiles // max(1, min(_BLOCK_ROWS, _SLAB // (N + 1)) // G))
     bounds = [min(i * tiles // n_blocks * G, n_rows)
               for i in range(n_blocks + 1)]
-    # each block's states advance the loads in place in its rows of the
-    # results, so the loads are never held twice
-    results = [LockstepResult(np.zeros((n_rows, N), dtype=np.int64),
-                              *(np.empty(n_rows, dtype=np.int64)
-                                for _ in range(3)))
-               for _ in policies]
+    # each block's states advance its rows of the results in place
+    results = [_results(n_rows, N) for _ in policies]
     for lo, hi in zip(bounds, bounds[1:]):
-        states = [_State.start(p, T, out.loads[lo:hi])
+        states = [_State.start(p, T, LockstepResult(
+                      *(a[lo:hi] for a in vars(out).values())))
                   for p, out in zip(policies, results)]
         carry = None if cut is None else decision_carry(hi - lo, T)
         for w in range(-(-T // balls_bins.TILE_PERIODS)):
@@ -179,11 +175,6 @@ def run_blocks(policies, N: int, q: float, T: int, n_rows: int,
             del window  # one window is alive at a time
             if not any(state.live.size for state in states):
                 break
-        for out, state in zip(results, states):
-            done = state.result()
-            out.flex_count[lo:hi] = done.flex_count
-            out.first_trigger[lo:hi] = done.first_trigger
-            out.stop_time[lo:hi] = done.stop_time
     return results
 
 
@@ -199,7 +190,9 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     """Run every row of stacked (rows, periods) arrivals through one
     policy: the whole horizon, or with ``state`` the periods from
     ``state.t0`` on of a block on a horizon of ``state.T``, advancing the
-    state past them.  Returns the rows' outcomes so far.
+    state past them.  Returns the state's rows, whose first triggers at
+    or past their stop times read -1 once the rows are done: at T, or
+    when none is running.
 
     Each period the policy decides whether to exert flexibility; an
     exerted flex arrival goes to the lesser-loaded bin of its pair, ties
@@ -212,11 +205,9 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
     kind = policy.kind
     rows, span = arrivals.is_flex.shape
     if state is None:
-        state = _State.start(policy, span,
-                             np.zeros((rows, N), dtype=np.int64))
-    T, t0, live = state.T, state.t0, state.live
-    loads, flex_count, trigger, stop_time = (
-        state.loads, state.flex_count, state.trigger, state.stop_time)
+        state = _State.start(policy, span, _results(rows, N))
+    T, t0, live, out = state.T, state.t0, state.live, state.out
+    loads, trigger = out.loads, out.first_trigger
     # a row exerts on the flex arrivals of one mask (flex-sqrt-T's: those
     # it decided on) from its trigger on; dynamic's is found chunk by chunk
     mask = arrivals.is_flex
@@ -267,15 +258,17 @@ def lockstep(policy: PolicySpec, N: int, q: float, arrivals: ArrivalArrays,
                                 else flex & (t >= start[:, None]))
         ends, flexes, ran = _place(carry, pref, at, pair, recheck, stop, ends)
         loads[sel] = ends
-        flex_count[sel] += flexes
+        out.flex_count[sel] += flexes
         if stop is not None:
             stopped = ran > 0
-            stop_time[live[stopped]] = c0 + ran[stopped]
+            out.stop_time[live[stopped]] = c0 + ran[stopped]
             live = live[~stopped]
             if not live.size:
                 break
     state.t0, state.live = t0 + span, live
-    return state.result()
+    if state.t0 == T or not live.size:  # the block's rows are done
+        trigger[trigger >= out.stop_time] = -1
+    return out
 
 
 def _counts(bins, N: int):

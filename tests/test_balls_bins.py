@@ -123,12 +123,26 @@ def test_arrival_invariants():
         assert np.array_equal(getattr(lean, name), getattr(arr, name))
 
 
+def whole_block(N, q, T, keys, rows, cut=None):
+    """The windows of ``rows`` that ``run_blocks`` draws, joined along
+    periods: the block over the whole horizon, its flex-sqrt-T decisions
+    carried from window to window in one carry."""
+    carry = None if cut is None else bb.decision_carry(len(rows), T)
+    windows = [bb.draw_raw_arrays(N, q, T, keys, rows, cut, w, carry)
+               for w in range(-(-T // bb.TILE_PERIODS))]
+    return bb.ArrivalArrays(
+        *(np.concatenate([getattr(a, name) for a in windows], axis=1)
+          for name in oracle.ARRAYS),
+        None if cut is None else (np.concatenate(
+            [a.decisions[0] for a in windows], axis=1), carry[2]))
+
+
 def drawn(N, q, T, seed, rows=range(1), categories=bb.CATEGORIES,
           cut=None):
     """The block of ``rows`` drawn by the kernel's draw from the streams
     ``(seed, "law", c)`` of ``categories`` only."""
     keys = {c: streams.stream_key(seed, "law", c) for c in categories}
-    return bb.draw_raw_arrays(N, q, T, keys, rows, cut)
+    return whole_block(N, q, T, keys, rows, cut)
 
 
 def test_flex_fraction_and_mean_gap():
@@ -347,25 +361,29 @@ def test_short_tiles_are_drawn_in_groups_alike(q):
 
 
 def test_block_draw_memory_is_its_arrays_and_one_tile():
-    """A block draw holds its own arrays and one tile's temporaries: at
-    q = 1 and N = 200 (a flex arrival with a uint16 code every period),
-    blocks of 2 and 5 tiles of rows over three windows peak equally far
-    above their own arrays, about 20 MB."""
+    """A block's window draw holds its own arrays and one tile's
+    temporaries: at q = 1 and N = 200 (a flex arrival with a uint16 code
+    every period), the three windows of blocks of 2 and 5 tiles of rows
+    peak equally far above their own arrays, about 10 MB."""
     keys = {c: streams.stream_key(4, "memory", c) for c in bb.CATEGORIES}
     G = bb.tile_rows(WINDOWS_T)
     over = []
     for n in (2 * G, 5 * G):
-        tracemalloc.start()
-        try:
-            block = bb.draw_raw_arrays(200, 1.0, WINDOWS_T, keys, range(n),
-                                       0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        own = sum(a.nbytes for a in (block.is_flex, block.preferred,
-                                     block.pair, *block.decisions))
-        over.append(peak - own)
-        del block
+        carry = bb.decision_carry(n, WINDOWS_T)
+        worst = 0
+        for w in range(3):
+            tracemalloc.start()
+            try:
+                window = bb.draw_raw_arrays(200, 1.0, WINDOWS_T, keys,
+                                            range(n), 0.5, w, carry)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            own = sum(a.nbytes for a in (window.is_flex, window.preferred,
+                                         window.pair, window.decisions[0]))
+            worst = max(worst, peak - own)
+            del window
+        over.append(worst)
     assert max(over) < 24 * 2**20, [f"{o / 2**20:.1f} MB" for o in over]
     assert over[1] < over[0] + 2**20
 
@@ -379,6 +397,36 @@ def test_model_params_validation():
         bb.ModelParams(T=10, N=2, q=0.0)
     with pytest.raises(TypeError):  # the flex-set size is not a parameter
         bb.ModelParams(T=10, N=3, q=0.5, r=2)
+
+
+def test_policy_spec_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind 'bogus'"):
+        bb.PolicySpec(kind="bogus")
+
+
+def test_run_blocks_refuses_no_rows():
+    with pytest.raises(ValueError, match="n_rows must be >= 1, got 0"):
+        be.run_blocks([bb.PolicySpec(kind=bb.NO_FLEX)], 3, 0.5, 10, 0, 0,
+                      ("none",), bb.draw_raw_arrays)
+
+
+@pytest.mark.parametrize("kind,name", [(bb.STATIC, "a_s"),
+                                       (bb.FLEX_SQRT_T, "a_s"),
+                                       (bb.DYNAMIC, "a_d")])
+def test_unresolved_constants_are_refused_before_any_draw(kind, name):
+    """A constant its kind reads must be resolved: ``lockstep`` refuses
+    it, and ``run_blocks`` does so before it draws."""
+    spec = bb.PolicySpec(kind=kind)
+    draws = []
+
+    def counting(*args):
+        draws.append(args)
+        return bb.draw_raw_arrays(*args)
+    with pytest.raises(ValueError, match=f"{kind} policy needs {name}"):
+        be.run_blocks([spec], 3, 0.5, 10, 2, 0, ("unresolved",), counting)
+    assert draws == []
+    with pytest.raises(ValueError, match=f"{kind} policy needs {name}"):
+        be.lockstep(spec, 3, 0.5, drawn(3, 0.5, 10, 0))
 
 
 def test_choose_flex_pair_uniform():
@@ -908,7 +956,7 @@ def check_windowed(N, q, T, n_rows, stop, draw=bb.draw_raw_arrays):
                          stop)
     keys = {c: streams.stream_key(5, "windows", c) for c in bb.CATEGORIES}
     cut = (T - bb.static_start(T, 0.1)) / T
-    block = bb.draw_raw_arrays(N, q, T, keys, range(n_rows), cut)
+    block = whole_block(N, q, T, keys, range(n_rows), cut)
     rows = [oracle.draw(5, N, q, T, "windows", row=r) for r in range(n_rows)]
     for spec, out in zip(specs, outs):
         whole = be.lockstep(spec, N, q, block, stop)
@@ -1056,8 +1104,7 @@ def test_block_state_fits_a_slab_at_every_width(monkeypatch, N):
     """A block's (rows, N + 1) state takes at most _SLAB counts, or the
     block is one tile; blocks stay whole tiles, and at N <= 8 they are
     the blocks of _BLOCK_ROWS rows alone.  The draw and the kernel are
-    stubbed as in the test above, and the kernel drops the loads, which
-    would take rows x N counts."""
+    stubbed as in the test above."""
     blocks = []
 
     def draw(N, q, T, keys, rows, cut, w, carry):
@@ -1066,7 +1113,6 @@ def test_block_state_fits_a_slab_at_every_width(monkeypatch, N):
 
     def kernel(policy, N, q, arrivals, stop, state):
         state.live = state.live[:0]
-        state.loads = state.loads[:, :0].copy()
 
     monkeypatch.setattr(be, "lockstep", kernel)
     for T in map(int, np.unique(np.geomspace(1, 1e10, 60).astype(np.int64))):

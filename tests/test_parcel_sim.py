@@ -161,6 +161,13 @@ def test_no_flex_day_structure(small_world):
     assert rec.y_u.sum() == pytest.approx(corpus.unload[rec.sample_idx].sum())
 
 
+def test_run_day_refuses_params_N_other_than_the_corpus_zones(small_world):
+    corpus, params, _ = small_world
+    with pytest.raises(ValueError, match="params.N=5 .* zones=4"):
+        sim.run_day(sim.ParcelPolicy(kind=sim.NO_FLEX), corpus,
+                    replace(params, N=5))
+
+
 def test_all_policies_couple_on_common_arrivals(small_world):
     corpus, params, tables = small_world
     recs = {}

@@ -125,3 +125,6 @@ def test_flex_tables_shape_validation():
     with pytest.raises(ValueError):
         tb.FlexTables(inc=np.zeros((3, 2)), ser=np.zeros((3, 3)),
                       arrival_prob=np.full(3, 1 / 3), n_obs=None)
+    with pytest.raises(ValueError, match="arrival_prob length"):
+        tb.FlexTables(inc=np.zeros((3, 3)), ser=np.zeros((3, 3)),
+                      arrival_prob=np.full(2, 1 / 2), n_obs=None)

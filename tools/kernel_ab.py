@@ -11,8 +11,8 @@ per side, the side that goes first alternating from round to round; a
 worker is the side's own ``tools/kernel_ab.py --worker``, so that the
 private kernel calls it makes match its ``src/``, and imports ``endgame``
 from that ``src/`` only.  It draws each case's block once, through the
-side's own draw path, and times ``lockstep`` on it for every policy
-(best of ``--repeats``):
+side's own draw path (its windows joined), and times ``lockstep`` on
+it for every policy (best of ``--repeats``):
 
 - bins, N=5, q=0.1, numerics preset, dynamic latched: T = 1e4 and 1e5,
   100 rows each, no stop;
@@ -67,6 +67,18 @@ def cases(size: dict) -> list:
                for S in size["opaque_S"]])
 
 
+def whole_block(bb, N, q, T, keys, rows, cut):
+    """The windows of ``rows`` that ``run_blocks`` draws through
+    ``bb.draw_raw_arrays``, joined along periods, their flex-sqrt-T
+    decisions carried from window to window in one carry."""
+    carry = bb.decision_carry(len(rows), T)
+    windows = [bb.draw_raw_arrays(N, q, T, keys, rows, cut, w, carry)
+               for w in range(-(-T // bb.TILE_PERIODS))]
+    joined = [np.concatenate(parts, axis=1) for parts in zip(*(
+        (a.is_flex, a.preferred, a.pair, a.decisions[0]) for a in windows))]
+    return bb.ArrivalArrays(*joined[:3], (joined[3], carry[2]))
+
+
 def worker(size: dict, seed: int) -> dict:
     """Time ``lockstep`` per policy on every case with the ``endgame``
     found on the path; ns/ball and result digest per case and policy."""
@@ -91,7 +103,7 @@ def worker(size: dict, seed: int) -> dict:
                 for c in bb.CATEGORIES}
         a_s = next(s.a_s for s in specs if s.kind == bb.FLEX_SQRT_T)
         cut = (T - bb.static_start(T, a_s)) / T
-        block = bb.draw_raw_arrays(N, Q, T, keys, range(rows), cut)
+        block = whole_block(bb, N, Q, T, keys, range(rows), cut)
         timed = {}
         for spec in specs:
             best = float("inf")
