@@ -1,5 +1,6 @@
-"""The A/B script: its aggregation on synthetic run rows, and one whole
-run at the benchmark's tiny size."""
+"""The A/B driver: its aggregation on synthetic run rows, the worker each
+tool workload runs, and one whole run per kind of workload at its tiny
+size."""
 
 import importlib.util
 import json
@@ -9,18 +10,27 @@ import sys
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
-spec = importlib.util.spec_from_file_location("bench_ab", SCRIPT)
-bench_ab = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_ab)
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+SCRIPT = TOOLS / "bench_ab.py"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_ab, kernel_ab = load("bench_ab"), load("kernel_ab")
 
 DIRECTIONS = {"arrivals_per_s": "higher", "peak_rss_mb": "lower"}
 
 
 def row(side, seed, rate, rss, digest="a", failed=0, workload="w"):
     return {"workload": workload, "side": side, "seed": seed,
-            "arrivals_per_s": rate, "peak_rss_mb": rss, "failed": failed,
-            "attempted": 10, "csv_sha256": {"out.csv": digest}}
+            "metrics": {"arrivals_per_s": rate, "peak_rss_mb": rss},
+            "digests": {"out.csv": digest}, "failed": failed,
+            "attempted": 10}
 
 
 def test_summarize_medians_quartiles_and_pairs():
@@ -77,9 +87,100 @@ def test_summarize_digests_failures_and_workloads():
     assert got["v"]["metrics"]["arrivals_per_s"]["change_better_pairs"] == 0
 
 
+def test_summarize_lists_one_sided_names_and_leaves_them_out():
+    # two kernel revisions with different case sets: the shared case is
+    # compared, the others are listed per side, and no name is missing
+    def kernel_row(side, seed, cases):
+        return {"workload": "kernel", "side": side, "seed": seed,
+                "metrics": {f"{c}.static.ns_per_ball": 5.0 for c in cases},
+                "digests": {f"{c}.static": c for c in cases},
+                "failed": 0, "attempted": 1}
+
+    runs = [kernel_row("parent", 1, ["bins_T1000", "bins_T3000"]),
+            kernel_row("change", 1, ["bins_T1000", "bins_T5000"])]
+    got = bench_ab.summarize(runs, {})["kernel"]
+    assert list(got["metrics"]) == ["bins_T1000.static.ns_per_ball"]
+    assert got["metrics"]["bins_T1000.static.ns_per_ball"]["better"] == \
+        "lower"
+    assert got["one_sided"] == {
+        "parent": ["bins_T3000.static.ns_per_ball", "bins_T3000.static"],
+        "change": ["bins_T5000.static.ns_per_ball", "bins_T5000.static"]}
+    assert got["digests_match"]
+    runs[1]["digests"]["bins_T1000.static"] = "other"
+    assert not bench_ab.summarize(runs, {})["kernel"]["digests_match"]
+
+
 def test_parse_seeds():
     assert bench_ab.parse_seeds("1601-1604") == [1601, 1602, 1603, 1604]
     assert bench_ab.parse_seeds("3,5,8") == [3, 5, 8]
+
+
+def test_kernel_cases_cover_both_models():
+    names = [name for name, *_ in kernel_ab.cases(kernel_ab.SIZES["paper"])]
+    assert names == ["bins_T10000", "bins_T100000", "opaque_S400",
+                     "opaque_S3200"]
+    stops = {name: (T, stop) for name, T, _, stop
+             in kernel_ab.cases(kernel_ab.SIZES["paper"])}
+    assert stops["bins_T10000"] == (10_000, None)
+    assert stops["opaque_S400"] == (5 * 399 + 1, 400)
+    # the tiny size still joins a block from more than one window
+    assert max(T for _, T, _, _ in kernel_ab.cases(kernel_ab.SIZES["tiny"])) \
+        > 4096
+
+
+@pytest.mark.parametrize("workload, own_copy", [("kernel", True),
+                                                ("horizon", False)])
+def test_each_side_runs_its_workers_script_on_its_own_src(
+        tmp_path, monkeypatch, workload, own_copy):
+    """The kernel worker calls the kernel's private functions, so each side
+    runs its own tree's ``tools/kernel_ab.py``; the horizon worker uses
+    the public API only, so both sides run the driver's copy."""
+    calls = []
+
+    def recording_run(argv, cwd, env, **kwargs):
+        calls.append((argv, cwd, env["PYTHONPATH"]))
+        module = pathlib.Path(cwd).resolve() / "src" / "endgame"
+        line = json.dumps({"endgame": str(module / "bins_engine.py"),
+                           "cases": {"c": {"static": {"ns_per_ball": 2.0,
+                                                      "digest": "d"}}},
+                           "wall_s": 1.0, "run_cpu_s": 0.5,
+                           "peak_rss_mb": 40.0, "digest": "d"})
+        return subprocess.CompletedProcess(argv, 0, line + "\n", "")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", recording_run)
+    for side in ("parent", "change"):
+        tree = tmp_path / side
+        got = bench_ab.run_tool(tree, workload, 7, "tiny")
+        script = (tree / "tools" / "kernel_ab.py" if own_copy
+                  else TOOLS / "horizon_ab.py")
+        argv, cwd, path = calls[-1]
+        assert argv[1:] == [str(script), "--worker", "--size", "tiny",
+                            "--seed", "7"]
+        assert cwd == tree and path == str(tree / "src")
+        assert got["metrics"] == ({"c.static.ns_per_ball": 2.0} if own_copy
+                                  else {"wall_s": 1.0, "run_cpu_s": 0.5,
+                                        "peak_rss_mb": 40.0})
+
+
+def test_a_revision_without_the_kernel_worker_is_refused_naming_it(
+        tmp_path, monkeypatch, capsys):
+    def export(rev, dest):
+        (dest / "src").mkdir(parents=True)
+        if rev == "new":
+            (dest / "tools").mkdir()
+            (dest / "tools" / "kernel_ab.py").write_text("")
+        return rev
+
+    monkeypatch.setattr(bench_ab, "export", export)
+    out = tmp_path / "k.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_ab.main(["--parent", "old", "--change", "new", "--workload",
+                       "kernel", "--seeds", "1", "--size", "tiny",
+                       "--out", str(out), "--workdir", str(tmp_path / "work")])
+    assert exc.value.code == 2
+    assert "revision old (parent) has no tools/kernel_ab.py" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def _has_head() -> bool:
@@ -91,13 +192,31 @@ def _has_head() -> bool:
         return False
 
 
+def check_names(workload, metrics, digests):
+    if workload == "kernel":  # HEAD's own cases, every one per policy
+        cells = [name.rsplit(".", 1)[0] for name in metrics]
+        cases = {cell.split(".")[0] for cell in cells}
+        assert {case.split("_")[0] for case in cases} == {"bins", "opaque"}
+        assert sorted(cells) == sorted(digests) == sorted(
+            f"{case}.{policy}" for case in cases
+            for policy in kernel_ab.POLICIES)
+        assert all(name.endswith(".ns_per_ball") for name in metrics)
+    elif workload == "horizon":
+        assert metrics == ["wall_s", "run_cpu_s", "peak_rss_mb"]
+        assert digests == ["results"]
+    else:
+        assert metrics == ["arrivals_per_s", "setup_s", "peak_rss_mb"]
+        assert all(name.endswith(".csv") for name in digests)
+
+
 @pytest.mark.skipif(not _has_head(),
                     reason="the repository has no git HEAD to export")
-def test_script_end_to_end_at_tiny_size(tmp_path):
+@pytest.mark.parametrize("workload", ["bins_sweep", "kernel", "horizon"])
+def test_script_end_to_end_at_tiny_size(tmp_path, workload):
     out = tmp_path / "BENCH.json"
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--parent", "HEAD", "--change", "HEAD",
-         "--workload", "bins_sweep", "--seeds", "5", "--seconds", "0.5",
+         "--workload", workload, "--seeds", "5", "--seconds", "0.5",
          "--size", "tiny", "--out", str(out),
          "--workdir", str(tmp_path / "work")],
         capture_output=True, text=True, timeout=300)
@@ -106,9 +225,15 @@ def test_script_end_to_end_at_tiny_size(tmp_path):
     assert result["size"] == "tiny"
     assert [(r["side"], r["seed"]) for r in result["runs"]] == [
         ("parent", 5), ("change", 5)]
-    assert all(r["csv_sha256"] for r in result["runs"])
-    assert all(r["cpu_s"] > 0 for r in result["runs"])
-    summary = result["summary"]["bins_sweep"]
+    assert all(r["digests"] for r in result["runs"])
+    assert all(r["metrics"]["cpu_s"] > 0 for r in result["runs"])
+    summary = result["summary"][workload]
+    assert list(summary["metrics"])[-1] == "cpu_s"
+    check_names(workload, list(summary["metrics"])[:-1],
+                list(result["runs"][0]["digests"]))
+    assert all(m["parent"]["median"] > 0 and m["change"]["median"] > 0
+               for m in summary["metrics"].values())
+    assert summary["one_sided"] == {"parent": [], "change": []}
     assert summary["failed"] == {"parent": 0, "change": 0}
     assert summary["digests_match"]
     assert summary["metrics"]["cpu_s"]["better"] == "lower"

@@ -1,26 +1,34 @@
 #!/usr/bin/env python3
-"""A/B runs of the benchmark: a parent and a change, alternating, one JSON.
+"""A/B runs of the benchmark and of two tool workloads: a parent and a
+change, alternating, one JSON.
 
     python3 tools/bench_ab.py --parent HEAD~1 --change HEAD \\
         --workload opaque_sweep --seeds 1601-1610 --out BENCH.json
 
-``--size tiny`` passes the benchmark's own self-check size through to
-``bench/run.py``, so a whole A/B run takes seconds (default ``paper``).
+Each workload runs once per seed on each side, the side that goes first
+alternating from seed to seed; ``--size`` (``paper`` or ``tiny``, which
+takes seconds) goes to every run.  Both revisions are exported with
+``git archive``, so each side runs only its committed files.
 
-Both revisions are exported with ``git archive`` into a work directory,
-so each side runs only its committed files, as a fresh checkout would.
-For every workload and seed, ``bench/run.py`` runs once on each side;
-which side goes first alternates from one seed to the next.  The output
-holds one row per run (side, seed, the three end-to-end metrics, the
-CPU seconds of the run's process tree as ``cpu_s``, failed/attempted
-operations and the sha256 of every CSV the run wrote under
-``.bench_out/<workload>/``), per workload and metric the medians
-and quartiles of each side, the number of seeds the change won and the
-median and range of the per-seed change/parent ratios, whether the CSV
-digests agree across sides on every seed, and what machine ran it.  A
-seed's two runs go back to back, so its ratio cancels most of the
-machine's slower drift, which the quartiles of one side keep.  CPU time,
-unlike wall time, does not count the time the run waits for a core.
+- ``bins_sweep``, ``opaque_sweep``, ``parcel_days``: the side's own
+  ``bench/run.py``; its end-to-end metrics, and the sha256 of each CSV it
+  wrote under ``.bench_out/<workload>/``.
+- ``kernel``: the side's own ``tools/kernel_ab.py --worker`` (it calls
+  private kernel functions; a revision without it is refused); metrics
+  ``<case>.<policy>.ns_per_ball``, digests ``<case>.<policy>``.
+- ``horizon``: this driver's own ``tools/horizon_ab.py --worker`` (public
+  API only, so any revision); metrics ``wall_s``, ``run_cpu_s`` and
+  ``peak_rss_mb``, digest ``results``.
+
+A tool worker imports ``endgame`` from its side's ``src/`` only.  The
+record is ``{"parent": {rev, sha}, "change": {rev, sha}, "seconds",
+"size", "machine", "summary", "runs"}``, a run ``{"workload", "seed",
+"side", "metrics", "digests", "failed", "attempted", "correct"}`` (a tool
+run is one operation), and every run's metrics hold ``cpu_s``, the CPU
+seconds of its process tree, which unlike wall time leave out waiting for
+a core.  ``summarize`` says what the summary holds.  A seed's two runs go
+back to back, so its ratio cancels most of the machine's slower drift,
+which the quartiles of one side keep.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ import numpy as np
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+KERNEL_WORKER = "tools/kernel_ab.py"  # each tree runs its own copy
+HORIZON_WORKER = REPO / "tools" / "horizon_ab.py"  # this driver's copy
+TOOLS = ("kernel", "horizon")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -78,24 +89,53 @@ def csv_digests(out_dir: pathlib.Path) -> dict:
             for p in sorted(out_dir.rglob("*.csv"))}
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int,
-             seconds: float, size: str) -> dict:
-    """One ``bench/run.py`` run in ``tree``; its metrics, CPU seconds and
-    CSV digests."""
-    cpu = _children_cpu()
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--size", size],
-        cwd=tree, capture_output=True, text=True)
+def _last_json_line(argv: list, tree: pathlib.Path, env=None) -> dict:
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True,
+                          text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"bench/run.py exited {proc.returncode} in {tree}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    row = {name: m["value"] for name, m in result["metrics"].items()}
-    row.update(cpu_s=_children_cpu() - cpu, failed=result["failed"],
-               attempted=result["attempted"], correct=result["correct"],
-               csv_sha256=csv_digests(tree / ".bench_out" / workload))
-    return row
+        raise RuntimeError(f"{argv[1]} exited {proc.returncode} in {tree}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_bench(tree: pathlib.Path, workload: str, seed: int,
+              seconds: float, size: str) -> dict:
+    """One ``bench/run.py`` run in ``tree``: its metrics and CSV digests."""
+    result = _last_json_line(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--size", size],
+        tree)
+    return {"metrics": {name: m["value"]
+                        for name, m in result["metrics"].items()},
+            "digests": csv_digests(tree / ".bench_out" / workload),
+            "failed": result["failed"], "attempted": result["attempted"],
+            "correct": result["correct"]}
+
+
+def run_tool(tree: pathlib.Path, workload: str, seed: int,
+             size: str) -> dict:
+    """One worker of a tool workload on ``tree``'s ``src/``: its output as
+    metrics and digests."""
+    script = tree / KERNEL_WORKER if workload == "kernel" else HORIZON_WORKER
+    result = _last_json_line(
+        [sys.executable, str(script), "--worker", "--size", size,
+         "--seed", str(seed)],
+        tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+    if not result["endgame"].startswith(str(tree.resolve())):
+        raise RuntimeError(f"worker imported {result['endgame']}")
+    if workload == "kernel":
+        cells = {f"{case}.{policy}": cell
+                 for case, policies in result["cases"].items()
+                 for policy, cell in policies.items()}
+        metrics = {f"{name}.ns_per_ball": cell["ns_per_ball"]
+                   for name, cell in cells.items()}
+        digests = {name: cell["digest"] for name, cell in cells.items()}
+    else:
+        metrics = {name: result[name]
+                   for name in ("wall_s", "run_cpu_s", "peak_rss_mb")}
+        digests = {"results": result["digest"]}
+    return {"metrics": metrics, "digests": digests, "failed": 0,
+            "attempted": 1, "correct": True}
 
 
 def _children_cpu() -> float:
@@ -110,12 +150,14 @@ def _quartiles(values) -> dict:
 
 
 def summarize(runs: list, directions: dict) -> dict:
-    """Per workload: for each metric both sides' median and quartiles,
-    the seeds on which the change is better, the median change over the
-    parent's interquartile range, and the median, min and max of the
-    per-seed change/parent ratios (seeds whose parent value is 0 left
-    out); failed/attempted per side; and whether every seed's CSV
-    digests agree across sides."""
+    """Per workload: for each metric both sides report, both sides' median
+    and quartiles, the seeds on which the change is better, the median
+    change over the parent's interquartile range, and the median, min and
+    max of the per-seed change/parent ratios (seeds whose parent value is
+    0 left out); failed/attempted per side; whether every seed's digests agree
+    across sides on the names both report; and per side the metric and
+    digest names only it reports, which the comparison leaves out.  A
+    metric is better in the direction ``directions`` gives, else lower."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         rows = [r for r in runs if r["workload"] == workload]
@@ -123,21 +165,27 @@ def summarize(runs: list, directions: dict) -> dict:
         for r in rows:
             by_seed.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in by_seed.values() if set(p) == set(SIDES)]
+        names = {field: {s: dict.fromkeys(
+            name for r in rows if r["side"] == s for name in r[field])
+            for s in SIDES} for field in ("metrics", "digests")}
         metrics = {}
-        for name, better in directions.items():
-            sides = {s: _quartiles([r[name] for r in rows if r["side"] == s])
-                     for s in SIDES}
+        for name in names["metrics"]["parent"]:
+            if name not in names["metrics"]["change"]:
+                continue
+            better = directions.get(name, "lower")
+            sides = {s: _quartiles([r["metrics"][name] for r in rows
+                                    if r["side"] == s]) for s in SIDES}
             sign = 1.0 if better == "higher" else -1.0
             iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
             gain = sign * (sides["change"]["median"]
                            - sides["parent"]["median"])
-            ratios = [p["change"][name] / p["parent"][name] for p in pairs
-                      if p["parent"][name] != 0]
+            values = [(p["parent"]["metrics"][name],
+                       p["change"]["metrics"][name]) for p in pairs]
+            ratios = [c / p for p, c in values if p != 0]
             metrics[name] = {
                 "better": better, **sides,
-                "change_better_pairs": sum(
-                    sign * (p["change"][name] - p["parent"][name]) > 0
-                    for p in pairs),
+                "change_better_pairs": sum(sign * (c - p) > 0
+                                           for p, c in values),
                 "pairs": len(pairs),
                 "median_gain_over_parent_iqr":
                     gain / iqr if iqr > 0 else None,
@@ -153,8 +201,13 @@ def summarize(runs: list, directions: dict) -> dict:
             "attempted": {s: sum(r["attempted"] for r in rows
                                  if r["side"] == s) for s in SIDES},
             "digests_match": all(
-                p["parent"]["csv_sha256"] == p["change"]["csv_sha256"]
-                for p in pairs),
+                p["parent"]["digests"][name] == p["change"]["digests"][name]
+                for p in pairs
+                for name in p["parent"]["digests"].keys()
+                & p["change"]["digests"].keys()),
+            "one_sided": {s: [name for field in names.values()
+                              for name in field[s] if name not in field[o]]
+                          for s, o in zip(SIDES, SIDES[::-1])},
         }
     return out
 
@@ -175,6 +228,17 @@ def machine() -> dict:
     return info
 
 
+def serve_worker(worker, sizes: dict, argv=None) -> None:
+    """The command line of a tool workload's worker script, ``--worker
+    --size Z --seed N``: print ``worker(sizes[Z], N)`` as one JSON line."""
+    p = argparse.ArgumentParser(description="a tools/bench_ab.py worker")
+    p.add_argument("--worker", action="store_true", required=True)
+    p.add_argument("--size", choices=sorted(sizes), default="paper")
+    p.add_argument("--seed", type=int, default=0)
+    args = p.parse_args(argv)
+    print(json.dumps(worker(sizes[args.size], args.seed)))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, help="git revision")
@@ -183,26 +247,33 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", required=True, help="e.g. 1601-1610 or 3,5,8")
     p.add_argument("--seconds", type=float, default=5.0)
     p.add_argument("--size", default="paper",
-                   help="input size passed to bench/run.py")
+                   help="input size passed to every run: paper or tiny")
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--workdir", default=None,
                    help="where the two exports go (default: a temp dir)")
     args = p.parse_args(argv)
     work = pathlib.Path(args.workdir or tempfile.mkdtemp(prefix="bench_ab_"))
     trees = {s: work / s for s in SIDES}
-    shas = {s: export(rev, trees[s])
-            for s, rev in zip(SIDES, (args.parent, args.change))}
+    revs = dict(zip(SIDES, (args.parent, args.change)))
+    shas = {s: export(revs[s], trees[s]) for s in SIDES}
+    for s in SIDES if "kernel" in args.workload else ():
+        if not (trees[s] / KERNEL_WORKER).is_file():
+            p.error(f"revision {revs[s]} ({s}) has no {KERNEL_WORKER} to "
+                    "run as its worker")
     runs = []
     for workload in args.workload:
         for i, seed in enumerate(parse_seeds(args.seeds)):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                row = run_once(trees[side], workload, seed, args.seconds,
-                               args.size)
+                cpu = _children_cpu()
+                row = (run_tool(trees[side], workload, seed, args.size)
+                       if workload in TOOLS else
+                       run_bench(trees[side], workload, seed, args.seconds,
+                                 args.size))
+                row["metrics"]["cpu_s"] = _children_cpu() - cpu
                 runs.append({"workload": workload, "seed": seed,
                              "side": side, **row})
                 print(f"{workload} seed={seed} {side}: "
-                      f"arrivals_per_s={row['arrivals_per_s']:.4g} "
-                      f"cpu_s={row['cpu_s']:.3g}",
+                      f"cpu_s={row['metrics']['cpu_s']:.3g}",
                       file=sys.stderr)
     result = {"parent": {"rev": args.parent, "sha": shas["parent"]},
               "change": {"rev": args.change, "sha": shas["change"]},
