@@ -10,12 +10,13 @@ import sys
 
 import pytest
 
-TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
-SCRIPT = TOOLS / "bench_ab.py"
+TOOLS_DIR = pathlib.Path(__file__).resolve().parents[1] / "tools"
+SCRIPT = TOOLS_DIR / "bench_ab.py"
 
 
 def load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    path = TOOLS_DIR / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -128,10 +129,9 @@ def test_kernel_cases_cover_both_models():
         > 4096
 
 
-@pytest.mark.parametrize("workload, own_copy", [("kernel", True),
-                                                ("horizon", False)])
+@pytest.mark.parametrize("workload", ["kernel", "horizon"])
 def test_each_side_runs_its_workers_script_on_its_own_src(
-        tmp_path, monkeypatch, workload, own_copy):
+        tmp_path, monkeypatch, workload):
     """The kernel worker calls the kernel's private functions, so each side
     runs its own tree's ``tools/kernel_ab.py``; the horizon worker uses
     the public API only, so both sides run the driver's copy."""
@@ -148,11 +148,12 @@ def test_each_side_runs_its_workers_script_on_its_own_src(
         return subprocess.CompletedProcess(argv, 0, line + "\n", "")
 
     monkeypatch.setattr(bench_ab.subprocess, "run", recording_run)
+    own_copy = workload == "kernel"
     for side in ("parent", "change"):
         tree = tmp_path / side
         got = bench_ab.run_tool(tree, workload, 7, "tiny")
         script = (tree / "tools" / "kernel_ab.py" if own_copy
-                  else TOOLS / "horizon_ab.py")
+                  else TOOLS_DIR / "horizon_ab.py")
         argv, cwd, path = calls[-1]
         assert argv[1:] == [str(script), "--worker", "--size", "tiny",
                             "--seed", "7"]

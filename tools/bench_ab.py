@@ -154,9 +154,9 @@ def summarize(runs: list, directions: dict) -> dict:
     and quartiles, the seeds on which the change is better, the median
     change over the parent's interquartile range, and the median, min and
     max of the per-seed change/parent ratios (seeds whose parent value is
-    0 left out); failed/attempted per side; whether every seed's digests agree
-    across sides on the names both report; and per side the metric and
-    digest names only it reports, which the comparison leaves out.  A
+    0 left out); failed/attempted per side; whether every seed's digests
+    agree across sides on the names both report; and per side the metric
+    and digest names only it reports, which the comparison leaves out.  A
     metric is better in the direction ``directions`` gives, else lower."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -228,14 +228,14 @@ def machine() -> dict:
     return info
 
 
-def serve_worker(worker, sizes: dict, argv=None) -> None:
+def serve_worker(worker, sizes: dict) -> None:
     """The command line of a tool workload's worker script, ``--worker
     --size Z --seed N``: print ``worker(sizes[Z], N)`` as one JSON line."""
     p = argparse.ArgumentParser(description="a tools/bench_ab.py worker")
     p.add_argument("--worker", action="store_true", required=True)
     p.add_argument("--size", choices=sorted(sizes), default="paper")
     p.add_argument("--seed", type=int, default=0)
-    args = p.parse_args(argv)
+    args = p.parse_args()
     print(json.dumps(worker(sizes[args.size], args.seed)))
 
 
