@@ -110,7 +110,7 @@ def theory_a_d(params: ModelParams) -> float:
 
 
 def resolve_policy(spec: PolicySpec, params: ModelParams,
-                   preset: str = PRESET_THEORY) -> PolicySpec:
+                   preset: str) -> PolicySpec:
     """Fill in missing constants from a named preset."""
     a_s, a_d = spec.a_s, spec.a_d
     if a_s is None:

@@ -110,8 +110,9 @@ class _State:
 
 def run_many(policy: PolicySpec, params: ModelParams, reps: int,
              root_seed: int, *path) -> LockstepResult:
-    """Simulate ``reps`` independent horizons of one policy; replication
-    ``rep`` consumes the streams addressed by ``(*path, rep)``."""
+    """Simulate ``reps`` independent horizons of one policy.  Each draw
+    category c has one key, ``(root_seed, *path, c)``, drawn in tiles, and
+    replication ``rep``'s draws depend only on ``rep`` and T."""
     return run_policies([policy], params, reps, root_seed, *path)[0]
 
 

@@ -278,19 +278,17 @@ def cmd_sweep(args) -> int:
         given = [f"--{name}" for name in table
                  if getattr(args, name) is not None]
         if given:
-            print(f"{args.command} sweep --config takes its parameters from "
-                  f"the config, not from {', '.join(given)}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.command} sweep --config takes its "
+                             f"parameters from the config, not from "
+                             f"{', '.join(given)}")
         cfg = load_config(args.config, preset=args.preset, seed=args.seed,
                           replications=args.reps, out_dir=args.out)
     else:
         missing = [f"--{name}" for name, default in table.items()
                    if default is None and getattr(args, name) is None]
         if missing:
-            print(f"{args.command} sweep needs --config or "
-                  f"{' and '.join(missing)}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.command} sweep needs --config or "
+                             f"{' and '.join(missing)}")
         flags = {name: default if getattr(args, name) is None
                  else getattr(args, name) for name, default in table.items()}
         if args.command == "opaque":
@@ -347,17 +345,12 @@ def cmd_parcel(args) -> int:
                     ("mean_unload_hours", float(corpus.unload.mean()))])
         return 0
     if args.subcommand == "cluster":
-        from ..parcel.clustering import (EpsilonInfeasibleError,
-                                         cluster_default)
+        from ..parcel.clustering import cluster_default
         corpus = pcorpus.load_corpus(args.corpus)
-        try:
-            _, assignment, objective = cluster_default(
-                corpus.points, corpus.n_zones,
-                corpus.spec.epsilon if args.epsilon is None else args.epsilon,
-                resolve_root_seed(args.seed))
-        except EpsilonInfeasibleError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        _, assignment, objective = cluster_default(
+            corpus.points, corpus.n_zones,
+            corpus.spec.epsilon if args.epsilon is None else args.epsilon,
+            resolve_root_seed(args.seed))
         counts = np.bincount(assignment, minlength=corpus.n_zones)
         _print_row([("objective_km", objective),
                     ("min_count", int(counts.min())),
@@ -423,6 +416,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except OSError as exc:  # a directory, or a path it may not read or write
+        print(f"{exc.filename}: {exc.strerror}" if exc.filename else exc,
+              file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

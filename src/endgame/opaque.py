@@ -53,7 +53,7 @@ class InventoryParams:
 
 
 def resolve_opaque_policy(spec: PolicySpec, params: InventoryParams,
-                          preset: str = PRESET_NUMERICS) -> PolicySpec:
+                          preset: str) -> PolicySpec:
     """:func:`~endgame.balls_bins.resolve_policy` on a bins horizon of
     N(S-1)+1, but with the theory preset's a_d halved and the dynamic
     policy latched: once its condition triggers, the option is offered
@@ -71,9 +71,10 @@ def simulate_cycles(policy: PolicySpec, params: InventoryParams,
     each is a ball run on the depletion counts x = S - z, stopped at its
     first stock-out.
 
-    Returns (R, D) int arrays of shape (n_cycles,).  Cycle c consumes the
-    streams addressed by (*path, c), so results are independent of
-    n_cycles batching.
+    Returns (R, D) int arrays of shape (n_cycles,).  Each draw category
+    has one key, (root_seed, *path, category), drawn in tiles, and a
+    cycle's draws depend only on its index and the horizon, so results
+    are independent of n_cycles batching.
     """
     out = simulate_policies([policy], params, n_cycles, root_seed, *path)[0]
     return out.stop_time, out.flex_count

@@ -270,7 +270,7 @@ def test_criterion_9_exhaustive_oracle():
                 break
     params = opaque.InventoryParams(N=2, S=2, q=0.5)
     spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.NO_FLEX),
-                                        params)
+                                        params, "numerics")
     R, _ = opaque.simulate_cycles(spec, params, 10**4, 0, "accept", "c9")
     se = R.std(ddof=1) / math.sqrt(len(R))
     ok = total == 2.5 and abs(R.mean() - 2.5) <= 3 * se

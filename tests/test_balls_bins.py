@@ -799,8 +799,9 @@ def test_flex_sqrt_t_rate():
 
 def test_no_flex_never_flexes():
     p = bb.ModelParams(T=200, N=3, q=0.5)
-    batch = be.run_many(bb.resolve_policy(bb.PolicySpec(kind=bb.NO_FLEX), p),
-                        p, 4, 3)
+    batch = be.run_many(
+        bb.resolve_policy(bb.PolicySpec(kind=bb.NO_FLEX), p, "theory"), p, 4,
+        3)
     assert (batch.flex_count == 0).all()
     assert (batch.first_trigger == -1).all()
 
@@ -808,7 +809,8 @@ def test_no_flex_never_flexes():
 def test_always_flex_q1_flexes_every_ball():
     p = bb.ModelParams(T=200, N=3, q=1.0)
     batch = be.run_many(
-        bb.resolve_policy(bb.PolicySpec(kind=bb.ALWAYS_FLEX), p), p, 4, 3)
+        bb.resolve_policy(bb.PolicySpec(kind=bb.ALWAYS_FLEX), p, "theory"),
+        p, 4, 3)
     assert (batch.flex_count == 200).all()
 
 
@@ -841,7 +843,8 @@ def test_run_deterministic():
 
 def test_static_policy_flexes_only_from_start_period():
     p = bb.ModelParams(T=400, N=2, q=1.0)
-    spec = bb.resolve_policy(bb.PolicySpec(kind=bb.STATIC, a_s=2.0), p)
+    spec = bb.resolve_policy(bb.PolicySpec(kind=bb.STATIC, a_s=2.0), p,
+                             "theory")
     t_hat = bb.static_start(p.T, 2.0)
     batch = be.run_many(spec, p, 3, 5)
     assert 0 < t_hat < p.T
@@ -858,7 +861,8 @@ def enumerate_paths(policy_kind, T, a_s=None, a_d=None, latched=False):
     runs every path as one row and must match the oracle on each."""
     p = bb.ModelParams(T=T, N=2, q=1.0)
     spec = bb.resolve_policy(
-        bb.PolicySpec(kind=policy_kind, a_s=a_s, a_d=a_d, latched=latched), p)
+        bb.PolicySpec(kind=policy_kind, a_s=a_s, a_d=a_d, latched=latched), p,
+        "theory")
     paths = [injected([(bits >> i) & 1 for i in range(T)], True)
              for bits in range(2 ** T)]
     out = be.lockstep(spec, 2, 1.0, oracle.stack_arrivals(paths, spec))
@@ -895,7 +899,8 @@ def test_enumeration_matches_monte_carlo_for_adaptive_policies():
     for kind, kwargs in ((bb.STATIC, {"a_s": 0.5}),
                          (bb.DYNAMIC, {"a_d": 0.2})):
         exact_gap, exact_flex = enumerate_paths(kind, T, **kwargs)
-        spec = bb.resolve_policy(bb.PolicySpec(kind=kind, **kwargs), p)
+        spec = bb.resolve_policy(bb.PolicySpec(kind=kind, **kwargs), p,
+                                 "theory")
         batch = be.run_many(spec, p, 4000, 0, "enum-check", kind)
         se = batch.final_gap.std(ddof=1) / math.sqrt(len(batch.final_gap))
         assert abs(batch.final_gap.mean() - exact_gap) < 4 * se + 1e-9
@@ -1240,7 +1245,8 @@ def test_segment_searches_memory_bounded_at_wide_sizes(spec, stop):
      "run = lambda seed: be.run_policies(specs, p, 100, seed, 'heap')"],
     ["from endgame import opaque",
      "p = opaque.InventoryParams(N=5, S=800, q=0.1)",
-     "specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=k), p)",
+     "specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=k), p,",
+     "                                      'numerics')",
      "         for k in bb.POLICY_KINDS]",
      "run = lambda seed: opaque.simulate_policies(specs, p, 300, seed,",
      "                                            'heap')"]],
@@ -1362,8 +1368,8 @@ def test_benchmark_trace_points_see_every_draw(monkeypatch):
     key_calls.clear()
     rows.clear()
     inv = opaque.InventoryParams(N=3, S=6, q=0.5)
-    opaque.simulate_cycles(opaque.resolve_opaque_policy(spec, inv), inv, 65,
-                           0, "trace")
+    opaque.simulate_cycles(opaque.resolve_opaque_policy(spec, inv, "numerics"),
+                           inv, 65, 0, "trace")
     assert calls == {"run_many": 1, "draw_arrival_arrays": 3,
                      "simulate_cycles": 1, "draw_raw_arrays": 2}
     assert key_calls == static_categories

@@ -2,6 +2,7 @@
 tool workload runs, and one whole run per kind of workload at its tiny
 size."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -238,3 +239,8 @@ def test_script_end_to_end_at_tiny_size(tmp_path, workload):
     assert summary["failed"] == {"parent": 0, "change": 0}
     assert summary["digests_match"]
     assert summary["metrics"]["cpu_s"]["better"] == "lower"
+    if workload == "horizon":  # which worker code ran, at what size
+        worker = (TOOLS_DIR / "horizon_ab.py").read_bytes()
+        assert result["horizon"] == {
+            "worker_sha256": hashlib.sha256(worker).hexdigest(),
+            "T": 50_000, "reps": 4}

@@ -369,7 +369,7 @@ def test_parcel_pipeline(capsys, tmp_path):
     short.write_text("".join(lines[:-1]))
     code, _, err = run_cli(capsys, "parcel", "cluster", "--corpus",
                            str(short), "--epsilon", "0.5", "--seed", "0")
-    assert code == 1
+    assert code == 2
     assert (f"minimal feasible epsilon is "
             f"{clustering.min_feasible_epsilon(299, 3)}" in err)
 
@@ -389,6 +389,42 @@ def test_missing_corpus_exits_1(capsys):
     code, _, err = run_cli(capsys, "parcel", "run", "--corpus",
                            "/nonexistent/corpus.txt", "--policy", "no_flex")
     assert code == 1
+
+
+# per command, its argv with DIR where a file path goes; DIR is a directory
+DIRECTORY_ARGV = {
+    "bins-sweep-config": ["bins", "sweep", "--config", "DIR"],
+    "parcel-run-corpus": ["parcel", "run", "--corpus", "DIR", "--policy",
+                          "no_flex"],
+    "parcel-run-tables": ["parcel", "run", "--corpus", "CORPUS", "--tables",
+                          "DIR", "--policy", "no_flex"],
+    "report-raw": ["report", "--raw", "DIR", "--out", "OUT"],
+    "report-out": ["report", "--raw", "RAW", "--out", "DIR"],
+    "parcel-gen-corpus-out": ["parcel", "gen-corpus", "--out", "DIR",
+                              "--zones", "2", "--pool-size", "100",
+                              "--epsilon", "10"],
+    "parcel-estimate-tables-out": ["parcel", "estimate-tables", "--corpus",
+                                   "CORPUS", "--out", "DIR", "--reps", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(DIRECTORY_ARGV.values()),
+                         ids=list(DIRECTORY_ARGV))
+def test_directory_as_a_file_path_exits_2_naming_it(capsys, tmp_path,
+                                                    small_corpus, argv):
+    """A directory where a command reads or writes a file is refused like
+    any other bad input: exit 2, the path named, no traceback."""
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    raw = tmp_path / "raw.csv"
+    raw.write_text("schema_version,policy,T,rep,final_gap\n"
+                   "1,no_flex,50,0,1.5\n")
+    paths = {"DIR": str(directory), "CORPUS": str(small_corpus),
+             "RAW": str(raw), "OUT": str(tmp_path / "report.csv")}
+    code, out, err = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 2, err
+    assert str(directory) in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_report_without_policy_column_exits_2(capsys, tmp_path):

@@ -38,7 +38,8 @@ def test_never_flex_two_by_two_enumeration():
     # cycle ends at 2 when both sales hit one product, else at 3
     assert _never_flex_expected_R(2, 2) == 2.5
     p = opaque.InventoryParams(N=2, S=2, q=0.5)
-    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.NO_FLEX), p)
+    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.NO_FLEX), p,
+                                        "numerics")
     R, D = opaque.simulate_cycles(spec, p, 4000, 0, "oracle22")
     se = R.std(ddof=1) / math.sqrt(len(R))
     assert abs(R.mean() - 2.5) < 4 * se
@@ -49,7 +50,8 @@ def test_always_flex_full_flex_set_maximal_cycles():
     # N=2, q=1: the flex set is both products, so sales alternate onto the
     # most-stocked product and the cycle always hits the horizon bound
     p = opaque.InventoryParams(N=2, S=6, q=1.0)
-    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.ALWAYS_FLEX), p)
+    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.ALWAYS_FLEX),
+                                        p, "numerics")
     R, D = opaque.simulate_cycles(spec, p, 50, 0, "maximal")
     assert np.all(R == p.horizon)
     assert np.all(D == p.horizon)
@@ -58,7 +60,8 @@ def test_always_flex_full_flex_set_maximal_cycles():
 def test_cycle_length_bounds():
     p = opaque.InventoryParams(N=4, S=5, q=0.3)
     for kind in bb.POLICY_KINDS:
-        spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
+        spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p,
+                                            "numerics")
         R, D = opaque.simulate_cycles(spec, p, 200, 0, "bounds", kind)
         assert np.all(R >= p.S)
         assert np.all(R <= p.horizon)
@@ -155,7 +158,8 @@ def test_depletion_matches_coupled_ball_run():
     # the cycle is a ball run on depletion counts, stopped at first depletion
     p = opaque.InventoryParams(N=3, S=8, q=0.6)
     for kind in bb.POLICY_KINDS:
-        spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
+        spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p,
+                                            "numerics")
         arr = oracle.draw(5, p.N, p.q, p.horizon, "couple", kind)
         cycle = oracle.run(spec, p.N, p.q, arr, stop=p.S)
         balls = oracle.run(spec, p.N, p.q, arr)
@@ -171,7 +175,8 @@ def test_depletion_matches_coupled_ball_run():
 def test_simulate_cycles_matches_oracle(N, S, q):
     p = opaque.InventoryParams(N=N, S=S, q=q)
     for kind in bb.POLICY_KINDS:
-        spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
+        spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p,
+                                            "numerics")
         assert spec.latched == (kind == bb.DYNAMIC)
         R, D = opaque.simulate_cycles(spec, p, 8, 11, "oracle", kind)
         for c in range(8):
@@ -186,7 +191,8 @@ def test_simulate_policies_equals_simulate_cycles(monkeypatch, block_rows):
     p = opaque.InventoryParams(N=4, S=15, q=0.3)
     # blocks of one tile at block_rows 3
     cycles = 2 * bb.tile_rows(p.horizon) + 1
-    specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p)
+    specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), p,
+                                          "numerics")
              for kind in bb.POLICY_KINDS]
     together = opaque.simulate_policies(specs, p, cycles, 8, "shared")
     assert len(together) == len(specs)
@@ -198,7 +204,8 @@ def test_simulate_policies_equals_simulate_cycles(monkeypatch, block_rows):
 
 def test_renewal_consistency_pooled_moments():
     p = opaque.eoq_params(5, 20, 0.1, "delta_const")
-    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p)
+    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p,
+                                        "numerics")
     R, D = opaque.simulate_cycles(spec, p, 60, 0, "renewal")
     row = opaque.long_run_cost(R, D, p)
     er, er2, ed = R.mean(), (R.astype(float) ** 2).mean(), D.mean()
@@ -214,7 +221,8 @@ def test_renewal_consistency_pooled_moments():
 
 def test_simulate_cycles_independent_of_batching():
     p = opaque.InventoryParams(N=3, S=10, q=0.4)
-    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p)
+    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p,
+                                        "numerics")
     R1, D1 = opaque.simulate_cycles(spec, p, 7, 3, "batching")
     R2 = np.concatenate([
         opaque.simulate_cycles(spec, p, 1, 3, "batching")[0],
@@ -311,7 +319,8 @@ def test_dynamic_cycles_search_their_triggers_in_little_memory():
     time: 300 numerics dynamic cycles at N=5, q=0.1, S=200 peak under
     8 MB (about 14 MB when every open segment is stepped at once)."""
     p = opaque.InventoryParams(N=5, S=200, q=0.1)
-    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p)
+    spec = opaque.resolve_opaque_policy(bb.PolicySpec(kind=bb.DYNAMIC), p,
+                                        "numerics")
     # the first run, untraced, takes the one-time set-up
     opaque.simulate_policies([spec], p, 300, 1, "memory")
     tracemalloc.start()
@@ -339,7 +348,8 @@ def test_dynamic_beats_static_on_paired_cycles():
     estimate is therefore the pooled difference."""
     from endgame.harness.config import arrival_path
     inv = opaque.InventoryParams(N=5, S=800, q=0.1)
-    specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), inv)
+    specs = [opaque.resolve_opaque_policy(bb.PolicySpec(kind=kind), inv,
+                                          "numerics")
              for kind in (bb.STATIC, bb.DYNAMIC)]
     static, dynamic = opaque.simulate_policies(
         specs, inv, 4000, 0, *arrival_path("opaque", inv))

@@ -22,7 +22,9 @@ takes seconds) goes to every run.  Both revisions are exported with
 
 A tool worker imports ``endgame`` from its side's ``src/`` only.  The
 record is ``{"parent": {rev, sha}, "change": {rev, sha}, "seconds",
-"size", "machine", "summary", "runs"}``, a run ``{"workload", "seed",
+"size", "machine", "summary", "runs"}``, with ``horizon`` also
+``"horizon": {"worker_sha256", "T", "reps"}``, the sha256 of the
+worker script that ran and its size; a run ``{"workload", "seed",
 "side", "metrics", "digests", "failed", "attempted", "correct"}`` (a tool
 run is one operation), and every run's metrics hold ``cpu_s``, the CPU
 seconds of its process tree, which unlike wall time leave out waiting for
@@ -281,6 +283,10 @@ def main(argv=None) -> int:
               "machine": machine(),
               "summary": summarize(runs, metric_directions()),
               "runs": runs}
+    if "horizon" in args.workload:
+        from horizon_ab import SIZES  # this driver's copy, beside it
+        result["horizon"] = {"worker_sha256": hashlib.sha256(
+            HORIZON_WORKER.read_bytes()).hexdigest(), **SIZES[args.size]}
     pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
