@@ -9,10 +9,10 @@ Subcommands::
 
 ``run`` subcommands execute replication 0 of the matching ``sweep``
 cell through the same runner and print one row; ``sweep`` subcommands
-execute a replication matrix and write CSVs, built either from model
-flags or from a YAML config (--config), whose run settings (--seed,
---preset, --reps, --out, --parallel) flags override.  ``report``
-summarizes a raw CSV per cell.
+execute a replication matrix through the runner and write CSVs, from
+model flags or a YAML config (--config).  Every sweep takes --seed,
+--reps, --out, --parallel and (bins, opaque) --preset, which override a
+config's run settings.  ``report`` summarizes a raw CSV per cell.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import numpy as np
 
 from .. import balls_bins, opaque
 from ..streams import resolve_root_seed
-from .config import (DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ConfigError,
-                     ExperimentConfig, load_config)
+from .config import MODEL_DEFAULTS, ConfigError, ExperimentConfig, load_config
 from .plots import emit_plot_data
-from .runner import (RAW_METRICS, make_out_dir, model_params, run_experiment,
-                     run_group, write_csv, write_summary)
+from .runner import (RAW_METRICS, cost_rows, model_params, run_cells,
+                     run_experiment, run_group, write_csv, write_summary)
 
 BINS, OPAQUE = MODEL_DEFAULTS["bins"], MODEL_DEFAULTS["opaque"]
 
@@ -118,17 +117,16 @@ def _preset(args) -> str:
     return args.preset or balls_bins.PRESET_NUMERICS
 
 
-def _sweep_flags(p, run=True):
-    """--config and --out, and with ``run`` --reps and --parallel; a
-    sweep parser without one of these or --preset reads its default."""
+def _sweep_flags(p):
+    """--config, --out, --reps and --parallel; a sweep parser without
+    --preset reads its default."""
     p.add_argument("--config", help="YAML experiment config")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=cmd_sweep, reps=None, parallel=1, preset=None)
-    if run:
-        p.add_argument("--reps", type=_count, default=None,
-                       help="replications per cell")
-        p.add_argument("--parallel", type=_count, default=1,
-                       help="most worker processes")
+    p.add_argument("--reps", type=_count, default=None,
+                   help="replications per cell")
+    p.add_argument("--parallel", type=_count, default=1,
+                   help="most worker processes")
+    p.set_defaults(func=cmd_sweep, preset=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,10 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     osweep.add_argument("--S", help="S grid, e.g. 50:800:log8")
     osweep.add_argument("--N", type=int)
     osweep.add_argument("--q", type=float)
-    osweep.add_argument("--instances", type=_count)
     osweep.add_argument("--cycles", type=_count)
     _common_flags(osweep)
-    _sweep_flags(osweep, run=False)
+    _sweep_flags(osweep)
 
     parcel = sub.add_parser("parcel", help="parcel delivery model")
     parcel.set_defaults(func=cmd_parcel, preset=None)
@@ -265,8 +262,7 @@ def cmd_opaque_run(args) -> int:
 SWEEP_FLAGS = {
     "bins": {"policy": None, "T": None, **BINS},
     "opaque": {"regime": None, "S": None, "N": OPAQUE["N"],
-               "q": OPAQUE["q"], "instances": DEFAULT_REPLICATIONS["opaque"],
-               "cycles": OPAQUE["cycles_per_instance"]},
+               "q": OPAQUE["q"], "cycles": OPAQUE["cycles_per_instance"]},
     "parcel": {"corpus": None, "policy": None, "tables": ""},
 }
 
@@ -291,39 +287,54 @@ def cmd_sweep(args) -> int:
                              f"{' and '.join(missing)}")
         flags = {name: default if getattr(args, name) is None
                  else getattr(args, name) for name, default in table.items()}
-        if args.command == "opaque":
-            return _regime_table(args, flags)
         if args.command == "bins":
             params = {"N": flags["N"], "q": flags["q"]}
             sweep = {"T": parse_grid(flags["T"])}
+        elif args.command == "opaque":
+            params = dict(N=flags["N"], q=flags["q"], regime=flags["regime"],
+                          cycles_per_instance=flags["cycles"])
+            sweep = {"S": parse_grid(flags["S"])}
+            if sweep["S"] != sorted(set(sweep["S"])):
+                raise ConfigError("sweep.S: values must be ascending, each "
+                                  "once")
         else:
             params = {"corpus": flags["corpus"]}
             if flags["tables"]:
                 params["tables"] = flags["tables"]
             sweep = {}
         cfg = ExperimentConfig(
-            model=args.command, policies=flags["policy"], params=params,
-            sweep=sweep, preset=args.preset, replications=args.reps,
-            seed=args.seed, out_dir=args.out or "results")
+            model=args.command, params=params, sweep=sweep,
+            # the regime table runs every policy
+            policies=flags.get("policy", balls_bins.POLICY_KINDS),
+            preset=args.preset, replications=args.reps, seed=args.seed,
+            out_dir=args.out or "results")
+        if args.command == "opaque":
+            return _regime_table(cfg, args.parallel)
     raw, summary = run_experiment(cfg, parallel=args.parallel)
     print(raw)
     print(summary)
     return 0
 
 
-def _regime_table(args, flags) -> int:
-    """The loss-vs-S table of one opaque regime, with its plot data."""
-    rows = opaque.regime_sweep(
-        flags["regime"], parse_grid(flags["S"]), N=flags["N"], q=flags["q"],
-        instances=flags["instances"], cycles_per_instance=flags["cycles"],
-        root_seed=resolve_root_seed(args.seed), preset=_preset(args))
-    out = args.out or "results"
-    make_out_dir(out)
-    path = os.path.join(out, f"opaque_{flags['regime']}.csv")
-    write_csv(path, list(rows[0]), rows)
-    emit_plot_data(rows, {"kind": "loss_vs_S"}, out)
+def _regime_table(cfg: ExperimentConfig, parallel: int) -> int:
+    """The loss-vs-S table of one opaque regime, S by S, and its plots."""
+    rows = sorted(cost_rows(cfg, run_cells(cfg, parallel)),
+                  key=lambda row: row["S"])
+    path = os.path.join(cfg.out_dir, f"opaque_{cfg.params['regime']}.csv")
+    write_csv(path, ("regime", "S", "policy", "cost", "lower_bound", "loss",
+                     "se", "mean_R", "mean_D"), rows)
+    emit_plot_data(rows, {"kind": "loss_vs_S"}, cfg.out_dir)
     print(path)
     return 0
+
+
+def _check_out_file(path: str) -> None:
+    """Refuse an output file ``path`` that is a directory, or whose
+    directory does not exist, with a ValueError naming it."""
+    if os.path.isdir(path):
+        raise ValueError(f"{path}: Is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{path}: its directory does not exist")
 
 
 def cmd_parcel(args) -> int:
@@ -331,6 +342,8 @@ def cmd_parcel(args) -> int:
     from ..parcel import simulate as psim
     from ..parcel import tables as ptables
 
+    if args.subcommand in ("gen-corpus", "estimate-tables"):
+        _check_out_file(args.out)
     if args.subcommand == "gen-corpus":
         # each geometry flag's dest is a GeometrySpec field; a flag not
         # given keeps its field's default
@@ -377,6 +390,7 @@ def cmd_parcel(args) -> int:
 def cmd_report(args) -> int:
     """Summarize a raw CSV per cell: its metrics are the columns named in
     ``RAW_METRICS``, a cell every other but schema_version, rep, cycle."""
+    _check_out_file(args.out)
     with open(args.raw, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)

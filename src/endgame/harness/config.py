@@ -65,7 +65,7 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
     preset: str | None = None  # bins and opaque: None runs numerics
-    replications: int | None = None
+    replications: int | None = None  # None: the model's DEFAULT_REPLICATIONS
     seed: int | None = None
     out_dir: str = "results"
 
@@ -97,6 +97,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 isinstance(value, numbers.Integral)
                 and not isinstance(value, bool) and value >= low):
             raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+    if cfg.replications is None:
+        cfg.replications = DEFAULT_REPLICATIONS[cfg.model]
     if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
         raise ConfigError(f"out_dir: expected a directory name, "
                           f"got {cfg.out_dir!r}")

@@ -3,7 +3,6 @@ matplotlib script that renders whatever data files sit next to it."""
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 _PLOT_SCRIPT = """\
@@ -61,14 +60,14 @@ def _write_curve(path, header_cols, rows) -> None:
 
 
 def emit_plot_data(rows, figure_spec: dict, out_dir) -> list:
-    """Write one data file per curve for a figure spec, plus plot.py.
+    """Write one data file per curve of a figure spec, plus plot.py, into
+    the existing directory ``out_dir``.
 
     Supported specs:
 
     * ``{"kind": "loss_vs_S"}``: ``rows`` from an opaque regime sweep
       (dicts with policy, S, loss, se); one curve per policy.
     """
-    os.makedirs(out_dir, exist_ok=True)
     kind = figure_spec.get("kind")
     written = []
     if kind == "loss_vs_S":

@@ -21,8 +21,7 @@ import numpy as np
 
 from .. import balls_bins, bins_engine, opaque
 from ..streams import resolve_root_seed
-from .config import (DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ExperimentConfig,
-                     arrival_path)
+from .config import MODEL_DEFAULTS, ExperimentConfig, arrival_path
 from .stats import summarize
 
 SCHEMA_VERSION = 1
@@ -178,18 +177,13 @@ def make_out_dir(path) -> None:
             from None
 
 
-def run_experiment(config: ExperimentConfig, parallel: int = 1):
-    """Run the full sweep x replication matrix and write raw and summary
-    CSVs (opaque: and ``opaque_cost.csv``, each cell's
-    :func:`~endgame.opaque.long_run_cost` row over its replications as
-    batches), on at most ``parallel`` worker processes and never more
-    than one per job.  Returns (raw_path, summary_path)."""
+def run_cells(config: ExperimentConfig, parallel: int = 1) -> list:
+    """Run the sweep x replication matrix, once every cell is checked and
+    the output directory made, on at most ``parallel`` worker processes
+    (one per job at most); returns each cell's raw rows, in cell order."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     root_seed = resolve_root_seed(config.seed)
-    reps = (config.replications if config.replications is not None
-            else DEFAULT_REPLICATIONS[config.model])
-
     cells = expand_cells(config)
     groups = {}  # group key -> indices into cells, in first-seen order
     for i, (_, params) in enumerate(cells):
@@ -198,10 +192,10 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
         else:
             key = (arrival_path(config.model,
                                 model_params(config.model, params)),
-                   _rows(config.model, params, reps))
+                   _rows(config.model, params, config.replications))
         groups.setdefault(key, []).append(i)
-    jobs = [(config.model, [cells[i] for i in members], reps, root_seed,
-             config.preset or balls_bins.PRESET_NUMERICS)
+    jobs = [(config.model, [cells[i] for i in members], config.replications,
+             root_seed, config.preset or balls_bins.PRESET_NUMERICS)
             for members in groups.values()]
     # every bins and opaque cell's parameters are checked by now
     make_out_dir(config.out_dir)
@@ -219,7 +213,26 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
     for members, outs in zip(groups.values(), per_group):
         for i, rows in zip(members, outs):
             per_cell[i] = rows
+    return per_cell
 
+
+def cost_rows(config: ExperimentConfig, per_cell) -> list[dict]:
+    """Each opaque cell's ``policy`` and params, then its
+    :func:`~endgame.opaque.long_run_cost` row over its replications as
+    batches, from :func:`run_cells`' raw rows."""
+    return [{"policy": policy["kind"], **params, **opaque.long_run_cost(
+                *(np.array([row[name] for row in rows])
+                  for name in ("R", "D")),
+                model_params("opaque", params), config.replications)}
+            for (policy, params), rows in zip(expand_cells(config),
+                                              per_cell)]
+
+
+def run_experiment(config: ExperimentConfig, parallel: int = 1):
+    """:func:`run_cells`, then write raw and summary CSVs (opaque: and
+    ``opaque_cost.csv``, the :func:`cost_rows`).  Returns (raw_path,
+    summary_path)."""
+    per_cell = run_cells(config, parallel)
     raw_rows = [row for rows in per_cell for row in rows]
     out = pathlib.Path(config.out_dir)
     raw_path = out / f"{config.model}_raw.csv"
@@ -228,13 +241,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
     write_summary(summary_path, raw_rows, ["policy"] + list(config.sweep),
                   RAW_METRICS[config.model])
     if config.model == "opaque":
-        costs = []
-        for (policy, params), rows in zip(cells, per_cell):
-            R, D = (np.array([row[name] for row in rows])
-                    for name in ("R", "D"))
-            costs.append({"policy": policy["kind"], **params,
-                          **opaque.long_run_cost(
-                              R, D, model_params("opaque", params), reps)})
+        costs = cost_rows(config, per_cell)
         write_csv(out / "opaque_cost.csv", list(costs[0]), costs)
     return raw_path, summary_path
 

@@ -13,6 +13,7 @@ from endgame.harness import cli, runner
 from endgame.parcel import clustering
 from endgame.parcel import corpus as pcorpus
 from endgame.parcel import simulate as psim
+from endgame.parcel import tables as ptables
 
 
 def run_cli(capsys, *argv):
@@ -137,7 +138,7 @@ def test_opaque_run_and_sweep(capsys, tmp_path):
     assert float(fields["cost"]) >= float(fields["lower_bound"]) - 0.05
     code, out, _ = run_cli(capsys, "opaque", "sweep", "--regime",
                            "delta_zero", "--S", "5,10", "--N", "3",
-                           "--instances", "2", "--cycles", "2",
+                           "--reps", "2", "--cycles", "2",
                            "--seed", "0", "--out", str(tmp_path))
     assert code == 0
     assert (tmp_path / "opaque_delta_zero.csv").exists()
@@ -240,7 +241,7 @@ SWEEP_FLAG_CASES = {
     "bins": ([("--policy", "static"), ("--T", "50"), ("--N", "3"),
               ("--q", "0.5")], ["--policy", "--T"]),
     "opaque": ([("--regime", "delta_zero"), ("--S", "5,10"), ("--N", "3"),
-                ("--q", "0.2"), ("--instances", "2"), ("--cycles", "2")],
+                ("--q", "0.2"), ("--cycles", "2")],
                ["--regime", "--S"]),
     "parcel": ([("--corpus", "c.txt"), ("--policy", "no_flex"),
                 ("--tables", "t.txt")], ["--corpus", "--policy"]),
@@ -427,6 +428,47 @@ def test_directory_as_a_file_path_exits_2_naming_it(capsys, tmp_path,
     assert out == ""
 
 
+# per command that writes one file, its argv with OUT as that file
+OUT_FILE_ARGV = {
+    "report": ["report", "--raw", "RAW", "--out", "OUT"],
+    "parcel-gen-corpus": ["parcel", "gen-corpus", "--out", "OUT",
+                          "--zones", "2", "--pool-size", "100",
+                          "--epsilon", "10"],
+    "parcel-estimate-tables": ["parcel", "estimate-tables", "--corpus",
+                               "CORPUS", "--out", "OUT", "--reps", "1"],
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("argv", list(OUT_FILE_ARGV.values()),
+                         ids=list(OUT_FILE_ARGV))
+def test_bad_output_file_exits_2_before_any_work(capsys, tmp_path,
+                                                 small_corpus, monkeypatch,
+                                                 argv, where):
+    """An output file that is a directory, or whose directory does not
+    exist, exits 2 naming it, before any corpus, table or summary work."""
+    work = []
+    for module, name in ((pcorpus, "build_corpus"),
+                         (ptables, "estimate_flex_tables"),
+                         (cli, "write_summary")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw:
+                            work.append(name))
+    raw = tmp_path / "raw.csv"
+    raw.write_text("schema_version,policy,T,rep,final_gap\n"
+                   "1,no_flex,50,0,1.5\n")
+    out = tmp_path / "dir"
+    if where == "directory":
+        out.mkdir()
+    else:
+        out = out / "file.txt"
+    paths = {"OUT": str(out), "CORPUS": str(small_corpus), "RAW": str(raw)}
+    code, stdout, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2, err
+    assert str(out) in err and "Traceback" not in err
+    assert stdout == "" and work == []
+    assert out.is_dir() == (where == "directory")
+
+
 def test_report_without_policy_column_exits_2(capsys, tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text("schema_version,T,rep,final_gap\n1,50,0,1.5\n")
@@ -532,12 +574,10 @@ def test_report_without_data_rows_exits_2_naming_file(capsys, tmp_path):
 @pytest.mark.parametrize("argv,flag", [
     (("sweep", "--regime", "delta_zero", "--S", "5", "--cycles", "0",
       "--out", "{out}"), "--cycles"),
-    (("sweep", "--regime", "delta_zero", "--S", "5", "--instances", "0",
-      "--out", "{out}"), "--instances"),
     (("run", "--policy", "static", "--S", "5", "--cycles", "0"), "--cycles"),
     (("run", "--policy", "static", "--S", "5", "--cycles", "-3"),
      "--cycles")],
-    ids=["sweep-cycles", "sweep-instances", "run-cycles", "run-negative"])
+    ids=["sweep-cycles", "run-cycles", "run-negative"])
 def test_opaque_zero_counts_exit_2_naming_the_flag(capsys, tmp_path, argv,
                                                   flag):
     out = tmp_path / "out"
@@ -552,8 +592,9 @@ def test_opaque_zero_counts_exit_2_naming_the_flag(capsys, tmp_path, argv,
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ("bins", "sweep", "--policy", "no_flex", "--T", "10", "--reps", "1"),
+    ("opaque", "sweep", "--regime", "delta_zero", "--S", "5"),
     ("parcel", "sweep", "--corpus", "corpus.txt", "--policy", "no_flex")],
-    ids=["bins", "parcel"])
+    ids=["bins", "opaque", "parcel"])
 def test_sweep_parallel_below_one_exits_2_naming_the_flag(capsys, tmp_path,
                                                           argv, value):
     out = tmp_path / "out"
@@ -568,8 +609,9 @@ def test_sweep_parallel_below_one_exits_2_naming_the_flag(capsys, tmp_path,
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("argv", [
     ("bins", "sweep", "--policy", "no_flex", "--T", "10"),
+    ("opaque", "sweep", "--regime", "delta_zero", "--S", "5"),
     ("parcel", "sweep", "--corpus", "corpus.txt", "--policy", "no_flex")],
-    ids=["bins", "parcel"])
+    ids=["bins", "opaque", "parcel"])
 def test_sweep_reps_below_one_exits_2_naming_the_flag(capsys, tmp_path,
                                                       argv, value):
     out = tmp_path / "out"
@@ -692,6 +734,42 @@ def test_bins_run_takes_a_huge_finite_static_constant(capsys):
     code, out, _ = run_cli(capsys, "bins", "run", "--policy", "static",
                            "--T", "100", "--a-s", "1e308")
     assert code == 0 and "first_trigger=0" in out
+
+
+def test_regime_table_is_byte_identical_at_any_parallel(capsys, tmp_path):
+    """The regime table runs through the runner: every file it writes has
+    the same bytes at --parallel 1, 2 and 3, and a config sweep takes
+    --reps and --parallel next to --config."""
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    outs = []
+    for parallel in ("1", "2", "3"):
+        out = tmp_path / f"table{parallel}"
+        code, _, err = run_cli(capsys, "opaque", "sweep", "--regime",
+                               "delta_const", "--S", "5,12,30", "--N", "3",
+                               "--reps", "3", "--cycles", "4", "--seed", "8",
+                               "--parallel", parallel, "--out", str(out))
+        assert code == 0, err
+        outs.append(files(out))
+    assert len(outs[0]) == 7  # the table, five curves and plot.py
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def config_sweep(name, replications, *flags):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text("model: opaque\npolicies: [no_flex, dynamic]\n"
+                          "params: {N: 3, q: 0.2, cycles_per_instance: 2}\n"
+                          f"sweep: {{S: [5, 10]}}\nreplications: "
+                          f"{replications}\n")
+        code, _, err = run_cli(capsys, "opaque", "sweep", "--config",
+                               str(config), "--seed", "1", "--out",
+                               str(tmp_path / name), *flags)
+        assert code == 0, err
+        return files(tmp_path / name)
+
+    overridden = config_sweep("flags", 1, "--reps", "3", "--parallel", "2")
+    assert overridden == config_sweep("file", 3)
+    assert overridden != config_sweep("one", 1)
 
 
 @pytest.mark.parametrize("grid,message", [

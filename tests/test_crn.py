@@ -166,7 +166,7 @@ def test_opaque_run_and_sweeps_share_cycles(capsys, tmp_path):
     mean_r = float(dict(p.split("=", 1) for p in run.strip().split(","))
                    ["mean_R"])
     run_cli(capsys, "opaque", "sweep", "--regime", "delta_zero", "--S", 12,
-            "--instances", 2, "--cycles", 3, "--out", tmp_path / "table",
+            "--reps", 2, "--cycles", 3, "--out", tmp_path / "table",
             *common)
     table = read_rows(tmp_path / "table" / "opaque_delta_zero.csv")
     assert float(next(r["mean_R"] for r in table

@@ -119,7 +119,7 @@ def sweep(case, work):
         run("opaque", "sweep", "--config", config, "--out", work)
     elif case == "opaque_regime":
         run("opaque", "sweep", "--regime", "delta_const", "--S", "5,12",
-            "--N", 3, "--q", 0.3, "--instances", 2, "--cycles", 3,
+            "--N", 3, "--q", 0.3, "--reps", 2, "--cycles", 3,
             "--seed", 5, "--out", work)
     else:
         corpus = work / "corpus.txt"
