@@ -1,7 +1,9 @@
 """Default-zone construction: k-means centers followed by an exact
 balanced reassignment, which minimizes total package-to-center distance
 subject to every zone's package count being an integer within epsilon of
-L/N (successive shortest paths on the zone move graph).
+L/N (successive shortest paths on the zone move graph, each found by
+Bellman-Ford from a virtual source, with the graph's arcs updated
+incrementally after each move).
 """
 
 from __future__ import annotations
@@ -118,11 +120,22 @@ def balanced_assign(points, centers, epsilon: float):
 
     A min-cost flow whose residual graph, condensed to the N zones, has
     the arc a -> b of cost W[a, b], the cheapest move of one package of
-    zone a to zone b.  From the nearest-center assignment (optimal for its
-    own counts), each step moves one package along every arc of a
-    cheapest zone path, which keeps all zone cycles nonnegative, until no
-    path of negative cost leads from a zone above its lower count bound
-    to one below its upper bound: the flow's optimality condition.
+    zone a to zone b, made by package mover[a, b] (the smaller index on a
+    tie).  From the nearest-center assignment (optimal for its own
+    counts), each step moves one package along every arc of a cheapest
+    zone path, which keeps all zone cycles nonnegative, until no path of
+    negative cost leads from a zone above its lower count bound to one
+    below its upper bound: the flow's optimality condition.
+
+    A step finds its path by Bellman-Ford from a virtual source with an
+    arc to every zone above the lower bound, of cost -bonus out of a zone
+    above the upper bound and 0 otherwise; the path ends at the zone
+    below the upper bound whose distance, less the bonus again if the
+    zone is below the lower bound, is least.  A distance changes only on
+    a gain over 1e-12, so rounding-size cycles never enter a path.  After
+    each move W and mover are updated, not rebuilt: the zone that gains
+    package j takes the entries j beats, and the zone that loses j
+    rescans only the columns j attained.
 
     Returns (assignment, objective) where assignment[j] is the zone of
     package j and the objective is the summed assigned distance.
@@ -134,55 +147,73 @@ def balanced_assign(points, centers, epsilon: float):
     if epsilon < eps_min:
         raise EpsilonInfeasibleError(epsilon, eps_min)
     lo, hi = count_bounds(L, N, epsilon)
-    diff = points[:, None, :] - centers[None, :, :]
-    cost = np.hypot(diff[..., 0], diff[..., 1])  # (L, N)
-    assignment = cost.argmin(axis=1)
+    # cost[a, j], package j's distance to center a
+    cost = centers[:, 0, None] - points[:, 0]
+    np.hypot(cost, centers[:, 1, None] - points[:, 1], out=cost)
+    assignment = cost.argmin(axis=0)
     counts = np.bincount(assignment, minlength=N)
     W = np.full((N, N), np.inf)
     mover = np.zeros((N, N), dtype=np.int64)  # the package moved a -> b
-
-    def refresh(a):
+    zones = np.arange(N)
+    for a in range(N):
         members = np.flatnonzero(assignment == a)
-        W[a] = np.inf
         if len(members):
-            delta = cost[members] - cost[members, a, None]
-            best = delta.argmin(axis=0)
-            W[a], mover[a] = delta[best, np.arange(N)], members[best]
+            delta = cost[:, members] - cost[a, members]
+            best = delta.argmin(axis=1)
+            W[a], mover[a] = delta[zones, best], members[best]
+    np.fill_diagonal(W, np.inf)
+
+    def arrive(j, b):
+        # zone b gained package j: the entries j beats
+        delta = cost[:, j] - cost[b, j]
+        take = (delta < W[b]) | ((delta == W[b]) & (j < mover[b]))
+        W[b, take], mover[b, take] = delta[take], j
+        W[b, b] = np.inf
+
+    def leave(j, a):
+        # zone a lost package j: a rescan of the columns j attained
+        cols = np.flatnonzero(mover[a] == j)
+        members = np.flatnonzero(assignment == a)
+        if len(members):
+            delta = cost[np.ix_(cols, members)] - cost[a, members]
+            best = delta.argmin(axis=1)
+            W[a, cols] = delta[np.arange(len(cols)), best]
+            mover[a, cols] = members[best]
+        else:
+            W[a, cols] = np.inf
         W[a, a] = np.inf
 
-    for a in range(N):
-        refresh(a)
     # a path out of a zone above hi or into one below lo beats any other
     bonus = 1.0 + 2.0 * N * float(np.ptp(cost))
-    open_pair = ~np.eye(N, dtype=bool)
     for _ in range(L * N + 1):
-        # Floyd-Warshall: D[a, b] the cheapest path cost (a cycle on the
-        # diagonal), hop[a, b] its first step; only a gain over 1e-12
-        # replaces a path, so rounding-size cycles never enter one
-        D, hop = W.copy(), np.tile(np.arange(N), (N, 1))
-        for k in range(N):
-            via = D[:, k, None] + D[k]
-            better = via < D - 1e-12
-            D = np.where(better, via, D)
-            hop = np.where(better, hop[:, k, None], hop)
-        assert D.diagonal().min() >= -1e-9, "negative zone cycle"
-        total = np.where(
-            (counts > lo)[:, None] & (counts < hi)[None, :] & open_pair,
-            D - bonus * ((counts > hi)[:, None] + (counts < lo)[None, :]),
-            np.inf)
-        s, t = np.unravel_index(total.argmin(), total.shape)
-        if total[s, t] >= -1e-12:
-            return assignment, float(cost[np.arange(L), assignment].sum())
-        path = [s]
-        while path[-1] != t:
-            path.append(hop[path[-1], t])
+        dist = np.where(counts > lo, -bonus * (counts > hi), np.inf)
+        pred = np.full(N, -1)  # -1 on a path's first zone
+        for _ in range(N):
+            via = dist[:, None] + W
+            prev = via.argmin(axis=0)
+            best = via[prev, zones]
+            better = best < dist - 1e-12
+            if not better.any():
+                break
+            dist[better], pred[better] = best[better], prev[better]
+        else:
+            raise AssertionError("negative zone cycle")
+        total = np.where(counts < hi, dist - bonus * (counts < lo), np.inf)
+        t = int(total.argmin())
+        if total[t] >= -1e-12:
+            return assignment, float(cost[assignment, np.arange(L)].sum())
+        path = [t]
+        while pred[path[-1]] >= 0:
+            path.append(pred[path[-1]])
             assert len(path) <= N, "negative zone cycle"
-        for a, b in zip(path, path[1:]):
-            assignment[mover[a, b]] = b
-        counts[s] -= 1
+        path.reverse()
+        moved = mover[path[:-1], path[1:]]
+        for j, a, b in zip(moved, path, path[1:]):
+            assignment[j] = b
+            arrive(j, b)
+            leave(j, a)
+        counts[path[0]] -= 1
         counts[t] += 1
-        for a in path:
-            refresh(a)
     raise RuntimeError(f"balanced assignment took over {L * N} steps")
 
 

@@ -125,9 +125,9 @@ def save_corpus(corpus: Corpus, path) -> None:
     for j, (cx, cy) in enumerate(corpus.centers):
         buf.write(f"# center {j} {float(cx)!r} {float(cy)!r}\n")
     buf.write("# columns x_km y_km unload_hours default_zone\n")
-    for (x, y), u, z in zip(corpus.points, corpus.unload,
-                            corpus.default_zone):
-        buf.write(f"{float(x)!r} {float(y)!r} {float(u)!r} {int(z)}\n")
+    buf.writelines(f"{x!r} {y!r} {u!r} {z}\n" for (x, y), u, z in zip(
+        corpus.points.tolist(), corpus.unload.tolist(),
+        corpus.default_zone.tolist()))
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 
@@ -165,11 +165,15 @@ def _finite_pair(text: str) -> np.ndarray:
 
 def load_corpus(path) -> Corpus:
     """Read a corpus file; malformed content raises ValueError naming the
-    file and, for a package or center line, the line."""
+    file and, for a package or center line, the line.
+
+    It holds no per-package Python objects: package lines are parsed a
+    block of lines at a time into a float64 array of rows (x, y, unload,
+    zone), their line numbers into an integer array."""
     header = {}
     centers = {}
-    rows = []
-    linenos = []  # of the package lines
+    blocks, block_linenos = [], []
+    values, linenos = [], []  # of the package lines of the current block
     for lineno, line in enumerate(read_lines(path), 1):
         if not line:
             continue
@@ -187,11 +191,18 @@ def load_corpus(path) -> Corpus:
                     header[key] = rest
                 continue
             x, y, u, z = line.split()
-            rows.append((float(x), float(y), float(u), int(z)))
-            linenos.append(lineno)
-        except ValueError:
+            values += float(x), float(y), float(u), float(int(z))
+        except (ValueError, OverflowError):  # a zone beyond any float
             raise ValueError(
                 f"{path}: malformed line {lineno}: {line!r}") from None
+        linenos.append(lineno)
+        if len(linenos) == 4096:
+            blocks.append(np.array(values))
+            block_linenos.append(np.array(linenos, dtype=np.int64))
+            values, linenos = [], []
+    blocks.append(np.array(values))
+    block_linenos.append(np.array(linenos, dtype=np.int64))
+    del values, linenos
     if header.get("format") != CORPUS_FORMAT:
         raise ValueError(f"{path}: unrecognized corpus format tag "
                          f"{header.get('format')!r}")
@@ -203,10 +214,12 @@ def load_corpus(path) -> Corpus:
     for j in range(n):
         if j not in centers:
             raise ValueError(f"{path}: missing '# center {j}' line")
-    if not rows:
+    data = np.concatenate(blocks).reshape(-1, 4)
+    del blocks
+    if not len(data):
         raise ValueError(f"{path}: no package lines")
     center_arr = np.array([centers[j] for j in range(n)])
-    data = np.array(rows)
+    linenos = np.concatenate(block_linenos)
     bad = np.flatnonzero(~(np.isfinite(data[:, :3]).all(axis=1)
                            & (data[:, 2] >= 0)))
     if bad.size:

@@ -15,8 +15,9 @@ stops, ``coords``, as ``run_day`` does.
 ``greedy_repair_assign`` (greedy balanced zoning) are the baselines the
 parcel heuristics are checked against; ``lp_balanced_assign`` solves
 balanced zoning as the transportation LP it is, the reference for
-``endgame.parcel.clustering.balanced_assign``, and ``zone_move_gap``
-certifies a balanced zoning optimal.  ``flex_set_of`` and
+``endgame.parcel.clustering.balanced_assign``,
+``floyd_warshall_balanced_assign`` is its all-pairs path search, and
+``zone_move_gap`` certifies a balanced zoning optimal.  ``flex_set_of`` and
 ``radius_flex_set`` give one package's flex set, the rows of
 ``endgame.parcel.simulate.flex_mask``;
 ``estimate_flex_tables`` is the package-at-a-time reference for the
@@ -456,6 +457,64 @@ def zone_move_gap(points, centers, assignment, lo: int, hi: int) -> float:
     return float(min(np.diagonal(W).min(),
                      paths[np.ix_(counts > lo, counts < hi)].min(
                          initial=np.inf)))
+
+
+def floyd_warshall_balanced_assign(points, centers, epsilon: float):
+    """The successive-shortest-path solver of
+    ``clustering.balanced_assign`` with an all-pairs path search: each
+    step refreshes every row of the zone move matrix W a path touched
+    and runs Floyd-Warshall with first hops over W, then moves one
+    package along the pair (s, t), s != t, of least path cost plus
+    bonus.  Returns (assignment, objective)."""
+    cost = _cost_matrix(points, centers)
+    L, N = cost.shape
+    lo, hi = clustering.count_bounds(L, N, epsilon)
+    assignment = cost.argmin(axis=1)
+    counts = np.bincount(assignment, minlength=N)
+    W = np.full((N, N), np.inf)
+    mover = np.zeros((N, N), dtype=np.int64)  # the package moved a -> b
+
+    def refresh(a):
+        members = np.flatnonzero(assignment == a)
+        W[a] = np.inf
+        if len(members):
+            delta = cost[members] - cost[members, a, None]
+            best = delta.argmin(axis=0)
+            W[a], mover[a] = delta[best, np.arange(N)], members[best]
+        W[a, a] = np.inf
+
+    for a in range(N):
+        refresh(a)
+    bonus = 1.0 + 2.0 * N * float(np.ptp(cost))
+    open_pair = ~np.eye(N, dtype=bool)
+    for _ in range(L * N + 1):
+        # D[a, b] the cheapest path cost (a cycle on the diagonal),
+        # hop[a, b] its first step; only a gain over 1e-12 replaces a path
+        D, hop = W.copy(), np.tile(np.arange(N), (N, 1))
+        for k in range(N):
+            via = D[:, k, None] + D[k]
+            better = via < D - 1e-12
+            D = np.where(better, via, D)
+            hop = np.where(better, hop[:, k, None], hop)
+        assert D.diagonal().min() >= -1e-9, "negative zone cycle"
+        total = np.where(
+            (counts > lo)[:, None] & (counts < hi)[None, :] & open_pair,
+            D - bonus * ((counts > hi)[:, None] + (counts < lo)[None, :]),
+            np.inf)
+        s, t = np.unravel_index(total.argmin(), total.shape)
+        if total[s, t] >= -1e-12:
+            return assignment, float(cost[np.arange(L), assignment].sum())
+        path = [s]
+        while path[-1] != t:
+            path.append(hop[path[-1], t])
+            assert len(path) <= N, "negative zone cycle"
+        for a, b in zip(path, path[1:]):
+            assignment[mover[a, b]] = b
+        counts[s] -= 1
+        counts[t] += 1
+        for a in path:
+            refresh(a)
+    raise RuntimeError(f"balanced assignment took over {L * N} steps")
 
 
 def flex_set_of(pkg_xy, centers, default_zone: int,

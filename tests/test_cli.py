@@ -1036,19 +1036,50 @@ def test_cli_and_runner_load_no_process_pool_or_yaml(tmp_path):
     assert out.split("\n")[:2] == ["[]", "0.1"]
 
 
-@pytest.mark.parametrize("zone", [5, -1])
-def test_corpus_zone_out_of_range_exits_2(capsys, tmp_path, small_corpus,
-                                          zone):
+def _corpus_lines(small_corpus, line):
+    """The lines of ``small_corpus``, its package lines repeated until
+    there are ``line`` lines or more, and the index of line ``line``, or
+    of the last line when ``line`` is None.  Line 5,000 lies past the
+    loader's first block of package lines."""
     lines = small_corpus.read_text().splitlines(True)
-    x, y, u, _ = lines[-1].split()
-    lines[-1] = f"{x} {y} {u} {zone}\n"
+    packages = [text for text in lines if not text.startswith("#")]
+    while line is not None and len(lines) < line:
+        lines += packages
+    return lines, len(lines) - 1 if line is None else line - 1
+
+
+@pytest.mark.parametrize("zone,line", [
+    pytest.param(5, None, id="5"), pytest.param(-1, None, id="-1"),
+    pytest.param(2, 5000, id="2-line-5000")])
+def test_corpus_zone_out_of_range_exits_2(capsys, tmp_path, small_corpus,
+                                          zone, line):
+    lines, i = _corpus_lines(small_corpus, line)
+    x, y, u, _ = lines[i].split()
+    lines[i] = f"{x} {y} {u} {zone}\n"
     bad = tmp_path / "bad.txt"
     bad.write_text("".join(lines))
     code, _, err = run_cli(capsys, "parcel", "run", "--corpus", str(bad),
                            "--policy", "no_flex")
     assert code == 2
-    assert (f"{bad}: line {len(lines)}: default zone {zone}" in err
+    assert (f"{bad}: line {i + 1}: default zone {zone}" in err
             and "2-zone" in err)
+
+
+@pytest.mark.parametrize("field,line", [
+    ("1.5", None), ("", None), ("1" * 400, None), ("1.5", 5000),
+    ("", 5000)], ids=["zone-1.5", "three-fields", "zone-beyond-floats",
+                      "zone-1.5-line-5000", "three-fields-line-5000"])
+def test_corpus_malformed_line_exits_2(capsys, tmp_path, small_corpus,
+                                       field, line):
+    lines, i = _corpus_lines(small_corpus, line)
+    x, y, u, _ = lines[i].split()
+    lines[i] = " ".join(part for part in (x, y, u, field) if part) + "\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(lines))
+    code, _, err = run_cli(capsys, "parcel", "run", "--corpus", str(bad),
+                           "--policy", "no_flex")
+    assert code == 2
+    assert f"{bad}: malformed line {i + 1}: {lines[i].strip()!r}" in err
 
 
 @pytest.mark.parametrize("named,dropped", [
@@ -1067,21 +1098,23 @@ def test_corpus_missing_part_exits_2(capsys, tmp_path, small_corpus, named,
     assert str(bad) in err and named in err
 
 
-@pytest.mark.parametrize("column,value", [
-    (0, "nan"), (1, "inf"), (2, "-0.5"), (2, "nan")],
-    ids=["x-nan", "y-inf", "unload-negative", "unload-nan"])
+@pytest.mark.parametrize("column,value,line", [
+    (0, "nan", None), (1, "inf", None), (2, "-0.5", None), (2, "nan", None),
+    (1, "inf", 5000), (2, "-0.5", 5000)],
+    ids=["x-nan", "y-inf", "unload-negative", "unload-nan",
+         "y-inf-line-5000", "unload-negative-line-5000"])
 def test_corpus_bad_package_value_exits_2(capsys, tmp_path, small_corpus,
-                                          column, value):
-    lines = small_corpus.read_text().splitlines(True)
-    parts = lines[-1].split()
+                                          column, value, line):
+    lines, i = _corpus_lines(small_corpus, line)
+    parts = lines[i].split()
     parts[column] = value
-    lines[-1] = " ".join(parts) + "\n"
+    lines[i] = " ".join(parts) + "\n"
     bad = tmp_path / "bad.txt"
     bad.write_text("".join(lines))
     code, _, err = run_cli(capsys, "parcel", "run", "--corpus", str(bad),
                            "--policy", "no_flex")
     assert code == 2
-    assert (f"{bad}: line {len(lines)}: a coordinate or the unloading time "
+    assert (f"{bad}: line {i + 1}: a coordinate or the unloading time "
             "is not finite, or the unloading time is negative" in err)
 
 

@@ -128,6 +128,13 @@ def test_balanced_assign_matches_the_lp(N, extra, points, unused, slack,
     _, lp_obj = oracle.lp_balanced_assign(pts, centers, eps)
     assert abs(obj - lp_obj) <= 1e-6
     assert oracle.zone_move_gap(pts, centers, assignment, lo, hi) >= -1e-9
+    # the all-pairs solver: the same zones where costs are distinct, the
+    # same objective where they tie
+    fw, fw_obj = oracle.floyd_warshall_balanced_assign(pts, centers, eps)
+    if points == "spread" and unused != "copy":
+        assert np.array_equal(assignment, fw)
+    else:
+        assert abs(obj - fw_obj) <= 1e-9
 
 
 def _kmeans2(points, N, seed):

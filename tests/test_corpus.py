@@ -1,8 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracle
 from endgame.parcel import corpus as cp
+from endgame.parcel import simulate as sim
+from endgame.parcel import tables as tb
 
 
 def small_spec(**kw):
@@ -93,6 +98,45 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(a.centers, b.centers)
     assert b.seed == 9
     assert b.spec == spec
+
+
+@pytest.fixture(scope="module")
+def default_city(tmp_path_factory):
+    """The default seed-0 corpus, the benchmark's parcel city, and the
+    path it is saved to."""
+    corpus = cp.build_corpus(cp.GeometrySpec(), 0)
+    path = tmp_path_factory.mktemp("city") / "corpus.txt"
+    cp.save_corpus(corpus, path)
+    return corpus, path
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_default_corpus_and_tables_files_are_pinned(default_city, tmp_path):
+    # the files the parcel benchmark's set-up writes at seed 11
+    corpus, path = default_city
+    assert _sha256(path) == ("62605f5c5c432481ac6bce0c7b50650e"
+                             "a2427faf2cf486254bf82d7f95fd6b21")
+    tables = tmp_path / "tables.txt"
+    tb.save_tables(tb.estimate_flex_tables(corpus, sim.ParcelParams(N=24),
+                                           reps=2, root_seed=11), tables)
+    assert _sha256(tables) == ("e57c5233115ed01d165e6439085e62e5"
+                               "ec5b09589712677ecd25a2d74c6f5cd5")
+
+
+def test_load_holds_no_per_package_objects(default_city):
+    # 20,000 packages: 0.8 MB of arrays; a tuple per package takes 4.7 MB
+    corpus, path = default_city
+    tracemalloc.start()
+    try:
+        loaded = cp.load_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.points, corpus.points)
+    assert peak < 2.5e6
 
 
 def test_load_rejects_wrong_format(tmp_path):
