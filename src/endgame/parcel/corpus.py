@@ -125,9 +125,9 @@ def save_corpus(corpus: Corpus, path) -> None:
     for j, (cx, cy) in enumerate(corpus.centers):
         buf.write(f"# center {j} {float(cx)!r} {float(cy)!r}\n")
     buf.write("# columns x_km y_km unload_hours default_zone\n")
-    buf.writelines(f"{x!r} {y!r} {u!r} {z}\n" for (x, y), u, z in zip(
-        corpus.points.tolist(), corpus.unload.tolist(),
-        corpus.default_zone.tolist()))
+    buf.writelines(f"{x!r} {y!r} {u!r} {z}\n" for x, y, u, z in zip(
+        corpus.points[:, 0].tolist(), corpus.points[:, 1].tolist(),
+        corpus.unload.tolist(), corpus.default_zone.tolist()))
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 
@@ -202,7 +202,7 @@ def load_corpus(path) -> Corpus:
             values, linenos = [], []
     blocks.append(np.array(values))
     block_linenos.append(np.array(linenos, dtype=np.int64))
-    del values, linenos
+    del values, linenos  # each copy goes once its array exists
     if header.get("format") != CORPUS_FORMAT:
         raise ValueError(f"{path}: unrecognized corpus format tag "
                          f"{header.get('format')!r}")
