@@ -30,8 +30,9 @@ from .. import balls_bins, opaque
 from ..streams import resolve_root_seed
 from .config import MODEL_DEFAULTS, ConfigError, ExperimentConfig, load_config
 from .plots import emit_plot_data
-from .runner import (RAW_METRICS, cost_rows, model_params, run_cells,
-                     run_experiment, run_group, write_csv, write_summary)
+from .runner import (RAW_METRICS, cost_rows, model_params, raw_rows,
+                     run_cells, run_experiment, run_group, write_csv,
+                     write_summary)
 
 BINS, OPAQUE = MODEL_DEFAULTS["bins"], MODEL_DEFAULTS["opaque"]
 
@@ -110,11 +111,6 @@ def _common_flags(p):
                    default=None,
                    help="constant preset (default: the config's, else "
                    "numerics)")
-
-
-def _preset(args) -> str:
-    """The --preset flag, else numerics, for commands without a config."""
-    return args.preset or balls_bins.PRESET_NUMERICS
 
 
 def _sweep_flags(p):
@@ -226,16 +222,17 @@ def _print_row(pairs) -> None:
     print(",".join(f"{k}={v}" for k, v in pairs))
 
 
-def _rep0(model: str, args, params: dict, **policy) -> list[dict]:
-    """The raw rows of replication 0 of the sweep cell of ``args.policy``
-    (with the constants ``policy``) and ``params``."""
-    return run_group(model, [({"kind": args.policy, **policy}, params)], 1,
-                     resolve_root_seed(args.seed), _preset(args))[0]
+def _rep0(model: str, args, params: dict, **policy) -> tuple:
+    """The sweep cell of ``args.policy`` (with the constants ``policy``)
+    and ``params``, and the outcome columns of its replication 0."""
+    cell = ({"kind": args.policy, **policy}, params)
+    return cell, run_group(model, [cell], 1, resolve_root_seed(args.seed),
+                           args.preset or balls_bins.PRESET_NUMERICS)[0]
 
 
 def cmd_bins_run(args) -> int:
-    row, = _rep0("bins", args, {"T": args.T, "N": args.N, "q": args.q},
-                 a_s=args.a_s, a_d=args.a_d)
+    row, = raw_rows("bins", *_rep0("bins", args, {
+        "T": args.T, "N": args.N, "q": args.q}, a_s=args.a_s, a_d=args.a_d))
     del row["rep"]
     if row["first_trigger"] < 0:  # the policy never exerted
         row["first_trigger"] = None
@@ -246,9 +243,9 @@ def cmd_bins_run(args) -> int:
 def cmd_opaque_run(args) -> int:
     params = {"N": args.N, "S": args.S, "q": args.q, "regime": args.regime,
               "cycles_per_instance": args.cycles}
-    rows = _rep0("opaque", args, params)
-    R, D = (np.array([row[name] for row in rows]) for name in ("R", "D"))
-    cost = opaque.long_run_cost(R, D, model_params("opaque", params))
+    _, columns = _rep0("opaque", args, params)
+    cost = opaque.long_run_cost(columns["R"], columns["D"],
+                                model_params("opaque", params))
     _print_row([("policy", args.policy), ("S", args.S),
                 ("regime", args.regime)]
                + [(name, cost[name]) for name in
@@ -380,8 +377,8 @@ def cmd_parcel(args) -> int:
         _print_row([("tables", args.out), ("observed_pairs", observed)])
         return 0
     if args.subcommand == "run":
-        row, = _rep0("parcel", args, {"corpus": args.corpus,
-                                      "tables": args.tables})
+        row, = raw_rows("parcel", *_rep0("parcel", args, {
+            "corpus": args.corpus, "tables": args.tables}))
         _print_row(row.items())
         return 0
     raise AssertionError(args.subcommand)
@@ -407,11 +404,12 @@ def cmd_report(args) -> int:
     for name in metrics:
         for i, row in enumerate(rows, start=1):
             try:
-                float(row[name])
+                value = float(row[name])
             except (TypeError, ValueError):  # None: a short row
+                value = math.nan
+            if not math.isfinite(value):
                 raise ValueError(f"{args.raw}: column {name!r} of data row "
-                                 f"{i} is {row[name]!r}, not a number"
-                                 ) from None
+                                 f"{i} is {row[name]!r}, not a finite number")
     cell = [name for name in columns if name not in metrics
             and name not in ("schema_version", "rep", "cycle")]
     write_summary(args.out, rows, cell, metrics)

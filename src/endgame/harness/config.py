@@ -25,6 +25,9 @@ MODEL_PARAMS = {
                "a_d": float, "corpus": str, "tables": str},
 }
 
+# parcel parameters that name input files, which raw rows leave out
+FILE_PARAMS = ("corpus", "tables")
+
 # parameters that shape a model's arrivals: a replication's streams are
 # addressed by these alone, so every policy and every cost or policy
 # constant of a sweep runs on the same arrivals
@@ -148,6 +151,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             where = "params" if name in cfg.params else "sweep"
             raise ConfigError(
                 f"{where}.{name}: not a parameter of model {cfg.model!r}")
+        if name in cfg.params and name in cfg.sweep:
+            raise ConfigError(f"params.{name}: also under sweep; a parameter "
+                              "is given once")
     for name in REQUIRED_PARAMS[cfg.model]:
         if name not in cfg.params and name not in cfg.sweep:
             raise ConfigError(f"params.{name}: required by model "
@@ -155,7 +161,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, values in cfg.sweep.items():
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep.{name}: needs a nonempty value list")
-    if cfg.model == "parcel" and "tables" not in {**cfg.params, **cfg.sweep}:
+        if name in FILE_PARAMS:
+            raise ConfigError(f"sweep.{name}: names an input file, which a "
+                              "sweep may not vary; set it under params")
+    if cfg.model == "parcel" and "tables" not in cfg.params:
         # imported here, as the model kinds above
         from ..parcel.simulate import TABLE_POLICIES
         needs = sorted(kinds & TABLE_POLICIES)

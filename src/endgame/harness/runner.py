@@ -6,8 +6,9 @@ the values of the parameters that shape its arrivals
 (:data:`~endgame.harness.config.ARRIVAL_PARAMS`) and its index, so every
 policy of a sweep runs on the same arrivals, and results are identical
 at any parallelism degree.  Cells with the same arrival path and row
-count run as one job on one draw of their arrivals.  Aggregation is an
-ordered reduce over the cell list.
+count run as one job on one draw of their arrivals, and a job returns
+each cell's outcome columns; :func:`raw_rows` alone turns those into raw
+rows.  Aggregation is an ordered reduce over the cell list.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .. import balls_bins, bins_engine, opaque
 from ..streams import resolve_root_seed
-from .config import MODEL_DEFAULTS, ExperimentConfig, arrival_path
+from .config import (FILE_PARAMS, MODEL_DEFAULTS, ExperimentConfig,
+                     arrival_path)
 from .stats import summarize
 
 SCHEMA_VERSION = 1
@@ -53,11 +55,12 @@ def expand_cells(config: ExperimentConfig) -> list[tuple[dict, dict]]:
 
 
 def run_group(model: str, cells: list, reps: int, root_seed: int,
-              preset: str) -> list[list[dict]]:
+              preset: str) -> list[dict]:
     """Execute the cells ``[(policy, params), ...]`` that share one
     arrival path and row count on one draw of their arrivals, each
-    distinct resolved policy once; returns each cell's raw rows.  A
-    parcel group is one cell."""
+    distinct resolved policy once; returns each cell's outcome columns,
+    its :data:`RAW_METRICS` by name, one entry per raw row.  A parcel
+    group is one cell."""
     if model == "parcel":
         return [run_cell(policy, params, reps, root_seed)
                 for policy, params in cells]
@@ -70,26 +73,28 @@ def run_group(model: str, cells: list, reps: int, root_seed: int,
     run = (bins_engine.run_policies if model == "bins"
            else opaque.simulate_policies)
     outs = run(specs, mp, n_rows, root_seed, *path)
-    by_spec = dict(zip(specs, outs))
-    return [_raw_rows(model, policy, params, reps, by_spec[spec])
-            for (policy, params), (_, spec) in zip(cells, resolved)]
+    # final_gap is read once: it recomputes per access
+    by_spec = {spec: ((out.final_gap, out.flex_count, out.first_trigger)
+                      if model == "bins" else (out.stop_time, out.flex_count))
+               for spec, out in zip(specs, outs)}
+    return [dict(zip(RAW_METRICS[model], by_spec[spec]))
+            for _, spec in resolved]
 
 
-def _raw_rows(model: str, policy: dict, params: dict, reps: int,
-              out) -> list[dict]:
-    """A bins or opaque cell's raw rows from its policy's outcomes."""
-    if model == "bins":  # final_gap is read once: it recomputes per access
-        return [{"policy": policy["kind"], **params, "rep": rep,
-                 "final_gap": gap, "flex_count": flex, "first_trigger": first}
-                for rep, (gap, flex, first) in enumerate(zip(
-                    out.final_gap.tolist(), out.flex_count.tolist(),
-                    out.first_trigger.tolist()))]
-    R, D = out.stop_time, out.flex_count
-    cycles = len(R) // reps
-    return [{"policy": policy["kind"], **params,
-             "rep": c // cycles, "cycle": c % cycles,
-             "R": int(R[c]), "D": int(D[c])}
-            for c in range(len(R))]
+def raw_rows(model: str, cell: tuple, columns: dict) -> list[dict]:
+    """The raw rows of a cell ``(policy, params)`` from its outcome
+    columns: ``policy``, the params but the input files, ``rep`` (opaque:
+    and ``cycle``), then the columns in their order."""
+    policy, params = cell
+    head = {"policy": policy["kind"],
+            **{k: v for k, v in params.items() if k not in FILE_PARAMS}}
+    values = zip(*(np.asarray(column).tolist()
+                   for column in columns.values()))
+    per_rep = _rows(model, params, 1)
+    return [{**head, "rep": i // per_rep,
+             **({"cycle": i % per_rep} if model == "opaque" else {}),
+             **dict(zip(columns, row))}
+            for i, row in enumerate(values)]
 
 
 def model_params(model: str, params: dict):
@@ -135,36 +140,30 @@ def _cached(path, load):
 
 
 def run_cell(policy: dict, params: dict, reps: int,
-             root_seed: int) -> list[dict]:
-    """Run one parcel cell and return its raw rows."""
+             root_seed: int) -> dict:
+    """Run one parcel cell and return its outcome columns."""
     from ..parcel import simulate as psim
     from ..parcel.corpus import load_corpus
     from ..parcel.tables import load_tables
     corpus = _cached(params["corpus"], load_corpus)
     tables_path = params.get("tables")
     tables = _cached(tables_path, load_tables) if tables_path else None
-    fields = {k: v for k, v in params.items()
-              if k not in ("corpus", "tables")}
-    pp = psim.ParcelParams(N=corpus.n_zones, **fields)
+    pp = psim.ParcelParams(N=corpus.n_zones, **{
+        k: v for k, v in params.items() if k not in FILE_PARAMS})
     spec = psim.ParcelPolicy(kind=policy["kind"])
     # run_day puts the model name in front of its stream path itself
     tokens = arrival_path("parcel", pp)[1:]
-    rows = []
+    columns = {name: [] for name in RAW_METRICS["parcel"]}
     for rep in range(reps):
         rec = psim.run_day(spec, corpus, pp, tables, root_seed=root_seed,
                            stream_path=tokens + (rep,))
-        total, travel, overtime = psim.day_cost(rec, pp)
-        rows.append({
-            "policy": policy["kind"], **fields, "rep": rep,
-            "total_cost": total, "travel_cost": travel,
-            "overtime_cost": overtime, "flex_count": rec.flex_count,
-            "mean_unload_hours": float(rec.y_u.mean()),
-            "mean_travel_hours": float(rec.y_r.mean()),
-            "mad_unload_hours": float(np.abs(rec.y_u
-                                             - rec.y_u.mean()).mean()),
-            "overtime_freq": float((rec.totals > pp.h_max).mean()),
-        })
-    return rows
+        day = (*psim.day_cost(rec, pp), rec.flex_count,
+               float(rec.y_u.mean()), float(rec.y_r.mean()),
+               float(np.abs(rec.y_u - rec.y_u.mean()).mean()),
+               float((rec.totals > pp.h_max).mean()))
+        for column, value in zip(columns.values(), day):
+            column.append(value)
+    return columns
 
 
 def make_out_dir(path) -> None:
@@ -180,7 +179,8 @@ def make_out_dir(path) -> None:
 def run_cells(config: ExperimentConfig, parallel: int = 1) -> list:
     """Run the sweep x replication matrix, once every cell is checked and
     the output directory made, on at most ``parallel`` worker processes
-    (one per job at most); returns each cell's raw rows, in cell order."""
+    (one per job at most); returns each cell's outcome columns, in cell
+    order."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     root_seed = resolve_root_seed(config.seed)
@@ -211,21 +211,20 @@ def run_cells(config: ExperimentConfig, parallel: int = 1) -> list:
         per_group = [run_group(*job) for job in jobs]
     per_cell = [None] * len(cells)
     for members, outs in zip(groups.values(), per_group):
-        for i, rows in zip(members, outs):
-            per_cell[i] = rows
+        for i, columns in zip(members, outs):
+            per_cell[i] = columns
     return per_cell
 
 
 def cost_rows(config: ExperimentConfig, per_cell) -> list[dict]:
     """Each opaque cell's ``policy`` and params, then its
     :func:`~endgame.opaque.long_run_cost` row over its replications as
-    batches, from :func:`run_cells`' raw rows."""
+    batches, from :func:`run_cells`' outcome columns."""
     return [{"policy": policy["kind"], **params, **opaque.long_run_cost(
-                *(np.array([row[name] for row in rows])
-                  for name in ("R", "D")),
-                model_params("opaque", params), config.replications)}
-            for (policy, params), rows in zip(expand_cells(config),
-                                              per_cell)]
+                columns["R"], columns["D"], model_params("opaque", params),
+                config.replications)}
+            for (policy, params), columns in zip(expand_cells(config),
+                                                 per_cell)]
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1):
@@ -233,12 +232,13 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
     ``opaque_cost.csv``, the :func:`cost_rows`).  Returns (raw_path,
     summary_path)."""
     per_cell = run_cells(config, parallel)
-    raw_rows = [row for rows in per_cell for row in rows]
+    rows = [row for cell, columns in zip(expand_cells(config), per_cell)
+            for row in raw_rows(config.model, cell, columns)]
     out = pathlib.Path(config.out_dir)
     raw_path = out / f"{config.model}_raw.csv"
-    write_csv(raw_path, list(raw_rows[0]), raw_rows)
+    write_csv(raw_path, list(rows[0]), rows)
     summary_path = out / f"{config.model}_summary.csv"
-    write_summary(summary_path, raw_rows, ["policy"] + list(config.sweep),
+    write_summary(summary_path, rows, ["policy"] + list(config.sweep),
                   RAW_METRICS[config.model])
     if config.model == "opaque":
         costs = cost_rows(config, per_cell)

@@ -20,8 +20,7 @@ from .balls_bins import (DYNAMIC, POLICY_KINDS, PRESET_NUMERICS, ModelParams,
                          PolicySpec, check_bins, draw_raw_arrays,
                          resolve_policy, theory_a_d)
 from .bins_engine import LockstepResult, run_blocks
-from .harness.config import (DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ConfigError,
-                             arrival_path)
+from .harness.config import DEFAULT_REPLICATIONS, MODEL_DEFAULTS, ConfigError
 
 REGIMES = ("delta_zero", "delta_inv_sqrt", "delta_const", "delta_sqrt")
 
@@ -178,31 +177,31 @@ def regime_sweep(regime: str, S_grid, *, N: int = _DEFAULTS["N"],
                  cycle_cache: dict | None = None):
     """Tabulate C - C* per policy over a nonempty, strictly ascending S grid.
 
-    Every policy runs on the same cycles' arrivals, those of
-    ``arrival_path("opaque", ...)`` at each S.  ``cycle_cache`` maps
+    Each S's policies run on one draw of its cycles' arrivals, through
+    :func:`~endgame.harness.runner.run_group`.  ``cycle_cache`` maps
     (policy kind, S) -> :class:`Cycles` so the same cycle simulations can
     be shared across regimes (the dynamics do not depend on K, h, delta);
     an entry simulated from other inputs is simulated again and replaced.
     """
+    from .harness.runner import run_group  # the runner imports this module
     if len(S_grid) == 0:
         raise ConfigError("sweep.S: needs a nonempty value list")
     if any(a >= b for a, b in zip(S_grid, S_grid[1:])):
         raise ConfigError("sweep.S: values must be ascending, each once")
     cache = {} if cycle_cache is None else cycle_cache
-    n_cycles = instances * cycles_per_instance
-    source = (N, q, n_cycles, root_seed, preset)
+    source = (N, q, instances * cycles_per_instance, root_seed, preset)
+    cell = {"N": N, "q": q, "regime": regime,
+            "cycles_per_instance": cycles_per_instance}
     rows = []
     for S in S_grid:
         params = eoq_params(N, S, q, regime)
         stale = [kind for kind in POLICY_KINDS
                  if getattr(cache.get((kind, S)), "source", None) != source]
         if stale:
-            outs = simulate_policies(
-                [resolve_opaque_policy(PolicySpec(kind=kind), params, preset)
-                 for kind in stale], params, n_cycles, root_seed,
-                *arrival_path("opaque", params))
-            cache.update(((kind, S), Cycles(out.stop_time, out.flex_count,
-                                            source))
+            outs = run_group("opaque", [({"kind": kind}, {**cell, "S": S})
+                                        for kind in stale],
+                             instances, root_seed, preset)
+            cache.update(((kind, S), Cycles(out["R"], out["D"], source))
                          for kind, out in zip(stale, outs))
         rows.extend({"regime": regime, "S": S, "policy": kind,
                      **long_run_cost(*cache[(kind, S)], params, instances)}

@@ -546,7 +546,7 @@ def test_report_without_metric_column_exits_2(capsys, tmp_path):
     assert not (tmp_path / "report.csv").exists()
 
 
-@pytest.mark.parametrize("value", ["x", ""])
+@pytest.mark.parametrize("value", ["x", "", "inf", "-inf", "nan"])
 def test_report_non_number_metric_exits_2_naming_file_and_column(
         capsys, tmp_path, value):
     raw = tmp_path / "raw.csv"
@@ -921,6 +921,38 @@ def test_unknown_policy_kind_exits_2_naming_its_field(
                            "--out", str(out))
     assert code == 2
     assert "policies[1].kind: unknown" in err and "'bogus'" in err
+    assert days == [] and not out.exists()
+
+
+@pytest.mark.parametrize("model,params,sweep,field", [
+    ("bins", "{{N: 3}}", "{{N: [2, 4], T: [20]}}", "params.N"),
+    ("opaque", "{{S: 4, q: 0.2}}", "{{q: [0.1, 0.3]}}", "params.q"),
+    ("parcel", "{{corpus: {a}, T: 40}}", "{{T: [30, 50]}}", "params.T"),
+    ("parcel", "{{T: 40}}", "{{corpus: [{a}, {b}]}}", "sweep.corpus"),
+    ("parcel", "{{corpus: {a}, T: 40}}", "{{tables: [t1.txt, t2.txt]}}",
+     "sweep.tables")],
+    ids=["bins-N-twice", "opaque-q-twice", "parcel-T-twice",
+         "parcel-sweep-corpus", "parcel-sweep-tables"])
+def test_parameter_twice_or_swept_file_exits_2_naming_it(
+        capsys, tmp_path, small_corpus, monkeypatch, model, params, sweep,
+        field):
+    # a parameter is given once, and a raw row leaves out corpus and
+    # tables, so a sweep may not vary them
+    days = []
+    run_day = psim.run_day
+    monkeypatch.setattr(psim, "run_day",
+                        lambda *a, **kw: days.append(1) or run_day(*a, **kw))
+    copy = tmp_path / "corpus2.txt"
+    copy.write_bytes(small_corpus.read_bytes())
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"model: {model}\npolicies: [no_flex]\n"
+                      f"params: {params}\nsweep: {sweep}\n"
+                      "replications: 1\n".format(a=small_corpus, b=copy))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, model, "sweep", "--config", str(config),
+                           "--out", str(out))
+    assert code == 2
+    assert field in err
     assert days == [] and not out.exists()
 
 

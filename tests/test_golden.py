@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from endgame.harness import cli
+from endgame.harness import cli, runner
 
 BINS = """\
 model: bins
@@ -108,8 +108,9 @@ def run(*argv):
     assert cli.main([str(a) for a in argv]) == 0
 
 
-def sweep(case, work):
-    """Run one golden sweep into ``work``."""
+def sweep(case, work, *flags):
+    """Run one golden sweep into ``work``; the regime table also takes
+    the run ``flags``."""
     config = work / "exp.yaml"
     if case == "bins":
         config.write_text(BINS)
@@ -120,7 +121,7 @@ def sweep(case, work):
     elif case == "opaque_regime":
         run("opaque", "sweep", "--regime", "delta_const", "--S", "5,12",
             "--N", 3, "--q", 0.3, "--reps", 2, "--cycles", 3,
-            "--seed", 5, "--out", work)
+            "--seed", 5, "--out", work, *flags)
     else:
         corpus = work / "corpus.txt"
         zones, pool, eps, T = PARCEL_CASES[case]
@@ -150,3 +151,17 @@ def test_golden_csv_digests(case, tmp_path, capsys):
             rows = list(csv.DictReader(fh))
         flexed = {r["policy"] for r in rows if int(r["flex_count"]) > 0}
         assert flexed == FLEXING
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_regime_table_builds_no_raw_row(parallel, tmp_path, capsys,
+                                        monkeypatch):
+    # the table reads its cells' outcome columns, in every worker too
+    def refuse(*args):
+        raise AssertionError("the regime table built raw rows")
+
+    monkeypatch.setattr(runner, "raw_rows", refuse)
+    sweep("opaque_regime", tmp_path, "--parallel", parallel)
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.glob("*.csv")} == GOLDEN["opaque_regime"]
