@@ -945,9 +945,9 @@ def test_parameter_twice_or_swept_file_exits_2_naming_it(
     copy = tmp_path / "corpus2.txt"
     copy.write_bytes(small_corpus.read_bytes())
     config = tmp_path / "exp.yaml"
-    config.write_text(f"model: {model}\npolicies: [no_flex]\n"
-                      f"params: {params}\nsweep: {sweep}\n"
-                      "replications: 1\n".format(a=small_corpus, b=copy))
+    text = (f"model: {model}\npolicies: [no_flex]\nparams: {params}\n"
+            f"sweep: {sweep}\nreplications: 1\n")
+    config.write_text(text.format(a=small_corpus, b=copy))
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, model, "sweep", "--config", str(config),
                            "--out", str(out))
